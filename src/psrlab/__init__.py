@@ -28,14 +28,12 @@ from .pomdp import (
     decodability_alpha,
     default_psr,
     dynamics_matrix,
-    exact_traj_prob,
     g_matrices,
     near_tie,
     pomdp_to_psr,
     psr_rank,
     random_mdp,
     random_revealing,
-    sample_episode,
     select_core_tests,
     tiger,
 )
@@ -56,10 +54,9 @@ from .bonus import (
     BonusEvaluator,
     FeatureGram,
     accumulate,
-    bonus,
     decodable_transform,
     elliptical_potential_check,
-    ground_truth_gram,
+    prefix_grams,
     transfer_score_check,
 )
 from .planner import plan, plan_on_table

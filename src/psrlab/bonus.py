@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +19,9 @@ from .errors import DegenerateHistory, SingularCoreTests, StructuralError
 from .pomdp import GMatrices, PINV_RCOND, MAX_CONDITION, decodability_alpha
 from .psr import PsrModel
 from .spaces import History
+
+if TYPE_CHECKING:
+    from .estimation import DatasetFamily
 
 MIN_LAMBDA = 1e-12
 
@@ -41,7 +44,14 @@ class FeatureGram:
         if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
             raise StructuralError("gram matrix must be symmetric")
         if self._factor is None:
-            object.__setattr__(self, "_factor", scipy.linalg.cho_factor(self.matrix))
+            try:
+                factor = scipy.linalg.cho_factor(self.matrix)
+            except scipy.linalg.LinAlgError as exc:
+                dim = self.matrix.shape[0]
+                raise StructuralError(
+                    f"gram at step {self.step} ({dim}x{dim}) is not positive definite: {exc}"
+                ) from exc
+            object.__setattr__(self, "_factor", factor)
 
     @classmethod
     def fresh(cls, step: int, dim: int, lam: float) -> "FeatureGram":
@@ -93,8 +103,7 @@ class BonusEvaluator:
 
     Features come from ``feature_source``; a per-step linear ``transform``
     (when present) is applied to features before scoring, and the grams must
-    have been accumulated over equally transformed features.  Prefix scores
-    are cached: evaluators are frozen snapshots.
+    have been accumulated over equally transformed features.
     """
 
     grams: tuple[FeatureGram, ...]
@@ -102,7 +111,6 @@ class BonusEvaluator:
     feature_source: PsrModel
     transform: tuple[np.ndarray, ...] | None = None
     guard: float = 1e-12
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -112,49 +120,42 @@ class BonusEvaluator:
         if self.transform is not None and len(self.transform) != len(self.grams):
             raise StructuralError("need one transform per step when transforming")
 
-    def prefix_score(self, history: History) -> float:
-        """Mahalanobis score of one history's (transformed) feature."""
-        key = history.steps
-        cached = self._cache.get(key)
-        if cached is None:
-            feat = self.feature_source.prediction_feature(history, self.guard)
-            if self.transform is not None:
-                feat = self.transform[len(history)] @ feat
-            cached = self.grams[len(history)].score(feat)
-            self._cache[key] = cached
-        return cached
-
     def bonus(self, trajectory: History) -> float:
-        """min of 1 and alpha times the root of the summed prefix scores.
-
-        Trajectories with a (numerically) zero-probability prefix under the
-        feature source get bonus 1: they are maximally uncertain.
-        """
+        """Bonus of one full trajectory: its entry of :meth:`bonus_table`."""
         space = self.feature_source.space
         if len(trajectory) != space.horizon:
             raise StructuralError("bonus is defined on full trajectories")
-        try:
-            total = math.fsum(self.prefix_score(trajectory.prefix(h)) for h in range(space.horizon))
-        except DegenerateHistory:
-            return 1.0
-        return min(self.alpha * math.sqrt(max(total, 0.0)), 1.0)
+        trajectory.validate(space)
+        return float(self.bonus_table()[trajectory.lex_index(space)])
 
-    def bonus_table(self) -> np.ndarray:
-        """Bonuses of all full trajectories in lexicographic order."""
+    def score_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Summed per-step prefix scores of all full trajectories, lexicographic.
+
+        Also returns which trajectories have a (numerically) zero-probability
+        prefix under the feature source; their summed score is meaningless.
+        """
         space = self.feature_source.space
         totals = np.zeros(space.n_trajectories)
         degenerate = np.zeros(space.n_trajectories, dtype=bool)
         for h in range(space.horizon):
             feats = self.feature_source.feature_table(h, self.guard)
             bad = np.isnan(feats[:, 0])
+            feats = np.where(bad[:, None], 0.0, feats)
             if self.transform is not None:
-                feats = np.where(bad[:, None], 0.0, feats) @ self.transform[h].T
-            else:
-                feats = np.where(bad[:, None], 0.0, feats)
+                feats = feats @ self.transform[h].T
             scores = self.grams[h].scores(feats)
             reps = space.pair_count ** (space.horizon - h)
             totals += np.repeat(scores, reps)
             degenerate |= np.repeat(bad, reps)
+        return totals, degenerate
+
+    def bonus_table(self) -> np.ndarray:
+        """min of 1 and alpha times the root of each trajectory's summed score.
+
+        Trajectories with a degenerate prefix get bonus 1: they are maximally
+        uncertain.
+        """
+        totals, degenerate = self.score_table()
         out = np.minimum(self.alpha * np.sqrt(np.maximum(totals, 0.0)), 1.0)
         out[degenerate] = 1.0
         return out
@@ -168,10 +169,6 @@ class BonusEvaluator:
             "transform": None if self.transform is None else [t.tolist() for t in self.transform],
             "feature_source": self.feature_source.to_dict(),
         }
-
-
-def bonus(evaluator: BonusEvaluator, trajectory: History) -> float:
-    return evaluator.bonus(trajectory)
 
 
 def evaluator_from_dict(data: dict) -> BonusEvaluator:
@@ -210,18 +207,20 @@ def decodable_transform(g_hat: GMatrices) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def ground_truth_gram(true_model: PsrModel, dataset, lam: float) -> tuple[FeatureGram, ...]:
-    """Per-step grams of the true model's features over a dataset (diagnostic)."""
-    from .estimation import DatasetFamily  # local import to avoid a cycle
+def prefix_grams(model: PsrModel, dataset: "DatasetFamily", lam: float) -> tuple[FeatureGram, ...]:
+    """Per-step grams of a model's features over a dataset's recorded prefixes.
 
-    assert isinstance(dataset, DatasetFamily)
+    The step-``h`` gram adds the feature of every bucket-``h`` entry's
+    length-``h`` prefix, counted with multiplicity.
+    """
     grams = []
-    for h in range(true_model.space.horizon):
-        feats = [
-            true_model.prediction_feature(entry.trajectory.prefix(h))
-            for entry in dataset.buckets[h]
-        ]
-        grams.append(FeatureGram.build(h, true_model.dims[h], lam, np.asarray(feats).reshape(len(feats), -1) if feats else []))
+    for h in range(model.space.horizon):
+        feats = model.feature_table(h)
+        counts = np.bincount(dataset.columns[h].prefix, minlength=len(feats))
+        used = counts > 0
+        if np.isnan(feats[used, 0]).any():
+            raise DegenerateHistory(f"a recorded prefix at step {h} has zero probability under the model")
+        grams.append(FeatureGram.build(h, model.dims[h], lam, feats[used], counts[used]))
     return tuple(grams)
 
 

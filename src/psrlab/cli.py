@@ -118,7 +118,24 @@ def _resolve_online(cfg: dict, env, true_model, n_episodes: int, seed: int) -> t
     return online, echo
 
 
-@click.group()
+class _Group(click.Group):
+    """Reports package errors as one ``Error:`` line and exit status 1.
+
+    Without standalone mode (a caller embedding the command) the error
+    propagates unchanged.
+    """
+
+    def main(self, *args, standalone_mode: bool = True, **kwargs):
+        try:
+            return super().main(*args, standalone_mode=standalone_mode, **kwargs)
+        except PsrLabError as exc:
+            if not standalone_mode:
+                raise
+            click.echo(f"Error: {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Confidence-bound learning of predictive state models, desk scale."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,29 +37,60 @@ class DataEntry:
     split_step: int
 
 
+class BucketColumns(NamedTuple):
+    """Per-entry lookup columns of one step bucket, in insertion order."""
+
+    prefix: list[int]  # lex index of the entry's length-h prefix
+    trajectory: list[int]  # lex index of the full trajectory
+    prefix_weight: list[float]  # recorded policy's weight of the length-h prefix
+    full_weight: list[float]  # recorded policy's weight of the full trajectory
+
+
 @dataclass
 class DatasetFamily:
-    """Per-step buckets of entries plus the policies that produced them."""
+    """Per-step buckets of entries plus the policies that produced them.
+
+    Each entry's lexicographic indices and policy weights are recorded once,
+    when it is added; every model quantity over the dataset is a gather
+    from the model's tables at those indices.
+    """
 
     space: ObsActSpace
-    buckets: list[list[DataEntry]]
-    policies: dict[str, Policy]
+    policies: dict[str, Policy] = field(default_factory=dict)
+    buckets: list[list[DataEntry]] = field(init=False)
+    columns: list[BucketColumns] = field(init=False, repr=False)
     _weight_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        self.buckets = [[] for _ in range(self.space.horizon)]
+        self.columns = [BucketColumns([], [], [], []) for _ in range(self.space.horizon)]
 
     @classmethod
     def empty(cls, space: ObsActSpace) -> "DatasetFamily":
-        return cls(space, [[] for _ in range(space.horizon)], {})
+        return cls(space)
 
     def add(self, entry: DataEntry, policy: Policy | None = None) -> None:
-        if len(entry.trajectory) != self.space.horizon:
+        space = self.space
+        trajectory = entry.trajectory
+        if len(trajectory) != space.horizon:
             raise StructuralError("entries must hold full trajectories")
-        if not 0 <= entry.split_step < self.space.horizon:
+        trajectory.validate(space)
+        h = entry.split_step
+        if not 0 <= h < space.horizon:
             raise StructuralError("split step outside [0, H)")
         if policy is not None:
-            self.policies[entry.policy_id] = policy
+            known = self.policies.setdefault(entry.policy_id, policy)
+            if known is not policy and known.to_dict() != policy.to_dict():
+                raise StructuralError(f"policy id {entry.policy_id!r} is registered to a different policy")
         if entry.policy_id not in self.policies:
             raise StructuralError(f"unknown policy id {entry.policy_id!r}")
-        self.buckets[entry.split_step].append(entry)
+        prefix = trajectory.prefix(h)
+        cols = self.columns[h]
+        cols.prefix.append(prefix.lex_index(space))
+        cols.trajectory.append(trajectory.lex_index(space))
+        cols.prefix_weight.append(self._policy_weight(entry.policy_id, prefix))
+        cols.full_weight.append(self._policy_weight(entry.policy_id, trajectory))
+        self.buckets[h].append(entry)
 
     def all_entries(self) -> Iterable[DataEntry]:
         for bucket in self.buckets:
@@ -68,12 +99,12 @@ class DatasetFamily:
     def size(self) -> int:
         return sum(len(b) for b in self.buckets)
 
-    def prefix_weight(self, entry: DataEntry, h: int) -> float:
-        """Policy weight of the entry's length-h prefix, memoized."""
-        key = (entry.policy_id, entry.trajectory.steps[:h])
+    def _policy_weight(self, policy_id: str, history: History) -> float:
+        """Policy weight of a history under a registered policy, memoized."""
+        key = (policy_id, history.steps)
         cached = self._weight_cache.get(key)
         if cached is None:
-            cached = policy_weight(self.policies[entry.policy_id], entry.trajectory.prefix(h))
+            cached = policy_weight(self.policies[policy_id], history)
             self._weight_cache[key] = cached
         return cached
 
@@ -101,7 +132,7 @@ class DatasetFamily:
 def dataset_from_jsonl(
     space: ObsActSpace, text: str, policies: dict[str, Policy]
 ) -> DatasetFamily:
-    ds = DatasetFamily(space, [[] for _ in range(space.horizon)], dict(policies))
+    ds = DatasetFamily(space, dict(policies))
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -301,41 +332,27 @@ def _grid_tables(env: TabularPomdp, eps: float):
 # -- likelihoods and selection -------------------------------------------------
 
 
-def _entry_log_prob(model: PsrModel, dataset: DatasetFamily, entry: DataEntry) -> float:
-    p_model = model.seq_prob(entry.trajectory)
-    if p_model <= 0.0:
-        return NEG_INF
-    w = dataset.prefix_weight(entry, len(entry.trajectory))
-    if w <= 0.0:
-        return NEG_INF
-    return math.log(p_model) + math.log(w)
-
-
 def log_likelihood(model: PsrModel, dataset: DatasetFamily, scope: int | None = None) -> float:
     """Sum of trajectory log probabilities (policy factor included).
 
     ``scope`` selects one step bucket; None sums them all.  Entries the
     model cannot produce push the result to -inf.
     """
-    buckets = dataset.buckets if scope is None else [dataset.buckets[scope]]
+    table = model.prob_table(dataset.space.horizon)
     terms = []
-    for bucket in buckets:
-        for entry in bucket:
-            lp = _entry_log_prob(model, dataset, entry)
-            if lp == NEG_INF:
+    for cols in dataset.columns if scope is None else [dataset.columns[scope]]:
+        for p, w in zip(table[cols.trajectory].tolist(), cols.full_weight):
+            if p <= 0.0 or w <= 0.0:
                 return NEG_INF
-            terms.append(lp)
+            terms.append(math.log(p) + math.log(w))
     return math.fsum(terms)
 
 
 def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:
     """Every recorded prefix keeps probability at least p_min under the model."""
-    for h, bucket in enumerate(dataset.buckets):
-        for entry in bucket:
-            prefix = entry.trajectory.prefix(h)
-            p = model.seq_prob(prefix) * dataset.prefix_weight(entry, h)
-            if p < p_min:
-                return False
+    for h, cols in enumerate(dataset.columns):
+        if np.any(model.prob_table(h)[cols.prefix] * cols.prefix_weight < p_min):
+            return False
     return True
 
 
@@ -367,12 +384,8 @@ class MleCache:
         if self.seen is None:
             self.seen = [0] * len(dataset.buckets)
         space = dataset.space
-        for h, bucket in enumerate(dataset.buckets):
-            for entry in bucket[self.seen[h] :]:
-                prefix_idx = entry.trajectory.prefix(h).lex_index(space)
-                traj_idx = entry.trajectory.lex_index(space)
-                w_prefix = dataset.prefix_weight(entry, h)
-                w_full = dataset.prefix_weight(entry, space.horizon)
+        for h, cols in enumerate(dataset.columns):
+            for prefix_idx, traj_idx, w_prefix, w_full in zip(*(col[self.seen[h] :] for col in cols)):
                 for i, model in enumerate(candidates.models):
                     if self.feasible[i]:
                         p = model.prob_table(h)[prefix_idx] * w_prefix
@@ -384,7 +397,7 @@ class MleCache:
                             self.neg_inf[i] = True
                         else:
                             self.loglik[i] += math.log(pt) + math.log(w_full)
-            self.seen[h] = len(bucket)
+            self.seen[h] = len(cols.prefix)
 
 
 def constrained_mle(
@@ -448,10 +461,9 @@ def conditional_tv_diagnostic(
         table_b = model_b.prob_table(space.horizon)
         pa_h = model_a.prob_table(h)
         pb_h = model_b.prob_table(h)
-        for entry in bucket:
+        cols = dataset.columns[h]
+        for entry, idx, wp in zip(bucket, cols.prefix, cols.prefix_weight):
             prefix = entry.trajectory.prefix(h)
-            idx = prefix.lex_index(space)
-            wp = dataset.prefix_weight(entry, h)
             if pa_h[idx] * wp <= 0.0 or pb_h[idx] * wp <= 0.0:
                 raise DegenerateHistory(
                     f"prefix at step {h} has zero probability under a compared model"

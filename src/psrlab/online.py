@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bonus import BonusEvaluator, FeatureGram
+from .bonus import BonusEvaluator, prefix_grams
 from .errors import EmptyFeasibleSet, StructuralError
 from .estimation import CandidateSet, DataEntry, DatasetFamily, MleCache, constrained_mle
 from .planner import leaf_table, plan_on_table, policy_value_on_table
@@ -103,18 +103,7 @@ def _build_evaluator(
     model: PsrModel, dataset: DatasetFamily, lam: float, alpha: float
 ) -> BonusEvaluator:
     """Grams of the selected model's features over the per-step buckets."""
-    space = model.space
-    grams = []
-    for h in range(space.horizon):
-        feats = model.feature_table(h)
-        counts = np.zeros(len(feats))
-        for entry in dataset.buckets[h]:
-            counts[entry.trajectory.prefix(h).lex_index(space)] += 1.0
-        used = counts > 0
-        if np.any(np.isnan(feats[used, 0])):
-            raise StructuralError("stable selection admitted a degenerate recorded prefix")
-        grams.append(FeatureGram.build(h, model.dims[h], lam, feats[used], counts[used]))
-    return BonusEvaluator(tuple(grams), alpha, model)
+    return BonusEvaluator(prefix_grams(model, dataset, lam), alpha, model)
 
 
 def run_psr_ucb(

@@ -189,14 +189,6 @@ def pomdp_from_dict(data: dict) -> TabularPomdp:
     )
 
 
-def exact_traj_prob(pomdp: TabularPomdp, history: History) -> float:
-    return pomdp.exact_traj_prob(history)
-
-
-def sample_episode(pomdp: TabularPomdp, policy: Policy, rng_seed: int) -> History:
-    return pomdp.sample_episode(policy, rng_seed)
-
-
 # -- dynamics matrices and core tests ---------------------------------------
 
 

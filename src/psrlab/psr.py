@@ -96,7 +96,7 @@ class PsrModel:
     psi0: np.ndarray
     M: tuple[np.ndarray, ...]  # M[h-1] has shape (O, A, d_h, d_{h-1})
     phi: tuple[np.ndarray, ...]  # phi[h] has length d_h, for h = 0..H
-    _psi_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> (psis, probs)
 
     def __post_init__(self) -> None:
         H, O, A = self.space.horizon, self.space.n_obs, self.space.n_actions
@@ -124,36 +124,27 @@ class PsrModel:
     def max_dim(self) -> int:
         return max(self.dims[:-1])
 
-    # -- state and probability ----------------------------------------------
+    # -- per-history lookups into the tables --------------------------------
 
     def psi(self, history: History) -> np.ndarray:
-        """State vector of a history (joint core-test probabilities)."""
-        key = history.steps
-        cached = self._psi_cache.get(key)
-        if cached is not None:
-            return cached
-        if not key:
-            vec = self.psi0
-        else:
-            o, a = key[-1]
-            vec = self.M[len(key) - 1][o, a] @ self.psi(History(key[:-1]))
-        self._psi_cache[key] = vec
-        return vec
+        """State vector of a history (joint core-test probabilities); read-only."""
+        history.validate(self.space)
+        return self._tables(len(history))[0][history.lex_index(self.space)]
 
     def seq_prob(self, history: History) -> float:
         """Probability of the history's observations given its actions."""
         history.validate(self.space)
-        if len(history) == 0:
-            return 1.0
-        return float(self.phi[len(history)] @ self.psi(history))
+        return float(self.prob_table(len(history))[history.lex_index(self.space)])
 
     def prediction_feature(self, history: History, guard: float = PSI_GUARD) -> np.ndarray:
         """Normalized state; coordinate ℓ is the probability of core test ℓ."""
         history.validate(self.space)
-        p = float(self.phi[len(history)] @ self.psi(history))
+        psis, probs = self._tables(len(history))
+        idx = history.lex_index(self.space)
+        p = float(probs[idx])
         if p <= guard:
             raise DegenerateHistory(f"history has probability {p:.3g} <= {guard:.3g}")
-        return self.psi(history) / p
+        return psis[idx] / p
 
     def suffix_weight(self, future_steps: tuple[tuple[int, int], ...], start: int, x: np.ndarray) -> float:
         """phi_H^T M_H ... M_{start+1} x for the given future steps."""
@@ -179,8 +170,8 @@ class PsrModel:
         return out
 
     def _tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        key = ("table", h)
-        cached = self._psi_cache.get(key)
+        """States and probabilities of all length-``h`` histories, cached read-only."""
+        cached = self._table_cache.get(h)
         if cached is not None:
             return cached
         if h == 0:
@@ -190,7 +181,9 @@ class PsrModel:
             ops = self.M[h - 1].reshape(-1, *self.M[h - 1].shape[2:])  # (O*A, d_h, d_{h-1})
             psis = np.einsum("kij,nj->nki", ops, prev).reshape(-1, ops.shape[1])
         probs = psis @ self.phi[h]
-        self._psi_cache[key] = (psis, probs)
+        psis.setflags(write=False)
+        probs.setflags(write=False)
+        self._table_cache[h] = (psis, probs)
         return psis, probs
 
     # -- serialization ------------------------------------------------------
@@ -219,14 +212,6 @@ def psr_model_from_dict(data: dict) -> PsrModel:
 
 
 # -- model-level operations ---------------------------------------------------
-
-
-def seq_prob(model: PsrModel, history: History) -> float:
-    return model.seq_prob(history)
-
-
-def prediction_feature(model: PsrModel, history: History, guard: float = PSI_GUARD) -> np.ndarray:
-    return model.prediction_feature(history, guard)
 
 
 def check_self_consistency(model: PsrModel) -> float:

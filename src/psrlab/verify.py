@@ -16,7 +16,7 @@ import numpy as np
 from .bonus import (
     BonusEvaluator,
     elliptical_potential_check,
-    ground_truth_gram,
+    prefix_grams,
     transfer_score_check,
 )
 from .errors import DegenerateHistory
@@ -24,11 +24,12 @@ from .estimation import (
     DataEntry,
     DatasetFamily,
     conditional_tv_diagnostic,
+    constrained_mle,
     log_likelihood,
     make_candidates,
     theta_min_feasible,
 )
-from .online import OnlineConfig, exploration_policy, run_psr_ucb
+from .online import OnlineConfig, _build_evaluator, exploration_policy, run_psr_ucb
 from .offline import OfflineConfig, collect_offline, run_psr_lcb
 from .planner import leaf_table, plan_on_table, policy_value_on_table
 from .policies import random_tree_policy, uniform_policy, policy_weight_vector
@@ -387,15 +388,12 @@ def _uniform_collection(
 
 def _prefix_loglik(model: PsrModel, dataset: DatasetFamily) -> float:
     """Sum over buckets of each entry's own-step prefix log probability."""
-    space = dataset.space
     terms = []
-    for h, bucket in enumerate(dataset.buckets):
-        table = model.prob_table(h)
-        for entry in bucket:
-            p = table[entry.trajectory.prefix(h).lex_index(space)] * dataset.prefix_weight(entry, h)
-            if p <= 0.0:
-                return float("-inf")
-            terms.append(math.log(p))
+    for h, cols in enumerate(dataset.columns):
+        probs = model.prob_table(h)[cols.prefix] * cols.prefix_weight
+        if np.any(probs <= 0.0):
+            return float("-inf")
+        terms.extend(math.log(p) for p in probs.tolist())
     return math.fsum(terms)
 
 
@@ -552,32 +550,19 @@ def run_validity_checks(
     for s in range(bonus_runs):
         seed = child_seed(s, "bonus-relation")
         dataset = _uniform_collection(env, true_model, 10, seed)
-        from .estimation import constrained_mle
-
         mle = constrained_mle(cands, dataset, params["p_min"], params["beta"])
-        from .online import _build_evaluator
-
         evaluator = _build_evaluator(mle.model, dataset, params["lam"], params["alpha"])
-        true_grams = ground_truth_gram(true_model, dataset, params["lam"])
-        pol = random_tree_policy(space, rng_for(s, "bonus-relation-policy"))
-        w = policy_weight_vector(pol, space)
-        scores = np.zeros(space.n_trajectories)
-        degenerate = np.zeros(space.n_trajectories, dtype=bool)
-        true_side = 0.0
-        for h in range(space.horizon):
-            feats = mle.model.feature_table(h)
-            bad = np.isnan(feats[:, 0])
-            reps = space.pair_count ** (space.horizon - h)
-            sc = evaluator.grams[h].scores(np.where(bad[:, None], 0.0, feats))
-            scores += np.repeat(sc, reps)
-            degenerate |= np.repeat(bad, reps)
-            tf = true_model.feature_table(h)
-            marg = _prefix_marginals(true_table, w, space, h)
-            true_side += float(
-                np.dot(marg, np.sqrt(np.maximum(true_grams[h].scores(tf), 0.0)))
-            )
+        scores, degenerate = evaluator.score_table()
         if degenerate.any():
             continue
+        true_grams = prefix_grams(true_model, dataset, params["lam"])
+        pol = random_tree_policy(space, rng_for(s, "bonus-relation-policy"))
+        w = policy_weight_vector(pol, space)
+        true_side = 0.0
+        for h in range(space.horizon):
+            marg = _prefix_marginals(true_table, w, space, h)
+            true_scores = true_grams[h].scores(true_model.feature_table(h))
+            true_side += float(np.dot(marg, np.sqrt(np.maximum(true_scores, 0.0))))
         lhs = float(np.dot(w * true_table, np.sqrt(np.maximum(scores, 0.0))))
         n_cands = len(cands)
         beta_stat = 31.0 * math.log(10 * n_cands / delta)

@@ -12,10 +12,10 @@ from psrlab.bonus import (
     decodable_transform,
     elliptical_potential_check,
     evaluator_from_dict,
-    ground_truth_gram,
+    prefix_grams,
     transfer_score_check,
 )
-from psrlab.errors import SingularCoreTests, StructuralError
+from psrlab.errors import DegenerateHistory, SingularCoreTests, StructuralError
 from psrlab.estimation import DataEntry, DatasetFamily
 from psrlab.online import _build_evaluator
 from psrlab.policies import uniform_policy
@@ -144,17 +144,31 @@ def test_decodable_transform_rejects_singular():
         decodable_transform(bad)
 
 
-def test_ground_truth_gram_matches_manual(reference_env, reference_model):
-    dataset = DatasetFamily.empty(reference_env.space)
-    pol = uniform_policy(reference_env.space)
-    for i in range(5):
+def test_prefix_grams_match_outer_products(reference_env, reference_model):
+    """Per-entry outer-product sums are the oracle for the shared gram builder."""
+    space = reference_env.space
+    dataset = DatasetFamily.empty(space)
+    pol = uniform_policy(space)
+    for i in range(40):
         dataset.add(DataEntry(reference_env.sample_episode(pol, 40 + i), "u", i % 2), pol)
-    grams = ground_truth_gram(reference_model, dataset, lam=0.5)
-    manual = 0.5 * np.eye(reference_model.dims[1])
-    for entry in dataset.buckets[1]:
-        f = reference_model.prediction_feature(entry.trajectory.prefix(1))
-        manual += np.outer(f, f)
-    assert np.allclose(grams[1].matrix, manual, atol=1e-12)
+    grams = prefix_grams(reference_model, dataset, lam=0.5)
+    for h in range(space.horizon):
+        manual = 0.5 * np.eye(reference_model.dims[h])
+        for entry in dataset.buckets[h]:
+            f = reference_model.prediction_feature(entry.trajectory.prefix(h))
+            manual += np.outer(f, f)
+        assert grams[h].count == len(dataset.buckets[h])
+        assert np.allclose(grams[h].matrix, manual, rtol=1e-12, atol=0.0)
+
+
+def test_prefix_grams_reject_degenerate_prefix():
+    env = make_single_state_env(horizon=2, n_obs=2, n_actions=1, emission_row=np.array([1.0, 0.0]))
+    model, _ = default_psr(env)
+    dataset = DatasetFamily.empty(env.space)
+    pol = uniform_policy(env.space)
+    dataset.add(DataEntry(History(((1, 0), (0, 0))), "u", 1), pol)
+    with pytest.raises(DegenerateHistory, match="step 1"):
+        prefix_grams(model, dataset, lam=1.0)
 
 
 def test_elliptical_potential_single_unit_vector():
@@ -270,3 +284,42 @@ def test_zero_data_bonus_closed_form(reference_model):
             for h in range(space.horizon)
         )
         assert table[idx] == pytest.approx(min(alpha * math.sqrt(total / lam), 1.0), abs=1e-12)
+
+
+def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model, reference_g):
+    """alpha * sqrt(fsum of per-step gram scores), capped at 1 and 1 on a
+    degenerate prefix, is the oracle for bonus and bonus_table."""
+    space = reference_env.space
+    dataset = DatasetFamily.empty(space)
+    pol = uniform_policy(space)
+    for i in range(12):
+        dataset.add(DataEntry(reference_env.sample_episode(pol, 700 + i), "u", i % 2), pol)
+    det_env = make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
+    det_model, _ = default_psr(det_env)
+    evaluators = [
+        _build_evaluator(reference_model, dataset, 0.7, 0.3),
+        BonusEvaluator(tuple(FeatureGram.fresh(h, 2, 1.0) for h in range(2)), 0.8, reference_model,
+                       transform=decodable_transform(reference_g)),
+        BonusEvaluator(tuple(FeatureGram.fresh(h, det_model.dims[h], 1.0) for h in range(2)), 0.01, det_model),
+    ]
+    for ev in evaluators:
+        model = ev.feature_source
+        table = ev.bonus_table()
+        for traj in enumerate_histories(model.space, model.space.horizon):
+            try:
+                feats = [model.prediction_feature(traj.prefix(h)) for h in range(model.space.horizon)]
+            except DegenerateHistory:
+                expected = 1.0
+            else:
+                if ev.transform is not None:
+                    feats = [ev.transform[h] @ f for h, f in enumerate(feats)]
+                total = math.fsum(ev.grams[h].score(f) for h, f in enumerate(feats))
+                expected = min(ev.alpha * math.sqrt(max(total, 0.0)), 1.0)
+            assert ev.bonus(traj) == pytest.approx(expected, abs=1e-12)
+            assert table[traj.lex_index(model.space)] == ev.bonus(traj)
+    assert 1.0 in evaluators[2].bonus_table()
+
+
+def test_gram_rejects_indefinite_matrix():
+    with pytest.raises(StructuralError, match=r"step 3 \(2x2\)"):
+        FeatureGram(3, 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from psrlab.cli import build_behavior, build_env, main
+from psrlab.errors import PsrLabError
 from psrlab.policies import UniformActionSeqPolicy
 
 
@@ -131,3 +132,17 @@ def test_build_behavior_variants(reference_env):
     assert isinstance(build_behavior("uniform", reference_env.space), UniformActionSeqPolicy)
     pol = build_behavior({"type": "uniform_action_seq", "sequences": [[0], [1]]}, reference_env.space)
     assert pol.sequences == ((0,), (1,))
+
+
+def test_package_error_prints_one_line(tmp_path, runner):
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG))
+    cfg_data["env"] = {"builtin": "no_such_env"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    args = ["run-online", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output.strip().splitlines() == ["Error: unknown builtin environment 'no_such_env'"]
+    assert "Traceback" not in result.output
+    with pytest.raises(PsrLabError, match="no_such_env"):
+        main.main(args=args, prog_name="psrlab", standalone_mode=False)

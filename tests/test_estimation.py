@@ -19,7 +19,7 @@ from psrlab.estimation import (
     policies_from_dict,
     theta_min_feasible,
 )
-from psrlab.policies import uniform_policy
+from psrlab.policies import UniformActionSeqPolicy, policy_weight, uniform_policy
 from psrlab.pomdp import default_psr
 from psrlab.spaces import History
 
@@ -246,3 +246,82 @@ def test_dataset_bucket_validation(reference_env):
         dataset.add(DataEntry(traj, "u", 5), pol)
     with pytest.raises(StructuralError):
         dataset.add(DataEntry(traj, "unknown", 0))
+
+
+def _oracle_log_likelihood(model, dataset):
+    """Per-entry fsum of log seq_prob + log policy_weight; -inf if any is zero."""
+    terms = []
+    for entry in dataset.all_entries():
+        p = model.seq_prob(entry.trajectory)
+        w = policy_weight(dataset.policies[entry.policy_id], entry.trajectory)
+        if p <= 0.0 or w <= 0.0:
+            return float("-inf")
+        terms.append(math.log(p) + math.log(w))
+    return math.fsum(terms)
+
+
+def _oracle_feasible(model, dataset, p_min):
+    return all(
+        model.seq_prob(e.trajectory.prefix(h)) * policy_weight(dataset.policies[e.policy_id], e.trajectory.prefix(h))
+        >= p_min
+        for h, bucket in enumerate(dataset.buckets)
+        for e in bucket
+    )
+
+
+def test_likelihood_and_feasibility_match_per_entry_oracle(reference_env):
+    from psrlab.offline import collect_offline
+    from psrlab.online import exploration_policy
+
+    cands = make_candidates(reference_env, "dithered", seed=3, n=8, scale=0.3)
+    space = reference_env.space
+    for seed in range(4):
+        datasets = [collect_offline(reference_env, uniform_policy(space), 30, seed)]
+        explore = DatasetFamily.empty(space)
+        for k in range(10):
+            for h in range(1, space.horizon + 1):
+                pol = exploration_policy(uniform_policy(space), h, cands.models[0].core_tests)
+                traj = reference_env.sample_episode(pol, 1000 * seed + 10 * k + h)
+                explore.add(DataEntry(traj, f"e{k},{h}", h - 1), pol)
+        datasets.append(explore)
+        for dataset in datasets:
+            for model in cands.models:
+                assert log_likelihood(model, dataset) == pytest.approx(
+                    _oracle_log_likelihood(model, dataset), rel=1e-12, abs=1e-12
+                )
+                for p_min in (1e-10, 1e-3, 0.05):
+                    assert theta_min_feasible(model, dataset, p_min) == _oracle_feasible(model, dataset, p_min)
+
+
+def test_likelihood_oracle_edge_cases():
+    env = make_single_state_env(horizon=1, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
+    model, _ = default_psr(env)
+    dataset = DatasetFamily.empty(env.space)
+    dataset.add(DataEntry(History(((1, 0),)), "u", 0), uniform_policy(env.space))
+    assert log_likelihood(model, dataset) == _oracle_log_likelihood(model, dataset) == float("-inf")
+    dataset = DatasetFamily.empty(env.space)
+    dataset.add(DataEntry(History(((0, 1),)), "u", 0), uniform_policy(env.space))
+    # the empty prefix has weight 1, so only a floor above 1 is infeasible
+    assert theta_min_feasible(model, dataset, 1.0) is _oracle_feasible(model, dataset, 1.0) is True
+    assert theta_min_feasible(model, dataset, 1.5) is _oracle_feasible(model, dataset, 1.5) is False
+
+
+def test_dataset_from_jsonl_rejects_out_of_range_steps(reference_env, small_dataset):
+    policies = dict(small_dataset.policies)
+    bad = '{"h":0,"policy_id":"u","trajectory":[[3,0],[0,0]]}\n'
+    with pytest.raises(StructuralError):
+        dataset_from_jsonl(reference_env.space, bad, policies)
+
+
+def test_dataset_rejects_policy_id_reused_for_another_policy(reference_env):
+    space = reference_env.space
+    dataset = DatasetFamily.empty(space)
+    traj = reference_env.sample_episode(uniform_policy(space), 3)
+    dataset.add(DataEntry(traj, "u", 0), uniform_policy(space))
+    dataset.add(DataEntry(traj, "u", 1), uniform_policy(space))  # equal policy, new object
+    assert dataset.size() == 2
+    other = UniformActionSeqPolicy(space.n_actions, start_step=1, sequences=((0,), (1,)))
+    with pytest.raises(StructuralError, match="'u'"):
+        dataset.add(DataEntry(traj, "u", 0), other)
+    assert dataset.size() == 2
+    assert dataset.policies["u"].to_dict() == uniform_policy(space).to_dict()

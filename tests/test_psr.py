@@ -292,3 +292,41 @@ def test_core_test_set_exploration_union(small_model):
         expected |= set(core.action_seqs[h])
         assert set(core.exploration_seqs[h]) == expected
         assert len(set(core.action_seqs[h])) == len(core.action_seqs[h])
+
+
+def test_per_history_lookups_match_forward_products():
+    """An explicit M[h][o, a] @ v recursion is the oracle for psi, seq_prob and
+    prediction_feature on every history of every small builtin model."""
+    from psrlab.psr import PSI_GUARD
+    from psrlab.verify import small_builtin_envs
+
+    for name, env in small_builtin_envs():
+        model, _ = default_psr(env)
+        frontier = [(History(), model.psi0)]
+        for h in range(env.space.horizon + 1):
+            for hist, v in frontier:
+                assert np.allclose(model.psi(hist), v, rtol=0.0, atol=1e-12), name
+                p = 1.0 if h == 0 else float(model.phi[h] @ v)
+                assert model.seq_prob(hist) == pytest.approx(p, abs=1e-12), name
+                p_feat = float(model.phi[h] @ v)
+                if p_feat <= PSI_GUARD:
+                    with pytest.raises(DegenerateHistory):
+                        model.prediction_feature(hist)
+                else:
+                    assert np.allclose(model.prediction_feature(hist), v / p_feat, rtol=0.0, atol=1e-12), name
+            if h < env.space.horizon:
+                frontier = [
+                    (hist.extend(o, a), model.M[h][o, a] @ v)
+                    for hist, v in frontier
+                    for o in range(env.space.n_obs)
+                    for a in range(env.space.n_actions)
+                ]
+
+
+def test_per_history_lookups_validate_the_history(small_model):
+    with pytest.raises(StructuralError):
+        small_model.seq_prob(History(((2, 0),)))
+    with pytest.raises(StructuralError):
+        small_model.psi(History(((0, 0),) * 4))
+    with pytest.raises(ValueError):
+        small_model.psi(History(((0, 0),)))[0] = 1.0
