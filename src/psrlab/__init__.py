@@ -41,7 +41,6 @@ from .estimation import (
     CandidateSet,
     DataEntry,
     DatasetFamily,
-    MleCache,
     candidate_set_from_dict,
     conditional_tv_diagnostic,
     constrained_mle,

@@ -24,12 +24,11 @@ from .offline import (
     collect_offline,
     coverage_coefficient,
     ensure_behavior_coverage,
-    min_exploration_prob,
     offline_gap,
     run_psr_lcb,
 )
 from .online import OnlineConfig, evaluate_output, run_psr_ucb
-from .planner import leaf_table, plan_on_table
+from .planner import plan_on_table
 from .policies import UniformActionSeqPolicy, policy_from_dict, uniform_policy
 from .pomdp import BUILTIN_ENVS, TabularPomdp, default_psr, dynamics_matrix, pomdp_from_dict, psr_rank
 from .theory import EnvSummary, resolve_theory_params
@@ -88,24 +87,27 @@ def _env_rank(env: TabularPomdp) -> int:
     return max(psr_rank(dynamics_matrix(env, h)) for h in range(env.space.horizon))
 
 
-def _resolve_online(cfg: dict, env, true_model, n_episodes: int, seed: int) -> tuple[OnlineConfig, dict]:
-    echo: dict = {}
+def _resolve_params(cfg: dict, env, true_model, mode: str, n_episodes: int, **bounds) -> tuple[dict, dict]:
+    """Selection and bonus parameters plus their echo: theory formulas under ``auto_params``, else the config's."""
     if cfg.get("auto_params", False):
-        summary = EnvSummary.from_model(true_model, _env_rank(env))
         params = resolve_theory_params(
-            summary,
-            delta=cfg["delta"],
+            EnvSummary.from_model(true_model, _env_rank(env)),
+            delta=cfg.get("delta", 0.05),
             c_theory=cfg.get("c_theory", 0.01),
-            mode="online",
+            mode=mode,
             n_episodes=n_episodes,
+            **bounds,
         )
-        echo = params.to_dict()
         values = dict(p_min=params.p_min, beta=params.beta, lam=params.lam, alpha=params.alpha)
-    else:
-        values = dict(p_min=cfg["p_min"], beta=cfg["beta"], lam=cfg["lambda"], alpha=cfg["alpha"])
-        echo = {"mode": "online", "c_theory": cfg.get("c_theory", None), **{
-            "p_min": values["p_min"], "beta": values["beta"], "lambda": values["lam"], "alpha": values["alpha"],
-        }}
+        return values, params.to_dict() | bounds
+    values = dict(p_min=cfg["p_min"], beta=cfg["beta"], lam=cfg["lambda"], alpha=cfg["alpha"])
+    echo = {"mode": mode, "c_theory": cfg.get("c_theory"), "p_min": cfg["p_min"], "beta": cfg["beta"],
+            "lambda": cfg["lambda"], "alpha": cfg["alpha"]}
+    return values, echo
+
+
+def _resolve_online(cfg: dict, env, true_model, n_episodes: int, seed: int) -> tuple[OnlineConfig, dict]:
+    values, echo = _resolve_params(cfg, env, true_model, "online", n_episodes)
     online = OnlineConfig(
         max_iterations=cfg["max_iterations"],
         epsilon=cfg["epsilon"],
@@ -202,38 +204,16 @@ def run_online(config_path: str, out_dir: str, seeds: str | None, c_theory: floa
         )
 
 
-def _offline_values(cfg: dict, env, true_model, behavior, n_episodes: int, target_policy) -> tuple[dict, dict]:
-    if cfg.get("auto_params", False):
-        iota = min_exploration_prob(behavior, true_model.core_tests)
-        coverage = cfg.get("coverage")
-        if coverage is None:
-            coverage = coverage_coefficient(env, target_policy, behavior)
-        summary = EnvSummary.from_model(true_model, _env_rank(env))
-        params = resolve_theory_params(
-            summary,
-            delta=cfg.get("delta", 0.05),
-            c_theory=cfg.get("c_theory", 0.01),
-            mode="offline",
-            n_episodes=n_episodes,
-            coverage=coverage,
-            iota=iota,
-        )
-        echo = params.to_dict() | {"iota": iota, "coverage": coverage}
-        values = dict(p_min=params.p_min, beta=params.beta, lam=params.lam, alpha=params.alpha)
-    else:
-        values = dict(p_min=cfg["p_min"], beta=cfg["beta"], lam=cfg["lambda"], alpha=cfg["alpha"])
-        echo = {"mode": "offline", "c_theory": cfg.get("c_theory"), **{
-            "p_min": values["p_min"], "beta": values["beta"], "lambda": values["lam"], "alpha": values["alpha"],
-        }}
-    return values, echo
-
-
 def _run_offline_once(env, true_model, candidates, behavior, cfg: dict, n_episodes: int, seed: int):
     space = env.space
-    ensure_behavior_coverage(behavior, true_model.core_tests)
-    reward_leaves = leaf_table(space, env.reward_of)
+    iota = ensure_behavior_coverage(behavior, true_model.core_tests)
+    reward_leaves = env.reward.leaf_table(space)
     opt_policy, _ = plan_on_table(space, true_model.prob_table(space.horizon) * reward_leaves)
-    values, echo = _offline_values(cfg, env, true_model, behavior, n_episodes, opt_policy)
+    coverage = coverage_coefficient(env, opt_policy, behavior)
+    given = cfg.get("coverage")
+    values, echo = _resolve_params(
+        cfg, env, true_model, "offline", n_episodes, coverage=coverage if given is None else given, iota=iota
+    )
     dataset = collect_offline(env, behavior, n_episodes, seed)
     offline = OfflineConfig(
         n_episodes=n_episodes,
@@ -244,8 +224,6 @@ def _run_offline_once(env, true_model, candidates, behavior, cfg: dict, n_episod
     )
     result = run_psr_lcb(dataset, candidates, offline, reward_leaves)
     gap = offline_gap(env, true_model, opt_policy, result.policy)
-    iota = min_exploration_prob(behavior, true_model.core_tests)
-    coverage = coverage_coefficient(env, opt_policy, behavior)
     return result, gap, iota, coverage, echo
 
 

@@ -4,22 +4,27 @@ The hypothesis class is always a finite list of valid models built from
 perturbed or discretized environment parameters (plus the truth when asked).
 Selection keeps the models that give every recorded history prefix at least
 a floor probability under its recorded policy, then takes the likelihood
-maximizer among those within a fixed margin of the best.
+maximizer among those within a fixed margin of the best.  One batched
+forward pass builds the probability tables of the whole candidate set, and
+online and offline selection are the same gather-and-reduce over them: each
+recorded prefix and trajectory is one column of the stacked
+``(n_candidates, n_histories)`` table.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
 from .policies import Policy, policy_from_dict, policy_weight
 from .pomdp import GMatrices, TabularPomdp, g_matrices, pomdp_to_psr
-from .psr import PsrModel, check_self_consistency
+from .psr import PsrModel, check_self_consistency, stacked_tables
 from .seeding import rng_for
 from .spaces import History, ObsActSpace
 
@@ -38,12 +43,12 @@ class DataEntry:
 
 
 class BucketColumns(NamedTuple):
-    """Per-entry lookup columns of one step bucket, in insertion order."""
+    """Per-entry lookup columns of one step bucket, in insertion order; numpy reads typed arrays in bulk."""
 
-    prefix: list[int]  # lex index of the entry's length-h prefix
-    trajectory: list[int]  # lex index of the full trajectory
-    prefix_weight: list[float]  # recorded policy's weight of the length-h prefix
-    full_weight: list[float]  # recorded policy's weight of the full trajectory
+    prefix: array  # of int64: lex index of the entry's length-h prefix
+    trajectory: array  # of int64: lex index of the full trajectory
+    prefix_weight: array  # of float64: recorded policy's weight of the length-h prefix
+    full_weight: array  # of float64: recorded policy's weight of the full trajectory
 
 
 @dataclass
@@ -63,7 +68,7 @@ class DatasetFamily:
 
     def __post_init__(self) -> None:
         self.buckets = [[] for _ in range(self.space.horizon)]
-        self.columns = [BucketColumns([], [], [], []) for _ in range(self.space.horizon)]
+        self.columns = [BucketColumns(*(array(code) for code in "qqdd")) for _ in range(self.space.horizon)]
 
     @classmethod
     def empty(cls, space: ObsActSpace) -> "DatasetFamily":
@@ -85,11 +90,12 @@ class DatasetFamily:
         if entry.policy_id not in self.policies:
             raise StructuralError(f"unknown policy id {entry.policy_id!r}")
         prefix = trajectory.prefix(h)
+        memo = policy is None
         cols = self.columns[h]
         cols.prefix.append(prefix.lex_index(space))
         cols.trajectory.append(trajectory.lex_index(space))
-        cols.prefix_weight.append(self._policy_weight(entry.policy_id, prefix))
-        cols.full_weight.append(self._policy_weight(entry.policy_id, trajectory))
+        cols.prefix_weight.append(self._policy_weight(entry.policy_id, prefix, memo))
+        cols.full_weight.append(self._policy_weight(entry.policy_id, trajectory, memo))
         self.buckets[h].append(entry)
 
     def all_entries(self) -> Iterable[DataEntry]:
@@ -99,13 +105,18 @@ class DatasetFamily:
     def size(self) -> int:
         return sum(len(b) for b in self.buckets)
 
-    def _policy_weight(self, policy_id: str, history: History) -> float:
-        """Policy weight of a history under a registered policy, memoized."""
+    def _policy_weight(self, policy_id: str, history: History, memo: bool) -> float:
+        """Policy weight of a history under a registered policy.
+
+        Memoized only for entries added without a policy of their own: those
+        share one registered up front (offline data, JSONL loads).
+        """
         key = (policy_id, history.steps)
         cached = self._weight_cache.get(key)
         if cached is None:
             cached = policy_weight(self.policies[policy_id], history)
-            self._weight_cache[key] = cached
+            if memo:
+                self._weight_cache[key] = cached
         return cached
 
     # -- serialization (one JSON record per line) ----------------------------
@@ -157,19 +168,32 @@ class CandidateSet:
     labels: tuple[str, ...]
     pomdps: tuple[TabularPomdp, ...]
     config: dict
+    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> stacked (psis, probs)
 
     def __post_init__(self) -> None:
         if not (len(self.models) == len(self.labels) == len(self.pomdps)):
             raise StructuralError("models, labels, and sources must align")
         if not self.models:
             raise StructuralError("candidate set may not be empty")
+        first = self.models[0]
         for label, model in zip(self.labels, self.models):
+            if model.space != first.space or model.dims != first.dims:
+                raise StructuralError(
+                    f"candidate {label} has space {model.space} and state dims {model.dims}; "
+                    f"candidate {self.labels[0]} has {first.space} and {first.dims}"
+                )
             worst = check_self_consistency(model)
             if worst > SELF_CONSISTENCY_TOL:
                 raise StructuralError(f"candidate {label} violates self-consistency by {worst:.3g}")
 
     def __len__(self) -> int:
         return len(self.models)
+
+    def prob_table(self, h: int) -> np.ndarray:
+        """Read-only ``(n_candidates, n_histories(h))`` stack of the members' ``prob_table(h)``."""
+        if h == 0:
+            return np.ones((len(self), 1))
+        return stacked_tables(self.models, self._table_cache, h)[1]
 
     def to_dict(self) -> dict:
         return {
@@ -332,28 +356,44 @@ def _grid_tables(env: TabularPomdp, eps: float):
 # -- likelihoods and selection -------------------------------------------------
 
 
+def _stability_and_likelihood(
+    prob_table: Callable[[int], np.ndarray], dataset: DatasetFamily, p_min: float, scope: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stability flags and log-likelihoods of a stack of models.
+
+    ``prob_table(h)`` returns the models' ``(n_models, n_histories(h))``
+    probabilities.  A model is stable when every recorded prefix keeps
+    probability at least ``p_min`` under its recorded policy.  Its
+    log-likelihood sums log probability plus log policy weight over the
+    recorded trajectories (bucket ``scope`` only, when given); an entry the
+    model or its policy cannot produce pushes it to -inf.
+    """
+    columns = dataset.columns
+    stable = np.ones(prob_table(0).shape[0], dtype=bool)
+    for h, cols in enumerate(columns):
+        if cols.prefix:
+            stable &= ~np.any(prob_table(h)[:, cols.prefix] * cols.prefix_weight < p_min, axis=1)
+    scoped = columns if scope is None else [columns[scope]]
+    probs = prob_table(dataset.space.horizon)[:, np.concatenate([cols.trajectory for cols in scoped])]
+    weights = np.concatenate([cols.full_weight for cols in scoped])
+    with np.errstate(divide="ignore", invalid="ignore"):  # log of p <= 0 is -inf or NaN
+        logliks = np.log(probs).sum(axis=1) + np.log(weights).sum()
+    logliks[np.isnan(logliks)] = NEG_INF
+    return stable, logliks
+
+
 def log_likelihood(model: PsrModel, dataset: DatasetFamily, scope: int | None = None) -> float:
     """Sum of trajectory log probabilities (policy factor included).
 
     ``scope`` selects one step bucket; None sums them all.  Entries the
     model cannot produce push the result to -inf.
     """
-    table = model.prob_table(dataset.space.horizon)
-    terms = []
-    for cols in dataset.columns if scope is None else [dataset.columns[scope]]:
-        for p, w in zip(table[cols.trajectory].tolist(), cols.full_weight):
-            if p <= 0.0 or w <= 0.0:
-                return NEG_INF
-            terms.append(math.log(p) + math.log(w))
-    return math.fsum(terms)
+    return float(_stability_and_likelihood(lambda h: model.prob_table(h)[None], dataset, NEG_INF, scope)[1][0])
 
 
 def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:
     """Every recorded prefix keeps probability at least p_min under the model."""
-    for h, cols in enumerate(dataset.columns):
-        if np.any(model.prob_table(h)[cols.prefix] * cols.prefix_weight < p_min):
-            return False
-    return True
+    return bool(_stability_and_likelihood(lambda h: model.prob_table(h)[None], dataset, p_min)[0][0])
 
 
 @dataclass(frozen=True)
@@ -365,80 +405,30 @@ class MleResult:
     log_likelihoods: tuple[float, ...]
 
 
-class MleCache:
-    """Running per-candidate sums for repeated selection on a growing dataset.
-
-    Likelihoods are additive over entries and the stability constraint only
-    ever removes candidates, so both update incrementally; selection from
-    the cache matches a fresh pass up to summation order.
-    """
-
-    def __init__(self, candidates: CandidateSet, p_min: float) -> None:
-        self.p_min = p_min
-        self.loglik = [0.0] * len(candidates)
-        self.neg_inf = [False] * len(candidates)
-        self.feasible = [True] * len(candidates)
-        self.seen: list[int] | None = None
-
-    def update(self, candidates: CandidateSet, dataset: DatasetFamily) -> None:
-        if self.seen is None:
-            self.seen = [0] * len(dataset.buckets)
-        space = dataset.space
-        for h, cols in enumerate(dataset.columns):
-            for prefix_idx, traj_idx, w_prefix, w_full in zip(*(col[self.seen[h] :] for col in cols)):
-                for i, model in enumerate(candidates.models):
-                    if self.feasible[i]:
-                        p = model.prob_table(h)[prefix_idx] * w_prefix
-                        if p < self.p_min:
-                            self.feasible[i] = False
-                    if not self.neg_inf[i]:
-                        pt = model.prob_table(space.horizon)[traj_idx]
-                        if pt <= 0.0 or w_full <= 0.0:
-                            self.neg_inf[i] = True
-                        else:
-                            self.loglik[i] += math.log(pt) + math.log(w_full)
-            self.seen[h] = len(cols.prefix)
-
-
 def constrained_mle(
-    candidates: CandidateSet,
-    dataset: DatasetFamily,
-    p_min: float,
-    beta: float,
-    cache: MleCache | None = None,
+    candidates: CandidateSet, dataset: DatasetFamily, p_min: float, beta: float
 ) -> MleResult:
     """Likelihood maximizer over stable candidates, with its margin set.
 
-    Ties break toward the lowest candidate index, so the outcome does not
-    depend on evaluation order.  Passing a cache replaces the full pass
-    with an incremental one over entries added since the last call.
+    One pass over the candidates' stacked tables.  Ties break toward the
+    lowest candidate index, so the outcome does not depend on evaluation
+    order.
     """
-    if cache is not None:
-        if cache.p_min != p_min:
-            raise StructuralError("cache was built for a different p_min")
-        cache.update(candidates, dataset)
-        stable = [i for i in range(len(candidates)) if cache.feasible[i]]
-        logliks = {i: (NEG_INF if cache.neg_inf[i] else cache.loglik[i]) for i in stable}
-    else:
-        stable = [
-            i
-            for i in range(len(candidates))
-            if theta_min_feasible(candidates.models[i], dataset, p_min)
-        ]
-        logliks = {i: log_likelihood(candidates.models[i], dataset) for i in stable}
-    if not stable:
+    stable, logliks = _stability_and_likelihood(candidates.prob_table, dataset, p_min)
+    ids = np.flatnonzero(stable)
+    if not ids.size:
         raise EmptyFeasibleSet(
             f"no candidate keeps all {dataset.size()} prefixes above p_min={p_min:.3g}"
         )
-    best = max(logliks.values())
-    margin_ids = tuple(i for i in stable if logliks[i] >= best - beta)
-    selected = min(i for i in stable if logliks[i] == best)
+    logliks = logliks[ids]
+    best = logliks.max()
+    selected = int(ids[np.argmax(logliks)])  # first maximum = lowest index
     return MleResult(
         selected,
         candidates.labels[selected],
         candidates.models[selected],
-        margin_ids,
-        tuple(logliks[i] for i in stable),
+        tuple(ids[logliks >= best - beta].tolist()),
+        tuple(logliks.tolist()),
     )
 
 

@@ -18,7 +18,7 @@ from .bonus import BonusEvaluator
 from .errors import StructuralError
 from .estimation import CandidateSet, DataEntry, DatasetFamily, constrained_mle
 from .online import _build_evaluator
-from .planner import leaf_table, plan_on_table
+from .planner import plan_on_table, policy_value_on_table
 from .policies import DeterministicTreePolicy, Policy, policy_weight
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
@@ -182,10 +182,8 @@ def offline_gap(
     env: TabularPomdp, true_model: PsrModel, target: Policy, learned: Policy
 ) -> float:
     """Exact value difference of the target over the learned policy."""
-    from .planner import policy_value_on_table
-
     space = env.space
-    reward_leaves = leaf_table(space, env.reward_of)
+    reward_leaves = env.reward.leaf_table(space)
     table = true_model.prob_table(space.horizon) * reward_leaves
     return float(
         policy_value_on_table(space, target, table) - policy_value_on_table(space, learned, table)

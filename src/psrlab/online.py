@@ -18,8 +18,8 @@ import numpy as np
 
 from .bonus import BonusEvaluator, prefix_grams
 from .errors import EmptyFeasibleSet, StructuralError
-from .estimation import CandidateSet, DataEntry, DatasetFamily, MleCache, constrained_mle
-from .planner import leaf_table, plan_on_table, policy_value_on_table
+from .estimation import CandidateSet, DataEntry, DatasetFamily, constrained_mle
+from .planner import plan_on_table, policy_value_on_table
 from .policies import (
     CompositePolicy,
     DeterministicTreePolicy,
@@ -122,7 +122,6 @@ def run_psr_ucb(
     core = true_core_tests if true_core_tests is not None else candidates.models[0].core_tests
     dataset = DatasetFamily.empty(space)
     previous: Policy = uniform_policy(space)
-    cache = MleCache(candidates, config.p_min)
     logs: list[IterationLog] = []
     final_model = None
     final_model_id = None
@@ -138,7 +137,7 @@ def run_psr_ucb(
             trajectory = env.sample_episode(policy, episode_seed)
             dataset.add(DataEntry(trajectory, policy_id, h - 1), policy)
         try:
-            mle = constrained_mle(candidates, dataset, config.p_min, config.beta, cache)
+            mle = constrained_mle(candidates, dataset, config.p_min, config.beta)
         except EmptyFeasibleSet as exc:
             raise EmptyFeasibleSet(f"iteration {k}: {exc}") from exc
         evaluator = _build_evaluator(mle.model, dataset, config.lam, config.alpha)
@@ -165,7 +164,7 @@ def run_psr_ucb(
         previous = greedy
     final_policy = None
     if terminated and final_model is not None:
-        reward_leaves = leaf_table(space, env.reward_of)
+        reward_leaves = env.reward.leaf_table(space)
         final_policy, _ = plan_on_table(space, final_model.prob_table(space.horizon) * reward_leaves)
     return OnlineResult(
         final_model,
@@ -192,7 +191,7 @@ def evaluate_output(
     the policy-weighted absolute probability difference over all policies.
     """
     space = env.space
-    reward_leaves = leaf_table(space, env.reward_of)
+    reward_leaves = env.reward.leaf_table(space)
     true_table = true_model.prob_table(space.horizon)
     _, best_value = plan_on_table(space, true_table * reward_leaves)
     achieved = policy_value_on_table(space, final_policy, true_table * reward_leaves)

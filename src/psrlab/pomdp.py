@@ -21,6 +21,7 @@ from .errors import (
     SingularCoreTests,
     StructuralError,
 )
+from .planner import leaf_table
 from .policies import Policy, sample_actions
 from .psr import CoreTestSet, PsrModel, make_core_test_set
 from .seeding import rng_for
@@ -52,6 +53,18 @@ class RewardTable:
     def of(self, trajectory: History) -> float:
         return float(math.fsum(self.table[h, o, a] for h, (o, a) in enumerate(trajectory.steps)))
 
+    def leaf_table(self, space: ObsActSpace) -> np.ndarray:
+        """Reward of every full trajectory in lexicographic order, by broadcasting.
+
+        Steps add left to right: past two steps a leaf may differ from ``of`` in the last bit.
+        """
+        if self.table.shape != (space.horizon, space.n_obs, space.n_actions):
+            raise StructuralError(f"reward table shape {self.table.shape} does not match {space}")
+        leaves = np.zeros(1)
+        for step in self.table:
+            leaves = (leaves[:, None] + step.reshape(-1)).reshape(-1)
+        return leaves
+
 
 @dataclass(frozen=True)
 class TrajectoryReward:
@@ -64,6 +77,10 @@ class TrajectoryReward:
         if not 0.0 <= r <= 1.0 + 1e-12:
             raise StructuralError(f"trajectory reward {r} outside [0, 1]")
         return r
+
+    def leaf_table(self, space: ObsActSpace) -> np.ndarray:
+        """Reward of every full trajectory in lexicographic order, one call per leaf."""
+        return leaf_table(space, self.of)
 
 
 Reward = RewardTable | TrajectoryReward

@@ -96,7 +96,7 @@ class PsrModel:
     psi0: np.ndarray
     M: tuple[np.ndarray, ...]  # M[h-1] has shape (O, A, d_h, d_{h-1})
     phi: tuple[np.ndarray, ...]  # phi[h] has length d_h, for h = 0..H
-    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> (psis, probs)
+    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> stacks of one
 
     def __post_init__(self) -> None:
         H, O, A = self.space.horizon, self.space.n_obs, self.space.n_actions
@@ -171,20 +171,8 @@ class PsrModel:
 
     def _tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """States and probabilities of all length-``h`` histories, cached read-only."""
-        cached = self._table_cache.get(h)
-        if cached is not None:
-            return cached
-        if h == 0:
-            psis = self.psi0[None, :].copy()
-        else:
-            prev = self._tables(h - 1)[0]
-            ops = self.M[h - 1].reshape(-1, *self.M[h - 1].shape[2:])  # (O*A, d_h, d_{h-1})
-            psis = np.einsum("kij,nj->nki", ops, prev).reshape(-1, ops.shape[1])
-        probs = psis @ self.phi[h]
-        psis.setflags(write=False)
-        probs.setflags(write=False)
-        self._table_cache[h] = (psis, probs)
-        return psis, probs
+        psis, probs = stacked_tables((self,), self._table_cache, h)
+        return psis[0], probs[0]
 
     # -- serialization ------------------------------------------------------
 
@@ -196,6 +184,35 @@ class PsrModel:
             "M": [ops.tolist() for ops in self.M],
             "phi": [vec.tolist() for vec in self.phi],
         }
+
+
+def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """States and probabilities of all length-``h`` histories for a stack of models.
+
+    One forward step per depth, batched over a leading model axis, gives
+    read-only ``(n_models, n_histories(h), d_h)`` states and
+    ``(n_models, n_histories(h))`` probabilities in lexicographic order.
+    ``cache`` holds the stacks by depth; each model's own table cache gets a
+    batch-of-one view into them, so no table is stored twice.  The models
+    must share their space and state dimensions.
+    """
+    cached = cache.get(h)
+    if cached is not None:
+        return cached
+    n = len(models)
+    if h == 0:
+        states = np.stack([m.psi0[None] for m in models])
+    else:
+        ops = np.stack([m.M[h - 1] for m in models]).reshape(n, -1, *models[0].M[h - 1].shape[2:])
+        prev = stacked_tables(models, cache, h - 1)[0]
+        states = np.einsum("ckij,cnj->cnki", ops, prev).reshape(n, -1, ops.shape[2])
+    probs = (states @ np.stack([m.phi[h] for m in models])[:, :, None])[:, :, 0]
+    states.setflags(write=False)
+    probs.setflags(write=False)
+    cache[h] = (states, probs)
+    for i, model in enumerate(models):
+        model._table_cache[h] = (states[i : i + 1], probs[i : i + 1])
+    return states, probs
 
 
 def psr_model_from_dict(data: dict) -> PsrModel:

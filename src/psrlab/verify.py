@@ -31,7 +31,7 @@ from .estimation import (
 )
 from .online import OnlineConfig, _build_evaluator, exploration_policy, run_psr_ucb
 from .offline import OfflineConfig, collect_offline, run_psr_lcb
-from .planner import leaf_table, plan_on_table, policy_value_on_table
+from .planner import plan_on_table, policy_value_on_table
 from .policies import random_tree_policy, uniform_policy, policy_weight_vector
 from .pomdp import (
     TabularPomdp,
@@ -261,7 +261,7 @@ def run_core_identities(report: Report, seeds: int = 4) -> None:
     report.add(CheckResult(suite, "tv-vs-estimation-error", ok, detail))
 
     # Planner agrees with the exact policy evaluator.
-    reward_leaves = leaf_table(env.space, env.reward_of)
+    reward_leaves = env.reward.leaf_table(env.space)
     table = model.prob_table(env.space.horizon) * reward_leaves
     policy, value = plan_on_table(env.space, table)
     revalue = policy_value_on_table(env.space, policy, table)
@@ -482,7 +482,7 @@ def run_validity_checks(
     if params is None:
         params = {"p_min": 1e-10, "beta": 40.0, "lam": 1.0, "alpha": 2.0}
     space = env.space
-    reward_leaves = leaf_table(space, env.reward_of)
+    reward_leaves = env.reward.leaf_table(space)
     true_table = true_model.prob_table(space.horizon)
 
     def policy_checks(model: PsrModel, evaluator: BonusEvaluator, seed: int) -> bool:

@@ -269,8 +269,15 @@ def test_criterion_10_reproducibility(tmp_path):
     record(10, same, f"{len(outputs['a'])} artifacts byte-identical across two runs")
 
 
-def test_zz_print_summary():
+def test_zz_print_summary(request):
     print()
     for line in _RESULTS:
         print(line)
-    assert len(_RESULTS) == 10
+    collected = [
+        item.name
+        for item in request.session.items
+        if item.module is request.module and item.name.startswith("test_criterion_")
+    ]
+    assert len(_RESULTS) == len(collected), f"{len(_RESULTS)} results for {len(collected)} criteria"
+    assert all(line.startswith("PASS ") for line in _RESULTS)
+    assert len(set(_RESULTS)) == len(_RESULTS)

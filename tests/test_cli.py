@@ -99,6 +99,43 @@ def test_run_offline_outputs(tmp_path, runner):
     assert summary["K"] == 60
 
 
+def test_run_offline_auto_params_computes_coverage_once_per_run(tmp_path, runner, monkeypatch):
+    import sys
+
+    import psrlab.offline
+
+    calls = {"min_exploration_prob": 0, "coverage_coefficient": 0}
+    for name in calls:
+        original = getattr(psrlab.offline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("psrlab") and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counted)
+    cfg_data = json.loads(json.dumps(OFFLINE_CONFIG))
+    cfg_data["offline"] = {"n_episodes": 60, "auto_params": True, "delta": 0.1, "c_theory": 0.01}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run-offline", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    seeds = cfg_data["seeds"]
+    assert calls == {"min_exploration_prob": len(seeds), "coverage_coefficient": len(seeds)}
+    rows = (out / "results.csv").read_text().splitlines()
+    assert rows[0] == "K,seed,gap,lcb_value,iota,c_infinity"
+    assert len(rows) == 1 + len(seeds)
+    for seed in seeds:
+        summary = json.loads((out / f"summary_seed{seed}.json").read_text())
+        params = summary["params"]
+        assert params["mode"] == "offline" and params["c_theory"] == 0.01
+        assert summary["iota"] == params["iota"] > 0
+        assert summary["c_infinity"] == params["coverage"] >= 1.0
+        assert (out / f"model_seed{seed}.json").exists() and (out / f"policy_seed{seed}.json").exists()
+
+
 def test_sweep_offline_medians(tmp_path, runner):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(OFFLINE_CONFIG))

@@ -10,7 +10,6 @@ from psrlab.estimation import (
     CandidateSet,
     DataEntry,
     DatasetFamily,
-    MleCache,
     conditional_tv_diagnostic,
     constrained_mle,
     dataset_from_jsonl,
@@ -108,24 +107,6 @@ def test_constrained_mle_empty_feasible_set(reference_env, small_dataset):
     cands = make_candidates(reference_env, "include_true")
     with pytest.raises(EmptyFeasibleSet):
         constrained_mle(cands, small_dataset, p_min=0.9, beta=5.0)
-
-
-def test_mle_cache_matches_fresh(reference_env, small_dataset):
-    cands = make_candidates(reference_env, "dithered", seed=3, n=8, scale=0.08)
-    cache = MleCache(cands, 1e-10)
-    # feed entries in two stages to exercise incremental updates
-    staged = DatasetFamily.empty(reference_env.space)
-    entries = list(small_dataset.all_entries())
-    for entry in entries[:4]:
-        staged.add(entry, small_dataset.policies[entry.policy_id])
-    constrained_mle(cands, staged, 1e-10, 2.0, cache)
-    for entry in entries[4:]:
-        staged.add(entry, small_dataset.policies[entry.policy_id])
-    fast = constrained_mle(cands, staged, 1e-10, 2.0, cache)
-    fresh = constrained_mle(cands, staged, 1e-10, 2.0)
-    assert fast.selected_id == fresh.selected_id
-    assert fast.feasible_ids == fresh.feasible_ids
-    assert np.allclose(sorted(fast.log_likelihoods), sorted(fresh.log_likelihoods), atol=1e-9)
 
 
 def test_conditional_tv_identical_models(reference_model, small_dataset):
@@ -325,3 +306,121 @@ def test_dataset_rejects_policy_id_reused_for_another_policy(reference_env):
         dataset.add(DataEntry(traj, "u", 0), other)
     assert dataset.size() == 2
     assert dataset.policies["u"].to_dict() == uniform_policy(space).to_dict()
+
+
+def _oracle_selection(cands, dataset, p_min, beta):
+    """Stable ids, their per-entry log-likelihoods, the selected id and the margin set."""
+    stable = [i for i, m in enumerate(cands.models) if _oracle_feasible(m, dataset, p_min)]
+    liks = [_oracle_log_likelihood(cands.models[i], dataset) for i in stable]
+    best = max(liks)
+    selected = min(i for i, lik in zip(stable, liks) if lik == best)
+    return stable, liks, selected, tuple(i for i, lik in zip(stable, liks) if lik >= best - beta)
+
+
+def _reweighted_emission(env, step, obs, factor):
+    """Copy of the environment with one observation's emission probability scaled at one step."""
+    from psrlab.pomdp import TabularPomdp
+
+    emission = env.emission.copy()
+    emission[step, :, obs] *= factor
+    emission /= emission.sum(axis=-1, keepdims=True)
+    return TabularPomdp(env.n_states, env.space, env.transition, emission, env.initial_state, env.reward)
+
+
+def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env):
+    """The stacked selection equals a per-entry recomputation after every stage
+    of a growing dataset, with a -inf member and an unstable member present."""
+    from psrlab.online import exploration_policy
+    from psrlab.pomdp import g_matrices, pomdp_to_psr
+
+    space = reference_env.space
+    dithered = make_candidates(reference_env, "dithered", seed=3, n=8, scale=0.08)
+    window = dithered.config["window"]
+    never_last_obs = _reweighted_emission(reference_env, space.horizon - 1, 2, 0.0)
+    rare_first_obs = _reweighted_emission(reference_env, 0, 0, 1e-3)
+    extra = [never_last_obs, rare_first_obs]
+    cands = CandidateSet(
+        dithered.models + tuple(pomdp_to_psr(p, g=g_matrices(p, window)) for p in extra),
+        dithered.labels + ("never-last-obs", "rare-first-obs"),
+        dithered.pomdps + tuple(extra),
+        dithered.config,
+    )
+    neg_inf_id, unstable_id = len(cands) - 2, len(cands) - 1
+    p_min, beta = 1e-3, 2.0
+    core = cands.models[0].core_tests
+    dataset = DatasetFamily.empty(space)
+    for stage in range(5):
+        for k in range(4):
+            for h in range(1, space.horizon + 1):
+                pol = exploration_policy(uniform_policy(space), h, core)
+                traj = reference_env.sample_episode(pol, 100 * stage + 10 * k + h)
+                dataset.add(DataEntry(traj, f"e{stage},{k},{h}", h - 1), pol)
+        result = constrained_mle(cands, dataset, p_min, beta)
+        stable, liks, selected, margin = _oracle_selection(cands, dataset, p_min, beta)
+        assert result.selected_id == selected
+        assert result.feasible_ids == margin
+        assert len(result.log_likelihoods) == len(liks)
+        for got, want in zip(result.log_likelihoods, liks):
+            assert got == pytest.approx(want, rel=1e-12)
+    assert neg_inf_id in stable and liks[stable.index(neg_inf_id)] == float("-inf")
+    assert unstable_id not in stable
+
+
+def test_candidate_prob_table_rows_are_the_members_tables(reference_env):
+    from psrlab.psr import psr_model_from_dict
+
+    cands = make_candidates(reference_env, "dithered", seed=3, n=6, scale=0.05)
+    space = reference_env.space
+    for h in range(1, space.horizon + 1):
+        stacked = cands.prob_table(h)
+        assert stacked.shape == (len(cands), space.n_histories(h))
+        assert not stacked.flags.writeable
+        for row, model in zip(stacked, cands.models):
+            assert np.array_equal(row, model.prob_table(h))
+            assert np.shares_memory(row, model.prob_table(h))
+            assert np.shares_memory(cands._table_cache[h][0], model._tables(h)[0])
+            # a model outside any set computes the same bits on its own
+            assert np.array_equal(row, psr_model_from_dict(model.to_dict()).prob_table(h))
+
+
+def test_candidate_set_rejects_mismatched_dimensions(reference_env):
+    from psrlab.pomdp import g_matrices, pomdp_to_psr
+
+    cands = make_candidates(reference_env, "include_true")
+    wider = pomdp_to_psr(reference_env, g=g_matrices(reference_env, cands.config["window"] + 1))
+    assert wider.dims != cands.models[0].dims
+    with pytest.raises(StructuralError, match="wide"):
+        CandidateSet(cands.models + (wider,), ("true", "wide"), cands.pomdps * 2, cands.config)
+
+
+def test_online_run_leaves_the_weight_memo_empty():
+    from pathlib import Path
+
+    from psrlab.cli import build_candidates, build_env
+    from psrlab.online import OnlineConfig, run_psr_ucb
+
+    config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "online_decay.json").read_text())
+    env = build_env(config["env"])
+    cands = build_candidates(env, config["candidates"])
+    on = config["online"]
+    cfg = OnlineConfig(
+        max_iterations=100, epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"],
+        beta=on["beta"], lam=on["lambda"], alpha=on["alpha"], seed=0,
+    )
+    result = run_psr_ucb(env, cfg, cands)
+    assert result.dataset.size() == 100 * env.space.horizon
+    assert result.dataset._weight_cache == {}
+
+
+def test_offline_weight_memo_holds_one_key_per_distinct_history(reference_env):
+    from psrlab.offline import collect_offline
+
+    dataset = collect_offline(reference_env, uniform_policy(reference_env.space), 200, 4)
+    prefixes = {e.trajectory.prefix(e.split_step).steps for e in dataset.all_entries()}
+    trajectories = {e.trajectory.steps for e in dataset.all_entries()}
+    assert 0 < len(dataset._weight_cache) <= len(prefixes) + len(trajectories)
+    behavior = dataset.policies["behavior"]
+    for h, bucket in enumerate(dataset.buckets):
+        cols = dataset.columns[h]
+        assert list(cols.prefix_weight) == [policy_weight(behavior, e.trajectory.prefix(h)) for e in bucket]
+        assert list(cols.full_weight) == [policy_weight(behavior, e.trajectory) for e in bucket]

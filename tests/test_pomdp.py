@@ -288,3 +288,35 @@ def test_pomdp_serialization_round_trip(small_env):
     assert np.array_equal(rebuilt.transition, small_env.transition)
     assert np.array_equal(rebuilt.emission, small_env.emission)
     assert json.dumps(rebuilt.to_dict()) == text
+
+
+def test_reward_table_leaf_table_matches_per_leaf_rewards():
+    from psrlab.planner import leaf_table
+
+    for env, tol in ((near_tie(), 0.0), (tiger(2), 0.0), (random_mdp(seed=3, n_states=2, n_actions=2, horizon=2), 0.0),
+                     (random_revealing(seed=1, n_states=2, n_obs=3, n_actions=2, horizon=6), 1e-15)):
+        fast = env.reward.leaf_table(env.space)
+        slow = leaf_table(env.space, env.reward_of)
+        if tol == 0.0:
+            assert np.array_equal(fast, slow)
+        else:
+            assert np.abs(fast - slow).max() <= tol
+
+
+def test_trajectory_reward_leaf_table_calls_the_function_per_leaf(small_env):
+    from psrlab.pomdp import TrajectoryReward
+
+    calls = []
+
+    def reward(traj):
+        calls.append(traj)
+        return 0.25 * len(traj.steps) / small_env.space.horizon
+
+    table = TrajectoryReward(reward).leaf_table(small_env.space)
+    assert len(calls) == small_env.space.n_trajectories
+    assert np.all(table == 0.25)
+
+
+def test_reward_table_leaf_table_rejects_another_space(small_env):
+    with pytest.raises(StructuralError):
+        small_env.reward.leaf_table(ObsActSpace(2, 2, 2))
