@@ -32,7 +32,7 @@ from .planner import plan_on_table
 from .policies import UniformActionSeqPolicy, policy_from_dict, uniform_policy
 from .pomdp import BUILTIN_ENVS, TabularPomdp, default_psr, dynamics_matrix, pomdp_from_dict, psr_rank
 from .theory import EnvSummary, resolve_theory_params
-from .verify import SUITES, verify
+from .verify import SUITES, Report, verify
 
 
 def _write_json(path: Path, obj) -> None:
@@ -87,11 +87,18 @@ def _env_rank(env: TabularPomdp) -> int:
     return max(psr_rank(dynamics_matrix(env, h)) for h in range(env.space.horizon))
 
 
-def _resolve_params(cfg: dict, env, true_model, mode: str, n_episodes: int, **bounds) -> tuple[dict, dict]:
-    """Selection and bonus parameters plus their echo: theory formulas under ``auto_params``, else the config's."""
+def _env_summary(cfg: dict, env: TabularPomdp, true_model) -> EnvSummary | None:
+    """The instance constants of the theory formulas under ``auto_params`` (once per command), else None."""
     if cfg.get("auto_params", False):
+        return EnvSummary.from_model(true_model, _env_rank(env))
+    return None
+
+
+def _resolve_params(cfg: dict, constants: EnvSummary | None, mode: str, n_episodes: int, **bounds) -> tuple[dict, dict]:
+    """Selection and bonus parameters plus their echo: theory formulas under ``auto_params``, else the config's."""
+    if constants is not None:
         params = resolve_theory_params(
-            EnvSummary.from_model(true_model, _env_rank(env)),
+            constants,
             delta=cfg.get("delta", 0.05),
             c_theory=cfg.get("c_theory", 0.01),
             mode=mode,
@@ -106,8 +113,8 @@ def _resolve_params(cfg: dict, env, true_model, mode: str, n_episodes: int, **bo
     return values, echo
 
 
-def _resolve_online(cfg: dict, env, true_model, n_episodes: int, seed: int) -> tuple[OnlineConfig, dict]:
-    values, echo = _resolve_params(cfg, env, true_model, "online", n_episodes)
+def _resolve_online(cfg: dict, constants: EnvSummary | None, n_episodes: int, seed: int) -> tuple[OnlineConfig, dict]:
+    values, echo = _resolve_params(cfg, constants, "online", n_episodes)
     online = OnlineConfig(
         max_iterations=cfg["max_iterations"],
         epsilon=cfg["epsilon"],
@@ -172,9 +179,10 @@ def run_online(config_path: str, out_dir: str, seeds: str | None, c_theory: floa
         [int(s) for s in seeds.split(",")] if seeds is not None else config.get("seeds", [0])
     )
     ocfg = config["online"]
+    constants = _env_summary(ocfg, env, true_model)
     for seed in seed_list:
         started = time.perf_counter()
-        online, echo = _resolve_online(ocfg, env, true_model, ocfg["max_iterations"], seed)
+        online, echo = _resolve_online(ocfg, constants, ocfg["max_iterations"], seed)
         result = run_psr_ucb(env, online, candidates, true_model.core_tests)
         rows = [
             [log.k, log.ucb_value, log.feasible_size, log.candidate_id] for log in result.logs
@@ -204,27 +212,33 @@ def run_online(config_path: str, out_dir: str, seeds: str | None, c_theory: floa
         )
 
 
-def _run_offline_once(env, true_model, candidates, behavior, cfg: dict, n_episodes: int, seed: int):
+def _offline_runner(env, true_model, candidates, behavior, cfg: dict):
+    """The run for one (K, seed); what does not depend on them is computed here, once per command."""
     space = env.space
     iota = ensure_behavior_coverage(behavior, true_model.core_tests)
     reward_leaves = env.reward.leaf_table(space)
     opt_policy, _ = plan_on_table(space, true_model.prob_table(space.horizon) * reward_leaves)
     coverage = coverage_coefficient(env, opt_policy, behavior)
     given = cfg.get("coverage")
-    values, echo = _resolve_params(
-        cfg, env, true_model, "offline", n_episodes, coverage=coverage if given is None else given, iota=iota
-    )
-    dataset = collect_offline(env, behavior, n_episodes, seed)
-    offline = OfflineConfig(
-        n_episodes=n_episodes,
-        seed=seed,
-        c_theory=cfg.get("c_theory", 1.0),
-        auto_params=cfg.get("auto_params", False),
-        **values,
-    )
-    result = run_psr_lcb(dataset, candidates, offline, reward_leaves)
-    gap = offline_gap(env, true_model, opt_policy, result.policy)
-    return result, gap, iota, coverage, echo
+    constants = _env_summary(cfg, env, true_model)
+
+    def run(n_episodes: int, seed: int):
+        values, echo = _resolve_params(
+            cfg, constants, "offline", n_episodes, coverage=coverage if given is None else given, iota=iota
+        )
+        dataset = collect_offline(env, behavior, n_episodes, seed)
+        offline = OfflineConfig(
+            n_episodes=n_episodes,
+            seed=seed,
+            c_theory=cfg.get("c_theory", 1.0),
+            auto_params=cfg.get("auto_params", False),
+            **values,
+        )
+        result = run_psr_lcb(dataset, candidates, offline, reward_leaves)
+        gap = offline_gap(env, true_model, opt_policy, result.policy)
+        return result, gap, iota, coverage, echo
+
+    return run
 
 
 @main.command("run-offline")
@@ -247,12 +261,11 @@ def run_offline(config_path: str, out_dir: str, seeds: str | None, c_theory: flo
     seed_list = (
         [int(s) for s in seeds.split(",")] if seeds is not None else config.get("seeds", [0])
     )
+    run = _offline_runner(env, true_model, candidates, behavior, ocfg)
     rows = []
     for seed in seed_list:
         started = time.perf_counter()
-        result, gap, iota, coverage, echo = _run_offline_once(
-            env, true_model, candidates, behavior, ocfg, ocfg["n_episodes"], seed
-        )
+        result, gap, iota, coverage, echo = run(ocfg["n_episodes"], seed)
         rows.append([ocfg["n_episodes"], seed, gap, result.pessimistic_value, iota, coverage])
         _write_json(out / f"model_seed{seed}.json", result.model.to_dict())
         _write_json(out / f"policy_seed{seed}.json", result.policy.to_dict())
@@ -294,14 +307,13 @@ def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> No
     ocfg = config["offline"]
     ks = [int(k) for k in k_list.split(",")]
     seed_list = [int(s) for s in seeds.split(",")] if "," in seeds else list(range(int(seeds)))
+    run = _offline_runner(env, true_model, candidates, behavior, ocfg)
     rows = []
     medians = {}
     for K in ks:
         gaps = []
         for seed in seed_list:
-            result, gap, iota, coverage, _ = _run_offline_once(
-                env, true_model, candidates, behavior, ocfg, K, seed
-            )
+            result, gap, iota, coverage, _ = run(K, seed)
             rows.append([K, seed, gap, result.pessimistic_value, iota, coverage])
             gaps.append(gap)
             _write_json(out / f"model_K{K}_seed{seed}.json", result.model.to_dict())
@@ -321,9 +333,16 @@ def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> No
 @click.option("--seeds", default=100, type=int)
 def verify_cmd(suite: str, seeds: int) -> None:
     """Run property suites; exit nonzero on any failed check."""
-    report = verify(suite, seeds)
+    report = Report()
+    seconds = {}
+    for name in SUITES if suite == "all" else [suite]:
+        started = time.perf_counter()
+        report.results += verify(name, seeds).results
+        seconds[name] = time.perf_counter() - started
     for line in report.lines():
         click.echo(line)
+    for name, elapsed in seconds.items():
+        click.echo(f"suite {name}: {elapsed:.2f} s")
     passed = sum(1 for r in report.results if r.passed)
     click.echo(f"{passed}/{len(report.results)} checks passed")
     if not report.all_passed:

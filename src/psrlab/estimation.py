@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
-from .policies import Policy, policy_from_dict, policy_weight
+from .policies import Policy, continuation_weights, policy_from_dict, prefix_weights
 from .pomdp import GMatrices, TabularPomdp, g_matrices, pomdp_to_psr
 from .psr import PsrModel, check_self_consistency, stacked_tables
 from .seeding import rng_for
@@ -64,7 +64,6 @@ class DatasetFamily:
     policies: dict[str, Policy] = field(default_factory=dict)
     buckets: list[list[DataEntry]] = field(init=False)
     columns: list[BucketColumns] = field(init=False, repr=False)
-    _weight_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.buckets = [[] for _ in range(self.space.horizon)]
@@ -89,13 +88,12 @@ class DatasetFamily:
                 raise StructuralError(f"policy id {entry.policy_id!r} is registered to a different policy")
         if entry.policy_id not in self.policies:
             raise StructuralError(f"unknown policy id {entry.policy_id!r}")
-        prefix = trajectory.prefix(h)
-        memo = policy is None
+        weights = prefix_weights(self.policies[entry.policy_id], trajectory)
         cols = self.columns[h]
-        cols.prefix.append(prefix.lex_index(space))
+        cols.prefix.append(trajectory.prefix(h).lex_index(space))
         cols.trajectory.append(trajectory.lex_index(space))
-        cols.prefix_weight.append(self._policy_weight(entry.policy_id, prefix, memo))
-        cols.full_weight.append(self._policy_weight(entry.policy_id, trajectory, memo))
+        cols.prefix_weight.append(weights[h])
+        cols.full_weight.append(weights[-1])
         self.buckets[h].append(entry)
 
     def all_entries(self) -> Iterable[DataEntry]:
@@ -104,20 +102,6 @@ class DatasetFamily:
 
     def size(self) -> int:
         return sum(len(b) for b in self.buckets)
-
-    def _policy_weight(self, policy_id: str, history: History, memo: bool) -> float:
-        """Policy weight of a history under a registered policy.
-
-        Memoized only for entries added without a policy of their own: those
-        share one registered up front (offline data, JSONL loads).
-        """
-        key = (policy_id, history.steps)
-        cached = self._weight_cache.get(key)
-        if cached is None:
-            cached = policy_weight(self.policies[policy_id], history)
-            if memo:
-                self._weight_cache[key] = cached
-        return cached
 
     # -- serialization (one JSON record per line) ----------------------------
 
@@ -440,48 +424,34 @@ def conditional_tv_diagnostic(
     For each bucket-``h`` entry, compares the two models' distributions of
     the remaining trajectory given the length-``h`` prefix, under the
     entry's recorded policy, by exact enumeration of the continuations.
+    Continuation weights are computed in one pass per distinct policy
+    object in a bucket.
     """
     space = model_a.space
+    table_a = model_a.prob_table(space.horizon)
+    table_b = model_b.prob_table(space.horizon)
     terms = []
     for h, bucket in enumerate(dataset.buckets):
         if not bucket:
             continue
-        reps = space.pair_count ** (space.horizon - h)
-        table_a = model_a.prob_table(space.horizon)
-        table_b = model_b.prob_table(space.horizon)
-        pa_h = model_a.prob_table(h)
-        pb_h = model_b.prob_table(h)
         cols = dataset.columns[h]
-        for entry, idx, wp in zip(bucket, cols.prefix, cols.prefix_weight):
-            prefix = entry.trajectory.prefix(h)
-            if pa_h[idx] * wp <= 0.0 or pb_h[idx] * wp <= 0.0:
-                raise DegenerateHistory(
-                    f"prefix at step {h} has zero probability under a compared model"
-                )
-            sl = slice(idx * reps, (idx + 1) * reps)
-            w = _continuation_weights(dataset.policies[entry.policy_id], prefix, space)
-            tv = math.fsum(np.abs(w * (table_a[sl] / pa_h[idx] - table_b[sl] / pb_h[idx])))
+        prefix = np.asarray(cols.prefix)
+        pa = model_a.prob_table(h)[prefix]
+        pb = model_b.prob_table(h)[prefix]
+        wp = np.asarray(cols.prefix_weight)
+        if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
+            raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
+        reps = space.pair_count ** (space.horizon - h)
+        weights = np.empty((len(bucket), reps))
+        groups: dict[int, tuple[Policy, list[int]]] = {}  # policy object id -> (policy, entry positions)
+        for i, entry in enumerate(bucket):
+            policy = dataset.policies[entry.policy_id]
+            groups.setdefault(id(policy), (policy, []))[1].append(i)
+        for policy, rows in groups.values():
+            weights[rows] = continuation_weights(policy, space, h, prefix[rows])
+        cond_a = table_a.reshape(-1, reps)[prefix] / pa[:, None]
+        cond_b = table_b.reshape(-1, reps)[prefix] / pb[:, None]
+        for row in np.abs(weights * (cond_a - cond_b)).tolist():
+            tv = math.fsum(row)
             terms.append(tv * tv)
     return math.fsum(terms)
-
-
-def _continuation_weights(policy: Policy, prefix: History, space: ObsActSpace) -> np.ndarray:
-    """Policy weights of all continuations of a prefix, in lexicographic order."""
-    start = len(prefix)
-    weights = np.ones(1)
-    hists = [prefix]
-    for j in range(start, space.horizon):
-        new_weights = np.empty(len(hists) * space.pair_count)
-        new_hists = []
-        for i, hist in enumerate(hists):
-            base = i * space.pair_count
-            for o in range(space.n_obs):
-                probs = policy.action_probs(hist, o) if weights[i] > 0 else np.zeros(space.n_actions)
-                new_weights[base + o * space.n_actions : base + (o + 1) * space.n_actions] = (
-                    weights[i] * probs
-                )
-                for a in range(space.n_actions):
-                    new_hists.append(hist.extend(o, a))
-        weights = new_weights
-        hists = new_hists
-    return weights

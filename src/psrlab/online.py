@@ -89,14 +89,28 @@ def exploration_policy(prefix: Policy, h: int, core_tests: CoreTestSet) -> Polic
     with uniform random actions, and the padding is part of the policy so
     its weights stay exact.
     """
-    if not 1 <= h <= core_tests.space.horizon:
-        raise StructuralError(f"exploration step {h} outside [1, H]")
-    suffix = UniformActionSeqPolicy(
-        core_tests.space.n_actions, start_step=h, sequences=core_tests.exploration_seqs[h - 1]
+    return _explore(prefix, h, exploration_suffixes(core_tests))
+
+
+def exploration_suffixes(core_tests: CoreTestSet) -> tuple[UniformActionSeqPolicy, ...]:
+    """The uniform exploration policies from step ``h`` on, for ``h = 1..H``.
+
+    They depend only on the core tests, so a run builds them once and every
+    iteration shares their compiled rows.
+    """
+    space = core_tests.space
+    return tuple(
+        UniformActionSeqPolicy(space.n_actions, start_step=h, sequences=core_tests.exploration_seqs[h - 1])
+        for h in range(1, space.horizon + 1)
     )
+
+
+def _explore(prefix: Policy, h: int, suffixes: tuple[UniformActionSeqPolicy, ...]) -> Policy:
+    if not 1 <= h <= len(suffixes):
+        raise StructuralError(f"exploration step {h} outside [1, H]")
     if h == 1:
-        return suffix
-    return CompositePolicy(h, prefix, suffix)
+        return suffixes[0]
+    return CompositePolicy(h, prefix, suffixes[h - 1])
 
 
 def _build_evaluator(
@@ -120,6 +134,7 @@ def run_psr_ucb(
     """
     space = env.space
     core = true_core_tests if true_core_tests is not None else candidates.models[0].core_tests
+    suffixes = exploration_suffixes(core)
     dataset = DatasetFamily.empty(space)
     previous: Policy = uniform_policy(space)
     logs: list[IterationLog] = []
@@ -131,7 +146,7 @@ def run_psr_ucb(
     for k in range(1, config.max_iterations + 1):
         started = time.perf_counter()
         for h in range(1, space.horizon + 1):
-            policy = exploration_policy(previous, h, core)
+            policy = _explore(previous, h, suffixes)
             policy_id = f"explore[k={k},h={h}]"
             episode_seed = child_seed(config.seed, "episode", k * (space.horizon + 1) + h)
             trajectory = env.sample_episode(policy, episode_seed)

@@ -1,33 +1,70 @@
-"""History-dependent decision rules.
+"""History-dependent decision rules, compiled into per-step action tables.
 
 Three concrete forms, closed under the needs of the learning loops:
 
 * :class:`DeterministicTreePolicy` -- one action per (history, obs) node,
-  stored as per-step lookup arrays in lexicographic node order.
+  stored as per-step lookup arrays in lexicographic node order.  These
+  arrays are its table.
 * :class:`UniformActionSeqPolicy` -- pick one action sequence uniformly at a
   start step, play it out, then pad with uniform random actions up to the
   horizon.  Sequences may be ragged, including the empty sequence (which
-  makes the policy uniform over actions from its start step).
+  makes the policy uniform over actions from its start step).  Its action
+  distribution at a step depends only on the actions taken since the start
+  step, so it compiles into one row per such action sequence: at most
+  ``A ** pos`` rows at position ``pos``, built and validated on first use.
 * :class:`CompositePolicy` -- one policy before a switch step, another from
-  the switch step on.
+  the switch step on; it dispatches each step to one of them.
 
-Every policy exposes ``action_probs(history, obs)``; weights and samples are
-derived from that single source of truth.
+Every sampling and weighting path is a lookup into these tables:
+``action_probs`` returns one row, :func:`policy_weight` multiplies one row
+entry per step, :func:`continuation_weights` and
+:func:`policy_weight_vector` multiply one gathered block of rows per step,
+and ``TabularPomdp.sample_episode`` draws by inverse CDF on a row's
+normalized cumulative sums.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import StructuralError
-from .spaces import History, ObsActSpace, enumerate_histories
+from .spaces import History, ObsActSpace
+
+# Generator.choice accepts a probability row whose sum is within this of 1.
+ROW_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+Steps = Sequence[tuple[int, int]]
 
 
 def uniform_policy(space: ObsActSpace) -> "UniformActionSeqPolicy":
     """Uniform over actions at every step (empty sequence + full padding)."""
     return UniformActionSeqPolicy(space.n_actions, start_step=1, sequences=((),))
+
+
+def cumulative_rows(probs: np.ndarray) -> np.ndarray:
+    """Cumulative sums along the last axis divided by their last entry.
+
+    This is the table ``Generator.choice(n, p=row)`` searches with one
+    uniform (``searchsorted(u, side="right")``), so an inverse-CDF draw on
+    these rows picks what ``choice`` picks from the same uniform.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # all-zero rows give NaN; callers never draw from them
+        return cdf / cdf[..., -1:]
+
+
+def _check_rows(probs: np.ndarray, step: int) -> None:
+    """Entries finite and non-negative, rows summing to 1 as ``Generator.choice`` requires."""
+    rows = probs.reshape(-1, probs.shape[-1])
+    bad = ~np.isfinite(rows).all(axis=1) | (rows < 0.0).any(axis=1) | ~(np.abs(rows.sum(axis=1) - 1.0) <= ROW_SUM_ATOL)
+    if bad.any():
+        row = rows[np.flatnonzero(bad)[0]].tolist()
+        raise StructuralError(f"step {step}: row {row} is not a probability distribution")
 
 
 @dataclass(frozen=True)
@@ -52,20 +89,44 @@ class DeterministicTreePolicy:
                 raise StructuralError("action index out of range in tree policy")
 
     def action_at(self, history: History, obs: int) -> int:
-        h = len(history) + 1
-        node = history.lex_index(self.space) * self.space.n_obs + obs
-        return int(self.actions_by_step[h - 1][node])
+        return self._action(history.steps, obs)
 
     def action_probs(self, history: History, obs: int) -> np.ndarray:
-        probs = np.zeros(self.space.n_actions)
-        probs[self.action_at(history, obs)] = 1.0
-        return probs
+        return np.array(self._lookup(history.steps, obs)[0])
+
+    def _action(self, prior: Steps, obs: int) -> int:
+        space = self.space
+        lex = 0
+        for o, a in prior:
+            lex = lex * space.pair_count + o * space.n_actions + a
+        return int(self.actions_by_step[len(prior)][lex * space.n_obs + obs])
+
+    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
+        return _one_hot_rows(self.space.n_actions)[self._action(prior, obs)]
+
+    def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, None]:
+        return np.eye(self.space.n_actions)[self.actions_by_step[h - 1][nodes]], None
 
     def to_dict(self) -> dict:
         return {
             "type": "deterministic_tree",
             "actions": [table.tolist() for table in self.actions_by_step],
         }
+
+
+@functools.lru_cache(maxsize=None)  # one entry per action count in use
+def _one_hot_rows(n_actions: int) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
+    """Per action: the row that plays it and its cumulative row, shared by every tree policy."""
+    one_hot = np.eye(n_actions)
+    return tuple((tuple(row), tuple(cdf)) for row, cdf in zip(one_hot.tolist(), cumulative_rows(one_hot).tolist()))
+
+
+class _MixtureRows(NamedTuple):
+    """Compiled rows of a uniform mixture at one position, indexed by the actions taken since its start step."""
+
+    probs: np.ndarray  # (A**pos, A), read-only; zero rows where ``valid`` is False
+    valid: np.ndarray  # (A**pos,) bool: the taken actions match some mixture sequence
+    rows: list  # per row: (probabilities, ``cumulative_rows``) as float lists, or None where not valid
 
 
 @dataclass(frozen=True)
@@ -81,6 +142,7 @@ class UniformActionSeqPolicy:
     n_actions: int
     start_step: int
     sequences: tuple[tuple[int, ...], ...]
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # pos -> _MixtureRows
 
     def __post_init__(self) -> None:
         if not self.sequences:
@@ -92,11 +154,58 @@ class UniformActionSeqPolicy:
                 raise StructuralError("action index out of range in sequence")
 
     def action_probs(self, history: History, obs: int) -> np.ndarray:
-        # Position within the mixture: number of actions taken since start_step.
-        pos = len(history) - (self.start_step - 1)
+        return np.array(self._lookup(history.steps, obs)[0])
+
+    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
+        start = self.start_step - 1
+        pos = len(prior) - start
         if pos < 0:
-            raise StructuralError(f"queried step {len(history) + 1} before start step {self.start_step}")
-        taken = history.actions[self.start_step - 1 :]
+            raise StructuralError(f"queried step {len(prior) + 1} before start step {self.start_step}")
+        taken = 0
+        for _, a in prior[start:]:
+            taken = taken * self.n_actions + a
+        row = self._table(pos).rows[taken]
+        if row is None:
+            raise StructuralError("history inconsistent with every mixture sequence")
+        return row
+
+    def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        if space.n_actions != self.n_actions:
+            raise StructuralError(f"policy has {self.n_actions} actions, space has {space.n_actions}")
+        pos = h - self.start_step
+        if pos < 0:
+            raise StructuralError(f"queried step {h} before start step {self.start_step}")
+        table = self._table(pos)
+        hist = nodes // space.n_obs
+        taken = np.zeros_like(nodes)
+        for j in range(self.start_step, h):  # step j's action is a digit of the history's lex index
+            taken = taken * self.n_actions + hist // space.pair_count ** (h - 1 - j) % space.pair_count % self.n_actions
+        invalid = None if table.valid.all() else ~table.valid[taken]
+        return table.probs[taken], invalid
+
+    def _table(self, pos: int) -> _MixtureRows:
+        table = self._compiled.get(pos)
+        if table is None:
+            table = self._compiled[pos] = self._compile(pos)
+        return table
+
+    def _compile(self, pos: int) -> _MixtureRows:
+        n = self.n_actions**pos
+        probs = np.zeros((n, self.n_actions))
+        valid = np.zeros(n, dtype=bool)
+        for index in range(n):
+            taken = tuple(index // self.n_actions ** (pos - 1 - k) % self.n_actions for k in range(pos))
+            row = self._mixture_row(taken)
+            if row is not None:
+                probs[index], valid[index] = row, True
+        _check_rows(probs[valid], self.start_step + pos)
+        probs.flags.writeable = valid.flags.writeable = False
+        rows = zip(probs.tolist(), cumulative_rows(probs).tolist())
+        return _MixtureRows(probs, valid, [row if ok else None for row, ok in zip(rows, valid.tolist())])
+
+    def _mixture_row(self, taken: tuple[int, ...]) -> np.ndarray | None:
+        """Action distribution after ``taken`` (actions since the start step); None if no sequence matches them."""
+        pos = len(taken)
         probs = np.zeros(self.n_actions)
         total = 0.0
         for seq in self.sequences:
@@ -109,7 +218,7 @@ class UniformActionSeqPolicy:
             else:
                 probs += w / self.n_actions
         if total <= 0.0:
-            raise StructuralError("history inconsistent with every mixture sequence")
+            return None
         return probs / total
 
     def _consistency_weight(self, seq: tuple[int, ...], taken: tuple[int, ...]) -> float:
@@ -141,11 +250,17 @@ class CompositePolicy:
         if self.switch_step < 1:
             raise StructuralError("switch step must be >= 1")
 
+    def _at(self, step: int) -> "Policy":
+        return self.prefix if step < self.switch_step else self.suffix
+
     def action_probs(self, history: History, obs: int) -> np.ndarray:
-        step = len(history) + 1
-        if step < self.switch_step:
-            return self.prefix.action_probs(history, obs)
-        return self.suffix.action_probs(history, obs)
+        return self._at(len(history) + 1).action_probs(history, obs)
+
+    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
+        return self._at(len(prior) + 1)._lookup(prior, obs)
+
+    def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        return self._at(h)._step_rows(space, h, nodes)
 
     def to_dict(self) -> dict:
         return {
@@ -177,32 +292,50 @@ def policy_from_dict(data: dict, space: ObsActSpace) -> Policy:
     raise StructuralError(f"unknown policy type {kind!r}")
 
 
+def prefix_weights(policy: Policy, history: History) -> list[float]:
+    """Policy weights of the history's prefixes of length 0..len(history).
+
+    Running products of one row entry per step; once a weight is zero the
+    rest are zero without further lookups.
+    """
+    steps = history.steps
+    weights = [1.0]
+    for j, (o, a) in enumerate(steps):
+        weight = weights[j] * policy._lookup(steps[:j], o)[0][a]
+        weights.append(weight)
+        if weight == 0.0:
+            return weights + [0.0] * (len(steps) - j - 1)
+    return weights
+
+
 def policy_weight(policy: Policy, history: History) -> float:
     """Probability the policy emits the history's actions, given its observations."""
-    weight = 1.0
-    for j, (o, a) in enumerate(history.steps):
-        probs = policy.action_probs(history.prefix(j), o)
-        weight *= float(probs[a])
-        if weight == 0.0:
-            return 0.0
-    return weight
+    return prefix_weights(policy, history)[-1]
+
+
+def continuation_weights(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray) -> np.ndarray:
+    """Policy weights of every continuation of each length-``h`` prefix.
+
+    Row ``i`` covers the subtree of the prefix with lex index ``prefixes[i]``,
+    continuations in lexicographic order; each entry is the product of the
+    action probabilities from step ``h + 1`` on, multiplied step by step.
+    """
+    prefixes = np.asarray(prefixes, dtype=np.int64)
+    weights = np.ones((len(prefixes), 1))
+    for j in range(h + 1, space.horizon + 1):
+        span = weights.shape[1] * space.n_obs  # step-j nodes below one prefix
+        nodes = (prefixes[:, None] * span + np.arange(span)).reshape(-1)
+        probs, invalid = policy._step_rows(space, j, nodes)
+        node_weights = np.repeat(weights.reshape(-1), space.n_obs)
+        if invalid is not None and np.any(invalid & (node_weights > 0.0)):
+            raise StructuralError(f"step {j}: history inconsistent with every mixture sequence")
+        weights = (node_weights[:, None] * probs).reshape(len(prefixes), -1)
+    return weights
 
 
 def policy_weight_vector(policy: Policy, space: ObsActSpace) -> np.ndarray:
     """Weights for all full trajectories in lexicographic order."""
-    weights = np.ones(1)
-    for j in range(space.horizon):
-        prev = weights
-        weights = np.empty(len(prev) * space.pair_count)
-        for idx, hist in enumerate(enumerate_histories(space, j)):
-            base = idx * space.pair_count
-            if prev[idx] == 0.0:
-                weights[base : base + space.pair_count] = 0.0
-                continue
-            for o in range(space.n_obs):
-                probs = policy.action_probs(hist, o)
-                weights[base + o * space.n_actions : base + (o + 1) * space.n_actions] = prev[idx] * probs
-    return weights
+    return continuation_weights(policy, space, 0, np.zeros(1, dtype=np.int64))[0]
 
 
 def random_tree_policy(space: ObsActSpace, rng: np.random.Generator) -> DeterministicTreePolicy:
@@ -212,8 +345,3 @@ def random_tree_policy(space: ObsActSpace, rng: np.random.Generator) -> Determin
         for h in range(1, space.horizon + 1)
     )
     return DeterministicTreePolicy(space, tables)
-
-
-def sample_actions(policy: Policy, history: History, obs: int, rng: np.random.Generator) -> int:
-    probs = policy.action_probs(history, obs)
-    return int(rng.choice(len(probs), p=probs))

@@ -11,7 +11,9 @@ check them against exponential brute-force sums over state sequences.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -22,7 +24,7 @@ from .errors import (
     StructuralError,
 )
 from .planner import leaf_table
-from .policies import Policy, sample_actions
+from .policies import Policy, cumulative_rows
 from .psr import CoreTestSet, PsrModel, make_core_test_set
 from .seeding import rng_for
 from .spaces import (
@@ -106,9 +108,10 @@ class TabularPomdp:
         if not 0 <= self.initial_state < S:
             raise StructuralError("initial state out of range")
         for name, arr in (("transition", self.transition), ("emission", self.emission)):
-            if arr.size and arr.min() < 0:
-                raise StructuralError(f"{name} has negative entries")
-            if arr.size and np.abs(arr.sum(axis=-1) - 1.0).max() > ROW_SUM_TOL:
+            # Negated comparisons, so that NaN fails them too (an infinite entry breaks the row sum).
+            if arr.size and not arr.min() >= 0:
+                raise StructuralError(f"{name} has negative or NaN entries")
+            if arr.size and not np.abs(arr.sum(axis=-1) - 1.0).max() <= ROW_SUM_TOL:
                 raise StructuralError(f"{name} rows must sum to 1")
 
     def reward_of(self, trajectory: History) -> float:
@@ -164,18 +167,32 @@ class TabularPomdp:
 
     # -- sampling -----------------------------------------------------------
 
+    @cached_property
+    def _cdfs(self) -> tuple[list, list]:
+        """Emission and transition rows as ``cumulative_rows`` lists, for scalar inverse-CDF draws."""
+        return cumulative_rows(self.emission).tolist(), cumulative_rows(self.transition).tolist()
+
     def sample_episode(self, policy: Policy, rng_seed: int) -> History:
-        """One full trajectory under ``policy``; deterministic given the seed."""
-        rng = np.random.default_rng(rng_seed)
+        """One full trajectory under ``policy``; deterministic given the seed.
+
+        The seed's generator supplies ``3H - 1`` uniforms, used in the order
+        o_1, a_1, s_2, ..., o_H, a_H; each value is the first index whose
+        normalized cumulative probability exceeds its uniform.  That is how
+        ``Generator.choice(n, p=row)`` draws, so the trajectory is the one a
+        step-by-step ``choice`` sampler on the same seed would produce.
+        """
+        horizon = self.space.horizon
+        uniforms = np.random.default_rng(rng_seed).random(3 * horizon - 1).tolist()
+        emission, transition = self._cdfs
         state = self.initial_state
-        hist = History()
-        for h in range(1, self.space.horizon + 1):
-            obs = int(rng.choice(self.space.n_obs, p=self.emission[h - 1, state]))
-            action = sample_actions(policy, hist, obs, rng)
-            hist = hist.extend(obs, action)
-            if h < self.space.horizon:
-                state = int(rng.choice(self.n_states, p=self.transition[h - 1, action, state]))
-        return hist
+        steps: list[tuple[int, int]] = []
+        for h in range(horizon):
+            obs = bisect_right(emission[h][state], uniforms[3 * h])
+            action = bisect_right(policy._lookup(steps, obs)[1], uniforms[3 * h + 1])
+            steps.append((obs, action))
+            if h + 1 < horizon:
+                state = bisect_right(transition[h][action][state], uniforms[3 * h + 2])
+        return History(tuple(steps))
 
     # -- serialization ------------------------------------------------------
 

@@ -377,9 +377,9 @@ def _uniform_collection(
     space = env.space
     dataset = DatasetFamily.empty(space)
     base = uniform_policy(space)
+    policies = [exploration_policy(base, h, model.core_tests) for h in range(1, space.horizon + 1)]
     for k in range(1, n_rounds + 1):
-        for h in range(1, space.horizon + 1):
-            policy = exploration_policy(base, h, model.core_tests)
+        for h, policy in enumerate(policies, start=1):
             pid = f"uexplore[k={k},h={h}]"
             traj = env.sample_episode(policy, child_seed(seed, "verify-episode", k * (space.horizon + 1) + h))
             dataset.add(DataEntry(traj, pid, h - 1), policy)
@@ -425,10 +425,14 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
                 lhs = conditional_tv_diagnostic(model, true_model, dataset)
                 if lhs > 6.0 * gap + 31.0 * log_term + 1e-9:
                     cond_ok = False
-            hell = math.fsum(
-                hellinger_sq(model, true_model, dataset.policies[e.policy_id])
-                for e in dataset.all_entries()
-            )
+            by_policy: dict[int, float] = {}  # one distance per distinct policy object
+            terms = []
+            for entry in dataset.all_entries():
+                policy = dataset.policies[entry.policy_id]
+                if id(policy) not in by_policy:
+                    by_policy[id(policy)] = hellinger_sq(model, true_model, policy)
+                terms.append(by_policy[id(policy)])
+            hell = math.fsum(terms)
             if hell > 0.5 * gap + 2.0 * log_term + 1e-9:
                 hell_ok = False
         viol["loglik-margin"] += 0 if margin_ok else 1

@@ -1,0 +1,106 @@
+"""Per-history reference implementations of the policy and sampling paths.
+
+These are the loops the package ran before policies were compiled into
+per-step tables: ``action_probs`` walking the mixture sequences per query,
+weights multiplied one history at a time, and a sampler drawing every
+observation, action and state with ``Generator.choice``.  Tests compare the
+table lookups against them bit for bit.
+"""
+
+import numpy as np
+
+from psrlab.errors import StructuralError
+from psrlab.policies import CompositePolicy, DeterministicTreePolicy
+from psrlab.spaces import History, enumerate_histories
+
+
+def oracle_action_probs(policy, history, obs):
+    if isinstance(policy, CompositePolicy):
+        inner = policy.prefix if len(history) + 1 < policy.switch_step else policy.suffix
+        return oracle_action_probs(inner, history, obs)
+    if isinstance(policy, DeterministicTreePolicy):
+        space = policy.space
+        node = history.lex_index(space) * space.n_obs + obs
+        probs = np.zeros(space.n_actions)
+        probs[int(policy.actions_by_step[len(history)][node])] = 1.0
+        return probs
+    pos = len(history) - (policy.start_step - 1)
+    if pos < 0:
+        raise StructuralError(f"queried step {len(history) + 1} before start step {policy.start_step}")
+    taken = history.actions[policy.start_step - 1 :]
+    probs = np.zeros(policy.n_actions)
+    total = 0.0
+    for seq in policy.sequences:
+        overlap = min(len(seq), len(taken))
+        if seq[:overlap] != taken[:overlap]:
+            continue
+        w = (1.0 / len(policy.sequences)) * (1.0 / policy.n_actions) ** max(0, len(taken) - len(seq))
+        if w == 0.0:
+            continue
+        total += w
+        if pos < len(seq):
+            probs[seq[pos]] += w
+        else:
+            probs += w / policy.n_actions
+    if total <= 0.0:
+        raise StructuralError("history inconsistent with every mixture sequence")
+    return probs / total
+
+
+def oracle_policy_weight(policy, history):
+    weight = 1.0
+    for j, (o, a) in enumerate(history.steps):
+        weight *= float(oracle_action_probs(policy, history.prefix(j), o)[a])
+        if weight == 0.0:
+            return 0.0
+    return weight
+
+
+def oracle_continuation_weights(policy, prefix, space):
+    """Weights of all continuations of one prefix, built one history at a time."""
+    weights = np.ones(1)
+    hists = [prefix]
+    for _ in range(len(prefix), space.horizon):
+        new_weights = np.empty(len(hists) * space.pair_count)
+        new_hists = []
+        for i, hist in enumerate(hists):
+            base = i * space.pair_count
+            for o in range(space.n_obs):
+                probs = oracle_action_probs(policy, hist, o) if weights[i] > 0 else np.zeros(space.n_actions)
+                new_weights[base + o * space.n_actions : base + (o + 1) * space.n_actions] = weights[i] * probs
+                for a in range(space.n_actions):
+                    new_hists.append(hist.extend(o, a))
+        weights = new_weights
+        hists = new_hists
+    return weights
+
+
+def oracle_weight_vector(policy, space):
+    weights = np.ones(1)
+    for j in range(space.horizon):
+        prev = weights
+        weights = np.empty(len(prev) * space.pair_count)
+        for idx, hist in enumerate(enumerate_histories(space, j)):
+            base = idx * space.pair_count
+            if prev[idx] == 0.0:
+                weights[base : base + space.pair_count] = 0.0
+                continue
+            for o in range(space.n_obs):
+                probs = oracle_action_probs(policy, hist, o)
+                weights[base + o * space.n_actions : base + (o + 1) * space.n_actions] = prev[idx] * probs
+    return weights
+
+
+def oracle_sample_episode(env, policy, seed):
+    """One episode drawn step by step with ``Generator.choice``."""
+    rng = np.random.default_rng(seed)
+    state = env.initial_state
+    hist = History()
+    for h in range(1, env.space.horizon + 1):
+        obs = int(rng.choice(env.space.n_obs, p=env.emission[h - 1, state]))
+        probs = oracle_action_probs(policy, hist, obs)
+        action = int(rng.choice(len(probs), p=probs))
+        hist = hist.extend(obs, action)
+        if h < env.space.horizon:
+            state = int(rng.choice(env.n_states, p=env.transition[h - 1, action, state]))
+    return hist

@@ -67,8 +67,14 @@ def test_run_online_outputs(tmp_path, runner):
         assert summary["gap"] is not None
 
 
-def test_run_online_auto_params(tmp_path, runner):
+def test_run_online_auto_params(tmp_path, runner, monkeypatch):
+    import psrlab.cli
+
+    ranks = []
+    original = psrlab.cli._env_rank
+    monkeypatch.setattr(psrlab.cli, "_env_rank", lambda env: ranks.append(env) or original(env))
     cfg_data = json.loads(json.dumps(ONLINE_CONFIG))
+    cfg_data["seeds"] = [0, 1]
     cfg_data["online"] = {
         "max_iterations": 4,
         "epsilon": 0.2,
@@ -81,9 +87,11 @@ def test_run_online_auto_params(tmp_path, runner):
     out = tmp_path / "out"
     result = runner.invoke(main, ["run-online", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
-    summary = json.loads((out / "summary_seed0.json").read_text())
-    assert summary["params"]["c_theory"] == 0.01
-    assert summary["params"]["lambda"] > 0
+    assert len(ranks) == 1  # the instance constants are computed once per command
+    for seed in cfg_data["seeds"]:
+        summary = json.loads((out / f"summary_seed{seed}.json").read_text())
+        assert summary["params"]["c_theory"] == 0.01
+        assert summary["params"]["lambda"] > 0
 
 
 def test_run_offline_outputs(tmp_path, runner):
@@ -102,11 +110,12 @@ def test_run_offline_outputs(tmp_path, runner):
 def test_run_offline_auto_params_computes_coverage_once_per_run(tmp_path, runner, monkeypatch):
     import sys
 
+    import psrlab.cli
     import psrlab.offline
 
-    calls = {"min_exploration_prob": 0, "coverage_coefficient": 0}
+    calls = {"min_exploration_prob": 0, "coverage_coefficient": 0, "_env_rank": 0}
     for name in calls:
-        original = getattr(psrlab.offline, name)
+        original = getattr(psrlab.cli if name == "_env_rank" else psrlab.offline, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
@@ -123,7 +132,8 @@ def test_run_offline_auto_params_computes_coverage_once_per_run(tmp_path, runner
     result = runner.invoke(main, ["run-offline", "--config", str(cfg), "--out", str(out)])
     assert result.exit_code == 0, result.output
     seeds = cfg_data["seeds"]
-    assert calls == {"min_exploration_prob": len(seeds), "coverage_coefficient": len(seeds)}
+    assert len(seeds) > 1
+    assert calls == {"min_exploration_prob": 1, "coverage_coefficient": 1, "_env_rank": 1}  # once per command
     rows = (out / "results.csv").read_text().splitlines()
     assert rows[0] == "K,seed,gap,lcb_value,iota,c_infinity"
     assert len(rows) == 1 + len(seeds)
@@ -153,6 +163,7 @@ def test_verify_cli_exit_codes(runner):
     result = runner.invoke(main, ["verify", "--suite", "lemmas", "--seeds", "10"])
     assert result.exit_code == 0, result.output
     assert "PASS lemmas/tv-hellinger" in result.output
+    assert any(line.startswith("suite lemmas: ") and line.endswith(" s") for line in result.output.splitlines())
 
 
 def test_report_command(tmp_path, runner):

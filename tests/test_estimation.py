@@ -393,34 +393,31 @@ def test_candidate_set_rejects_mismatched_dimensions(reference_env):
         CandidateSet(cands.models + (wider,), ("true", "wide"), cands.pomdps * 2, cands.config)
 
 
-def test_online_run_leaves_the_weight_memo_empty():
+def test_bucket_weight_columns_match_per_history_oracle(reference_env):
     from pathlib import Path
 
+    from policy_oracles import oracle_policy_weight
     from psrlab.cli import build_candidates, build_env
+    from psrlab.offline import collect_offline
     from psrlab.online import OnlineConfig, run_psr_ucb
 
     config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "online_decay.json").read_text())
     env = build_env(config["env"])
-    cands = build_candidates(env, config["candidates"])
     on = config["online"]
     cfg = OnlineConfig(
-        max_iterations=100, epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"],
+        max_iterations=30, epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"],
         beta=on["beta"], lam=on["lambda"], alpha=on["alpha"], seed=0,
     )
-    result = run_psr_ucb(env, cfg, cands)
-    assert result.dataset.size() == 100 * env.space.horizon
-    assert result.dataset._weight_cache == {}
-
-
-def test_offline_weight_memo_holds_one_key_per_distinct_history(reference_env):
-    from psrlab.offline import collect_offline
-
-    dataset = collect_offline(reference_env, uniform_policy(reference_env.space), 200, 4)
-    prefixes = {e.trajectory.prefix(e.split_step).steps for e in dataset.all_entries()}
-    trajectories = {e.trajectory.steps for e in dataset.all_entries()}
-    assert 0 < len(dataset._weight_cache) <= len(prefixes) + len(trajectories)
-    behavior = dataset.policies["behavior"]
-    for h, bucket in enumerate(dataset.buckets):
-        cols = dataset.columns[h]
-        assert list(cols.prefix_weight) == [policy_weight(behavior, e.trajectory.prefix(h)) for e in bucket]
-        assert list(cols.full_weight) == [policy_weight(behavior, e.trajectory) for e in bucket]
+    online_data = run_psr_ucb(env, cfg, build_candidates(env, config["candidates"])).dataset
+    behavior = UniformActionSeqPolicy(reference_env.space.n_actions, 1, ((), (1,), (1, 0)))
+    offline_data = collect_offline(reference_env, behavior, 200, 4)
+    loaded = dataset_from_jsonl(reference_env.space, offline_data.to_jsonl(), offline_data.policies)
+    for dataset in (online_data, offline_data, loaded):
+        assert dataset.size() > 0
+        for h, bucket in enumerate(dataset.buckets):
+            cols = dataset.columns[h]
+            recorded = [dataset.policies[e.policy_id] for e in bucket]
+            prefix = [oracle_policy_weight(p, e.trajectory.prefix(h)) for p, e in zip(recorded, bucket)]
+            full = [oracle_policy_weight(p, e.trajectory) for p, e in zip(recorded, bucket)]
+            assert np.asarray(cols.prefix_weight).tobytes() == np.array(prefix, dtype=float).tobytes()
+            assert np.asarray(cols.full_weight).tobytes() == np.array(full, dtype=float).tobytes()

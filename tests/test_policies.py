@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import make_single_state_env
 from psrlab.errors import StructuralError
 from psrlab.policies import (
     CompositePolicy,
@@ -12,7 +13,7 @@ from psrlab.policies import (
     random_tree_policy,
     uniform_policy,
 )
-from psrlab.seeding import rng_for
+from psrlab.seeding import child_seed, rng_for
 from psrlab.spaces import History, ObsActSpace, enumerate_histories
 
 
@@ -108,14 +109,12 @@ def test_policy_serialization_round_trip():
 
 
 def test_sampling_matches_action_probs():
-    space = ObsActSpace(2, 2, 3)
+    env = make_single_state_env(horizon=3, n_obs=2, n_actions=2, emission_row=[1.0, 0.0])  # first obs is 0
     policy = UniformActionSeqPolicy(2, 1, ((0, 0), (1,)))
-    rng = rng_for(9, "sample")
     counts = np.zeros(2)
     n = 4000
-    for _ in range(n):
-        from psrlab.policies import sample_actions
-
-        counts[sample_actions(policy, History(), 0, rng)] += 1
+    for i in range(n):
+        (_, action), *_ = env.sample_episode(policy, child_seed(9, "sample", i)).steps
+        counts[action] += 1
     probs = policy.action_probs(History(), 0)
     assert np.abs(counts / n - probs).max() < 4 * np.sqrt(0.25 / n)
