@@ -110,7 +110,6 @@ class BonusEvaluator:
     alpha: float
     feature_source: PsrModel
     transform: tuple[np.ndarray, ...] | None = None
-    guard: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
@@ -138,7 +137,7 @@ class BonusEvaluator:
         totals = np.zeros(space.n_trajectories)
         degenerate = np.zeros(space.n_trajectories, dtype=bool)
         for h in range(space.horizon):
-            feats = self.feature_source.feature_table(h, self.guard)
+            feats = self.feature_source.feature_table(h)
             bad = np.isnan(feats[:, 0])
             feats = np.where(bad[:, None], 0.0, feats)
             if self.transform is not None:

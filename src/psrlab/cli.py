@@ -57,10 +57,16 @@ def build_env(spec: dict) -> TabularPomdp:
     if "path" in spec:
         with open(spec["path"]) as fh:
             return pomdp_from_dict(json.load(fh))
-    name = spec["builtin"]
+    return _make_builtin(spec["builtin"], spec.get("params", {}))
+
+
+def _make_builtin(name: str, params: dict) -> TabularPomdp:
     if name not in BUILTIN_ENVS:
         raise PsrLabError(f"unknown builtin environment {name!r}")
-    return BUILTIN_ENVS[name](**spec.get("params", {}))
+    try:
+        return BUILTIN_ENVS[name](**params)
+    except TypeError as exc:  # unknown, missing or ill-typed constructor arguments
+        raise PsrLabError(f"bad parameters for builtin environment {name!r}: {exc}") from exc
 
 
 def build_candidates(env: TabularPomdp, spec: dict) -> CandidateSet:
@@ -155,7 +161,11 @@ def main() -> None:
 @click.option("--out", required=True, type=click.Path())
 def gen_env(name: str, params: str, out: str) -> None:
     """Write a builtin environment to a JSON file."""
-    env = BUILTIN_ENVS[name](**json.loads(params))
+    try:
+        parsed = json.loads(params)
+    except json.JSONDecodeError as exc:
+        raise PsrLabError(f"--params for builtin environment {name!r} is not valid JSON: {exc}") from exc
+    env = _make_builtin(name, parsed)
     _write_json(Path(out), env.to_dict())
     click.echo(f"wrote {out}")
 
@@ -330,7 +340,7 @@ def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> No
 
 @main.command("verify")
 @click.option("--suite", default="all", type=click.Choice(sorted(SUITES) + ["all"]))
-@click.option("--seeds", default=100, type=int)
+@click.option("--seeds", default=100, type=click.IntRange(min=1))
 def verify_cmd(suite: str, seeds: int) -> None:
     """Run property suites; exit nonzero on any failed check."""
     report = Report()

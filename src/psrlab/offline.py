@@ -19,11 +19,11 @@ from .errors import StructuralError
 from .estimation import CandidateSet, DataEntry, DatasetFamily, constrained_mle
 from .online import _build_evaluator
 from .planner import plan_on_table, policy_value_on_table
-from .policies import DeterministicTreePolicy, Policy, policy_weight
+from .policies import DeterministicTreePolicy, Policy, prefix_weight_tables
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
 from .seeding import child_seed, rng_for
-from .spaces import History, ObsActSpace, enumerate_histories
+from .spaces import History, ObsActSpace
 
 
 @dataclass(frozen=True)
@@ -133,17 +133,12 @@ def coverage_coefficient(env: TabularPomdp, target: Policy, behavior: Policy) ->
     """
     space = env.space
     worst = 1.0
-    for h in range(space.horizon + 1):
-        for hist in enumerate_histories(space, h):
-            if env.exact_traj_prob(hist) <= 0.0:
-                continue
-            wt = policy_weight(target, hist)
-            if wt == 0.0:
-                continue
-            wb = policy_weight(behavior, hist)
-            if wb == 0.0:
-                return math.inf
-            worst = max(worst, wt / wb)
+    for h, (wt, wb) in enumerate(zip(prefix_weight_tables(target, space), prefix_weight_tables(behavior, space))):
+        live = (env.prob_table(h) > 0.0) & (wt != 0.0)
+        if np.any(wb[live] == 0.0):
+            return math.inf
+        if live.any():
+            worst = max(worst, float((wt[live] / wb[live]).max()))
     return worst
 
 

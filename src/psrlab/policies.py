@@ -17,9 +17,9 @@ Three concrete forms, closed under the needs of the learning loops:
 
 Every sampling and weighting path is a lookup into these tables:
 ``action_probs`` returns one row, :func:`policy_weight` multiplies one row
-entry per step, :func:`continuation_weights` and
-:func:`policy_weight_vector` multiply one gathered block of rows per step,
-and ``TabularPomdp.sample_episode`` draws by inverse CDF on a row's
+entry per step, :func:`continuation_weights`, :func:`policy_weight_vector`
+and :func:`prefix_weight_tables` multiply one gathered block of rows per
+step, and ``TabularPomdp.sample_episode`` draws by inverse CDF on a row's
 normalized cumulative sums.
 """
 
@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -320,8 +320,15 @@ def continuation_weights(policy: Policy, space: ObsActSpace, h: int, prefixes: n
     continuations in lexicographic order; each entry is the product of the
     action probabilities from step ``h + 1`` on, multiplied step by step.
     """
-    prefixes = np.asarray(prefixes, dtype=np.int64)
+    for weights in _weight_steps(policy, space, h, np.asarray(prefixes, dtype=np.int64)):
+        pass
+    return weights
+
+
+def _weight_steps(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray) -> Iterator[np.ndarray]:
+    """The running products of :func:`continuation_weights`, one per step from ``h`` to the horizon."""
     weights = np.ones((len(prefixes), 1))
+    yield weights
     for j in range(h + 1, space.horizon + 1):
         span = weights.shape[1] * space.n_obs  # step-j nodes below one prefix
         nodes = (prefixes[:, None] * span + np.arange(span)).reshape(-1)
@@ -330,12 +337,18 @@ def continuation_weights(policy: Policy, space: ObsActSpace, h: int, prefixes: n
         if invalid is not None and np.any(invalid & (node_weights > 0.0)):
             raise StructuralError(f"step {j}: history inconsistent with every mixture sequence")
         weights = (node_weights[:, None] * probs).reshape(len(prefixes), -1)
-    return weights
+        yield weights
 
 
 def policy_weight_vector(policy: Policy, space: ObsActSpace) -> np.ndarray:
     """Weights for all full trajectories in lexicographic order."""
     return continuation_weights(policy, space, 0, np.zeros(1, dtype=np.int64))[0]
+
+
+def prefix_weight_tables(policy: Policy, space: ObsActSpace) -> Iterator[np.ndarray]:
+    """:func:`policy_weight` of all length-``h`` histories in lexicographic order, for h = 0..H."""
+    for weights in _weight_steps(policy, space, 0, np.zeros(1, dtype=np.int64)):
+        yield weights[0]
 
 
 def random_tree_policy(space: ObsActSpace, rng: np.random.Generator) -> DeterministicTreePolicy:

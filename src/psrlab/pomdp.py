@@ -3,18 +3,21 @@
 Conventions.  An episode runs ``o_1, a_1, ..., o_H, a_H``: the hidden state
 starts at the fixed ``initial_state``, each ``o_h`` is emitted from the
 current state via ``emission[h-1]``, and after ``a_h`` the state advances via
-``transition[h-1][a_h]`` (no transition after the final action).  All exact
-computations run forward recursions over hidden states; tests in this repo
-check them against exponential brute-force sums over state sequences.
+``transition[h-1][a_h]`` (no transition after the final action).  Every exact
+quantity reads from two batched walks over hidden states: forward tables of
+the pre-emission beliefs and probabilities of every history, one depth at a
+time (the dynamics matrices are the leaf table reshaped), and a backward walk
+of all tests of one length at once.  Tests in this repo check them against
+exponential brute-force sums over state sequences.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,13 +30,7 @@ from .planner import leaf_table
 from .policies import Policy, cumulative_rows
 from .psr import CoreTestSet, PsrModel, make_core_test_set
 from .seeding import rng_for
-from .spaces import (
-    Future,
-    History,
-    ObsActSpace,
-    enumerate_futures,
-    enumerate_histories,
-)
+from .spaces import Future, History, ObsActSpace, enumerate_futures
 
 ROW_SUM_TOL = 1e-12
 PINV_RCOND = 1e-10
@@ -47,9 +44,12 @@ class RewardTable:
     table: np.ndarray  # (H, O, A), entrywise >= 0 with sum_h max_{o,a} <= 1
 
     def __post_init__(self) -> None:
-        if self.table.min() < 0:
-            raise StructuralError("reward table must be nonnegative")
-        if self.table.max(axis=(1, 2)).sum() > 1 + 1e-9:
+        if self.table.ndim != 3 or not self.table.size:
+            raise StructuralError(f"reward table must be a non-empty (H, O, A) array, got {self.table.shape}")
+        # Negated comparisons, so that NaN fails them too.
+        if not self.table.min() >= 0:
+            raise StructuralError("reward table has negative or NaN entries")
+        if not self.table.max(axis=(1, 2)).sum() <= 1 + 1e-9:
             raise StructuralError("per-step reward maxima must sum to at most 1")
 
     def of(self, trajectory: History) -> float:
@@ -98,6 +98,7 @@ class TabularPomdp:
     emission: np.ndarray  # (H, S, O), row-stochastic over o
     initial_state: int
     reward: Reward
+    _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> (beliefs, probs)
 
     def __post_init__(self) -> None:
         S, H, A, O = self.n_states, self.space.horizon, self.space.n_actions, self.space.n_obs
@@ -117,52 +118,84 @@ class TabularPomdp:
     def reward_of(self, trajectory: History) -> float:
         return self.reward.of(trajectory)
 
-    # -- forward recursions -------------------------------------------------
+    # -- exact tables over the trajectory tree (lexicographic order) ---------
+
+    def belief_table(self, h: int) -> np.ndarray:
+        """Pre-emission beliefs of all length-``h`` histories, read-only, for h < H.
+
+        Row ``i`` is the unnormalized distribution of the state at step
+        ``h + 1``: entry ``s`` is P(that state = s, the history's obs | its
+        actions) for the history with lex index ``i``.
+        """
+        if not 0 <= h < self.space.horizon:
+            raise StructuralError(f"no pre-emission belief after {h} of {self.space.horizon} steps")
+        return self._forward(h)[0]
+
+    def prob_table(self, h: int) -> np.ndarray:
+        """P(obs | actions) of all length-``h`` histories, lexicographically ordered, read-only."""
+        self.space.n_histories(h)  # raises outside 0..H
+        return self._forward(h)[1]
+
+    def _forward(self, h: int) -> tuple[np.ndarray | None, np.ndarray]:
+        """Beliefs (None at h = H) and probabilities at depth ``h``, cached per depth.
+
+        One step multiplies every belief elementwise by each observation's
+        emission column, then each product as a row vector by ``T[a]``: the
+        per-history order, so every entry is the one that per-history
+        recursion gives.
+        """
+        cached = self._table_cache.get(h)
+        if cached is not None:
+            return cached
+        S, A = self.n_states, self.space.n_actions
+        if h == 0:
+            beliefs: np.ndarray | None = np.zeros((1, S))
+            beliefs[0, self.initial_state] = 1.0
+            probs = np.ones(1)
+        else:
+            joint = self._forward(h - 1)[0][:, None, :] * self.emission[h - 1].T[None]  # (N, O, S)
+            probs = np.repeat(joint.sum(axis=-1), A)
+            beliefs = None
+            if h < self.space.horizon:
+                beliefs = (joint[:, :, None, None, :] @ self.transition[h - 1][None, None])[..., 0, :].reshape(-1, S)
+        for table in (beliefs, probs):
+            if table is not None:
+                table.setflags(write=False)
+        self._table_cache[h] = (beliefs, probs)
+        return beliefs, probs
 
     def pre_emission_belief(self, history: History) -> np.ndarray:
-        """Unnormalized distribution of the state after ``history``.
-
-        Entry ``s`` is P(state at step h+1 = s, history's obs | history's
-        actions) for a length-``h`` history.  Only defined for h < H.
-        """
-        if len(history) >= self.space.horizon:
-            raise StructuralError("no post-history state after the final step")
-        v = np.zeros(self.n_states)
-        v[self.initial_state] = 1.0
-        for h, (o, a) in enumerate(history.steps, start=1):
-            u = self.emission[h - 1, :, o] * v
-            v = self.transition[h - 1, a].T @ u
-        return v
+        """Unnormalized distribution of the state after ``history``: its row of :meth:`belief_table`."""
+        history.validate(self.space)
+        return self.belief_table(len(history))[history.lex_index(self.space)]
 
     def exact_traj_prob(self, history: History) -> float:
-        """P(history's observations | history's actions), exactly."""
+        """P(history's observations | history's actions): its entry of :meth:`prob_table`."""
         history.validate(self.space)
-        if len(history) == 0:
-            return 1.0
-        v = np.zeros(self.n_states)
-        v[self.initial_state] = 1.0
-        u = v
-        for h, (o, a) in enumerate(history.steps, start=1):
-            u = self.emission[h - 1, :, o] * v
-            if h < self.space.horizon:
-                v = self.transition[h - 1, a].T @ u
-        return float(u.sum())
+        return float(self.prob_table(len(history))[history.lex_index(self.space)])
 
-    def test_prob_given_state(self, test: Future, state_step: int) -> np.ndarray:
-        """P(test obs | state at ``state_step`` = s, test actions), for all s.
+    def test_probs(self, tests: Sequence[Future], state_step: int) -> np.ndarray:
+        """P(test obs | state at ``state_step`` = s, test actions): one row per test, one column per s.
 
-        ``state_step`` is the 1-based step at which the test's first
-        observation is emitted (``test.start_step + 1``).
+        ``state_step`` is the 1-based step at which each test's first
+        observation is emitted (``test.start_step + 1``).  Tests of one length
+        are walked backwards together, one stacked matrix-vector product per
+        step: ``v <- emission * (T[a] @ v)``.
         """
-        # Walk the test backwards: out[s] = P(obs from position j on | state s).
-        out = np.ones(self.n_states)
-        for j in range(len(test.obs) - 1, -1, -1):
-            step = state_step + j
-            emit = self.emission[step - 1, :, test.obs[j]]
-            if j == len(test.obs) - 1:
-                out = emit.copy()
-            else:
-                out = emit * (self.transition[step - 1, test.acts[j]] @ out)
+        out = np.ones((len(tests), self.n_states))  # an empty test has probability 1
+        lengths = [len(t) for t in tests]
+        for length in set(lengths) - {0}:
+            rows = [i for i, n in enumerate(lengths) if n == length]
+            if not 1 <= state_step <= self.space.horizon - length + 1:
+                raise StructuralError(f"a {length}-step test from step {state_step} runs past the horizon")
+            obs = np.array([tests[i].obs for i in rows])
+            acts = np.array([tests[i].acts[: length - 1] for i in rows]).reshape(len(rows), length - 1)
+            v = self.emission[state_step + length - 2][:, obs[:, -1]].T
+            for j in range(length - 2, -1, -1):
+                step = state_step + j
+                moved = (self.transition[step - 1][acts[:, j]] @ v[:, :, None])[:, :, 0]
+                v = self.emission[step - 1][:, obs[:, j]].T * moved
+            out[rows] = v
         return out
 
     # -- sampling -----------------------------------------------------------
@@ -227,20 +260,14 @@ def pomdp_from_dict(data: dict) -> TabularPomdp:
 
 
 def dynamics_matrix(pomdp: TabularPomdp, h: int) -> np.ndarray:
-    """Histories-by-futures matrix of joint probabilities at step ``h``.
+    """Histories-by-futures matrix of joint probabilities at step ``h``, read-only.
 
     Rows are length-``h`` histories and columns full futures, both in
     lexicographic order; the entry is the joint probability of the spliced
-    trajectory's observations given its actions.
+    trajectory's observations given its actions.  Leaves are ordered
+    history-major, so this is the leaf table reshaped.
     """
-    space = pomdp.space
-    rows = space.n_histories(h)
-    cols = space.pair_count ** (space.horizon - h)
-    out = np.empty((rows, cols))
-    for i, hist in enumerate(enumerate_histories(space, h)):
-        for j, fut in enumerate(enumerate_futures(space, h)):
-            out[i, j] = pomdp.exact_traj_prob(History(hist.steps + fut.as_steps()))
-    return out
+    return pomdp.prob_table(pomdp.space.horizon).reshape(pomdp.space.n_histories(h), -1)
 
 
 def psr_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
@@ -273,7 +300,8 @@ def select_core_tests(pomdp: TabularPomdp, h: int, tol: float = 1e-8) -> list[Fu
         basis.append(q)
         selected.append(pick)
         residual = residual - np.outer(q, q @ residual)
-    tests = [enumerate_futures(pomdp.space, h)[j] for j in sorted(selected)]
+    futures = enumerate_futures(pomdp.space, h)
+    tests = [futures[j] for j in sorted(selected)]
     if psr_rank(D[:, sorted(selected)], tol) != r:
         raise SingularCoreTests(f"pivoted selection at step {h} lost rank")
     return tests
@@ -327,9 +355,8 @@ def g_matrices(pomdp: TabularPomdp, m: int) -> GMatrices:
     mats: list[np.ndarray] = []
     for h in range(1, pomdp.space.horizon + 1):
         tests = tuple(window_tests(pomdp.space, h, m))
-        G = np.stack([pomdp.test_prob_given_state(t, h) for t in tests])
         tests_all.append(tests)
-        mats.append(G)
+        mats.append(pomdp.test_probs(tests, h))
     return GMatrices(m, tuple(tests_all), tuple(mats))
 
 
@@ -378,10 +405,7 @@ def _reachable_belief_basis(pomdp: TabularPomdp) -> list[np.ndarray]:
 
 def _test_matrices(pomdp: TabularPomdp, tests_per_step: list[tuple[Future, ...]]) -> list[np.ndarray]:
     """Test-probability matrices for state steps 1..H plus the terminal ones-row."""
-    mats = [
-        np.stack([pomdp.test_prob_given_state(t, h) for t in tests])
-        for h, tests in enumerate(tests_per_step, start=1)
-    ]
+    mats = [pomdp.test_probs(tests, h) for h, tests in enumerate(tests_per_step, start=1)]
     mats.append(np.ones((1, pomdp.n_states)))
     return mats
 

@@ -97,6 +97,7 @@ class PsrModel:
     M: tuple[np.ndarray, ...]  # M[h-1] has shape (O, A, d_h, d_{h-1})
     phi: tuple[np.ndarray, ...]  # phi[h] has length d_h, for h = 0..H
     _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> stacks of one
+    _feature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> feature table
 
     def __post_init__(self) -> None:
         H, O, A = self.space.horizon, self.space.n_obs, self.space.n_actions
@@ -136,14 +137,14 @@ class PsrModel:
         history.validate(self.space)
         return float(self.prob_table(len(history))[history.lex_index(self.space)])
 
-    def prediction_feature(self, history: History, guard: float = PSI_GUARD) -> np.ndarray:
+    def prediction_feature(self, history: History) -> np.ndarray:
         """Normalized state; coordinate ℓ is the probability of core test ℓ."""
         history.validate(self.space)
         psis, probs = self._tables(len(history))
         idx = history.lex_index(self.space)
         p = float(probs[idx])
-        if p <= guard:
-            raise DegenerateHistory(f"history has probability {p:.3g} <= {guard:.3g}")
+        if p <= PSI_GUARD:
+            raise DegenerateHistory(f"history has probability {p:.3g} <= {PSI_GUARD:.3g}")
         return psis[idx] / p
 
     def suffix_weight(self, future_steps: tuple[tuple[int, int], ...], start: int, x: np.ndarray) -> float:
@@ -161,12 +162,16 @@ class PsrModel:
             return np.ones(1)
         return self._tables(h)[1]
 
-    def feature_table(self, h: int, guard: float = PSI_GUARD) -> np.ndarray:
-        """Prediction features of all length-``h`` histories; NaN rows where degenerate."""
-        psis, probs = self._tables(h)
-        out = np.full_like(psis, np.nan)
-        ok = probs > guard
-        out[ok] = psis[ok] / probs[ok, None]
+    def feature_table(self, h: int) -> np.ndarray:
+        """Prediction features of all length-``h`` histories, cached read-only; NaN rows where degenerate."""
+        out = self._feature_cache.get(h)
+        if out is None:
+            psis, probs = self._tables(h)
+            out = np.full_like(psis, np.nan)
+            ok = probs > PSI_GUARD
+            out[ok] = psis[ok] / probs[ok, None]
+            out.setflags(write=False)
+            self._feature_cache[h] = out
         return out
 
     def _tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,6 +217,7 @@ def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[n
     cache[h] = (states, probs)
     for i, model in enumerate(models):
         model._table_cache[h] = (states[i : i + 1], probs[i : i + 1])
+        model._feature_cache.pop(h, None)  # features follow the states they were divided from
     return states, probs
 
 

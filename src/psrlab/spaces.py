@@ -174,12 +174,3 @@ def enumerate_futures(space: ObsActSpace, start_step: int) -> list[Future]:
     """All full futures from ``start_step`` in lexicographic order."""
     count = space.pair_count ** (space.horizon - start_step)
     return [future_from_lex(space, start_step, i) for i in range(count)]
-
-
-def splice(history: History, future: Future) -> History:
-    """Concatenate a history with a full future starting where it ends."""
-    if future.start_step != len(history):
-        raise StructuralError(
-            f"future starts at step {future.start_step}, history has length {len(history)}"
-        )
-    return History(history.steps + future.as_steps())

@@ -1,0 +1,82 @@
+"""Per-history reference implementations of the environment's exact quantities.
+
+These are the loops the package ran before the environment's quantities were
+read from trajectory-tree tables: the forward recursion run once per
+history, the backward walk run once per test, the dynamics matrix filled one
+cell at a time, and the coverage coefficient enumerating every history.
+Tests compare the tables against them bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from psrlab.errors import StructuralError
+from psrlab.policies import policy_weight
+from psrlab.spaces import History, enumerate_futures, enumerate_histories
+
+
+def oracle_pre_emission_belief(env, history):
+    if len(history) >= env.space.horizon:
+        raise StructuralError("no post-history state after the final step")
+    v = np.zeros(env.n_states)
+    v[env.initial_state] = 1.0
+    for h, (o, a) in enumerate(history.steps, start=1):
+        u = env.emission[h - 1, :, o] * v
+        v = env.transition[h - 1, a].T @ u
+    return v
+
+
+def oracle_exact_traj_prob(env, history):
+    history.validate(env.space)
+    if len(history) == 0:
+        return 1.0
+    v = np.zeros(env.n_states)
+    v[env.initial_state] = 1.0
+    u = v
+    for h, (o, a) in enumerate(history.steps, start=1):
+        u = env.emission[h - 1, :, o] * v
+        if h < env.space.horizon:
+            v = env.transition[h - 1, a].T @ u
+    return float(u.sum())
+
+
+def oracle_test_prob_given_state(env, test, state_step):
+    """P(test obs | state at ``state_step`` = s, test actions), one test at a time."""
+    out = np.ones(env.n_states)
+    for j in range(len(test.obs) - 1, -1, -1):
+        step = state_step + j
+        emit = env.emission[step - 1, :, test.obs[j]]
+        if j == len(test.obs) - 1:
+            out = emit.copy()
+        else:
+            out = emit * (env.transition[step - 1, test.acts[j]] @ out)
+    return out
+
+
+def oracle_dynamics_matrix(env, h):
+    space = env.space
+    rows = space.n_histories(h)
+    cols = space.pair_count ** (space.horizon - h)
+    out = np.empty((rows, cols))
+    for i, hist in enumerate(enumerate_histories(space, h)):
+        for j, fut in enumerate(enumerate_futures(space, h)):
+            out[i, j] = oracle_exact_traj_prob(env, History(hist.steps + fut.as_steps()))
+    return out
+
+
+def oracle_coverage_coefficient(env, target, behavior):
+    space = env.space
+    worst = 1.0
+    for h in range(space.horizon + 1):
+        for hist in enumerate_histories(space, h):
+            if oracle_exact_traj_prob(env, hist) <= 0.0:
+                continue
+            wt = policy_weight(target, hist)
+            if wt == 0.0:
+                continue
+            wb = policy_weight(behavior, hist)
+            if wb == 0.0:
+                return math.inf
+            worst = max(worst, wt / wb)
+    return worst

@@ -4,8 +4,9 @@ import pytest
 from click.testing import CliRunner
 
 from psrlab.cli import build_behavior, build_env, main
-from psrlab.errors import PsrLabError
+from psrlab.errors import PsrLabError, StructuralError
 from psrlab.policies import UniformActionSeqPolicy
+from psrlab.verify import verify
 
 
 ONLINE_CONFIG = {
@@ -194,3 +195,32 @@ def test_package_error_prints_one_line(tmp_path, runner):
     assert "Traceback" not in result.output
     with pytest.raises(PsrLabError, match="no_such_env"):
         main.main(args=args, prog_name="psrlab", standalone_mode=False)
+
+
+def test_verify_rejects_nonpositive_seeds(runner):
+    result = runner.invoke(main, ["verify", "--suite", "mle-events", "--seeds", "0"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output and "--seeds" in result.output
+    with pytest.raises(StructuralError, match="seed"):
+        verify("mle-events", 0)
+
+
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        ('{"horizon": 2, "bogus": 1}', "Error: bad parameters for builtin environment 'tiger'"),
+        ('{"horizon": 2', "Error: --params for builtin environment 'tiger' is not valid JSON"),
+    ],
+)
+def test_gen_env_bad_params_print_one_line(tmp_path, runner, params, message):
+    out = tmp_path / "env.json"
+    result = runner.invoke(main, ["gen-env", "--name", "tiger", "--params", params, "--out", str(out)])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), result.output
+    assert not out.exists()
+
+
+def test_build_env_bad_params_is_package_error():
+    with pytest.raises(PsrLabError, match="'near_tie'"):
+        build_env({"builtin": "near_tie", "params": {"horizon": 3}})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
+from policy_oracles import oracle_policy_weight
 from psrlab.errors import StructuralError
 from psrlab.policies import (
     CompositePolicy,
@@ -10,6 +11,7 @@ from psrlab.policies import (
     policy_from_dict,
     policy_weight,
     policy_weight_vector,
+    prefix_weight_tables,
     random_tree_policy,
     uniform_policy,
 )
@@ -118,3 +120,21 @@ def test_sampling_matches_action_probs():
         counts[action] += 1
     probs = policy.action_probs(History(), 0)
     assert np.abs(counts / n - probs).max() < 4 * np.sqrt(0.25 / n)
+
+
+def test_prefix_weight_tables_equal_per_history_weights():
+    space = ObsActSpace(2, 3, 3)
+    policies = [
+        random_tree_policy(space, rng_for(1, "prefix-tables")),
+        UniformActionSeqPolicy(3, 1, ((), (1,), (2, 0))),
+        CompositePolicy(
+            2, random_tree_policy(space, rng_for(2, "prefix-tables")), UniformActionSeqPolicy(3, 2, ((0, 1),))
+        ),
+    ]
+    for policy in policies:
+        tables = list(prefix_weight_tables(policy, space))
+        assert len(tables) == space.horizon + 1
+        for h, table in enumerate(tables):
+            expected = [oracle_policy_weight(policy, hist) for hist in enumerate_histories(space, h)]
+            assert np.array_equal(table, expected)
+        assert np.array_equal(tables[-1], policy_weight_vector(policy, space))

@@ -66,6 +66,15 @@ def test_reward_table_scale_guard():
     RewardTable(np.full((2, 2, 2), 0.5))
 
 
+def test_reward_table_rejects_nan_and_wrong_rank():
+    with pytest.raises(StructuralError):
+        RewardTable(np.full((2, 2, 2), np.nan))
+    with pytest.raises(StructuralError):
+        RewardTable(np.zeros((2, 2)))
+    with pytest.raises(StructuralError):
+        RewardTable(np.zeros((0, 2, 2)))
+
+
 def test_exact_traj_prob_empty_history(small_env):
     assert small_env.exact_traj_prob(History()) == 1.0
 

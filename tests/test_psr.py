@@ -17,6 +17,7 @@ from psrlab.psr import (
     hellinger_sq,
     make_core_test_set,
     psr_model_from_dict,
+    stacked_tables,
     sup_weighted_abs,
     terminal_anchor_violation,
     tv_distance,
@@ -83,7 +84,7 @@ def test_prediction_feature_is_conditional_test_prob(small_env, small_model):
     # brute force: P(test obs | history, test actions) via hidden-state sums
     def oracle(hist, test):
         base = small_env.exact_traj_prob(hist)
-        vec = small_env.test_prob_given_state(test, len(hist) + 1)
+        vec = small_env.test_probs([test], len(hist) + 1)[0]
         belief = small_env.pre_emission_belief(hist)
         return float(vec @ belief) / base
 
@@ -95,6 +96,24 @@ def test_prediction_feature_is_conditional_test_prob(small_env, small_model):
                 continue
             for l, test in enumerate(small_model.core_tests.tests[h]):
                 assert feats[idx, l] == pytest.approx(oracle(hist, test), abs=1e-9)
+
+
+def test_feature_table_is_built_once_read_only(small_model):
+    for h in range(small_model.space.horizon + 1):
+        feats = small_model.feature_table(h)
+        assert small_model.feature_table(h) is feats
+        assert not feats.flags.writeable
+
+
+def test_feature_table_follows_a_later_stack(small_env):
+    model, _ = default_psr(small_env)
+    other, _ = default_psr(random_revealing(seed=8, n_states=2, n_obs=2, n_actions=2, horizon=3))
+    own = model.feature_table(2)
+    stacked_tables((other, model), {}, 2)
+    rebuilt = model.feature_table(2)
+    assert rebuilt is not own
+    psis, probs = model._tables(2)
+    assert np.array_equal(rebuilt, psis / probs[:, None])
 
 
 def test_prediction_feature_degenerate_guard():

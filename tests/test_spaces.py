@@ -10,7 +10,6 @@ from psrlab.spaces import (
     enumerate_histories,
     future_from_lex,
     history_from_lex,
-    splice,
 )
 
 
@@ -76,16 +75,11 @@ def test_future_action_count_rule():
         Future(0, (1, 0), ())
 
 
-def test_future_validate_and_splice():
+def test_future_validate():
     space = ObsActSpace(2, 2, 3)
     fut = future_from_lex(space, 1, 5)
     fut.validate(space)
     assert len(fut) == 2
-    hist = History(((0, 0),))
-    spliced = splice(hist, fut)
-    assert len(spliced) == 3
-    with pytest.raises(StructuralError):
-        splice(History(), fut)
 
 
 def test_enumerate_futures_count():
