@@ -19,7 +19,7 @@ from .policies import (
     policy_weight,
     uniform_policy,
 )
-from .psr import CoreTestSet, PsrModel, check_self_consistency, gamma, hellinger_sq, tv_distance, value
+from .psr import CoreTestSet, PsrModel, check_self_consistency, gamma, hellinger_sq, tv_distance
 from .pomdp import (
     GMatrices,
     RewardTable,
@@ -52,13 +52,12 @@ from .estimation import (
 from .bonus import (
     BonusEvaluator,
     FeatureGram,
-    accumulate,
     decodable_transform,
     elliptical_potential_check,
     prefix_grams,
     transfer_score_check,
 )
-from .planner import plan, plan_on_table
+from .planner import plan_on_table
 from .online import OnlineConfig, evaluate_output, exploration_policy, run_psr_ucb
 from .offline import (
     OfflineConfig,

@@ -89,14 +89,6 @@ class FeatureGram:
         return float(svals[0] / svals[-1])
 
 
-def accumulate(gram: FeatureGram, feature: np.ndarray) -> FeatureGram:
-    """Rank-one update; the factorization is refreshed on construction."""
-    if feature.shape != (gram.matrix.shape[0],):
-        raise StructuralError(f"feature dim {feature.shape} does not match gram {gram.matrix.shape}")
-    updated = gram.matrix + np.outer(feature, feature)
-    return FeatureGram(gram.step, gram.lam, 0.5 * (updated + updated.T), gram.count + 1)
-
-
 @dataclass(frozen=True)
 class BonusEvaluator:
     """Maps full trajectories to clipped uncertainty bonuses in [0, 1].
@@ -158,33 +150,6 @@ class BonusEvaluator:
         out = np.minimum(self.alpha * np.sqrt(np.maximum(totals, 0.0)), 1.0)
         out[degenerate] = 1.0
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lambda": [g.lam for g in self.grams],
-            "grams": [g.matrix.tolist() for g in self.grams],
-            "counts": [g.count for g in self.grams],
-            "transform": None if self.transform is None else [t.tolist() for t in self.transform],
-            "feature_source": self.feature_source.to_dict(),
-        }
-
-
-def evaluator_from_dict(data: dict) -> BonusEvaluator:
-    from .psr import psr_model_from_dict
-
-    model = psr_model_from_dict(data["feature_source"])
-    grams = tuple(
-        FeatureGram(h, lam, np.asarray(mat, dtype=float), count)
-        for h, (lam, mat, count) in enumerate(zip(data["lambda"], data["grams"], data["counts"]))
-    )
-    transform = data["transform"]
-    return BonusEvaluator(
-        grams,
-        data["alpha"],
-        model,
-        None if transform is None else tuple(np.asarray(t, dtype=float) for t in transform),
-    )
 
 
 def decodable_transform(g_hat: GMatrices) -> tuple[np.ndarray, ...]:

@@ -8,6 +8,7 @@ encoding, and no wall-clock content.  Timing goes to stdout only.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .errors import PsrLabError
+from .errors import PsrLabError, StructuralError
 from .estimation import CandidateSet, make_candidates
 from .offline import (
     OfflineConfig,
@@ -70,9 +71,13 @@ def _make_builtin(name: str, params: dict) -> TabularPomdp:
 
 
 def build_candidates(env: TabularPomdp, spec: dict) -> CandidateSet:
-    return make_candidates(env, spec.get("mode", "include_true"), **{
-        k: v for k, v in spec.items() if k != "mode"
-    })
+    options = {k: v for k, v in spec.items() if k != "mode"}
+    params = inspect.signature(make_candidates).parameters.values()
+    known = ["mode"] + [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+    for key in spec:
+        if key not in known:
+            raise StructuralError(f"unknown key {key!r} in config section 'candidates'; options: {known}")
+    return make_candidates(env, spec.get("mode", "include_true"), **options)
 
 
 def build_behavior(spec, space):
@@ -113,6 +118,9 @@ def _resolve_params(cfg: dict, constants: EnvSummary | None, mode: str, n_episod
         )
         values = dict(p_min=params.p_min, beta=params.beta, lam=params.lam, alpha=params.alpha)
         return values, params.to_dict() | bounds
+    missing = [key for key in ("p_min", "beta", "lambda", "alpha") if key not in cfg]
+    if missing:
+        raise StructuralError(f"config section {mode!r} is missing {', '.join(map(repr, missing))} (or set auto_params)")
     values = dict(p_min=cfg["p_min"], beta=cfg["beta"], lam=cfg["lambda"], alpha=cfg["alpha"])
     echo = {"mode": mode, "c_theory": cfg.get("c_theory"), "p_min": cfg["p_min"], "beta": cfg["beta"],
             "lambda": cfg["lambda"], "alpha": cfg["alpha"]}

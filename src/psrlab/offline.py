@@ -23,7 +23,7 @@ from .policies import DeterministicTreePolicy, Policy, prefix_weight_tables
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
 from .seeding import child_seed, rng_for
-from .spaces import History, ObsActSpace
+from .spaces import ObsActSpace
 
 
 @dataclass(frozen=True)
@@ -85,44 +85,41 @@ def min_exploration_prob(behavior: Policy, core_tests: CoreTestSet) -> float:
     For each step's exploration set, minimizes over every positive-weight
     branch of earlier observations and actions, and within the sequence over
     its observation branches; observation-independent behavior policies
-    reduce to a product of action probabilities.
+    reduce to a product of action probabilities.  Reads the policy's per-step
+    action rows: a backward min over each sequence's subtree below the
+    reached prefixes, with the product formed from the last step back.
     """
     space = core_tests.space
     worst = 1.0
+    reached = np.zeros(1, dtype=np.int64)  # lex indices of the length-h prefixes with positive weight
     for h in range(space.horizon):
         for seq in core_tests.exploration_seqs[h]:
-            if not seq:
-                continue
-            worst = min(worst, _min_seq_prob(behavior, space, h, seq))
+            if seq:
+                probs = _min_seq_prob(behavior, space, h, reached, seq)
+                worst = min(worst, float(probs.min(initial=math.inf)))
+        if h + 1 < space.horizon:
+            nodes = _obs_nodes(reached, space.n_obs)
+            positive = behavior._step_rows(space, h + 1, nodes)[0] > 0.0
+            reached = (nodes[:, None] * space.n_actions + np.arange(space.n_actions))[positive]
     return worst
 
 
-def _min_seq_prob(behavior: Policy, space: ObsActSpace, h: int, seq: tuple[int, ...]) -> float:
-    """min over reachable branches of P(actions at steps h+1..h+len = seq)."""
+def _obs_nodes(hists: np.ndarray, n_obs: int) -> np.ndarray:
+    """The (history, obs) nodes below each history, as policy rows index them."""
+    return (hists[:, None] * n_obs + np.arange(n_obs)).reshape(-1)
 
-    def min_over_prefix(hist: History) -> float:
-        if len(hist) == h:
-            return seq_prob_from(hist, 0)
-        best = math.inf
-        for o in range(space.n_obs):
-            probs = behavior.action_probs(hist, o)
-            for a in range(space.n_actions):
-                if probs[a] > 0.0:
-                    best = min(best, min_over_prefix(hist.extend(o, a)))
-        return best
 
-    def seq_prob_from(hist: History, j: int) -> float:
-        if j == len(seq):
-            return 1.0
-        best = math.inf
-        for o in range(space.n_obs):
-            p = float(behavior.action_probs(hist, o)[seq[j]])
-            if p == 0.0:
-                return 0.0
-            best = min(best, p * seq_prob_from(hist.extend(o, seq[j]), j + 1))
-        return best
-
-    return min_over_prefix(History())
+def _min_seq_prob(behavior: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray,
+                  seq: tuple[int, ...]) -> np.ndarray:
+    """Per prefix: min over observation branches of P(actions at steps h+1..h+len = seq)."""
+    nodes = [_obs_nodes(prefixes, space.n_obs)]
+    for a in seq[:-1]:
+        nodes.append(_obs_nodes(nodes[-1] * space.n_actions + a, space.n_obs))
+    val = np.ones(len(nodes[-1]))
+    for j in reversed(range(len(seq))):
+        rows = behavior._step_rows(space, h + j + 1, nodes[j])[0]
+        val = (rows[:, seq[j]] * val).reshape(-1, space.n_obs).min(1)
+    return val
 
 
 def coverage_coefficient(env: TabularPomdp, target: Policy, behavior: Policy) -> float:

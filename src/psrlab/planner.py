@@ -1,9 +1,13 @@
 """Exact policy optimization by backward induction on the history tree.
 
-The planner maximizes ``sum_traj policy_weight(traj) * leaf(traj)`` over all
-history-dependent policies.  Model probabilities, rewards, and bonuses are
-folded into the leaf function by the caller, so one routine serves greedy
-planning, optimistic/pessimistic planning, and max-policy total variation.
+The planner maximizes ``sum_traj policy_weight(traj) * leaves[traj]`` over
+all history-dependent policies, where ``leaves`` is a table with one value
+per full trajectory in lexicographic order.  Callers build it from other
+tables -- model probabilities times rewards, minus or plus bonuses, or
+absolute model differences -- so one routine serves greedy planning,
+optimistic/pessimistic planning, and max-policy total variation.
+:func:`leaf_table` evaluates a per-trajectory function into such a table,
+one call per leaf, for rewards that have no table of their own.
 
 Deterministic policies attain the maximum (the objective is linear in each
 conditional action distribution), and ties break toward the lowest action
@@ -17,7 +21,6 @@ from typing import Callable
 import numpy as np
 
 from .policies import DeterministicTreePolicy, Policy, policy_weight_vector
-from .psr import PsrModel
 from .spaces import History, ObsActSpace, history_from_lex
 
 
@@ -41,11 +44,6 @@ def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[Deterministic
     choices.reverse()
     policy = DeterministicTreePolicy(space, tuple(choices))
     return policy, float(values[0])
-
-
-def plan(model: PsrModel, leaf_fn: Callable[[History], float]) -> tuple[DeterministicTreePolicy, float]:
-    """Maximize the expected leaf value; the space cap bounds the tree size."""
-    return plan_on_table(model.space, leaf_table(model.space, leaf_fn))
 
 
 def policy_value_on_table(space: ObsActSpace, policy: Policy, leaves: np.ndarray) -> float:

@@ -6,22 +6,25 @@ is the ordered matrix product applied to ``psi0``; its probability is the
 closing vector applied to that state.  Prediction features are the state
 normalized by its probability, one coordinate per core test.
 
-All distances and values here are exact sums over the full trajectory tree
-(exponential in the horizon; the space cap bounds the blow-up) accumulated
-with compensated summation.
+States, probabilities and features are cached per-depth tables over all
+histories in lexicographic order; ``psi``, ``seq_prob`` and
+``prediction_feature`` are lookups into them.  Distances are exact sums over
+the full trajectory tree (exponential in the horizon; the space cap bounds
+the blow-up) accumulated with compensated summation, and the identity checks
+compare whole tables one depth at a time, stepping them with
+:func:`forward_step`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateHistory, StructuralError
 from .policies import Policy, policy_weight_vector
-from .spaces import Future, History, ObsActSpace, history_from_lex
+from .spaces import Future, History, ObsActSpace
 
 PSI_GUARD = 1e-12
 
@@ -130,7 +133,7 @@ class PsrModel:
     def psi(self, history: History) -> np.ndarray:
         """State vector of a history (joint core-test probabilities); read-only."""
         history.validate(self.space)
-        return self._tables(len(history))[0][history.lex_index(self.space)]
+        return self.state_table(len(history))[history.lex_index(self.space)]
 
     def seq_prob(self, history: History) -> float:
         """Probability of the history's observations given its actions."""
@@ -147,14 +150,11 @@ class PsrModel:
             raise DegenerateHistory(f"history has probability {p:.3g} <= {PSI_GUARD:.3g}")
         return psis[idx] / p
 
-    def suffix_weight(self, future_steps: tuple[tuple[int, int], ...], start: int, x: np.ndarray) -> float:
-        """phi_H^T M_H ... M_{start+1} x for the given future steps."""
-        v = x
-        for j, (o, a) in enumerate(future_steps, start=start + 1):
-            v = self.M[j - 1][o, a] @ v
-        return float(self.phi[self.space.horizon] @ v)
-
     # -- tables over the trajectory tree (lexicographic order) ---------------
+
+    def state_table(self, h: int) -> np.ndarray:
+        """psi of all length-``h`` histories, lexicographically ordered; read-only."""
+        return self._tables(h)[0]
 
     def prob_table(self, h: int) -> np.ndarray:
         """seq_prob of all length-``h`` histories, lexicographically ordered."""
@@ -334,45 +334,35 @@ def hellinger_sq(model_a: PsrModel, model_b: PsrModel, policy: Policy) -> float:
     return float(0.5 * math.fsum((np.sqrt(pa) - np.sqrt(pb)) ** 2))
 
 
-def value(model: PsrModel, policy: Policy, leaf_fn: Callable[[History], float]) -> float:
-    """Expected leaf value over the policy-induced trajectory law."""
-    space = model.space
-    weights = policy_weight_vector(policy, space)
-    probs = model.prob_table(space.horizon)
-    terms = [
-        weights[idx] * probs[idx] * leaf_fn(history_from_lex(space, space.horizon, idx))
-        for idx in range(space.n_trajectories)
-        if weights[idx] * probs[idx] != 0.0
-    ]
-    return float(math.fsum(terms))
-
-
 def conditional_update_violation(model: PsrModel) -> float:
     """Largest violation of the one-step feature update identity.
 
     For every positive-probability history and next (obs, action), applying
     the step matrix to the feature must equal the next-step feature scaled
-    by the conditional observation probability.
+    by the conditional observation probability.  One batched step per depth.
     """
-    space = model.space
     worst = 0.0
-    for h in range(space.horizon):
-        feats = model.feature_table(h)
-        probs = model.prob_table(h)
+    for h in range(model.space.horizon):
+        probs = np.repeat(model.prob_table(h), model.space.pair_count)  # each child's parent probability
         next_probs = model.prob_table(h + 1)
-        next_feats = model.feature_table(h + 1)
-        for idx in range(space.n_histories(h)):
-            if probs[idx] <= PSI_GUARD:
-                continue
-            for pair in range(space.pair_count):
-                o, a = divmod(pair, space.n_actions)
-                child = idx * space.pair_count + pair
-                if next_probs[child] <= PSI_GUARD:
-                    continue
-                lhs = model.M[h][o, a] @ feats[idx]
-                cond = next_probs[child] / probs[idx]
-                worst = max(worst, float(np.abs(lhs - cond * next_feats[child]).max()))
+        lhs = forward_step(model.M[h], model.feature_table(h))
+        with np.errstate(divide="ignore", invalid="ignore"):  # degenerate rows are masked out below
+            gaps = np.abs(lhs - (next_probs / probs)[:, None] * model.feature_table(h + 1)).max(-1)
+        live = (probs > PSI_GUARD) & (next_probs > PSI_GUARD)
+        worst = max(worst, float(np.fmax.reduce(gaps[live], initial=0.0)))  # fmax skips NaN rows, as max() did
     return worst
+
+
+def forward_step(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``ops[o, a] @ x`` for every state row ``x`` and every (o, a), in lexicographic child order.
+
+    ``ops`` is one step's ``(O, A, d_out, d_in)`` table and ``states`` an
+    ``(n, d_in)`` stack; the result is ``(n * O * A, d_out)``.  A broadcast
+    matmul, so each row is the per-history matrix-vector product bit for bit
+    (an einsum is not).
+    """
+    products = ops.reshape(-1, *ops.shape[2:])[None] @ states[:, None, :, None]
+    return products.reshape(-1, ops.shape[2])
 
 
 def _check_same_space(a: PsrModel, b: PsrModel) -> None:

@@ -46,13 +46,14 @@ from .psr import (
     PsrModel,
     check_self_consistency,
     conditional_update_violation,
+    forward_step,
     gamma,
     hellinger_sq,
     terminal_anchor_violation,
     tv_distance,
 )
 from .seeding import child_seed, rng_for
-from .spaces import History, enumerate_histories, history_from_lex
+from .spaces import History, enumerate_histories
 
 Z_99 = 2.5758293035489004
 
@@ -110,28 +111,6 @@ def small_builtin_envs() -> list[tuple[str, TabularPomdp]]:
         ("random_mdp(4,3,3,2)", random_mdp(4, 3, 3, 2)),
         ("random_mdp(5,2,3,3)", random_mdp(5, 2, 3, 3)),
     ]
-
-
-def brute_force_prefix_prob(env: TabularPomdp, history: History) -> float:
-    """Sum over all hidden state sequences of emission/transition products."""
-    h = len(history)
-    if h == 0:
-        return 1.0
-    total = 0.0
-    S = env.n_states
-    seqs = [[s] for s in range(S)]
-    for _ in range(h - 1):
-        seqs = [seq + [s] for seq in seqs for s in range(S)]
-    for seq in seqs:
-        if seq[0] != env.initial_state:
-            continue
-        p = 1.0
-        for j, (o, a) in enumerate(history.steps, start=1):
-            p *= env.emission[j - 1, seq[j - 1], o]
-            if j < h:
-                p *= env.transition[j - 1, a, seq[j - 1], seq[j]]
-        total += p
-    return total
 
 
 def brute_force_test_cond_prob(env: TabularPomdp, history: History, obs: tuple[int, ...], acts: tuple[int, ...]) -> float:
@@ -282,20 +261,24 @@ def _transition_dithered(env: TabularPomdp, seed: int, scale: float) -> TabularP
 
 
 def estimation_error_bound(model_hat: PsrModel, model: PsrModel, policy) -> float:
-    """Per-step absolute estimation-error sum that dominates the model distance."""
-    space = model.space
-    weights = policy_weight_vector(policy, space)
+    """Per-step absolute estimation-error sum that dominates the model distance.
+
+    The step-``h`` term of a trajectory is its policy weight times
+    ``|phi_H' M_H' ... M_{h+1}' (M_h' - M_h) psi(prefix)|``, primes marking
+    ``model_hat``.  One pass per step carries every prefix's error vector
+    through the estimated step matrices to the leaves.
+    """
+    H = model.space.horizon
+    weights = policy_weight_vector(policy, model.space)
+    live = weights != 0.0
     terms = []
-    for idx in range(space.n_trajectories):
-        if weights[idx] == 0.0:
-            continue
-        traj = history_from_lex(space, space.horizon, idx)
-        for h in range(1, space.horizon + 1):
-            o, a = traj.steps[h - 1]
-            delta = model_hat.M[h - 1][o, a] - model.M[h - 1][o, a]
-            vec = delta @ model.psi(traj.prefix(h - 1))
-            terms.append(weights[idx] * abs(model_hat.suffix_weight(traj.steps[h:], h, vec)))
-    return math.fsum(terms)
+    for h in range(1, H + 1):
+        vecs = forward_step(model_hat.M[h - 1] - model.M[h - 1], model.state_table(h - 1))
+        for j in range(h + 1, H + 1):
+            vecs = forward_step(model_hat.M[j - 1], vecs)
+        closing = (vecs[:, None] @ model_hat.phi[H])[:, 0]  # one dot product per leaf, as phi @ v
+        terms.append(weights[live] * np.abs(closing[live]))
+    return math.fsum(np.concatenate(terms))
 
 
 # -- inequality suite ----------------------------------------------------------

@@ -1,0 +1,131 @@
+"""Per-history reference implementations of verify's table checks, the value
+functional and the offline exploration minimum.
+
+These are the loops the package ran before the checks became per-depth
+table passes: the estimation-error sum walking each trajectory step by step,
+the feature-update identity tested one (history, obs, action) at a time, the
+exploration minimum recursing through ``action_probs`` node by node, the
+policy value calling a leaf function per trajectory, and the prefix
+probability summed over hidden-state sequences.  Tests compare the package
+against them bit for bit.
+"""
+
+import math
+
+import numpy as np
+
+from psrlab.policies import policy_weight_vector
+from psrlab.psr import PSI_GUARD
+from psrlab.spaces import History, history_from_lex
+
+
+def oracle_estimation_error_bound(model_hat, model, policy):
+    space = model.space
+    weights = policy_weight_vector(policy, space)
+    terms = []
+    for idx in range(space.n_trajectories):
+        if weights[idx] == 0.0:
+            continue
+        traj = history_from_lex(space, space.horizon, idx)
+        for h in range(1, space.horizon + 1):
+            o, a = traj.steps[h - 1]
+            delta = model_hat.M[h - 1][o, a] - model.M[h - 1][o, a]
+            v = delta @ model.psi(traj.prefix(h - 1))
+            for j, (o2, a2) in enumerate(traj.steps[h:], start=h + 1):
+                v = model_hat.M[j - 1][o2, a2] @ v
+            terms.append(weights[idx] * abs(float(model_hat.phi[space.horizon] @ v)))
+    return math.fsum(terms)
+
+
+def oracle_conditional_update_violation(model):
+    space = model.space
+    worst = 0.0
+    for h in range(space.horizon):
+        feats = model.feature_table(h)
+        probs = model.prob_table(h)
+        next_probs = model.prob_table(h + 1)
+        next_feats = model.feature_table(h + 1)
+        for idx in range(space.n_histories(h)):
+            if probs[idx] <= PSI_GUARD:
+                continue
+            for pair in range(space.pair_count):
+                o, a = divmod(pair, space.n_actions)
+                child = idx * space.pair_count + pair
+                if next_probs[child] <= PSI_GUARD:
+                    continue
+                lhs = model.M[h][o, a] @ feats[idx]
+                cond = next_probs[child] / probs[idx]
+                worst = max(worst, float(np.abs(lhs - cond * next_feats[child]).max()))
+    return worst
+
+
+def oracle_min_exploration_prob(behavior, core_tests):
+    space = core_tests.space
+    worst = 1.0
+    for h in range(space.horizon):
+        for seq in core_tests.exploration_seqs[h]:
+            if not seq:
+                continue
+            worst = min(worst, _oracle_min_seq_prob(behavior, space, h, seq))
+    return worst
+
+
+def _oracle_min_seq_prob(behavior, space, h, seq):
+    def min_over_prefix(hist):
+        if len(hist) == h:
+            return seq_prob_from(hist, 0)
+        best = math.inf
+        for o in range(space.n_obs):
+            probs = behavior.action_probs(hist, o)
+            for a in range(space.n_actions):
+                if probs[a] > 0.0:
+                    best = min(best, min_over_prefix(hist.extend(o, a)))
+        return best
+
+    def seq_prob_from(hist, j):
+        if j == len(seq):
+            return 1.0
+        best = math.inf
+        for o in range(space.n_obs):
+            p = float(behavior.action_probs(hist, o)[seq[j]])
+            if p == 0.0:
+                return 0.0
+            best = min(best, p * seq_prob_from(hist.extend(o, seq[j]), j + 1))
+        return best
+
+    return min_over_prefix(History())
+
+
+def oracle_value(model, policy, leaf_fn):
+    """Expected leaf value over the policy-induced trajectory law."""
+    space = model.space
+    weights = policy_weight_vector(policy, space)
+    probs = model.prob_table(space.horizon)
+    terms = [
+        weights[idx] * probs[idx] * leaf_fn(history_from_lex(space, space.horizon, idx))
+        for idx in range(space.n_trajectories)
+        if weights[idx] * probs[idx] != 0.0
+    ]
+    return float(math.fsum(terms))
+
+
+def brute_force_prefix_prob(env, history):
+    """Sum over all hidden state sequences of emission/transition products."""
+    h = len(history)
+    if h == 0:
+        return 1.0
+    total = 0.0
+    S = env.n_states
+    seqs = [[s] for s in range(S)]
+    for _ in range(h - 1):
+        seqs = [seq + [s] for seq in seqs for s in range(S)]
+    for seq in seqs:
+        if seq[0] != env.initial_state:
+            continue
+        p = 1.0
+        for j, (o, a) in enumerate(history.steps, start=1):
+            p *= env.emission[j - 1, seq[j - 1], o]
+            if j < h:
+                p *= env.transition[j - 1, a, seq[j - 1], seq[j]]
+        total += p
+    return total

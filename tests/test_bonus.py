@@ -8,10 +8,8 @@ from conftest import make_single_state_env
 from psrlab.bonus import (
     BonusEvaluator,
     FeatureGram,
-    accumulate,
     decodable_transform,
     elliptical_potential_check,
-    evaluator_from_dict,
     prefix_grams,
     transfer_score_check,
 )
@@ -30,26 +28,24 @@ def test_fresh_gram_score_is_euclidean():
     assert gram.score(x) == pytest.approx(float(x @ x), abs=1e-12)
 
 
-def test_accumulate_unit_vector_closed_form():
-    gram = FeatureGram.fresh(0, 2, lam=1.0)
+def test_build_unit_vector_closed_form():
     e1 = np.array([1.0, 0.0])
-    updated = accumulate(gram, e1)
-    assert updated.score(e1) == pytest.approx(0.5, abs=1e-12)
-    assert updated.count == 1
-    assert gram.score(e1) == pytest.approx(1.0, abs=1e-12)  # original untouched
+    gram = FeatureGram.build(0, 2, 1.0, [e1])
+    assert gram.score(e1) == pytest.approx(0.5, abs=1e-12)
+    assert gram.count == 1
+    assert FeatureGram.build(0, 2, 1.0, []).score(e1) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_accumulate_matches_rebuild():
+def test_build_matches_direct_solve():
     rng = rng_for(0, "gram")
     feats = rng.standard_normal((100, 4))
-    gram = FeatureGram.fresh(0, 4, lam=0.7)
-    for f in feats:
-        gram = accumulate(gram, f)
-    rebuilt = FeatureGram.build(0, 4, 0.7, feats)
+    gram = FeatureGram.build(0, 4, 0.7, feats)
+    counted = FeatureGram.build(0, 4, 0.7, feats[:50], np.full(50, 2))
     x = rng.standard_normal(4)
-    assert gram.score(x) == pytest.approx(rebuilt.score(x), abs=1e-8)
     direct = float(x @ np.linalg.solve(0.7 * np.eye(4) + feats.T @ feats, x))
     assert gram.score(x) == pytest.approx(direct, abs=1e-8)
+    twice = float(x @ np.linalg.solve(0.7 * np.eye(4) + 2.0 * feats[:50].T @ feats[:50], x))
+    assert counted.score(x) == pytest.approx(twice, abs=1e-8) and counted.count == 100
 
 
 def test_gram_rejects_tiny_lambda():
@@ -76,7 +72,7 @@ def test_bonus_scalar_closed_form():
     model, ev = scalar_bonus_setup(1.0)
     traj = History(((0, 1),))
     assert ev.bonus(traj) == pytest.approx(1.0, abs=1e-12)  # min(sqrt(1/1), 1)
-    gram1 = accumulate(ev.grams[0], np.array([1.0]))
+    gram1 = FeatureGram.build(0, 1, 1.0, [np.array([1.0])])
     ev2 = BonusEvaluator((gram1,), 1.0, model)
     assert ev2.bonus(traj) == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert ev2.bonus_table()[traj.lex_index(model.space)] == pytest.approx(math.sqrt(0.5), abs=1e-12)
@@ -87,14 +83,10 @@ def test_bonus_monotone_in_data(reference_env, reference_model):
     pol = uniform_policy(reference_env.space)
     for i in range(6):
         dataset.add(DataEntry(reference_env.sample_episode(pol, i), "u", i % 2), pol)
-    ev = _build_evaluator(reference_model, dataset, 1.0, 0.8)
-    before = ev.bonus_table()
-    grams = tuple(
-        accumulate(g, reference_model.prediction_feature(History()) if h == 0 else
-                   reference_model.feature_table(h)[0])
-        for h, g in enumerate(ev.grams)
-    )
-    after = BonusEvaluator(grams, 0.8, reference_model).bonus_table()
+    before = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
+    for i in range(6, 8):  # one more entry per bucket
+        dataset.add(DataEntry(reference_env.sample_episode(pol, i), "u", i % 2), pol)
+    after = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
     assert np.all(after <= before + 1e-12)
     assert np.all(before >= 0.0) and np.all(before <= 1.0)
 
@@ -219,19 +211,6 @@ def test_transfer_score_random_pairs(seed):
     subset = [i for i in range(n) if rng.random() < 0.6]
     _, _, holds = transfer_score_check(X, Y, subset, lam=float(rng.uniform(0.2, 3.0)))
     assert holds
-
-
-def test_evaluator_snapshot_round_trip(reference_env, reference_model):
-    dataset = DatasetFamily.empty(reference_env.space)
-    pol = uniform_policy(reference_env.space)
-    for i in range(4):
-        dataset.add(DataEntry(reference_env.sample_episode(pol, 60 + i), "u", i % 2), pol)
-    ev = _build_evaluator(reference_model, dataset, 0.9, 0.4)
-    import json
-
-    data = json.loads(json.dumps(ev.to_dict()))
-    rebuilt = evaluator_from_dict(data)
-    assert np.array_equal(rebuilt.bonus_table(), ev.bonus_table())
 
 
 def test_gram_condition_number(reference_model):

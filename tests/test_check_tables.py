@@ -1,0 +1,98 @@
+"""verify's table checks and the exploration minimum against their per-history oracles, bit for bit."""
+
+import numpy as np
+import pytest
+
+from check_oracles import (
+    oracle_conditional_update_violation,
+    oracle_estimation_error_bound,
+    oracle_min_exploration_prob,
+)
+from psrlab.errors import StructuralError
+from psrlab.estimation import make_candidates
+from psrlab.offline import min_exploration_prob
+from psrlab.policies import CompositePolicy, UniformActionSeqPolicy, random_tree_policy, uniform_policy
+from psrlab.pomdp import default_psr, near_tie
+from psrlab.psr import conditional_update_violation, forward_step
+from psrlab.seeding import rng_for
+from psrlab.verify import _transition_dithered, estimation_error_bound, reference_env, small_builtin_envs
+
+ENVS = small_builtin_envs() + [("near_tie", near_tie())]
+IDS = [name for name, _ in ENVS]
+
+
+def _same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _behaviors(space):
+    """Uniform, five random trees, a tree-then-mixture composite and a ragged mixture."""
+    A = space.n_actions
+    trees = [random_tree_policy(space, rng_for(s, "iota-tree")) for s in range(6)]
+    composite = CompositePolicy(2, trees[5], UniformActionSeqPolicy(A, 2, ((), (A - 1,), (0, A - 1))))
+    ragged = UniformActionSeqPolicy(A, 1, ((0,), (A - 1, 0)))  # inconsistent rows below (A-1, A-1)
+    return [uniform_policy(space)] + trees[:5] + [composite, ragged]
+
+
+@pytest.fixture(scope="module", params=ENVS, ids=IDS)
+def env_case(request):
+    name, env = request.param
+    model, _ = default_psr(env)
+    return name, env, model
+
+
+def test_forward_step_is_the_per_row_matvec(env_case):
+    name, env, model = env_case
+    space = env.space
+    for h in range(space.horizon):
+        states = model.state_table(h)
+        rows = forward_step(model.M[h], states).reshape(len(states), space.n_obs, space.n_actions, -1)
+        for i, x in enumerate(states):
+            for o in range(space.n_obs):
+                for a in range(space.n_actions):
+                    assert np.array_equal(rows[i, o, a], model.M[h][o, a] @ x), (name, h, i, o, a)
+
+
+def test_min_exploration_prob_equals_recursion(env_case):
+    name, env, model = env_case
+    for k, behavior in enumerate(_behaviors(env.space)):
+        table = min_exploration_prob(behavior, model.core_tests)
+        oracle = oracle_min_exploration_prob(behavior, model.core_tests)
+        assert _same_bits(table, oracle), (name, k, table, oracle)
+
+
+def test_min_exploration_prob_raises_where_recursion_raises(env_case):
+    _, env, model = env_case
+    late = UniformActionSeqPolicy(env.space.n_actions, 2, ((0,),))  # undefined at step 1
+    with pytest.raises(StructuralError):
+        oracle_min_exploration_prob(late, model.core_tests)
+    with pytest.raises(StructuralError):
+        min_exploration_prob(late, model.core_tests)
+
+
+def test_conditional_update_violation_equals_per_history_loop(env_case):
+    name, env, model = env_case
+    cands = make_candidates(env, "dithered", seed=3, n=3, scale=0.1)
+    for k, m in enumerate((model,) + tuple(cands.models)):
+        table, oracle = conditional_update_violation(m), oracle_conditional_update_violation(m)
+        assert _same_bits(table, oracle), (name, k, table, oracle)
+
+
+def test_estimation_error_bound_equals_per_trajectory_loop(env_case):
+    name, env, model = env_case
+    cands = make_candidates(env, "dithered", seed=3, n=3, scale=0.1)
+    behaviors = _behaviors(env.space)
+    for k, m in enumerate(cands.models):
+        for j in (0, 1, 6):  # uniform, a tree (zero weights), the composite
+            table = estimation_error_bound(m, model, behaviors[j])
+            oracle = oracle_estimation_error_bound(m, model, behaviors[j])
+            assert _same_bits(table, oracle), (name, k, j, table, oracle)
+
+
+def test_estimation_error_bound_on_the_verify_pairs():
+    env = reference_env()
+    model, _ = default_psr(env)
+    for s in range(4):
+        other, _ = default_psr(_transition_dithered(env, seed=100 + s, scale=0.3))
+        pol = random_tree_policy(env.space, rng_for(s, "a1-policy"))
+        assert _same_bits(estimation_error_bound(other, model, pol), oracle_estimation_error_bound(other, model, pol))

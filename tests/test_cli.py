@@ -224,3 +224,33 @@ def test_gen_env_bad_params_print_one_line(tmp_path, runner, params, message):
 def test_build_env_bad_params_is_package_error():
     with pytest.raises(PsrLabError, match="'near_tie'"):
         build_env({"builtin": "near_tie", "params": {"horizon": 3}})
+
+
+def _one_error_line(runner, tmp_path, command, cfg_data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert "Traceback" not in result.output
+    return lines[0]
+
+
+def test_unknown_candidates_key_prints_one_line(tmp_path, runner):
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG))
+    cfg_data["candidates"]["bogus"] = 1
+    line = _one_error_line(runner, tmp_path, "run-online", cfg_data)
+    assert "'bogus'" in line and "'candidates'" in line
+
+
+@pytest.mark.parametrize(
+    "command,config,section",
+    [("run-online", ONLINE_CONFIG, "online"), ("sweep-offline", OFFLINE_CONFIG, "offline")],
+)
+@pytest.mark.parametrize("key", ["p_min", "beta", "lambda", "alpha"])
+def test_missing_parameter_key_prints_one_line(tmp_path, runner, command, config, section, key):
+    cfg_data = json.loads(json.dumps(config))
+    del cfg_data[section][key]
+    line = _one_error_line(runner, tmp_path, command, cfg_data)
+    assert f"{key!r}" in line and f"{section!r}" in line

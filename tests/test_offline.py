@@ -93,13 +93,16 @@ def test_min_exploration_prob_zero_triggers_rejection(reference_model):
 class ObsDependentBehavior:
     """Stochastic, observation-dependent rule (supported via duck typing)."""
 
+    ROWS = np.array([[0.3, 0.7], [0.6, 0.4]])
+
     def __init__(self, n_actions=2):
         self.n_actions = n_actions
 
     def action_probs(self, history, obs):
-        if obs == 0:
-            return np.array([0.3, 0.7])
-        return np.array([0.6, 0.4])
+        return self.ROWS[0 if obs == 0 else 1]
+
+    def _step_rows(self, space, h, nodes):
+        return self.ROWS[np.minimum(nodes % space.n_obs, 1)], None
 
 
 def brute_force_iota(behavior, core, space):

@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+from check_oracles import oracle_value
 from conftest import make_single_state_env
 from psrlab.estimation import DataEntry, DatasetFamily
 from psrlab.online import _build_evaluator
-from psrlab.planner import leaf_table, plan, plan_on_table, policy_value_on_table
+from psrlab.planner import leaf_table, plan_on_table, policy_value_on_table
 from psrlab.policies import DeterministicTreePolicy, uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.spaces import History
@@ -46,7 +47,7 @@ def model222(env222):
 def test_constant_leaves_value():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=2)
     model, _ = default_psr(env)
-    policy, val = plan(model, lambda t: 0.25)
+    policy, val = plan_on_table(model.space, leaf_table(model.space, lambda t: 0.25))
     assert val == pytest.approx(0.25 * 2, abs=1e-15)  # sum over the two observations
 
 
@@ -54,7 +55,8 @@ def test_bandit_argmax():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=2, emission_row=np.array([0.5, 0.5]))
     model, _ = default_psr(env)
     rewards = {0: 0.3, 1: 0.7}
-    policy, val = plan(model, lambda t: model.seq_prob(t) * rewards[t.steps[0][1]])
+    leaves = leaf_table(model.space, lambda t: model.seq_prob(t) * rewards[t.steps[0][1]])
+    policy, val = plan_on_table(model.space, leaves)
     assert val == pytest.approx(0.7, abs=1e-12)
     assert policy.action_at(History(), 0) == 1
     assert policy.action_at(History(), 1) == 1
@@ -63,7 +65,7 @@ def test_bandit_argmax():
 def test_tie_breaks_to_lowest_action():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=3)
     model, _ = default_psr(env)
-    policy, _ = plan(model, lambda t: 1.0)
+    policy, _ = plan_on_table(model.space, leaf_table(model.space, lambda t: 1.0))
     assert policy.action_at(History(), 0) == 0
 
 
@@ -98,12 +100,10 @@ def test_planner_matches_policy_enumeration(env222, model222, leaf_kind):
 
 
 def test_plan_value_agrees_with_value_evaluator(model222, env222):
-    from psrlab.psr import value
-
     space = env222.space
     leaves = model222.prob_table(space.horizon) * leaf_table(space, env222.reward_of)
     policy, val = plan_on_table(space, leaves)
-    assert value(model222, policy, env222.reward_of) == pytest.approx(val, abs=1e-12)
+    assert oracle_value(model222, policy, env222.reward_of) == pytest.approx(val, abs=1e-12)
 
 
 def test_plan_rejects_wrong_leaf_count(model222):

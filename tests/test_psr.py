@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_single_state_env
 from psrlab.errors import DegenerateHistory, StructuralError
+from psrlab.planner import policy_value_on_table
 from psrlab.policies import random_tree_policy, uniform_policy, policy_weight_vector
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.psr import (
@@ -21,7 +22,6 @@ from psrlab.psr import (
     sup_weighted_abs,
     terminal_anchor_violation,
     tv_distance,
-    value,
 )
 from psrlab.seeding import rng_for
 from psrlab.spaces import Future, History, ObsActSpace, enumerate_histories
@@ -250,14 +250,18 @@ def test_hellinger_formula_evaluation():
 
 
 def test_value_constant_leaves(reference_model):
-    policy = random_tree_policy(reference_model.space, rng_for(1, "value"))
-    assert value(reference_model, policy, lambda t: 1.0) == pytest.approx(1.0, abs=1e-9)
-    assert value(reference_model, policy, lambda t: 0.0) == 0.0
+    space = reference_model.space
+    policy = random_tree_policy(space, rng_for(1, "value"))
+    probs = reference_model.prob_table(space.horizon)
+    assert policy_value_on_table(space, policy, probs * 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert policy_value_on_table(space, policy, probs * 0.0) == 0.0
 
 
 def test_value_matches_monte_carlo(reference_env, reference_model):
-    policy = uniform_policy(reference_env.space)
-    exact = value(reference_model, policy, reference_env.reward_of)
+    space = reference_env.space
+    policy = uniform_policy(space)
+    leaves = reference_model.prob_table(space.horizon) * reference_env.reward.leaf_table(space)
+    exact = policy_value_on_table(space, policy, leaves)
     n = 100_000
     draws = np.array(
         [reference_env.reward_of(reference_env.sample_episode(policy, i)) for i in range(n)]

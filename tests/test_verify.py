@@ -2,10 +2,10 @@ import math
 
 import pytest
 
+from check_oracles import brute_force_prefix_prob
 from psrlab.seeding import rng_for
 from psrlab.verify import (
     Report,
-    brute_force_prefix_prob,
     reference_env,
     run_lemma_checks,
     verify,
