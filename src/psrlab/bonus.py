@@ -197,19 +197,18 @@ def elliptical_potential_check(
     """Summed clipped Mahalanobis scores against the log-det budget.
 
     Uses grams that include the current vector, which only lowers the left
-    side relative to the prediction-ordered form.
+    side relative to the prediction-ordered form.  All grams come from one
+    cumulative sum of ``lam * I`` and the outer products (the sequential
+    additions of a running gram) and are solved in one batched call.
     """
     if not len(vectors):
         raise StructuralError("need at least one vector")
     X = np.asarray(vectors, dtype=float)
     K, dim = X.shape
-    gram = lam * np.eye(dim)
-    terms = []
-    for x in X:
-        gram = gram + np.outer(x, x)
-        score = float(x @ np.linalg.solve(gram, x))
-        terms.append(min(score, B))
-    lhs = math.fsum(terms)
+    grams = np.cumsum(np.concatenate([lam * np.eye(dim)[None], X[:, :, None] * X[:, None, :]]), axis=0)[1:]
+    solutions = np.linalg.solve(grams, X[:, :, None])
+    scores = (X[:, None, :] @ solutions)[:, 0, 0]
+    lhs = math.fsum(min(score, B) for score in scores.tolist())
     svals = np.linalg.svd(X, compute_uv=False)
     r = int(np.sum(svals > rank_tol * svals[0])) if svals.size and svals[0] > 0 else 0
     rhs = (1.0 + B) * r * math.log(1.0 + K / lam)

@@ -54,6 +54,35 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
+# The keys each parameter section may hold; the learning commands read no others.
+_PARAM_KEYS = ("p_min", "beta", "lambda", "alpha", "c_theory", "auto_params", "delta")
+_SECTION_KEYS = {
+    "online": ("max_iterations", "epsilon") + _PARAM_KEYS,
+    "offline": ("n_episodes", "coverage") + _PARAM_KEYS,
+}
+
+
+def _require(config: dict, key: str) -> object:
+    if key not in config:
+        raise StructuralError(f"config is missing top-level key {key!r}")
+    return config[key]
+
+
+def _section(config: dict, name: str, required: tuple[str, ...] = ()) -> dict:
+    """The config's ``name`` parameter section, holding every ``required`` key and no unknown key."""
+    section = _require(config, name)
+    if not isinstance(section, dict):
+        raise StructuralError(f"config section {name!r} must be an object")
+    known = _SECTION_KEYS[name]
+    for key in section:
+        if key not in known:
+            raise StructuralError(f"unknown key {key!r} in config section {name!r}; options: {list(known)}")
+    missing = [key for key in required if key not in section]
+    if missing:
+        raise StructuralError(f"config section {name!r} is missing {', '.join(map(repr, missing))}")
+    return section
+
+
 def build_env(spec: dict) -> TabularPomdp:
     if "path" in spec:
         with open(spec["path"]) as fh:
@@ -186,17 +215,17 @@ def gen_env(name: str, params: str, out: str) -> None:
 def run_online(config_path: str, out_dir: str, seeds: str | None, c_theory: float | None) -> None:
     """Run the optimistic loop for each seed and write logs and outputs."""
     config = _load_config(config_path)
+    ocfg = _section(config, "online", ("max_iterations", "epsilon", "delta"))
     if c_theory is not None:
-        config.setdefault("online", {})["c_theory"] = c_theory
+        ocfg["c_theory"] = c_theory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    env = build_env(config["env"])
+    env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
     seed_list = (
         [int(s) for s in seeds.split(",")] if seeds is not None else config.get("seeds", [0])
     )
-    ocfg = config["online"]
     constants = _env_summary(ocfg, env, true_model)
     for seed in seed_list:
         started = time.perf_counter()
@@ -267,15 +296,15 @@ def _offline_runner(env, true_model, candidates, behavior, cfg: dict):
 def run_offline(config_path: str, out_dir: str, seeds: str | None, c_theory: float | None) -> None:
     """Collect behavior data, run the pessimistic pipeline, write outputs."""
     config = _load_config(config_path)
+    ocfg = _section(config, "offline", ("n_episodes",))
     if c_theory is not None:
-        config.setdefault("offline", {})["c_theory"] = c_theory
+        ocfg["c_theory"] = c_theory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    env = build_env(config["env"])
+    env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
     behavior = build_behavior(config.get("behavior", "uniform"), env.space)
-    ocfg = config["offline"]
     seed_list = (
         [int(s) for s in seeds.split(",")] if seeds is not None else config.get("seeds", [0])
     )
@@ -316,13 +345,13 @@ def run_offline(config_path: str, out_dir: str, seeds: str | None, c_theory: flo
 def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> None:
     """Gap-versus-data-size sweep; one CSV row per (K, seed)."""
     config = _load_config(config_path)
+    ocfg = _section(config, "offline")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    env = build_env(config["env"])
+    env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
     behavior = build_behavior(config.get("behavior", "uniform"), env.space)
-    ocfg = config["offline"]
     ks = [int(k) for k in k_list.split(",")]
     seed_list = [int(s) for s in seeds.split(",")] if "," in seeds else list(range(int(seeds)))
     run = _offline_runner(env, true_model, candidates, behavior, ocfg)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bonus import BonusEvaluator
 from .errors import StructuralError
-from .estimation import CandidateSet, DataEntry, DatasetFamily, constrained_mle
+from .estimation import CandidateSet, DatasetFamily, constrained_mle
 from .online import _build_evaluator
 from .planner import plan_on_table, policy_value_on_table
 from .policies import DeterministicTreePolicy, Policy, prefix_weight_tables
@@ -53,18 +53,21 @@ def collect_offline(env: TabularPomdp, behavior: Policy, n_episodes: int, seed: 
     """Sample i.i.d. episodes and split them evenly across step buckets.
 
     The bucket assignment is a seeded shuffle of the balanced pattern
-    0,1,...,H-1,0,1,..., so bucket sizes differ by at most one.
+    0,1,...,H-1,0,1,..., so bucket sizes differ by at most one.  Episode
+    ``i`` is drawn from its own child seed; all episodes are drawn and added
+    in one batched pass, entry for entry what ``sample_episode`` and
+    ``DatasetFamily.add`` give in episode order.
     """
     space = env.space
     if n_episodes < space.horizon:
         raise StructuralError("need at least H episodes for a full split")
-    assignment = np.array([i % space.horizon for i in range(n_episodes)])
+    assignment = np.arange(n_episodes) % space.horizon
     rng_for(seed, "offline-split").shuffle(assignment)
     dataset = DatasetFamily.empty(space)
     dataset.policies[BEHAVIOR_POLICY_ID] = behavior
-    for i in range(n_episodes):
-        trajectory = env.sample_episode(behavior, child_seed(seed, "offline-episode", i))
-        dataset.add(DataEntry(trajectory, BEHAVIOR_POLICY_ID, int(assignment[i])))
+    seeds = [child_seed(seed, "offline-episode", i) for i in range(n_episodes)]
+    obs, actions = env.sample_episodes(behavior, seeds)
+    dataset.add_batch(BEHAVIOR_POLICY_ID, obs, actions, assignment)
     return dataset
 
 

@@ -19,7 +19,8 @@ Every sampling and weighting path is a lookup into these tables:
 ``action_probs`` returns one row, :func:`policy_weight` multiplies one row
 entry per step, :func:`continuation_weights`, :func:`policy_weight_vector`
 and :func:`prefix_weight_tables` multiply one gathered block of rows per
-step, and ``TabularPomdp.sample_episode`` draws by inverse CDF on a row's
+step, and ``TabularPomdp.sample_episode`` (one episode) and
+``sample_episodes`` (many at once) draw by inverse CDF on a row's
 normalized cumulative sums.
 """
 
@@ -325,6 +326,20 @@ def continuation_weights(policy: Policy, space: ObsActSpace, h: int, prefixes: n
     return weights
 
 
+def reached_rows(
+    policy: Policy, space: ObsActSpace, h: int, nodes: np.ndarray, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """The policy's step-``h`` action rows at ``nodes``, raising if an invalid row is reached.
+
+    A row is reached where its weight is positive, or everywhere without
+    ``weights`` (the rows a sampler draws from).
+    """
+    probs, invalid = policy._step_rows(space, h, nodes)
+    if invalid is not None and np.any(invalid if weights is None else invalid & (weights > 0.0)):
+        raise StructuralError(f"step {h}: history inconsistent with every mixture sequence")
+    return probs
+
+
 def _weight_steps(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray) -> Iterator[np.ndarray]:
     """The running products of :func:`continuation_weights`, one per step from ``h`` to the horizon."""
     weights = np.ones((len(prefixes), 1))
@@ -332,10 +347,8 @@ def _weight_steps(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarr
     for j in range(h + 1, space.horizon + 1):
         span = weights.shape[1] * space.n_obs  # step-j nodes below one prefix
         nodes = (prefixes[:, None] * span + np.arange(span)).reshape(-1)
-        probs, invalid = policy._step_rows(space, j, nodes)
         node_weights = np.repeat(weights.reshape(-1), space.n_obs)
-        if invalid is not None and np.any(invalid & (node_weights > 0.0)):
-            raise StructuralError(f"step {j}: history inconsistent with every mixture sequence")
+        probs = reached_rows(policy, space, j, nodes, node_weights)
         weights = (node_weights[:, None] * probs).reshape(len(prefixes), -1)
         yield weights
 

@@ -27,9 +27,9 @@ from .errors import (
     StructuralError,
 )
 from .planner import leaf_table
-from .policies import Policy, cumulative_rows
+from .policies import Policy, cumulative_rows, reached_rows
 from .psr import CoreTestSet, PsrModel, make_core_test_set
-from .seeding import rng_for
+from .seeding import first_uniforms, rng_for
 from .spaces import Future, History, ObsActSpace, enumerate_futures
 
 ROW_SUM_TOL = 1e-12
@@ -201,9 +201,14 @@ class TabularPomdp:
     # -- sampling -----------------------------------------------------------
 
     @cached_property
-    def _cdfs(self) -> tuple[list, list]:
-        """Emission and transition rows as ``cumulative_rows`` lists, for scalar inverse-CDF draws."""
-        return cumulative_rows(self.emission).tolist(), cumulative_rows(self.transition).tolist()
+    def _cdfs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Emission and transition rows as ``cumulative_rows``, for inverse-CDF draws."""
+        return cumulative_rows(self.emission), cumulative_rows(self.transition)
+
+    @cached_property
+    def _cdf_lists(self) -> tuple[list, list]:
+        """``_cdfs`` as nested lists, which the scalar sampler bisects."""
+        return self._cdfs[0].tolist(), self._cdfs[1].tolist()
 
     def sample_episode(self, policy: Policy, rng_seed: int) -> History:
         """One full trajectory under ``policy``; deterministic given the seed.
@@ -216,7 +221,7 @@ class TabularPomdp:
         """
         horizon = self.space.horizon
         uniforms = np.random.default_rng(rng_seed).random(3 * horizon - 1).tolist()
-        emission, transition = self._cdfs
+        emission, transition = self._cdf_lists
         state = self.initial_state
         steps: list[tuple[int, int]] = []
         for h in range(horizon):
@@ -226,6 +231,34 @@ class TabularPomdp:
             if h + 1 < horizon:
                 state = bisect_right(transition[h][action][state], uniforms[3 * h + 2])
         return History(tuple(steps))
+
+    def sample_episodes(self, policy: Policy, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Observations and actions, ``(n, H)`` each, of one episode per seed.
+
+        Row ``i`` is ``sample_episode(policy, seeds[i])``: the uniforms come
+        from :func:`first_uniforms` on the same seeds, and each step is drawn
+        for all episodes at once, ``(cdf_rows <= u).sum(-1)`` being
+        ``bisect_right`` on the non-decreasing CDF rows.  Policy rows are the
+        ``_step_rows`` gathers the weight tables read.  Setting up the arrays
+        costs far more than one scalar episode, so single episodes (the
+        online loop) use :meth:`sample_episode`.
+        """
+        space = self.space
+        horizon = space.horizon
+        uniforms = first_uniforms(seeds, 3 * horizon - 1)
+        emission, transition = self._cdfs
+        obs = np.empty((len(uniforms), horizon), dtype=np.int64)
+        actions = np.empty_like(obs)
+        state = np.full(len(uniforms), self.initial_state)
+        lex = np.zeros(len(uniforms), dtype=np.int64)
+        for h in range(horizon):
+            obs[:, h] = _inverse_cdf(emission[h][state], uniforms[:, 3 * h])
+            probs = reached_rows(policy, space, h + 1, lex * space.n_obs + obs[:, h])
+            actions[:, h] = _inverse_cdf(cumulative_rows(probs), uniforms[:, 3 * h + 1])
+            lex = lex * space.pair_count + obs[:, h] * space.n_actions + actions[:, h]
+            if h + 1 < horizon:
+                state = _inverse_cdf(transition[h][actions[:, h], state], uniforms[:, 3 * h + 2])
+        return obs, actions
 
     # -- serialization ------------------------------------------------------
 
@@ -242,6 +275,11 @@ class TabularPomdp:
             "s1": self.initial_state,
             "reward": self.reward.table.tolist(),
         }
+
+
+def _inverse_cdf(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per row, the first index whose cumulative probability exceeds the row's uniform."""
+    return (cdf_rows <= uniforms[:, None]).sum(axis=1)
 
 
 def pomdp_from_dict(data: dict) -> TabularPomdp:

@@ -1,13 +1,14 @@
 """Per-history reference implementations of verify's table checks, the value
-functional and the offline exploration minimum.
+functional, the offline exploration minimum and the elliptical potential.
 
 These are the loops the package ran before the checks became per-depth
 table passes: the estimation-error sum walking each trajectory step by step,
 the feature-update identity tested one (history, obs, action) at a time, the
 exploration minimum recursing through ``action_probs`` node by node, the
-policy value calling a leaf function per trajectory, and the prefix
-probability summed over hidden-state sequences.  Tests compare the package
-against them bit for bit.
+policy value calling a leaf function per trajectory, the prefix
+probability summed over hidden-state sequences, and the elliptical
+potential growing one gram and solving it once per vector.  Tests compare
+the package against them bit for bit.
 """
 
 import math
@@ -129,3 +130,13 @@ def brute_force_prefix_prob(env, history):
                 p *= env.transition[j - 1, a, seq[j - 1], seq[j]]
         total += p
     return total
+
+
+def oracle_elliptical_lhs(X, lam, B):
+    """Left side of the elliptical potential check: one running gram and one solve per vector."""
+    gram = lam * np.eye(X.shape[1])
+    terms = []
+    for x in X:
+        gram = gram + np.outer(x, x)
+        terms.append(min(float(x @ np.linalg.solve(gram, x)), B))
+    return math.fsum(terms)

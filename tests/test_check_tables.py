@@ -1,13 +1,15 @@
-"""verify's table checks and the exploration minimum against their per-history oracles, bit for bit."""
+"""verify's table checks, the exploration minimum and the elliptical potential against their loop oracles, bit for bit."""
 
 import numpy as np
 import pytest
 
 from check_oracles import (
     oracle_conditional_update_violation,
+    oracle_elliptical_lhs,
     oracle_estimation_error_bound,
     oracle_min_exploration_prob,
 )
+from psrlab.bonus import elliptical_potential_check
 from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.offline import min_exploration_prob
@@ -96,3 +98,16 @@ def test_estimation_error_bound_on_the_verify_pairs():
         other, _ = default_psr(_transition_dithered(env, seed=100 + s, scale=0.3))
         pol = random_tree_policy(env.space, rng_for(s, "a1-policy"))
         assert _same_bits(estimation_error_bound(other, model, pol), oracle_estimation_error_bound(other, model, pol))
+
+
+def test_elliptical_potential_equals_running_gram_loop():
+    """The inputs of verify's elliptical-potential check, for 200 seeds."""
+    for s in range(200):
+        rng = rng_for(s, "elliptical")
+        dim = int(rng.integers(1, 4))
+        X = rng.standard_normal((int(rng.integers(1, 1000)), dim))
+        X = X / np.maximum(np.linalg.norm(X, axis=1, keepdims=True), 1.0)
+        lam = float(rng.uniform(0.5, 2.0))
+        B = float(rng.uniform(0.5, 3.0))
+        lhs, _, _ = elliptical_potential_check(X, lam, B)
+        assert _same_bits(lhs, oracle_elliptical_lhs(X, lam, B)), s

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 
 import pytest
@@ -254,3 +256,96 @@ def test_missing_parameter_key_prints_one_line(tmp_path, runner, command, config
     del cfg_data[section][key]
     line = _one_error_line(runner, tmp_path, command, cfg_data)
     assert f"{key!r}" in line and f"{section!r}" in line
+
+
+@pytest.mark.parametrize(
+    "command,config,section,key",
+    [
+        ("run-online", ONLINE_CONFIG, "online", "max_iterations"),
+        ("run-online", ONLINE_CONFIG, "online", "epsilon"),
+        ("run-online", ONLINE_CONFIG, "online", "delta"),
+        ("run-offline", OFFLINE_CONFIG, "offline", "n_episodes"),
+    ],
+)
+def test_missing_section_key_prints_one_line(tmp_path, runner, command, config, section, key):
+    cfg_data = json.loads(json.dumps(config))
+    del cfg_data[section][key]
+    line = _one_error_line(runner, tmp_path, command, cfg_data)
+    assert f"{key!r}" in line and f"{section!r}" in line
+
+
+@pytest.mark.parametrize(
+    "command,config,key",
+    [
+        ("run-online", ONLINE_CONFIG, "env"),
+        ("run-online", ONLINE_CONFIG, "online"),
+        ("run-offline", OFFLINE_CONFIG, "env"),
+        ("run-offline", OFFLINE_CONFIG, "offline"),
+        ("sweep-offline", OFFLINE_CONFIG, "env"),
+        ("sweep-offline", OFFLINE_CONFIG, "offline"),
+    ],
+)
+def test_missing_top_level_key_prints_one_line(tmp_path, runner, command, config, key):
+    cfg_data = json.loads(json.dumps(config))
+    del cfg_data[key]
+    line = _one_error_line(runner, tmp_path, command, cfg_data)
+    assert f"missing top-level key {key!r}" in line
+
+
+@pytest.mark.parametrize(
+    "command,config,section",
+    [("run-online", ONLINE_CONFIG, "online"), ("run-offline", OFFLINE_CONFIG, "offline"),
+     ("sweep-offline", OFFLINE_CONFIG, "offline")],
+)
+def test_unknown_section_key_prints_one_line(tmp_path, runner, command, config, section):
+    cfg_data = json.loads(json.dumps(config))
+    cfg_data[section]["epsilom"] = 0.1
+    line = _one_error_line(runner, tmp_path, command, cfg_data)
+    assert "'epsilom'" in line and f"{section!r}" in line and "'p_min'" in line
+
+
+@pytest.mark.parametrize("name", ["offline_sweep.json", "online_decay.json", "online_reference.json"])
+def test_checked_in_configs_pass_the_section_checks(name):
+    from pathlib import Path
+
+    from psrlab.cli import _load_config, _section
+
+    config = _load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    section = "online" if name.startswith("online") else "offline"
+    required = ("max_iterations", "epsilon", "delta") if section == "online" else ("n_episodes",)
+    assert _section(config, section, required) is config[section]
+    assert "env" in config
+
+
+def _keys_read(function: ast.FunctionDef, names: set[str]) -> set[str]:
+    """String keys the function looks up in a dict named in ``names``: ``d[k]``, ``d.get(k)``, ``k in d``."""
+    keys = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id in names:
+            keys.add(node.slice)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get"
+              and isinstance(node.func.value, ast.Name) and node.func.value.id in names and node.args):
+            keys.add(node.args[0])
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn))
+              and isinstance(node.comparators[0], ast.Name) and node.comparators[0].id in names):
+            keys.add(node.left)
+    return {key.value for key in keys if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+
+
+def test_section_keys_cover_every_key_the_readers_look_up():
+    import psrlab.cli as cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    readers = {
+        "_env_summary": cli._PARAM_KEYS,
+        "_resolve_params": cli._PARAM_KEYS,
+        "_resolve_online": cli._SECTION_KEYS["online"],
+        "run_online": cli._SECTION_KEYS["online"],
+        "_offline_runner": cli._SECTION_KEYS["offline"],
+        "run_offline": cli._SECTION_KEYS["offline"],
+    }
+    for name, allowed in readers.items():
+        read = _keys_read(functions[name], {"cfg", "ocfg"})
+        assert read, f"{name} reads no section key; the reader list is stale"
+        assert read <= set(allowed), f"{name} reads {sorted(read - set(allowed))}, which the section checks reject"
