@@ -3,7 +3,17 @@
 The bonus of a trajectory is the clipped, scaled root of the summed
 Mahalanobis scores of its per-step prediction features under regularized
 Gram inverses.  All quadratic forms go through a cached Cholesky
-factorization; the regularizer keeps the factor well defined.
+factorization, made and solved by LAPACK's ``dpotrf``/``dpotrs`` called
+directly (the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap, so
+the bits are theirs); the regularizer keeps the factor well defined, and
+non-finite grams or features raise :class:`StructuralError`.
+
+The summed scores are built top-down over the trajectory tree: the running
+sum of a length-``h`` prefix is its parent's running sum plus its own
+score, so each depth touches only its own prefixes, and the leaves are
+filled by one expansion at the end.  Every leaf still adds its scores in
+step order starting from zero, so the sums are the bits of adding each
+step's repeated scores into a leaf-sized array.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateHistory, SingularCoreTests, StructuralError
 from .pomdp import GMatrices, PINV_RCOND, MAX_CONDITION, decodability_alpha
@@ -34,23 +44,24 @@ class FeatureGram:
     lam: float
     matrix: np.ndarray
     count: int = 0
-    _factor: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _factor: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.lam <= MIN_LAMBDA:
             raise StructuralError(f"regularizer must exceed {MIN_LAMBDA:g}")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise StructuralError("gram matrix must be square")
+        if not np.isfinite(self.matrix).all():
+            raise StructuralError(f"gram at step {self.step} has non-finite entries")
         if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
             raise StructuralError("gram matrix must be symmetric")
         if self._factor is None:
-            try:
-                factor = scipy.linalg.cho_factor(self.matrix)
-            except scipy.linalg.LinAlgError as exc:
+            factor, info = dpotrf(self.matrix, lower=False, clean=False)
+            if info:
                 dim = self.matrix.shape[0]
                 raise StructuralError(
-                    f"gram at step {self.step} ({dim}x{dim}) is not positive definite: {exc}"
-                ) from exc
+                    f"gram at step {self.step} ({dim}x{dim}) is not positive definite (dpotrf info {info})"
+                )
             object.__setattr__(self, "_factor", factor)
 
     @classmethod
@@ -76,12 +87,22 @@ class FeatureGram:
 
     def score(self, x: np.ndarray) -> float:
         """Mahalanobis score ||x||^2 under the inverse gram."""
-        return float(x @ scipy.linalg.cho_solve(self._factor, x))
+        return float(x @ self._solve(x))
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Row-wise Mahalanobis scores for a feature matrix."""
-        solved = scipy.linalg.cho_solve(self._factor, X.T)
-        return np.einsum("ij,ji->i", X, solved)
+        return np.einsum("ij,ji->i", X, self._solve(X.T))
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
+        """The gram's inverse applied to ``b`` (a vector or a column block)."""
+        if not np.isfinite(b).all():
+            raise StructuralError(f"features scored against the step-{self.step} gram are not finite")
+        if b.shape[0] != self.matrix.shape[0]:
+            raise StructuralError(f"features of length {b.shape[0]} scored against a {self.matrix.shape[0]}-dim gram")
+        solved, info = dpotrs(self._factor, b, lower=False)
+        if info != 0:
+            raise StructuralError(f"LAPACK dpotrs rejected argument {-info}")
+        return solved
 
     @property
     def condition_number(self) -> float:
@@ -125,31 +146,44 @@ class BonusEvaluator:
         Also returns which trajectories have a (numerically) zero-probability
         prefix under the feature source; their summed score is meaningless.
         """
+        pair_count = self.feature_source.space.pair_count
+        totals, degenerate = self._prefix_sums()
+        return np.repeat(totals, pair_count), np.repeat(degenerate, pair_count)
+
+    def bonus_table(self) -> np.ndarray:
+        """min of 1 and alpha times the root of each trajectory's summed score.
+
+        Trajectories with a degenerate prefix get bonus 1: they are maximally
+        uncertain.  A leaf's bonus depends only on its length-``H-1`` prefix,
+        so it is formed per prefix and expanded once.
+        """
+        totals, degenerate = self._prefix_sums()
+        out = np.minimum(self.alpha * np.sqrt(np.maximum(totals, 0.0)), 1.0)
+        out[degenerate] = 1.0
+        return np.repeat(out, self.feature_source.space.pair_count)
+
+    def _prefix_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Running score sums and degenerate flags of the length-``H-1`` prefixes.
+
+        Top-down: a prefix's sum is its parent's sum plus its own score, with
+        the root's sum started from zero, and its flag is its parent's flag
+        or its own.
+        """
         space = self.feature_source.space
-        totals = np.zeros(space.n_trajectories)
-        degenerate = np.zeros(space.n_trajectories, dtype=bool)
+        totals = np.zeros(1)
+        degenerate = np.zeros(1, dtype=bool)
         for h in range(space.horizon):
             feats = self.feature_source.feature_table(h)
             bad = np.isnan(feats[:, 0])
             feats = np.where(bad[:, None], 0.0, feats)
             if self.transform is not None:
                 feats = feats @ self.transform[h].T
-            scores = self.grams[h].scores(feats)
-            reps = space.pair_count ** (space.horizon - h)
-            totals += np.repeat(scores, reps)
-            degenerate |= np.repeat(bad, reps)
+            if h:
+                totals = np.repeat(totals, space.pair_count)
+                degenerate = np.repeat(degenerate, space.pair_count)
+            totals = totals + self.grams[h].scores(feats)
+            degenerate = degenerate | bad
         return totals, degenerate
-
-    def bonus_table(self) -> np.ndarray:
-        """min of 1 and alpha times the root of each trajectory's summed score.
-
-        Trajectories with a degenerate prefix get bonus 1: they are maximally
-        uncertain.
-        """
-        totals, degenerate = self.score_table()
-        out = np.minimum(self.alpha * np.sqrt(np.maximum(totals, 0.0)), 1.0)
-        out[degenerate] = 1.0
-        return out
 
 
 def decodable_transform(g_hat: GMatrices) -> tuple[np.ndarray, ...]:

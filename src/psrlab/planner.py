@@ -11,15 +11,21 @@ one call per leaf, for rewards that have no table of their own.
 
 Deterministic policies attain the maximum (the objective is linear in each
 conditional action distribution), and ties break toward the lowest action
-index, so results are reproducible.
+index, so results are reproducible.  Each depth of the induction walks the
+action slices of the ``(nodes, obs, action)`` value block once: a running
+``np.maximum`` gives the node values (the same bits, signed zeros included,
+as a max over the action axis), and an action replaces the running choice
+only where it is strictly larger.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
+from .errors import StructuralError
 from .policies import DeterministicTreePolicy, Policy, policy_weight_vector
 from .spaces import History, ObsActSpace, history_from_lex
 
@@ -34,16 +40,25 @@ def leaf_table(space: ObsActSpace, leaf_fn: Callable[[History], float]) -> np.nd
 def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[DeterministicTreePolicy, float]:
     """Backward induction over precomputed leaf values."""
     if leaves.shape != (space.n_trajectories,):
-        raise ValueError(f"expected {space.n_trajectories} leaf values, got {leaves.shape}")
+        raise StructuralError(f"expected {space.n_trajectories} leaf values, got shape {leaves.shape}")
     values = leaves
     choices: list[np.ndarray] = []
     for _ in range(space.horizon):
         shaped = values.reshape(-1, space.n_obs, space.n_actions)
-        choices.append(shaped.argmax(axis=2).reshape(-1))  # first max = lowest action
-        values = shaped.max(axis=2).sum(axis=1)
+        best = shaped[:, :, 0]
+        choice = np.zeros(best.shape, dtype=np.intp)
+        for a in range(1, space.n_actions):
+            col = shaped[:, :, a]
+            choice[col > best] = a  # strict: ties keep the lowest action
+            best = np.maximum(best, col)
+        choices.append(choice.reshape(-1))
+        values = best.sum(axis=1)
+    value = float(values[0])
+    if math.isnan(value):  # maximum and sum carry a NaN leaf up to the root
+        raise StructuralError("leaf values contain NaN (or infinities of both signs)")
     choices.reverse()
     policy = DeterministicTreePolicy(space, tuple(choices))
-    return policy, float(values[0])
+    return policy, value
 
 
 def policy_value_on_table(space: ObsActSpace, policy: Policy, leaves: np.ndarray) -> float:

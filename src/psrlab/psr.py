@@ -198,8 +198,11 @@ def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[n
     read-only ``(n_models, n_histories(h), d_h)`` states and
     ``(n_models, n_histories(h))`` probabilities in lexicographic order.
     ``cache`` holds the stacks by depth; each model's own table cache gets a
-    batch-of-one view into them, so no table is stored twice.  The models
-    must share their space and state dimensions.
+    batch-of-one view into them, so no table is stored twice.  Below the
+    root, where every closing vector is exactly ``[1.0]`` (the last depth of
+    every model built here), the probabilities are a view of the one-column
+    states.  The
+    models must share their space and state dimensions.
     """
     cached = cache.get(h)
     if cached is not None:
@@ -211,7 +214,12 @@ def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[n
         ops = np.stack([m.M[h - 1] for m in models]).reshape(n, -1, *models[0].M[h - 1].shape[2:])
         prev = stacked_tables(models, cache, h - 1)[0]
         states = np.einsum("ckij,cnj->cnki", ops, prev).reshape(n, -1, ops.shape[2])
-    probs = (states @ np.stack([m.phi[h] for m in models])[:, :, None])[:, :, 0]
+    if h and all(m.phi[h].shape == (1,) and m.phi[h][0] == 1.0 for m in models):
+        # The einsum sums into a zeroed output, so no state here is -0.0, the one
+        # value a product with [1.0] would change; share the states' memory.
+        probs = states[:, :, 0]
+    else:
+        probs = (states @ np.stack([m.phi[h] for m in models])[:, :, None])[:, :, 0]
     states.setflags(write=False)
     probs.setflags(write=False)
     cache[h] = (states, probs)

@@ -1,5 +1,6 @@
-"""Per-history reference implementations of verify's table checks, the value
-functional, the offline exploration minimum and the elliptical potential.
+"""Reference implementations of verify's table checks, the value functional,
+the offline exploration minimum, the elliptical potential, the planner and
+the bonus sums.
 
 These are the loops the package ran before the checks became per-depth
 table passes: the estimation-error sum walking each trajectory step by step,
@@ -7,13 +8,16 @@ the feature-update identity tested one (history, obs, action) at a time, the
 exploration minimum recursing through ``action_probs`` node by node, the
 policy value calling a leaf function per trajectory, the prefix
 probability summed over hidden-state sequences, and the elliptical
-potential growing one gram and solving it once per vector.  Tests compare
-the package against them bit for bit.
+potential growing one gram and solving it once per vector.  The planner's
+oracle reduces each depth with ``argmax``/``max`` over the action axis, and
+the bonus oracles add every step's repeated scores into a leaf-sized array.
+Tests compare the package against them bit for bit.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 
 from psrlab.policies import policy_weight_vector
 from psrlab.psr import PSI_GUARD
@@ -140,3 +144,46 @@ def oracle_elliptical_lhs(X, lam, B):
         gram = gram + np.outer(x, x)
         terms.append(min(float(x @ np.linalg.solve(gram, x)), B))
     return math.fsum(terms)
+
+
+def oracle_plan_on_table(space, leaves):
+    """Backward induction by argmax and max over the action axis; returns (action tables, value)."""
+    values = leaves
+    choices = []
+    for _ in range(space.horizon):
+        shaped = values.reshape(-1, space.n_obs, space.n_actions)
+        choices.append(shaped.argmax(axis=2).reshape(-1))  # first max = lowest action
+        values = shaped.max(axis=2).sum(axis=1)
+    choices.reverse()
+    return tuple(choices), float(values[0])
+
+
+def oracle_score_table(evaluator):
+    """Summed prefix scores and degenerate flags, each step's scores repeated into the leaves."""
+    space = evaluator.feature_source.space
+    totals = np.zeros(space.n_trajectories)
+    degenerate = np.zeros(space.n_trajectories, dtype=bool)
+    for h in range(space.horizon):
+        feats = evaluator.feature_source.feature_table(h)
+        bad = np.isnan(feats[:, 0])
+        feats = np.where(bad[:, None], 0.0, feats)
+        if evaluator.transform is not None:
+            feats = feats @ evaluator.transform[h].T
+        scores = oracle_gram_scores(evaluator.grams[h], feats)
+        reps = space.pair_count ** (space.horizon - h)
+        totals += np.repeat(scores, reps)
+        degenerate |= np.repeat(bad, reps)
+    return totals, degenerate
+
+
+def oracle_gram_scores(gram, X):
+    """Row-wise Mahalanobis scores through scipy's Cholesky wrappers."""
+    solved = scipy.linalg.cho_solve(scipy.linalg.cho_factor(gram.matrix), X.T)
+    return np.einsum("ij,ji->i", X, solved)
+
+
+def oracle_bonus_table(evaluator):
+    totals, degenerate = oracle_score_table(evaluator)
+    out = np.minimum(evaluator.alpha * np.sqrt(np.maximum(totals, 0.0)), 1.0)
+    out[degenerate] = 1.0
+    return out

@@ -5,6 +5,7 @@ import pytest
 
 from check_oracles import oracle_value
 from conftest import make_single_state_env
+from psrlab.errors import StructuralError
 from psrlab.estimation import DataEntry, DatasetFamily
 from psrlab.online import _build_evaluator
 from psrlab.planner import leaf_table, plan_on_table, policy_value_on_table
@@ -107,5 +108,17 @@ def test_plan_value_agrees_with_value_evaluator(model222, env222):
 
 
 def test_plan_rejects_wrong_leaf_count(model222):
-    with pytest.raises(ValueError):
+    with pytest.raises(StructuralError, match="expected 16 leaf values"):
         plan_on_table(model222.space, np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, "both_infs"])
+def test_plan_rejects_nan_leaves(model222, bad):
+    leaves = np.zeros(model222.space.n_trajectories)
+    if bad == "both_infs":
+        half = len(leaves) // 2  # first observation worth +inf, second -inf: NaN at the root
+        leaves[:half], leaves[half:] = np.inf, -np.inf
+    else:
+        leaves[5] = bad
+    with pytest.raises(StructuralError, match="NaN"), np.errstate(invalid="ignore"):
+        plan_on_table(model222.space, leaves)

@@ -1,0 +1,202 @@
+"""The planner's induction, the bonus sums, the gram's LAPACK calls and the
+depth-H probabilities (a view of the states) against their previous forms,
+bit for bit: equal values, dtypes and signs of zero."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from check_oracles import oracle_bonus_table, oracle_gram_scores, oracle_plan_on_table, oracle_score_table
+from conftest import make_single_state_env
+from psrlab import online
+from psrlab.bonus import BonusEvaluator, FeatureGram, decodable_transform
+from psrlab.errors import StructuralError
+from psrlab.estimation import DataEntry, DatasetFamily, make_candidates
+from psrlab.online import OnlineConfig, _build_evaluator, run_psr_ucb
+from psrlab.planner import plan_on_table
+from psrlab.policies import uniform_policy
+from psrlab.pomdp import default_psr, near_tie, random_revealing
+from psrlab.psr import PsrModel, make_core_test_set, stacked_tables
+from psrlab.spaces import Future, ObsActSpace
+from psrlab.verify import small_builtin_envs
+
+ENVS = small_builtin_envs() + [("near_tie", near_tie()), ("random_revealing(1,2,3,2,6)", random_revealing(1, 2, 3, 2, 6))]
+IDS = [name for name, _ in ENVS]
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _assert_plan_matches_oracle(space, leaves, label):
+    policy, value = plan_on_table(space, leaves)
+    tables, oracle_value = oracle_plan_on_table(space, leaves)
+    assert _same(value, oracle_value), (label, value, oracle_value)
+    assert len(policy.actions_by_step) == len(tables)
+    for h, (got, want) in enumerate(zip(policy.actions_by_step, tables)):
+        assert _same(got, want), (label, h)
+
+
+def _evaluator(env, model, n_entries, lam=1.0, alpha=0.7, transform=None):
+    dataset = DatasetFamily.empty(env.space)
+    pol = uniform_policy(env.space)
+    for i in range(n_entries):
+        dataset.add(DataEntry(env.sample_episode(pol, 5000 + i), "b", i % env.space.horizon), pol)
+    ev = _build_evaluator(model, dataset, lam, alpha)
+    if transform is None:
+        return ev
+    feats = [model.feature_table(h) for h in range(env.space.horizon)]
+    grams = tuple(
+        FeatureGram.build(h, transform[h].shape[0], lam, np.nan_to_num(f) @ transform[h].T) for h, f in enumerate(feats)
+    )
+    return BonusEvaluator(grams, alpha, model, transform)
+
+
+@pytest.fixture(scope="module", params=ENVS, ids=IDS)
+def env_case(request):
+    name, env = request.param
+    model, g_hat = default_psr(env)
+    return name, env, model, g_hat
+
+
+def test_bonus_tables_equal_leaf_sized_sums(env_case):
+    name, env, model, g_hat = env_case
+    cases = [_evaluator(env, model, n) for n in (0, 7, 40)]
+    cases.append(_evaluator(env, model, 12, alpha=3.0, transform=decodable_transform(g_hat)))
+    for k, ev in enumerate(cases):
+        totals, degenerate = ev.score_table()
+        oracle_totals, oracle_degenerate = oracle_score_table(ev)
+        assert _same(totals, oracle_totals), (name, k)
+        assert _same(degenerate, oracle_degenerate), (name, k)
+        assert _same(ev.bonus_table(), oracle_bonus_table(ev)), (name, k)
+
+
+def test_fresh_gram_and_degenerate_bonus_tables_match_oracle():
+    env = random_revealing(1, 2, 3, 2, 3)
+    cands = make_candidates(env, "dithered", seed=5, n=4, scale=0.05)
+    for m in cands.models:
+        grams = tuple(FeatureGram.fresh(h, m.dims[h], 0.5) for h in range(env.space.horizon))
+        ev = BonusEvaluator(grams, 0.2, m)
+        assert _same(ev.bonus_table(), oracle_bonus_table(ev))
+    # a model with zero-probability prefixes: a single state that never emits observation 1
+    single = make_single_state_env(horizon=3, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
+    sm = default_psr(single)[0]
+    ev = BonusEvaluator(tuple(FeatureGram.fresh(h, sm.dims[h], 1.0) for h in range(3)), 0.01, sm)
+    totals, degenerate = ev.score_table()
+    oracle_totals, oracle_degenerate = oracle_score_table(ev)
+    assert degenerate.any() and not degenerate.all()
+    assert _same(totals, oracle_totals) and _same(degenerate, oracle_degenerate)
+    assert _same(ev.bonus_table(), oracle_bonus_table(ev))
+
+
+def test_probabilities_equal_states_times_closing_vector(env_case):
+    name, env, model, _ = env_case
+    H = env.space.horizon
+    cands = make_candidates(env, "dithered", seed=5, n=4, scale=0.05)
+    for models in ((model,), tuple(cands.models)):
+        cache = {}
+        for h in range(H + 1):
+            states, probs = stacked_tables(models, cache, h)
+            old = (states @ np.stack([m.phi[h] for m in models])[:, :, None])[:, :, 0]
+            assert _same(probs, old), (name, h)
+            assert not probs.flags.writeable
+        assert all(m.phi[H].tolist() == [1.0] for m in models)
+        assert np.shares_memory(probs, states), name  # depth H: no second copy
+
+
+def test_probability_view_keeps_zero_signs():
+    """Negative operators on a zero state: every product is -0.0, and the probabilities stay +0.0."""
+    space = ObsActSpace(1, 2, 1)
+    core = make_core_test_set(space, [(Future(0, (0,), ()),)])
+    model = PsrModel(space, core, np.zeros(1), (np.full((1, 2, 1, 1), -1.0),), (np.ones(1), np.ones(1)))
+    states, probs = stacked_tables((model,), {}, 1)
+    assert np.shares_memory(probs, states)
+    assert _same(probs, (states @ np.ones((1, 1, 1)))[:, :, 0])
+    assert not np.signbit(probs).any()
+
+
+def test_planner_equals_argmax_induction_on_model_leaves(env_case):
+    name, env, model, _ = env_case
+    space = env.space
+    probs = model.prob_table(space.horizon)
+    reward = env.reward.leaf_table(space)
+    bonus = _evaluator(env, model, 9, alpha=0.4).bonus_table()
+    other = make_candidates(env, "dithered", seed=3, n=2, scale=0.1).models[-1]
+    leaves = {
+        "reward": probs * reward,
+        "bonus": probs * bonus,
+        "reward_minus_bonus": probs * (reward - bonus),
+        "abs_diff": np.abs(other.prob_table(space.horizon) - probs),
+    }
+    for kind, table in leaves.items():
+        _assert_plan_matches_oracle(space, table, (name, kind))
+
+
+SPACES = [ObsActSpace(3, 1, 3), ObsActSpace(9, 2, 2), ObsActSpace(10, 1, 2), ObsActSpace(2, 3, 3), ObsActSpace(2, 4, 3)]
+
+
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: f"O{s.n_obs}A{s.n_actions}H{s.horizon}")
+@pytest.mark.parametrize("seed", range(4))
+def test_planner_equals_argmax_induction_on_ties_and_signed_zeros(space, seed):
+    rng = np.random.default_rng(seed)
+    pool = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+    leaves = pool[rng.integers(len(pool), size=space.n_trajectories)]
+    _assert_plan_matches_oracle(space, leaves, (seed, "pool"))
+    zeros = np.where(rng.random(space.n_trajectories) < 0.5, -0.0, 0.0)
+    _assert_plan_matches_oracle(space, zeros, (seed, "signed zeros"))
+    _assert_plan_matches_oracle(space, -np.zeros(space.n_trajectories), (seed, "negative zeros"))
+
+
+def test_gram_lapack_calls_equal_scipy_wrappers(reference_env, reference_model, monkeypatch):
+    evaluators = []
+
+    def recording(*args):
+        ev = _build_evaluator(*args)
+        evaluators.append(ev)
+        return ev
+
+    monkeypatch.setattr(online, "_build_evaluator", recording)
+    cands = make_candidates(reference_env, "dithered", seed=5, n=10, scale=0.05)
+    cfg = OnlineConfig(max_iterations=12, epsilon=0.2, delta=0.1, p_min=1e-9, beta=5.0, lam=1.0, alpha=0.5, seed=0)
+    run_psr_ucb(reference_env, cfg, cands, reference_model.core_tests)
+    assert len(evaluators) >= 5
+    rng = np.random.default_rng(0)
+    for ev in evaluators:
+        for h, gram in enumerate(ev.grams):
+            c, lower = scipy.linalg.cho_factor(gram.matrix)
+            assert not lower and _same(gram._factor, c)
+            feats = np.nan_to_num(ev.feature_source.feature_table(h))
+            assert _same(gram.scores(feats), oracle_gram_scores(gram, feats))
+            x = rng.random(gram.matrix.shape[0])
+            assert _same(gram.score(x), float(x @ scipy.linalg.cho_solve((c, False), x)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gram_raises_package_error(bad):
+    matrix = np.eye(2)
+    matrix[1, 1] = bad
+    with pytest.raises(StructuralError, match="step 0 has non-finite"):
+        FeatureGram(0, 1.0, matrix)
+    matrix = np.eye(2)
+    matrix[0, 1] = matrix[1, 0] = bad
+    with pytest.raises(StructuralError, match="step 4 has non-finite"):
+        FeatureGram(4, 1.0, matrix)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_raise_package_error(bad):
+    gram = FeatureGram.fresh(2, 3, 1.0)
+    x = np.array([0.5, bad, 0.0])
+    with pytest.raises(StructuralError, match="step-2 gram are not finite"):
+        gram.score(x)
+    with pytest.raises(StructuralError, match="step-2 gram are not finite"):
+        gram.scores(np.stack([np.ones(3), x]))
+
+
+def test_wrong_feature_length_raises_package_error():
+    gram = FeatureGram.fresh(0, 3, 1.0)
+    with pytest.raises(StructuralError, match="length 2"):
+        gram.score(np.ones(2))
+    with pytest.raises(StructuralError, match="length 4"):
+        gram.scores(np.ones((5, 4)))
