@@ -39,7 +39,6 @@ from .pomdp import (
 )
 from .estimation import (
     CandidateSet,
-    DataEntry,
     DatasetFamily,
     candidate_set_from_dict,
     conditional_tv_diagnostic,

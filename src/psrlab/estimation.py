@@ -17,7 +17,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,73 +33,64 @@ MAX_CANDIDATES = 100_000
 SELF_CONSISTENCY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DataEntry:
-    """One collected trajectory, its generating policy, and its step bucket."""
-
-    trajectory: History
-    policy_id: str
-    split_step: int
-
-
 class BucketColumns(NamedTuple):
-    """Per-entry lookup columns of one step bucket, in insertion order; numpy reads typed arrays in bulk."""
+    """Per-entry columns of one step bucket, in insertion order.
+
+    They are the only record of the bucket's entries: the numeric columns are
+    typed arrays numpy reads in bulk, and a trajectory's lex index decodes
+    back to its steps.
+    """
 
     prefix: array  # of int64: lex index of the entry's length-h prefix
     trajectory: array  # of int64: lex index of the full trajectory
     prefix_weight: array  # of float64: recorded policy's weight of the length-h prefix
     full_weight: array  # of float64: recorded policy's weight of the full trajectory
+    policy_id: list[str]  # id of the recorded policy in ``DatasetFamily.policies``
 
 
 @dataclass
 class DatasetFamily:
-    """Per-step buckets of entries plus the policies that produced them.
+    """Per-step buckets of entry columns plus the policies that produced them.
 
-    Each entry's lexicographic indices and policy weights are recorded once,
+    Bucket ``h`` holds the entries split at step ``h``.  Each entry's
+    lexicographic indices, policy weights and policy id are recorded once,
     when it is added; every model quantity over the dataset is a gather
-    from the model's tables at those indices.
+    from the model's tables at those indices, and the JSONL form decodes
+    the trajectory indices back to steps.
     """
 
     space: ObsActSpace
     policies: dict[str, Policy] = field(default_factory=dict)
-    buckets: list[list[DataEntry]] = field(init=False)
     columns: list[BucketColumns] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.buckets = [[] for _ in range(self.space.horizon)]
-        self.columns = [BucketColumns(*(array(code) for code in "qqdd")) for _ in range(self.space.horizon)]
+        self.columns = [BucketColumns(*(array(code) for code in "qqdd"), []) for _ in range(self.space.horizon)]
 
-    @classmethod
-    def empty(cls, space: ObsActSpace) -> "DatasetFamily":
-        return cls(space)
-
-    def add(self, entry: DataEntry, policy: Policy | None = None) -> None:
-        """Add one entry, first registering ``policy`` under its id if given.
+    def add(self, policy_id: str, trajectory: History, split_step: int, policy: Policy | None = None) -> None:
+        """Add one entry to bucket ``split_step``, first registering ``policy`` under its id if given.
 
         The online loop adds one entry at a time, where a one-row
         :meth:`add_batch` costs about 17 times as much as this scalar path.
         """
         space = self.space
-        trajectory = entry.trajectory
         if len(trajectory) != space.horizon:
             raise StructuralError("entries must hold full trajectories")
         trajectory.validate(space)
-        h = entry.split_step
-        if not 0 <= h < space.horizon:
+        if not 0 <= split_step < space.horizon:
             raise StructuralError("split step outside [0, H)")
         if policy is not None:
-            known = self.policies.setdefault(entry.policy_id, policy)
+            known = self.policies.setdefault(policy_id, policy)
             if known is not policy and known.to_dict() != policy.to_dict():
-                raise StructuralError(f"policy id {entry.policy_id!r} is registered to a different policy")
-        if entry.policy_id not in self.policies:
-            raise StructuralError(f"unknown policy id {entry.policy_id!r}")
-        weights = prefix_weights(self.policies[entry.policy_id], trajectory)
-        cols = self.columns[h]
-        cols.prefix.append(trajectory.prefix(h).lex_index(space))
+                raise StructuralError(f"policy id {policy_id!r} is registered to a different policy")
+        if policy_id not in self.policies:
+            raise StructuralError(f"unknown policy id {policy_id!r}")
+        weights = prefix_weights(self.policies[policy_id], trajectory)
+        cols = self.columns[split_step]
+        cols.prefix.append(trajectory.prefix(split_step).lex_index(space))
         cols.trajectory.append(trajectory.lex_index(space))
-        cols.prefix_weight.append(weights[h])
+        cols.prefix_weight.append(weights[split_step])
         cols.full_weight.append(weights[-1])
-        self.buckets[h].append(entry)
+        cols.policy_id.append(policy_id)
 
     def add_batch(self, policy_id: str, obs: np.ndarray, actions: np.ndarray, split_steps: np.ndarray) -> None:
         """Add one entry per row of ``(n, H)`` observations and actions, as ``add`` would in row order.
@@ -130,38 +121,30 @@ class DatasetFamily:
             probs = reached_rows(policy, space, h + 1, lex[h] * space.n_obs + obs[:, h], weights[h])
             weights[h + 1] = weights[h] * probs[np.arange(n), actions[:, h]]
             lex[h + 1] = lex[h] * space.pair_count + obs[:, h] * space.n_actions + actions[:, h]
-        obs_rows, action_rows = obs.tolist(), actions.tolist()
         for h, cols in enumerate(self.columns):
             members = np.flatnonzero(split_steps == h)  # in row order
             cols.prefix.frombytes(lex[h, members].tobytes())
             cols.trajectory.frombytes(lex[-1, members].tobytes())
             cols.prefix_weight.frombytes(weights[h, members].tobytes())
             cols.full_weight.frombytes(weights[-1, members].tobytes())
-            self.buckets[h].extend(
-                DataEntry(History(tuple(zip(obs_rows[i], action_rows[i]))), policy_id, h) for i in members.tolist()
-            )
-
-    def all_entries(self) -> Iterable[DataEntry]:
-        for bucket in self.buckets:
-            yield from bucket
+            cols.policy_id.extend([policy_id] * len(members))
 
     def size(self) -> int:
-        return sum(len(b) for b in self.buckets)
+        return sum(len(cols.trajectory) for cols in self.columns)
 
     # -- serialization (one JSON record per line) ----------------------------
 
     def to_jsonl(self) -> str:
+        """One record per entry, bucket by bucket in insertion order, steps decoded from the trajectory indices."""
+        space = self.space
+        place = space.pair_count ** np.arange(space.horizon - 1, -1, -1)  # lex weight of each step's pair
         lines = []
-        for entry in self.all_entries():
-            lines.append(
-                json.dumps(
-                    {
-                        "h": entry.split_step,
-                        "policy_id": entry.policy_id,
-                        "trajectory": [list(step) for step in entry.trajectory.steps],
-                    },
-                    separators=(",", ":"),
-                )
+        for h, cols in enumerate(self.columns):
+            pairs = np.asarray(cols.trajectory)[:, None] // place % space.pair_count
+            steps = np.stack(np.divmod(pairs, space.n_actions), axis=-1).tolist()
+            lines.extend(
+                json.dumps({"h": h, "policy_id": pid, "trajectory": traj}, separators=(",", ":"))
+                for pid, traj in zip(cols.policy_id, steps)
             )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -172,13 +155,26 @@ class DatasetFamily:
 def dataset_from_jsonl(
     space: ObsActSpace, text: str, policies: dict[str, Policy]
 ) -> DatasetFamily:
+    """The dataset of :meth:`DatasetFamily.to_jsonl` text; a malformed line raises ``StructuralError`` naming it."""
     ds = DatasetFamily(space, dict(policies))
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
-        traj = History(tuple((o, a) for o, a in rec["trajectory"]))
-        ds.add(DataEntry(traj, rec["policy_id"], rec["h"]))
+        try:
+            rec = json.loads(line)
+            h, policy_id = rec["h"], rec["policy_id"]
+            trajectory = History(tuple((o, a) for o, a in rec["trajectory"]))
+        except KeyError as exc:
+            raise StructuralError(f"dataset line {number}: missing key {exc}") from exc
+        except (ValueError, TypeError) as exc:  # bad JSON, or a step that is not an [o, a] pair
+            raise StructuralError(f"dataset line {number}: malformed record ({exc})") from exc
+        integers = [h, *(x for step in trajectory.steps for x in step)]
+        if any(type(x) is not int for x in integers) or type(policy_id) is not str:
+            raise StructuralError(f"dataset line {number}: h and steps must be integers, policy_id a string")
+        try:
+            ds.add(policy_id, trajectory, h)
+        except StructuralError as exc:
+            raise StructuralError(f"dataset line {number}: {exc}") from exc
     return ds
 
 
@@ -476,10 +472,9 @@ def conditional_tv_diagnostic(
     table_a = model_a.prob_table(space.horizon)
     table_b = model_b.prob_table(space.horizon)
     terms = []
-    for h, bucket in enumerate(dataset.buckets):
-        if not bucket:
+    for h, cols in enumerate(dataset.columns):
+        if not cols.policy_id:
             continue
-        cols = dataset.columns[h]
         prefix = np.asarray(cols.prefix)
         pa = model_a.prob_table(h)[prefix]
         pb = model_b.prob_table(h)[prefix]
@@ -487,10 +482,10 @@ def conditional_tv_diagnostic(
         if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
             raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
         reps = space.pair_count ** (space.horizon - h)
-        weights = np.empty((len(bucket), reps))
+        weights = np.empty((len(prefix), reps))
         groups: dict[int, tuple[Policy, list[int]]] = {}  # policy object id -> (policy, entry positions)
-        for i, entry in enumerate(bucket):
-            policy = dataset.policies[entry.policy_id]
+        for i, policy_id in enumerate(cols.policy_id):
+            policy = dataset.policies[policy_id]
             groups.setdefault(id(policy), (policy, []))[1].append(i)
         for policy, rows in groups.values():
             weights[rows] = continuation_weights(policy, space, h, prefix[rows])

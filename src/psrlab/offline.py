@@ -63,8 +63,7 @@ def collect_offline(env: TabularPomdp, behavior: Policy, n_episodes: int, seed: 
         raise StructuralError("need at least H episodes for a full split")
     assignment = np.arange(n_episodes) % space.horizon
     rng_for(seed, "offline-split").shuffle(assignment)
-    dataset = DatasetFamily.empty(space)
-    dataset.policies[BEHAVIOR_POLICY_ID] = behavior
+    dataset = DatasetFamily(space, {BEHAVIOR_POLICY_ID: behavior})
     seeds = [child_seed(seed, "offline-episode", i) for i in range(n_episodes)]
     obs, actions = env.sample_episodes(behavior, seeds)
     dataset.add_batch(BEHAVIOR_POLICY_ID, obs, actions, assignment)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bonus import BonusEvaluator, prefix_grams
 from .errors import EmptyFeasibleSet, StructuralError
-from .estimation import CandidateSet, DataEntry, DatasetFamily, constrained_mle
+from .estimation import CandidateSet, DatasetFamily, constrained_mle
 from .planner import plan_on_table, policy_value_on_table
 from .policies import (
     CompositePolicy,
@@ -135,7 +135,7 @@ def run_psr_ucb(
     space = env.space
     core = true_core_tests if true_core_tests is not None else candidates.models[0].core_tests
     suffixes = exploration_suffixes(core)
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     previous: Policy = uniform_policy(space)
     logs: list[IterationLog] = []
     final_model = None
@@ -150,7 +150,7 @@ def run_psr_ucb(
             policy_id = f"explore[k={k},h={h}]"
             episode_seed = child_seed(config.seed, "episode", k * (space.horizon + 1) + h)
             trajectory = env.sample_episode(policy, episode_seed)
-            dataset.add(DataEntry(trajectory, policy_id, h - 1), policy)
+            dataset.add(policy_id, trajectory, h - 1, policy)
         try:
             mle = constrained_mle(candidates, dataset, config.p_min, config.beta)
         except EmptyFeasibleSet as exc:
@@ -166,7 +166,7 @@ def run_psr_ucb(
                 mle.selected_label,
                 len(mle.feasible_ids),
                 float(ucb_value),
-                tuple(len(b) for b in dataset.buckets),
+                tuple(len(cols.trajectory) for cols in dataset.columns),
                 time.perf_counter() - started,
                 terminated,
             )

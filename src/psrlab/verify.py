@@ -21,7 +21,6 @@ from .bonus import (
 )
 from .errors import DegenerateHistory, StructuralError
 from .estimation import (
-    DataEntry,
     DatasetFamily,
     conditional_tv_diagnostic,
     constrained_mle,
@@ -354,16 +353,20 @@ def run_lemma_checks(report: Report, seeds: int = 100) -> None:
 def _uniform_collection(
     env: TabularPomdp, model: PsrModel, n_rounds: int, seed: int
 ) -> DatasetFamily:
-    """Exploration-style collection under a fixed uniform prefix policy."""
+    """Exploration-style collection under a fixed uniform prefix policy.
+
+    Round ``k`` draws one episode per step ``h`` from its own child seed into
+    bucket ``h - 1``; each step's rounds are drawn and added in one batch.
+    """
     space = env.space
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     base = uniform_policy(space)
-    policies = [exploration_policy(base, h, model.core_tests) for h in range(1, space.horizon + 1)]
-    for k in range(1, n_rounds + 1):
-        for h, policy in enumerate(policies, start=1):
-            pid = f"uexplore[k={k},h={h}]"
-            traj = env.sample_episode(policy, child_seed(seed, "verify-episode", k * (space.horizon + 1) + h))
-            dataset.add(DataEntry(traj, pid, h - 1), policy)
+    for h in range(1, space.horizon + 1):
+        pid = f"uexplore[h={h}]"
+        dataset.policies[pid] = policy = exploration_policy(base, h, model.core_tests)
+        seeds = [child_seed(seed, "verify-episode", k * (space.horizon + 1) + h) for k in range(1, n_rounds + 1)]
+        obs, actions = env.sample_episodes(policy, seeds)
+        dataset.add_batch(pid, obs, actions, np.full(n_rounds, h - 1))
     return dataset
 
 
@@ -408,8 +411,8 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
                     cond_ok = False
             by_policy: dict[int, float] = {}  # one distance per distinct policy object
             terms = []
-            for entry in dataset.all_entries():
-                policy = dataset.policies[entry.policy_id]
+            for policy_id in (pid for cols in dataset.columns for pid in cols.policy_id):
+                policy = dataset.policies[policy_id]
                 if id(policy) not in by_policy:
                     by_policy[id(policy)] = hellinger_sq(model, true_model, policy)
                 terms.append(by_policy[id(policy)])

@@ -11,16 +11,24 @@ probability summed over hidden-state sequences, and the elliptical
 potential growing one gram and solving it once per vector.  The planner's
 oracle reduces each depth with ``argmax``/``max`` over the action axis, and
 the bonus oracles add every step's repeated scores into a leaf-sized array.
-Tests compare the package against them bit for bit.
+Verify's exploration collection draws and adds one episode at a time, and
+the conditional-TV diagnostic walks one recorded entry object at a time, as
+when a dataset kept its entries as objects next to its columns.  Tests
+compare the package against them bit for bit.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from psrlab.policies import policy_weight_vector
+from psrlab.errors import DegenerateHistory
+from psrlab.estimation import DatasetFamily
+from psrlab.online import exploration_policy
+from psrlab.policies import continuation_weights, policy_weight_vector, prefix_weights, uniform_policy
 from psrlab.psr import PSI_GUARD
+from psrlab.seeding import child_seed
 from psrlab.spaces import History, history_from_lex
 
 
@@ -187,3 +195,69 @@ def oracle_bonus_table(evaluator):
     out = np.minimum(evaluator.alpha * np.sqrt(np.maximum(totals, 0.0)), 1.0)
     out[degenerate] = 1.0
     return out
+
+
+class Entry(NamedTuple):
+    """One recorded trajectory and the id of its policy, as a dataset once kept it."""
+
+    trajectory: History
+    policy_id: str
+
+
+def oracle_uniform_collection(env, model, n_rounds, seed):
+    """Verify's exploration collection one episode at a time, one policy id per entry.
+
+    Returns the dataset and its entries per bucket, in insertion order.
+    """
+    space = env.space
+    dataset = DatasetFamily(space)
+    buckets = [[] for _ in range(space.horizon)]
+    base = uniform_policy(space)
+    policies = [exploration_policy(base, h, model.core_tests) for h in range(1, space.horizon + 1)]
+    for k in range(1, n_rounds + 1):
+        for h, policy in enumerate(policies, start=1):
+            pid = f"uexplore[k={k},h={h}]"
+            traj = env.sample_episode(policy, child_seed(seed, "verify-episode", k * (space.horizon + 1) + h))
+            dataset.add(pid, traj, h - 1, policy)
+            buckets[h - 1].append(Entry(traj, pid))
+    return dataset, buckets
+
+
+def oracle_conditional_tv_diagnostic(model_a, model_b, policies, buckets):
+    """Summed squared conditional TV over per-bucket lists of :class:`Entry`, grouped by policy object."""
+    space = model_a.space
+    table_a = model_a.prob_table(space.horizon)
+    table_b = model_b.prob_table(space.horizon)
+    terms = []
+    for h, bucket in enumerate(buckets):
+        if not bucket:
+            continue
+        prefix = np.array([entry.trajectory.prefix(h).lex_index(space) for entry in bucket], dtype=np.int64)
+        pa = model_a.prob_table(h)[prefix]
+        pb = model_b.prob_table(h)[prefix]
+        wp = np.array([prefix_weights(policies[entry.policy_id], entry.trajectory)[h] for entry in bucket])
+        if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
+            raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
+        reps = space.pair_count ** (space.horizon - h)
+        weights = np.empty((len(bucket), reps))
+        groups = {}  # policy object id -> (policy, entry positions)
+        for i, entry in enumerate(bucket):
+            policy = policies[entry.policy_id]
+            groups.setdefault(id(policy), (policy, []))[1].append(i)
+        for policy, rows in groups.values():
+            weights[rows] = continuation_weights(policy, space, h, prefix[rows])
+        cond_a = table_a.reshape(-1, reps)[prefix] / pa[:, None]
+        cond_b = table_b.reshape(-1, reps)[prefix] / pb[:, None]
+        for row in np.abs(weights * (cond_a - cond_b)).tolist():
+            tv = math.fsum(row)
+            terms.append(tv * tv)
+    return math.fsum(terms)
+
+
+def decoded_entries(dataset):
+    """Per-bucket lists of :class:`Entry` decoded from a dataset's trajectory and policy-id columns."""
+    space = dataset.space
+    return [
+        [Entry(history_from_lex(space, space.horizon, t), pid) for t, pid in zip(cols.trajectory, cols.policy_id)]
+        for cols in dataset.columns
+    ]

@@ -41,3 +41,11 @@ def make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=None):
     transition = np.ones((horizon - 1, n_actions, 1, 1))
     reward = pmd.RewardTable(np.zeros((horizon, n_obs, n_actions)))
     return pmd.TabularPomdp(1, space, transition, emission, 0, reward)
+
+
+def assert_same_columns(got, want):
+    """Two datasets hold the same entries: numeric columns to the bit, policy ids by equality."""
+    for got_cols, want_cols in zip(got.columns, want.columns, strict=True):
+        assert got_cols.policy_id == want_cols.policy_id
+        for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
+            assert g.typecode == w.typecode and g.tobytes() == w.tobytes()

@@ -84,14 +84,14 @@ def test_criterion_03_planner_exactness():
     other_env = random_revealing(seed=21, n_states=2, n_obs=2, n_actions=2, horizon=2, alpha_threshold=0.05)
     other, _ = default_psr(other_env)
     space = env.space
-    from psrlab.estimation import DataEntry, DatasetFamily
+    from psrlab.estimation import DatasetFamily
     from psrlab.online import _build_evaluator
     from psrlab.policies import uniform_policy
 
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(6):
-        dataset.add(DataEntry(env.sample_episode(pol, 900 + i), "u", i % 2), pol)
+        dataset.add("u", env.sample_episode(pol, 900 + i), i % 2, pol)
     evaluator = _build_evaluator(model, dataset, 1.0, 0.7)
     probs = model.prob_table(space.horizon)
     reward = leaf_table(space, env.reward_of)

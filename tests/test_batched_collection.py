@@ -2,8 +2,8 @@
 
 ``first_uniforms`` against ``default_rng(seed).random``,
 ``TabularPomdp.sample_episodes`` against one ``sample_episode`` per seed,
-and ``DatasetFamily.add_batch`` against ``add`` entry by entry: columns to
-the float bit and entries by equality.  Misuse raises the same error class
+and ``DatasetFamily.add_batch`` against ``add`` entry by entry: every
+column, numbers to the bit and policy ids by equality.  Misuse raises the same error class
 in both paths.
 """
 
@@ -12,8 +12,9 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 
+from conftest import assert_same_columns
 from psrlab.errors import StructuralError
-from psrlab.estimation import DataEntry, DatasetFamily
+from psrlab.estimation import DatasetFamily
 from psrlab.offline import BEHAVIOR_POLICY_ID, collect_offline
 from psrlab.policies import (
     CompositePolicy,
@@ -51,20 +52,16 @@ def sequential_collect(env, behavior, n_episodes, seed):
         raise StructuralError("need at least H episodes for a full split")
     assignment = np.array([i % space.horizon for i in range(n_episodes)])
     rng_for(seed, "offline-split").shuffle(assignment)
-    dataset = DatasetFamily.empty(space)
-    dataset.policies[BEHAVIOR_POLICY_ID] = behavior
+    dataset = DatasetFamily(space, {BEHAVIOR_POLICY_ID: behavior})
     for i in range(n_episodes):
         trajectory = env.sample_episode(behavior, child_seed(seed, "offline-episode", i))
-        dataset.add(DataEntry(trajectory, BEHAVIOR_POLICY_ID, int(assignment[i])))
+        dataset.add(BEHAVIOR_POLICY_ID, trajectory, int(assignment[i]))
     return dataset
 
 
 def assert_same_dataset(got, want):
-    assert got.buckets == want.buckets
     assert got.policies == want.policies
-    for got_cols, want_cols in zip(got.columns, want.columns, strict=True):
-        for g, w in zip(got_cols, want_cols, strict=True):
-            assert g.typecode == w.typecode and g.tobytes() == w.tobytes()
+    assert_same_columns(got, want)
 
 
 def inconsistent_composite(space):
@@ -140,7 +137,7 @@ def test_add_batch_zero_weight_entries_match_add():
     got.add_batch("p", obs, actions, split)
     want = DatasetFamily(space, {"p": policy})
     for o, a, h in zip(obs.tolist(), actions.tolist(), split.tolist()):
-        want.add(DataEntry(History(tuple(zip(o, a))), "p", h))
+        want.add("p", History(tuple(zip(o, a))), h)
     assert_same_dataset(got, want)
 
 
@@ -154,7 +151,7 @@ def test_inconsistent_mixture_history_raises_in_both_paths():
         env.sample_episodes(policy, [5, 6])
     trajectory = History(((0, space.n_actions - 1), (0, 0)))
     with pytest.raises(StructuralError):
-        DatasetFamily(space, {"p": policy}).add(DataEntry(trajectory, "p", 0))
+        DatasetFamily(space, {"p": policy}).add("p", trajectory, 0)
     with pytest.raises(StructuralError):
         DatasetFamily(space, {"p": policy}).add_batch("p", [[0, 0]], [[space.n_actions - 1, 0]], [0])
 
@@ -175,11 +172,11 @@ def test_add_batch_rejects_what_add_rejects(policy_id, obs, actions, split):
     space = near_tie().space
     policies = {"u": uniform_policy(space)}
     with pytest.raises(StructuralError):
-        DatasetFamily(space, dict(policies)).add(DataEntry(History(tuple(zip(obs[0], actions[0]))), policy_id, split[0]))
+        DatasetFamily(space, dict(policies)).add(policy_id, History(tuple(zip(obs[0], actions[0]))), split[0])
     dataset = DatasetFamily(space, dict(policies))
     with pytest.raises(StructuralError):
         dataset.add_batch(policy_id, obs, actions, split)
-    assert dataset.size() == 0 and not any(dataset.columns[h].prefix for h in range(space.horizon))
+    assert dataset.size() == 0 and not any(any(cols) for cols in dataset.columns)
 
 
 def test_collect_offline_needs_a_full_split():

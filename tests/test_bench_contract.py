@@ -1,10 +1,12 @@
 """Every psrlab name the benchmark harness looks up still exists.
 
 ``perfbench/tracer.py`` wraps entry points by module and attribute name, and
-``perfbench/workloads.py`` calls a few more; a deletion that breaks either
-fails here first.  The tracer file is loaded by path and only read.
+``perfbench/workloads.py`` calls a few more and reads fields of the online
+loop's results; a deletion or rename that breaks either fails here first.
+The tracer file is loaded by path and only read.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -27,6 +29,14 @@ WORKLOAD_CALLS = (
     ("psrlab.verify", "verify"),
     ("psrlab.verify", "SUITES"),
 )
+
+# The fields perfbench/workloads.py reads from run_psr_ucb's result and its logs.
+RESULT_FIELDS = {
+    "OnlineResult": ("logs", "terminated", "last_model"),
+    "IterationLog": (
+        "k", "candidate_id", "candidate_label", "feasible_size", "ucb_value", "bucket_sizes", "terminated", "wall_clock",
+    ),
+}
 
 
 def _entry_points():
@@ -57,3 +67,22 @@ def test_workload_reward_leaves_resolve():
     from psrlab.pomdp import TabularPomdp
 
     assert callable(TabularPomdp.__dict__.get("reward_of"))
+
+
+@pytest.mark.parametrize("cls", sorted(RESULT_FIELDS))
+def test_workload_result_fields_exist(cls):
+    names = {f.name for f in dataclasses.fields(getattr(importlib.import_module("psrlab.online"), cls))}
+    assert set(RESULT_FIELDS[cls]) <= names
+
+
+def test_iteration_log_bucket_sizes_count_the_entries():
+    """The online loop adds one entry per step per iteration, so after iteration k every bucket holds k."""
+    from psrlab.estimation import make_candidates
+    from psrlab.online import OnlineConfig, run_psr_ucb
+    from psrlab.verify import reference_env
+
+    env = reference_env()
+    config = OnlineConfig(max_iterations=3, epsilon=1e-6, delta=0.1, p_min=1e-9, beta=5.0, lam=1.0, alpha=0.5, seed=0)
+    result = run_psr_ucb(env, config, make_candidates(env, "include_true"))
+    assert [log.bucket_sizes for log in result.logs] == [(k,) * env.space.horizon for k in (1, 2, 3)]
+    assert sum(result.logs[-1].bucket_sizes) == result.dataset.size()

@@ -14,12 +14,12 @@ from psrlab.bonus import (
     transfer_score_check,
 )
 from psrlab.errors import DegenerateHistory, SingularCoreTests, StructuralError
-from psrlab.estimation import DataEntry, DatasetFamily
+from psrlab.estimation import DatasetFamily
 from psrlab.online import _build_evaluator
 from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr, g_matrices
 from psrlab.seeding import rng_for
-from psrlab.spaces import History, enumerate_histories
+from psrlab.spaces import History, enumerate_histories, history_from_lex
 
 
 def test_fresh_gram_score_is_euclidean():
@@ -79,13 +79,13 @@ def test_bonus_scalar_closed_form():
 
 
 def test_bonus_monotone_in_data(reference_env, reference_model):
-    dataset = DatasetFamily.empty(reference_env.space)
+    dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     for i in range(6):
-        dataset.add(DataEntry(reference_env.sample_episode(pol, i), "u", i % 2), pol)
+        dataset.add("u", reference_env.sample_episode(pol, i), i % 2, pol)
     before = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
     for i in range(6, 8):  # one more entry per bucket
-        dataset.add(DataEntry(reference_env.sample_episode(pol, i), "u", i % 2), pol)
+        dataset.add("u", reference_env.sample_episode(pol, i), i % 2, pol)
     after = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
     assert np.all(after <= before + 1e-12)
     assert np.all(before >= 0.0) and np.all(before <= 1.0)
@@ -139,26 +139,26 @@ def test_decodable_transform_rejects_singular():
 def test_prefix_grams_match_outer_products(reference_env, reference_model):
     """Per-entry outer-product sums are the oracle for the shared gram builder."""
     space = reference_env.space
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(40):
-        dataset.add(DataEntry(reference_env.sample_episode(pol, 40 + i), "u", i % 2), pol)
+        dataset.add("u", reference_env.sample_episode(pol, 40 + i), i % 2, pol)
     grams = prefix_grams(reference_model, dataset, lam=0.5)
     for h in range(space.horizon):
         manual = 0.5 * np.eye(reference_model.dims[h])
-        for entry in dataset.buckets[h]:
-            f = reference_model.prediction_feature(entry.trajectory.prefix(h))
+        for prefix in dataset.columns[h].prefix:
+            f = reference_model.prediction_feature(history_from_lex(space, h, prefix))
             manual += np.outer(f, f)
-        assert grams[h].count == len(dataset.buckets[h])
+        assert grams[h].count == len(dataset.columns[h].prefix)
         assert np.allclose(grams[h].matrix, manual, rtol=1e-12, atol=0.0)
 
 
 def test_prefix_grams_reject_degenerate_prefix():
     env = make_single_state_env(horizon=2, n_obs=2, n_actions=1, emission_row=np.array([1.0, 0.0]))
     model, _ = default_psr(env)
-    dataset = DatasetFamily.empty(env.space)
+    dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
-    dataset.add(DataEntry(History(((1, 0), (0, 0))), "u", 1), pol)
+    dataset.add("u", History(((1, 0), (0, 0))), 1, pol)
     with pytest.raises(DegenerateHistory, match="step 1"):
         prefix_grams(model, dataset, lam=1.0)
 
@@ -222,16 +222,16 @@ def test_bonus_with_decodable_transform(reference_env, reference_model, referenc
     """Transform route: grams live in the projected space, bonuses stay sane."""
     transforms = decodable_transform(reference_g)
     space = reference_env.space
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(8):
-        dataset.add(DataEntry(reference_env.sample_episode(pol, 300 + i), "u", i % 2), pol)
+        dataset.add("u", reference_env.sample_episode(pol, 300 + i), i % 2, pol)
     lam, alpha = 0.7, 0.9
     grams = []
     for h in range(space.horizon):
         feats = [
-            transforms[h] @ reference_model.prediction_feature(e.trajectory.prefix(h))
-            for e in dataset.buckets[h]
+            transforms[h] @ reference_model.prediction_feature(history_from_lex(space, h, prefix))
+            for prefix in dataset.columns[h].prefix
         ]
         grams.append(FeatureGram.build(h, reference_env.n_states, lam, np.asarray(feats)))
     ev = BonusEvaluator(tuple(grams), alpha, reference_model, transform=transforms)
@@ -269,10 +269,10 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model, r
     """alpha * sqrt(fsum of per-step gram scores), capped at 1 and 1 on a
     degenerate prefix, is the oracle for bonus and bonus_table."""
     space = reference_env.space
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(12):
-        dataset.add(DataEntry(reference_env.sample_episode(pol, 700 + i), "u", i % 2), pol)
+        dataset.add("u", reference_env.sample_episode(pol, 700 + i), i % 2, pol)
     det_env = make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     det_model, _ = default_psr(det_env)
     evaluators = [

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_single_state_env
+from check_oracles import Entry, decoded_entries, oracle_conditional_tv_diagnostic, oracle_uniform_collection
+from conftest import assert_same_columns, make_single_state_env
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from psrlab.estimation import (
     CandidateSet,
-    DataEntry,
     DatasetFamily,
     conditional_tv_diagnostic,
     constrained_mle,
@@ -25,24 +25,24 @@ from psrlab.spaces import History
 
 @pytest.fixture()
 def small_dataset(reference_env):
-    dataset = DatasetFamily.empty(reference_env.space)
+    dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     for i in range(8):
         traj = reference_env.sample_episode(pol, 500 + i)
-        dataset.add(DataEntry(traj, "u", i % 2), pol)
+        dataset.add("u", traj, i % 2, pol)
     return dataset
 
 
 def test_log_likelihood_empty_dataset(reference_model, reference_env):
-    dataset = DatasetFamily.empty(reference_env.space)
+    dataset = DatasetFamily(reference_env.space)
     assert log_likelihood(reference_model, dataset) == 0.0
 
 
 def test_log_likelihood_single_entry(reference_env, reference_model):
-    dataset = DatasetFamily.empty(reference_env.space)
+    dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     traj = reference_env.sample_episode(pol, 7)
-    dataset.add(DataEntry(traj, "u", 0), pol)
+    dataset.add("u", traj, 0, pol)
     expected = math.log(reference_model.seq_prob(traj) * 0.25)
     assert log_likelihood(reference_model, dataset) == pytest.approx(expected, abs=1e-12)
 
@@ -74,9 +74,9 @@ def test_constrained_mle_excludes_zero_support():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=1, emission_row=np.array([0.5, 0.5]))
     cands = make_candidates(env, "grid", eps_grid=0.5, include_true=True)
     # grid contains the deterministic rows (1,0) and (0,1)
-    dataset = DatasetFamily.empty(env.space)
+    dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
-    dataset.add(DataEntry(History(((1, 0),)), "u", 0), pol)
+    dataset.add("u", History(((1, 0),)), 0, pol)
     result = constrained_mle(cands, dataset, p_min=1e-12, beta=100.0)
     labels = [cands.labels[i] for i in result.feasible_ids]
     zero_support = [
@@ -118,18 +118,18 @@ def test_conditional_tv_disjoint_support_squared():
     env_b = make_single_state_env(horizon=1, n_obs=2, n_actions=1, emission_row=np.array([0.0, 1.0]))
     model_a, _ = default_psr(env_a)
     model_b, _ = default_psr(env_b)
-    dataset = DatasetFamily.empty(env_a.space)
+    dataset = DatasetFamily(env_a.space)
     pol = uniform_policy(env_a.space)
-    dataset.add(DataEntry(History(((0, 0),)), "u", 0), pol)
+    dataset.add("u", History(((0, 0),)), 0, pol)
     assert conditional_tv_diagnostic(model_a, model_b, dataset) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_conditional_tv_degenerate_prefix_raises(reference_env, reference_model):
     env_det = make_single_state_env(horizon=2, n_obs=3, n_actions=2, emission_row=np.array([1.0, 0.0, 0.0]))
     model_det, _ = default_psr(env_det)
-    dataset = DatasetFamily.empty(env_det.space)
+    dataset = DatasetFamily(env_det.space)
     pol = uniform_policy(env_det.space)
-    dataset.add(DataEntry(History(((1, 0), (0, 0))), "u", 1), pol)
+    dataset.add("u", History(((1, 0), (0, 0))), 1, pol)
     with pytest.raises(DegenerateHistory):
         conditional_tv_diagnostic(model_det, model_det, dataset)
 
@@ -169,10 +169,40 @@ def test_dataset_jsonl_round_trip(reference_env, small_dataset):
     )
     rebuilt = dataset_from_jsonl(reference_env.space, text, policies)
     assert rebuilt.size() == small_dataset.size()
-    for ba, bb in zip(rebuilt.buckets, small_dataset.buckets):
-        assert [e.trajectory.steps for e in ba] == [e.trajectory.steps for e in bb]
-        assert [e.policy_id for e in ba] == [e.policy_id for e in bb]
+    assert_same_columns(rebuilt, small_dataset)
     assert rebuilt.to_jsonl() == text
+    assert DatasetFamily(reference_env.space).to_jsonl() == ""
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ('{"h":0,"policy_id":"u","trajectory":[[0,0],[0,0]]', "malformed"),  # bad JSON
+        ('{"policy_id":"u","trajectory":[[0,0],[0,0]]}', "missing key 'h'"),
+        ('{"h":0,"trajectory":[[0,0],[0,0]]}', "missing key 'policy_id'"),
+        ('{"h":0,"policy_id":"u"}', "missing key 'trajectory'"),
+        ('{"h":0,"policy_id":"u","trajectory":[[0,0],[0]]}', "malformed"),  # a step that is not a pair
+        ('{"h":0,"policy_id":"u","trajectory":[[0,0],7]}', "malformed"),
+        ('[0,"u"]', "malformed"),  # not a record
+        ('{"h":"0","policy_id":"u","trajectory":[[0,0],[0,0]]}', "integers"),
+        ('{"h":0.5,"policy_id":"u","trajectory":[[0,0],[0,0]]}', "integers"),
+        ('{"h":true,"policy_id":"u","trajectory":[[0,0],[0,0]]}', "integers"),
+        ('{"h":0,"policy_id":"u","trajectory":[[0,0.0],[0,0]]}', "integers"),
+        ('{"h":0,"policy_id":1,"trajectory":[[0,0],[0,0]]}', "string"),
+        ('{"h":2,"policy_id":"u","trajectory":[[0,0],[0,0]]}', "split step"),
+        ('{"h":0,"policy_id":"v","trajectory":[[0,0],[0,0]]}', "unknown policy id"),
+    ],
+    ids=[
+        "bad-json", "no-h", "no-policy-id", "no-trajectory", "short-step", "scalar-step", "not-a-record",
+        "h-string", "h-float", "h-bool", "float-step", "policy-id-number", "h-range", "unknown-policy",
+    ],
+)
+def test_dataset_from_jsonl_names_the_malformed_line(reference_env, small_dataset, line, message):
+    good = small_dataset.to_jsonl().splitlines()[0]
+    text = "\n".join([good, "", line, good]) + "\n"
+    with pytest.raises(StructuralError, match="dataset line 3: ") as info:
+        dataset_from_jsonl(reference_env.space, text, dict(small_dataset.policies))
+    assert message in str(info.value)
 
 
 def test_grid_mle_hellinger_near_best_neighbor():
@@ -218,21 +248,21 @@ def test_candidate_set_serialization_round_trip(reference_env):
 
 
 def test_dataset_bucket_validation(reference_env):
-    dataset = DatasetFamily.empty(reference_env.space)
+    dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     with pytest.raises(StructuralError):
-        dataset.add(DataEntry(History(((0, 0),)), "u", 0), pol)  # not full length
+        dataset.add("u", History(((0, 0),)), 0, pol)  # not full length
     traj = reference_env.sample_episode(pol, 1)
     with pytest.raises(StructuralError):
-        dataset.add(DataEntry(traj, "u", 5), pol)
+        dataset.add("u", traj, 5, pol)
     with pytest.raises(StructuralError):
-        dataset.add(DataEntry(traj, "unknown", 0))
+        dataset.add("unknown", traj, 0)
 
 
 def _oracle_log_likelihood(model, dataset):
     """Per-entry fsum of log seq_prob + log policy_weight; -inf if any is zero."""
     terms = []
-    for entry in dataset.all_entries():
+    for entry in (e for bucket in decoded_entries(dataset) for e in bucket):
         p = model.seq_prob(entry.trajectory)
         w = policy_weight(dataset.policies[entry.policy_id], entry.trajectory)
         if p <= 0.0 or w <= 0.0:
@@ -245,7 +275,7 @@ def _oracle_feasible(model, dataset, p_min):
     return all(
         model.seq_prob(e.trajectory.prefix(h)) * policy_weight(dataset.policies[e.policy_id], e.trajectory.prefix(h))
         >= p_min
-        for h, bucket in enumerate(dataset.buckets)
+        for h, bucket in enumerate(decoded_entries(dataset))
         for e in bucket
     )
 
@@ -258,12 +288,12 @@ def test_likelihood_and_feasibility_match_per_entry_oracle(reference_env):
     space = reference_env.space
     for seed in range(4):
         datasets = [collect_offline(reference_env, uniform_policy(space), 30, seed)]
-        explore = DatasetFamily.empty(space)
+        explore = DatasetFamily(space)
         for k in range(10):
             for h in range(1, space.horizon + 1):
                 pol = exploration_policy(uniform_policy(space), h, cands.models[0].core_tests)
                 traj = reference_env.sample_episode(pol, 1000 * seed + 10 * k + h)
-                explore.add(DataEntry(traj, f"e{k},{h}", h - 1), pol)
+                explore.add(f"e{k},{h}", traj, h - 1, pol)
         datasets.append(explore)
         for dataset in datasets:
             for model in cands.models:
@@ -277,11 +307,11 @@ def test_likelihood_and_feasibility_match_per_entry_oracle(reference_env):
 def test_likelihood_oracle_edge_cases():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     model, _ = default_psr(env)
-    dataset = DatasetFamily.empty(env.space)
-    dataset.add(DataEntry(History(((1, 0),)), "u", 0), uniform_policy(env.space))
+    dataset = DatasetFamily(env.space)
+    dataset.add("u", History(((1, 0),)), 0, uniform_policy(env.space))
     assert log_likelihood(model, dataset) == _oracle_log_likelihood(model, dataset) == float("-inf")
-    dataset = DatasetFamily.empty(env.space)
-    dataset.add(DataEntry(History(((0, 1),)), "u", 0), uniform_policy(env.space))
+    dataset = DatasetFamily(env.space)
+    dataset.add("u", History(((0, 1),)), 0, uniform_policy(env.space))
     # the empty prefix has weight 1, so only a floor above 1 is infeasible
     assert theta_min_feasible(model, dataset, 1.0) is _oracle_feasible(model, dataset, 1.0) is True
     assert theta_min_feasible(model, dataset, 1.5) is _oracle_feasible(model, dataset, 1.5) is False
@@ -296,14 +326,14 @@ def test_dataset_from_jsonl_rejects_out_of_range_steps(reference_env, small_data
 
 def test_dataset_rejects_policy_id_reused_for_another_policy(reference_env):
     space = reference_env.space
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     traj = reference_env.sample_episode(uniform_policy(space), 3)
-    dataset.add(DataEntry(traj, "u", 0), uniform_policy(space))
-    dataset.add(DataEntry(traj, "u", 1), uniform_policy(space))  # equal policy, new object
+    dataset.add("u", traj, 0, uniform_policy(space))
+    dataset.add("u", traj, 1, uniform_policy(space))  # equal policy, new object
     assert dataset.size() == 2
     other = UniformActionSeqPolicy(space.n_actions, start_step=1, sequences=((0,), (1,)))
     with pytest.raises(StructuralError, match="'u'"):
-        dataset.add(DataEntry(traj, "u", 0), other)
+        dataset.add("u", traj, 0, other)
     assert dataset.size() == 2
     assert dataset.policies["u"].to_dict() == uniform_policy(space).to_dict()
 
@@ -348,13 +378,13 @@ def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env
     neg_inf_id, unstable_id = len(cands) - 2, len(cands) - 1
     p_min, beta = 1e-3, 2.0
     core = cands.models[0].core_tests
-    dataset = DatasetFamily.empty(space)
+    dataset = DatasetFamily(space)
     for stage in range(5):
         for k in range(4):
             for h in range(1, space.horizon + 1):
                 pol = exploration_policy(uniform_policy(space), h, core)
                 traj = reference_env.sample_episode(pol, 100 * stage + 10 * k + h)
-                dataset.add(DataEntry(traj, f"e{stage},{k},{h}", h - 1), pol)
+                dataset.add(f"e{stage},{k},{h}", traj, h - 1, pol)
         result = constrained_mle(cands, dataset, p_min, beta)
         stable, liks, selected, margin = _oracle_selection(cands, dataset, p_min, beta)
         assert result.selected_id == selected
@@ -414,10 +444,37 @@ def test_bucket_weight_columns_match_per_history_oracle(reference_env):
     loaded = dataset_from_jsonl(reference_env.space, offline_data.to_jsonl(), offline_data.policies)
     for dataset in (online_data, offline_data, loaded):
         assert dataset.size() > 0
-        for h, bucket in enumerate(dataset.buckets):
+        for h, bucket in enumerate(decoded_entries(dataset)):
             cols = dataset.columns[h]
             recorded = [dataset.policies[e.policy_id] for e in bucket]
             prefix = [oracle_policy_weight(p, e.trajectory.prefix(h)) for p, e in zip(recorded, bucket)]
             full = [oracle_policy_weight(p, e.trajectory) for p, e in zip(recorded, bucket)]
             assert np.asarray(cols.prefix_weight).tobytes() == np.array(prefix, dtype=float).tobytes()
             assert np.asarray(cols.full_weight).tobytes() == np.array(full, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
+    """The diagnostic, grouping rows over the policy-id columns, equals the
+    entry-walking oracle after every stage of a growing dataset: one random
+    tree policy per (stage, step), shared by the ids of that stage's rounds,
+    so every bucket mixes policies whose continuations differ."""
+    from psrlab.policies import random_tree_policy
+    from psrlab.seeding import child_seed, rng_for
+
+    space = small_env.space
+    cands = make_candidates(small_env, "dithered", seed=3, n=6, scale=0.08)
+    truth = cands.models[0]
+    dataset = DatasetFamily(space)
+    buckets = [[] for _ in range(space.horizon)]
+    for stage in range(4):
+        policies = [random_tree_policy(space, rng_for(seed, f"ctv-stage-{h}", stage)) for h in range(space.horizon)]
+        for k in range(3):
+            for h, pol in enumerate(policies):
+                pid = f"e{stage},{k},{h}"
+                traj = small_env.sample_episode(pol, child_seed(seed, "ctv-episode", 100 * stage + 10 * k + h))
+                dataset.add(pid, traj, h, pol)
+                buckets[h].append(Entry(traj, pid))
+        for model in cands.models:
+            want = oracle_conditional_tv_diagnostic(model, truth, dataset.policies, buckets)
+            assert conditional_tv_diagnostic(model, truth, dataset).hex() == want.hex()

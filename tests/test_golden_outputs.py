@@ -7,15 +7,21 @@ collection was batched; a change that moves any draw, weight or float sum
 in the offline pipeline changes one of them.  The online digests were
 recorded before the bonus sums and the planner's backward induction were
 rewritten; each iteration's ``ucb_value`` and the summary's ``gap`` pin
-the bonus and plan bits.
+the bonus and plan bits.  The dataset JSONL digests were recorded while a
+dataset still kept one entry object per trajectory next to its columns;
+the JSONL is now decoded from the trajectory-index columns.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from psrlab.cli import main
+from psrlab.cli import build_behavior, build_candidates, build_env, main
+from psrlab.offline import collect_offline
+from psrlab.online import OnlineConfig, run_psr_ucb
+from psrlab.pomdp import default_psr
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG = CONFIGS / "offline_sweep.json"
@@ -47,6 +53,11 @@ ONLINE_SHA256 = {
 }
 ONLINE_ALL_SHA256 = "9f70a29ef40ed58834c29bd9858243e4f44b20290d2ece8652a27f17cb0fda66"
 
+# SHA-256 of DatasetFamily.to_jsonl() for seed 0: the offline sweep's behaviour
+# at n = 1000 episodes, and the dataset of the online reference run.
+OFFLINE_JSONL_SHA256 = "c3720d8881731bfd047bba07efe16cd5b10670e983a4d55f4142d01e3c0d583b"
+ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e02c831c"
+
 
 def _assert_digests(out, expected, expected_all):
     names = sorted(p.name for p in out.iterdir())
@@ -74,3 +85,25 @@ def test_run_online_outputs_are_byte_identical(tmp_path):
     )
     assert result.exit_code == 0, result.output
     _assert_digests(out, ONLINE_SHA256, ONLINE_ALL_SHA256)
+
+
+def test_offline_dataset_jsonl_is_byte_identical():
+    config = json.loads(CONFIG.read_text())
+    env = build_env(config["env"])
+    dataset = collect_offline(env, build_behavior(config["behavior"], env.space), 1000, 0)
+    assert dataset.size() == 1000
+    assert hashlib.sha256(dataset.to_jsonl().encode()).hexdigest() == OFFLINE_JSONL_SHA256
+
+
+def test_online_dataset_jsonl_is_byte_identical():
+    config = json.loads((CONFIGS / "online_reference.json").read_text())
+    env = build_env(config["env"])
+    true_model, _ = default_psr(env)
+    on = config["online"]
+    online = OnlineConfig(
+        max_iterations=on["max_iterations"], epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"],
+        beta=on["beta"], lam=on["lambda"], alpha=on["alpha"], seed=0,
+    )
+    result = run_psr_ucb(env, online, build_candidates(env, config["candidates"]), true_model.core_tests)
+    assert result.dataset.size() == 2 * len(result.logs)
+    assert hashlib.sha256(result.dataset.to_jsonl().encode()).hexdigest() == ONLINE_JSONL_SHA256

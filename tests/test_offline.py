@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_single_state_env
+from conftest import assert_same_columns, make_single_state_env
 from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.offline import (
+    BEHAVIOR_POLICY_ID,
     OfflineConfig,
     collect_offline,
     coverage_coefficient,
@@ -30,26 +31,26 @@ from psrlab.spaces import History, enumerate_histories
 
 def test_collect_split_exact_when_k_equals_h(small_env):
     dataset = collect_offline(small_env, uniform_policy(small_env.space), 3, seed=0)
-    assert [len(b) for b in dataset.buckets] == [1, 1, 1]
+    assert [len(cols.trajectory) for cols in dataset.columns] == [1, 1, 1]
 
 
 def test_collect_split_sizes_differ_by_at_most_one(small_env):
     dataset = collect_offline(small_env, uniform_policy(small_env.space), 10, seed=4)
-    sizes = sorted(len(b) for b in dataset.buckets)
+    sizes = sorted(len(cols.trajectory) for cols in dataset.columns)
     assert sizes == [3, 3, 4]
     again = collect_offline(small_env, uniform_policy(small_env.space), 10, seed=4)
-    assert [
-        [e.trajectory.steps for e in b] for b in again.buckets
-    ] == [[e.trajectory.steps for e in b] for b in dataset.buckets]
+    assert_same_columns(again, dataset)
 
 
 def test_collect_is_partition(small_env):
     dataset = collect_offline(small_env, uniform_policy(small_env.space), 11, seed=1)
     assert dataset.size() == 11
-    for h, bucket in enumerate(dataset.buckets):
-        for entry in bucket:
-            assert entry.split_step == h
-            assert len(entry.trajectory) == small_env.space.horizon
+    space = small_env.space
+    for h, cols in enumerate(dataset.columns):
+        assert cols.policy_id == [BEHAVIOR_POLICY_ID] * len(cols.trajectory)
+        assert all(0 <= t < space.n_trajectories for t in cols.trajectory)
+        # the recorded prefix is the length-h prefix of the recorded trajectory
+        assert [t // space.pair_count ** (space.horizon - h) for t in cols.trajectory] == list(cols.prefix)
 
 
 def test_collect_requires_enough_episodes(small_env):
@@ -63,8 +64,8 @@ def test_collect_frequencies_match_exact(reference_env):
     dataset = collect_offline(reference_env, behavior, n, seed=9)
     space = reference_env.space
     counts = np.zeros(space.n_trajectories)
-    for entry in dataset.all_entries():
-        counts[entry.trajectory.lex_index(space)] += 1
+    for cols in dataset.columns:
+        np.add.at(counts, np.asarray(cols.trajectory), 1)
     from psrlab.policies import policy_weight_vector
 
     exact = policy_weight_vector(behavior, space) * np.array(

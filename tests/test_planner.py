@@ -6,7 +6,7 @@ import pytest
 from check_oracles import oracle_value
 from conftest import make_single_state_env
 from psrlab.errors import StructuralError
-from psrlab.estimation import DataEntry, DatasetFamily
+from psrlab.estimation import DatasetFamily
 from psrlab.online import _build_evaluator
 from psrlab.planner import leaf_table, plan_on_table, policy_value_on_table
 from psrlab.policies import DeterministicTreePolicy, uniform_policy
@@ -71,11 +71,11 @@ def test_tie_breaks_to_lowest_action():
 
 
 def _bonus_evaluator(env, model, seed=0, n_entries=6, lam=1.0, alpha=0.7):
-    dataset = DatasetFamily.empty(env.space)
+    dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
     for i in range(n_entries):
         traj = env.sample_episode(pol, 1000 + seed * 97 + i)
-        dataset.add(DataEntry(traj, "b", i % env.space.horizon), pol)
+        dataset.add("b", traj, i % env.space.horizon, pol)
     return _build_evaluator(model, dataset, lam, alpha)
 
 

@@ -11,7 +11,7 @@ from conftest import make_single_state_env
 from psrlab import online
 from psrlab.bonus import BonusEvaluator, FeatureGram, decodable_transform
 from psrlab.errors import StructuralError
-from psrlab.estimation import DataEntry, DatasetFamily, make_candidates
+from psrlab.estimation import DatasetFamily, make_candidates
 from psrlab.online import OnlineConfig, _build_evaluator, run_psr_ucb
 from psrlab.planner import plan_on_table
 from psrlab.policies import uniform_policy
@@ -39,10 +39,10 @@ def _assert_plan_matches_oracle(space, leaves, label):
 
 
 def _evaluator(env, model, n_entries, lam=1.0, alpha=0.7, transform=None):
-    dataset = DatasetFamily.empty(env.space)
+    dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
     for i in range(n_entries):
-        dataset.add(DataEntry(env.sample_episode(pol, 5000 + i), "b", i % env.space.horizon), pol)
+        dataset.add("b", env.sample_episode(pol, 5000 + i), i % env.space.horizon, pol)
     ev = _build_evaluator(model, dataset, lam, alpha)
     if transform is None:
         return ev

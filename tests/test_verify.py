@@ -2,10 +2,13 @@ import math
 
 import pytest
 
-from check_oracles import brute_force_prefix_prob
-from psrlab.seeding import rng_for
+from check_oracles import brute_force_prefix_prob, oracle_conditional_tv_diagnostic, oracle_uniform_collection
+from psrlab.estimation import conditional_tv_diagnostic, make_candidates
+from psrlab.pomdp import default_psr, random_revealing
+from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import (
     Report,
+    _uniform_collection,
     reference_env,
     run_lemma_checks,
     verify,
@@ -65,3 +68,32 @@ def test_azuma_hoeffding_tail_bound():
         if abs(steps.sum()) >= bound:
             exceed += 1
     assert exceed / n_trials <= delta + wilson_slack(delta, n_trials)
+
+
+COLLECTION_ENVS = {
+    "reference": reference_env(),
+    "random_revealing(2,2,2,2,3)": random_revealing(2, 2, 2, 2, 3, alpha_threshold=0.05),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(COLLECTION_ENVS))
+def test_uniform_collection_matches_one_episode_oracle(name, seed):
+    """One batched draw per step gives the columns of one ``sample_episode``
+    and ``add`` per entry, bit for bit, with one policy id per step; the
+    conditional-TV diagnostic of either equals the entry-walking oracle."""
+    env = COLLECTION_ENVS[name]
+    truth, _ = default_psr(env)
+    collection_seed = child_seed(seed, "mle-event")
+    got = _uniform_collection(env, truth, 12, collection_seed)
+    want, buckets = oracle_uniform_collection(env, truth, 12, collection_seed)
+    for h, (got_cols, want_cols) in enumerate(zip(got.columns, want.columns, strict=True), start=1):
+        for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
+            assert g.typecode == w.typecode and g.tobytes() == w.tobytes()
+        assert got_cols.policy_id == [f"uexplore[h={h}]"] * 12
+        assert want_cols.policy_id == [f"uexplore[k={k},h={h}]" for k in range(1, 13)]
+        assert got.policies[f"uexplore[h={h}]"].to_dict() == want.policies[want_cols.policy_id[0]].to_dict()
+    for model in make_candidates(env, "dithered", seed=77, n=4, scale=0.08).models:
+        oracle = oracle_conditional_tv_diagnostic(model, truth, want.policies, buckets).hex()
+        assert conditional_tv_diagnostic(model, truth, got).hex() == oracle
+        assert conditional_tv_diagnostic(model, truth, want).hex() == oracle
