@@ -163,8 +163,6 @@ def _resolve_online(cfg: dict, constants: EnvSummary | None, n_episodes: int, se
         epsilon=cfg["epsilon"],
         delta=cfg["delta"],
         seed=seed,
-        c_theory=cfg.get("c_theory", 1.0),
-        auto_params=cfg.get("auto_params", False),
         **values,
     )
     return online, echo
@@ -274,14 +272,7 @@ def _offline_runner(env, true_model, candidates, behavior, cfg: dict):
             cfg, constants, "offline", n_episodes, coverage=coverage if given is None else given, iota=iota
         )
         dataset = collect_offline(env, behavior, n_episodes, seed)
-        offline = OfflineConfig(
-            n_episodes=n_episodes,
-            seed=seed,
-            c_theory=cfg.get("c_theory", 1.0),
-            auto_params=cfg.get("auto_params", False),
-            **values,
-        )
-        result = run_psr_lcb(dataset, candidates, offline, reward_leaves)
+        result = run_psr_lcb(dataset, candidates, OfflineConfig(**values), reward_leaves)
         gap = offline_gap(env, true_model, opt_policy, result.policy)
         return result, gap, iota, coverage, echo
 

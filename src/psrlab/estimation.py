@@ -23,13 +23,14 @@ import numpy as np
 
 from .errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
 from .policies import Policy, continuation_weights, policy_from_dict, prefix_weights, reached_rows
-from .pomdp import GMatrices, TabularPomdp, g_matrices, pomdp_to_psr
+from .pomdp import TabularPomdp, default_psr, g_matrices, pomdp_to_psr
 from .psr import PsrModel, check_self_consistency, stacked_tables
 from .seeding import rng_for
 from .spaces import History, ObsActSpace
 
 NEG_INF = float("-inf")
 MAX_CANDIDATES = 100_000
+MAX_ATTEMPTS_PER_CANDIDATE = 20  # dithering draws per requested candidate before giving up
 SELF_CONSISTENCY_TOL = 1e-9
 
 
@@ -85,12 +86,10 @@ class DatasetFamily:
         if policy_id not in self.policies:
             raise StructuralError(f"unknown policy id {policy_id!r}")
         weights = prefix_weights(self.policies[policy_id], trajectory)
-        cols = self.columns[split_step]
-        cols.prefix.append(trajectory.prefix(split_step).lex_index(space))
-        cols.trajectory.append(trajectory.lex_index(space))
-        cols.prefix_weight.append(weights[split_step])
-        cols.full_weight.append(weights[-1])
-        cols.policy_id.append(policy_id)
+        row = (trajectory.prefix(split_step).lex_index(space), trajectory.lex_index(space),
+               weights[split_step], weights[-1], policy_id)  # every value before the first append
+        for column, value in zip(self.columns[split_step], row):
+            column.append(value)
 
     def add_batch(self, policy_id: str, obs: np.ndarray, actions: np.ndarray, split_steps: np.ndarray) -> None:
         """Add one entry per row of ``(n, H)`` observations and actions, as ``add`` would in row order.
@@ -254,23 +253,20 @@ def make_candidates(
     seed: int = 0,
     n: int = 0,
     scale: float = 0.05,
-    transition_scale: float | None = None,
     emission_scale: float | None = None,
     eps_grid: float = 0.5,
-    window: int | None = None,
     include_true: bool = True,
-    max_attempts_per_candidate: int = 20,
 ) -> CandidateSet:
     """Deterministic candidate family around a ground-truth environment.
 
     Modes: ``include_true`` (singleton truth), ``dithered`` (renormalized
-    multiplicative noise on all stochastic rows), ``grid`` (simplex lattice
-    of resolution ``eps_grid`` on every stochastic row).  Dithering noise
-    can be scaled separately for transition and emission rows (zero freezes
-    a table at the truth).  All members share the truth's core-test
-    structure so their features are comparable.
+    multiplicative noise of size ``scale`` on all stochastic rows), ``grid``
+    (simplex lattice of resolution ``eps_grid`` on every stochastic row).
+    Emission rows take ``emission_scale`` when given (zero freezes them at
+    the truth).  All members share the truth's core-test structure, the
+    window of ``default_psr``, so their features are comparable.
     """
-    g_true = g_matrices(env, window) if window is not None else _default_g(env)
+    g_true = default_psr(env)[1]
     models: list[PsrModel] = []
     labels: list[str] = []
     pomdps: list[TabularPomdp] = []
@@ -288,20 +284,19 @@ def make_candidates(
     if mode == "include_true":
         _add(env, "true")
     elif mode == "dithered":
-        t_scale = scale if transition_scale is None else transition_scale
         e_scale = scale if emission_scale is None else emission_scale
         if include_true:
             _add(env, "true")
         made = 0
         attempt = 0
         while made < n:
-            if attempt >= n * max_attempts_per_candidate:
+            if attempt >= n * MAX_ATTEMPTS_PER_CANDIDATE:
                 raise StructuralError("dithering kept failing to produce valid candidates")
             rng = rng_for(seed, "dither", attempt)
             attempt += 1
             transition = env.transition
-            if env.transition.size and t_scale > 0:
-                transition = _perturbed_rows(env.transition, t_scale, rng)
+            if env.transition.size and scale > 0:
+                transition = _perturbed_rows(env.transition, scale, rng)
             emission = _perturbed_rows(env.emission, e_scale, rng) if e_scale > 0 else env.emission
             cand = TabularPomdp(
                 env.n_states, env.space, transition, emission, env.initial_state, env.reward
@@ -327,12 +322,6 @@ def make_candidates(
         tuple(pomdps),
         {"mode": mode, "seed": seed, "n": n, "scale": scale, "eps_grid": eps_grid, "window": g_true.m},
     )
-
-
-def _default_g(env: TabularPomdp) -> GMatrices:
-    from .pomdp import default_psr
-
-    return default_psr(env)[1]
 
 
 def _simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:
@@ -382,7 +371,7 @@ def _grid_tables(env: TabularPomdp, eps: float):
 
 
 def _stability_and_likelihood(
-    prob_table: Callable[[int], np.ndarray], dataset: DatasetFamily, p_min: float, scope: int | None = None
+    prob_table: Callable[[int], np.ndarray], dataset: DatasetFamily, p_min: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stability flags and log-likelihoods of a stack of models.
 
@@ -390,30 +379,28 @@ def _stability_and_likelihood(
     probabilities.  A model is stable when every recorded prefix keeps
     probability at least ``p_min`` under its recorded policy.  Its
     log-likelihood sums log probability plus log policy weight over the
-    recorded trajectories (bucket ``scope`` only, when given); an entry the
-    model or its policy cannot produce pushes it to -inf.
+    recorded trajectories; an entry the model or its policy cannot produce
+    pushes it to -inf.
     """
     columns = dataset.columns
     stable = np.ones(prob_table(0).shape[0], dtype=bool)
     for h, cols in enumerate(columns):
         if cols.prefix:
             stable &= ~np.any(prob_table(h)[:, cols.prefix] * cols.prefix_weight < p_min, axis=1)
-    scoped = columns if scope is None else [columns[scope]]
-    probs = prob_table(dataset.space.horizon)[:, np.concatenate([cols.trajectory for cols in scoped])]
-    weights = np.concatenate([cols.full_weight for cols in scoped])
+    probs = prob_table(dataset.space.horizon)[:, np.concatenate([cols.trajectory for cols in columns])]
+    weights = np.concatenate([cols.full_weight for cols in columns])
     with np.errstate(divide="ignore", invalid="ignore"):  # log of p <= 0 is -inf or NaN
         logliks = np.log(probs).sum(axis=1) + np.log(weights).sum()
     logliks[np.isnan(logliks)] = NEG_INF
     return stable, logliks
 
 
-def log_likelihood(model: PsrModel, dataset: DatasetFamily, scope: int | None = None) -> float:
-    """Sum of trajectory log probabilities (policy factor included).
+def log_likelihood(model: PsrModel, dataset: DatasetFamily) -> float:
+    """Sum of trajectory log probabilities (policy factor included) over all buckets.
 
-    ``scope`` selects one step bucket; None sums them all.  Entries the
-    model cannot produce push the result to -inf.
+    Entries the model cannot produce push the result to -inf.
     """
-    return float(_stability_and_likelihood(lambda h: model.prob_table(h)[None], dataset, NEG_INF, scope)[1][0])
+    return float(_stability_and_likelihood(lambda h: model.prob_table(h)[None], dataset, NEG_INF)[1][0])
 
 
 def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:

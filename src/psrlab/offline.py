@@ -8,7 +8,7 @@ online machinery; the output policy maximizes estimated value minus bonus
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import math
 
@@ -28,22 +28,15 @@ from .spaces import ObsActSpace
 
 @dataclass(frozen=True)
 class OfflineConfig:
-    n_episodes: int
     p_min: float
     beta: float
     lam: float
     alpha: float
-    seed: int
-    c_theory: float = 1.0
-    auto_params: bool = False
-    candidate_spec: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for name in ("p_min", "beta", "lam", "alpha"):
             if getattr(self, name) <= 0:
                 raise StructuralError(f"{name} must be positive")
-        if self.n_episodes < 1:
-            raise StructuralError("need at least one episode")
 
 
 BEHAVIOR_POLICY_ID = "behavior"
@@ -148,7 +141,6 @@ class OfflineResult:
     model_id: int
     feasible_size: int
     pessimistic_value: float
-    gram_condition_numbers: tuple[float, ...]
     evaluator: BonusEvaluator
 
 
@@ -167,7 +159,6 @@ def run_psr_lcb(dataset: DatasetFamily, candidates: CandidateSet, config: Offlin
         mle.selected_id,
         len(mle.feasible_ids),
         float(value),
-        tuple(g.condition_number for g in evaluator.grams),
         evaluator,
     )
 

@@ -12,7 +12,7 @@ the loop body never touches the reward function.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,6 @@ class OnlineConfig:
     lam: float
     alpha: float
     seed: int
-    c_theory: float = 1.0
-    auto_params: bool = False
-    candidate_spec: dict = field(default_factory=dict)
-    env_spec: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not (0 < self.epsilon < 1 and 0 < self.delta < 1):

@@ -53,18 +53,31 @@ class RewardTable:
             raise StructuralError("per-step reward maxima must sum to at most 1")
 
     def of(self, trajectory: History) -> float:
-        return float(math.fsum(self.table[h, o, a] for h, (o, a) in enumerate(trajectory.steps)))
+        """The full trajectory's entry in the leaf table."""
+        space = self._space
+        if len(trajectory) != space.horizon:
+            raise StructuralError(f"reward needs a full trajectory of {space.horizon} steps, got {len(trajectory)}")
+        trajectory.validate(space)
+        return float(self._leaves[trajectory.lex_index(space)])
 
     def leaf_table(self, space: ObsActSpace) -> np.ndarray:
-        """Reward of every full trajectory in lexicographic order, by broadcasting.
-
-        Steps add left to right: past two steps a leaf may differ from ``of`` in the last bit.
-        """
+        """Reward of every full trajectory in lexicographic order, read-only."""
         if self.table.shape != (space.horizon, space.n_obs, space.n_actions):
             raise StructuralError(f"reward table shape {self.table.shape} does not match {space}")
+        return self._leaves
+
+    @cached_property
+    def _space(self) -> ObsActSpace:
+        horizon, n_obs, n_actions = self.table.shape
+        return ObsActSpace(n_obs, n_actions, horizon)
+
+    @cached_property
+    def _leaves(self) -> np.ndarray:
+        """Built once by broadcasting, the step rewards added left to right."""
         leaves = np.zeros(1)
         for step in self.table:
             leaves = (leaves[:, None] + step.reshape(-1)).reshape(-1)
+        leaves.flags.writeable = False
         return leaves
 
 

@@ -12,10 +12,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EnumerationCapExceeded, StructuralError
 
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV_VAR = "PSRLAB_ENUM_CAP"
+_INTEGERS = (int, np.integer)  # concrete types: an isinstance check on them is cheap per step
 
 
 def enum_cap() -> int:
@@ -88,16 +91,28 @@ class History:
         return History(self.steps + ((obs, action),))
 
     def validate(self, space: ObsActSpace) -> None:
+        """Reject histories longer than the horizon and steps that are not pairs of in-range integers.
+
+        Python and numpy integers are accepted; ``bool`` is not, so ``True`` is never read as 1.
+        """
         if len(self.steps) > space.horizon:
             raise StructuralError(f"history length {len(self.steps)} exceeds horizon {space.horizon}")
-        for o, a in self.steps:
-            if not (0 <= o < space.n_obs and 0 <= a < space.n_actions):
+        n_obs, n_actions = space.n_obs, space.n_actions
+        for step in self.steps:
+            try:
+                o, a = step
+            except (TypeError, ValueError) as exc:
+                raise StructuralError(f"step {step!r} is not an (obs, action) pair") from exc
+            if type(o) is bool or type(a) is bool or not isinstance(o, _INTEGERS) or not isinstance(a, _INTEGERS):
+                raise StructuralError(f"step ({o!r}, {a!r}) must hold integers")
+            if not (0 <= o < n_obs and 0 <= a < n_actions):
                 raise StructuralError(f"step ({o}, {a}) outside space bounds")
 
     def lex_index(self, space: ObsActSpace) -> int:
+        pairs, n_actions = space.pair_count, space.n_actions
         idx = 0
         for o, a in self.steps:
-            idx = idx * space.pair_count + (o * space.n_actions + a)
+            idx = idx * pairs + (o * n_actions + a)
         return idx
 
 

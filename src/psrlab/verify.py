@@ -28,10 +28,10 @@ from .estimation import (
     make_candidates,
     theta_min_feasible,
 )
-from .online import OnlineConfig, _build_evaluator, exploration_policy, run_psr_ucb
+from .online import OnlineConfig, _build_evaluator, _explore, exploration_suffixes, run_psr_ucb
 from .offline import OfflineConfig, collect_offline, run_psr_lcb
 from .planner import plan_on_table, policy_value_on_table
-from .policies import random_tree_policy, uniform_policy, policy_weight_vector
+from .policies import UniformActionSeqPolicy, random_tree_policy, uniform_policy, policy_weight_vector
 from .pomdp import (
     TabularPomdp,
     default_psr,
@@ -351,19 +351,21 @@ def run_lemma_checks(report: Report, seeds: int = 100) -> None:
 
 
 def _uniform_collection(
-    env: TabularPomdp, model: PsrModel, n_rounds: int, seed: int
+    env: TabularPomdp, suffixes: tuple[UniformActionSeqPolicy, ...], n_rounds: int, seed: int
 ) -> DatasetFamily:
     """Exploration-style collection under a fixed uniform prefix policy.
 
-    Round ``k`` draws one episode per step ``h`` from its own child seed into
-    bucket ``h - 1``; each step's rounds are drawn and added in one batch.
+    ``suffixes`` are the :func:`exploration_suffixes` of the core tests,
+    built once per suite run.  Round ``k`` draws one episode per step ``h``
+    from its own child seed into bucket ``h - 1``; each step's rounds are
+    drawn and added in one batch.
     """
     space = env.space
     dataset = DatasetFamily(space)
     base = uniform_policy(space)
     for h in range(1, space.horizon + 1):
         pid = f"uexplore[h={h}]"
-        dataset.policies[pid] = policy = exploration_policy(base, h, model.core_tests)
+        dataset.policies[pid] = policy = _explore(base, h, suffixes)
         seeds = [child_seed(seed, "verify-episode", k * (space.horizon + 1) + h) for k in range(1, n_rounds + 1)]
         obs, actions = env.sample_episodes(policy, seeds)
         dataset.add_batch(pid, obs, actions, np.full(n_rounds, h - 1))
@@ -391,8 +393,9 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
     log_term = math.log(n_rounds * n_cands / delta)
     p_min = delta / (n_rounds * env.space.horizon * float(env.space.pair_count) ** env.space.horizon)
     viol = {"loglik-margin": 0, "conditional-tv": 0, "hellinger": 0, "p-min-feasible": 0}
+    suffixes = exploration_suffixes(true_model.core_tests)
     for s in range(seeds):
-        dataset = _uniform_collection(env, true_model, n_rounds, child_seed(s, "mle-event"))
+        dataset = _uniform_collection(env, suffixes, n_rounds, child_seed(s, "mle-event"))
         lik_true = log_likelihood(true_model, dataset)
         prefix_true = _prefix_loglik(true_model, dataset)
         margin_ok = True
@@ -509,12 +512,10 @@ def run_validity_checks(
     for s in range(runs):
         ds = collect_offline(env, behavior, 60, child_seed(s, "validity-offline"))
         cfg = OfflineConfig(
-            n_episodes=60,
             p_min=params["p_min"],
             beta=params["beta"],
             lam=params["lam"],
             alpha=params["alpha"],
-            seed=s,
         )
         res = run_psr_lcb(ds, cands, cfg, reward_leaves)
         if not policy_checks(res.model, res.evaluator, 10_000 + s):
@@ -535,9 +536,10 @@ def run_validity_checks(
     bonus_viol = 0
     bonus_runs = max(20, runs // 5)
     rank = env.n_states
+    suffixes = exploration_suffixes(true_model.core_tests)
     for s in range(bonus_runs):
         seed = child_seed(s, "bonus-relation")
-        dataset = _uniform_collection(env, true_model, 10, seed)
+        dataset = _uniform_collection(env, suffixes, 10, seed)
         mle = constrained_mle(cands, dataset, params["p_min"], params["beta"])
         evaluator = _build_evaluator(mle.model, dataset, params["lam"], params["alpha"])
         scores, degenerate = evaluator.score_table()

@@ -80,3 +80,8 @@ def oracle_coverage_coefficient(env, target, behavior):
                 return math.inf
             worst = max(worst, wt / wb)
     return worst
+
+
+def oracle_reward_of(reward, trajectory):
+    """Exactly rounded sum of the trajectory's step rewards."""
+    return float(math.fsum(reward.table[h, o, a] for h, (o, a) in enumerate(trajectory.steps)))

@@ -218,12 +218,10 @@ def test_criterion_09_offline_trend():
         for seed in config["seeds"]:
             dataset = collect_offline(env, behavior, K, seed)
             cfg = OfflineConfig(
-                n_episodes=K,
                 p_min=ocfg["p_min"],
                 beta=ocfg["beta"],
                 lam=ocfg["lambda"],
                 alpha=ocfg["alpha"],
-                seed=seed,
             )
             result = run_psr_lcb(dataset, cands, cfg, reward_leaves)
             gaps.append(offline_gap(env, true_model, opt_policy, result.policy))

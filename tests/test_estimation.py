@@ -47,15 +47,6 @@ def test_log_likelihood_single_entry(reference_env, reference_model):
     assert log_likelihood(reference_model, dataset) == pytest.approx(expected, abs=1e-12)
 
 
-def test_log_likelihood_scope_decomposition(reference_model, small_dataset):
-    total = log_likelihood(reference_model, small_dataset)
-    parts = sum(
-        log_likelihood(reference_model, small_dataset, scope=h)
-        for h in range(small_dataset.space.horizon)
-    )
-    assert total == pytest.approx(parts, abs=1e-12)
-
-
 def test_theta_min_monotone_in_p_min(reference_env, reference_model, small_dataset):
     cands = make_candidates(reference_env, "dithered", seed=3, n=10, scale=0.1)
     loose = [i for i in range(len(cands)) if theta_min_feasible(cands.models[i], small_dataset, 1e-12)]
@@ -322,6 +313,17 @@ def test_dataset_from_jsonl_rejects_out_of_range_steps(reference_env, small_data
     bad = '{"h":0,"policy_id":"u","trajectory":[[3,0],[0,0]]}\n'
     with pytest.raises(StructuralError):
         dataset_from_jsonl(reference_env.space, bad, policies)
+
+
+def test_add_rejects_non_integer_steps_and_keeps_columns_aligned(reference_env):
+    space = reference_env.space
+    dataset = DatasetFamily(space)
+    for bad in (History(((0, 0), (1.0, 0))), History(((0, 0), (1.0, 0))), History(((0, 0), (0, True)))):
+        with pytest.raises(StructuralError, match="integers"):
+            dataset.add("u", bad, 0, uniform_policy(space))
+    dataset.add("u", History(((0, 0), (1, 1))), 0, uniform_policy(space))
+    assert [len(column) for column in dataset.columns[0]] == [1] * 5
+    assert list(dataset.columns[0].trajectory) == [History(((0, 0), (1, 1))).lex_index(space)]
 
 
 def test_dataset_rejects_policy_id_reused_for_another_policy(reference_env):

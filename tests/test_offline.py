@@ -183,7 +183,7 @@ def test_lcb_large_data_recovers_optimal(lcb_setup):
     env, model, reward_leaves, opt_policy, behavior = lcb_setup
     cands = make_candidates(env, "include_true")
     dataset = collect_offline(env, behavior, 10_000, seed=0)
-    cfg = OfflineConfig(n_episodes=10_000, p_min=1e-12, beta=5.0, lam=0.5, alpha=1.6, seed=0)
+    cfg = OfflineConfig(p_min=1e-12, beta=5.0, lam=0.5, alpha=1.6)
     result = run_psr_lcb(dataset, cands, cfg, reward_leaves)
     assert offline_gap(env, model, opt_policy, result.policy) == pytest.approx(0.0, abs=1e-12)
 
@@ -192,7 +192,7 @@ def test_lcb_zero_reward_minimizes_bonus(lcb_setup):
     env, model, reward_leaves, opt_policy, behavior = lcb_setup
     cands = make_candidates(env, "include_true")
     dataset = collect_offline(env, behavior, 40, seed=1)
-    cfg = OfflineConfig(n_episodes=40, p_min=1e-12, beta=5.0, lam=0.5, alpha=1.6, seed=1)
+    cfg = OfflineConfig(p_min=1e-12, beta=5.0, lam=0.5, alpha=1.6)
     result = run_psr_lcb(dataset, cands, cfg, np.zeros(env.space.n_trajectories))
     probs = result.model.prob_table(env.space.horizon)
     bonus_leaves = probs * result.evaluator.bonus_table()
@@ -204,7 +204,7 @@ def test_lcb_tiny_alpha_is_greedy(lcb_setup):
     env, model, reward_leaves, opt_policy, behavior = lcb_setup
     cands = make_candidates(env, "include_true")
     dataset = collect_offline(env, behavior, 60, seed=2)
-    cfg = OfflineConfig(n_episodes=60, p_min=1e-12, beta=5.0, lam=0.5, alpha=1e-12, seed=2)
+    cfg = OfflineConfig(p_min=1e-12, beta=5.0, lam=0.5, alpha=1e-12)
     result = run_psr_lcb(dataset, cands, cfg, reward_leaves)
     greedy, greedy_value = plan_on_table(
         env.space, result.model.prob_table(env.space.horizon) * reward_leaves
@@ -216,7 +216,7 @@ def test_lcb_argmax_certificate(lcb_setup):
     env, model, reward_leaves, opt_policy, behavior = lcb_setup
     cands = make_candidates(env, "dithered", seed=5, n=6, scale=0.03, emission_scale=0.0)
     dataset = collect_offline(env, behavior, 250, seed=3)
-    cfg = OfflineConfig(n_episodes=250, p_min=1e-12, beta=5.0, lam=0.5, alpha=1.6, seed=3)
+    cfg = OfflineConfig(p_min=1e-12, beta=5.0, lam=0.5, alpha=1.6)
     result = run_psr_lcb(dataset, cands, cfg, reward_leaves)
     probs = result.model.prob_table(env.space.horizon)
     leaves = probs * (reward_leaves - result.evaluator.bonus_table())

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
+from pomdp_oracles import oracle_reward_of
 from psrlab.errors import RejectionBudgetExhausted, SingularCoreTests, StructuralError
 from psrlab.policies import random_tree_policy, uniform_policy
 from psrlab.pomdp import (
@@ -300,16 +301,30 @@ def test_pomdp_serialization_round_trip(small_env):
 
 
 def test_reward_table_leaf_table_matches_per_leaf_rewards():
+    """``reward_of`` reads the leaf table bit for bit; the table's left-to-right
+    sums equal the exactly rounded oracle at H = 2 and stay within 1e-15 at H = 6."""
     from psrlab.planner import leaf_table
 
     for env, tol in ((near_tie(), 0.0), (tiger(2), 0.0), (random_mdp(seed=3, n_states=2, n_actions=2, horizon=2), 0.0),
                      (random_revealing(seed=1, n_states=2, n_obs=3, n_actions=2, horizon=6), 1e-15)):
         fast = env.reward.leaf_table(env.space)
-        slow = leaf_table(env.space, env.reward_of)
+        assert fast is env.reward.leaf_table(env.space) and not fast.flags.writeable
+        assert leaf_table(env.space, env.reward_of).tobytes() == fast.tobytes()
+        oracle = leaf_table(env.space, lambda t: oracle_reward_of(env.reward, t))
         if tol == 0.0:
-            assert np.array_equal(fast, slow)
+            assert np.array_equal(fast, oracle)
         else:
-            assert np.abs(fast - slow).max() <= tol
+            assert np.abs(fast - oracle).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "steps", [((0, 0),), ((0, 0),) * 3, ((0, 0), (2, 0)), ((0, 0), (0, 3)), ((0, 0), (0, True)), ((0, 0), (1.0, 0))],
+    ids=["short", "long", "obs-range", "action-range", "bool-step", "float-step"],
+)
+def test_reward_of_needs_a_full_in_range_trajectory(steps):
+    env = tiger(2)
+    with pytest.raises(StructuralError):
+        env.reward_of(History(steps))
 
 
 def test_trajectory_reward_leaf_table_calls_the_function_per_leaf(small_env):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +59,24 @@ def test_history_validation_bounds():
     with pytest.raises(StructuralError):
         History(((0, 0),) * 3).validate(space)
     History(((1, 1), (0, 0))).validate(space)
+
+
+@pytest.mark.parametrize("step", [(1.0, 0), (0, 1.0), (0, True), (False, 0), (np.bool_(True), 0), ("0", 0)])
+def test_history_validation_rejects_non_integer_steps(step):
+    with pytest.raises(StructuralError, match="integers"):
+        History(((0, 0), step)).validate(ObsActSpace(2, 2, 2))
+
+
+@pytest.mark.parametrize("step", [(1,), (0, 0, 0), 7])
+def test_history_validation_rejects_steps_that_are_not_pairs(step):
+    with pytest.raises(StructuralError, match="pair"):
+        History(((0, 0), step)).validate(ObsActSpace(2, 2, 2))
+
+
+def test_history_validation_accepts_numpy_integers():
+    rows = np.array([[1, 0], [0, 1]])
+    History(tuple((o, a) for o, a in rows)).validate(ObsActSpace(2, 2, 2))
+    History(((np.int32(1), np.uint8(1)),)).validate(ObsActSpace(2, 2, 2))
 
 
 def test_prefix_and_extend():
