@@ -9,6 +9,15 @@ forward pass builds the probability tables of the whole candidate set, and
 online and offline selection are the same gather-and-reduce over them: each
 recorded prefix and trajectory is one column of the stacked
 ``(n_candidates, n_histories)`` table.
+
+A dataset's columns are append-only: entries enter only through
+:meth:`DatasetFamily.add` and :meth:`DatasetFamily.add_batch`.  So the
+dataset keeps a running selection record for the last candidate set (by
+identity) and ``p_min`` it was selected with, and :func:`constrained_mle`
+reads only the entries added since its last call.  The record's sums keep
+the bits of one fresh pass: each candidate's log probabilities add left to
+right in bucket-then-insertion order, and the log policy weights add
+pairwise as one vector.
 """
 
 from __future__ import annotations
@@ -57,12 +66,15 @@ class DatasetFamily:
     lexicographic indices, policy weights and policy id are recorded once,
     when it is added; every model quantity over the dataset is a gather
     from the model's tables at those indices, and the JSONL form decodes
-    the trajectory indices back to steps.
+    the trajectory indices back to steps.  The columns only grow, so the
+    dataset also holds :func:`constrained_mle`'s running record of what it
+    has read.
     """
 
     space: ObsActSpace
     policies: dict[str, Policy] = field(default_factory=dict)
     columns: list[BucketColumns] = field(init=False, repr=False)
+    _selection: _SelectionRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.columns = [BucketColumns(*(array(code) for code in "qqdd"), []) for _ in range(self.space.horizon)]
@@ -370,29 +382,89 @@ def _grid_tables(env: TabularPomdp, eps: float):
 # -- likelihoods and selection -------------------------------------------------
 
 
-def _stability_and_likelihood(
-    prob_table: Callable[[int], np.ndarray], dataset: DatasetFamily, p_min: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stability flags and log-likelihoods of a stack of models.
+def _reserved(buffer: np.ndarray, used: int, stop: int) -> np.ndarray:
+    """``buffer`` if it has room for ``stop`` rows, else a buffer at least twice as long holding its first ``used``."""
+    if stop <= len(buffer):
+        return buffer
+    grown = np.empty((max(stop, 2 * len(buffer)), *buffer.shape[1:]))
+    grown[:used] = buffer[:used]
+    return grown
 
-    ``prob_table(h)`` returns the models' ``(n_models, n_histories(h))``
-    probabilities.  A model is stable when every recorded prefix keeps
-    probability at least ``p_min`` under its recorded policy.  Its
-    log-likelihood sums log probability plus log policy weight over the
-    recorded trajectories; an entry the model or its policy cannot produce
-    pushes it to -inf.
+
+class _SelectionRecord:
+    """What selection has read of one dataset for one stack of models and one floor.
+
+    Each call reads only the entries appended to a bucket since the last
+    one.  Stability is monotone while data only grow under a fixed floor, so
+    the new prefixes' flags are ANDed into the running mask.  Each new
+    trajectory's log probabilities are taken once, into per-bucket
+    C-ordered ``(n_entries, n_models)`` buffers, and its log policy weight
+    into a per-bucket vector.
+
+    The sums keep the bits of one pass over the whole dataset.  For a stack
+    of models, that pass adds each model's log probabilities left to right
+    in bucket-then-insertion order: a reduction over the outer axis of
+    C-ordered rows.  Bucket 0 comes first, so its running sum is carried
+    from call to call, and the later buckets are added to it again on every
+    call.  It starts at +0.0, which adds exactly, since a log is never -0.0.
+    A stack of one model sums pairwise instead, so it carries nothing.  The
+    log weights add pairwise as one vector.
     """
-    columns = dataset.columns
-    stable = np.ones(prob_table(0).shape[0], dtype=bool)
-    for h, cols in enumerate(columns):
-        if cols.prefix:
-            stable &= ~np.any(prob_table(h)[:, cols.prefix] * cols.prefix_weight < p_min, axis=1)
-    probs = prob_table(dataset.space.horizon)[:, np.concatenate([cols.trajectory for cols in columns])]
-    weights = np.concatenate([cols.full_weight for cols in columns])
-    with np.errstate(divide="ignore", invalid="ignore"):  # log of p <= 0 is -inf or NaN
-        logliks = np.log(probs).sum(axis=1) + np.log(weights).sum()
-    logliks[np.isnan(logliks)] = NEG_INF
-    return stable, logliks
+
+    def __init__(self, key: object, p_min: float, n_models: int, horizon: int) -> None:
+        self.key = key  # the candidate set read, matched by identity
+        self.p_min = p_min
+        self.consumed = [0] * horizon
+        self.stable = np.ones(n_models, dtype=bool)
+        self.log_probs = [np.empty((0, n_models)) for _ in range(horizon)]
+        self.log_weights = [np.empty(0) for _ in range(horizon)]
+        self.head = np.zeros((1, n_models)) if n_models > 1 else None  # bucket 0's running sum
+
+    def read(self, prob_table: Callable[[int], np.ndarray], dataset: DatasetFamily) -> tuple[np.ndarray, np.ndarray]:
+        """Stability flags and log-likelihoods of the models over the whole dataset.
+
+        ``prob_table(h)`` returns the models' ``(n_models, n_histories(h))``
+        probabilities.  A model is stable when every recorded prefix keeps
+        probability at least ``p_min`` under its recorded policy.  Its
+        log-likelihood sums log probability plus log policy weight over the
+        recorded trajectories; an entry the model or its policy cannot
+        produce pushes it to -inf.
+        """
+        horizon = dataset.space.horizon
+        with np.errstate(divide="ignore", invalid="ignore"):  # log of p <= 0 is -inf or NaN
+            for h, cols in enumerate(dataset.columns):
+                start, stop = self.consumed[h], len(cols.trajectory)
+                if stop == start:
+                    continue
+                if stop < start:
+                    raise StructuralError(f"bucket {h} shrank from {start} to {stop} entries; columns are append-only")
+                # Slices copy out of the columns, so no view pins their buffers against a later append.
+                prefix_probs = prob_table(h).take(cols.prefix[start:], axis=1) * np.frombuffer(cols.prefix_weight[start:])
+                self.stable &= ~(prefix_probs < self.p_min).any(axis=1)
+                probs = prob_table(horizon).take(cols.trajectory[start:], axis=1).T
+                if h == 0 and self.head is not None:
+                    rows = np.empty((1 + len(probs), probs.shape[1]))
+                    rows[0] = self.head
+                    np.log(probs, out=rows[1:])
+                    self.head = rows.sum(axis=0, keepdims=True)
+                else:
+                    self.log_probs[h] = _reserved(self.log_probs[h], start, stop)
+                    np.log(probs, out=self.log_probs[h][start:stop])
+                self.log_weights[h] = _reserved(self.log_weights[h], start, stop)
+                np.log(np.frombuffer(cols.full_weight[start:]), out=self.log_weights[h][start:stop])
+                self.consumed[h] = stop
+        rows = [buffer[:used] for buffer, used in zip(self.log_probs, self.consumed)]
+        if self.head is not None:
+            rows[0] = self.head
+        weights = np.concatenate([buffer[:used] for buffer, used in zip(self.log_weights, self.consumed)])
+        logliks = np.concatenate(rows).sum(axis=0) + weights.sum()
+        logliks[np.isnan(logliks)] = NEG_INF
+        return self.stable.copy(), logliks
+
+
+def _one_model(model: PsrModel, dataset: DatasetFamily, p_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stability and log-likelihood of one model, from a record kept for this call only."""
+    return _SelectionRecord(model, p_min, 1, model.space.horizon).read(lambda h: model.prob_table(h)[None], dataset)
 
 
 def log_likelihood(model: PsrModel, dataset: DatasetFamily) -> float:
@@ -400,12 +472,12 @@ def log_likelihood(model: PsrModel, dataset: DatasetFamily) -> float:
 
     Entries the model cannot produce push the result to -inf.
     """
-    return float(_stability_and_likelihood(lambda h: model.prob_table(h)[None], dataset, NEG_INF)[1][0])
+    return float(_one_model(model, dataset, NEG_INF)[1][0])
 
 
 def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:
     """Every recorded prefix keeps probability at least p_min under the model."""
-    return bool(_stability_and_likelihood(lambda h: model.prob_table(h)[None], dataset, p_min)[0][0])
+    return bool(_one_model(model, dataset, p_min)[0][0])
 
 
 @dataclass(frozen=True)
@@ -422,11 +494,17 @@ def constrained_mle(
 ) -> MleResult:
     """Likelihood maximizer over stable candidates, with its margin set.
 
-    One pass over the candidates' stacked tables.  Ties break toward the
-    lowest candidate index, so the outcome does not depend on evaluation
-    order.
+    Reads the candidates' stacked tables at the entries added since the
+    last call on this dataset with the same candidate set (by identity) and
+    ``p_min``; any other call starts the dataset's record from zero, which
+    is one fresh pass.  Either way the flags and log-likelihoods carry the
+    bits of one pass over the whole dataset.  Ties break toward the lowest
+    candidate index, so the outcome does not depend on evaluation order.
     """
-    stable, logliks = _stability_and_likelihood(candidates.prob_table, dataset, p_min)
+    record = dataset._selection
+    if record is None or record.key is not candidates or record.p_min != p_min:
+        record = dataset._selection = _SelectionRecord(candidates, p_min, len(candidates), dataset.space.horizon)
+    stable, logliks = record.read(candidates.prob_table, dataset)
     ids = np.flatnonzero(stable)
     if not ids.size:
         raise EmptyFeasibleSet(

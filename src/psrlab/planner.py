@@ -57,8 +57,8 @@ def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[Deterministic
     if math.isnan(value):  # maximum and sum carry a NaN leaf up to the root
         raise StructuralError("leaf values contain NaN (or infinities of both signs)")
     choices.reverse()
-    policy = DeterministicTreePolicy(space, tuple(choices))
-    return policy, value
+    # Every choice starts at 0 and only takes actions 1..A-1, so only the shapes need checking.
+    return DeterministicTreePolicy._from_valid_tables(space, tuple(choices)), value
 
 
 def policy_value_on_table(space: ObsActSpace, policy: Policy, leaves: np.ndarray) -> float:

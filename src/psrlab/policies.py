@@ -80,14 +80,27 @@ class DeterministicTreePolicy:
     actions_by_step: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        self._check_shapes()
+        for table in self.actions_by_step:
+            if table.min() < 0 or table.max() >= self.space.n_actions:
+                raise StructuralError("action index out of range in tree policy")
+
+    @classmethod
+    def _from_valid_tables(cls, space: ObsActSpace, actions_by_step: tuple[np.ndarray, ...]) -> DeterministicTreePolicy:
+        """A policy on tables whose actions are in range by construction; only their shapes are checked."""
+        policy = object.__new__(cls)
+        object.__setattr__(policy, "space", space)
+        object.__setattr__(policy, "actions_by_step", actions_by_step)
+        policy._check_shapes()
+        return policy
+
+    def _check_shapes(self) -> None:
         if len(self.actions_by_step) != self.space.horizon:
             raise StructuralError("need one action table per step")
         for h, table in enumerate(self.actions_by_step, start=1):
             expected = self.space.n_histories(h - 1) * self.space.n_obs
             if table.shape != (expected,):
                 raise StructuralError(f"step {h} table has shape {table.shape}, expected ({expected},)")
-            if table.min() < 0 or table.max() >= self.space.n_actions:
-                raise StructuralError("action index out of range in tree policy")
 
     def action_at(self, history: History, obs: int) -> int:
         return self._action(history.steps, obs)

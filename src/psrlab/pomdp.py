@@ -37,6 +37,13 @@ PINV_RCOND = 1e-10
 MAX_CONDITION = 1e10
 
 
+def _read_only_copy(values) -> np.ndarray:
+    """A copy of ``values`` that cannot be written, so nothing cached from it goes stale."""
+    copy = np.array(values)
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True)
 class RewardTable:
     """Per-step reward on (obs, action); trajectory reward is the sum over steps."""
@@ -44,6 +51,7 @@ class RewardTable:
     table: np.ndarray  # (H, O, A), entrywise >= 0 with sum_h max_{o,a} <= 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "table", _read_only_copy(self.table))  # the leaf table derives from it
         if self.table.ndim != 3 or not self.table.size:
             raise StructuralError(f"reward table must be a non-empty (H, O, A) array, got {self.table.shape}")
         # Negated comparisons, so that NaN fails them too.
@@ -114,6 +122,8 @@ class TabularPomdp:
     _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> (beliefs, probs)
 
     def __post_init__(self) -> None:
+        for name in ("transition", "emission"):  # the cached tables derive from them
+            object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
         S, H, A, O = self.n_states, self.space.horizon, self.space.n_actions, self.space.n_obs
         if self.transition.shape != (H - 1, A, S, S):
             raise StructuralError(f"transition shape {self.transition.shape} != {(H - 1, A, S, S)}")

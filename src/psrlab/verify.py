@@ -351,21 +351,25 @@ def run_lemma_checks(report: Report, seeds: int = 100) -> None:
 
 
 def _uniform_collection(
-    env: TabularPomdp, suffixes: tuple[UniformActionSeqPolicy, ...], n_rounds: int, seed: int
+    env: TabularPomdp,
+    prefix: UniformActionSeqPolicy,
+    suffixes: tuple[UniformActionSeqPolicy, ...],
+    n_rounds: int,
+    seed: int,
 ) -> DatasetFamily:
     """Exploration-style collection under a fixed uniform prefix policy.
 
-    ``suffixes`` are the :func:`exploration_suffixes` of the core tests,
-    built once per suite run.  Round ``k`` draws one episode per step ``h``
-    from its own child seed into bucket ``h - 1``; each step's rounds are
-    drawn and added in one batch.
+    ``prefix`` is :func:`uniform_policy` of the space and ``suffixes`` the
+    :func:`exploration_suffixes` of the core tests, both built once per
+    suite run so every collection shares their compiled rows.  Round ``k``
+    draws one episode per step ``h`` from its own child seed into bucket
+    ``h - 1``; each step's rounds are drawn and added in one batch.
     """
     space = env.space
     dataset = DatasetFamily(space)
-    base = uniform_policy(space)
     for h in range(1, space.horizon + 1):
         pid = f"uexplore[h={h}]"
-        dataset.policies[pid] = policy = _explore(base, h, suffixes)
+        dataset.policies[pid] = policy = _explore(prefix, h, suffixes)
         seeds = [child_seed(seed, "verify-episode", k * (space.horizon + 1) + h) for k in range(1, n_rounds + 1)]
         obs, actions = env.sample_episodes(policy, seeds)
         dataset.add_batch(pid, obs, actions, np.full(n_rounds, h - 1))
@@ -393,9 +397,9 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
     log_term = math.log(n_rounds * n_cands / delta)
     p_min = delta / (n_rounds * env.space.horizon * float(env.space.pair_count) ** env.space.horizon)
     viol = {"loglik-margin": 0, "conditional-tv": 0, "hellinger": 0, "p-min-feasible": 0}
-    suffixes = exploration_suffixes(true_model.core_tests)
+    prefix, suffixes = uniform_policy(env.space), exploration_suffixes(true_model.core_tests)
     for s in range(seeds):
-        dataset = _uniform_collection(env, suffixes, n_rounds, child_seed(s, "mle-event"))
+        dataset = _uniform_collection(env, prefix, suffixes, n_rounds, child_seed(s, "mle-event"))
         lik_true = log_likelihood(true_model, dataset)
         prefix_true = _prefix_loglik(true_model, dataset)
         margin_ok = True
@@ -539,7 +543,7 @@ def run_validity_checks(
     suffixes = exploration_suffixes(true_model.core_tests)
     for s in range(bonus_runs):
         seed = child_seed(s, "bonus-relation")
-        dataset = _uniform_collection(env, suffixes, 10, seed)
+        dataset = _uniform_collection(env, behavior, suffixes, 10, seed)  # the uniform behavior is the prefix
         mle = constrained_mle(cands, dataset, params["p_min"], params["beta"])
         evaluator = _build_evaluator(mle.model, dataset, params["lam"], params["alpha"])
         scores, degenerate = evaluator.score_table()

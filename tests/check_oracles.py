@@ -13,7 +13,9 @@ oracle reduces each depth with ``argmax``/``max`` over the action axis, and
 the bonus oracles add every step's repeated scores into a leaf-sized array.
 Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one recorded entry object at a time, as
-when a dataset kept its entries as objects next to its columns.  Tests
+when a dataset kept its entries as objects next to its columns.  Model
+selection's oracle gathers and reduces every recorded entry in one pass, as
+selection did before it kept a running record on the dataset.  Tests
 compare the package against them bit for bit.
 """
 
@@ -252,6 +254,28 @@ def oracle_conditional_tv_diagnostic(model_a, model_b, policies, buckets):
             tv = math.fsum(row)
             terms.append(tv * tv)
     return math.fsum(terms)
+
+
+def oracle_stability_and_likelihood(prob_table, dataset, p_min):
+    """Stability flags and log-likelihoods of a stack of models, from every entry at once.
+
+    ``prob_table(h)`` returns the models' ``(n_models, n_histories(h))``
+    probabilities.  The gathered ``(n_models, n_entries)`` block is
+    F-ordered, so its row sums add each model's log probabilities left to
+    right in bucket-then-insertion order (pairwise for a stack of one); the
+    log weights add pairwise as one vector.
+    """
+    columns = dataset.columns
+    stable = np.ones(prob_table(0).shape[0], dtype=bool)
+    for h, cols in enumerate(columns):
+        if cols.prefix:
+            stable &= ~np.any(prob_table(h)[:, cols.prefix] * cols.prefix_weight < p_min, axis=1)
+    probs = prob_table(dataset.space.horizon)[:, np.concatenate([cols.trajectory for cols in columns])]
+    weights = np.concatenate([cols.full_weight for cols in columns])
+    with np.errstate(divide="ignore", invalid="ignore"):  # log of p <= 0 is -inf or NaN
+        logliks = np.log(probs).sum(axis=1) + np.log(weights).sum()
+    logliks[np.isnan(logliks)] = float("-inf")
+    return stable, logliks
 
 
 def decoded_entries(dataset):

@@ -86,3 +86,28 @@ def test_iteration_log_bucket_sizes_count_the_entries():
     result = run_psr_ucb(env, config, make_candidates(env, "include_true"))
     assert [log.bucket_sizes for log in result.logs] == [(k,) * env.space.horizon for k in (1, 2, 3)]
     assert sum(result.logs[-1].bucket_sizes) == result.dataset.size()
+
+
+def test_online_loop_selects_once_per_iteration_through_the_traced_name(monkeypatch):
+    """The loop calls ``constrained_mle`` by the module name the tracer wraps, once per
+    iteration, so the benchmark's selection counter cannot silently read 0."""
+    import psrlab.online
+    from psrlab.estimation import make_candidates
+    from psrlab.online import OnlineConfig, run_psr_ucb
+    from psrlab.verify import reference_env
+
+    calls = []
+    select = psrlab.online.constrained_mle
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(psrlab.online, "constrained_mle", counted)
+    env = reference_env()
+    config = OnlineConfig(max_iterations=5, epsilon=1e-6, delta=0.1, p_min=1e-9, beta=5.0, lam=1.0, alpha=0.5, seed=0)
+    candidates = make_candidates(env, "dithered", seed=5, n=4, scale=0.05)
+    result = run_psr_ucb(env, config, candidates)
+    assert len(result.logs) == 5
+    assert len(calls) == 5
+    assert all(args[0] is candidates and args[1] is result.dataset for args in calls)

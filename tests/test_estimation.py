@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from check_oracles import Entry, decoded_entries, oracle_conditional_tv_diagnostic, oracle_uniform_collection
+from check_oracles import (
+    Entry,
+    decoded_entries,
+    oracle_conditional_tv_diagnostic,
+    oracle_stability_and_likelihood,
+    oracle_uniform_collection,
+)
 from conftest import assert_same_columns, make_single_state_env
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from psrlab.estimation import (
@@ -359,24 +365,40 @@ def _reweighted_emission(env, step, obs, factor):
     return TabularPomdp(env.n_states, env.space, env.transition, emission, env.initial_state, env.reward)
 
 
-def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env):
-    """The stacked selection equals a per-entry recomputation after every stage
-    of a growing dataset, with a -inf member and an unstable member present."""
-    from psrlab.online import exploration_policy
+def _staged_candidates(env):
+    """Dithered members plus one that never emits the last step's obs 2 (-inf once that obs
+    is recorded) and one that makes the first obs 0 rare (unstable under ``p_min = 1e-3``)."""
     from psrlab.pomdp import g_matrices, pomdp_to_psr
 
-    space = reference_env.space
-    dithered = make_candidates(reference_env, "dithered", seed=3, n=8, scale=0.08)
+    dithered = make_candidates(env, "dithered", seed=3, n=8, scale=0.08)
     window = dithered.config["window"]
-    never_last_obs = _reweighted_emission(reference_env, space.horizon - 1, 2, 0.0)
-    rare_first_obs = _reweighted_emission(reference_env, 0, 0, 1e-3)
-    extra = [never_last_obs, rare_first_obs]
-    cands = CandidateSet(
+    extra = [_reweighted_emission(env, env.space.horizon - 1, 2, 0.0), _reweighted_emission(env, 0, 0, 1e-3)]
+    return CandidateSet(
         dithered.models + tuple(pomdp_to_psr(p, g=g_matrices(p, window)) for p in extra),
         dithered.labels + ("never-last-obs", "rare-first-obs"),
         dithered.pomdps + tuple(extra),
         dithered.config,
     )
+
+
+def _assert_fresh_pass_bits(result, cands, dataset, p_min, beta):
+    """``result`` carries the one-pass oracle's stable set and log-likelihood bits, and its selection."""
+    stable, logliks = oracle_stability_and_likelihood(cands.prob_table, dataset, p_min)
+    ids = np.flatnonzero(stable)
+    liks = logliks[ids]
+    assert [x.hex() for x in result.log_likelihoods] == [float(x).hex() for x in liks]
+    assert result.selected_id == int(ids[np.argmax(liks)])
+    assert result.feasible_ids == tuple(ids[liks >= liks.max() - beta].tolist())
+
+
+def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env):
+    """The stacked selection equals a per-entry recomputation after every stage
+    of a growing dataset, with a -inf member and an unstable member present;
+    its log-likelihoods are the one-pass oracle's bit for bit."""
+    from psrlab.online import exploration_policy
+
+    space = reference_env.space
+    cands = _staged_candidates(reference_env)
     neg_inf_id, unstable_id = len(cands) - 2, len(cands) - 1
     p_min, beta = 1e-3, 2.0
     core = cands.models[0].core_tests
@@ -388,6 +410,7 @@ def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env
                 traj = reference_env.sample_episode(pol, 100 * stage + 10 * k + h)
                 dataset.add(f"e{stage},{k},{h}", traj, h - 1, pol)
         result = constrained_mle(cands, dataset, p_min, beta)
+        _assert_fresh_pass_bits(result, cands, dataset, p_min, beta)
         stable, liks, selected, margin = _oracle_selection(cands, dataset, p_min, beta)
         assert result.selected_id == selected
         assert result.feasible_ids == margin
@@ -396,6 +419,66 @@ def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env
             assert got == pytest.approx(want, rel=1e-12)
     assert neg_inf_id in stable and liks[stable.index(neg_inf_id)] == float("-inf")
     assert unstable_id not in stable
+
+
+def test_selection_record_matches_fresh_pass_bitwise_through_add_add_batch_and_switches(reference_env):
+    """The dataset's running record gives the fresh pass's bits after every stage, whether the
+    stage grew the dataset through ``add`` or ``add_batch``; another candidate set or ``p_min``
+    on the same dataset starts the record from zero, and switching back starts it again."""
+    from psrlab.online import exploration_policy
+    from psrlab.seeding import child_seed
+
+    space = reference_env.space
+    cands = _staged_candidates(reference_env)
+    others = make_candidates(reference_env, "dithered", seed=11, n=5, scale=0.2)
+    neg_inf_id, unstable_id = len(cands) - 2, len(cands) - 1
+    p_min, other_p_min, beta = 1e-3, 1e-6, 2.0
+    core = cands.models[0].core_tests
+    dataset = DatasetFamily(space)
+    assert dataset._selection is None
+    _assert_fresh_pass_bits(constrained_mle(cands, dataset, p_min, beta), cands, dataset, p_min, beta)  # no entries
+    for stage in range(12):
+        if stage % 3 == 2:  # one batch per step, spread over every bucket
+            for h in range(1, space.horizon + 1):
+                pid = f"b{stage},{h}"
+                dataset.policies[pid] = pol = exploration_policy(uniform_policy(space), h, core)
+                seeds = [child_seed(stage, "record-batch", 10 * h + i) for i in range(7)]
+                obs, actions = reference_env.sample_episodes(pol, seeds)
+                dataset.add_batch(pid, obs, actions, np.arange(7) % space.horizon)
+        else:
+            for h in range(1, space.horizon + 1 - stage % 2):  # odd stages leave the last bucket alone
+                pol = exploration_policy(uniform_policy(space), h, core)
+                traj = reference_env.sample_episode(pol, child_seed(stage, "record-add", h))
+                dataset.add(f"a{stage},{h}", traj, h - 1, pol)
+        record = dataset._selection
+        result = constrained_mle(cands, dataset, p_min, beta)
+        assert stage == 0 or dataset._selection is record  # kept, so only the new entries were read
+        assert dataset._selection.consumed == [len(cols.trajectory) for cols in dataset.columns]
+        _assert_fresh_pass_bits(result, cands, dataset, p_min, beta)
+        if stage % 4 == 3:
+            for switched_cands, switched_p_min in ((others, p_min), (cands, other_p_min), (cands, p_min)):
+                switched = constrained_mle(switched_cands, dataset, switched_p_min, beta)
+                assert dataset._selection is not record
+                assert dataset._selection.key is switched_cands and dataset._selection.p_min == switched_p_min
+                record = dataset._selection
+                _assert_fresh_pass_bits(switched, switched_cands, dataset, switched_p_min, beta)
+        for model in (cands.models[0], cands.models[neg_inf_id], cands.models[unstable_id]):
+            stack = lambda h, model=model: model.prob_table(h)[None]
+            stable, logliks = oracle_stability_and_likelihood(stack, dataset, p_min)
+            assert log_likelihood(model, dataset).hex() == float(logliks[0]).hex()
+            assert theta_min_feasible(model, dataset, p_min) is bool(stable[0])
+    stable_ids = np.flatnonzero(oracle_stability_and_likelihood(cands.prob_table, dataset, p_min)[0]).tolist()
+    assert neg_inf_id in stable_ids and result.log_likelihoods[stable_ids.index(neg_inf_id)] == float("-inf")
+    assert unstable_id not in stable_ids
+
+
+def test_selection_record_rejects_shrunken_columns(reference_env, small_dataset):
+    cands = make_candidates(reference_env, "dithered", seed=3, n=3, scale=0.05)
+    constrained_mle(cands, small_dataset, 1e-10, 5.0)
+    for column in small_dataset.columns[1]:
+        column.pop()
+    with pytest.raises(StructuralError, match="append-only"):
+        constrained_mle(cands, small_dataset, 1e-10, 5.0)
 
 
 def test_candidate_prob_table_rows_are_the_members_tables(reference_env):

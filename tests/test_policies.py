@@ -138,3 +138,27 @@ def test_prefix_weight_tables_equal_per_history_weights():
             expected = [oracle_policy_weight(policy, hist) for hist in enumerate_histories(space, h)]
             assert np.array_equal(table, expected)
         assert np.array_equal(tables[-1], policy_weight_vector(policy, space))
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_tree_policy_rejects_out_of_range_actions(bad):
+    """The public constructor, and the dict loader through it, still range-check every table."""
+    space = ObsActSpace(2, 2, 2)
+    tables = (np.zeros(2, dtype=np.int64), np.array([0, 1, bad, 0, 1, 1, 0, 0], dtype=np.int64))
+    with pytest.raises(StructuralError, match="out of range"):
+        DeterministicTreePolicy(space, tables)
+    with pytest.raises(StructuralError, match="out of range"):
+        policy_from_dict({"type": "deterministic_tree", "actions": [t.tolist() for t in tables]}, space)
+
+
+def test_planner_policies_equal_checked_ones():
+    """A planned policy, built without the range check, is the policy the public constructor accepts."""
+    from psrlab.planner import plan_on_table
+
+    space = ObsActSpace(2, 3, 3)
+    leaves = np.random.default_rng(7).random(space.n_trajectories)
+    planned, _ = plan_on_table(space, leaves)
+    checked = DeterministicTreePolicy(space, tuple(table.copy() for table in planned.actions_by_step))
+    assert planned.to_dict() == checked.to_dict()
+    with pytest.raises(StructuralError, match="shape"):
+        DeterministicTreePolicy._from_valid_tables(space, planned.actions_by_step[:1] + planned.actions_by_step[:1] * 2)

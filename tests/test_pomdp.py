@@ -344,3 +344,31 @@ def test_trajectory_reward_leaf_table_calls_the_function_per_leaf(small_env):
 def test_reward_table_leaf_table_rejects_another_space(small_env):
     with pytest.raises(StructuralError):
         small_env.reward.leaf_table(ObsActSpace(2, 2, 2))
+
+
+def test_environment_inputs_are_read_only_copies():
+    """Every array a cached table derives from is a read-only copy of what the caller passed,
+    so a write raises and neither the inputs nor the cached tables change."""
+    env = tiger(2)
+    transition, emission, table = env.transition.copy(), env.emission.copy(), env.reward.table.copy()
+    rebuilt = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, RewardTable(table))
+    for built in (env, rebuilt):
+        assert built.emission[0, 0, 0] == 0.85
+        tables = [built.prob_table(h).copy() for h in range(3)] + [built.reward.leaf_table(built.space).copy()]
+        inputs = (built.transition, built.emission, built.reward.table)
+        snapshot = [a.tobytes() for a in inputs]
+        for array in inputs:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0.5
+        assert [a.tobytes() for a in inputs] == snapshot
+        after = [built.prob_table(h) for h in range(3)] + [built.reward.leaf_table(built.space)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(tables, after))
+    assert [rebuilt.transition.tobytes(), rebuilt.emission.tobytes(), rebuilt.reward.table.tobytes()] == [
+        transition.tobytes(), emission.tobytes(), table.tobytes()
+    ]
+    emission[:] = 0.5  # the caller's own arrays stay writable and are not what the environment reads
+    transition[:] = 0.5
+    table[:] = 0.0
+    assert rebuilt.emission[0, 0, 0] == 0.85 and rebuilt.prob_table(1)[0] == env.prob_table(1)[0]
+    assert rebuilt.reward.table.max() > 0.0 and rebuilt.transition.tobytes() == env.transition.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from check_oracles import brute_force_prefix_prob, oracle_conditional_tv_diagnostic, oracle_uniform_collection
 from psrlab.estimation import conditional_tv_diagnostic, make_candidates
 from psrlab.online import exploration_suffixes
+from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import (
@@ -86,7 +87,7 @@ def test_uniform_collection_matches_one_episode_oracle(name, seed):
     env = COLLECTION_ENVS[name]
     truth, _ = default_psr(env)
     collection_seed = child_seed(seed, "mle-event")
-    got = _uniform_collection(env, exploration_suffixes(truth.core_tests), 12, collection_seed)
+    got = _uniform_collection(env, uniform_policy(env.space), exploration_suffixes(truth.core_tests), 12, collection_seed)
     want, buckets = oracle_uniform_collection(env, truth, 12, collection_seed)
     for h, (got_cols, want_cols) in enumerate(zip(got.columns, want.columns, strict=True), start=1):
         for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
