@@ -24,7 +24,6 @@ from .pomdp import (
     GMatrices,
     RewardTable,
     TabularPomdp,
-    TrajectoryReward,
     decodability_alpha,
     default_psr,
     dynamics_matrix,
@@ -34,16 +33,13 @@ from .pomdp import (
     psr_rank,
     random_mdp,
     random_revealing,
-    select_core_tests,
     tiger,
 )
 from .estimation import (
     CandidateSet,
     DatasetFamily,
-    candidate_set_from_dict,
     conditional_tv_diagnostic,
     constrained_mle,
-    dataset_from_jsonl,
     log_likelihood,
     make_candidates,
     theta_min_feasible,
@@ -51,7 +47,6 @@ from .estimation import (
 from .bonus import (
     BonusEvaluator,
     FeatureGram,
-    decodable_transform,
     elliptical_potential_check,
     prefix_grams,
     transfer_score_check,

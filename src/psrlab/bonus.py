@@ -25,8 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import DegenerateHistory, SingularCoreTests, StructuralError
-from .pomdp import GMatrices, PINV_RCOND, MAX_CONDITION, decodability_alpha
+from .errors import DegenerateHistory, StructuralError
 from .psr import PsrModel
 from .spaces import History
 
@@ -63,10 +62,6 @@ class FeatureGram:
                     f"gram at step {self.step} ({dim}x{dim}) is not positive definite (dpotrf info {info})"
                 )
             object.__setattr__(self, "_factor", factor)
-
-    @classmethod
-    def fresh(cls, step: int, dim: int, lam: float) -> "FeatureGram":
-        return cls(step, lam, lam * np.eye(dim))
 
     @classmethod
     def build(cls, step: int, dim: int, lam: float, features: Sequence[np.ndarray] | np.ndarray,
@@ -114,23 +109,19 @@ class FeatureGram:
 class BonusEvaluator:
     """Maps full trajectories to clipped uncertainty bonuses in [0, 1].
 
-    Features come from ``feature_source``; a per-step linear ``transform``
-    (when present) is applied to features before scoring, and the grams must
-    have been accumulated over equally transformed features.
+    Features are ``feature_source``'s prediction features, and the grams must
+    have been accumulated over the same model's features.
     """
 
     grams: tuple[FeatureGram, ...]
     alpha: float
     feature_source: PsrModel
-    transform: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.alpha < 0:
             raise StructuralError("bonus coefficient must be nonnegative")
         if len(self.grams) != self.feature_source.space.horizon:
             raise StructuralError("need one gram per step 0..H-1")
-        if self.transform is not None and len(self.transform) != len(self.grams):
-            raise StructuralError("need one transform per step when transforming")
 
     def bonus(self, trajectory: History) -> float:
         """Bonus of one full trajectory: its entry of :meth:`bonus_table`."""
@@ -176,33 +167,12 @@ class BonusEvaluator:
             feats = self.feature_source.feature_table(h)
             bad = np.isnan(feats[:, 0])
             feats = np.where(bad[:, None], 0.0, feats)
-            if self.transform is not None:
-                feats = feats @ self.transform[h].T
             if h:
                 totals = np.repeat(totals, space.pair_count)
                 degenerate = np.repeat(degenerate, space.pair_count)
             totals = totals + self.grams[h].scores(feats)
             degenerate = degenerate | bad
         return totals, degenerate
-
-
-def decodable_transform(g_hat: GMatrices) -> tuple[np.ndarray, ...]:
-    """Per-step pseudo-inverses projecting features onto state coordinates.
-
-    The step-``h`` transform inverts the window-test matrix anchored one
-    step later, mapping a d_h feature to an S-vector (the belief when the
-    feature comes from the matching model).
-    """
-    alpha = decodability_alpha(g_hat)
-    if alpha <= 0:
-        raise SingularCoreTests("window-test matrices are rank deficient")
-    out = []
-    for G in g_hat.matrices:
-        svals = np.linalg.svd(G, compute_uv=False)
-        if svals[0] / svals[G.shape[1] - 1] > MAX_CONDITION:
-            raise SingularCoreTests(f"window-test matrix condition exceeds {MAX_CONDITION:g}")
-        out.append(np.linalg.pinv(G, rcond=PINV_RCOND))
-    return tuple(out)
 
 
 def prefix_grams(model: PsrModel, dataset: "DatasetFamily", lam: float) -> tuple[FeatureGram, ...]:

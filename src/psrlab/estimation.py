@@ -1,7 +1,10 @@
 """Datasets, finite candidate families, and constrained likelihood selection.
 
 The hypothesis class is always a finite list of valid models built from
-perturbed or discretized environment parameters (plus the truth when asked).
+perturbed or discretized environment parameters (plus the truth when asked);
+a candidate set keeps the models and their labels, not the environments.
+Datasets and candidate sets live in memory only: the loops build them, and
+nothing writes or reads them as files.
 Selection keeps the models that give every recorded history prefix at least
 a floor probability under its recorded policy, then takes the likelihood
 maximizer among those within a fixed margin of the best.  One batched
@@ -22,7 +25,6 @@ pairwise as one vector.
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -31,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
-from .policies import Policy, continuation_weights, policy_from_dict, prefix_weights, reached_rows
+from .policies import Policy, continuation_weights, prefix_weights, reached_rows
 from .pomdp import TabularPomdp, default_psr, g_matrices, pomdp_to_psr
 from .psr import PsrModel, check_self_consistency, stacked_tables
 from .seeding import rng_for
@@ -65,8 +67,7 @@ class DatasetFamily:
     Bucket ``h`` holds the entries split at step ``h``.  Each entry's
     lexicographic indices, policy weights and policy id are recorded once,
     when it is added; every model quantity over the dataset is a gather
-    from the model's tables at those indices, and the JSONL form decodes
-    the trajectory indices back to steps.  The columns only grow, so the
+    from the model's tables at those indices.  The columns only grow, so the
     dataset also holds :func:`constrained_mle`'s running record of what it
     has read.
     """
@@ -143,72 +144,21 @@ class DatasetFamily:
     def size(self) -> int:
         return sum(len(cols.trajectory) for cols in self.columns)
 
-    # -- serialization (one JSON record per line) ----------------------------
-
-    def to_jsonl(self) -> str:
-        """One record per entry, bucket by bucket in insertion order, steps decoded from the trajectory indices."""
-        space = self.space
-        place = space.pair_count ** np.arange(space.horizon - 1, -1, -1)  # lex weight of each step's pair
-        lines = []
-        for h, cols in enumerate(self.columns):
-            pairs = np.asarray(cols.trajectory)[:, None] // place % space.pair_count
-            steps = np.stack(np.divmod(pairs, space.n_actions), axis=-1).tolist()
-            lines.extend(
-                json.dumps({"h": h, "policy_id": pid, "trajectory": traj}, separators=(",", ":"))
-                for pid, traj in zip(cols.policy_id, steps)
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def policies_to_dict(self) -> dict:
-        return {pid: pol.to_dict() for pid, pol in sorted(self.policies.items())}
-
-
-def dataset_from_jsonl(
-    space: ObsActSpace, text: str, policies: dict[str, Policy]
-) -> DatasetFamily:
-    """The dataset of :meth:`DatasetFamily.to_jsonl` text; a malformed line raises ``StructuralError`` naming it."""
-    ds = DatasetFamily(space, dict(policies))
-    for number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            h, policy_id = rec["h"], rec["policy_id"]
-            trajectory = History(tuple((o, a) for o, a in rec["trajectory"]))
-        except KeyError as exc:
-            raise StructuralError(f"dataset line {number}: missing key {exc}") from exc
-        except (ValueError, TypeError) as exc:  # bad JSON, or a step that is not an [o, a] pair
-            raise StructuralError(f"dataset line {number}: malformed record ({exc})") from exc
-        integers = [h, *(x for step in trajectory.steps for x in step)]
-        if any(type(x) is not int for x in integers) or type(policy_id) is not str:
-            raise StructuralError(f"dataset line {number}: h and steps must be integers, policy_id a string")
-        try:
-            ds.add(policy_id, trajectory, h)
-        except StructuralError as exc:
-            raise StructuralError(f"dataset line {number}: {exc}") from exc
-    return ds
-
-
-def policies_from_dict(data: dict, space: ObsActSpace) -> dict[str, Policy]:
-    return {pid: policy_from_dict(pdata, space) for pid, pdata in data.items()}
-
 
 # -- candidate families -------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite model family with provenance labels and source environments."""
+    """Finite model family with provenance labels."""
 
     models: tuple[PsrModel, ...]
     labels: tuple[str, ...]
-    pomdps: tuple[TabularPomdp, ...]
-    config: dict
     _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> stacked (psis, probs)
 
     def __post_init__(self) -> None:
-        if not (len(self.models) == len(self.labels) == len(self.pomdps)):
-            raise StructuralError("models, labels, and sources must align")
+        if len(self.models) != len(self.labels):
+            raise StructuralError("models and labels must align")
         if not self.models:
             raise StructuralError("candidate set may not be empty")
         first = self.models[0]
@@ -230,26 +180,6 @@ class CandidateSet:
         if h == 0:
             return np.ones((len(self), 1))
         return stacked_tables(self.models, self._table_cache, h)[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "models": [m.to_dict() for m in self.models],
-            "pomdps": [p.to_dict() for p in self.pomdps],
-            "config": self.config,
-        }
-
-
-def candidate_set_from_dict(data: dict) -> CandidateSet:
-    from .pomdp import pomdp_from_dict
-    from .psr import psr_model_from_dict
-
-    return CandidateSet(
-        tuple(psr_model_from_dict(m) for m in data["models"]),
-        tuple(data["labels"]),
-        tuple(pomdp_from_dict(p) for p in data["pomdps"]),
-        data["config"],
-    )
 
 
 def _perturbed_rows(rows: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -281,7 +211,6 @@ def make_candidates(
     g_true = default_psr(env)[1]
     models: list[PsrModel] = []
     labels: list[str] = []
-    pomdps: list[TabularPomdp] = []
 
     def _add(pomdp: TabularPomdp, label: str) -> bool:
         try:
@@ -290,7 +219,6 @@ def make_candidates(
             return False
         models.append(model)
         labels.append(label)
-        pomdps.append(pomdp)
         return True
 
     if mode == "include_true":
@@ -328,12 +256,7 @@ def make_candidates(
 
     if not models:
         raise EmptyFeasibleSet("candidate generation produced no valid models")
-    return CandidateSet(
-        tuple(models),
-        tuple(labels),
-        tuple(pomdps),
-        {"mode": mode, "seed": seed, "n": n, "scale": scale, "eps_grid": eps_grid, "window": g_true.m},
-    )
+    return CandidateSet(tuple(models), tuple(labels))
 
 
 def _simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:

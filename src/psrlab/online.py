@@ -173,6 +173,7 @@ def run_psr_ucb(
             final_model_id = mle.selected_id
             break
         previous = greedy
+    dataset._selection = None  # the record served the loop's selections; the result need not hold it or the candidates
     final_policy = None
     if terminated and final_model is not None:
         reward_leaves = env.reward.leaf_table(space)

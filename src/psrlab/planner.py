@@ -7,7 +7,7 @@ tables -- model probabilities times rewards, minus or plus bonuses, or
 absolute model differences -- so one routine serves greedy planning,
 optimistic/pessimistic planning, and max-policy total variation.
 :func:`leaf_table` evaluates a per-trajectory function into such a table,
-one call per leaf, for rewards that have no table of their own.
+one call per leaf (a ``RewardTable`` builds its own leaf table at once).
 
 Deterministic policies attain the maximum (the objective is linear in each
 conditional action distribution), and ties break toward the lowest action

@@ -102,9 +102,6 @@ class DeterministicTreePolicy:
             if table.shape != (expected,):
                 raise StructuralError(f"step {h} table has shape {table.shape}, expected ({expected},)")
 
-    def action_at(self, history: History, obs: int) -> int:
-        return self._action(history.steps, obs)
-
     def action_probs(self, history: History, obs: int) -> np.ndarray:
         return np.array(self._lookup(history.steps, obs)[0])
 

@@ -9,6 +9,11 @@ the pre-emission beliefs and probabilities of every history, one depth at a
 time (the dynamics matrices are the leaf table reshaped), and a backward walk
 of all tests of one length at once.  Tests in this repo check them against
 exponential brute-force sums over state sequences.
+
+A reward is a per-step ``(obs, action)`` table.  The PSR of an environment
+is built one way: :func:`pomdp_to_psr` pseudo-inverts the window-test
+matrices of :func:`g_matrices`, and :func:`default_psr` picks the smallest
+window that is numerically sound.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,22 +31,14 @@ from .errors import (
     SingularCoreTests,
     StructuralError,
 )
-from .planner import leaf_table
 from .policies import Policy, cumulative_rows, reached_rows
-from .psr import CoreTestSet, PsrModel, make_core_test_set
+from .psr import PsrModel, _read_only_copy, make_core_test_set
 from .seeding import first_uniforms, rng_for
-from .spaces import Future, History, ObsActSpace, enumerate_futures
+from .spaces import Future, History, ObsActSpace
 
 ROW_SUM_TOL = 1e-12
 PINV_RCOND = 1e-10
 MAX_CONDITION = 1e10
-
-
-def _read_only_copy(values) -> np.ndarray:
-    """A copy of ``values`` that cannot be written, so nothing cached from it goes stale."""
-    copy = np.array(values)
-    copy.flags.writeable = False
-    return copy
 
 
 @dataclass(frozen=True)
@@ -90,26 +87,6 @@ class RewardTable:
 
 
 @dataclass(frozen=True)
-class TrajectoryReward:
-    """Arbitrary map from full trajectories into [0, 1]. Not serializable."""
-
-    fn: Callable[[History], float]
-
-    def of(self, trajectory: History) -> float:
-        r = float(self.fn(trajectory))
-        if not 0.0 <= r <= 1.0 + 1e-12:
-            raise StructuralError(f"trajectory reward {r} outside [0, 1]")
-        return r
-
-    def leaf_table(self, space: ObsActSpace) -> np.ndarray:
-        """Reward of every full trajectory in lexicographic order, one call per leaf."""
-        return leaf_table(space, self.of)
-
-
-Reward = RewardTable | TrajectoryReward
-
-
-@dataclass(frozen=True)
 class TabularPomdp:
     """Tabular POMDP with deterministic initial state and per-step tables."""
 
@@ -118,7 +95,7 @@ class TabularPomdp:
     transition: np.ndarray  # (H-1, A, S, S), T[h-1, a, s, s'] row-stochastic over s'
     emission: np.ndarray  # (H, S, O), row-stochastic over o
     initial_state: int
-    reward: Reward
+    reward: RewardTable
     _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> (beliefs, probs)
 
     def __post_init__(self) -> None:
@@ -286,8 +263,6 @@ class TabularPomdp:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if not isinstance(self.reward, RewardTable):
-            raise StructuralError("only table rewards are serializable")
         return {
             "S": self.n_states,
             "O": self.space.n_obs,
@@ -341,33 +316,6 @@ def psr_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
     return int(np.sum(svals > tol * svals[0]))
 
 
-def select_core_tests(pomdp: TabularPomdp, h: int, tol: float = 1e-8) -> list[Future]:
-    """Greedy pivoted column selection on the step-``h`` dynamics matrix.
-
-    Returns r = rank(D_h) full futures whose columns span the column space.
-    Pivot = largest residual norm, ties to the lexicographically smallest
-    column, so the selection is deterministic.
-    """
-    D = dynamics_matrix(pomdp, h)
-    r = psr_rank(D, tol)
-    residual = D.copy()
-    selected: list[int] = []
-    basis: list[np.ndarray] = []
-    for _ in range(r):
-        norms = np.linalg.norm(residual, axis=0)
-        pick = int(np.argmax(norms))  # first occurrence wins ties
-        q = residual[:, pick]
-        q = q / np.linalg.norm(q)
-        basis.append(q)
-        selected.append(pick)
-        residual = residual - np.outer(q, q @ residual)
-    futures = enumerate_futures(pomdp.space, h)
-    tests = [futures[j] for j in sorted(selected)]
-    if psr_rank(D[:, sorted(selected)], tol) != r:
-        raise SingularCoreTests(f"pivoted selection at step {h} lost rank")
-    return tests
-
-
 # -- m-step emission-action matrices ----------------------------------------
 
 
@@ -400,9 +348,6 @@ class GMatrices:
     m: int
     tests: tuple[tuple[Future, ...], ...]  # indexed by state step h = 1..H
     matrices: tuple[np.ndarray, ...]
-
-    def matrix_at(self, state_step: int) -> np.ndarray:
-        return self.matrices[state_step - 1]
 
     def tests_at(self, state_step: int) -> tuple[Future, ...]:
         return self.tests[state_step - 1]
@@ -444,67 +389,18 @@ def _transition_operator(pomdp: TabularPomdp, h: int, o: int, a: int) -> np.ndar
     return np.diag(emit)
 
 
-def _reachable_belief_basis(pomdp: TabularPomdp) -> list[np.ndarray]:
-    """Orthonormal bases of the reachable pre-emission belief spans, per step."""
-    S = pomdp.n_states
-    e0 = np.zeros((S, 1))
-    e0[pomdp.initial_state, 0] = 1.0
-    bases = [e0]
-    for h in range(1, pomdp.space.horizon):
-        V = bases[-1]
-        cols = [
-            _transition_operator(pomdp, h, o, a) @ V
-            for o in range(pomdp.space.n_obs)
-            for a in range(pomdp.space.n_actions)
-        ]
-        stacked = np.hstack(cols)
-        u, svals, _ = np.linalg.svd(stacked, full_matrices=False)
-        rank = max(1, int(np.sum(svals > 1e-12 * max(svals[0], 1e-300))))
-        bases.append(u[:, :rank])
-    return bases
-
-
-def _test_matrices(pomdp: TabularPomdp, tests_per_step: list[tuple[Future, ...]]) -> list[np.ndarray]:
-    """Test-probability matrices for state steps 1..H plus the terminal ones-row."""
-    mats = [pomdp.test_probs(tests, h) for h, tests in enumerate(tests_per_step, start=1)]
-    mats.append(np.ones((1, pomdp.n_states)))
-    return mats
-
-
-def _core_tests_from_g(g: GMatrices, space: ObsActSpace) -> CoreTestSet:
-    tests = [g.tests_at(h + 1) for h in range(space.horizon)]
-    return make_core_test_set(space, tests)
-
-
-def pomdp_to_psr(
-    pomdp: TabularPomdp,
-    core_tests: CoreTestSet | None = None,
-    g: GMatrices | None = None,
-) -> PsrModel:
+def pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     """Build the predictive-state representation of a tabular POMDP.
 
-    Either pass explicit ``core_tests`` (e.g. from :func:`select_core_tests`)
-    or window-test matrices ``g`` (from :func:`g_matrices`).  With ``g`` the
-    parameters come from pseudo-inverting the full-column-rank test matrices;
-    with explicit tests the linear systems are solved on the reachable belief
-    span, which only needs the tests to span the step's dynamics rank.
+    The core tests are the window tests of ``g`` (from :func:`g_matrices`),
+    and the parameters come from pseudo-inverting its full-column-rank test
+    matrices.
     """
-    if (core_tests is None) == (g is None):
-        raise StructuralError("pass exactly one of core_tests or g")
     space = pomdp.space
-    if g is not None:
-        core = _core_tests_from_g(g, space)
-        gmats = list(g.matrices) + [np.ones((1, pomdp.n_states))]
-        return _psr_from_pinv(pomdp, core, gmats)
-    assert core_tests is not None
-    gmats = _test_matrices(pomdp, [tuple(core_tests.tests[h]) for h in range(space.horizon)])
-    return _psr_from_belief_span(pomdp, core_tests, gmats)
-
-
-def _psr_from_pinv(pomdp: TabularPomdp, core: CoreTestSet, gmats: list[np.ndarray]) -> PsrModel:
-    space = pomdp.space
+    gmats = g.matrices
+    core = make_core_test_set(space, [g.tests_at(h + 1) for h in range(space.horizon)])
     pinvs = []
-    for h, G in enumerate(gmats[:-1], start=1):
+    for h, G in enumerate(gmats, start=1):
         svals = np.linalg.svd(G, compute_uv=False)
         smin = svals[pomdp.n_states - 1] if len(svals) >= pomdp.n_states else 0.0
         if smin <= 0 or svals[0] / smin > MAX_CONDITION:
@@ -527,48 +423,6 @@ def _psr_from_pinv(pomdp: TabularPomdp, core: CoreTestSet, gmats: list[np.ndarra
     M.append(terminal)
     ones = np.ones(pomdp.n_states)
     phi = [p.T @ ones for p in pinvs[:-1]] + [np.ones(d_last), np.ones(1)]
-    e0 = np.zeros(pomdp.n_states)
-    e0[pomdp.initial_state] = 1.0
-    psi0 = gmats[0] @ e0
-    return PsrModel(space, core, psi0, tuple(M), tuple(phi))
-
-
-def _psr_from_belief_span(pomdp: TabularPomdp, core: CoreTestSet, gmats: list[np.ndarray]) -> PsrModel:
-    space = pomdp.space
-    bases = _reachable_belief_basis(pomdp)
-    # A_h = G_{h+1} V_h restricted to the reachable span; must have full row rank.
-    A = [gmats[h] @ bases[h] for h in range(space.horizon)]
-    for h, mat in enumerate(A):
-        svals = np.linalg.svd(mat, compute_uv=False)
-        want = gmats[h].shape[0]
-        smin = svals[want - 1] if len(svals) >= want else 0.0
-        if smin <= 0 or svals[0] / smin > MAX_CONDITION:
-            raise SingularCoreTests(
-                f"core tests at step {h} do not span their dynamics (condition > {MAX_CONDITION:g})"
-            )
-    M: list[np.ndarray] = []
-    for h in range(1, space.horizon + 1):
-        G_next = gmats[h]
-        V = bases[h - 1]
-        A_pinv = np.linalg.pinv(A[h - 1], rcond=PINV_RCOND)
-        ops = np.empty((space.n_obs, space.n_actions, G_next.shape[0], gmats[h - 1].shape[0]))
-        for o in range(space.n_obs):
-            for a in range(space.n_actions):
-                X = G_next @ _transition_operator(pomdp, h, o, a) @ V
-                ops[o, a] = X @ A_pinv
-                if np.abs(ops[o, a] @ A[h - 1] - X).max() > 1e-8:
-                    raise SingularCoreTests(
-                        f"core tests at step {h - 1} cannot express the step-{h} update"
-                    )
-        M.append(ops)
-    phi = []
-    for h in range(space.horizon):
-        target = bases[h].T.sum(axis=1)  # V_h^T 1
-        vec = np.linalg.pinv(A[h], rcond=PINV_RCOND).T @ target
-        if np.abs(vec @ A[h] - target).max() > 1e-8:
-            raise SingularCoreTests(f"core tests at step {h} cannot express total mass")
-        phi.append(vec)
-    phi.append(np.ones(1))
     e0 = np.zeros(pomdp.n_states)
     e0[pomdp.initial_state] = 1.0
     psi0 = gmats[0] @ e0

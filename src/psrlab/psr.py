@@ -29,6 +29,13 @@ from .spaces import Future, History, ObsActSpace
 PSI_GUARD = 1e-12
 
 
+def _read_only_copy(values) -> np.ndarray:
+    """A copy of ``values`` that cannot be written, so nothing cached from it goes stale."""
+    copy = np.array(values)
+    copy.flags.writeable = False
+    return copy
+
+
 @dataclass(frozen=True)
 class CoreTestSet:
     """Per-step core tests with their action sets and exploration sets.
@@ -82,17 +89,14 @@ def make_core_test_set(space: ObsActSpace, tests_per_step: list[tuple[Future, ..
     return CoreTestSet(space, tuple(tuple(t) for t in tests_per_step), tuple(action_seqs), tuple(exploration))
 
 
-def core_test_set_from_dict(space: ObsActSpace, data: dict) -> CoreTestSet:
-    tests = [
-        tuple(Future(t["start_step"], tuple(t["obs"]), tuple(t["acts"])) for t in row)
-        for row in data["tests"]
-    ]
-    return make_core_test_set(space, tests)
-
-
 @dataclass(frozen=True)
 class PsrModel:
-    """Sequential model in predictive-state form; immutable after validation."""
+    """Sequential model in predictive-state form; immutable after validation.
+
+    ``psi0`` and every ``M[h]`` and ``phi[h]`` are stored as read-only
+    copies of what the caller passed, since the cached tables derive from
+    them.
+    """
 
     space: ObsActSpace
     core_tests: CoreTestSet
@@ -103,6 +107,9 @@ class PsrModel:
     _feature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> feature table
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "psi0", _read_only_copy(self.psi0))
+        object.__setattr__(self, "M", tuple(_read_only_copy(ops) for ops in self.M))
+        object.__setattr__(self, "phi", tuple(_read_only_copy(vec) for vec in self.phi))
         H, O, A = self.space.horizon, self.space.n_obs, self.space.n_actions
         if len(self.M) != H or len(self.phi) != H + 1:
             raise StructuralError("need H observation-action tables and H+1 closing vectors")
@@ -227,19 +234,6 @@ def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[n
         model._table_cache[h] = (states[i : i + 1], probs[i : i + 1])
         model._feature_cache.pop(h, None)  # features follow the states they were divided from
     return states, probs
-
-
-def psr_model_from_dict(data: dict) -> PsrModel:
-    sp = data["space"]
-    space = ObsActSpace(sp["n_obs"], sp["n_actions"], sp["horizon"])
-    core = core_test_set_from_dict(space, data["core_tests"])
-    return PsrModel(
-        space,
-        core,
-        np.asarray(data["psi0"], dtype=float),
-        tuple(np.asarray(m, dtype=float) for m in data["M"]),
-        tuple(np.asarray(v, dtype=float) for v in data["phi"]),
-    )
 
 
 # -- model-level operations ---------------------------------------------------

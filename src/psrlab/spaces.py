@@ -163,29 +163,3 @@ class Future:
             raise StructuralError("test observation outside space bounds")
         if any(not 0 <= a < space.n_actions for a in self.acts):
             raise StructuralError("test action outside space bounds")
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.acts) == len(self.obs)
-
-    def as_steps(self) -> tuple[tuple[int, int], ...]:
-        if not self.is_full:
-            raise StructuralError("short test has no complete (obs, action) pairing")
-        return tuple(zip(self.obs, self.acts))
-
-
-def future_from_lex(space: ObsActSpace, start_step: int, index: int) -> Future:
-    """Full future of the remaining horizon, from its lexicographic index."""
-    length = space.horizon - start_step
-    steps: list[tuple[int, int]] = []
-    for _ in range(length):
-        index, pair = divmod(index, space.pair_count)
-        steps.append(divmod(pair, space.n_actions))
-    steps.reverse()
-    return Future(start_step, tuple(o for o, _ in steps), tuple(a for _, a in steps))
-
-
-def enumerate_futures(space: ObsActSpace, start_step: int) -> list[Future]:
-    """All full futures from ``start_step`` in lexicographic order."""
-    count = space.pair_count ** (space.horizon - start_step)
-    return [future_from_lex(space, start_step, i) for i in range(count)]

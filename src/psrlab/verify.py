@@ -22,11 +22,10 @@ from .bonus import (
 from .errors import DegenerateHistory, StructuralError
 from .estimation import (
     DatasetFamily,
+    _one_model,
     conditional_tv_diagnostic,
     constrained_mle,
-    log_likelihood,
     make_candidates,
-    theta_min_feasible,
 )
 from .online import OnlineConfig, _build_evaluator, _explore, exploration_suffixes, run_psr_ucb
 from .offline import OfflineConfig, collect_offline, run_psr_lcb
@@ -400,19 +399,20 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
     prefix, suffixes = uniform_policy(env.space), exploration_suffixes(true_model.core_tests)
     for s in range(seeds):
         dataset = _uniform_collection(env, prefix, suffixes, n_rounds, child_seed(s, "mle-event"))
-        lik_true = log_likelihood(true_model, dataset)
+        # One pass per model gives both its p_min stability and its log-likelihood.
+        (stable_true,), (lik_true,) = _one_model(true_model, dataset, p_min)
         prefix_true = _prefix_loglik(true_model, dataset)
         margin_ok = True
         cond_ok = True
         hell_ok = True
         for i, model in enumerate(cands.models):
-            lik = log_likelihood(model, dataset)
+            (stable,), (lik,) = _one_model(model, dataset, p_min)
             if lik - 3.0 * log_term > lik_true:
                 margin_ok = False
             if _prefix_loglik(model, dataset) - 3.0 * log_term > prefix_true:
                 margin_ok = False
             gap = lik_true - lik if lik > float("-inf") else math.inf
-            if theta_min_feasible(model, dataset, p_min):
+            if stable:
                 lhs = conditional_tv_diagnostic(model, true_model, dataset)
                 if lhs > 6.0 * gap + 31.0 * log_term + 1e-9:
                     cond_ok = False
@@ -429,7 +429,7 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
         viol["loglik-margin"] += 0 if margin_ok else 1
         viol["conditional-tv"] += 0 if cond_ok else 1
         viol["hellinger"] += 0 if hell_ok else 1
-        viol["p-min-feasible"] += 0 if theta_min_feasible(true_model, dataset, p_min) else 1
+        viol["p-min-feasible"] += 0 if stable_true else 1
     allowed = delta + wilson_slack(delta, seeds)
     for name, count in viol.items():
         rate = count / seeds

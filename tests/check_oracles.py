@@ -16,9 +16,11 @@ the conditional-TV diagnostic walks one recorded entry object at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
 selection's oracle gathers and reduces every recorded entry in one pass, as
 selection did before it kept a running record on the dataset.  Tests
-compare the package against them bit for bit.
+compare the package against them bit for bit.  :func:`dataset_jsonl` is the
+dataset's former JSONL text, which the golden tests hash.
 """
 
+import json
 import math
 from typing import NamedTuple
 
@@ -177,8 +179,6 @@ def oracle_score_table(evaluator):
         feats = evaluator.feature_source.feature_table(h)
         bad = np.isnan(feats[:, 0])
         feats = np.where(bad[:, None], 0.0, feats)
-        if evaluator.transform is not None:
-            feats = feats @ evaluator.transform[h].T
         scores = oracle_gram_scores(evaluator.grams[h], feats)
         reps = space.pair_count ** (space.horizon - h)
         totals += np.repeat(scores, reps)
@@ -285,3 +285,18 @@ def decoded_entries(dataset):
         [Entry(history_from_lex(space, space.horizon, t), pid) for t, pid in zip(cols.trajectory, cols.policy_id)]
         for cols in dataset.columns
     ]
+
+
+def dataset_jsonl(dataset):
+    """One JSON record per entry, bucket by bucket in insertion order, steps decoded from the trajectory indices."""
+    space = dataset.space
+    place = space.pair_count ** np.arange(space.horizon - 1, -1, -1)  # lex weight of each step's pair
+    lines = []
+    for h, cols in enumerate(dataset.columns):
+        pairs = np.asarray(cols.trajectory)[:, None] // place % space.pair_count
+        steps = np.stack(np.divmod(pairs, space.n_actions), axis=-1).tolist()
+        lines.extend(
+            json.dumps({"h": h, "policy_id": pid, "trajectory": traj}, separators=(",", ":"))
+            for pid, traj in zip(cols.policy_id, steps)
+        )
+    return "\n".join(lines) + ("\n" if lines else "")

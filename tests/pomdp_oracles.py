@@ -4,7 +4,9 @@ These are the loops the package ran before the environment's quantities were
 read from trajectory-tree tables: the forward recursion run once per
 history, the backward walk run once per test, the dynamics matrix filled one
 cell at a time, and the coverage coefficient enumerating every history.
-Tests compare the tables against them bit for bit.
+Tests compare the tables against them bit for bit.  The full futures (tests
+that run to the horizon, one action per observation) index the dynamics
+matrix's columns; the package itself only builds window tests.
 """
 
 import math
@@ -13,7 +15,35 @@ import numpy as np
 
 from psrlab.errors import StructuralError
 from psrlab.policies import policy_weight
-from psrlab.spaces import History, enumerate_futures, enumerate_histories
+from psrlab.spaces import Future, History, enumerate_histories
+
+
+def future_from_lex(space, start_step, index):
+    """Full future of the remaining horizon, from its lexicographic index."""
+    length = space.horizon - start_step
+    steps = []
+    for _ in range(length):
+        index, pair = divmod(index, space.pair_count)
+        steps.append(divmod(pair, space.n_actions))
+    steps.reverse()
+    return Future(start_step, tuple(o for o, _ in steps), tuple(a for _, a in steps))
+
+
+def enumerate_futures(space, start_step):
+    """All full futures from ``start_step`` in lexicographic order."""
+    count = space.pair_count ** (space.horizon - start_step)
+    return [future_from_lex(space, start_step, i) for i in range(count)]
+
+
+def is_full(future):
+    return len(future.acts) == len(future.obs)
+
+
+def future_steps(future):
+    """A full future's (obs, action) pairs."""
+    if not is_full(future):
+        raise StructuralError("short test has no complete (obs, action) pairing")
+    return tuple(zip(future.obs, future.acts))
 
 
 def oracle_pre_emission_belief(env, history):
@@ -61,7 +91,7 @@ def oracle_dynamics_matrix(env, h):
     out = np.empty((rows, cols))
     for i, hist in enumerate(enumerate_histories(space, h)):
         for j, fut in enumerate(enumerate_futures(space, h)):
-            out[i, j] = oracle_exact_traj_prob(env, History(hist.steps + fut.as_steps()))
+            out[i, j] = oracle_exact_traj_prob(env, History(hist.steps + future_steps(fut)))
     return out
 
 

@@ -8,22 +8,21 @@ from conftest import make_single_state_env
 from psrlab.bonus import (
     BonusEvaluator,
     FeatureGram,
-    decodable_transform,
     elliptical_potential_check,
     prefix_grams,
     transfer_score_check,
 )
-from psrlab.errors import DegenerateHistory, SingularCoreTests, StructuralError
+from psrlab.errors import DegenerateHistory, StructuralError
 from psrlab.estimation import DatasetFamily
 from psrlab.online import _build_evaluator
 from psrlab.policies import uniform_policy
-from psrlab.pomdp import default_psr, g_matrices
+from psrlab.pomdp import default_psr
 from psrlab.seeding import rng_for
 from psrlab.spaces import History, enumerate_histories, history_from_lex
 
 
 def test_fresh_gram_score_is_euclidean():
-    gram = FeatureGram.fresh(0, 3, lam=1.0)
+    gram = FeatureGram.build(0, 3, 1.0, ())
     x = np.array([0.3, -0.2, 0.9])
     assert gram.score(x) == pytest.approx(float(x @ x), abs=1e-12)
 
@@ -50,13 +49,13 @@ def test_build_matches_direct_solve():
 
 def test_gram_rejects_tiny_lambda():
     with pytest.raises(StructuralError):
-        FeatureGram.fresh(0, 2, lam=1e-13)
+        FeatureGram.build(0, 2, 1e-13, ())
 
 
 def scalar_bonus_setup(alpha):
     env = make_single_state_env(horizon=1, n_obs=1, n_actions=2)
     model, _ = default_psr(env)
-    grams = (FeatureGram.fresh(0, 1, lam=1.0),)
+    grams = (FeatureGram.build(0, 1, 1.0, ()),)
     return model, BonusEvaluator(grams, alpha, model)
 
 
@@ -94,46 +93,11 @@ def test_bonus_monotone_in_data(reference_env, reference_model):
 def test_bonus_degenerate_prefix_is_one():
     env = make_single_state_env(horizon=2, n_obs=2, n_actions=1, emission_row=np.array([1.0, 0.0]))
     model, _ = default_psr(env)
-    grams = tuple(FeatureGram.fresh(h, model.dims[h], 1.0) for h in range(2))
+    grams = tuple(FeatureGram.build(h, model.dims[h], 1.0, ()) for h in range(2))
     ev = BonusEvaluator(grams, 0.001, model)
     dead = History(((1, 0), (0, 0)))
     assert ev.bonus(dead) == 1.0
     assert ev.bonus_table()[dead.lex_index(env.space)] == 1.0
-
-
-def test_decodable_transform_single_state():
-    env = make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=np.array([0.6, 0.4]))
-    g = g_matrices(env, 1)
-    transforms = decodable_transform(g)
-    assert transforms[0].shape == (1, 2)
-
-
-def test_decodable_transform_pinv_property(reference_g):
-    transforms = decodable_transform(reference_g)
-    for G, T in zip(reference_g.matrices, transforms):
-        assert np.allclose(T @ G, np.eye(G.shape[1]), atol=1e-10)
-
-
-def test_decodable_transform_recovers_belief(reference_env, reference_model, reference_g):
-    transforms = decodable_transform(reference_g)
-    space = reference_env.space
-    for h in range(space.horizon):
-        for hist in enumerate_histories(space, h):
-            p = reference_env.exact_traj_prob(hist)
-            if p <= 1e-12:
-                continue
-            belief = reference_env.pre_emission_belief(hist)
-            belief = belief / belief.sum()
-            feat = reference_model.prediction_feature(hist)
-            assert np.allclose(transforms[h] @ feat, belief, atol=1e-8)
-
-
-def test_decodable_transform_rejects_singular():
-    env = make_single_state_env(horizon=2, n_obs=2, n_actions=2)
-    g = g_matrices(env, 1)
-    bad = type(g)(g.m, g.tests, tuple(np.zeros_like(G) for G in g.matrices))
-    with pytest.raises(SingularCoreTests):
-        decodable_transform(bad)
 
 
 def test_prefix_grams_match_outer_products(reference_env, reference_model):
@@ -214,42 +178,13 @@ def test_transfer_score_random_pairs(seed):
 
 
 def test_gram_condition_number(reference_model):
-    gram = FeatureGram.fresh(0, 2, lam=2.0)
+    gram = FeatureGram.build(0, 2, 2.0, ())
     assert gram.condition_number == pytest.approx(1.0, abs=1e-12)
-
-
-def test_bonus_with_decodable_transform(reference_env, reference_model, reference_g):
-    """Transform route: grams live in the projected space, bonuses stay sane."""
-    transforms = decodable_transform(reference_g)
-    space = reference_env.space
-    dataset = DatasetFamily(space)
-    pol = uniform_policy(space)
-    for i in range(8):
-        dataset.add("u", reference_env.sample_episode(pol, 300 + i), i % 2, pol)
-    lam, alpha = 0.7, 0.9
-    grams = []
-    for h in range(space.horizon):
-        feats = [
-            transforms[h] @ reference_model.prediction_feature(history_from_lex(space, h, prefix))
-            for prefix in dataset.columns[h].prefix
-        ]
-        grams.append(FeatureGram.build(h, reference_env.n_states, lam, np.asarray(feats)))
-    ev = BonusEvaluator(tuple(grams), alpha, reference_model, transform=transforms)
-    table = ev.bonus_table()
-    assert np.all((0.0 <= table) & (table <= 1.0))
-    traj = reference_env.sample_episode(pol, 999)
-    manual = sum(
-        grams[h].score(transforms[h] @ reference_model.prediction_feature(traj.prefix(h)))
-        for h in range(space.horizon)
-    )
-    expected = min(alpha * math.sqrt(manual), 1.0)
-    assert ev.bonus(traj) == pytest.approx(expected, abs=1e-12)
-    assert table[traj.lex_index(space)] == pytest.approx(expected, abs=1e-12)
 
 
 def test_zero_data_bonus_closed_form(reference_model):
     lam, alpha = 0.8, 0.6
-    grams = tuple(FeatureGram.fresh(h, reference_model.dims[h], lam)
+    grams = tuple(FeatureGram.build(h, reference_model.dims[h], lam, ())
                   for h in range(reference_model.space.horizon))
     ev = BonusEvaluator(grams, alpha, reference_model)
     space = reference_model.space
@@ -265,7 +200,7 @@ def test_zero_data_bonus_closed_form(reference_model):
         assert table[idx] == pytest.approx(min(alpha * math.sqrt(total / lam), 1.0), abs=1e-12)
 
 
-def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model, reference_g):
+def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
     """alpha * sqrt(fsum of per-step gram scores), capped at 1 and 1 on a
     degenerate prefix, is the oracle for bonus and bonus_table."""
     space = reference_env.space
@@ -277,9 +212,7 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model, r
     det_model, _ = default_psr(det_env)
     evaluators = [
         _build_evaluator(reference_model, dataset, 0.7, 0.3),
-        BonusEvaluator(tuple(FeatureGram.fresh(h, 2, 1.0) for h in range(2)), 0.8, reference_model,
-                       transform=decodable_transform(reference_g)),
-        BonusEvaluator(tuple(FeatureGram.fresh(h, det_model.dims[h], 1.0) for h in range(2)), 0.01, det_model),
+        BonusEvaluator(tuple(FeatureGram.build(h, det_model.dims[h], 1.0, ()) for h in range(2)), 0.01, det_model),
     ]
     for ev in evaluators:
         model = ev.feature_source
@@ -290,13 +223,11 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model, r
             except DegenerateHistory:
                 expected = 1.0
             else:
-                if ev.transform is not None:
-                    feats = [ev.transform[h] @ f for h, f in enumerate(feats)]
                 total = math.fsum(ev.grams[h].score(f) for h, f in enumerate(feats))
                 expected = min(ev.alpha * math.sqrt(max(total, 0.0)), 1.0)
             assert ev.bonus(traj) == pytest.approx(expected, abs=1e-12)
             assert table[traj.lex_index(model.space)] == ev.bonus(traj)
-    assert 1.0 in evaluators[2].bonus_table()
+    assert 1.0 in evaluators[1].bonus_table()
 
 
 def test_gram_rejects_indefinite_matrix():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pomdp_oracles import (
+    enumerate_futures,
     oracle_coverage_coefficient,
     oracle_dynamics_matrix,
     oracle_exact_traj_prob,
@@ -15,7 +16,7 @@ from pomdp_oracles import (
 from psrlab.errors import StructuralError
 from psrlab.offline import coverage_coefficient
 from psrlab.policies import UniformActionSeqPolicy, random_tree_policy, uniform_policy
-from psrlab.pomdp import dynamics_matrix, g_matrices, near_tie, random_revealing, select_core_tests
+from psrlab.pomdp import dynamics_matrix, g_matrices, near_tie, random_revealing
 from psrlab.seeding import rng_for
 from psrlab.spaces import Future, History, enumerate_histories
 from psrlab.verify import small_builtin_envs
@@ -76,9 +77,9 @@ def test_test_probs_equal_per_test_walk(name, env):
         g = g_matrices(env, m)
         for h in range(1, space.horizon + 1):
             oracle = np.stack([oracle_test_prob_given_state(env, t, h) for t in g.tests_at(h)])
-            assert np.array_equal(g.matrix_at(h), oracle), (name, m, h)
+            assert np.array_equal(g.matrices[h - 1], oracle), (name, m, h)
     for h in range(space.horizon):
-        tests = select_core_tests(env, h)
+        tests = enumerate_futures(space, h)  # full-length tests
         oracle = np.stack([oracle_test_prob_given_state(env, t, h + 1) for t in tests])
         assert np.array_equal(env.test_probs(tests, h + 1), oracle), (name, h)
 

@@ -18,10 +18,8 @@ from psrlab.estimation import (
     DatasetFamily,
     conditional_tv_diagnostic,
     constrained_mle,
-    dataset_from_jsonl,
     log_likelihood,
     make_candidates,
-    policies_from_dict,
     theta_min_feasible,
 )
 from psrlab.policies import UniformActionSeqPolicy, policy_weight, uniform_policy
@@ -87,12 +85,7 @@ def test_constrained_mle_permutation_invariance(reference_env, small_dataset):
     cands = make_candidates(reference_env, "dithered", seed=3, n=6, scale=0.05)
     result = constrained_mle(cands, small_dataset, p_min=1e-10, beta=2.0)
     order = list(reversed(range(len(cands))))
-    permuted = CandidateSet(
-        tuple(cands.models[i] for i in order),
-        tuple(cands.labels[i] for i in order),
-        tuple(cands.pomdps[i] for i in order),
-        cands.config,
-    )
+    permuted = CandidateSet(tuple(cands.models[i] for i in order), tuple(cands.labels[i] for i in order))
     result2 = constrained_mle(permuted, small_dataset, p_min=1e-10, beta=2.0)
     assert cands.labels[result.selected_id] == permuted.labels[result2.selected_id]
     assert sorted(cands.labels[i] for i in result.feasible_ids) == sorted(
@@ -159,49 +152,6 @@ def test_make_candidates_dithered_contract(reference_env):
     assert all(check_self_consistency(m) <= 1e-9 for m in cands.models)
 
 
-def test_dataset_jsonl_round_trip(reference_env, small_dataset):
-    text = small_dataset.to_jsonl()
-    policies = policies_from_dict(
-        json.loads(json.dumps(small_dataset.policies_to_dict())), reference_env.space
-    )
-    rebuilt = dataset_from_jsonl(reference_env.space, text, policies)
-    assert rebuilt.size() == small_dataset.size()
-    assert_same_columns(rebuilt, small_dataset)
-    assert rebuilt.to_jsonl() == text
-    assert DatasetFamily(reference_env.space).to_jsonl() == ""
-
-
-@pytest.mark.parametrize(
-    "line,message",
-    [
-        ('{"h":0,"policy_id":"u","trajectory":[[0,0],[0,0]]', "malformed"),  # bad JSON
-        ('{"policy_id":"u","trajectory":[[0,0],[0,0]]}', "missing key 'h'"),
-        ('{"h":0,"trajectory":[[0,0],[0,0]]}', "missing key 'policy_id'"),
-        ('{"h":0,"policy_id":"u"}', "missing key 'trajectory'"),
-        ('{"h":0,"policy_id":"u","trajectory":[[0,0],[0]]}', "malformed"),  # a step that is not a pair
-        ('{"h":0,"policy_id":"u","trajectory":[[0,0],7]}', "malformed"),
-        ('[0,"u"]', "malformed"),  # not a record
-        ('{"h":"0","policy_id":"u","trajectory":[[0,0],[0,0]]}', "integers"),
-        ('{"h":0.5,"policy_id":"u","trajectory":[[0,0],[0,0]]}', "integers"),
-        ('{"h":true,"policy_id":"u","trajectory":[[0,0],[0,0]]}', "integers"),
-        ('{"h":0,"policy_id":"u","trajectory":[[0,0.0],[0,0]]}', "integers"),
-        ('{"h":0,"policy_id":1,"trajectory":[[0,0],[0,0]]}', "string"),
-        ('{"h":2,"policy_id":"u","trajectory":[[0,0],[0,0]]}', "split step"),
-        ('{"h":0,"policy_id":"v","trajectory":[[0,0],[0,0]]}', "unknown policy id"),
-    ],
-    ids=[
-        "bad-json", "no-h", "no-policy-id", "no-trajectory", "short-step", "scalar-step", "not-a-record",
-        "h-string", "h-float", "h-bool", "float-step", "policy-id-number", "h-range", "unknown-policy",
-    ],
-)
-def test_dataset_from_jsonl_names_the_malformed_line(reference_env, small_dataset, line, message):
-    good = small_dataset.to_jsonl().splitlines()[0]
-    text = "\n".join([good, "", line, good]) + "\n"
-    with pytest.raises(StructuralError, match="dataset line 3: ") as info:
-        dataset_from_jsonl(reference_env.space, text, dict(small_dataset.policies))
-    assert message in str(info.value)
-
-
 def test_grid_mle_hellinger_near_best_neighbor():
     """Selected model's Hellinger gap to truth stays within 7*beta/K of the
     grid-nearest member, across seeded datasets."""
@@ -232,18 +182,6 @@ def test_grid_mle_hellinger_near_best_neighbor():
     assert hits >= (1 - delta) * n_runs
 
 
-def test_candidate_set_serialization_round_trip(reference_env):
-    from psrlab.estimation import candidate_set_from_dict
-
-    cands = make_candidates(reference_env, "dithered", seed=3, n=4, scale=0.05)
-    data = json.loads(json.dumps(cands.to_dict()))
-    rebuilt = candidate_set_from_dict(data)
-    assert rebuilt.labels == cands.labels
-    for a, b in zip(rebuilt.models, cands.models):
-        assert np.array_equal(a.psi0, b.psi0)
-        assert all(np.array_equal(x, y) for x, y in zip(a.M, b.M))
-
-
 def test_dataset_bucket_validation(reference_env):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
@@ -254,6 +192,9 @@ def test_dataset_bucket_validation(reference_env):
         dataset.add("u", traj, 5, pol)
     with pytest.raises(StructuralError):
         dataset.add("unknown", traj, 0)
+    with pytest.raises(StructuralError, match="bounds"):
+        dataset.add("u", History(((3, 0), (0, 0))), 0, pol)  # observation out of range
+    assert dataset.size() == 0
 
 
 def _oracle_log_likelihood(model, dataset):
@@ -314,13 +255,6 @@ def test_likelihood_oracle_edge_cases():
     assert theta_min_feasible(model, dataset, 1.5) is _oracle_feasible(model, dataset, 1.5) is False
 
 
-def test_dataset_from_jsonl_rejects_out_of_range_steps(reference_env, small_dataset):
-    policies = dict(small_dataset.policies)
-    bad = '{"h":0,"policy_id":"u","trajectory":[[3,0],[0,0]]}\n'
-    with pytest.raises(StructuralError):
-        dataset_from_jsonl(reference_env.space, bad, policies)
-
-
 def test_add_rejects_non_integer_steps_and_keeps_columns_aligned(reference_env):
     space = reference_env.space
     dataset = DatasetFamily(space)
@@ -371,13 +305,11 @@ def _staged_candidates(env):
     from psrlab.pomdp import g_matrices, pomdp_to_psr
 
     dithered = make_candidates(env, "dithered", seed=3, n=8, scale=0.08)
-    window = dithered.config["window"]
+    window = default_psr(env)[1].m
     extra = [_reweighted_emission(env, env.space.horizon - 1, 2, 0.0), _reweighted_emission(env, 0, 0, 1e-3)]
     return CandidateSet(
         dithered.models + tuple(pomdp_to_psr(p, g=g_matrices(p, window)) for p in extra),
         dithered.labels + ("never-last-obs", "rare-first-obs"),
-        dithered.pomdps + tuple(extra),
-        dithered.config,
     )
 
 
@@ -482,7 +414,7 @@ def test_selection_record_rejects_shrunken_columns(reference_env, small_dataset)
 
 
 def test_candidate_prob_table_rows_are_the_members_tables(reference_env):
-    from psrlab.psr import psr_model_from_dict
+    from psrlab.psr import PsrModel
 
     cands = make_candidates(reference_env, "dithered", seed=3, n=6, scale=0.05)
     space = reference_env.space
@@ -495,17 +427,18 @@ def test_candidate_prob_table_rows_are_the_members_tables(reference_env):
             assert np.shares_memory(row, model.prob_table(h))
             assert np.shares_memory(cands._table_cache[h][0], model._tables(h)[0])
             # a model outside any set computes the same bits on its own
-            assert np.array_equal(row, psr_model_from_dict(model.to_dict()).prob_table(h))
+            alone = PsrModel(model.space, model.core_tests, model.psi0, model.M, model.phi)
+            assert np.array_equal(row, alone.prob_table(h))
 
 
 def test_candidate_set_rejects_mismatched_dimensions(reference_env):
     from psrlab.pomdp import g_matrices, pomdp_to_psr
 
     cands = make_candidates(reference_env, "include_true")
-    wider = pomdp_to_psr(reference_env, g=g_matrices(reference_env, cands.config["window"] + 1))
+    wider = pomdp_to_psr(reference_env, g=g_matrices(reference_env, default_psr(reference_env)[1].m + 1))
     assert wider.dims != cands.models[0].dims
     with pytest.raises(StructuralError, match="wide"):
-        CandidateSet(cands.models + (wider,), ("true", "wide"), cands.pomdps * 2, cands.config)
+        CandidateSet(cands.models + (wider,), ("true", "wide"))
 
 
 def test_bucket_weight_columns_match_per_history_oracle(reference_env):
@@ -526,7 +459,11 @@ def test_bucket_weight_columns_match_per_history_oracle(reference_env):
     online_data = run_psr_ucb(env, cfg, build_candidates(env, config["candidates"])).dataset
     behavior = UniformActionSeqPolicy(reference_env.space.n_actions, 1, ((), (1,), (1, 0)))
     offline_data = collect_offline(reference_env, behavior, 200, 4)
-    loaded = dataset_from_jsonl(reference_env.space, offline_data.to_jsonl(), offline_data.policies)
+    loaded = DatasetFamily(reference_env.space, dict(offline_data.policies))  # the same entries, one add each
+    for h, bucket in enumerate(decoded_entries(offline_data)):
+        for entry in bucket:
+            loaded.add(entry.policy_id, entry.trajectory, h)
+    assert_same_columns(loaded, offline_data)
     for dataset in (online_data, offline_data, loaded):
         assert dataset.size() > 0
         for h, bucket in enumerate(decoded_entries(dataset)):

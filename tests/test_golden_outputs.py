@@ -8,8 +8,9 @@ in the offline pipeline changes one of them.  The online digests were
 recorded before the bonus sums and the planner's backward induction were
 rewritten; each iteration's ``ucb_value`` and the summary's ``gap`` pin
 the bonus and plan bits.  The dataset JSONL digests were recorded while a
-dataset still kept one entry object per trajectory next to its columns;
-the JSONL is now decoded from the trajectory-index columns.
+dataset still kept one entry object per trajectory next to its columns
+and wrote its own JSONL; the same text is now decoded from the
+trajectory-index columns by ``check_oracles.dataset_jsonl``.
 """
 
 import hashlib
@@ -18,6 +19,7 @@ from pathlib import Path
 
 from click.testing import CliRunner
 
+from check_oracles import dataset_jsonl
 from psrlab.cli import build_behavior, build_candidates, build_env, main
 from psrlab.offline import collect_offline
 from psrlab.online import OnlineConfig, run_psr_ucb
@@ -53,7 +55,7 @@ ONLINE_SHA256 = {
 }
 ONLINE_ALL_SHA256 = "9f70a29ef40ed58834c29bd9858243e4f44b20290d2ece8652a27f17cb0fda66"
 
-# SHA-256 of DatasetFamily.to_jsonl() for seed 0: the offline sweep's behaviour
+# SHA-256 of dataset_jsonl(dataset) for seed 0: the offline sweep's behaviour
 # at n = 1000 episodes, and the dataset of the online reference run.
 OFFLINE_JSONL_SHA256 = "c3720d8881731bfd047bba07efe16cd5b10670e983a4d55f4142d01e3c0d583b"
 ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e02c831c"
@@ -92,7 +94,7 @@ def test_offline_dataset_jsonl_is_byte_identical():
     env = build_env(config["env"])
     dataset = collect_offline(env, build_behavior(config["behavior"], env.space), 1000, 0)
     assert dataset.size() == 1000
-    assert hashlib.sha256(dataset.to_jsonl().encode()).hexdigest() == OFFLINE_JSONL_SHA256
+    assert hashlib.sha256(dataset_jsonl(dataset).encode()).hexdigest() == OFFLINE_JSONL_SHA256
 
 
 def test_online_dataset_jsonl_is_byte_identical():
@@ -106,4 +108,4 @@ def test_online_dataset_jsonl_is_byte_identical():
     )
     result = run_psr_ucb(env, online, build_candidates(env, config["candidates"]), true_model.core_tests)
     assert result.dataset.size() == 2 * len(result.logs)
-    assert hashlib.sha256(result.dataset.to_jsonl().encode()).hexdigest() == ONLINE_JSONL_SHA256
+    assert hashlib.sha256(dataset_jsonl(result.dataset).encode()).hexdigest() == ONLINE_JSONL_SHA256

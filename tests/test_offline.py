@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_columns, make_single_state_env
+from pomdp_oracles import enumerate_futures
 from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.offline import (
@@ -23,7 +24,7 @@ from psrlab.policies import (
     random_tree_policy,
     uniform_policy,
 )
-from psrlab.pomdp import default_psr, near_tie, select_core_tests
+from psrlab.pomdp import default_psr, near_tie
 from psrlab.psr import make_core_test_set
 from psrlab.seeding import rng_for
 from psrlab.spaces import History, enumerate_histories
@@ -76,8 +77,8 @@ def test_collect_frequencies_match_exact(reference_env):
 
 
 def test_min_exploration_prob_uniform_product(small_env):
-    # generic-route core tests carry full-length action sequences
-    tests = [tuple(select_core_tests(small_env, h)) for h in range(small_env.space.horizon)]
+    # full-length tests carry full-length action sequences
+    tests = [tuple(enumerate_futures(small_env.space, h)) for h in range(small_env.space.horizon)]
     core = make_core_test_set(small_env.space, tests)
     longest = max(len(s) for seqs in core.exploration_seqs for s in seqs)
     iota = min_exploration_prob(uniform_policy(small_env.space), core)

@@ -104,9 +104,14 @@ def test_dataset_growth_one_entry_per_step(reference_env, reference_model):
 def test_loop_body_is_reward_free(reference_env, reference_model):
     reads = {"n": 0}
 
-    def counting_reward(traj):
-        reads["n"] += 1
-        return 0.5
+    class CountingReward(RewardTable):
+        def of(self, trajectory):
+            reads["n"] += 1
+            return super().of(trajectory)
+
+        def leaf_table(self, space):
+            reads["n"] += 1
+            return super().leaf_table(space)
 
     env = TabularPomdp(
         reference_env.n_states,
@@ -114,7 +119,7 @@ def test_loop_body_is_reward_free(reference_env, reference_model):
         reference_env.transition,
         reference_env.emission,
         reference_env.initial_state,
-        __import__("psrlab.pomdp", fromlist=["TrajectoryReward"]).TrajectoryReward(counting_reward),
+        CountingReward(reference_env.reward.table),
     )
     cands = make_candidates(reference_env, "include_true")
     cfg = base_config(max_iterations=5, epsilon=1e-9)  # never terminates
@@ -186,3 +191,24 @@ def test_ucb_value_sequence_logged_within_unit_interval(reference_env, reference
     result = run_psr_ucb(reference_env, cfg, cands, reference_model.core_tests)
     for log in result.logs:
         assert 0.0 <= log.ucb_value <= 1.0
+
+
+def test_returned_dataset_holds_no_selection_record(reference_env, reference_model):
+    """The loop drops its selection record on return, and a later selection on the returned
+    dataset carries the bits of a fresh pass over the same entries."""
+    from check_oracles import decoded_entries
+    from psrlab.estimation import DatasetFamily, constrained_mle
+
+    cands = make_candidates(reference_env, "dithered", seed=5, n=6, scale=0.05)
+    cfg = base_config(max_iterations=12, epsilon=1e-9)
+    result = run_psr_ucb(reference_env, cfg, cands, reference_model.core_tests)
+    assert result.dataset._selection is None
+    rebuilt = DatasetFamily(reference_env.space, dict(result.dataset.policies))
+    for h, bucket in enumerate(decoded_entries(result.dataset)):
+        for entry in bucket:
+            rebuilt.add(entry.policy_id, entry.trajectory, h)
+    for beta in (cfg.beta, 0.5):
+        later = constrained_mle(cands, result.dataset, cfg.p_min, beta)
+        fresh = constrained_mle(cands, rebuilt, cfg.p_min, beta)
+        assert [x.hex() for x in later.log_likelihoods] == [x.hex() for x in fresh.log_likelihoods]
+        assert (later.selected_id, later.feasible_ids) == (fresh.selected_id, fresh.feasible_ids)

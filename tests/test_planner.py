@@ -11,7 +11,7 @@ from psrlab.online import _build_evaluator
 from psrlab.planner import leaf_table, plan_on_table, policy_value_on_table
 from psrlab.policies import DeterministicTreePolicy, uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
-from psrlab.spaces import History
+from psrlab.spaces import enumerate_histories
 
 
 def all_tree_policies(space):
@@ -45,6 +45,19 @@ def model222(env222):
     return default_psr(env222)[0]
 
 
+def test_leaf_table_calls_the_function_once_per_leaf(small_env):
+    space = small_env.space
+    calls = []
+
+    def reward(traj):
+        calls.append(traj)
+        return 0.25 * len(traj.steps) / space.horizon
+
+    table = leaf_table(space, reward)
+    assert calls == enumerate_histories(space, space.horizon)  # one call per leaf, in lex order
+    assert np.all(table == 0.25)
+
+
 def test_constant_leaves_value():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=2)
     model, _ = default_psr(env)
@@ -59,15 +72,14 @@ def test_bandit_argmax():
     leaves = leaf_table(model.space, lambda t: model.seq_prob(t) * rewards[t.steps[0][1]])
     policy, val = plan_on_table(model.space, leaves)
     assert val == pytest.approx(0.7, abs=1e-12)
-    assert policy.action_at(History(), 0) == 1
-    assert policy.action_at(History(), 1) == 1
+    assert policy.actions_by_step[0].tolist() == [1, 1]  # the action after each first observation
 
 
 def test_tie_breaks_to_lowest_action():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=3)
     model, _ = default_psr(env)
     policy, _ = plan_on_table(model.space, leaf_table(model.space, lambda t: 1.0))
-    assert policy.action_at(History(), 0) == 0
+    assert policy.actions_by_step[0][0] == 0
 
 
 def _bonus_evaluator(env, model, seed=0, n_entries=6, lam=1.0, alpha=0.7):

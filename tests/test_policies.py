@@ -26,7 +26,7 @@ def test_deterministic_tree_weight_match_and_mismatch():
     steps = []
     for h in range(2):
         obs = 1
-        action = policy.action_at(hist, obs)
+        action = int(np.argmax(policy.action_probs(hist, obs)))
         hist = hist.extend(obs, action)
         steps.append((obs, action))
     assert policy_weight(policy, hist) == 1.0

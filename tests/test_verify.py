@@ -99,3 +99,25 @@ def test_uniform_collection_matches_one_episode_oracle(name, seed):
         oracle = oracle_conditional_tv_diagnostic(model, truth, want.policies, buckets).hex()
         assert conditional_tv_diagnostic(model, truth, got).hex() == oracle
         assert conditional_tv_diagnostic(model, truth, want).hex() == oracle
+
+
+def test_mle_events_reads_each_model_once_per_seed(monkeypatch):
+    """One selection-record pass per model per seed gives both its stability and its log-likelihood."""
+    from collections import Counter
+
+    from psrlab import estimation
+    from psrlab.verify import run_mle_events
+
+    datasets = []  # one item per read; holding the datasets keeps their ids distinct
+    read = estimation._SelectionRecord.read
+
+    def counting_read(self, prob_table, dataset):
+        datasets.append(dataset)
+        return read(self, prob_table, dataset)
+
+    monkeypatch.setattr(estimation._SelectionRecord, "read", counting_read)
+    seeds = 3
+    run_mle_events(Report(), seeds)
+    n_models = 1 + len(make_candidates(reference_env(), "dithered", seed=77, n=8, scale=0.08))  # truth + candidates
+    assert n_models == 10
+    assert sorted(Counter(map(id, datasets)).values()) == [n_models] * seeds
