@@ -16,7 +16,6 @@ from .policies import (
     DeterministicTreePolicy,
     Policy,
     UniformActionSeqPolicy,
-    policy_weight,
     uniform_policy,
 )
 from .psr import CoreTestSet, PsrModel, check_self_consistency, gamma, hellinger_sq, tv_distance

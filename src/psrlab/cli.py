@@ -30,7 +30,7 @@ from .offline import (
 )
 from .online import OnlineConfig, evaluate_output, run_psr_ucb
 from .planner import plan_on_table
-from .policies import UniformActionSeqPolicy, policy_from_dict, uniform_policy
+from .policies import policy_from_dict, uniform_policy
 from .pomdp import BUILTIN_ENVS, TabularPomdp, default_psr, dynamics_matrix, pomdp_from_dict, psr_rank
 from .theory import EnvSummary, resolve_theory_params
 from .verify import SUITES, Report, verify
@@ -83,6 +83,14 @@ def _section(config: dict, name: str, required: tuple[str, ...] = ()) -> dict:
     return section
 
 
+def _integers(option: str, text: str) -> list[int]:
+    """The comma-separated integers of a command-line option."""
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise PsrLabError(f"{option} must be comma-separated integers, got {text!r}") from exc
+
+
 def build_env(spec: dict) -> TabularPomdp:
     if "path" in spec:
         with open(spec["path"]) as fh:
@@ -112,15 +120,7 @@ def build_candidates(env: TabularPomdp, spec: dict) -> CandidateSet:
 def build_behavior(spec, space):
     if spec in (None, "uniform"):
         return uniform_policy(space)
-    if isinstance(spec, dict) and spec.get("type") == "uniform_action_seq":
-        return UniformActionSeqPolicy(
-            spec.get("n_actions", space.n_actions),
-            spec.get("start_step", 1),
-            tuple(tuple(s) for s in spec["sequences"]),
-        )
-    if isinstance(spec, dict):
-        return policy_from_dict(spec, space)
-    raise PsrLabError(f"unsupported behavior spec {spec!r}")
+    return policy_from_dict(spec, space)
 
 
 def _env_rank(env: TabularPomdp) -> int:
@@ -221,9 +221,7 @@ def run_online(config_path: str, out_dir: str, seeds: str | None, c_theory: floa
     env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
-    seed_list = (
-        [int(s) for s in seeds.split(",")] if seeds is not None else config.get("seeds", [0])
-    )
+    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
     constants = _env_summary(ocfg, env, true_model)
     for seed in seed_list:
         started = time.perf_counter()
@@ -296,9 +294,7 @@ def run_offline(config_path: str, out_dir: str, seeds: str | None, c_theory: flo
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
     behavior = build_behavior(config.get("behavior", "uniform"), env.space)
-    seed_list = (
-        [int(s) for s in seeds.split(",")] if seeds is not None else config.get("seeds", [0])
-    )
+    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
     run = _offline_runner(env, true_model, candidates, behavior, ocfg)
     rows = []
     for seed in seed_list:
@@ -343,8 +339,9 @@ def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> No
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
     behavior = build_behavior(config.get("behavior", "uniform"), env.space)
-    ks = [int(k) for k in k_list.split(",")]
-    seed_list = [int(s) for s in seeds.split(",")] if "," in seeds else list(range(int(seeds)))
+    ks = _integers("--k-list", k_list)
+    seed_list = _integers("--seeds", seeds)
+    seed_list = seed_list if "," in seeds else list(range(seed_list[0]))  # a count or a list
     run = _offline_runner(env, true_model, candidates, behavior, ocfg)
     rows = []
     medians = {}

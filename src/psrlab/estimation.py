@@ -14,7 +14,8 @@ recorded prefix and trajectory is one column of the stacked
 ``(n_candidates, n_histories)`` table.
 
 A dataset's columns are append-only: entries enter only through
-:meth:`DatasetFamily.add` and :meth:`DatasetFamily.add_batch`.  So the
+:meth:`DatasetFamily.add` and :meth:`DatasetFamily.add_batch`, as the lex
+indices and policy weights the samplers drew.  So the
 dataset keeps a running selection record for the last candidate set (by
 identity) and ``p_min`` it was selected with, and :func:`constrained_mle`
 reads only the entries added since its last call.  The record's sums keep
@@ -28,16 +29,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
-from .policies import Policy, continuation_weights, prefix_weights, reached_rows
+from .policies import Policy, continuation_weights
 from .pomdp import TabularPomdp, default_psr, g_matrices, pomdp_to_psr
 from .psr import PsrModel, check_self_consistency, stacked_tables
 from .seeding import rng_for
-from .spaces import History, ObsActSpace
+from .spaces import _INTEGERS, ObsActSpace
 
 NEG_INF = float("-inf")
 MAX_CANDIDATES = 100_000
@@ -66,7 +67,7 @@ class DatasetFamily:
 
     Bucket ``h`` holds the entries split at step ``h``.  Each entry's
     lexicographic indices, policy weights and policy id are recorded once,
-    when it is added; every model quantity over the dataset is a gather
+    as the sampler drew them; every model quantity over the dataset is a gather
     from the model's tables at those indices.  The columns only grow, so the
     dataset also holds :func:`constrained_mle`'s running record of what it
     has read.
@@ -80,61 +81,51 @@ class DatasetFamily:
     def __post_init__(self) -> None:
         self.columns = [BucketColumns(*(array(code) for code in "qqdd"), []) for _ in range(self.space.horizon)]
 
-    def add(self, policy_id: str, trajectory: History, split_step: int, policy: Policy | None = None) -> None:
-        """Add one entry to bucket ``split_step``, first registering ``policy`` under its id if given.
+    def add(self, policy_id: str, lex: Sequence[int], weights: Sequence[float], split_step: int) -> None:
+        """Add one entry to bucket ``split_step`` under the registered ``policy_id``.
 
-        The online loop adds one entry at a time, where a one-row
-        :meth:`add_batch` costs about 17 times as much as this scalar path.
+        ``lex`` and ``weights`` are the prefix lex indices and policy weights,
+        depth 0..H, that ``TabularPomdp.sample_episode`` returns.  The online
+        loop adds one entry at a time: a one-row :meth:`add_batch` costs ~20x.
         """
         space = self.space
-        if len(trajectory) != space.horizon:
-            raise StructuralError("entries must hold full trajectories")
-        trajectory.validate(space)
-        if not 0 <= split_step < space.horizon:
-            raise StructuralError("split step outside [0, H)")
-        if policy is not None:
-            known = self.policies.setdefault(policy_id, policy)
-            if known is not policy and known.to_dict() != policy.to_dict():
-                raise StructuralError(f"policy id {policy_id!r} is registered to a different policy")
         if policy_id not in self.policies:
             raise StructuralError(f"unknown policy id {policy_id!r}")
-        weights = prefix_weights(self.policies[policy_id], trajectory)
-        row = (trajectory.prefix(split_step).lex_index(space), trajectory.lex_index(space),
-               weights[split_step], weights[-1], policy_id)  # every value before the first append
+        if not 0 <= split_step < space.horizon:
+            raise StructuralError("split step outside [0, H)")
+        if len(lex) != space.horizon + 1 or len(weights) != space.horizon + 1:
+            raise StructuralError("entries need the lex index and weight of every prefix, depth 0..H")
+        prefix, full = lex[split_step], lex[-1]
+        if not (isinstance(prefix, _INTEGERS) and isinstance(full, _INTEGERS)
+                and 0 <= prefix < space.pair_count**split_step and 0 <= full < space.n_trajectories):
+            raise StructuralError(f"lex indices {prefix!r}, {full!r} must be integers in range at depths {split_step}, H")
+        row = (prefix, full, weights[split_step], weights[-1], policy_id)  # every value checked before the first append
         for column, value in zip(self.columns[split_step], row):
             column.append(value)
 
-    def add_batch(self, policy_id: str, obs: np.ndarray, actions: np.ndarray, split_steps: np.ndarray) -> None:
-        """Add one entry per row of ``(n, H)`` observations and actions, as ``add`` would in row order.
+    def add_batch(self, policy_id: str, lex: np.ndarray, weights: np.ndarray, split_steps: np.ndarray) -> None:
+        """Add one entry per column of ``(H+1, n)`` prefix lex indices and weights, as ``add`` would in column order.
 
-        Every entry is recorded under the registered ``policy_id`` and goes to
-        bucket ``split_steps[i]``.  Checks, lex indices and weights are array
-        passes over all rows, one step at a time: a weight is the running
-        product of one gathered policy row entry per step, multiplied left to
-        right as :func:`prefix_weights` does, and an invalid policy row raises
-        where the entry still has positive weight.
+        ``lex`` and ``weights`` are what ``TabularPomdp.sample_episodes``
+        returns.  Every entry is recorded under the registered ``policy_id``
+        and goes to bucket ``split_steps[i]``.
         """
         space = self.space
-        obs, actions, split_steps = (np.asarray(x, dtype=np.int64) for x in (obs, actions, split_steps))
+        lex, split_steps = (np.asarray(x, dtype=np.int64) for x in (lex, split_steps))
+        weights = np.asarray(weights, dtype=float)
         n = len(split_steps)
-        if obs.shape != (n, space.horizon) or actions.shape != (n, space.horizon):
-            raise StructuralError("entries must hold full trajectories")
-        for name, values, size in (("observation", obs, space.n_obs), ("action", actions, space.n_actions)):
-            if n and not (0 <= values.min() and values.max() < size):
-                raise StructuralError(f"{name} outside space bounds")
-        if n and not (0 <= split_steps.min() and split_steps.max() < space.horizon):
-            raise StructuralError("split step outside [0, H)")
         if policy_id not in self.policies:
             raise StructuralError(f"unknown policy id {policy_id!r}")
-        policy = self.policies[policy_id]
-        lex = np.zeros((space.horizon + 1, n), dtype=np.int64)  # row h: lex indices of the length-h prefixes
-        weights = np.ones((space.horizon + 1, n))  # row h: policy weights of the length-h prefixes
-        for h in range(space.horizon):
-            probs = reached_rows(policy, space, h + 1, lex[h] * space.n_obs + obs[:, h], weights[h])
-            weights[h + 1] = weights[h] * probs[np.arange(n), actions[:, h]]
-            lex[h + 1] = lex[h] * space.pair_count + obs[:, h] * space.n_actions + actions[:, h]
+        if n and not (0 <= split_steps.min() and split_steps.max() < space.horizon):
+            raise StructuralError("split step outside [0, H)")
+        if lex.shape != (space.horizon + 1, n) or weights.shape != (space.horizon + 1, n):
+            raise StructuralError("entries need the lex index and weight of every prefix, depth 0..H")
+        prefix, full = lex[split_steps, np.arange(n)], lex[-1]
+        if n and not (((0 <= prefix) & (prefix < space.pair_count**split_steps)).all()
+                      and 0 <= full.min() and full.max() < space.n_trajectories):
+            raise StructuralError("lex indices are not in range at their split steps and H")
         for h, cols in enumerate(self.columns):
-            members = np.flatnonzero(split_steps == h)  # in row order
+            members = np.flatnonzero(split_steps == h)  # in column order
             cols.prefix.frombytes(lex[h, members].tobytes())
             cols.trajectory.frombytes(lex[-1, members].tobytes())
             cols.prefix_weight.frombytes(weights[h, members].tobytes())

@@ -1,9 +1,9 @@
 """Offline pessimistic learning from a fixed behavior dataset.
 
-Episodes are collected i.i.d. under a behavior policy and split evenly at
-random into per-step buckets.  Selection and bonus construction reuse the
-online machinery; the output policy maximizes estimated value minus bonus
-(a lower confidence bound on the true value).
+Episodes are collected i.i.d. under a behavior policy, recorded as drawn
+and split evenly at random into per-step buckets.  Selection and bonus
+construction reuse the online machinery; the output policy maximizes
+estimated value minus bonus (a lower confidence bound on the true value).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ def collect_offline(env: TabularPomdp, behavior: Policy, n_episodes: int, seed: 
 
     The bucket assignment is a seeded shuffle of the balanced pattern
     0,1,...,H-1,0,1,..., so bucket sizes differ by at most one.  Episode
-    ``i`` is drawn from its own child seed; all episodes are drawn and added
-    in one batched pass, entry for entry what ``sample_episode`` and
-    ``DatasetFamily.add`` give in episode order.
+    ``i`` is drawn from its own child seed; all episodes are drawn in one
+    batched pass, entry for entry what ``sample_episode`` gives, and
+    appended as drawn.
     """
     space = env.space
     if n_episodes < space.horizon:
@@ -58,8 +58,8 @@ def collect_offline(env: TabularPomdp, behavior: Policy, n_episodes: int, seed: 
     rng_for(seed, "offline-split").shuffle(assignment)
     dataset = DatasetFamily(space, {BEHAVIOR_POLICY_ID: behavior})
     seeds = [child_seed(seed, "offline-episode", i) for i in range(n_episodes)]
-    obs, actions = env.sample_episodes(behavior, seeds)
-    dataset.add_batch(BEHAVIOR_POLICY_ID, obs, actions, assignment)
+    lex, weights = env.sample_episodes(behavior, seeds)
+    dataset.add_batch(BEHAVIOR_POLICY_ID, lex, weights, assignment)
     return dataset
 
 

@@ -145,8 +145,9 @@ def run_psr_ucb(
             policy = _explore(previous, h, suffixes)
             policy_id = f"explore[k={k},h={h}]"
             episode_seed = child_seed(config.seed, "episode", k * (space.horizon + 1) + h)
-            trajectory = env.sample_episode(policy, episode_seed)
-            dataset.add(policy_id, trajectory, h - 1, policy)
+            dataset.policies[policy_id] = policy
+            lex, weights = env.sample_episode(policy, episode_seed)
+            dataset.add(policy_id, lex, weights, h - 1)
         try:
             mle = constrained_mle(candidates, dataset, config.p_min, config.beta)
         except EmptyFeasibleSet as exc:

@@ -1,8 +1,9 @@
 """Exact policy optimization by backward induction on the history tree.
 
-The planner maximizes ``sum_traj policy_weight(traj) * leaves[traj]`` over
-all history-dependent policies, where ``leaves`` is a table with one value
-per full trajectory in lexicographic order.  Callers build it from other
+The planner maximizes ``sum_traj weight(traj) * leaves[traj]`` over all
+history-dependent policies, where ``weight`` is the policy's probability of
+the trajectory's actions given its observations and ``leaves`` is a table
+with one value per full trajectory in lexicographic order.  Callers build it from other
 tables -- model probabilities times rewards, minus or plus bonuses, or
 absolute model differences -- so one routine serves greedy planning,
 optimistic/pessimistic planning, and max-policy total variation.
@@ -62,6 +63,6 @@ def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[Deterministic
 
 
 def policy_value_on_table(space: ObsActSpace, policy: Policy, leaves: np.ndarray) -> float:
-    """sum_traj policy_weight(traj) * leaves[traj], exactly."""
+    """sum_traj weight(traj) * leaves[traj] under ``policy``, exactly."""
     weights = policy_weight_vector(policy, space)
     return float(np.dot(weights, leaves))

@@ -16,12 +16,12 @@ Three concrete forms, closed under the needs of the learning loops:
   the switch step on; it dispatches each step to one of them.
 
 Every sampling and weighting path is a lookup into these tables:
-``action_probs`` returns one row, :func:`policy_weight` multiplies one row
-entry per step, :func:`continuation_weights`, :func:`policy_weight_vector`
-and :func:`prefix_weight_tables` multiply one gathered block of rows per
-step, and ``TabularPomdp.sample_episode`` (one episode) and
-``sample_episodes`` (many at once) draw by inverse CDF on a row's
-normalized cumulative sums.
+``action_probs`` returns one row, :func:`continuation_weights`,
+:func:`policy_weight_vector` and :func:`prefix_weight_tables` multiply one
+gathered block of rows per step, and ``TabularPomdp.sample_episode`` (one
+episode) and ``sample_episodes`` (many at once) draw by inverse CDF on a
+row's normalized cumulative sums; they multiply each drawn entry into the
+episode's prefix weights, so a recorded weight is never looked up again.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import StructuralError
-from .spaces import History, ObsActSpace
+from .spaces import History, ObsActSpace, _read_only_copy
 
 # Generator.choice accepts a probability row whose sum is within this of 1.
 ROW_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -80,14 +80,17 @@ class DeterministicTreePolicy:
     actions_by_step: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "actions_by_step", tuple(_read_only_copy(table) for table in self.actions_by_step))
         self._check_shapes()
         for table in self.actions_by_step:
-            if table.min() < 0 or table.max() >= self.space.n_actions:
-                raise StructuralError("action index out of range in tree policy")
+            if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= self.space.n_actions:
+                raise StructuralError(f"action index out of range in tree policy: need integers in [0, {self.space.n_actions})")
 
     @classmethod
     def _from_valid_tables(cls, space: ObsActSpace, actions_by_step: tuple[np.ndarray, ...]) -> DeterministicTreePolicy:
-        """A policy on tables whose actions are in range by construction; only their shapes are checked."""
+        """A policy on fresh tables with actions in range by construction: shapes checked, tables frozen in place."""
+        for table in actions_by_step:
+            table.flags.writeable = False
         policy = object.__new__(cls)
         object.__setattr__(policy, "space", space)
         object.__setattr__(policy, "actions_by_step", actions_by_step)
@@ -105,15 +108,12 @@ class DeterministicTreePolicy:
     def action_probs(self, history: History, obs: int) -> np.ndarray:
         return np.array(self._lookup(history.steps, obs)[0])
 
-    def _action(self, prior: Steps, obs: int) -> int:
+    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
         space = self.space
         lex = 0
         for o, a in prior:
             lex = lex * space.pair_count + o * space.n_actions + a
-        return int(self.actions_by_step[len(prior)][lex * space.n_obs + obs])
-
-    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
-        return _one_hot_rows(self.space.n_actions)[self._action(prior, obs)]
+        return _one_hot_rows(space.n_actions)[int(self.actions_by_step[len(prior)][lex * space.n_obs + obs])]
 
     def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, None]:
         return np.eye(self.space.n_actions)[self.actions_by_step[h - 1][nodes]], None
@@ -156,6 +156,8 @@ class UniformActionSeqPolicy:
     _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # pos -> _MixtureRows
 
     def __post_init__(self) -> None:
+        if self.start_step < 1:
+            raise StructuralError("start step must be >= 1")
         if not self.sequences:
             raise StructuralError("need at least one action sequence")
         if len(set(self.sequences)) != len(self.sequences):
@@ -181,8 +183,6 @@ class UniformActionSeqPolicy:
         return row
 
     def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        if space.n_actions != self.n_actions:
-            raise StructuralError(f"policy has {self.n_actions} actions, space has {space.n_actions}")
         pos = h - self.start_step
         if pos < 0:
             raise StructuralError(f"queried step {h} before start step {self.start_step}")
@@ -286,42 +286,41 @@ Policy = DeterministicTreePolicy | UniformActionSeqPolicy | CompositePolicy
 
 
 def policy_from_dict(data: dict, space: ObsActSpace) -> Policy:
-    kind = data["type"]
-    if kind == "deterministic_tree":
-        tables = tuple(np.asarray(t, dtype=np.int64) for t in data["actions"])
-        return DeterministicTreePolicy(space, tables)
-    if kind == "uniform_action_seq":
-        return UniformActionSeqPolicy(
-            data["n_actions"], data["start_step"], tuple(tuple(s) for s in data["sequences"])
-        )
-    if kind == "composite":
-        return CompositePolicy(
-            data["switch_step"],
-            policy_from_dict(data["prefix"], space),
-            policy_from_dict(data["suffix"], space),
-        )
-    raise StructuralError(f"unknown policy type {kind!r}")
+    """The policy that ``to_dict`` writes as ``data``.
 
-
-def prefix_weights(policy: Policy, history: History) -> list[float]:
-    """Policy weights of the history's prefixes of length 0..len(history).
-
-    Running products of one row entry per step; once a weight is zero the
-    rest are zero without further lookups.
+    A uniform mixture's ``n_actions`` defaults to the space's action count
+    and its ``start_step`` to 1.  A missing key or an entry of the wrong
+    type raises :class:`StructuralError` naming it.
     """
-    steps = history.steps
-    weights = [1.0]
-    for j, (o, a) in enumerate(steps):
-        weight = weights[j] * policy._lookup(steps[:j], o)[0][a]
-        weights.append(weight)
-        if weight == 0.0:
-            return weights + [0.0] * (len(steps) - j - 1)
-    return weights
+    if not isinstance(data, dict):
+        raise StructuralError(f"a policy must be an object, got {data!r}")
+    kind = data.get("type")
+    try:
+        if kind == "deterministic_tree":
+            return DeterministicTreePolicy(space, tuple(np.asarray(t) for t in data["actions"]))
+        if kind == "uniform_action_seq":
+            return UniformActionSeqPolicy(
+                _integer(data.get("n_actions", space.n_actions), "'n_actions'"),
+                _integer(data.get("start_step", 1), "'start_step'"),
+                tuple(tuple(_integer(a, "an action in 'sequences'") for a in seq) for seq in data["sequences"]),
+            )
+        if kind == "composite":
+            return CompositePolicy(
+                _integer(data["switch_step"], "'switch_step'"),
+                policy_from_dict(data["prefix"], space),
+                policy_from_dict(data["suffix"], space),
+            )
+    except KeyError as exc:
+        raise StructuralError(f"{kind} policy is missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:  # a value of the wrong shape, such as a number where a list belongs
+        raise StructuralError(f"bad entry in {kind} policy: {exc}") from exc
+    raise StructuralError(f"unknown policy type {kind!r}; options: deterministic_tree, uniform_action_seq, composite")
 
 
-def policy_weight(policy: Policy, history: History) -> float:
-    """Probability the policy emits the history's actions, given its observations."""
-    return prefix_weights(policy, history)[-1]
+def _integer(value, name: str) -> int:
+    if type(value) is not int:  # JSON numbers and booleans are never read as counts or actions
+        raise StructuralError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def continuation_weights(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray) -> np.ndarray:
@@ -345,6 +344,8 @@ def reached_rows(
     ``weights`` (the rows a sampler draws from).
     """
     probs, invalid = policy._step_rows(space, h, nodes)
+    if probs.shape[1] != space.n_actions:
+        raise StructuralError(f"policy has {probs.shape[1]} actions, space has {space.n_actions}")
     if invalid is not None and np.any(invalid if weights is None else invalid & (weights > 0.0)):
         raise StructuralError(f"step {h}: history inconsistent with every mixture sequence")
     return probs
@@ -369,7 +370,7 @@ def policy_weight_vector(policy: Policy, space: ObsActSpace) -> np.ndarray:
 
 
 def prefix_weight_tables(policy: Policy, space: ObsActSpace) -> Iterator[np.ndarray]:
-    """:func:`policy_weight` of all length-``h`` histories in lexicographic order, for h = 0..H."""
+    """Policy weights of all length-``h`` histories in lexicographic order, for h = 0..H."""
     for weights in _weight_steps(policy, space, 0, np.zeros(1, dtype=np.int64)):
         yield weights[0]
 

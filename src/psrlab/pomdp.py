@@ -32,9 +32,9 @@ from .errors import (
     StructuralError,
 )
 from .policies import Policy, cumulative_rows, reached_rows
-from .psr import PsrModel, _read_only_copy, make_core_test_set
+from .psr import PsrModel, make_core_test_set
 from .seeding import first_uniforms, rng_for
-from .spaces import Future, History, ObsActSpace
+from .spaces import Future, History, ObsActSpace, _read_only_copy
 
 ROW_SUM_TOL = 1e-12
 PINV_RCOND = 1e-10
@@ -210,55 +210,63 @@ class TabularPomdp:
         """``_cdfs`` as nested lists, which the scalar sampler bisects."""
         return self._cdfs[0].tolist(), self._cdfs[1].tolist()
 
-    def sample_episode(self, policy: Policy, rng_seed: int) -> History:
-        """One full trajectory under ``policy``; deterministic given the seed.
+    def sample_episode(self, policy: Policy, rng_seed: int) -> tuple[list[int], list[float]]:
+        """One episode under ``policy`` as a dataset records it; deterministic given the seed.
 
+        Returns the lex index and policy weight of each prefix, depth 0..H, as
+        two lists; a weight is the previous one times the drawn row's entry.
         The seed's generator supplies ``3H - 1`` uniforms, used in the order
         o_1, a_1, s_2, ..., o_H, a_H; each value is the first index whose
         normalized cumulative probability exceeds its uniform.  That is how
         ``Generator.choice(n, p=row)`` draws, so the trajectory is the one a
         step-by-step ``choice`` sampler on the same seed would produce.
         """
-        horizon = self.space.horizon
+        space, horizon = self.space, self.space.horizon
         uniforms = np.random.default_rng(rng_seed).random(3 * horizon - 1).tolist()
         emission, transition = self._cdf_lists
         state = self.initial_state
         steps: list[tuple[int, int]] = []
+        lex, weights = [0], [1.0]
         for h in range(horizon):
             obs = bisect_right(emission[h][state], uniforms[3 * h])
-            action = bisect_right(policy._lookup(steps, obs)[1], uniforms[3 * h + 1])
+            probs, cdf = policy._lookup(steps, obs)
+            if len(probs) != space.n_actions:  # else an action past the space's could be drawn and recorded
+                raise StructuralError(f"policy has {len(probs)} actions, space has {space.n_actions}")
+            action = bisect_right(cdf, uniforms[3 * h + 1])
             steps.append((obs, action))
+            lex.append(lex[h] * space.pair_count + obs * space.n_actions + action)
+            weights.append(weights[h] * probs[action])
             if h + 1 < horizon:
                 state = bisect_right(transition[h][action][state], uniforms[3 * h + 2])
-        return History(tuple(steps))
+        return lex, weights
 
     def sample_episodes(self, policy: Policy, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Observations and actions, ``(n, H)`` each, of one episode per seed.
+        """Prefix lex indices and policy weights, ``(H+1, n)`` each, of one episode per seed.
 
-        Row ``i`` is ``sample_episode(policy, seeds[i])``: the uniforms come
-        from :func:`first_uniforms` on the same seeds, and each step is drawn
-        for all episodes at once, ``(cdf_rows <= u).sum(-1)`` being
+        Column ``i`` is ``sample_episode(policy, seeds[i])``: the uniforms
+        come from :func:`first_uniforms` on the same seeds, and each step is
+        drawn for all episodes at once, ``(cdf_rows <= u).sum(-1)`` being
         ``bisect_right`` on the non-decreasing CDF rows.  Policy rows are the
-        ``_step_rows`` gathers the weight tables read.  Setting up the arrays
-        costs far more than one scalar episode, so single episodes (the
-        online loop) use :meth:`sample_episode`.
+        ``_step_rows`` gathers the weight tables read.  Single episodes (the
+        online loop) use :meth:`sample_episode`, which costs far less.
         """
         space = self.space
         horizon = space.horizon
         uniforms = first_uniforms(seeds, 3 * horizon - 1)
         emission, transition = self._cdfs
-        obs = np.empty((len(uniforms), horizon), dtype=np.int64)
-        actions = np.empty_like(obs)
-        state = np.full(len(uniforms), self.initial_state)
-        lex = np.zeros(len(uniforms), dtype=np.int64)
+        n = len(uniforms)
+        lex = np.zeros((horizon + 1, n), dtype=np.int64)  # row h: lex indices of the length-h prefixes
+        weights = np.ones((horizon + 1, n))  # row h: policy weights of the length-h prefixes
+        state = np.full(n, self.initial_state)
         for h in range(horizon):
-            obs[:, h] = _inverse_cdf(emission[h][state], uniforms[:, 3 * h])
-            probs = reached_rows(policy, space, h + 1, lex * space.n_obs + obs[:, h])
-            actions[:, h] = _inverse_cdf(cumulative_rows(probs), uniforms[:, 3 * h + 1])
-            lex = lex * space.pair_count + obs[:, h] * space.n_actions + actions[:, h]
+            obs = _inverse_cdf(emission[h][state], uniforms[:, 3 * h])
+            probs = reached_rows(policy, space, h + 1, lex[h] * space.n_obs + obs)
+            actions = _inverse_cdf(cumulative_rows(probs), uniforms[:, 3 * h + 1])
+            weights[h + 1] = weights[h] * probs[np.arange(n), actions]
+            lex[h + 1] = lex[h] * space.pair_count + obs * space.n_actions + actions
             if h + 1 < horizon:
-                state = _inverse_cdf(transition[h][actions[:, h], state], uniforms[:, 3 * h + 2])
-        return obs, actions
+                state = _inverse_cdf(transition[h][actions, state], uniforms[:, 3 * h + 2])
+        return lex, weights
 
     # -- serialization ------------------------------------------------------
 

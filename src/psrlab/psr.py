@@ -24,16 +24,9 @@ import numpy as np
 
 from .errors import DegenerateHistory, StructuralError
 from .policies import Policy, policy_weight_vector
-from .spaces import Future, History, ObsActSpace
+from .spaces import Future, History, ObsActSpace, _read_only_copy
 
 PSI_GUARD = 1e-12
-
-
-def _read_only_copy(values) -> np.ndarray:
-    """A copy of ``values`` that cannot be written, so nothing cached from it goes stale."""
-    copy = np.array(values)
-    copy.flags.writeable = False
-    return copy
 
 
 @dataclass(frozen=True)

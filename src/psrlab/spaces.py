@@ -21,6 +21,13 @@ ENUM_CAP_ENV_VAR = "PSRLAB_ENUM_CAP"
 _INTEGERS = (int, np.integer)  # concrete types: an isinstance check on them is cheap per step
 
 
+def _read_only_copy(values) -> np.ndarray:
+    """A copy of ``values`` that cannot be written, so nothing cached from it goes stale."""
+    copy = np.array(values)
+    copy.flags.writeable = False
+    return copy
+
+
 def enum_cap() -> int:
     """Trajectory-enumeration cap, overridable via PSRLAB_ENUM_CAP."""
     raw = os.environ.get(ENUM_CAP_ENV_VAR)

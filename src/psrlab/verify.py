@@ -370,8 +370,8 @@ def _uniform_collection(
         pid = f"uexplore[h={h}]"
         dataset.policies[pid] = policy = _explore(prefix, h, suffixes)
         seeds = [child_seed(seed, "verify-episode", k * (space.horizon + 1) + h) for k in range(1, n_rounds + 1)]
-        obs, actions = env.sample_episodes(policy, seeds)
-        dataset.add_batch(pid, obs, actions, np.full(n_rounds, h - 1))
+        lex, weights = env.sample_episodes(policy, seeds)
+        dataset.add_batch(pid, lex, weights, np.full(n_rounds, h - 1))
     return dataset
 
 

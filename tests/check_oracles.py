@@ -27,10 +27,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from policy_oracles import add_drawn, oracle_policy_weight
 from psrlab.errors import DegenerateHistory
 from psrlab.estimation import DatasetFamily
 from psrlab.online import exploration_policy
-from psrlab.policies import continuation_weights, policy_weight_vector, prefix_weights, uniform_policy
+from psrlab.policies import continuation_weights, policy_weight_vector, uniform_policy
 from psrlab.psr import PSI_GUARD
 from psrlab.seeding import child_seed
 from psrlab.spaces import History, history_from_lex
@@ -219,8 +220,8 @@ def oracle_uniform_collection(env, model, n_rounds, seed):
     for k in range(1, n_rounds + 1):
         for h, policy in enumerate(policies, start=1):
             pid = f"uexplore[k={k},h={h}]"
-            traj = env.sample_episode(policy, child_seed(seed, "verify-episode", k * (space.horizon + 1) + h))
-            dataset.add(pid, traj, h - 1, policy)
+            episode_seed = child_seed(seed, "verify-episode", k * (space.horizon + 1) + h)
+            traj = add_drawn(dataset, pid, env, policy, episode_seed, h - 1)
             buckets[h - 1].append(Entry(traj, pid))
     return dataset, buckets
 
@@ -237,7 +238,7 @@ def oracle_conditional_tv_diagnostic(model_a, model_b, policies, buckets):
         prefix = np.array([entry.trajectory.prefix(h).lex_index(space) for entry in bucket], dtype=np.int64)
         pa = model_a.prob_table(h)[prefix]
         pb = model_b.prob_table(h)[prefix]
-        wp = np.array([prefix_weights(policies[entry.policy_id], entry.trajectory)[h] for entry in bucket])
+        wp = np.array([oracle_policy_weight(policies[entry.policy_id], entry.trajectory.prefix(h)) for entry in bucket])
         if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
             raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
         reps = space.pair_count ** (space.horizon - h)

@@ -4,14 +4,15 @@ These are the loops the package ran before policies were compiled into
 per-step tables: ``action_probs`` walking the mixture sequences per query,
 weights multiplied one history at a time, and a sampler drawing every
 observation, action and state with ``Generator.choice``.  Tests compare the
-table lookups against them bit for bit.
+table lookups against them bit for bit, and build hand-made dataset entries
+through them.
 """
 
 import numpy as np
 
 from psrlab.errors import StructuralError
 from psrlab.policies import CompositePolicy, DeterministicTreePolicy
-from psrlab.spaces import History, enumerate_histories
+from psrlab.spaces import History, enumerate_histories, history_from_lex
 
 
 def oracle_action_probs(policy, history, obs):
@@ -54,6 +55,32 @@ def oracle_policy_weight(policy, history):
         if weight == 0.0:
             return 0.0
     return weight
+
+
+def oracle_record(policy, space, history):
+    """The lex index and policy weight of each prefix of ``history``, depth 0..len, as the samplers return them."""
+    prefixes = [history.prefix(h) for h in range(len(history) + 1)]
+    return [p.lex_index(space) for p in prefixes], [oracle_policy_weight(policy, p) for p in prefixes]
+
+
+def add_history(dataset, policy_id, history, split_step, policy=None):
+    """Add ``history`` to bucket ``split_step`` as a sampler records it, registering ``policy`` first if given."""
+    if policy is not None:
+        dataset.policies[policy_id] = policy
+    dataset.add(policy_id, *oracle_record(dataset.policies[policy_id], dataset.space, history), split_step)
+
+
+def add_drawn(dataset, policy_id, env, policy, seed, split_step):
+    """Register ``policy``, add the episode ``env.sample_episode`` draws on ``seed``, and return its trajectory."""
+    dataset.policies[policy_id] = policy
+    lex, weights = env.sample_episode(policy, seed)
+    dataset.add(policy_id, lex, weights, split_step)
+    return history_from_lex(env.space, env.space.horizon, lex[-1])
+
+
+def drawn_history(env, policy, seed):
+    """The trajectory ``env.sample_episode`` draws on ``seed``."""
+    return history_from_lex(env.space, env.space.horizon, env.sample_episode(policy, seed)[0][-1])
 
 
 def oracle_continuation_weights(policy, prefix, space):

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from psrlab.errors import StructuralError
-from psrlab.policies import policy_weight
+from policy_oracles import oracle_policy_weight
 from psrlab.spaces import Future, History, enumerate_histories
 
 
@@ -102,10 +102,10 @@ def oracle_coverage_coefficient(env, target, behavior):
         for hist in enumerate_histories(space, h):
             if oracle_exact_traj_prob(env, hist) <= 0.0:
                 continue
-            wt = policy_weight(target, hist)
+            wt = oracle_policy_weight(target, hist)
             if wt == 0.0:
                 continue
-            wb = policy_weight(behavior, hist)
+            wb = oracle_policy_weight(behavior, hist)
             if wb == 0.0:
                 return math.inf
             worst = max(worst, wt / wb)

@@ -9,7 +9,7 @@ import json
 from pathlib import Path
 
 import numpy as np
-
+from policy_oracles import add_drawn
 from psrlab.estimation import make_candidates
 from psrlab.offline import OfflineConfig, collect_offline, offline_gap, run_psr_lcb
 from psrlab.online import OnlineConfig, evaluate_output, run_psr_ucb
@@ -91,7 +91,7 @@ def test_criterion_03_planner_exactness():
     dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(6):
-        dataset.add("u", env.sample_episode(pol, 900 + i), i % 2, pol)
+        add_drawn(dataset, "u", env, pol, 900 + i, i % 2)
     evaluator = _build_evaluator(model, dataset, 1.0, 0.7)
     probs = model.prob_table(space.horizon)
     reward = leaf_table(space, env.reward_of)

@@ -1,18 +1,22 @@
 """Batched offline collection against its scalar oracles, bit for bit.
 
 ``first_uniforms`` against ``default_rng(seed).random``,
-``TabularPomdp.sample_episodes`` against one ``sample_episode`` per seed,
-and ``DatasetFamily.add_batch`` against ``add`` entry by entry: every
-column, numbers to the bit and policy ids by equality.  Misuse raises the same error class
-in both paths.
+``TabularPomdp.sample_episodes`` against one ``sample_episode`` per seed and
+both against the per-history lex indices and policy weights of the drawn
+trajectory, and ``DatasetFamily.add_batch`` against ``add`` entry by entry:
+every column, numbers to the bit and policy ids by equality.  Misuse raises
+the same error class in both paths.
 """
 
+import sys
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from conftest import assert_same_columns
+from policy_oracles import oracle_policy_weight, oracle_record
+from psrlab import policies
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
 from psrlab.offline import BEHAVIOR_POLICY_ID, collect_offline
@@ -25,7 +29,7 @@ from psrlab.policies import (
 )
 from psrlab.pomdp import TabularPomdp, _inverse_cdf, near_tie, tiger
 from psrlab.seeding import child_seed, first_uniforms, rng_for
-from psrlab.spaces import History
+from psrlab.spaces import History, ObsActSpace, history_from_lex
 from psrlab.verify import small_builtin_envs
 
 ENVS = small_builtin_envs() + [("near_tie", near_tie())]
@@ -54,8 +58,8 @@ def sequential_collect(env, behavior, n_episodes, seed):
     rng_for(seed, "offline-split").shuffle(assignment)
     dataset = DatasetFamily(space, {BEHAVIOR_POLICY_ID: behavior})
     for i in range(n_episodes):
-        trajectory = env.sample_episode(behavior, child_seed(seed, "offline-episode", i))
-        dataset.add(BEHAVIOR_POLICY_ID, trajectory, int(assignment[i]))
+        lex, weights = env.sample_episode(behavior, child_seed(seed, "offline-episode", i))
+        dataset.add(BEHAVIOR_POLICY_ID, lex, weights, int(assignment[i]))
     return dataset
 
 
@@ -95,14 +99,27 @@ def test_inverse_cdf_is_bisect_right_at_ties():
     assert got.tolist() == [bisect_right(cdf.tolist(), u) for u in uniforms.tolist()]
 
 
+def hexed(weights):
+    return [float(w).hex() for w in weights]
+
+
 @pytest.mark.parametrize("name,env", ENVS, ids=[name for name, _ in ENVS])
 def test_sample_episodes_match_sample_episode(name, env):
+    """Column ``i`` of the batched draw is the scalar draw on ``seeds[i]``, and both are the lex
+    indices and per-history oracle weights of the drawn trajectory's prefixes, to the bit."""
+    space = env.space
     seeds = [child_seed(1, "batched-sampler", i) for i in range(200)]
-    for kind, policy in behaviours(env.space).items():
-        obs, actions = env.sample_episodes(policy, seeds)
-        assert obs.shape == actions.shape == (len(seeds), env.space.horizon)
-        got = [History(tuple(zip(o, a))) for o, a in zip(obs.tolist(), actions.tolist())]
-        assert got == [env.sample_episode(policy, s) for s in seeds], kind
+    for kind, policy in behaviours(space).items():
+        lex, weights = env.sample_episodes(policy, seeds)
+        assert lex.shape == weights.shape == (space.horizon + 1, len(seeds))
+        assert lex.dtype == np.int64 and weights.dtype == np.float64
+        for i, seed in enumerate(seeds):
+            one_lex, one_weights = env.sample_episode(policy, seed)
+            trajectory = history_from_lex(space, space.horizon, one_lex[-1])
+            want = [trajectory.prefix(h) for h in range(space.horizon + 1)]
+            assert lex[:, i].tolist() == one_lex == [p.lex_index(space) for p in want], kind
+            oracle = [oracle_policy_weight(policy, p) for p in want]
+            assert hexed(weights[:, i]) == hexed(one_weights) == hexed(oracle), kind
 
 
 @pytest.mark.parametrize("name,env", ENVS, ids=[name for name, _ in ENVS])
@@ -111,6 +128,25 @@ def test_collect_offline_matches_sequential_add(name, env):
         for seed in range(2):
             n = 150 + seed
             assert_same_dataset(collect_offline(env, policy, n, seed), sequential_collect(env, policy, n, seed)), kind
+
+
+def test_collect_offline_walks_the_policy_once(monkeypatch):
+    """Ingest reads no policy row: the sampler's one ``reached_rows`` call per step is the only walk."""
+    original = policies.reached_rows
+    calls = []
+
+    def counting(policy, space, h, *args, **kwargs):
+        calls.append(h)
+        return original(policy, space, h, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("psrlab") and getattr(module, "reached_rows", None) is original:
+            monkeypatch.setattr(module, "reached_rows", counting)
+    env = near_tie()
+    for kind, policy in behaviours(env.space).items():
+        calls.clear()
+        collect_offline(env, policy, 40, 3)
+        assert calls == list(range(1, env.space.horizon + 1)), kind
 
 
 def test_collect_offline_uses_the_batched_paths(monkeypatch):
@@ -128,54 +164,69 @@ def test_add_batch_zero_weight_entries_match_add():
     space = tiger(2).space
     policy = inconsistent_composite(space)
     # The tree never plays a first action other than the last one, so these
-    # entries have zero weight when they reach a mixture row that is invalid
-    # (first action 1) or valid (first action 0); neither path raises.
-    obs = np.array([[0, 1], [1, 0], [1, 1]])
-    actions = np.array([[1, 0], [1, 2], [0, 1]])
-    split = np.array([1, 0, 1])
+    # hand-made entries have zero weight when they reach a mixture row that
+    # is invalid (first action 1) or valid (first action 0); neither path
+    # reads a policy row, so both append them as given.
+    histories = [History(((0, 1), (1, 0))), History(((1, 1), (0, 2))), History(((1, 0), (1, 1)))]
+    records = [oracle_record(policy, space, history) for history in histories]
+    assert [weights[-1] for _, weights in records] == [0.0, 0.0, 0.0]
+    split = [1, 0, 1]
     got = DatasetFamily(space, {"p": policy})
-    got.add_batch("p", obs, actions, split)
+    got.add_batch("p", np.array([lex for lex, _ in records]).T, np.array([w for _, w in records]).T, split)
     want = DatasetFamily(space, {"p": policy})
-    for o, a, h in zip(obs.tolist(), actions.tolist(), split.tolist()):
-        want.add("p", History(tuple(zip(o, a))), h)
+    for (lex, weights), h in zip(records, split):
+        want.add("p", lex, weights, h)
     assert_same_dataset(got, want)
 
 
 def test_inconsistent_mixture_history_raises_in_both_paths():
     env = near_tie()
-    space = env.space
-    policy = inconsistent_composite(space)
+    policy = inconsistent_composite(env.space)
     with pytest.raises(StructuralError):
         env.sample_episode(policy, 5)
     with pytest.raises(StructuralError):
         env.sample_episodes(policy, [5, 6])
-    trajectory = History(((0, space.n_actions - 1), (0, 0)))
-    with pytest.raises(StructuralError):
-        DatasetFamily(space, {"p": policy}).add("p", trajectory, 0)
-    with pytest.raises(StructuralError):
-        DatasetFamily(space, {"p": policy}).add_batch("p", [[0, 0]], [[space.n_actions - 1, 0]], [0])
+
+
+@pytest.mark.parametrize("kind", ["mixture", "tree"])
+def test_policy_with_another_action_count_raises_in_both_samplers(kind):
+    """A policy over one action more than the space from the last step on, where no transition follows."""
+    env = near_tie()
+    space = env.space
+    if kind == "mixture":
+        wider = UniformActionSeqPolicy(space.n_actions + 1, space.horizon, ((),))
+    else:
+        wider = random_tree_policy(ObsActSpace(space.n_obs, space.n_actions + 1, space.horizon), rng_for(0, "wider"))
+    policy = CompositePolicy(space.horizon, uniform_policy(space), wider)
+    with pytest.raises(StructuralError, match="actions"):
+        env.sample_episode(policy, 0)
+    with pytest.raises(StructuralError, match="actions"):
+        env.sample_episodes(policy, [0, 1])
 
 
 @pytest.mark.parametrize(
-    "policy_id,obs,actions,split",
+    "policy_id,lex,split",
     [
-        ("u", [[0, 0]], [[0, 0]], [2]),  # split step past the last bucket
-        ("u", [[0, 0]], [[0, 0]], [-1]),
-        ("nope", [[0, 0]], [[0, 0]], [0]),  # unknown policy id
-        ("u", [[0, 2]], [[0, 0]], [0]),  # observation out of range
-        ("u", [[0, 0]], [[0, -1]], [0]),  # action out of range
-        ("u", [[0]], [[0]], [0]),  # short trajectory
+        ("u", [[0], [0], [0]], [2]),  # split step past the last bucket
+        ("u", [[0], [0], [0]], [-1]),
+        ("nope", [[0], [0], [0]], [0]),  # unknown policy id
+        ("u", [[0], [4], [0]], [1]),  # prefix index past depth 1's histories
+        ("u", [[0], [0], [16]], [0]),  # trajectory index past the leaves
+        ("u", [[0], [0], [-1]], [0]),
+        ("u", [[0], [0]], [0]),  # short record
     ],
-    ids=["split-high", "split-negative", "unknown-policy", "obs-range", "action-range", "short"],
+    ids=["split-high", "split-negative", "unknown-policy", "prefix-range", "trajectory-range", "negative", "short"],
 )
-def test_add_batch_rejects_what_add_rejects(policy_id, obs, actions, split):
+def test_add_batch_rejects_what_add_rejects(policy_id, lex, split):
     space = near_tie().space
+    assert space.pair_count == 4 and space.horizon == 2
     policies = {"u": uniform_policy(space)}
+    weights = [[1.0]] * len(lex)
     with pytest.raises(StructuralError):
-        DatasetFamily(space, dict(policies)).add(policy_id, History(tuple(zip(obs[0], actions[0]))), split[0])
+        DatasetFamily(space, dict(policies)).add(policy_id, [row[0] for row in lex], [1.0] * len(lex), split[0])
     dataset = DatasetFamily(space, dict(policies))
     with pytest.raises(StructuralError):
-        dataset.add_batch(policy_id, obs, actions, split)
+        dataset.add_batch(policy_id, lex, weights, split)
     assert dataset.size() == 0 and not any(any(cols) for cols in dataset.columns)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_single_state_env
+from policy_oracles import add_drawn, add_history
 from psrlab.bonus import (
     BonusEvaluator,
     FeatureGram,
@@ -81,10 +82,10 @@ def test_bonus_monotone_in_data(reference_env, reference_model):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     for i in range(6):
-        dataset.add("u", reference_env.sample_episode(pol, i), i % 2, pol)
+        add_drawn(dataset, "u", reference_env, pol, i, i % 2)
     before = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
     for i in range(6, 8):  # one more entry per bucket
-        dataset.add("u", reference_env.sample_episode(pol, i), i % 2, pol)
+        add_drawn(dataset, "u", reference_env, pol, i, i % 2)
     after = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
     assert np.all(after <= before + 1e-12)
     assert np.all(before >= 0.0) and np.all(before <= 1.0)
@@ -106,7 +107,7 @@ def test_prefix_grams_match_outer_products(reference_env, reference_model):
     dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(40):
-        dataset.add("u", reference_env.sample_episode(pol, 40 + i), i % 2, pol)
+        add_drawn(dataset, "u", reference_env, pol, 40 + i, i % 2)
     grams = prefix_grams(reference_model, dataset, lam=0.5)
     for h in range(space.horizon):
         manual = 0.5 * np.eye(reference_model.dims[h])
@@ -122,7 +123,7 @@ def test_prefix_grams_reject_degenerate_prefix():
     model, _ = default_psr(env)
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
-    dataset.add("u", History(((1, 0), (0, 0))), 1, pol)
+    add_history(dataset, "u", History(((1, 0), (0, 0))), 1, pol)
     with pytest.raises(DegenerateHistory, match="step 1"):
         prefix_grams(model, dataset, lam=1.0)
 
@@ -207,7 +208,7 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
     dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(12):
-        dataset.add("u", reference_env.sample_episode(pol, 700 + i), i % 2, pol)
+        add_drawn(dataset, "u", reference_env, pol, 700 + i, i % 2)
     det_env = make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     det_model, _ = default_psr(det_env)
     evaluators = [

@@ -182,7 +182,7 @@ def test_report_command(tmp_path, runner):
 def test_build_behavior_variants(reference_env):
     assert isinstance(build_behavior("uniform", reference_env.space), UniformActionSeqPolicy)
     pol = build_behavior({"type": "uniform_action_seq", "sequences": [[0], [1]]}, reference_env.space)
-    assert pol.sequences == ((0,), (1,))
+    assert pol == UniformActionSeqPolicy(reference_env.space.n_actions, 1, ((0,), (1,)))  # the defaults
 
 
 def test_package_error_prints_one_line(tmp_path, runner):
@@ -228,15 +228,50 @@ def test_build_env_bad_params_is_package_error():
         build_env({"builtin": "near_tie", "params": {"horizon": 3}})
 
 
-def _one_error_line(runner, tmp_path, command, cfg_data):
+def _one_error_line(runner, tmp_path, command, cfg_data, *options):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(cfg_data))
-    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *options])
     assert result.exit_code == 1, result.output
     lines = result.output.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
     return lines[0]
+
+
+@pytest.mark.parametrize(
+    "behavior,named",
+    [
+        ({"type": "deterministic_tree"}, "missing key 'actions'"),
+        ({"type": "deterministic_tree", "actions": [[0.5, 0], [0] * 8]}, "need integers"),
+        ({"type": "deterministic_tree", "actions": 3}, "deterministic_tree"),
+        ({"type": "uniform_action_seq"}, "missing key 'sequences'"),
+        ({"type": "uniform_action_seq", "sequences": [[0, "x"]]}, "'sequences'"),
+        ({"type": "uniform_action_seq", "sequences": [[]], "start_step": 1.5}, "'start_step'"),
+        ({"type": "composite", "switch_step": 2, "prefix": {"type": "uniform_action_seq", "sequences": [[]]}},
+         "missing key 'suffix'"),
+        ({"sequences": [[]]}, "policy type None"),
+        ([[0], [1]], "must be an object"),
+    ],
+)
+def test_bad_behavior_prints_one_line(tmp_path, runner, behavior, named):
+    cfg_data = json.loads(json.dumps(OFFLINE_CONFIG))
+    cfg_data["behavior"] = behavior
+    assert named in _one_error_line(runner, tmp_path, "run-offline", cfg_data)
+
+
+@pytest.mark.parametrize(
+    "command,config,option,value",
+    [
+        ("run-online", ONLINE_CONFIG, "--seeds", "a,b"),
+        ("run-offline", OFFLINE_CONFIG, "--seeds", "0,x"),
+        ("sweep-offline", OFFLINE_CONFIG, "--k-list", "10,x"),
+        ("sweep-offline", OFFLINE_CONFIG, "--seeds", "two"),
+    ],
+)
+def test_bad_integer_list_prints_one_line(tmp_path, runner, command, config, option, value):
+    line = _one_error_line(runner, tmp_path, command, config, option, value)
+    assert option in line and repr(value) in line
 
 
 def test_unknown_candidates_key_prints_one_line(tmp_path, runner):

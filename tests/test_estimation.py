@@ -12,6 +12,7 @@ from check_oracles import (
     oracle_uniform_collection,
 )
 from conftest import assert_same_columns, make_single_state_env
+from policy_oracles import add_drawn, add_history, oracle_policy_weight
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from psrlab.estimation import (
     CandidateSet,
@@ -22,7 +23,7 @@ from psrlab.estimation import (
     make_candidates,
     theta_min_feasible,
 )
-from psrlab.policies import UniformActionSeqPolicy, policy_weight, uniform_policy
+from psrlab.policies import UniformActionSeqPolicy, uniform_policy
 from psrlab.pomdp import default_psr
 from psrlab.spaces import History
 
@@ -32,8 +33,7 @@ def small_dataset(reference_env):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     for i in range(8):
-        traj = reference_env.sample_episode(pol, 500 + i)
-        dataset.add("u", traj, i % 2, pol)
+        add_drawn(dataset, "u", reference_env, pol, 500 + i, i % 2)
     return dataset
 
 
@@ -45,8 +45,7 @@ def test_log_likelihood_empty_dataset(reference_model, reference_env):
 def test_log_likelihood_single_entry(reference_env, reference_model):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
-    traj = reference_env.sample_episode(pol, 7)
-    dataset.add("u", traj, 0, pol)
+    traj = add_drawn(dataset, "u", reference_env, pol, 7, 0)
     expected = math.log(reference_model.seq_prob(traj) * 0.25)
     assert log_likelihood(reference_model, dataset) == pytest.approx(expected, abs=1e-12)
 
@@ -71,7 +70,7 @@ def test_constrained_mle_excludes_zero_support():
     # grid contains the deterministic rows (1,0) and (0,1)
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
-    dataset.add("u", History(((1, 0),)), 0, pol)
+    add_history(dataset, "u", History(((1, 0),)), 0, pol)
     result = constrained_mle(cands, dataset, p_min=1e-12, beta=100.0)
     labels = [cands.labels[i] for i in result.feasible_ids]
     zero_support = [
@@ -110,7 +109,7 @@ def test_conditional_tv_disjoint_support_squared():
     model_b, _ = default_psr(env_b)
     dataset = DatasetFamily(env_a.space)
     pol = uniform_policy(env_a.space)
-    dataset.add("u", History(((0, 0),)), 0, pol)
+    add_history(dataset, "u", History(((0, 0),)), 0, pol)
     assert conditional_tv_diagnostic(model_a, model_b, dataset) == pytest.approx(4.0, abs=1e-12)
 
 
@@ -119,7 +118,7 @@ def test_conditional_tv_degenerate_prefix_raises(reference_env, reference_model)
     model_det, _ = default_psr(env_det)
     dataset = DatasetFamily(env_det.space)
     pol = uniform_policy(env_det.space)
-    dataset.add("u", History(((1, 0), (0, 0))), 1, pol)
+    add_history(dataset, "u", History(((1, 0), (0, 0))), 1, pol)
     with pytest.raises(DegenerateHistory):
         conditional_tv_diagnostic(model_det, model_det, dataset)
 
@@ -183,26 +182,26 @@ def test_grid_mle_hellinger_near_best_neighbor():
 
 
 def test_dataset_bucket_validation(reference_env):
-    dataset = DatasetFamily(reference_env.space)
-    pol = uniform_policy(reference_env.space)
-    with pytest.raises(StructuralError):
-        dataset.add("u", History(((0, 0),)), 0, pol)  # not full length
-    traj = reference_env.sample_episode(pol, 1)
-    with pytest.raises(StructuralError):
-        dataset.add("u", traj, 5, pol)
-    with pytest.raises(StructuralError):
-        dataset.add("unknown", traj, 0)
-    with pytest.raises(StructuralError, match="bounds"):
-        dataset.add("u", History(((3, 0), (0, 0))), 0, pol)  # observation out of range
+    space = reference_env.space
+    dataset = DatasetFamily(space, {"u": uniform_policy(space)})
+    lex, weights = reference_env.sample_episode(dataset.policies["u"], 1)
+    with pytest.raises(StructuralError, match="every prefix"):
+        dataset.add("u", lex[:-1], weights[:-1], 0)  # not full length
+    with pytest.raises(StructuralError, match="split step"):
+        dataset.add("u", lex, weights, 5)
+    with pytest.raises(StructuralError, match="unknown"):
+        dataset.add("unknown", lex, weights, 0)
+    with pytest.raises(StructuralError, match="in range"):
+        dataset.add("u", lex[:-1] + [space.n_trajectories], weights, 0)  # past the last leaf
     assert dataset.size() == 0
 
 
 def _oracle_log_likelihood(model, dataset):
-    """Per-entry fsum of log seq_prob + log policy_weight; -inf if any is zero."""
+    """Per-entry fsum of log seq_prob + log policy weight; -inf if any is zero."""
     terms = []
     for entry in (e for bucket in decoded_entries(dataset) for e in bucket):
         p = model.seq_prob(entry.trajectory)
-        w = policy_weight(dataset.policies[entry.policy_id], entry.trajectory)
+        w = oracle_policy_weight(dataset.policies[entry.policy_id], entry.trajectory)
         if p <= 0.0 or w <= 0.0:
             return float("-inf")
         terms.append(math.log(p) + math.log(w))
@@ -211,10 +210,10 @@ def _oracle_log_likelihood(model, dataset):
 
 def _oracle_feasible(model, dataset, p_min):
     return all(
-        model.seq_prob(e.trajectory.prefix(h)) * policy_weight(dataset.policies[e.policy_id], e.trajectory.prefix(h))
-        >= p_min
+        model.seq_prob(prefix) * oracle_policy_weight(dataset.policies[e.policy_id], prefix) >= p_min
         for h, bucket in enumerate(decoded_entries(dataset))
         for e in bucket
+        for prefix in (e.trajectory.prefix(h),)
     )
 
 
@@ -230,8 +229,7 @@ def test_likelihood_and_feasibility_match_per_entry_oracle(reference_env):
         for k in range(10):
             for h in range(1, space.horizon + 1):
                 pol = exploration_policy(uniform_policy(space), h, cands.models[0].core_tests)
-                traj = reference_env.sample_episode(pol, 1000 * seed + 10 * k + h)
-                explore.add(f"e{k},{h}", traj, h - 1, pol)
+                add_drawn(explore, f"e{k},{h}", reference_env, pol, 1000 * seed + 10 * k + h, h - 1)
         datasets.append(explore)
         for dataset in datasets:
             for model in cands.models:
@@ -246,38 +244,31 @@ def test_likelihood_oracle_edge_cases():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     model, _ = default_psr(env)
     dataset = DatasetFamily(env.space)
-    dataset.add("u", History(((1, 0),)), 0, uniform_policy(env.space))
+    add_history(dataset, "u", History(((1, 0),)), 0, uniform_policy(env.space))
     assert log_likelihood(model, dataset) == _oracle_log_likelihood(model, dataset) == float("-inf")
     dataset = DatasetFamily(env.space)
-    dataset.add("u", History(((0, 1),)), 0, uniform_policy(env.space))
+    add_history(dataset, "u", History(((0, 1),)), 0, uniform_policy(env.space))
     # the empty prefix has weight 1, so only a floor above 1 is infeasible
     assert theta_min_feasible(model, dataset, 1.0) is _oracle_feasible(model, dataset, 1.0) is True
     assert theta_min_feasible(model, dataset, 1.5) is _oracle_feasible(model, dataset, 1.5) is False
 
 
-def test_add_rejects_non_integer_steps_and_keeps_columns_aligned(reference_env):
+def test_add_rejects_bad_lex_indices_and_keeps_columns_aligned(reference_env):
     space = reference_env.space
-    dataset = DatasetFamily(space)
-    for bad in (History(((0, 0), (1.0, 0))), History(((0, 0), (1.0, 0))), History(((0, 0), (0, True)))):
-        with pytest.raises(StructuralError, match="integers"):
-            dataset.add("u", bad, 0, uniform_policy(space))
-    dataset.add("u", History(((0, 0), (1, 1))), 0, uniform_policy(space))
-    assert [len(column) for column in dataset.columns[0]] == [1] * 5
-    assert list(dataset.columns[0].trajectory) == [History(((0, 0), (1, 1))).lex_index(space)]
-
-
-def test_dataset_rejects_policy_id_reused_for_another_policy(reference_env):
-    space = reference_env.space
-    dataset = DatasetFamily(space)
-    traj = reference_env.sample_episode(uniform_policy(space), 3)
-    dataset.add("u", traj, 0, uniform_policy(space))
-    dataset.add("u", traj, 1, uniform_policy(space))  # equal policy, new object
-    assert dataset.size() == 2
-    other = UniformActionSeqPolicy(space.n_actions, start_step=1, sequences=((0,), (1,)))
-    with pytest.raises(StructuralError, match="'u'"):
-        dataset.add("u", traj, 0, other)
-    assert dataset.size() == 2
-    assert dataset.policies["u"].to_dict() == uniform_policy(space).to_dict()
+    dataset = DatasetFamily(space, {"u": uniform_policy(space)})
+    lex, weights = reference_env.sample_episode(dataset.policies["u"], 3)
+    for bad in (
+        [0, lex[1], float(lex[2])],  # not an integer
+        [0, lex[1], -1],
+        [0, lex[1], space.n_trajectories],
+        [0, -1, lex[2]],
+        [0, space.n_histories(1), lex[2]],  # in range for the leaves, not for depth 1
+    ):
+        with pytest.raises(StructuralError, match="integers in range"):
+            dataset.add("u", bad, weights, 1)
+    dataset.add("u", lex, weights, 1)
+    assert [len(column) for column in dataset.columns[1]] == [1] * 5
+    assert list(dataset.columns[1].trajectory) == [lex[-1]] and list(dataset.columns[1].prefix) == [lex[1]]
 
 
 def _oracle_selection(cands, dataset, p_min, beta):
@@ -339,8 +330,7 @@ def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env
         for k in range(4):
             for h in range(1, space.horizon + 1):
                 pol = exploration_policy(uniform_policy(space), h, core)
-                traj = reference_env.sample_episode(pol, 100 * stage + 10 * k + h)
-                dataset.add(f"e{stage},{k},{h}", traj, h - 1, pol)
+                add_drawn(dataset, f"e{stage},{k},{h}", reference_env, pol, 100 * stage + 10 * k + h, h - 1)
         result = constrained_mle(cands, dataset, p_min, beta)
         _assert_fresh_pass_bits(result, cands, dataset, p_min, beta)
         stable, liks, selected, margin = _oracle_selection(cands, dataset, p_min, beta)
@@ -375,13 +365,12 @@ def test_selection_record_matches_fresh_pass_bitwise_through_add_add_batch_and_s
                 pid = f"b{stage},{h}"
                 dataset.policies[pid] = pol = exploration_policy(uniform_policy(space), h, core)
                 seeds = [child_seed(stage, "record-batch", 10 * h + i) for i in range(7)]
-                obs, actions = reference_env.sample_episodes(pol, seeds)
-                dataset.add_batch(pid, obs, actions, np.arange(7) % space.horizon)
+                lex, weights = reference_env.sample_episodes(pol, seeds)
+                dataset.add_batch(pid, lex, weights, np.arange(7) % space.horizon)
         else:
             for h in range(1, space.horizon + 1 - stage % 2):  # odd stages leave the last bucket alone
                 pol = exploration_policy(uniform_policy(space), h, core)
-                traj = reference_env.sample_episode(pol, child_seed(stage, "record-add", h))
-                dataset.add(f"a{stage},{h}", traj, h - 1, pol)
+                add_drawn(dataset, f"a{stage},{h}", reference_env, pol, child_seed(stage, "record-add", h), h - 1)
         record = dataset._selection
         result = constrained_mle(cands, dataset, p_min, beta)
         assert stage == 0 or dataset._selection is record  # kept, so only the new entries were read
@@ -444,7 +433,6 @@ def test_candidate_set_rejects_mismatched_dimensions(reference_env):
 def test_bucket_weight_columns_match_per_history_oracle(reference_env):
     from pathlib import Path
 
-    from policy_oracles import oracle_policy_weight
     from psrlab.cli import build_candidates, build_env
     from psrlab.offline import collect_offline
     from psrlab.online import OnlineConfig, run_psr_ucb
@@ -462,7 +450,7 @@ def test_bucket_weight_columns_match_per_history_oracle(reference_env):
     loaded = DatasetFamily(reference_env.space, dict(offline_data.policies))  # the same entries, one add each
     for h, bucket in enumerate(decoded_entries(offline_data)):
         for entry in bucket:
-            loaded.add(entry.policy_id, entry.trajectory, h)
+            add_history(loaded, entry.policy_id, entry.trajectory, h)
     assert_same_columns(loaded, offline_data)
     for dataset in (online_data, offline_data, loaded):
         assert dataset.size() > 0
@@ -494,8 +482,8 @@ def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
         for k in range(3):
             for h, pol in enumerate(policies):
                 pid = f"e{stage},{k},{h}"
-                traj = small_env.sample_episode(pol, child_seed(seed, "ctv-episode", 100 * stage + 10 * k + h))
-                dataset.add(pid, traj, h, pol)
+                episode_seed = child_seed(seed, "ctv-episode", 100 * stage + 10 * k + h)
+                traj = add_drawn(dataset, pid, small_env, pol, episode_seed, h)
                 buckets[h].append(Entry(traj, pid))
         for model in cands.models:
             want = oracle_conditional_tv_diagnostic(model, truth, dataset.policies, buckets)

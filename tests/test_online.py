@@ -13,7 +13,7 @@ from psrlab.online import (
 from psrlab.policies import (
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
-    policy_weight,
+    policy_weight_vector,
     uniform_policy,
 )
 from psrlab.pomdp import RewardTable, TabularPomdp, default_psr
@@ -58,7 +58,7 @@ def test_exploration_policy_weight_product(reference_model):
     pol = exploration_policy(prefix, 2, core)
     seqs = core.exploration_seqs[1]
     traj = History(((0, 1), (1, seqs[1][0] if seqs[1] else 0)))
-    w = policy_weight(pol, traj)
+    w = policy_weight_vector(pol, space)[traj.lex_index(space)]
     # prefix weight at step 1 times the mixture weight of the second action
     consistent = [s for s in seqs if len(s) == 0 or s[0] == traj.steps[1][1]]
     pad = sum((1 / space.n_actions) ** (1 if len(s) == 0 else 0) for s in consistent)
@@ -197,6 +197,7 @@ def test_returned_dataset_holds_no_selection_record(reference_env, reference_mod
     """The loop drops its selection record on return, and a later selection on the returned
     dataset carries the bits of a fresh pass over the same entries."""
     from check_oracles import decoded_entries
+    from policy_oracles import add_history
     from psrlab.estimation import DatasetFamily, constrained_mle
 
     cands = make_candidates(reference_env, "dithered", seed=5, n=6, scale=0.05)
@@ -206,7 +207,7 @@ def test_returned_dataset_holds_no_selection_record(reference_env, reference_mod
     rebuilt = DatasetFamily(reference_env.space, dict(result.dataset.policies))
     for h, bucket in enumerate(decoded_entries(result.dataset)):
         for entry in bucket:
-            rebuilt.add(entry.policy_id, entry.trajectory, h)
+            add_history(rebuilt, entry.policy_id, entry.trajectory, h)
     for beta in (cfg.beta, 0.5):
         later = constrained_mle(cands, result.dataset, cfg.p_min, beta)
         fresh = constrained_mle(cands, rebuilt, cfg.p_min, beta)

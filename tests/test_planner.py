@@ -5,6 +5,7 @@ import pytest
 
 from check_oracles import oracle_value
 from conftest import make_single_state_env
+from policy_oracles import add_drawn
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
 from psrlab.online import _build_evaluator
@@ -86,8 +87,7 @@ def _bonus_evaluator(env, model, seed=0, n_entries=6, lam=1.0, alpha=0.7):
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
     for i in range(n_entries):
-        traj = env.sample_episode(pol, 1000 + seed * 97 + i)
-        dataset.add("b", traj, i % env.space.horizon, pol)
+        add_drawn(dataset, "b", env, pol, 1000 + seed * 97 + i, i % env.space.horizon)
     return _build_evaluator(model, dataset, lam, alpha)
 
 

@@ -9,14 +9,20 @@ from psrlab.policies import (
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
     policy_from_dict,
-    policy_weight,
     policy_weight_vector,
     prefix_weight_tables,
     random_tree_policy,
     uniform_policy,
 )
+from psrlab.planner import plan_on_table
+from psrlab.pomdp import tiger
 from psrlab.seeding import child_seed, rng_for
 from psrlab.spaces import History, ObsActSpace, enumerate_histories
+
+
+def table_weight(policy, hist, space=ObsActSpace(2, 2, 2)):
+    """The policy's weight of ``hist``, read from its prefix weight table."""
+    return list(prefix_weight_tables(policy, space))[len(hist)][hist.lex_index(space)]
 
 
 def test_deterministic_tree_weight_match_and_mismatch():
@@ -29,37 +35,37 @@ def test_deterministic_tree_weight_match_and_mismatch():
         action = int(np.argmax(policy.action_probs(hist, obs)))
         hist = hist.extend(obs, action)
         steps.append((obs, action))
-    assert policy_weight(policy, hist) == 1.0
+    assert table_weight(policy, hist) == 1.0
     wrong = History((steps[0], (steps[1][0], 1 - steps[1][1])))
-    assert policy_weight(policy, wrong) == 0.0
+    assert table_weight(policy, wrong) == 0.0
 
 
 def test_uniform_action_seq_weight_is_one_third():
     policy = UniformActionSeqPolicy(2, 1, ((0, 0), (0, 1), (1, 0)))
     hist = History(((0, 0), (1, 1)))  # follows (0, 1)
-    assert policy_weight(policy, hist) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert table_weight(policy, hist) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_uniform_action_seq_padding_weight():
     # One sequence of length 1, horizon 2: second action is uniform padding.
     policy = UniformActionSeqPolicy(2, 1, ((1,),))
-    w = policy_weight(policy, History(((0, 1), (0, 0))))
+    w = table_weight(policy, History(((0, 1), (0, 0))))
     assert w == pytest.approx(0.5, abs=1e-15)
-    assert policy_weight(policy, History(((0, 0),))) == 0.0
+    assert table_weight(policy, History(((0, 0),))) == 0.0
 
 
 def test_uniform_policy_is_per_step_uniform():
     space = ObsActSpace(2, 3, 2)
     policy = uniform_policy(space)
     for hist in enumerate_histories(space, 2):
-        assert policy_weight(policy, hist) == pytest.approx((1 / 3) ** 2, abs=1e-15)
+        assert table_weight(policy, hist, space) == pytest.approx((1 / 3) ** 2, abs=1e-15)
 
 
 def test_mixture_conditionals_chain_to_marginals():
     # Product of per-step conditionals equals the mixture weight of the prefix.
     policy = UniformActionSeqPolicy(2, 1, ((), (1,), (1, 0)))
     hist = History(((0, 1), (1, 0)))
-    direct = policy_weight(policy, hist)
+    direct = table_weight(policy, hist)
     # enumerate: sigma=() -> (1/3)(1/2)(1/2); (1,) -> (1/3)(1/2); (1,0) -> 1/3
     expected = (1 / 3) * (1 / 4) + (1 / 3) * (1 / 2) + (1 / 3)
     assert direct == pytest.approx(expected, abs=1e-15)
@@ -107,7 +113,7 @@ def test_policy_serialization_round_trip():
     data = policy.to_dict()
     rebuilt = policy_from_dict(data, space)
     for hist in enumerate_histories(space, 2):
-        assert policy_weight(rebuilt, hist) == policy_weight(policy, hist)
+        assert table_weight(rebuilt, hist) == table_weight(policy, hist)
 
 
 def test_sampling_matches_action_probs():
@@ -116,8 +122,8 @@ def test_sampling_matches_action_probs():
     counts = np.zeros(2)
     n = 4000
     for i in range(n):
-        (_, action), *_ = env.sample_episode(policy, child_seed(9, "sample", i)).steps
-        counts[action] += 1
+        lex, _ = env.sample_episode(policy, child_seed(9, "sample", i))
+        counts[lex[1] % env.space.n_actions] += 1  # the first step's pair index is obs * A + action
     probs = policy.action_probs(History(), 0)
     assert np.abs(counts / n - probs).max() < 4 * np.sqrt(0.25 / n)
 
@@ -162,3 +168,43 @@ def test_planner_policies_equal_checked_ones():
     assert planned.to_dict() == checked.to_dict()
     with pytest.raises(StructuralError, match="shape"):
         DeterministicTreePolicy._from_valid_tables(space, planned.actions_by_step[:1] + planned.actions_by_step[:1] * 2)
+
+
+def test_tree_policy_tables_are_read_only():
+    space = tiger(2).space
+    policy = random_tree_policy(space, rng_for(0, "frozen-tree"))
+    before = policy_weight_vector(policy, space)
+    with pytest.raises(ValueError):
+        policy.actions_by_step[0][:] = 7
+    assert np.array_equal(policy_weight_vector(policy, space), before)
+    given = tuple(np.zeros(space.n_histories(h) * space.n_obs, dtype=np.int64) for h in range(space.horizon))
+    copied = DeterministicTreePolicy(space, given)
+    given[0][:] = 1  # the caller's array stays writeable, and the policy does not see the write
+    assert not copied.actions_by_step[0].any() and given[0].flags.writeable
+    planned, _ = plan_on_table(space, np.arange(space.n_trajectories, dtype=float))
+    with pytest.raises(ValueError):
+        planned.actions_by_step[-1][0] = 0
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"type": "deterministic_tree"}, "missing key 'actions'"),
+        ({"type": "deterministic_tree", "actions": [["x", 0], [0] * 8]}, "need integers"),
+        ({"type": "uniform_action_seq", "sequences": [[True]]}, "'sequences'"),
+        ({"type": "uniform_action_seq", "sequences": [[]], "n_actions": "2"}, "'n_actions'"),
+        ({"type": "uniform_action_seq", "sequences": [[]], "start_step": 0}, "start step"),
+        ({"type": "uniform_action_seq", "sequences": 5}, "uniform_action_seq"),
+        ({"type": "composite", "prefix": {}, "suffix": {}}, "missing key 'switch_step'"),
+        ({"type": "mystery"}, "'mystery'"),
+    ],
+)
+def test_policy_from_dict_names_the_missing_key_or_bad_entry(data, message):
+    with pytest.raises(StructuralError, match=message):
+        policy_from_dict(data, ObsActSpace(2, 2, 2))
+
+
+def test_policy_from_dict_defaults_to_the_space_and_the_first_step():
+    space = ObsActSpace(2, 3, 2)
+    got = policy_from_dict({"type": "uniform_action_seq", "sequences": [[], [2]]}, space)
+    assert got == UniformActionSeqPolicy(3, 1, ((), (2,)))

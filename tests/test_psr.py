@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
+from policy_oracles import drawn_history
 from psrlab.errors import DegenerateHistory, StructuralError
 from psrlab.planner import policy_value_on_table
 from psrlab.policies import random_tree_policy, uniform_policy, policy_weight_vector
@@ -263,7 +264,7 @@ def test_value_matches_monte_carlo(reference_env, reference_model):
     exact = policy_value_on_table(space, policy, leaves)
     n = 100_000
     draws = np.array(
-        [reference_env.reward_of(reference_env.sample_episode(policy, i)) for i in range(n)]
+        [reference_env.reward_of(drawn_history(reference_env, policy, i)) for i in range(n)]
     )
     band = 3 * draws.std() / math.sqrt(n)
     assert abs(draws.mean() - exact) <= band

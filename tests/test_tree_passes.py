@@ -8,6 +8,7 @@ import scipy.linalg
 
 from check_oracles import oracle_bonus_table, oracle_gram_scores, oracle_plan_on_table, oracle_score_table
 from conftest import make_single_state_env
+from policy_oracles import add_drawn
 from psrlab import online
 from psrlab.bonus import BonusEvaluator, FeatureGram
 from psrlab.errors import StructuralError
@@ -42,7 +43,7 @@ def _evaluator(env, model, n_entries, lam=1.0, alpha=0.7):
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
     for i in range(n_entries):
-        dataset.add("b", env.sample_episode(pol, 5000 + i), i % env.space.horizon, pol)
+        add_drawn(dataset, "b", env, pol, 5000 + i, i % env.space.horizon)
     return _build_evaluator(model, dataset, lam, alpha)
 
 
