@@ -18,10 +18,12 @@ Three concrete forms, closed under the needs of the learning loops:
 Every sampling and weighting path is a lookup into these tables:
 ``action_probs`` returns one row, :func:`continuation_weights`,
 :func:`policy_weight_vector` and :func:`prefix_weight_tables` multiply one
-gathered block of rows per step, and ``TabularPomdp.sample_episode`` (one
-episode) and ``sample_episodes`` (many at once) draw by inverse CDF on a
-row's normalized cumulative sums; they multiply each drawn entry into the
-episode's prefix weights, so a recorded weight is never looked up again.
+gathered block of rows per step (:func:`tree_weight_table` does the same
+for a stack of tree policies' tables at once), and
+``TabularPomdp.sample_episode`` (one episode) and ``sample_episodes`` (many
+at once) draw by inverse CDF on a row's normalized cumulative sums; they
+multiply each drawn entry into the episode's prefix weights, so a recorded
+weight is never looked up again.
 """
 
 from __future__ import annotations
@@ -375,10 +377,52 @@ def prefix_weight_tables(policy: Policy, space: ObsActSpace) -> Iterator[np.ndar
         yield weights[0]
 
 
-def random_tree_policy(space: ObsActSpace, rng: np.random.Generator) -> DeterministicTreePolicy:
-    """Uniformly random deterministic tree policy (for test batteries)."""
+def random_tree_tables(space: ObsActSpace, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
+    """Action tables of ``len(rngs)`` uniformly random tree policies, stacked.
+
+    One read-only ``(P, n_histories(h-1) * n_obs)`` array per step ``h``.
+    Row ``i`` of every step is drawn by ``rngs[i]``, one ``integers`` call
+    per step in step order, so it is the policy :func:`random_tree_policy`
+    draws from that generator.
+    """
     tables = tuple(
-        rng.integers(0, space.n_actions, size=space.n_histories(h - 1) * space.n_obs)
+        np.empty((len(rngs), space.n_histories(h - 1) * space.n_obs), dtype=np.int64)
         for h in range(1, space.horizon + 1)
     )
-    return DeterministicTreePolicy(space, tables)
+    for i, rng in enumerate(rngs):
+        for table in tables:
+            table[i] = rng.integers(0, space.n_actions, size=table.shape[1])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def tree_weight_table(space: ObsActSpace, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """Trajectory weights of stacked tree policies, one row per policy.
+
+    ``tables`` holds one ``(P, n_histories(h-1) * n_obs)`` action array per
+    step, as :func:`random_tree_tables` returns.  Each step gathers one-hot
+    action rows and multiplies them into the running products, the
+    arithmetic of :func:`policy_weight_vector` with a leading policy axis.
+    Every entry is 0.0 or 1.0, so row ``i`` has the bits of
+    ``policy_weight_vector`` of policy ``i``.
+    """
+    if len(tables) != space.horizon:
+        raise StructuralError("need one action table per step")
+    one_hot = np.eye(space.n_actions)
+    weights = np.ones((len(tables[0]), 1))
+    for h, table in enumerate(tables, start=1):
+        expected = (len(weights), space.n_histories(h - 1) * space.n_obs)
+        if table.shape != expected:
+            raise StructuralError(f"step {h} table has shape {table.shape}, expected {expected}")
+        if table.dtype.kind not in "iu" or table.size and (table.min() < 0 or table.max() >= space.n_actions):
+            raise StructuralError(f"action index out of range in tree policy: need integers in [0, {space.n_actions})")
+        node_weights = np.repeat(weights, space.n_obs, axis=1)
+        weights = (node_weights[:, :, None] * one_hot[table]).reshape(len(weights), -1)
+    return weights
+
+
+def random_tree_policy(space: ObsActSpace, rng: np.random.Generator) -> DeterministicTreePolicy:
+    """Uniformly random deterministic tree policy (for test batteries): one row of :func:`random_tree_tables`."""
+    tables = random_tree_tables(space, [rng])
+    return DeterministicTreePolicy._from_valid_tables(space, tuple(table[0] for table in tables))

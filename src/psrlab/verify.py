@@ -30,7 +30,14 @@ from .estimation import (
 from .online import OnlineConfig, _build_evaluator, _explore, exploration_suffixes, run_psr_ucb
 from .offline import OfflineConfig, collect_offline, run_psr_lcb
 from .planner import plan_on_table, policy_value_on_table
-from .policies import UniformActionSeqPolicy, random_tree_policy, uniform_policy, policy_weight_vector
+from .policies import (
+    Policy,
+    policy_weight_vector,
+    random_tree_policy,
+    random_tree_tables,
+    tree_weight_table,
+    uniform_policy,
+)
 from .pomdp import (
     TabularPomdp,
     default_psr,
@@ -41,6 +48,7 @@ from .pomdp import (
     tiger,
 )
 from .psr import (
+    CoreTestSet,
     PsrModel,
     check_self_consistency,
     conditional_update_violation,
@@ -170,13 +178,10 @@ def run_core_identities(report: Report, seeds: int = 4) -> None:
             psr_rank(dynamics_matrix(env, h)) <= env.n_states for h in range(env.space.horizon)
         )
         report.add(CheckResult(suite, f"rank-bound[{name}]", ranks_ok, "rank(D_h) <= S"))
-        total_ok = True
-        for s in range(seeds):
-            pol = random_tree_policy(env.space, rng_for(s, "total-prob"))
-            mass = float(
-                np.dot(policy_weight_vector(pol, env.space), model.prob_table(env.space.horizon))
-            )
-            total_ok = total_ok and abs(mass - 1.0) <= 1e-9
+        rngs = [rng_for(s, "total-prob") for s in range(seeds)]
+        weights = tree_weight_table(env.space, random_tree_tables(env.space, rngs))
+        probs = model.prob_table(env.space.horizon)
+        total_ok = all(abs(float(np.dot(w, probs)) - 1.0) <= 1e-9 for w in weights)
         report.add(CheckResult(suite, f"total-mass[{name}]", total_ok, "sum pi * p = 1"))
 
     env = reference_env()
@@ -349,26 +354,28 @@ def run_lemma_checks(report: Report, seeds: int = 100) -> None:
 # -- Monte-Carlo event suite ----------------------------------------------------
 
 
-def _uniform_collection(
-    env: TabularPomdp,
-    prefix: UniformActionSeqPolicy,
-    suffixes: tuple[UniformActionSeqPolicy, ...],
-    n_rounds: int,
-    seed: int,
-) -> DatasetFamily:
+def _uniform_explorers(core_tests: CoreTestSet) -> tuple[Policy, ...]:
+    """The exploration policy of each step ``h = 1..H`` under a uniform prefix.
+
+    Built once per suite run, so every collection shares their compiled rows.
+    """
+    prefix, suffixes = uniform_policy(core_tests.space), exploration_suffixes(core_tests)
+    return tuple(_explore(prefix, h, suffixes) for h in range(1, len(suffixes) + 1))
+
+
+def _uniform_collection(env: TabularPomdp, explorers: tuple[Policy, ...], n_rounds: int, seed: int) -> DatasetFamily:
     """Exploration-style collection under a fixed uniform prefix policy.
 
-    ``prefix`` is :func:`uniform_policy` of the space and ``suffixes`` the
-    :func:`exploration_suffixes` of the core tests, both built once per
-    suite run so every collection shares their compiled rows.  Round ``k``
-    draws one episode per step ``h`` from its own child seed into bucket
+    ``explorers`` are the :func:`_uniform_explorers` of the core tests.
+    Round ``k`` draws one episode per step ``h`` from its own child seed,
+    under ``explorers[h - 1]`` (policy id ``uexplore[h=h]``), into bucket
     ``h - 1``; each step's rounds are drawn and added in one batch.
     """
     space = env.space
     dataset = DatasetFamily(space)
-    for h in range(1, space.horizon + 1):
+    for h, policy in enumerate(explorers, start=1):
         pid = f"uexplore[h={h}]"
-        dataset.policies[pid] = policy = _explore(prefix, h, suffixes)
+        dataset.policies[pid] = policy
         seeds = [child_seed(seed, "verify-episode", k * (space.horizon + 1) + h) for k in range(1, n_rounds + 1)]
         lex, weights = env.sample_episodes(policy, seeds)
         dataset.add_batch(pid, lex, weights, np.full(n_rounds, h - 1))
@@ -396,9 +403,12 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
     log_term = math.log(n_rounds * n_cands / delta)
     p_min = delta / (n_rounds * env.space.horizon * float(env.space.pair_count) ** env.space.horizon)
     viol = {"loglik-margin": 0, "conditional-tv": 0, "hellinger": 0, "p-min-feasible": 0}
-    prefix, suffixes = uniform_policy(env.space), exploration_suffixes(true_model.core_tests)
+    explorers = _uniform_explorers(true_model.core_tests)
+    # Neither a candidate nor a step's exploration policy changes across seeds,
+    # so each (candidate index, policy id) distance is computed once.
+    hellinger: dict[tuple[int, str], float] = {}
     for s in range(seeds):
-        dataset = _uniform_collection(env, prefix, suffixes, n_rounds, child_seed(s, "mle-event"))
+        dataset = _uniform_collection(env, explorers, n_rounds, child_seed(s, "mle-event"))
         # One pass per model gives both its p_min stability and its log-likelihood.
         (stable_true,), (lik_true,) = _one_model(true_model, dataset, p_min)
         prefix_true = _prefix_loglik(true_model, dataset)
@@ -416,13 +426,11 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
                 lhs = conditional_tv_diagnostic(model, true_model, dataset)
                 if lhs > 6.0 * gap + 31.0 * log_term + 1e-9:
                     cond_ok = False
-            by_policy: dict[int, float] = {}  # one distance per distinct policy object
             terms = []
             for policy_id in (pid for cols in dataset.columns for pid in cols.policy_id):
-                policy = dataset.policies[policy_id]
-                if id(policy) not in by_policy:
-                    by_policy[id(policy)] = hellinger_sq(model, true_model, policy)
-                terms.append(by_policy[id(policy)])
+                if (i, policy_id) not in hellinger:
+                    hellinger[i, policy_id] = hellinger_sq(model, true_model, dataset.policies[policy_id])
+                terms.append(hellinger[i, policy_id])
             hell = math.fsum(terms)
             if hell > 0.5 * gap + 2.0 * log_term + 1e-9:
                 hell_ok = False
@@ -463,6 +471,37 @@ def _validity_run_online(seed: int, env, true_model, cands, params) -> tuple[Psr
     return result.last_model, result.last_evaluator
 
 
+def _bound_holds(
+    model: PsrModel,
+    evaluator: BonusEvaluator,
+    true_rewards: np.ndarray,
+    reward_leaves: np.ndarray,
+    seed: int,
+    n_policies: int,
+) -> bool:
+    """``|V_model - V_true| <= V_bonus`` for ``n_policies`` random tree policies of one run.
+
+    Policy ``j`` is drawn by ``rng_for(seed, "validity-policy", j)``; all
+    their weights come from one stacked table, and each value is one
+    ``np.dot`` of a weight row with a leaf table built once per run.
+    ``true_rewards`` is the true model's depth-H probabilities times
+    ``reward_leaves``.  Stops at the first violating policy.
+    """
+    space = model.space
+    rngs = [rng_for(seed, "validity-policy", j) for j in range(n_policies)]
+    weights = tree_weight_table(space, random_tree_tables(space, rngs))
+    model_table = model.prob_table(space.horizon)
+    model_rewards = model_table * reward_leaves
+    model_bonus = model_table * evaluator.bonus_table()
+    for w in weights:
+        v_model = float(np.dot(w, model_rewards))
+        v_true = float(np.dot(w, true_rewards))
+        v_bonus = float(np.dot(w, model_bonus))
+        if abs(v_model - v_true) > v_bonus + 1e-12:
+            return False
+    return True
+
+
 def run_validity_checks(
     report: Report,
     runs: int = 100,
@@ -479,24 +518,12 @@ def run_validity_checks(
     space = env.space
     reward_leaves = env.reward.leaf_table(space)
     true_table = true_model.prob_table(space.horizon)
-
-    def policy_checks(model: PsrModel, evaluator: BonusEvaluator, seed: int) -> bool:
-        model_table = model.prob_table(space.horizon)
-        bonus_t = evaluator.bonus_table()
-        for j in range(policies_per_run):
-            pol = random_tree_policy(space, rng_for(seed, "validity-policy", j))
-            w = policy_weight_vector(pol, space)
-            v_model = float(np.dot(w, model_table * reward_leaves))
-            v_true = float(np.dot(w, true_table * reward_leaves))
-            v_bonus = float(np.dot(w, model_table * bonus_t))
-            if abs(v_model - v_true) > v_bonus + 1e-12:
-                return False
-        return True
+    true_rewards = true_table * reward_leaves
 
     online_viol = 0
     for s in range(runs):
         model, evaluator = _validity_run_online(child_seed(s, "validity-online"), env, true_model, cands, params)
-        if not policy_checks(model, evaluator, s):
+        if not _bound_holds(model, evaluator, true_rewards, reward_leaves, s, policies_per_run):
             online_viol += 1
     allowed = delta + wilson_slack(delta, runs)
     rate = online_viol / runs
@@ -522,7 +549,7 @@ def run_validity_checks(
             alpha=params["alpha"],
         )
         res = run_psr_lcb(ds, cands, cfg, reward_leaves)
-        if not policy_checks(res.model, res.evaluator, 10_000 + s):
+        if not _bound_holds(res.model, res.evaluator, true_rewards, reward_leaves, 10_000 + s, policies_per_run):
             offline_viol += 1
     rate = offline_viol / runs
     report.add(
@@ -540,10 +567,10 @@ def run_validity_checks(
     bonus_viol = 0
     bonus_runs = max(20, runs // 5)
     rank = env.n_states
-    suffixes = exploration_suffixes(true_model.core_tests)
+    explorers = _uniform_explorers(true_model.core_tests)
     for s in range(bonus_runs):
         seed = child_seed(s, "bonus-relation")
-        dataset = _uniform_collection(env, behavior, suffixes, 10, seed)  # the uniform behavior is the prefix
+        dataset = _uniform_collection(env, explorers, 10, seed)
         mle = constrained_mle(cands, dataset, params["p_min"], params["beta"])
         evaluator = _build_evaluator(mle.model, dataset, params["lam"], params["alpha"])
         scores, degenerate = evaluator.score_table()
@@ -597,15 +624,18 @@ SUITES = {
 
 
 def verify(suite: str, seeds: int = 100) -> Report:
-    """Run one registered suite, or all of them."""
+    """Run one registered suite, or all of them.
+
+    An unknown suite name, or a seed count that is not a positive integer,
+    raises :class:`StructuralError` before any suite runs.
+    """
+    if isinstance(seeds, bool) or not isinstance(seeds, int):
+        raise StructuralError(f"seeds must be an integer, got {seeds!r}")
     if seeds < 1:
         raise StructuralError(f"need at least one seed, got {seeds}")
+    if suite != "all" and suite not in SUITES:
+        raise StructuralError(f"unknown suite {suite!r}; options: {', '.join(sorted(SUITES))} or 'all'")
     report = Report()
-    if suite == "all":
-        for fn in SUITES.values():
-            fn(report, seeds)
-        return report
-    if suite not in SUITES:
-        raise KeyError(f"unknown suite {suite!r}; options: {sorted(SUITES)} or 'all'")
-    SUITES[suite](report, seeds)
+    for fn in SUITES.values() if suite == "all" else [SUITES[suite]]:
+        fn(report, seeds)
     return report

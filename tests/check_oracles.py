@@ -15,7 +15,9 @@ Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one recorded entry object at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
 selection's oracle gathers and reduces every recorded entry in one pass, as
-selection did before it kept a running record on the dataset.  Tests
+selection did before it kept a running record on the dataset.  The
+confidence-bound validity check builds and weighs one tree policy object at
+a time, as before its policies' weights came from one stacked table.  Tests
 compare the package against them bit for bit.  :func:`dataset_jsonl` is the
 dataset's former JSONL text, which the golden tests hash.
 """
@@ -31,9 +33,9 @@ from policy_oracles import add_drawn, oracle_policy_weight
 from psrlab.errors import DegenerateHistory
 from psrlab.estimation import DatasetFamily
 from psrlab.online import exploration_policy
-from psrlab.policies import continuation_weights, policy_weight_vector, uniform_policy
+from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
 from psrlab.psr import PSI_GUARD
-from psrlab.seeding import child_seed
+from psrlab.seeding import child_seed, rng_for
 from psrlab.spaces import History, history_from_lex
 
 
@@ -255,6 +257,22 @@ def oracle_conditional_tv_diagnostic(model_a, model_b, policies, buckets):
             tv = math.fsum(row)
             terms.append(tv * tv)
     return math.fsum(terms)
+
+
+def oracle_bound_holds(model, evaluator, true_table, reward_leaves, seed, n_policies):
+    """``|V_model - V_true| <= V_bonus`` for each of a run's random tree policies, one policy object at a time."""
+    space = model.space
+    model_table = model.prob_table(space.horizon)
+    bonus_t = evaluator.bonus_table()
+    for j in range(n_policies):
+        pol = random_tree_policy(space, rng_for(seed, "validity-policy", j))
+        w = policy_weight_vector(pol, space)
+        v_model = float(np.dot(w, model_table * reward_leaves))
+        v_true = float(np.dot(w, true_table * reward_leaves))
+        v_bonus = float(np.dot(w, model_table * bonus_t))
+        if abs(v_model - v_true) > v_bonus + 1e-12:
+            return False
+    return True
 
 
 def oracle_stability_and_likelihood(prob_table, dataset, p_min):

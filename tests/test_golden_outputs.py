@@ -10,7 +10,10 @@ rewritten; each iteration's ``ucb_value`` and the summary's ``gap`` pin
 the bonus and plan bits.  The dataset JSONL digests were recorded while a
 dataset still kept one entry object per trajectory next to its columns
 and wrote its own JSONL; the same text is now decoded from the
-trajectory-index columns by ``check_oracles.dataset_jsonl``.
+trajectory-index columns by ``check_oracles.dataset_jsonl``.  The verify
+digest was recorded while the confidence-bound validity check still built
+and weighed one tree policy object per random policy; a drift in any bit a
+verify line prints (a count, a rate or a formatted distance) changes it.
 """
 
 import hashlib
@@ -24,6 +27,7 @@ from psrlab.cli import build_behavior, build_candidates, build_env, main
 from psrlab.offline import collect_offline
 from psrlab.online import OnlineConfig, run_psr_ucb
 from psrlab.pomdp import default_psr
+from psrlab.verify import verify
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG = CONFIGS / "offline_sweep.json"
@@ -59,6 +63,9 @@ ONLINE_ALL_SHA256 = "9f70a29ef40ed58834c29bd9858243e4f44b20290d2ece8652a27f17cb0
 # at n = 1000 episodes, and the dataset of the online reference run.
 OFFLINE_JSONL_SHA256 = "c3720d8881731bfd047bba07efe16cd5b10670e983a4d55f4142d01e3c0d583b"
 ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e02c831c"
+
+# SHA-256 of the newline-joined lines of verify("all", 5).
+VERIFY_ALL_5_SHA256 = "01ebe6ba5354ee9f37583c0d5bff31ebc1313403966917099ab647e81f830f07"
 
 
 def _assert_digests(out, expected, expected_all):
@@ -109,3 +116,9 @@ def test_online_dataset_jsonl_is_byte_identical():
     result = run_psr_ucb(env, online, build_candidates(env, config["candidates"]), true_model.core_tests)
     assert result.dataset.size() == 2 * len(result.logs)
     assert hashlib.sha256(dataset_jsonl(result.dataset).encode()).hexdigest() == ONLINE_JSONL_SHA256
+
+
+def test_verify_all_lines_are_byte_identical():
+    lines = verify("all", 5).lines()
+    assert len(lines) == 69
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_5_SHA256

@@ -2,15 +2,24 @@ import math
 
 import pytest
 
-from check_oracles import brute_force_prefix_prob, oracle_conditional_tv_diagnostic, oracle_uniform_collection
+from check_oracles import (
+    brute_force_prefix_prob,
+    oracle_bound_holds,
+    oracle_conditional_tv_diagnostic,
+    oracle_uniform_collection,
+)
+from psrlab.errors import StructuralError
 from psrlab.estimation import conditional_tv_diagnostic, make_candidates
-from psrlab.online import exploration_suffixes
+from psrlab.offline import OfflineConfig, collect_offline, run_psr_lcb
 from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import (
     Report,
+    _bound_holds,
     _uniform_collection,
+    _uniform_explorers,
+    _validity_run_online,
     reference_env,
     run_lemma_checks,
     verify,
@@ -30,8 +39,14 @@ def test_lemma_suite_passes_quickly():
 
 
 def test_unknown_suite_raises():
-    with pytest.raises(KeyError):
+    with pytest.raises(StructuralError, match="unknown suite 'nope'; options: core-identities, lemmas, mle-events"):
         verify("nope")
+
+
+@pytest.mark.parametrize("seeds", [True, 2.0, "2", None])
+def test_non_integer_seed_count_raises(seeds):
+    with pytest.raises(StructuralError, match="seeds must be an integer"):
+        verify("lemmas", seeds)
 
 
 def test_wilson_slack_matches_normal_approximation():
@@ -87,7 +102,7 @@ def test_uniform_collection_matches_one_episode_oracle(name, seed):
     env = COLLECTION_ENVS[name]
     truth, _ = default_psr(env)
     collection_seed = child_seed(seed, "mle-event")
-    got = _uniform_collection(env, uniform_policy(env.space), exploration_suffixes(truth.core_tests), 12, collection_seed)
+    got = _uniform_collection(env, _uniform_explorers(truth.core_tests), 12, collection_seed)
     want, buckets = oracle_uniform_collection(env, truth, 12, collection_seed)
     for h, (got_cols, want_cols) in enumerate(zip(got.columns, want.columns, strict=True), start=1):
         for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
@@ -121,3 +136,30 @@ def test_mle_events_reads_each_model_once_per_seed(monkeypatch):
     n_models = 1 + len(make_candidates(reference_env(), "dithered", seed=77, n=8, scale=0.08))  # truth + candidates
     assert n_models == 10
     assert sorted(Counter(map(id, datasets)).values()) == [n_models] * seeds
+
+
+@pytest.mark.parametrize("alpha", [2.0, 0.01, 1e-6])
+def test_stacked_bound_check_gives_the_per_policy_verdicts(alpha):
+    """The stacked check's verdict equals the one-policy-object loop's on seeded online and offline runs.
+
+    At the suite's alpha every run holds; at 0.01 some runs fail and some
+    hold; at 1e-6 every run fails, so the early return is taken.
+    """
+    env = reference_env()
+    truth, _ = default_psr(env)
+    cands = make_candidates(env, "dithered", seed=42, n=10, scale=0.03)
+    params = {"p_min": 1e-10, "beta": 40.0, "lam": 1.0, "alpha": alpha}
+    leaves = env.reward.leaf_table(env.space)
+    true_table = truth.prob_table(env.space.horizon)
+    runs = []
+    for s in range(6):
+        runs.append((*_validity_run_online(child_seed(s, "validity-online"), env, truth, cands, params), s))
+        data = collect_offline(env, uniform_policy(env.space), 60, child_seed(s, "validity-offline"))
+        offline = run_psr_lcb(data, cands, OfflineConfig(params["p_min"], params["beta"], params["lam"], alpha), leaves)
+        runs.append((offline.model, offline.evaluator, 10_000 + s))
+    verdicts = []
+    for model, evaluator, seed in runs:
+        verdict = _bound_holds(model, evaluator, true_table * leaves, leaves, seed, 50)
+        assert verdict == oracle_bound_holds(model, evaluator, true_table, leaves, seed, 50)
+        verdicts.append(verdict)
+    assert set(verdicts) == {2.0: {True}, 0.01: {True, False}, 1e-6: {False}}[alpha]
