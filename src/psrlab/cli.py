@@ -37,7 +37,8 @@ from .verify import SUITES, Report, verify
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or an infinity raises ``ValueError`` instead of being written."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -80,21 +81,31 @@ def _section(config: dict, name: str, required: tuple[str, ...] = ()) -> dict:
     missing = [key for key in required if key not in section]
     if missing:
         raise StructuralError(f"config section {name!r} is missing {', '.join(map(repr, missing))}")
+    if "c_theory" in section and not section.get("auto_params", False):
+        raise StructuralError(f"config section {name!r} sets 'c_theory', which only 'auto_params' reads")
     return section
 
 
 def _integers(option: str, text: str) -> list[int]:
-    """The comma-separated integers of a command-line option."""
+    """The comma-separated integers of a command-line option, each at most once."""
     try:
-        return [int(s) for s in text.split(",")]
+        values = [int(s) for s in text.split(",")]
     except ValueError as exc:
         raise PsrLabError(f"{option} must be comma-separated integers, got {text!r}") from exc
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise PsrLabError(f"{option} lists {', '.join(map(str, repeated))} more than once")
+    return values
 
 
 def build_env(spec: dict) -> TabularPomdp:
+    if not isinstance(spec, dict):
+        raise StructuralError(f"config section 'env' must be an object, got {spec!r}")
     if "path" in spec:
         with open(spec["path"]) as fh:
             return pomdp_from_dict(json.load(fh))
+    if "builtin" not in spec:
+        raise StructuralError("config section 'env' is missing 'builtin' (or 'path')")
     return _make_builtin(spec["builtin"], spec.get("params", {}))
 
 
@@ -151,7 +162,7 @@ def _resolve_params(cfg: dict, constants: EnvSummary | None, mode: str, n_episod
     if missing:
         raise StructuralError(f"config section {mode!r} is missing {', '.join(map(repr, missing))} (or set auto_params)")
     values = dict(p_min=cfg["p_min"], beta=cfg["beta"], lam=cfg["lambda"], alpha=cfg["alpha"])
-    echo = {"mode": mode, "c_theory": cfg.get("c_theory"), "p_min": cfg["p_min"], "beta": cfg["beta"],
+    echo = {"mode": mode, "c_theory": None, "p_min": cfg["p_min"], "beta": cfg["beta"],
             "lambda": cfg["lambda"], "alpha": cfg["alpha"]}
     return values, echo
 
@@ -209,19 +220,16 @@ def gen_env(name: str, params: str, out: str) -> None:
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seeds", default=None, help="Comma-separated seed list (overrides config).")
-@click.option("--c-theory", default=None, type=float, help="Override the scaling knob.")
-def run_online(config_path: str, out_dir: str, seeds: str | None, c_theory: float | None) -> None:
+def run_online(config_path: str, out_dir: str, seeds: str | None) -> None:
     """Run the optimistic loop for each seed and write logs and outputs."""
     config = _load_config(config_path)
     ocfg = _section(config, "online", ("max_iterations", "epsilon", "delta"))
-    if c_theory is not None:
-        ocfg["c_theory"] = c_theory
+    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
-    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
     constants = _env_summary(ocfg, env, true_model)
     for seed in seed_list:
         started = time.perf_counter()
@@ -243,10 +251,10 @@ def run_online(config_path: str, out_dir: str, seeds: str | None, c_theory: floa
             "delta": online.delta,
         }
         if result.terminated:
-            gap, max_tv = evaluate_output(env, true_model, result.final_model, result.final_policy)
+            gap, max_tv = evaluate_output(env, true_model, result.last_model, result.final_policy)
             summary["gap"] = gap
             summary["max_tv"] = max_tv
-            _write_json(out / f"model_seed{seed}.json", result.final_model.to_dict())
+            _write_json(out / f"model_seed{seed}.json", result.last_model.to_dict())
             _write_json(out / f"policy_seed{seed}.json", result.final_policy.to_dict())
         _write_json(out / f"summary_seed{seed}.json", summary)
         click.echo(
@@ -281,20 +289,17 @@ def _offline_runner(env, true_model, candidates, behavior, cfg: dict):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--seeds", default=None)
-@click.option("--c-theory", default=None, type=float)
-def run_offline(config_path: str, out_dir: str, seeds: str | None, c_theory: float | None) -> None:
+def run_offline(config_path: str, out_dir: str, seeds: str | None) -> None:
     """Collect behavior data, run the pessimistic pipeline, write outputs."""
     config = _load_config(config_path)
     ocfg = _section(config, "offline", ("n_episodes",))
-    if c_theory is not None:
-        ocfg["c_theory"] = c_theory
+    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
     behavior = build_behavior(config.get("behavior", "uniform"), env.space)
-    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
     run = _offline_runner(env, true_model, candidates, behavior, ocfg)
     rows = []
     for seed in seed_list:
@@ -333,15 +338,18 @@ def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> No
     """Gap-versus-data-size sweep; one CSV row per (K, seed)."""
     config = _load_config(config_path)
     ocfg = _section(config, "offline")
+    ks = _integers("--k-list", k_list)
+    seed_list = _integers("--seeds", seeds)
+    if "," not in seeds:  # a count, not a list
+        if seed_list[0] < 1:
+            raise PsrLabError(f"--seeds count must be at least 1, got {seed_list[0]}")
+        seed_list = list(range(seed_list[0]))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
     behavior = build_behavior(config.get("behavior", "uniform"), env.space)
-    ks = _integers("--k-list", k_list)
-    seed_list = _integers("--seeds", seeds)
-    seed_list = seed_list if "," in seeds else list(range(seed_list[0]))  # a count or a list
     run = _offline_runner(env, true_model, candidates, behavior, ocfg)
     rows = []
     medians = {}

@@ -94,7 +94,7 @@ def min_exploration_prob(behavior: Policy, core_tests: CoreTestSet) -> float:
                 worst = min(worst, float(probs.min(initial=math.inf)))
         if h + 1 < space.horizon:
             nodes = _obs_nodes(reached, space.n_obs)
-            positive = behavior._step_rows(space, h + 1, nodes)[0] > 0.0
+            positive = _probs(behavior, space, h + 1, nodes) > 0.0
             reached = (nodes[:, None] * space.n_actions + np.arange(space.n_actions))[positive]
     return worst
 
@@ -102,6 +102,12 @@ def min_exploration_prob(behavior: Policy, core_tests: CoreTestSet) -> float:
 def _obs_nodes(hists: np.ndarray, n_obs: int) -> np.ndarray:
     """The (history, obs) nodes below each history, as policy rows index them."""
     return (hists[:, None] * n_obs + np.arange(n_obs)).reshape(-1)
+
+
+def _probs(behavior: Policy, space: ObsActSpace, h: int, nodes: np.ndarray) -> np.ndarray:
+    """The behavior's step-``h`` action rows at ``nodes``: zero rows where no mixture sequence matches."""
+    table, index = behavior._rows(space, h, nodes)
+    return table.probs[index]
 
 
 def _min_seq_prob(behavior: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray,
@@ -112,7 +118,7 @@ def _min_seq_prob(behavior: Policy, space: ObsActSpace, h: int, prefixes: np.nda
         nodes.append(_obs_nodes(nodes[-1] * space.n_actions + a, space.n_obs))
     val = np.ones(len(nodes[-1]))
     for j in reversed(range(len(seq))):
-        rows = behavior._step_rows(space, h + j + 1, nodes[j])[0]
+        rows = _probs(behavior, space, h + j + 1, nodes[j])
         val = (rows[:, seq[j]] * val).reshape(-1, space.n_obs).min(1)
     return val
 

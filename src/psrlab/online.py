@@ -67,8 +67,6 @@ class IterationLog:
 
 @dataclass(frozen=True)
 class OnlineResult:
-    final_model: PsrModel | None
-    final_model_id: int | None
     final_policy: DeterministicTreePolicy | None
     logs: tuple[IterationLog, ...]
     dataset: DatasetFamily
@@ -134,8 +132,6 @@ def run_psr_ucb(
     dataset = DatasetFamily(space)
     previous: Policy = uniform_policy(space)
     logs: list[IterationLog] = []
-    final_model = None
-    final_model_id = None
     last_model = None
     last_evaluator = None
     terminated = False
@@ -170,18 +166,14 @@ def run_psr_ucb(
         )
         last_model, last_evaluator = mle.model, evaluator
         if terminated:
-            final_model = mle.model
-            final_model_id = mle.selected_id
             break
         previous = greedy
     dataset._selection = None  # the record served the loop's selections; the result need not hold it or the candidates
     final_policy = None
-    if terminated and final_model is not None:
+    if terminated:
         reward_leaves = env.reward.leaf_table(space)
-        final_policy, _ = plan_on_table(space, final_model.prob_table(space.horizon) * reward_leaves)
+        final_policy, _ = plan_on_table(space, last_model.prob_table(space.horizon) * reward_leaves)
     return OnlineResult(
-        final_model,
-        final_model_id,
         final_policy,
         tuple(logs),
         dataset,

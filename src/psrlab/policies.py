@@ -3,8 +3,7 @@
 Three concrete forms, closed under the needs of the learning loops:
 
 * :class:`DeterministicTreePolicy` -- one action per (history, obs) node,
-  stored as per-step lookup arrays in lexicographic node order.  These
-  arrays are its table.
+  stored as per-step lookup arrays in lexicographic node order.
 * :class:`UniformActionSeqPolicy` -- pick one action sequence uniformly at a
   start step, play it out, then pad with uniform random actions up to the
   horizon.  Sequences may be ragged, including the empty sequence (which
@@ -15,15 +14,21 @@ Three concrete forms, closed under the needs of the learning loops:
 * :class:`CompositePolicy` -- one policy before a switch step, another from
   the switch step on; it dispatches each step to one of them.
 
-Every sampling and weighting path is a lookup into these tables:
-``action_probs`` returns one row, :func:`continuation_weights`,
-:func:`policy_weight_vector` and :func:`prefix_weight_tables` multiply one
-gathered block of rows per step (:func:`tree_weight_table` does the same
-for a stack of tree policies' tables at once), and
-``TabularPomdp.sample_episode`` (one episode) and ``sample_episodes`` (many
-at once) draw by inverse CDF on a row's normalized cumulative sums; they
-multiply each drawn entry into the episode's prefix weights, so a recorded
-weight is never looked up again.
+Each class answers one question, ``_rows(space, h, nodes)``: the step-``h``
+row table (a :class:`_Rows`) and the row index of each (history, obs) lex
+node, for one node or an int64 array of them.  A tree policy indexes the
+one-hot table shared per action count by its action at the node, a mixture
+indexes its compiled table by the node's taken-action digits, and a
+composite asks the policy that owns the step.  Every path reads through
+it: :func:`reached_rows` gathers a block of rows and checks the reached
+ones are valid, for :func:`continuation_weights`,
+:func:`policy_weight_vector`, :func:`prefix_weight_tables` and
+``TabularPomdp.sample_episodes``; the offline coverage minimum reads the
+same gather; ``TabularPomdp.sample_episode`` reads one row's float lists
+per step.  Both samplers draw by inverse CDF on a row's normalized
+cumulative sums and multiply each drawn entry into the episode's prefix
+weights, so a recorded weight is never looked up again.
+(:func:`tree_weight_table` weighs a stack of tree policies' tables at once.)
 """
 
 from __future__ import annotations
@@ -36,12 +41,10 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import StructuralError
-from .spaces import History, ObsActSpace, _read_only_copy
+from .spaces import ObsActSpace, _read_only_copy
 
 # Generator.choice accepts a probability row whose sum is within this of 1.
 ROW_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
-
-Steps = Sequence[tuple[int, int]]
 
 
 def uniform_policy(space: ObsActSpace) -> "UniformActionSeqPolicy":
@@ -107,18 +110,8 @@ class DeterministicTreePolicy:
             if table.shape != (expected,):
                 raise StructuralError(f"step {h} table has shape {table.shape}, expected ({expected},)")
 
-    def action_probs(self, history: History, obs: int) -> np.ndarray:
-        return np.array(self._lookup(history.steps, obs)[0])
-
-    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
-        space = self.space
-        lex = 0
-        for o, a in prior:
-            lex = lex * space.pair_count + o * space.n_actions + a
-        return _one_hot_rows(space.n_actions)[int(self.actions_by_step[len(prior)][lex * space.n_obs + obs])]
-
-    def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, None]:
-        return np.eye(self.space.n_actions)[self.actions_by_step[h - 1][nodes]], None
+    def _rows(self, space: ObsActSpace, h: int, nodes: np.ndarray | int) -> tuple[_Rows, np.ndarray | int]:
+        return _one_hot_table(self.space.n_actions), self.actions_by_step[h - 1][nodes]
 
     def to_dict(self) -> dict:
         return {
@@ -127,19 +120,25 @@ class DeterministicTreePolicy:
         }
 
 
-@functools.lru_cache(maxsize=None)  # one entry per action count in use
-def _one_hot_rows(n_actions: int) -> tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]:
-    """Per action: the row that plays it and its cumulative row, shared by every tree policy."""
-    one_hot = np.eye(n_actions)
-    return tuple((tuple(row), tuple(cdf)) for row, cdf in zip(one_hot.tolist(), cumulative_rows(one_hot).tolist()))
+class _Rows(NamedTuple):
+    """A step's compiled action rows, which a policy's ``_rows`` indexes per node."""
 
-
-class _MixtureRows(NamedTuple):
-    """Compiled rows of a uniform mixture at one position, indexed by the actions taken since its start step."""
-
-    probs: np.ndarray  # (A**pos, A), read-only; zero rows where ``valid`` is False
-    valid: np.ndarray  # (A**pos,) bool: the taken actions match some mixture sequence
+    probs: np.ndarray  # (n_rows, A), read-only; zero rows where ``valid`` is False
+    valid: np.ndarray  # (n_rows,) bool: a mixture's taken actions match some sequence
     rows: list  # per row: (probabilities, ``cumulative_rows``) as float lists, or None where not valid
+
+
+def _row_table(probs: np.ndarray, valid: np.ndarray) -> _Rows:
+    """``probs`` and ``valid`` frozen in place, with each valid row's float lists for the scalar sampler."""
+    probs.flags.writeable = valid.flags.writeable = False
+    rows = zip(probs.tolist(), cumulative_rows(probs).tolist())
+    return _Rows(probs, valid, [row if ok else None for row, ok in zip(rows, valid.tolist())])
+
+
+@functools.lru_cache(maxsize=None)  # one entry per action count in use
+def _one_hot_table(n_actions: int) -> _Rows:
+    """Row ``a`` plays action ``a``: the table every tree policy indexes by its actions."""
+    return _row_table(np.eye(n_actions), np.ones(n_actions, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ class UniformActionSeqPolicy:
     n_actions: int
     start_step: int
     sequences: tuple[tuple[int, ...], ...]
-    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # pos -> _MixtureRows
+    _compiled: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # pos -> _Rows
 
     def __post_init__(self) -> None:
         if self.start_step < 1:
@@ -168,41 +167,23 @@ class UniformActionSeqPolicy:
             if any(not 0 <= a < self.n_actions for a in seq):
                 raise StructuralError("action index out of range in sequence")
 
-    def action_probs(self, history: History, obs: int) -> np.ndarray:
-        return np.array(self._lookup(history.steps, obs)[0])
-
-    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
-        start = self.start_step - 1
-        pos = len(prior) - start
-        if pos < 0:
-            raise StructuralError(f"queried step {len(prior) + 1} before start step {self.start_step}")
-        taken = 0
-        for _, a in prior[start:]:
-            taken = taken * self.n_actions + a
-        row = self._table(pos).rows[taken]
-        if row is None:
-            raise StructuralError("history inconsistent with every mixture sequence")
-        return row
-
-    def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def _rows(self, space: ObsActSpace, h: int, nodes: np.ndarray | int) -> tuple[_Rows, np.ndarray | int]:
         pos = h - self.start_step
         if pos < 0:
             raise StructuralError(f"queried step {h} before start step {self.start_step}")
-        table = self._table(pos)
         hist = nodes // space.n_obs
-        taken = np.zeros_like(nodes)
+        taken = 0 * nodes  # an int or an int64 array, as ``nodes`` is
         for j in range(self.start_step, h):  # step j's action is a digit of the history's lex index
             taken = taken * self.n_actions + hist // space.pair_count ** (h - 1 - j) % space.pair_count % self.n_actions
-        invalid = None if table.valid.all() else ~table.valid[taken]
-        return table.probs[taken], invalid
+        return self._table(pos), taken
 
-    def _table(self, pos: int) -> _MixtureRows:
+    def _table(self, pos: int) -> _Rows:
         table = self._compiled.get(pos)
         if table is None:
             table = self._compiled[pos] = self._compile(pos)
         return table
 
-    def _compile(self, pos: int) -> _MixtureRows:
+    def _compile(self, pos: int) -> _Rows:
         n = self.n_actions**pos
         probs = np.zeros((n, self.n_actions))
         valid = np.zeros(n, dtype=bool)
@@ -212,9 +193,7 @@ class UniformActionSeqPolicy:
             if row is not None:
                 probs[index], valid[index] = row, True
         _check_rows(probs[valid], self.start_step + pos)
-        probs.flags.writeable = valid.flags.writeable = False
-        rows = zip(probs.tolist(), cumulative_rows(probs).tolist())
-        return _MixtureRows(probs, valid, [row if ok else None for row, ok in zip(rows, valid.tolist())])
+        return _row_table(probs, valid)
 
     def _mixture_row(self, taken: tuple[int, ...]) -> np.ndarray | None:
         """Action distribution after ``taken`` (actions since the start step); None if no sequence matches them."""
@@ -266,14 +245,8 @@ class CompositePolicy:
     def _at(self, step: int) -> "Policy":
         return self.prefix if step < self.switch_step else self.suffix
 
-    def action_probs(self, history: History, obs: int) -> np.ndarray:
-        return self._at(len(history) + 1).action_probs(history, obs)
-
-    def _lookup(self, prior: Steps, obs: int) -> tuple[Sequence[float], Sequence[float]]:
-        return self._at(len(prior) + 1)._lookup(prior, obs)
-
-    def _step_rows(self, space: ObsActSpace, h: int, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        return self._at(h)._step_rows(space, h, nodes)
+    def _rows(self, space: ObsActSpace, h: int, nodes: np.ndarray | int) -> tuple[_Rows, np.ndarray | int]:
+        return self._at(h)._rows(space, h, nodes)
 
     def to_dict(self) -> dict:
         return {
@@ -338,19 +311,22 @@ def continuation_weights(policy: Policy, space: ObsActSpace, h: int, prefixes: n
 
 
 def reached_rows(
-    policy: Policy, space: ObsActSpace, h: int, nodes: np.ndarray, weights: np.ndarray | None = None
+    policy: Policy, space: ObsActSpace, h: int, nodes: np.ndarray | int, weights: np.ndarray | None = None
 ) -> np.ndarray:
     """The policy's step-``h`` action rows at ``nodes``, raising if an invalid row is reached.
 
-    A row is reached where its weight is positive, or everywhere without
-    ``weights`` (the rows a sampler draws from).
+    ``nodes`` is an array of (history, obs) lex indices, or one index for
+    one row.  A row is reached where its weight is positive, or everywhere
+    without ``weights`` (the rows a sampler draws from).
     """
-    probs, invalid = policy._step_rows(space, h, nodes)
-    if probs.shape[1] != space.n_actions:
-        raise StructuralError(f"policy has {probs.shape[1]} actions, space has {space.n_actions}")
-    if invalid is not None and np.any(invalid if weights is None else invalid & (weights > 0.0)):
-        raise StructuralError(f"step {h}: history inconsistent with every mixture sequence")
-    return probs
+    table, index = policy._rows(space, h, nodes)
+    if table.probs.shape[1] != space.n_actions:
+        raise StructuralError(f"policy has {table.probs.shape[1]} actions, space has {space.n_actions}")
+    if not table.valid.all():
+        invalid = ~table.valid[index]
+        if np.any(invalid if weights is None else invalid & (weights > 0.0)):
+            raise StructuralError(f"step {h}: history inconsistent with every mixture sequence")
+    return table.probs[index]
 
 
 def _weight_steps(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray) -> Iterator[np.ndarray]:

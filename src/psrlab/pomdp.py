@@ -219,21 +219,24 @@ class TabularPomdp:
         o_1, a_1, s_2, ..., o_H, a_H; each value is the first index whose
         normalized cumulative probability exceeds its uniform.  That is how
         ``Generator.choice(n, p=row)`` draws, so the trajectory is the one a
-        step-by-step ``choice`` sampler on the same seed would produce.
+        step-by-step ``choice`` sampler on the same seed would produce.  Each
+        action row is the policy's ``_rows`` entry at node ``lex[h] * n_obs + obs``.
         """
         space, horizon = self.space, self.space.horizon
         uniforms = np.random.default_rng(rng_seed).random(3 * horizon - 1).tolist()
         emission, transition = self._cdf_lists
         state = self.initial_state
-        steps: list[tuple[int, int]] = []
         lex, weights = [0], [1.0]
         for h in range(horizon):
             obs = bisect_right(emission[h][state], uniforms[3 * h])
-            probs, cdf = policy._lookup(steps, obs)
-            if len(probs) != space.n_actions:  # else an action past the space's could be drawn and recorded
-                raise StructuralError(f"policy has {len(probs)} actions, space has {space.n_actions}")
+            table, index = policy._rows(space, h + 1, lex[h] * space.n_obs + obs)
+            if table.probs.shape[1] != space.n_actions:  # else an action past the space's could be drawn and recorded
+                raise StructuralError(f"policy has {table.probs.shape[1]} actions, space has {space.n_actions}")
+            row = table.rows[index]
+            if row is None:
+                raise StructuralError(f"step {h + 1}: history inconsistent with every mixture sequence")
+            probs, cdf = row
             action = bisect_right(cdf, uniforms[3 * h + 1])
-            steps.append((obs, action))
             lex.append(lex[h] * space.pair_count + obs * space.n_actions + action)
             weights.append(weights[h] * probs[action])
             if h + 1 < horizon:
@@ -247,7 +250,7 @@ class TabularPomdp:
         come from :func:`first_uniforms` on the same seeds, and each step is
         drawn for all episodes at once, ``(cdf_rows <= u).sum(-1)`` being
         ``bisect_right`` on the non-decreasing CDF rows.  Policy rows are the
-        ``_step_rows`` gathers the weight tables read.  Single episodes (the
+        :func:`reached_rows` gathers the weight tables read.  Single episodes (the
         online loop) use :meth:`sample_episode`, which costs far less.
         """
         space = self.space
@@ -289,6 +292,12 @@ def _inverse_cdf(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def pomdp_from_dict(data: dict) -> TabularPomdp:
+    """The environment that ``to_dict`` writes as ``data``; a missing key raises :class:`StructuralError` naming it."""
+    if not isinstance(data, dict):
+        raise StructuralError(f"an environment must be an object, got {type(data).__name__}")
+    missing = [key for key in ("S", "O", "A", "H", "T", "Obs", "s1", "reward") if key not in data]
+    if missing:
+        raise StructuralError(f"environment is missing {', '.join(map(repr, missing))}")
     space = ObsActSpace(data["O"], data["A"], data["H"])
     return TabularPomdp(
         n_states=data["S"],

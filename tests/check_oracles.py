@@ -5,7 +5,7 @@ the bonus sums.
 These are the loops the package ran before the checks became per-depth
 table passes: the estimation-error sum walking each trajectory step by step,
 the feature-update identity tested one (history, obs, action) at a time, the
-exploration minimum recursing through ``action_probs`` node by node, the
+exploration minimum recursing through ``action_row`` node by node, the
 policy value calling a leaf function per trajectory, the prefix
 probability summed over hidden-state sequences, and the elliptical
 potential growing one gram and solving it once per vector.  The planner's
@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from policy_oracles import add_drawn, oracle_policy_weight
+from policy_oracles import action_row, add_drawn, oracle_policy_weight
 from psrlab.errors import DegenerateHistory
 from psrlab.estimation import DatasetFamily
 from psrlab.online import exploration_policy
@@ -96,7 +96,7 @@ def _oracle_min_seq_prob(behavior, space, h, seq):
             return seq_prob_from(hist, 0)
         best = math.inf
         for o in range(space.n_obs):
-            probs = behavior.action_probs(hist, o)
+            probs = action_row(behavior, space, hist, o)
             for a in range(space.n_actions):
                 if probs[a] > 0.0:
                     best = min(best, min_over_prefix(hist.extend(o, a)))
@@ -107,7 +107,7 @@ def _oracle_min_seq_prob(behavior, space, h, seq):
             return 1.0
         best = math.inf
         for o in range(space.n_obs):
-            p = float(behavior.action_probs(hist, o)[seq[j]])
+            p = float(action_row(behavior, space, hist, o)[seq[j]])
             if p == 0.0:
                 return 0.0
             best = min(best, p * seq_prob_from(hist.extend(o, seq[j]), j + 1))

@@ -1,18 +1,24 @@
 """Per-history reference implementations of the policy and sampling paths.
 
 These are the loops the package ran before policies were compiled into
-per-step tables: ``action_probs`` walking the mixture sequences per query,
-weights multiplied one history at a time, and a sampler drawing every
+per-step tables: an action row built by walking the mixture sequences per
+query, weights multiplied one history at a time, and a sampler drawing every
 observation, action and state with ``Generator.choice``.  Tests compare the
 table lookups against them bit for bit, and build hand-made dataset entries
-through them.
+through them.  :func:`action_row` is the package's own row for one
+(history, obs) node, read through :func:`reached_rows`.
 """
 
 import numpy as np
 
 from psrlab.errors import StructuralError
-from psrlab.policies import CompositePolicy, DeterministicTreePolicy
+from psrlab.policies import CompositePolicy, DeterministicTreePolicy, reached_rows
 from psrlab.spaces import History, enumerate_histories, history_from_lex
+
+
+def action_row(policy, space, history, obs):
+    """The policy's compiled action row at (``history``, ``obs``): ``reached_rows`` at the history's node."""
+    return reached_rows(policy, space, len(history) + 1, history.lex_index(space) * space.n_obs + obs)
 
 
 def oracle_action_probs(policy, history, obs):

@@ -168,7 +168,7 @@ def test_criterion_07_online_end_to_end():
         result = run_psr_ucb(env, cfg, cands, true_model.core_tests)
         if not result.terminated:
             continue
-        gap, max_tv = evaluate_output(env, true_model, result.final_model, result.final_policy)
+        gap, max_tv = evaluate_output(env, true_model, result.last_model, result.final_policy)
         if gap <= ocfg["epsilon"] and max_tv <= ocfg["epsilon"]:
             successes += 1
     n = len(config["seeds"])

@@ -149,6 +149,29 @@ def test_collect_offline_walks_the_policy_once(monkeypatch):
         assert calls == list(range(1, env.space.horizon + 1)), kind
 
 
+class CountingRows:
+    """Forwards ``_rows`` to ``policy``, recording the step of each call."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.steps = []
+
+    def _rows(self, space, h, nodes):
+        self.steps.append(h)
+        return self.policy._rows(space, h, nodes)
+
+
+@pytest.mark.parametrize("name,env", ENVS, ids=[name for name, _ in ENVS])
+def test_sample_episode_reads_one_row_per_step(name, env):
+    """The scalar sampler asks the policy for its rows once per step, at steps 1..H in order."""
+    for kind, policy in behaviours(env.space).items():
+        counting = CountingRows(policy)
+        for seed in range(5):
+            counting.steps.clear()
+            assert env.sample_episode(counting, seed) == env.sample_episode(policy, seed), kind
+            assert counting.steps == list(range(1, env.space.horizon + 1)), kind
+
+
 def test_collect_offline_uses_the_batched_paths(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scalar path called")

@@ -384,3 +384,88 @@ def test_section_keys_cover_every_key_the_readers_look_up():
         read = _keys_read(functions[name], {"cfg", "ocfg"})
         assert read, f"{name} reads no section key; the reader list is stale"
         assert read <= set(allowed), f"{name} reads {sorted(read - set(allowed))}, which the section checks reject"
+
+
+def _error_lines(result) -> list[str]:
+    """The output of a command that failed with a package error: exit status 1 and no traceback."""
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+    return result.output.strip().splitlines()
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--seeds", "0", "Error: --seeds count must be at least 1, got 0"),
+        ("--seeds", "-2", "Error: --seeds count must be at least 1, got -2"),
+        ("--seeds", "1,0,1", "Error: --seeds lists 1 more than once"),
+        ("--k-list", "30,30", "Error: --k-list lists 30 more than once"),
+    ],
+    ids=["zero-count", "negative-count", "repeated-seed", "repeated-k"],
+)
+def test_sweep_offline_rejects_empty_and_repeated_lists(tmp_path, runner, option, value, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(OFFLINE_CONFIG))
+    out = tmp_path / "out"
+    args = {"--k-list": "30", "--seeds": "1"} | {option: value}
+    result = runner.invoke(main, ["sweep-offline", "--config", str(cfg), "--out", str(out), *sum(args.items(), ())])
+    assert _error_lines(result) == [message]
+    assert not out.exists()
+
+
+def test_run_online_rejects_a_repeated_seed(tmp_path, runner):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(ONLINE_CONFIG))
+    result = runner.invoke(main, ["run-online", "--config", str(cfg), "--out", str(tmp_path / "out"), "--seeds", "2,2"])
+    assert _error_lines(result) == ["Error: --seeds lists 2 more than once"]
+
+
+def test_json_artifacts_are_strict(tmp_path):
+    from psrlab.cli import _write_json
+
+    path = tmp_path / "x.json"
+    _write_json(path, {"b": 0.1, "a": [1, 2.5e-300]})
+    assert path.read_text() == json.dumps({"a": [1, 2.5e-300], "b": 0.1}, indent=2, sort_keys=True) + "\n"
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            _write_json(path, {"a": bad})
+
+
+def test_malformed_env_spec_is_one_error_line(tmp_path, runner):
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG))
+    cfg_data["env"] = {}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    args = ["run-online", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert _error_lines(runner.invoke(main, args)) == ["Error: config section 'env' is missing 'builtin' (or 'path')"]
+    env_file = tmp_path / "env.json"
+    gen = runner.invoke(main, ["gen-env", "--name", "tiger", "--params", '{"horizon": 2}', "--out", str(env_file)])
+    assert gen.exit_code == 0, gen.output
+    env_data = json.loads(env_file.read_text())
+    del env_data["A"]
+    env_file.write_text(json.dumps(env_data))
+    cfg_data["env"] = {"path": str(env_file)}
+    cfg.write_text(json.dumps(cfg_data))
+    assert _error_lines(runner.invoke(main, args)) == ["Error: environment is missing 'A'"]
+    env_file.write_text("[]")
+    assert _error_lines(runner.invoke(main, args)) == ["Error: an environment must be an object, got list"]
+    cfg_data["env"] = 5
+    cfg.write_text(json.dumps(cfg_data))
+    assert _error_lines(runner.invoke(main, args)) == ["Error: config section 'env' must be an object, got 5"]
+    with pytest.raises(StructuralError, match="'builtin'"):
+        build_env({})
+
+
+@pytest.mark.parametrize("command,section", [("run-online", "online"), ("run-offline", "offline")])
+def test_c_theory_is_read_only_under_auto_params(tmp_path, runner, command, section):
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG if section == "online" else OFFLINE_CONFIG))
+    cfg_data[section]["c_theory"] = 0.02
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cfg_data))
+    args = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert _error_lines(runner.invoke(main, args)) == [
+        f"Error: config section {section!r} sets 'c_theory', which only 'auto_params' reads"
+    ]
+    del cfg_data[section]["c_theory"]
+    cfg.write_text(json.dumps(cfg_data))
+    result = runner.invoke(main, args + ["--c-theory", "0.02"])
+    assert result.exit_code == 2 and "No such option" in result.output and "--c-theory" in result.output

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_columns, make_single_state_env
+from policy_oracles import action_row
 from pomdp_oracles import enumerate_futures
 from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
@@ -21,6 +22,7 @@ from psrlab.planner import leaf_table, plan_on_table, policy_value_on_table
 from psrlab.policies import (
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
+    _row_table,
     random_tree_policy,
     uniform_policy,
 )
@@ -93,18 +95,12 @@ def test_min_exploration_prob_zero_triggers_rejection(reference_model):
 
 
 class ObsDependentBehavior:
-    """Stochastic, observation-dependent rule (supported via duck typing)."""
+    """Stochastic, observation-dependent rule (supported via duck typing): row 0 at obs 0, row 1 at any other."""
 
-    ROWS = np.array([[0.3, 0.7], [0.6, 0.4]])
+    TABLE = _row_table(np.array([[0.3, 0.7], [0.6, 0.4]]), np.ones(2, dtype=bool))
 
-    def __init__(self, n_actions=2):
-        self.n_actions = n_actions
-
-    def action_probs(self, history, obs):
-        return self.ROWS[0 if obs == 0 else 1]
-
-    def _step_rows(self, space, h, nodes):
-        return self.ROWS[np.minimum(nodes % space.n_obs, 1)], None
+    def _rows(self, space, h, nodes):
+        return self.TABLE, np.minimum(nodes % space.n_obs, 1)
 
 
 def brute_force_iota(behavior, core, space):
@@ -115,7 +111,7 @@ def brute_force_iota(behavior, core, space):
             return 1.0
         worst = math.inf
         for o in range(space.n_obs):
-            p = behavior.action_probs(hist, o)[seq[j]]
+            p = action_row(behavior, space, hist, o)[seq[j]]
             if p == 0.0:
                 return 0.0
             worst = min(worst, p * seq_min(hist.extend(o, seq[j]), seq, j + 1))
@@ -129,7 +125,7 @@ def brute_force_iota(behavior, core, space):
             )
         worst = math.inf
         for o in range(space.n_obs):
-            probs = behavior.action_probs(hist, o)
+            probs = action_row(behavior, space, hist, o)
             for a in range(space.n_actions):
                 if probs[a] > 0:
                     worst = min(worst, prefix_min(hist.extend(o, a), h))

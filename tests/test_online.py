@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
+from policy_oracles import action_row
 from psrlab.errors import EmptyFeasibleSet, StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.online import (
@@ -47,7 +48,7 @@ def test_exploration_policy_singleton_suffix():
     model, _ = default_psr(env)
     pol = exploration_policy(uniform_policy(space), 2, model.core_tests)
     # single action: every exploration suffix is deterministic
-    probs = pol.action_probs(History(((0, 0),)), 1)
+    probs = action_row(pol, space, History(((0, 0),)), 1)
     assert probs.tolist() == [1.0]
 
 
@@ -87,8 +88,8 @@ def test_run_include_true_returns_truth(reference_env, reference_model):
     cfg = base_config(max_iterations=120)
     result = run_psr_ucb(reference_env, cfg, cands, reference_model.core_tests)
     assert result.terminated
-    assert result.final_model_id == 0
-    gap, max_tv = evaluate_output(reference_env, reference_model, result.final_model, result.final_policy)
+    assert result.logs[-1].candidate_id == 0
+    gap, max_tv = evaluate_output(reference_env, reference_model, result.last_model, result.final_policy)
     assert abs(gap) <= 1e-12
     assert max_tv <= 1e-9
 
@@ -125,7 +126,7 @@ def test_loop_body_is_reward_free(reference_env, reference_model):
     cfg = base_config(max_iterations=5, epsilon=1e-9)  # never terminates
     result = run_psr_ucb(env, cfg, cands, reference_model.core_tests)
     assert not result.terminated
-    assert result.final_model is None and result.final_policy is None
+    assert result.final_policy is None
     assert reads["n"] == 0
     cfg2 = base_config(max_iterations=120)
     result2 = run_psr_ucb(env, cfg2, cands, reference_model.core_tests)
@@ -174,12 +175,12 @@ def test_evaluate_output_matches_brute_force_recomputation():
     cfg = base_config(max_iterations=200, seed=2)
     result = run_psr_ucb(env, cfg, cands, true_model.core_tests)
     assert result.terminated
-    gap, max_tv = evaluate_output(env, true_model, result.final_model, result.final_policy)
+    gap, max_tv = evaluate_output(env, true_model, result.last_model, result.final_policy)
     space = env.space
     reward = true_model.prob_table(2) * leaf_table(space, env.reward_of)
     best = max(policy_value_on_table(space, p, reward) for p in all_tree_policies(space))
     brute_gap = best - policy_value_on_table(space, result.final_policy, reward)
-    diff = np.abs(result.final_model.prob_table(2) - true_model.prob_table(2))
+    diff = np.abs(result.last_model.prob_table(2) - true_model.prob_table(2))
     brute_tv = max(policy_value_on_table(space, p, diff) for p in all_tree_policies(space))
     assert gap == pytest.approx(brute_gap, abs=1e-12)
     assert max_tv == pytest.approx(brute_tv, abs=1e-12)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
-from policy_oracles import oracle_policy_weight
+from policy_oracles import action_row, oracle_policy_weight
 from psrlab.errors import StructuralError
 from psrlab.policies import (
     CompositePolicy,
@@ -34,7 +34,7 @@ def test_deterministic_tree_weight_match_and_mismatch():
     steps = []
     for h in range(2):
         obs = 1
-        action = int(np.argmax(policy.action_probs(hist, obs)))
+        action = int(np.argmax(action_row(policy, space, hist, obs)))
         hist = hist.extend(obs, action)
         steps.append((obs, action))
     assert table_weight(policy, hist) == 1.0
@@ -93,8 +93,8 @@ def test_composite_switches_at_step():
     prefix = DeterministicTreePolicy(space, tables)
     suffix = UniformActionSeqPolicy(2, 2, ((1,),))
     comp = CompositePolicy(2, prefix, suffix)
-    assert comp.action_probs(History(), 0)[0] == 1.0
-    probs = comp.action_probs(History(((0, 0),)), 1)
+    assert action_row(comp, space, History(), 0)[0] == 1.0
+    probs = action_row(comp, space, History(((0, 0),)), 1)
     assert probs[1] == 1.0
 
 
@@ -118,7 +118,7 @@ def test_policy_serialization_round_trip():
         assert table_weight(rebuilt, hist) == table_weight(policy, hist)
 
 
-def test_sampling_matches_action_probs():
+def test_sampling_matches_action_row():
     env = make_single_state_env(horizon=3, n_obs=2, n_actions=2, emission_row=[1.0, 0.0])  # first obs is 0
     policy = UniformActionSeqPolicy(2, 1, ((0, 0), (1,)))
     counts = np.zeros(2)
@@ -126,7 +126,7 @@ def test_sampling_matches_action_probs():
     for i in range(n):
         lex, _ = env.sample_episode(policy, child_seed(9, "sample", i))
         counts[lex[1] % env.space.n_actions] += 1  # the first step's pair index is obs * A + action
-    probs = policy.action_probs(History(), 0)
+    probs = action_row(policy, env.space, History(), 0)
     assert np.abs(counts / n - probs).max() < 4 * np.sqrt(0.25 / n)
 
 
