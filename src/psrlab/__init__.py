@@ -41,7 +41,6 @@ from .estimation import (
     constrained_mle,
     log_likelihood,
     make_candidates,
-    theta_min_feasible,
 )
 from .bonus import (
     BonusEvaluator,
@@ -51,7 +50,7 @@ from .bonus import (
     transfer_score_check,
 )
 from .planner import plan_on_table
-from .online import OnlineConfig, evaluate_output, exploration_policy, run_psr_ucb
+from .online import OnlineConfig, evaluate_output, run_psr_ucb
 from .offline import (
     OfflineConfig,
     collect_offline,

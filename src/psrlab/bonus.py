@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateHistory, StructuralError
 from .psr import PsrModel
-from .spaces import History
+from .spaces import History, _read_only_copy
 
 if TYPE_CHECKING:
     from .estimation import DatasetFamily
@@ -46,6 +46,7 @@ class FeatureGram:
     _factor: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "matrix", _read_only_copy(self.matrix))  # the factor below is cached from it
         if self.lam <= MIN_LAMBDA:
             raise StructuralError(f"regularizer must exceed {MIN_LAMBDA:g}")
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:

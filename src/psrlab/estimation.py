@@ -389,11 +389,6 @@ def log_likelihood(model: PsrModel, dataset: DatasetFamily) -> float:
     return float(_one_model(model, dataset, NEG_INF)[1][0])
 
 
-def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:
-    """Every recorded prefix keeps probability at least p_min under the model."""
-    return bool(_one_model(model, dataset, p_min)[0][0])
-
-
 @dataclass(frozen=True)
 class MleResult:
     selected_id: int

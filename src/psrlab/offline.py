@@ -22,7 +22,7 @@ from .planner import plan_on_table, policy_value_on_table
 from .policies import DeterministicTreePolicy, Policy, prefix_weight_tables
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
-from .seeding import child_seed, rng_for
+from .seeding import child_seeds, rng_for
 from .spaces import ObsActSpace
 
 
@@ -57,8 +57,7 @@ def collect_offline(env: TabularPomdp, behavior: Policy, n_episodes: int, seed: 
     assignment = np.arange(n_episodes) % space.horizon
     rng_for(seed, "offline-split").shuffle(assignment)
     dataset = DatasetFamily(space, {BEHAVIOR_POLICY_ID: behavior})
-    seeds = [child_seed(seed, "offline-episode", i) for i in range(n_episodes)]
-    lex, weights = env.sample_episodes(behavior, seeds)
+    lex, weights = env.sample_episodes(behavior, child_seeds(seed, "offline-episode", range(n_episodes)))
     dataset.add_batch(BEHAVIOR_POLICY_ID, lex, weights, assignment)
     return dataset
 

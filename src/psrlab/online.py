@@ -75,17 +75,6 @@ class OnlineResult:
     last_evaluator: BonusEvaluator | None = None
 
 
-def exploration_policy(prefix: Policy, h: int, core_tests: CoreTestSet) -> Policy:
-    """Prefix policy before step ``h``, uniform exploration from ``h`` on.
-
-    Exploration draws one action sequence uniformly from the step-``h-1``
-    exploration set; sequences shorter than the remaining horizon are padded
-    with uniform random actions, and the padding is part of the policy so
-    its weights stay exact.
-    """
-    return _explore(prefix, h, exploration_suffixes(core_tests))
-
-
 def exploration_suffixes(core_tests: CoreTestSet) -> tuple[UniformActionSeqPolicy, ...]:
     """The uniform exploration policies from step ``h`` on, for ``h = 1..H``.
 

@@ -41,6 +41,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import StructuralError
+from .seeding import first_integers
 from .spaces import ObsActSpace, _read_only_copy
 
 # Generator.choice accepts a probability row whose sum is within this of 1.
@@ -353,21 +354,16 @@ def prefix_weight_tables(policy: Policy, space: ObsActSpace) -> Iterator[np.ndar
         yield weights[0]
 
 
-def random_tree_tables(space: ObsActSpace, rngs: Sequence[np.random.Generator]) -> tuple[np.ndarray, ...]:
-    """Action tables of ``len(rngs)`` uniformly random tree policies, stacked.
+def random_tree_tables(space: ObsActSpace, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Action tables of ``len(seeds)`` uniformly random tree policies, stacked.
 
     One read-only ``(P, n_histories(h-1) * n_obs)`` array per step ``h``.
-    Row ``i`` of every step is drawn by ``rngs[i]``, one ``integers`` call
-    per step in step order, so it is the policy :func:`random_tree_policy`
-    draws from that generator.
+    Row ``i`` of every step is what ``np.random.default_rng(seeds[i])``
+    draws with one ``integers(0, A, size=...)`` call per step in step order,
+    drawn for every seed at once by :func:`first_integers`.
     """
-    tables = tuple(
-        np.empty((len(rngs), space.n_histories(h - 1) * space.n_obs), dtype=np.int64)
-        for h in range(1, space.horizon + 1)
-    )
-    for i, rng in enumerate(rngs):
-        for table in tables:
-            table[i] = rng.integers(0, space.n_actions, size=table.shape[1])
+    widths = [space.n_histories(h - 1) * space.n_obs for h in range(1, space.horizon + 1)]
+    tables = first_integers(seeds, space.n_actions, widths)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -398,7 +394,7 @@ def tree_weight_table(space: ObsActSpace, tables: Sequence[np.ndarray]) -> np.nd
     return weights
 
 
-def random_tree_policy(space: ObsActSpace, rng: np.random.Generator) -> DeterministicTreePolicy:
-    """Uniformly random deterministic tree policy (for test batteries): one row of :func:`random_tree_tables`."""
-    tables = random_tree_tables(space, [rng])
+def random_tree_policy(space: ObsActSpace, seed: int) -> DeterministicTreePolicy:
+    """Uniformly random deterministic tree policy drawn from ``seed`` (for test batteries): one row of :func:`random_tree_tables`."""
+    tables = random_tree_tables(space, [seed])
     return DeterministicTreePolicy._from_valid_tables(space, tuple(table[0] for table in tables))

@@ -3,28 +3,61 @@
 Child seed = first 8 bytes (little endian) of SHA-256 over the string
 ``"{master}|{purpose}|{index}"``.  The topology (master, purpose, index) is
 what other implementations should reproduce; the bit-exact stream contents
-are specific to numpy's PCG64.
+are specific to numpy's PCG64.  :func:`child_seed` derives one seed;
+:func:`child_seeds` derives one per index as a ``uint64`` array, hashing
+the ``"{master}|{purpose}|"`` prefix once and copying the hash state per
+index, with the same values.
 
-:func:`first_uniforms` reproduces that stream in numpy array arithmetic,
-for many seeds at once: ``SeedSequence`` hashing, ``PCG64`` seeding and its
-128-bit LCG, and ``Generator.random``'s doubles (O'Neill, "PCG: A Family of
-Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
-Generation", HMC-CS-2014-0905).  NEP 19 keeps bit-generator streams stable
-across numpy releases; a tier-1 test compares it with ``default_rng`` bit
-for bit, so a numpy release that changed the stream would fail it.
+:func:`first_uniforms` and :func:`first_integers` reproduce the streams of
+``np.random.default_rng(seed)`` in numpy array arithmetic, for many seeds
+at once: ``SeedSequence`` hashing, ``PCG64`` seeding and its 128-bit LCG
+(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
+Algorithms for Random Number Generation", HMC-CS-2014-0905), whose outputs
+both read from :func:`_pcg_outputs`.
+
+* :func:`first_uniforms` gives ``Generator.random``'s doubles: the top 53
+  bits of each 64-bit output.
+* :func:`first_integers` gives successive ``Generator.integers(0, n,
+  size=k)`` calls.  numpy draws a range below 2**32 from 32-bit words, the
+  low half of each 64-bit output first, and keeps the unused high half for
+  the next call, so successive calls read one stream of 32-bit words.  Each
+  word becomes a value by Lemire's multiply-shift (``word * n >> 32``;
+  Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS 29(1),
+  2019), which numpy rejects and redraws where the low 32 bits of the
+  product fall below ``(2**32 - n) % n``.  That threshold is 0 when ``n`` is
+  a power of two; a seed whose words hit it anywhere is redrawn with
+  ``default_rng`` itself, so every row keeps numpy's bits.  ``n == 1``
+  consumes no words, as numpy's zero-range branch does.
+
+NEP 19 keeps bit-generator streams stable across numpy releases; tier-1
+tests compare both functions with ``default_rng`` bit for bit, so a numpy
+release that changed a stream would fail them.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from .errors import StructuralError
 
 
 def child_seed(master: int, purpose: str, index: int = 0) -> int:
     digest = hashlib.sha256(f"{master}|{purpose}|{index}".encode()).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def child_seeds(master: int, purpose: str, indices: Iterable[int]) -> np.ndarray:
+    """``child_seed(master, purpose, i)`` for each ``i`` in ``indices``, as a ``uint64`` array."""
+    prefix = hashlib.sha256(f"{master}|{purpose}|".encode())
+    digests = []
+    for index in indices:
+        item = prefix.copy()
+        item.update(str(index).encode())
+        digests.append(item.digest())
+    return np.frombuffer(b"".join(digests), dtype="<u8")[::4].astype(np.uint64)
 
 
 def rng_for(master: int, purpose: str, index: int = 0) -> np.random.Generator:
@@ -39,7 +72,14 @@ _XSHIFT = _U(16)
 _POOL_SIZE = 4
 _MIX_MULT_L = _U(0xCA01F9DD)
 _MIX_MULT_R = _U(0x4973F715)
-_PCG_MULT = (_U(2549297995355413924), _U(4865540595714422341))  # (high, low) words of the 128-bit multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+_PCG_MULT_WORDS = (_U(_PCG_MULT >> 64), _U(_PCG_MULT & 2**64 - 1))
+# Below this many seeds, outputs are made by jumps, this many at a time, so no
+# array holds more than 2**16 words; from it on, by one LCG step each.
+_JUMP_BLOCK = 256
+# Below this many seeds, first_integers calls default_rng itself, which costs
+# less than the array arithmetic's fixed cost.
+_ARRAY_SEEDS = 8
 
 
 def _hash_constants(init: int, mult: int, n: int) -> list[tuple[np.uint64, np.uint64]]:
@@ -91,7 +131,7 @@ def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
     return [state[2 * k] | state[2 * k + 1] << _U(32) for k in range(4)]
 
 
-def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """High 64 bits of the 128-bit product ``a * b``, from 32-bit limbs."""
     a0, a1 = a & _MASK32, a >> _U(32)
     b0, b1 = b & _MASK32, b >> _U(32)
@@ -105,29 +145,108 @@ def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
     return x_hi + y_hi + (lo < x_lo).astype(np.uint64), lo
 
 
+def _mul128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
+    """``x * y`` modulo 2**128, each a (high, low) pair of uint64 words."""
+    return x_hi * y_lo + x_lo * y_hi + _mulhi(x_lo, y_lo), x_lo * y_lo
+
+
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """One LCG step ``state * multiplier + inc`` modulo 2**128."""
-    m_hi, m_lo = _PCG_MULT
-    prod_hi = hi * m_lo + lo * m_hi + _mulhi(lo, m_lo)
-    return _add128(prod_hi, lo * m_lo, *inc)
+    return _add128(*_mul128(hi, lo, *_PCG_MULT_WORDS), *inc)
+
+
+def _jump_table(n: int) -> tuple[np.ndarray, ...]:
+    """``(n, 1)`` columns of the (high, low) words of ``M**t`` and of ``1 + M + ... + M**(t-1)`` modulo 2**128, t = 1..n.
+
+    ``t`` LCG steps take a state ``x`` to ``M**t * x + (1 + ... + M**(t-1)) * inc``.
+    """
+    powers, sums = [], []
+    power, total = 1, 0
+    for _ in range(n):
+        total = (total + power) % 2**128
+        power = power * _PCG_MULT % 2**128
+        powers.append(power)
+        sums.append(total)
+    return tuple(
+        np.array([[v >> shift & 2**64 - 1] for v in values], dtype=np.uint64)
+        for values in (powers, sums)
+        for shift in (64, 0)
+    )
+
+
+_JUMPS = _jump_table(_JUMP_BLOCK)
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """``PCG64``'s output permutation of a 128-bit state: the xor of its halves, rotated right by its top 6 bits."""
+    rot = hi >> _U(58)
+    xored = hi ^ lo
+    return xored >> rot | xored << ((_U(64) - rot) & _U(63))
+
+
+def _pcg_outputs(seeds: Sequence[int], n: int) -> np.ndarray:
+    """Row ``i`` is the first ``n`` 64-bit outputs of ``np.random.default_rng(int(seeds[i]))``'s ``PCG64``.
+
+    Seeds must lie in [0, 2**64).  ``PCG64`` seeds its 128-bit state from
+    the four generated words (state, then stream): one LCG step from state
+    0, adding the state words, and one more step.  Output ``j`` is the
+    XSL-RR permutation of the state ``j + 1`` steps later.  For fewer than
+    ``_JUMP_BLOCK`` seeds, ``_JUMP_BLOCK`` outputs at a time are each one
+    jump from the last state before them, so the cost per output is not
+    one pass of Python; for more, one pass per output is cheap next to the
+    seeds' arithmetic, and the outputs are stepped to in order.
+    """
+    s0, s1, s2, s3 = _seed_words(np.asarray(seeds, dtype=np.uint64).reshape(-1))
+    inc = ((s2 << _U(1)) | (s3 >> _U(63)), (s3 << _U(1)) | _U(1))
+    hi, lo = _pcg_step(*_add128(*inc, s0, s1), inc)
+    out = np.empty((n, len(s0)), dtype=np.uint64)  # outputs down the first axis: each operation loops over seeds
+    if len(s0) >= _JUMP_BLOCK:
+        for j in range(n):
+            hi, lo = _pcg_step(hi, lo, inc)
+            out[j] = _xsl_rr(hi, lo)
+        return out.T
+    for start in range(0, n, _JUMP_BLOCK):
+        power_hi, power_lo, sum_hi, sum_lo = (words[: n - start] for words in _JUMPS)
+        hi, lo = _add128(*_mul128(hi, lo, power_hi, power_lo), *_mul128(*inc, sum_hi, sum_lo))
+        out[start : start + _JUMP_BLOCK] = _xsl_rr(hi, lo)
+        hi, lo = hi[-1], lo[-1]
+    return out.T
 
 
 def first_uniforms(seeds: Sequence[int], k: int) -> np.ndarray:
     """Row ``i`` is ``np.random.default_rng(int(seeds[i])).random(k)``, bit for bit.
 
-    Seeds must lie in [0, 2**64).  ``PCG64`` seeds its 128-bit state from
-    the four generated words (state, then stream), and each double is the
-    top 53 bits of one XSL-RR output.
+    Each double is the top 53 bits of one :func:`_pcg_outputs` output.
     """
-    s0, s1, s2, s3 = _seed_words(np.asarray(seeds, dtype=np.uint64).reshape(-1))
-    inc = ((s2 << _U(1)) | (s3 >> _U(63)), (s3 << _U(1)) | _U(1))
-    hi, lo = inc  # the first step from state 0
-    hi, lo = _pcg_step(*_add128(hi, lo, s0, s1), inc)
-    out = np.empty((len(s0), k))
-    for j in range(k):
-        hi, lo = _pcg_step(hi, lo, inc)
-        rot = hi >> _U(58)
-        xored = hi ^ lo
-        raw = xored >> rot | xored << ((_U(64) - rot) & _U(63))
-        out[:, j] = (raw >> _U(11)).astype(np.float64) * 2.0**-53
-    return out
+    return (_pcg_outputs(seeds, k) >> _U(11)).astype(np.float64) * 2.0**-53
+
+
+def first_integers(seeds: Sequence[int], n_values: int, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Row ``i`` of output ``j`` is the ``j``-th of the calls ``default_rng(int(seeds[i])).integers(0, n_values, size=sizes[j])``.
+
+    The calls are made in order on one generator per seed.  The outputs are
+    ``(len(seeds), sizes[j])`` int64 column blocks of one fresh array.
+    ``n_values`` must lie in [1, 2**32).  Fewer than ``_ARRAY_SEEDS`` seeds
+    are drawn by ``default_rng`` itself, which is cheaper than the array
+    arithmetic's fixed cost.
+    """
+    if not 1 <= n_values < 2**32:
+        raise StructuralError(f"need 1 <= n_values < 2**32, got {n_values}")
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    ends = np.cumsum([0, *sizes])
+    values = np.zeros((len(seeds), ends[-1]), dtype=np.int64)
+    redraw = range(len(seeds) if n_values > 1 else 0)  # a single value is 0 and reads no word
+    if len(redraw) >= _ARRAY_SEEDS:
+        outputs = _pcg_outputs(seeds, (ends[-1] + 1) // 2)
+        words = np.empty((len(seeds), 2 * outputs.shape[1]), dtype=np.uint64)
+        words[:, 0::2], words[:, 1::2] = outputs & _MASK32, outputs >> _U(32)
+        products = words[:, : ends[-1]]
+        products *= _U(n_values)
+        np.right_shift(products, _U(32), out=values, casting="unsafe")
+        products &= _MASK32
+        redraw = np.flatnonzero((products < _U((2**32 - n_values) % n_values)).any(axis=1))
+    for i in redraw:
+        rng = np.random.default_rng(int(seeds[i]))
+        for start, size in zip(ends, sizes):
+            values[i, start : start + size] = rng.integers(0, n_values, size=size)
+    return tuple(values[:, start:stop] for start, stop in zip(ends[:-1], ends[1:]))

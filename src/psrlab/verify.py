@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -58,10 +59,15 @@ from .psr import (
     terminal_anchor_violation,
     tv_distance,
 )
-from .seeding import child_seed, rng_for
+from .seeding import child_seed, child_seeds, rng_for
 from .spaces import History, enumerate_histories
 
 Z_99 = 2.5758293035489004
+
+# Runs (or collections) whose seeded draws are made as one block.  Drawing
+# and weighing a block of 4 x 50 ucb-validity tree policies peaks near
+# 0.25 MB, so memory does not grow with the seed count.
+DRAW_BLOCK = 4
 
 
 def wilson_slack(delta: float, n: int, z: float = Z_99) -> float:
@@ -178,8 +184,8 @@ def run_core_identities(report: Report, seeds: int = 4) -> None:
             psr_rank(dynamics_matrix(env, h)) <= env.n_states for h in range(env.space.horizon)
         )
         report.add(CheckResult(suite, f"rank-bound[{name}]", ranks_ok, "rank(D_h) <= S"))
-        rngs = [rng_for(s, "total-prob") for s in range(seeds)]
-        weights = tree_weight_table(env.space, random_tree_tables(env.space, rngs))
+        policy_seeds = [child_seed(s, "total-prob") for s in range(seeds)]
+        weights = tree_weight_table(env.space, random_tree_tables(env.space, policy_seeds))
         probs = model.prob_table(env.space.horizon)
         total_ok = all(abs(float(np.dot(w, probs)) - 1.0) <= 1e-9 for w in weights)
         report.add(CheckResult(suite, f"total-mass[{name}]", total_ok, "sum pi * p = 1"))
@@ -233,7 +239,7 @@ def run_core_identities(report: Report, seeds: int = 4) -> None:
     for s in range(seeds):
         other_env = _transition_dithered(env, seed=100 + s, scale=0.3)
         other, _ = default_psr(other_env)
-        pol = random_tree_policy(env.space, rng_for(s, "a1-policy"))
+        pol = random_tree_policy(env.space, child_seed(s, "a1-policy"))
         lhs = tv_distance(other, model, pol)
         rhs = estimation_error_bound(other, model, pol)
         ok = ok and lhs <= rhs + 1e-9
@@ -363,23 +369,32 @@ def _uniform_explorers(core_tests: CoreTestSet) -> tuple[Policy, ...]:
     return tuple(_explore(prefix, h, suffixes) for h in range(1, len(suffixes) + 1))
 
 
-def _uniform_collection(env: TabularPomdp, explorers: tuple[Policy, ...], n_rounds: int, seed: int) -> DatasetFamily:
-    """Exploration-style collection under a fixed uniform prefix policy.
+def _uniform_collections(
+    env: TabularPomdp, explorers: tuple[Policy, ...], n_rounds: int, seeds: Sequence[int]
+) -> Iterator[DatasetFamily]:
+    """Exploration-style collections under a fixed uniform prefix policy, one per seed, in seed order.
 
     ``explorers`` are the :func:`_uniform_explorers` of the core tests.
-    Round ``k`` draws one episode per step ``h`` from its own child seed,
-    under ``explorers[h - 1]`` (policy id ``uexplore[h=h]``), into bucket
-    ``h - 1``; each step's rounds are drawn and added in one batch.
+    Round ``k`` of a collection draws one episode per step ``h`` from its
+    own child seed, under ``explorers[h - 1]`` (policy id ``uexplore[h=h]``),
+    into bucket ``h - 1``.  For ``DRAW_BLOCK`` collections at a time, each
+    step's episodes are drawn in one batch and added to each collection's
+    dataset in round order.
     """
     space = env.space
-    dataset = DatasetFamily(space)
-    for h, policy in enumerate(explorers, start=1):
-        pid = f"uexplore[h={h}]"
-        dataset.policies[pid] = policy
-        seeds = [child_seed(seed, "verify-episode", k * (space.horizon + 1) + h) for k in range(1, n_rounds + 1)]
-        lex, weights = env.sample_episodes(policy, seeds)
-        dataset.add_batch(pid, lex, weights, np.full(n_rounds, h - 1))
-    return dataset
+    for start in range(0, len(seeds), DRAW_BLOCK):
+        block = seeds[start : start + DRAW_BLOCK]
+        datasets = [DatasetFamily(space) for _ in block]
+        for h, policy in enumerate(explorers, start=1):
+            pid = f"uexplore[h={h}]"
+            rounds = [k * (space.horizon + 1) + h for k in range(1, n_rounds + 1)]
+            episode_seeds = np.concatenate([child_seeds(seed, "verify-episode", rounds) for seed in block])
+            lex, weights = env.sample_episodes(policy, episode_seeds)
+            for c, dataset in enumerate(datasets):
+                dataset.policies[pid] = policy
+                columns = slice(c * n_rounds, (c + 1) * n_rounds)
+                dataset.add_batch(pid, lex[:, columns], weights[:, columns], np.full(n_rounds, h - 1))
+        yield from datasets
 
 
 def _prefix_loglik(model: PsrModel, dataset: DatasetFamily) -> float:
@@ -407,8 +422,8 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
     # Neither a candidate nor a step's exploration policy changes across seeds,
     # so each (candidate index, policy id) distance is computed once.
     hellinger: dict[tuple[int, str], float] = {}
-    for s in range(seeds):
-        dataset = _uniform_collection(env, explorers, n_rounds, child_seed(s, "mle-event"))
+    datasets = _uniform_collections(env, explorers, n_rounds, [child_seed(s, "mle-event") for s in range(seeds)])
+    for dataset in datasets:
         # One pass per model gives both its p_min stability and its log-likelihood.
         (stable_true,), (lik_true,) = _one_model(true_model, dataset, p_min)
         prefix_true = _prefix_loglik(true_model, dataset)
@@ -471,25 +486,37 @@ def _validity_run_online(seed: int, env, true_model, cands, params) -> tuple[Psr
     return result.last_model, result.last_evaluator
 
 
+def _tree_policy_weights(space, masters: Sequence[int], n_policies: int) -> Iterator[np.ndarray]:
+    """Per master seed, the ``(n_policies, n_trajectories)`` weights of its random tree policies.
+
+    Policy ``j`` of master ``m`` is
+    ``random_tree_policy(space, child_seed(m, "validity-policy", j))``.
+    The policies of ``DRAW_BLOCK`` masters at a time are drawn as one stack
+    of action tables and weighed as one table.
+    """
+    for start in range(0, len(masters), DRAW_BLOCK):
+        block = masters[start : start + DRAW_BLOCK]
+        seeds = np.concatenate([child_seeds(m, "validity-policy", range(n_policies)) for m in block])
+        weights = tree_weight_table(space, random_tree_tables(space, seeds))
+        yield from weights.reshape(len(block), n_policies, space.n_trajectories)
+
+
 def _bound_holds(
     model: PsrModel,
     evaluator: BonusEvaluator,
     true_rewards: np.ndarray,
     reward_leaves: np.ndarray,
-    seed: int,
-    n_policies: int,
+    weights: np.ndarray,
 ) -> bool:
-    """``|V_model - V_true| <= V_bonus`` for ``n_policies`` random tree policies of one run.
+    """``|V_model - V_true| <= V_bonus`` for each policy whose trajectory weights are a row of ``weights``.
 
-    Policy ``j`` is drawn by ``rng_for(seed, "validity-policy", j)``; all
-    their weights come from one stacked table, and each value is one
-    ``np.dot`` of a weight row with a leaf table built once per run.
-    ``true_rewards`` is the true model's depth-H probabilities times
-    ``reward_leaves``.  Stops at the first violating policy.
+    ``weights`` is one run's ``(P, n_trajectories)`` rows, as
+    :func:`_tree_policy_weights` yields them; each value is one ``np.dot``
+    of a weight row with a leaf table built once per run.  ``true_rewards``
+    is the true model's depth-H probabilities times ``reward_leaves``.
+    Stops at the first violating policy.
     """
     space = model.space
-    rngs = [rng_for(seed, "validity-policy", j) for j in range(n_policies)]
-    weights = tree_weight_table(space, random_tree_tables(space, rngs))
     model_table = model.prob_table(space.horizon)
     model_rewards = model_table * reward_leaves
     model_bonus = model_table * evaluator.bonus_table()
@@ -521,9 +548,9 @@ def run_validity_checks(
     true_rewards = true_table * reward_leaves
 
     online_viol = 0
-    for s in range(runs):
+    for s, weights in enumerate(_tree_policy_weights(space, range(runs), policies_per_run)):
         model, evaluator = _validity_run_online(child_seed(s, "validity-online"), env, true_model, cands, params)
-        if not _bound_holds(model, evaluator, true_rewards, reward_leaves, s, policies_per_run):
+        if not _bound_holds(model, evaluator, true_rewards, reward_leaves, weights):
             online_viol += 1
     allowed = delta + wilson_slack(delta, runs)
     rate = online_viol / runs
@@ -540,7 +567,7 @@ def run_validity_checks(
 
     behavior = uniform_policy(space)
     offline_viol = 0
-    for s in range(runs):
+    for s, weights in enumerate(_tree_policy_weights(space, range(10_000, 10_000 + runs), policies_per_run)):
         ds = collect_offline(env, behavior, 60, child_seed(s, "validity-offline"))
         cfg = OfflineConfig(
             p_min=params["p_min"],
@@ -549,7 +576,7 @@ def run_validity_checks(
             alpha=params["alpha"],
         )
         res = run_psr_lcb(ds, cands, cfg, reward_leaves)
-        if not _bound_holds(res.model, res.evaluator, true_rewards, reward_leaves, 10_000 + s, policies_per_run):
+        if not _bound_holds(res.model, res.evaluator, true_rewards, reward_leaves, weights):
             offline_viol += 1
     rate = offline_viol / runs
     report.add(
@@ -568,16 +595,15 @@ def run_validity_checks(
     bonus_runs = max(20, runs // 5)
     rank = env.n_states
     explorers = _uniform_explorers(true_model.core_tests)
-    for s in range(bonus_runs):
-        seed = child_seed(s, "bonus-relation")
-        dataset = _uniform_collection(env, explorers, 10, seed)
+    datasets = _uniform_collections(env, explorers, 10, [child_seed(s, "bonus-relation") for s in range(bonus_runs)])
+    for s, dataset in enumerate(datasets):
         mle = constrained_mle(cands, dataset, params["p_min"], params["beta"])
         evaluator = _build_evaluator(mle.model, dataset, params["lam"], params["alpha"])
         scores, degenerate = evaluator.score_table()
         if degenerate.any():
             continue
         true_grams = prefix_grams(true_model, dataset, params["lam"])
-        pol = random_tree_policy(space, rng_for(s, "bonus-relation-policy"))
+        pol = random_tree_policy(space, child_seed(s, "bonus-relation-policy"))
         w = policy_weight_vector(pol, space)
         true_side = 0.0
         for h in range(space.horizon):

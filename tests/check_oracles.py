@@ -15,7 +15,8 @@ Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one recorded entry object at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
 selection's oracle gathers and reduces every recorded entry in one pass, as
-selection did before it kept a running record on the dataset.  The
+selection did before it kept a running record on the dataset, and
+:func:`theta_min_feasible` is one model's ``p_min`` stability flag.  The
 confidence-bound validity check builds and weighs one tree policy object at
 a time, as before its policies' weights came from one stacked table.  Tests
 compare the package against them bit for bit.  :func:`dataset_jsonl` is the
@@ -29,13 +30,12 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from policy_oracles import action_row, add_drawn, oracle_policy_weight
+from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight
 from psrlab.errors import DegenerateHistory
-from psrlab.estimation import DatasetFamily
-from psrlab.online import exploration_policy
+from psrlab.estimation import DatasetFamily, _one_model
 from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
-from psrlab.psr import PSI_GUARD
-from psrlab.seeding import child_seed, rng_for
+from psrlab.psr import PSI_GUARD, PsrModel
+from psrlab.seeding import child_seed
 from psrlab.spaces import History, history_from_lex
 
 
@@ -265,7 +265,7 @@ def oracle_bound_holds(model, evaluator, true_table, reward_leaves, seed, n_poli
     model_table = model.prob_table(space.horizon)
     bonus_t = evaluator.bonus_table()
     for j in range(n_policies):
-        pol = random_tree_policy(space, rng_for(seed, "validity-policy", j))
+        pol = random_tree_policy(space, child_seed(seed, "validity-policy", j))
         w = policy_weight_vector(pol, space)
         v_model = float(np.dot(w, model_table * reward_leaves))
         v_true = float(np.dot(w, true_table * reward_leaves))
@@ -319,3 +319,8 @@ def dataset_jsonl(dataset):
             for pid, traj in zip(cols.policy_id, steps)
         )
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:
+    """Every recorded prefix keeps probability at least p_min under the model."""
+    return bool(_one_model(model, dataset, p_min)[0][0])

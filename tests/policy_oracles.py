@@ -6,13 +6,17 @@ query, weights multiplied one history at a time, and a sampler drawing every
 observation, action and state with ``Generator.choice``.  Tests compare the
 table lookups against them bit for bit, and build hand-made dataset entries
 through them.  :func:`action_row` is the package's own row for one
-(history, obs) node, read through :func:`reached_rows`.
+(history, obs) node, read through :func:`reached_rows`, and
+:func:`exploration_policy` composes one step's exploration policy from a
+prefix policy and the core tests.
 """
 
 import numpy as np
 
 from psrlab.errors import StructuralError
-from psrlab.policies import CompositePolicy, DeterministicTreePolicy, reached_rows
+from psrlab.online import _explore, exploration_suffixes
+from psrlab.policies import CompositePolicy, DeterministicTreePolicy, Policy, reached_rows
+from psrlab.psr import CoreTestSet
 from psrlab.spaces import History, enumerate_histories, history_from_lex
 
 
@@ -137,3 +141,14 @@ def oracle_sample_episode(env, policy, seed):
         if h < env.space.horizon:
             state = int(rng.choice(env.n_states, p=env.transition[h - 1, action, state]))
     return hist
+
+
+def exploration_policy(prefix: Policy, h: int, core_tests: CoreTestSet) -> Policy:
+    """Prefix policy before step ``h``, uniform exploration from ``h`` on.
+
+    Exploration draws one action sequence uniformly from the step-``h-1``
+    exploration set; sequences shorter than the remaining horizon are padded
+    with uniform random actions, and the padding is part of the policy so
+    its weights stay exact.
+    """
+    return _explore(prefix, h, exploration_suffixes(core_tests))

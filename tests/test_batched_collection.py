@@ -1,6 +1,8 @@
 """Batched offline collection against its scalar oracles, bit for bit.
 
-``first_uniforms`` against ``default_rng(seed).random``,
+``child_seeds`` against ``child_seed``, ``first_uniforms`` against
+``default_rng(seed).random``, ``first_integers`` against successive
+``default_rng(seed).integers`` calls,
 ``TabularPomdp.sample_episodes`` against one ``sample_episode`` per seed and
 both against the per-history lex indices and policy weights of the drawn
 trajectory, and ``DatasetFamily.add_batch`` against ``add`` entry by entry:
@@ -16,7 +18,7 @@ import pytest
 
 from conftest import assert_same_columns
 from policy_oracles import oracle_policy_weight, oracle_record
-from psrlab import policies
+from psrlab import policies, seeding
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
 from psrlab.offline import BEHAVIOR_POLICY_ID, collect_offline
@@ -28,7 +30,7 @@ from psrlab.policies import (
     uniform_policy,
 )
 from psrlab.pomdp import TabularPomdp, _inverse_cdf, near_tie, tiger
-from psrlab.seeding import child_seed, first_uniforms, rng_for
+from psrlab.seeding import child_seed, child_seeds, first_integers, first_uniforms, rng_for
 from psrlab.spaces import History, ObsActSpace, history_from_lex
 from psrlab.verify import small_builtin_envs
 
@@ -40,7 +42,7 @@ def behaviours(space):
     """Uniform, random tree, ragged mixture, and a tree prefix with a mixture suffix."""
     A = space.n_actions
     ragged = tuple(dict.fromkeys(((), (A - 1,), (A - 1, 0), tuple(k % A for k in range(space.horizon)))))
-    tree = random_tree_policy(space, rng_for(3, "batched-tree"))
+    tree = random_tree_policy(space, child_seed(3, "batched-tree"))
     return {
         "uniform": uniform_policy(space),
         "tree": tree,
@@ -90,6 +92,76 @@ def test_first_uniforms_edge_seed_alone(seed):
 def test_first_uniforms_empty():
     assert first_uniforms([], 5).shape == (0, 5)
     assert first_uniforms([7, 8], 0).shape == (2, 0)
+
+
+@pytest.mark.parametrize("n_seeds", [1, 45, seeding._JUMP_BLOCK - 1])
+def test_first_uniforms_jumped_outputs_match_default_rng(n_seeds):
+    """Below ``_JUMP_BLOCK`` seeds the outputs are jumped to a block at a time; three blocks, the last partial."""
+    seeds = (EDGE_SEEDS + [child_seed(1, "jump", i) for i in range(n_seeds)])[:n_seeds]
+    k = 2 * seeding._JUMP_BLOCK + 3
+    want = np.array([np.random.default_rng(s).random(k) for s in seeds])
+    assert first_uniforms(seeds, k).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("master", [0, 7, 2**64 - 1, -3])
+def test_child_seeds_match_child_seed(master):
+    for purpose, indices in [("offline-episode", range(500)), ("validity-policy", [0, 9, 10, 99, 100, 2**40]), ("x", [])]:
+        got = child_seeds(master, purpose, indices)
+        assert got.dtype == np.uint64 and got.shape == (len(indices),)
+        assert [int(v) for v in got] == [child_seed(master, purpose, i) for i in indices]
+
+
+# One seed is drawn by ``default_rng`` itself, 25 by jumped outputs, 305 by stepped ones.
+INTEGER_SEEDS = {
+    "one": [2**64 - 1],
+    "jumped": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(20)],
+    "stepped": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(300)],
+}
+INTEGER_SIZES = [(3, 18), (0, 5, 1, 0, 7), (1,), (0,), (2, 2, 9)]
+
+
+def successive_integers(seed, n_values, sizes):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, n_values, size=size) for size in sizes]
+
+
+@pytest.mark.parametrize("seeds", sorted(INTEGER_SEEDS))
+@pytest.mark.parametrize("n_values", [1, 2, 3, 4, 5])
+def test_first_integers_match_successive_default_rng_calls(seeds, n_values):
+    """Odd totals leave a high half that the next size reads first, as numpy's cached word."""
+    seeds = INTEGER_SEEDS[seeds]
+    for sizes in INTEGER_SIZES:
+        got = first_integers(seeds, n_values, sizes)
+        assert [g.shape for g in got] == [(len(seeds), size) for size in sizes]
+        for i, seed in enumerate(seeds):
+            for g, w in zip(got, successive_integers(seed, n_values, sizes), strict=True):
+                assert g.dtype == w.dtype and g[i].tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("seeds", ["jumped", "stepped"])
+def test_first_integers_redraws_rejected_rows_with_default_rng(monkeypatch, seeds):
+    """At ``n_values = 3 * 2**30`` the rejection threshold is 2**30, so about a quarter of words reject.
+
+    Exactly the rows with a rejected word are redrawn by ``default_rng``, and every row keeps numpy's bits.
+    """
+    seeds, n_values, sizes = INTEGER_SEEDS[seeds], 3 * 2**30, (3, 4)
+    redrawn = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(seeding.np.random, "default_rng", lambda seed: redrawn.append(seed) or default_rng(seed))
+    got = first_integers(seeds, n_values, sizes)
+    monkeypatch.undo()
+    assert 0 < len(redrawn) < len(seeds)
+    for i, seed in enumerate(seeds):
+        want = successive_integers(seed, n_values, sizes)
+        assert all(g[i].tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
+
+
+def test_first_integers_empty_and_out_of_range():
+    assert [g.shape for g in first_integers([], 3, (2, 0, 4))] == [(0, 2), (0, 0), (0, 4)]
+    assert first_integers(INTEGER_SEEDS["jumped"], 3, ()) == ()
+    for n_values in (0, -1, 2**32):
+        with pytest.raises(StructuralError, match="n_values"):
+            first_integers([1], n_values, (2,))
 
 
 def test_inverse_cdf_is_bisect_right_at_ties():
@@ -219,7 +291,7 @@ def test_policy_with_another_action_count_raises_in_both_samplers(kind):
     if kind == "mixture":
         wider = UniformActionSeqPolicy(space.n_actions + 1, space.horizon, ((),))
     else:
-        wider = random_tree_policy(ObsActSpace(space.n_obs, space.n_actions + 1, space.horizon), rng_for(0, "wider"))
+        wider = random_tree_policy(ObsActSpace(space.n_obs, space.n_actions + 1, space.horizon), child_seed(0, "wider"))
     policy = CompositePolicy(space.horizon, uniform_policy(space), wider)
     with pytest.raises(StructuralError, match="actions"):
         env.sample_episode(policy, 0)

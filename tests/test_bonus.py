@@ -36,6 +36,19 @@ def test_build_unit_vector_closed_form():
     assert FeatureGram.build(0, 2, 1.0, []).score(e1) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_gram_matrix_cannot_be_written_under_its_cached_factor():
+    """The factor is cached at construction, so the matrix it came from is a read-only copy."""
+    g = FeatureGram.build(0, 2, 1.0, np.zeros((0, 2)))
+    with pytest.raises(ValueError):
+        g.matrix[:] = 100 * np.eye(2)
+    assert g.score(np.array([1.0, 0.0])) == 1.0
+    source = 2.0 * np.eye(2)
+    direct = FeatureGram(1, 1.0, source)
+    source[:] = 100 * np.eye(2)
+    assert direct.matrix.tolist() == [[2.0, 0.0], [0.0, 2.0]]
+    assert direct.score(np.array([1.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
+
+
 def test_build_matches_direct_solve():
     rng = rng_for(0, "gram")
     feats = rng.standard_normal((100, 4))

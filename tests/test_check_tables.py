@@ -16,7 +16,7 @@ from psrlab.offline import min_exploration_prob
 from psrlab.policies import CompositePolicy, UniformActionSeqPolicy, random_tree_policy, uniform_policy
 from psrlab.pomdp import default_psr, near_tie
 from psrlab.psr import conditional_update_violation, forward_step
-from psrlab.seeding import rng_for
+from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import _transition_dithered, estimation_error_bound, reference_env, small_builtin_envs
 
 ENVS = small_builtin_envs() + [("near_tie", near_tie())]
@@ -30,7 +30,7 @@ def _same_bits(a, b):
 def _behaviors(space):
     """Uniform, five random trees, a tree-then-mixture composite and a ragged mixture."""
     A = space.n_actions
-    trees = [random_tree_policy(space, rng_for(s, "iota-tree")) for s in range(6)]
+    trees = [random_tree_policy(space, child_seed(s, "iota-tree")) for s in range(6)]
     composite = CompositePolicy(2, trees[5], UniformActionSeqPolicy(A, 2, ((), (A - 1,), (0, A - 1))))
     ragged = UniformActionSeqPolicy(A, 1, ((0,), (A - 1, 0)))  # inconsistent rows below (A-1, A-1)
     return [uniform_policy(space)] + trees[:5] + [composite, ragged]
@@ -96,7 +96,7 @@ def test_estimation_error_bound_on_the_verify_pairs():
     model, _ = default_psr(env)
     for s in range(4):
         other, _ = default_psr(_transition_dithered(env, seed=100 + s, scale=0.3))
-        pol = random_tree_policy(env.space, rng_for(s, "a1-policy"))
+        pol = random_tree_policy(env.space, child_seed(s, "a1-policy"))
         assert _same_bits(estimation_error_bound(other, model, pol), oracle_estimation_error_bound(other, model, pol))
 
 

@@ -17,7 +17,7 @@ from psrlab.errors import StructuralError
 from psrlab.offline import coverage_coefficient
 from psrlab.policies import UniformActionSeqPolicy, random_tree_policy, uniform_policy
 from psrlab.pomdp import dynamics_matrix, g_matrices, near_tie, random_revealing
-from psrlab.seeding import rng_for
+from psrlab.seeding import child_seed
 from psrlab.spaces import Future, History, enumerate_histories
 from psrlab.verify import small_builtin_envs
 
@@ -104,7 +104,7 @@ def _behaviours(space):
 def test_coverage_coefficient_equals_history_loop(name, env):
     for label, behaviour in _behaviours(env.space):
         for s in range(5):
-            target = random_tree_policy(env.space, rng_for(s, "coverage-target"))
+            target = random_tree_policy(env.space, child_seed(s, "coverage-target"))
             got = coverage_coefficient(env, target, behaviour)
             assert got == oracle_coverage_coefficient(env, target, behaviour), (name, label, s)
             assert 1.0 <= got < math.inf

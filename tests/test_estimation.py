@@ -10,9 +10,10 @@ from check_oracles import (
     oracle_conditional_tv_diagnostic,
     oracle_stability_and_likelihood,
     oracle_uniform_collection,
+    theta_min_feasible,
 )
 from conftest import assert_same_columns, make_single_state_env
-from policy_oracles import add_drawn, add_history, oracle_policy_weight
+from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from psrlab.estimation import (
     CandidateSet,
@@ -21,7 +22,6 @@ from psrlab.estimation import (
     constrained_mle,
     log_likelihood,
     make_candidates,
-    theta_min_feasible,
 )
 from psrlab.policies import UniformActionSeqPolicy, uniform_policy
 from psrlab.pomdp import default_psr
@@ -219,7 +219,6 @@ def _oracle_feasible(model, dataset, p_min):
 
 def test_likelihood_and_feasibility_match_per_entry_oracle(reference_env):
     from psrlab.offline import collect_offline
-    from psrlab.online import exploration_policy
 
     cands = make_candidates(reference_env, "dithered", seed=3, n=8, scale=0.3)
     space = reference_env.space
@@ -318,7 +317,6 @@ def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env
     """The stacked selection equals a per-entry recomputation after every stage
     of a growing dataset, with a -inf member and an unstable member present;
     its log-likelihoods are the one-pass oracle's bit for bit."""
-    from psrlab.online import exploration_policy
 
     space = reference_env.space
     cands = _staged_candidates(reference_env)
@@ -347,7 +345,6 @@ def test_selection_record_matches_fresh_pass_bitwise_through_add_add_batch_and_s
     """The dataset's running record gives the fresh pass's bits after every stage, whether the
     stage grew the dataset through ``add`` or ``add_batch``; another candidate set or ``p_min``
     on the same dataset starts the record from zero, and switching back starts it again."""
-    from psrlab.online import exploration_policy
     from psrlab.seeding import child_seed
 
     space = reference_env.space
@@ -470,7 +467,7 @@ def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
     tree policy per (stage, step), shared by the ids of that stage's rounds,
     so every bucket mixes policies whose continuations differ."""
     from psrlab.policies import random_tree_policy
-    from psrlab.seeding import child_seed, rng_for
+    from psrlab.seeding import child_seed
 
     space = small_env.space
     cands = make_candidates(small_env, "dithered", seed=3, n=6, scale=0.08)
@@ -478,7 +475,7 @@ def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
     dataset = DatasetFamily(space)
     buckets = [[] for _ in range(space.horizon)]
     for stage in range(4):
-        policies = [random_tree_policy(space, rng_for(seed, f"ctv-stage-{h}", stage)) for h in range(space.horizon)]
+        policies = [random_tree_policy(space, child_seed(seed, f"ctv-stage-{h}", stage)) for h in range(space.horizon)]
         for k in range(3):
             for h, pol in enumerate(policies):
                 pid = f"e{stage},{k},{h}"

@@ -11,9 +11,11 @@ the bonus and plan bits.  The dataset JSONL digests were recorded while a
 dataset still kept one entry object per trajectory next to its columns
 and wrote its own JSONL; the same text is now decoded from the
 trajectory-index columns by ``check_oracles.dataset_jsonl``.  The verify
-digest was recorded while the confidence-bound validity check still built
-and weighed one tree policy object per random policy; a drift in any bit a
-verify line prints (a count, a rate or a formatted distance) changes it.
+digest at 5 seeds was recorded while the confidence-bound validity check
+still built and weighed one tree policy object per random policy, and the
+one at 20 seeds while every verify suite still drew each seed's stream from
+its own ``default_rng``; a drift in any bit a verify line prints (a count,
+a rate or a formatted distance) changes them.
 """
 
 import hashlib
@@ -64,8 +66,10 @@ ONLINE_ALL_SHA256 = "9f70a29ef40ed58834c29bd9858243e4f44b20290d2ece8652a27f17cb0
 OFFLINE_JSONL_SHA256 = "c3720d8881731bfd047bba07efe16cd5b10670e983a4d55f4142d01e3c0d583b"
 ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e02c831c"
 
-# SHA-256 of the newline-joined lines of verify("all", 5).
+# SHA-256 of the newline-joined lines of verify("all", n), at n = 5 and at the
+# benchmark's n = 20.
 VERIFY_ALL_5_SHA256 = "01ebe6ba5354ee9f37583c0d5bff31ebc1313403966917099ab647e81f830f07"
+VERIFY_ALL_20_SHA256 = "b48f12dd1d67bbb8298ac8335bb939f234fc6881cdc110a343af573387ee2d73"
 
 
 def _assert_digests(out, expected, expected_all):
@@ -122,3 +126,9 @@ def test_verify_all_lines_are_byte_identical():
     lines = verify("all", 5).lines()
     assert len(lines) == 69
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_5_SHA256
+
+
+def test_verify_all_lines_at_the_benchmark_seed_count_are_byte_identical():
+    lines = verify("all", 20).lines()
+    assert len(lines) == 69
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_20_SHA256

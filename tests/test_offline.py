@@ -28,7 +28,7 @@ from psrlab.policies import (
 )
 from psrlab.pomdp import default_psr, near_tie
 from psrlab.psr import make_core_test_set
-from psrlab.seeding import rng_for
+from psrlab.seeding import child_seed
 from psrlab.spaces import History, enumerate_histories
 
 
@@ -218,7 +218,7 @@ def test_lcb_argmax_certificate(lcb_setup):
     probs = result.model.prob_table(env.space.horizon)
     leaves = probs * (reward_leaves - result.evaluator.bonus_table())
     for s in range(50):
-        other = random_tree_policy(env.space, rng_for(s, "lcb-cert"))
+        other = random_tree_policy(env.space, child_seed(s, "lcb-cert"))
         assert policy_value_on_table(env.space, other, leaves) <= result.pessimistic_value + 1e-12
 
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
-from policy_oracles import action_row
+from policy_oracles import action_row, exploration_policy
 from psrlab.errors import EmptyFeasibleSet, StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.online import (
     OnlineConfig,
     evaluate_output,
-    exploration_policy,
     run_psr_ucb,
 )
 from psrlab.policies import (

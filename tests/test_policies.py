@@ -29,7 +29,7 @@ def table_weight(policy, hist, space=ObsActSpace(2, 2, 2)):
 
 def test_deterministic_tree_weight_match_and_mismatch():
     space = ObsActSpace(2, 2, 2)
-    policy = random_tree_policy(space, rng_for(0, "tree"))
+    policy = random_tree_policy(space, child_seed(0, "tree"))
     hist = History()
     steps = []
     for h in range(2):
@@ -77,7 +77,7 @@ def test_weight_vector_sums_to_one_per_obs_branch():
     space = ObsActSpace(2, 2, 2)
     for policy in (
         uniform_policy(space),
-        random_tree_policy(space, rng_for(3, "tree")),
+        random_tree_policy(space, child_seed(3, "tree")),
         UniformActionSeqPolicy(2, 1, ((0,), (1, 1))),
     ):
         weights = policy_weight_vector(policy, space)
@@ -109,7 +109,7 @@ def test_policy_serialization_round_trip():
     space = ObsActSpace(2, 2, 2)
     policy = CompositePolicy(
         2,
-        random_tree_policy(space, rng_for(1, "tree")),
+        random_tree_policy(space, child_seed(1, "tree")),
         UniformActionSeqPolicy(2, 2, ((), (1,))),
     )
     data = policy.to_dict()
@@ -133,10 +133,10 @@ def test_sampling_matches_action_row():
 def test_prefix_weight_tables_equal_per_history_weights():
     space = ObsActSpace(2, 3, 3)
     policies = [
-        random_tree_policy(space, rng_for(1, "prefix-tables")),
+        random_tree_policy(space, child_seed(1, "prefix-tables")),
         UniformActionSeqPolicy(3, 1, ((), (1,), (2, 0))),
         CompositePolicy(
-            2, random_tree_policy(space, rng_for(2, "prefix-tables")), UniformActionSeqPolicy(3, 2, ((0, 1),))
+            2, random_tree_policy(space, child_seed(2, "prefix-tables")), UniformActionSeqPolicy(3, 2, ((0, 1),))
         ),
     ]
     for policy in policies:
@@ -176,7 +176,7 @@ def test_planner_policies_equal_checked_ones():
 
 def test_tree_policy_tables_are_read_only():
     space = tiger(2).space
-    policy = random_tree_policy(space, rng_for(0, "frozen-tree"))
+    policy = random_tree_policy(space, child_seed(0, "frozen-tree"))
     before = policy_weight_vector(policy, space)
     with pytest.raises(ValueError):
         policy.actions_by_step[0][:] = 7
@@ -220,10 +220,11 @@ STACKED_SPACES = {"reference": ObsActSpace(3, 2, 2), "H=3": ObsActSpace(2, 2, 3)
 @pytest.mark.parametrize("name", sorted(STACKED_SPACES))
 def test_stacked_tree_tables_and_weights_equal_one_policy_at_a_time(name):
     """Row ``i`` of the stacked tables is the policy one ``integers`` call per step draws from
-    generator ``i``, and row ``i`` of the stacked weights is that policy's weight vector, bit for bit."""
+    ``default_rng`` on seed ``i``, as is ``random_tree_policy`` of that seed, and row ``i`` of the
+    stacked weights is that policy's weight vector, bit for bit."""
     space = STACKED_SPACES[name]
     n = 40
-    tables = random_tree_tables(space, [rng_for(s, "stacked-tree") for s in range(n)])
+    tables = random_tree_tables(space, [child_seed(s, "stacked-tree") for s in range(n)])
     weights = tree_weight_table(space, tables)
     assert weights.shape == (n, space.n_trajectories) and set(np.unique(weights)) <= {0.0, 1.0}
     assert all(table.shape == (n, space.n_histories(h) * space.n_obs) for h, table in enumerate(tables))
@@ -232,7 +233,7 @@ def test_stacked_tree_tables_and_weights_equal_one_policy_at_a_time(name):
     for s in range(n):
         rng = rng_for(s, "stacked-tree")
         drawn = [rng.integers(0, space.n_actions, size=space.n_histories(h) * space.n_obs) for h in range(space.horizon)]
-        one = random_tree_policy(space, rng_for(s, "stacked-tree"))
+        one = random_tree_policy(space, child_seed(s, "stacked-tree"))
         for h in range(space.horizon):
             assert tables[h][s].dtype == drawn[h].dtype and tables[h][s].tobytes() == drawn[h].tobytes()
             assert one.actions_by_step[h].tobytes() == drawn[h].tobytes()
@@ -241,7 +242,7 @@ def test_stacked_tree_tables_and_weights_equal_one_policy_at_a_time(name):
 
 def test_tree_weight_table_rejects_a_table_of_the_wrong_count_or_shape():
     space = ObsActSpace(2, 2, 2)
-    tables = random_tree_tables(space, [rng_for(s, "stacked-shape") for s in range(3)])
+    tables = random_tree_tables(space, [child_seed(s, "stacked-shape") for s in range(3)])
     with pytest.raises(StructuralError, match="one action table per step"):
         tree_weight_table(space, tables[:1])
     with pytest.raises(StructuralError, match=r"step 2 table has shape \(2, 8\), expected \(3, 8\)"):

@@ -25,7 +25,7 @@ from psrlab.pomdp import (
     tiger,
 )
 from psrlab.psr import check_self_consistency
-from psrlab.seeding import rng_for
+from psrlab.seeding import child_seed
 from psrlab.spaces import History, ObsActSpace, enumerate_histories
 
 
@@ -106,7 +106,7 @@ def test_sample_episode_deterministic_env_unique_trajectory():
     transition = np.zeros((1, 2, 2, 2))
     transition[:, :, :, 1] = 1.0  # always jump to state 1
     env = TabularPomdp(2, space, transition, emission, 0, RewardTable(np.zeros((2, 2, 2))))
-    policy = random_tree_policy(space, rng_for(0, "tree"))
+    policy = random_tree_policy(space, child_seed(0, "tree"))
     trajs = {drawn_history(env, policy, seed).steps for seed in range(10)}
     assert len(trajs) == 1
     (steps,) = trajs

@@ -23,7 +23,7 @@ from psrlab.psr import (
     terminal_anchor_violation,
     tv_distance,
 )
-from psrlab.seeding import rng_for
+from psrlab.seeding import child_seed
 from psrlab.spaces import Future, History, ObsActSpace, enumerate_histories
 
 
@@ -222,27 +222,27 @@ def test_tv_distance_range(reference_model):
     other_env = random_revealing(seed=9, n_states=2, n_obs=3, n_actions=2, horizon=2)
     other, _ = default_psr(other_env)
     for s in range(3):
-        policy = random_tree_policy(reference_model.space, rng_for(s, "tvrange"))
+        policy = random_tree_policy(reference_model.space, child_seed(s, "tvrange"))
         val = tv_distance(reference_model, other, policy)
         assert 0.0 <= val <= 2.0
 
 
 def test_tv_distance_emission_rows():
     model_a, model_b = emission_pair_models([0.6, 0.4], [0.5, 0.5])
-    policy = random_tree_policy(model_a.space, rng_for(0, "tv"))
+    policy = random_tree_policy(model_a.space, child_seed(0, "tv"))
     assert tv_distance(model_a, model_b, policy) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_hellinger_identical_and_disjoint():
     model_a, model_b = emission_pair_models([1.0, 0.0], [0.0, 1.0])
-    policy = random_tree_policy(model_a.space, rng_for(0, "hell"))
+    policy = random_tree_policy(model_a.space, child_seed(0, "hell"))
     assert hellinger_sq(model_a, model_a, policy) == 0.0
     assert hellinger_sq(model_a, model_b, policy) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hellinger_formula_evaluation():
     model_a, model_b = emission_pair_models([0.6, 0.4], [0.5, 0.5])
-    policy = random_tree_policy(model_a.space, rng_for(0, "hell2"))
+    policy = random_tree_policy(model_a.space, child_seed(0, "hell2"))
     expected = 0.5 * (
         (math.sqrt(0.6) - math.sqrt(0.5)) ** 2 + (math.sqrt(0.4) - math.sqrt(0.5)) ** 2
     )
@@ -251,7 +251,7 @@ def test_hellinger_formula_evaluation():
 
 def test_value_constant_leaves(reference_model):
     space = reference_model.space
-    policy = random_tree_policy(space, rng_for(1, "value"))
+    policy = random_tree_policy(space, child_seed(1, "value"))
     probs = reference_model.prob_table(space.horizon)
     assert policy_value_on_table(space, policy, probs * 1.0) == pytest.approx(1.0, abs=1e-9)
     assert policy_value_on_table(space, policy, probs * 0.0) == 0.0
@@ -272,7 +272,7 @@ def test_value_matches_monte_carlo(reference_env, reference_model):
 
 def test_total_mass_invariant(reference_model):
     for s in range(5):
-        policy = random_tree_policy(reference_model.space, rng_for(s, "mass"))
+        policy = random_tree_policy(reference_model.space, child_seed(s, "mass"))
         w = policy_weight_vector(policy, reference_model.space)
         mass = float(np.dot(w, reference_model.prob_table(reference_model.space.horizon)))
         assert mass == pytest.approx(1.0, abs=1e-9)

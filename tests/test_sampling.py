@@ -21,7 +21,7 @@ from psrlab.policies import (
     uniform_policy,
 )
 from psrlab.pomdp import RewardTable, TabularPomdp
-from psrlab.seeding import child_seed, rng_for
+from psrlab.seeding import child_seed
 from psrlab.spaces import enumerate_histories, history_from_lex
 from psrlab.verify import reference_env, small_builtin_envs
 
@@ -33,7 +33,7 @@ def policy_zoo(space):
     A, H = space.n_actions, space.horizon
     ragged = tuple(dict.fromkeys(((), (0,), (A - 1, 0), tuple(k % A for k in range(H)))))
     no_empty = ((0,), (A - 1, 0)) if A > 1 else ((0,),)  # some action sequences match no mixture sequence
-    tree = random_tree_policy(space, rng_for(7, "zoo-tree"))
+    tree = random_tree_policy(space, child_seed(7, "zoo-tree"))
     zoo = [
         ("uniform", uniform_policy(space)),
         ("ragged", UniformActionSeqPolicy(A, 1, ragged)),

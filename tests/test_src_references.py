@@ -27,8 +27,6 @@ ALLOWED = {
     "PsrModel.prediction_feature": "per-history lookup into the feature table",
     "TabularPomdp.pre_emission_belief": "per-history lookup into the belief table",
     "BonusEvaluator.bonus": "per-trajectory lookup into the bonus table",
-    "exploration_policy": "the loop's exploration policy for one step, built from the core tests",
-    "theta_min_feasible": "one model's p_min stability, the selection record's flag for a stack of one",
     "FeatureGram.condition_number": "kept for the run trace's gram conditioning counter",
 }
 

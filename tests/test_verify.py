@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -11,17 +12,19 @@ from check_oracles import (
 from psrlab.errors import StructuralError
 from psrlab.estimation import conditional_tv_diagnostic, make_candidates
 from psrlab.offline import OfflineConfig, collect_offline, run_psr_lcb
-from psrlab.policies import uniform_policy
+from psrlab.policies import policy_weight_vector, random_tree_policy, uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import (
     Report,
     _bound_holds,
-    _uniform_collection,
+    _tree_policy_weights,
+    _uniform_collections,
     _uniform_explorers,
     _validity_run_online,
     reference_env,
     run_lemma_checks,
+    run_validity_checks,
     verify,
     wilson_slack,
 )
@@ -102,7 +105,7 @@ def test_uniform_collection_matches_one_episode_oracle(name, seed):
     env = COLLECTION_ENVS[name]
     truth, _ = default_psr(env)
     collection_seed = child_seed(seed, "mle-event")
-    got = _uniform_collection(env, _uniform_explorers(truth.core_tests), 12, collection_seed)
+    (got,) = _uniform_collections(env, _uniform_explorers(truth.core_tests), 12, [collection_seed])
     want, buckets = oracle_uniform_collection(env, truth, 12, collection_seed)
     for h, (got_cols, want_cols) in enumerate(zip(got.columns, want.columns, strict=True), start=1):
         for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
@@ -114,6 +117,64 @@ def test_uniform_collection_matches_one_episode_oracle(name, seed):
         oracle = oracle_conditional_tv_diagnostic(model, truth, want.policies, buckets).hex()
         assert conditional_tv_diagnostic(model, truth, got).hex() == oracle
         assert conditional_tv_diagnostic(model, truth, want).hex() == oracle
+
+
+VERIFY_MODULE = sys.modules["psrlab.verify"]  # the package re-exports the function under the module's name
+
+
+@pytest.mark.parametrize("block", [1, 3, 5, VERIFY_MODULE.DRAW_BLOCK])
+def test_collection_blocks_equal_one_seed_calls(monkeypatch, block):
+    """Collections drawn in blocks have the columns, policy ids and policies of one-seed calls, bit for bit."""
+    env = reference_env()
+    explorers = _uniform_explorers(default_psr(env)[0].core_tests)
+    seeds = [child_seed(s, "mle-event") for s in range(5)]
+    singles = [next(iter(_uniform_collections(env, explorers, 12, [seed]))) for seed in seeds]
+    monkeypatch.setattr(VERIFY_MODULE, "DRAW_BLOCK", block)
+    blocked = list(_uniform_collections(env, explorers, 12, seeds))
+    assert len(blocked) == len(seeds)
+    for got, want in zip(blocked, singles):
+        assert got.policies.keys() == want.policies.keys()
+        assert all(got.policies[pid] is want.policies[pid] for pid in want.policies)
+        for got_cols, want_cols in zip(got.columns, want.columns, strict=True):
+            for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
+                assert g.typecode == w.typecode and g.tobytes() == w.tobytes()
+            assert got_cols.policy_id == want_cols.policy_id
+
+
+@pytest.mark.parametrize("block", [1, 3, VERIFY_MODULE.DRAW_BLOCK])
+def test_validity_verdicts_do_not_depend_on_the_block(monkeypatch, block):
+    """Every run's policy weights and bound verdict, and the report, are those of one-run blocks.
+
+    At alpha 0.01 some runs hold and some fail, so each verdict reads its weights.
+    """
+    params = {"p_min": 1e-10, "beta": 40.0, "lam": 1.0, "alpha": 0.01}
+
+    def recorded(block_size):
+        calls = []
+
+        def recording(model, evaluator, true_rewards, reward_leaves, weights):
+            verdict = _bound_holds(model, evaluator, true_rewards, reward_leaves, weights)
+            calls.append((weights.tobytes(), verdict))
+            return verdict
+
+        monkeypatch.setattr(VERIFY_MODULE, "DRAW_BLOCK", block_size)
+        monkeypatch.setattr(VERIFY_MODULE, "_bound_holds", recording)
+        report = Report()
+        run_validity_checks(report, runs=7, params=params)
+        return calls, report.lines()
+
+    (want_calls, want_lines), (got_calls, got_lines) = recorded(1), recorded(block)
+    assert {verdict for _, verdict in want_calls} == {True, False}
+    assert got_calls == want_calls and got_lines == want_lines
+
+
+def test_tree_policy_weights_are_each_policys_weight_vector():
+    space = reference_env().space
+    for master, weights in zip([3, 10_003], _tree_policy_weights(space, [3, 10_003], 7)):
+        assert weights.shape == (7, space.n_trajectories)
+        for j, row in enumerate(weights):
+            policy = random_tree_policy(space, child_seed(master, "validity-policy", j))
+            assert row.tobytes() == policy_weight_vector(policy, space).tobytes()
 
 
 def test_mle_events_reads_each_model_once_per_seed(monkeypatch):
@@ -159,7 +220,8 @@ def test_stacked_bound_check_gives_the_per_policy_verdicts(alpha):
         runs.append((offline.model, offline.evaluator, 10_000 + s))
     verdicts = []
     for model, evaluator, seed in runs:
-        verdict = _bound_holds(model, evaluator, true_table * leaves, leaves, seed, 50)
+        (weights,) = _tree_policy_weights(env.space, [seed], 50)
+        verdict = _bound_holds(model, evaluator, true_table * leaves, leaves, weights)
         assert verdict == oracle_bound_holds(model, evaluator, true_table, leaves, seed, 50)
         verdicts.append(verdict)
     assert set(verdicts) == {2.0: {True}, 0.01: {True, False}, 1e-6: {False}}[alpha]
