@@ -72,11 +72,7 @@ _XSHIFT = _U(16)
 _POOL_SIZE = 4
 _MIX_MULT_L = _U(0xCA01F9DD)
 _MIX_MULT_R = _U(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
-_PCG_MULT_WORDS = (_U(_PCG_MULT >> 64), _U(_PCG_MULT & 2**64 - 1))
-# Below this many seeds, outputs are made by jumps, this many at a time, so no
-# array holds more than 2**16 words; from it on, by one LCG step each.
-_JUMP_BLOCK = 256
+_PCG_MULT = (_U(0x2360ED051FC65DA4), _U(0x4385DF649FCCF645))  # PCG64's 128-bit LCG multiplier (high, low)
 # Below this many seeds, first_integers calls default_rng itself, which costs
 # less than the array arithmetic's fixed cost.
 _ARRAY_SEEDS = 8
@@ -131,7 +127,7 @@ def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
     return [state[2 * k] | state[2 * k + 1] << _U(32) for k in range(4)]
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
     """High 64 bits of the 128-bit product ``a * b``, from 32-bit limbs."""
     a0, a1 = a & _MASK32, a >> _U(32)
     b0, b1 = b & _MASK32, b >> _U(32)
@@ -145,36 +141,11 @@ def _add128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
     return x_hi + y_hi + (lo < x_lo).astype(np.uint64), lo
 
 
-def _mul128(x_hi, x_lo, y_hi, y_lo) -> tuple[np.ndarray, np.ndarray]:
-    """``x * y`` modulo 2**128, each a (high, low) pair of uint64 words."""
-    return x_hi * y_lo + x_lo * y_hi + _mulhi(x_lo, y_lo), x_lo * y_lo
-
-
 def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """One LCG step ``state * multiplier + inc`` modulo 2**128."""
-    return _add128(*_mul128(hi, lo, *_PCG_MULT_WORDS), *inc)
-
-
-def _jump_table(n: int) -> tuple[np.ndarray, ...]:
-    """``(n, 1)`` columns of the (high, low) words of ``M**t`` and of ``1 + M + ... + M**(t-1)`` modulo 2**128, t = 1..n.
-
-    ``t`` LCG steps take a state ``x`` to ``M**t * x + (1 + ... + M**(t-1)) * inc``.
-    """
-    powers, sums = [], []
-    power, total = 1, 0
-    for _ in range(n):
-        total = (total + power) % 2**128
-        power = power * _PCG_MULT % 2**128
-        powers.append(power)
-        sums.append(total)
-    return tuple(
-        np.array([[v >> shift & 2**64 - 1] for v in values], dtype=np.uint64)
-        for values in (powers, sums)
-        for shift in (64, 0)
-    )
-
-
-_JUMPS = _jump_table(_JUMP_BLOCK)
+    m_hi, m_lo = _PCG_MULT
+    prod_hi = hi * m_lo + lo * m_hi + _mulhi(lo, m_lo)
+    return _add128(prod_hi, lo * m_lo, *inc)
 
 
 def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -190,26 +161,15 @@ def _pcg_outputs(seeds: Sequence[int], n: int) -> np.ndarray:
     Seeds must lie in [0, 2**64).  ``PCG64`` seeds its 128-bit state from
     the four generated words (state, then stream): one LCG step from state
     0, adding the state words, and one more step.  Output ``j`` is the
-    XSL-RR permutation of the state ``j + 1`` steps later.  For fewer than
-    ``_JUMP_BLOCK`` seeds, ``_JUMP_BLOCK`` outputs at a time are each one
-    jump from the last state before them, so the cost per output is not
-    one pass of Python; for more, one pass per output is cheap next to the
-    seeds' arithmetic, and the outputs are stepped to in order.
+    XSL-RR permutation of the state ``j + 1`` steps later.
     """
     s0, s1, s2, s3 = _seed_words(np.asarray(seeds, dtype=np.uint64).reshape(-1))
     inc = ((s2 << _U(1)) | (s3 >> _U(63)), (s3 << _U(1)) | _U(1))
     hi, lo = _pcg_step(*_add128(*inc, s0, s1), inc)
     out = np.empty((n, len(s0)), dtype=np.uint64)  # outputs down the first axis: each operation loops over seeds
-    if len(s0) >= _JUMP_BLOCK:
-        for j in range(n):
-            hi, lo = _pcg_step(hi, lo, inc)
-            out[j] = _xsl_rr(hi, lo)
-        return out.T
-    for start in range(0, n, _JUMP_BLOCK):
-        power_hi, power_lo, sum_hi, sum_lo = (words[: n - start] for words in _JUMPS)
-        hi, lo = _add128(*_mul128(hi, lo, power_hi, power_lo), *_mul128(*inc, sum_hi, sum_lo))
-        out[start : start + _JUMP_BLOCK] = _xsl_rr(hi, lo)
-        hi, lo = hi[-1], lo[-1]
+    for j in range(n):
+        hi, lo = _pcg_step(hi, lo, inc)
+        out[j] = _xsl_rr(hi, lo)
     return out.T
 
 

@@ -94,15 +94,6 @@ def test_first_uniforms_empty():
     assert first_uniforms([7, 8], 0).shape == (2, 0)
 
 
-@pytest.mark.parametrize("n_seeds", [1, 45, seeding._JUMP_BLOCK - 1])
-def test_first_uniforms_jumped_outputs_match_default_rng(n_seeds):
-    """Below ``_JUMP_BLOCK`` seeds the outputs are jumped to a block at a time; three blocks, the last partial."""
-    seeds = (EDGE_SEEDS + [child_seed(1, "jump", i) for i in range(n_seeds)])[:n_seeds]
-    k = 2 * seeding._JUMP_BLOCK + 3
-    want = np.array([np.random.default_rng(s).random(k) for s in seeds])
-    assert first_uniforms(seeds, k).tobytes() == want.tobytes()
-
-
 @pytest.mark.parametrize("master", [0, 7, 2**64 - 1, -3])
 def test_child_seeds_match_child_seed(master):
     for purpose, indices in [("offline-episode", range(500)), ("validity-policy", [0, 9, 10, 99, 100, 2**40]), ("x", [])]:
@@ -111,11 +102,11 @@ def test_child_seeds_match_child_seed(master):
         assert [int(v) for v in got] == [child_seed(master, purpose, i) for i in indices]
 
 
-# One seed is drawn by ``default_rng`` itself, 25 by jumped outputs, 305 by stepped ones.
+# One seed is drawn by ``default_rng`` itself, 25 and 305 by array arithmetic.
 INTEGER_SEEDS = {
     "one": [2**64 - 1],
-    "jumped": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(20)],
-    "stepped": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(300)],
+    "few": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(20)],
+    "many": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(300)],
 }
 INTEGER_SIZES = [(3, 18), (0, 5, 1, 0, 7), (1,), (0,), (2, 2, 9)]
 
@@ -138,7 +129,7 @@ def test_first_integers_match_successive_default_rng_calls(seeds, n_values):
                 assert g.dtype == w.dtype and g[i].tobytes() == w.tobytes()
 
 
-@pytest.mark.parametrize("seeds", ["jumped", "stepped"])
+@pytest.mark.parametrize("seeds", ["few", "many"])
 def test_first_integers_redraws_rejected_rows_with_default_rng(monkeypatch, seeds):
     """At ``n_values = 3 * 2**30`` the rejection threshold is 2**30, so about a quarter of words reject.
 
@@ -158,7 +149,7 @@ def test_first_integers_redraws_rejected_rows_with_default_rng(monkeypatch, seed
 
 def test_first_integers_empty_and_out_of_range():
     assert [g.shape for g in first_integers([], 3, (2, 0, 4))] == [(0, 2), (0, 0), (0, 4)]
-    assert first_integers(INTEGER_SEEDS["jumped"], 3, ()) == ()
+    assert first_integers(INTEGER_SEEDS["few"], 3, ()) == ()
     for n_values in (0, -1, 2**32):
         with pytest.raises(StructuralError, match="n_values"):
             first_integers([1], n_values, (2,))
