@@ -27,7 +27,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateHistory, StructuralError
 from .psr import PsrModel
-from .spaces import History, _read_only_copy
+from .spaces import _read_only_copy
 
 if TYPE_CHECKING:
     from .estimation import DatasetFamily
@@ -123,14 +123,6 @@ class BonusEvaluator:
             raise StructuralError("bonus coefficient must be nonnegative")
         if len(self.grams) != self.feature_source.space.horizon:
             raise StructuralError("need one gram per step 0..H-1")
-
-    def bonus(self, trajectory: History) -> float:
-        """Bonus of one full trajectory: its entry of :meth:`bonus_table`."""
-        space = self.feature_source.space
-        if len(trajectory) != space.horizon:
-            raise StructuralError("bonus is defined on full trajectories")
-        trajectory.validate(space)
-        return float(self.bonus_table()[trajectory.lex_index(space)])
 
     def score_table(self) -> tuple[np.ndarray, np.ndarray]:
         """Summed per-step prefix scores of all full trajectories, lexicographic.

@@ -61,6 +61,9 @@ _SECTION_KEYS = {
     "online": ("max_iterations", "epsilon") + _PARAM_KEYS,
     "offline": ("n_episodes", "coverage") + _PARAM_KEYS,
 }
+# The keys only the ``auto_params`` theory formulas read; a section setting one without it is a mistake.
+# The online section's ``delta`` is also an ``OnlineConfig`` field, so it stays allowed there.
+_THEORY_KEYS = {"online": ("c_theory",), "offline": ("c_theory", "delta")}
 
 
 def _require(config: dict, key: str) -> object:
@@ -81,8 +84,10 @@ def _section(config: dict, name: str, required: tuple[str, ...] = ()) -> dict:
     missing = [key for key in required if key not in section]
     if missing:
         raise StructuralError(f"config section {name!r} is missing {', '.join(map(repr, missing))}")
-    if "c_theory" in section and not section.get("auto_params", False):
-        raise StructuralError(f"config section {name!r} sets 'c_theory', which only 'auto_params' reads")
+    if not section.get("auto_params", False):
+        for key in _THEORY_KEYS[name]:
+            if key in section:
+                raise StructuralError(f"config section {name!r} sets {key!r}, which only 'auto_params' reads")
     return section
 
 

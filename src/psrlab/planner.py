@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import StructuralError
-from .policies import DeterministicTreePolicy, Policy, policy_weight_vector
+from .policies import DeterministicTreePolicy, Policy, action_dtype, policy_weight_vector
 from .spaces import History, ObsActSpace, history_from_lex
 
 
@@ -43,11 +43,12 @@ def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[Deterministic
     if leaves.shape != (space.n_trajectories,):
         raise StructuralError(f"expected {space.n_trajectories} leaf values, got shape {leaves.shape}")
     values = leaves
+    dtype = action_dtype(space.n_actions)  # the tree policy's storage type, so its tables are these arrays
     choices: list[np.ndarray] = []
     for _ in range(space.horizon):
         shaped = values.reshape(-1, space.n_obs, space.n_actions)
         best = shaped[:, :, 0]
-        choice = np.zeros(best.shape, dtype=np.intp)
+        choice = np.zeros(best.shape, dtype=dtype)
         for a in range(1, space.n_actions):
             col = shaped[:, :, a]
             choice[col > best] = a  # strict: ties keep the lowest action

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .seeding import first_integers
-from .spaces import ObsActSpace, _read_only_copy
+from .spaces import ObsActSpace
 
 # Generator.choice accepts a probability row whose sum is within this of 1.
 ROW_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -74,32 +74,45 @@ def _check_rows(probs: np.ndarray, step: int) -> None:
         raise StructuralError(f"step {step}: row {row} is not a probability distribution")
 
 
+def action_dtype(n_actions: int) -> np.dtype:
+    """The smallest unsigned type holding every action index: ``uint8`` up to 256 actions.
+
+    Tree policies store their action tables in it.  An online run keeps
+    every iteration's greedy policy reachable, one entry per (history, obs)
+    node each, so the memory a run retains grows with this entry size.
+    """
+    return np.min_scalar_type(n_actions - 1)
+
+
 @dataclass(frozen=True)
 class DeterministicTreePolicy:
     """Total map (history, current obs) -> action, per step.
 
     ``actions_by_step[h-1]`` covers step ``h`` and has one entry per
     (length-``h-1`` history, obs) node: index = ``hist_lex * n_obs + obs``.
+    Tables are read-only and stored as :func:`action_dtype` of the action
+    count; the constructor range-checks its input before converting it, so
+    no out-of-range action can wrap into range.
     """
 
     space: ObsActSpace
     actions_by_step: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "actions_by_step", tuple(_read_only_copy(table) for table in self.actions_by_step))
+        object.__setattr__(self, "actions_by_step", tuple(np.asarray(table) for table in self.actions_by_step))
         self._check_shapes()
         for table in self.actions_by_step:
             if table.dtype.kind not in "iu" or table.min() < 0 or table.max() >= self.space.n_actions:
                 raise StructuralError(f"action index out of range in tree policy: need integers in [0, {self.space.n_actions})")
+        object.__setattr__(self, "actions_by_step", _stored_tables(self.space, self.actions_by_step, copy=True))
 
     @classmethod
     def _from_valid_tables(cls, space: ObsActSpace, actions_by_step: tuple[np.ndarray, ...]) -> DeterministicTreePolicy:
-        """A policy on fresh tables with actions in range by construction: shapes checked, tables frozen in place."""
-        for table in actions_by_step:
-            table.flags.writeable = False
+        """A policy on fresh tables with actions in range by construction: shapes checked, tables
+        converted to the storage type (not copied when already in it) and frozen in place."""
         policy = object.__new__(cls)
         object.__setattr__(policy, "space", space)
-        object.__setattr__(policy, "actions_by_step", actions_by_step)
+        object.__setattr__(policy, "actions_by_step", _stored_tables(space, actions_by_step, copy=False))
         policy._check_shapes()
         return policy
 
@@ -119,6 +132,15 @@ class DeterministicTreePolicy:
             "type": "deterministic_tree",
             "actions": [table.tolist() for table in self.actions_by_step],
         }
+
+
+def _stored_tables(space: ObsActSpace, tables: tuple[np.ndarray, ...], copy: bool) -> tuple[np.ndarray, ...]:
+    """In-range action tables as read-only arrays of the storage type; without ``copy``, converted only if needed."""
+    dtype = action_dtype(space.n_actions)
+    stored = tuple(table.astype(dtype, copy=copy) for table in tables)
+    for table in stored:
+        table.flags.writeable = False
+    return stored
 
 
 class _Rows(NamedTuple):
@@ -373,15 +395,15 @@ def tree_weight_table(space: ObsActSpace, tables: Sequence[np.ndarray]) -> np.nd
     """Trajectory weights of stacked tree policies, one row per policy.
 
     ``tables`` holds one ``(P, n_histories(h-1) * n_obs)`` action array per
-    step, as :func:`random_tree_tables` returns.  Each step gathers one-hot
-    action rows and multiplies them into the running products, the
-    arithmetic of :func:`policy_weight_vector` with a leading policy axis.
-    Every entry is 0.0 or 1.0, so row ``i`` has the bits of
-    ``policy_weight_vector`` of policy ``i``.
+    step, as :func:`random_tree_tables` returns.  Each step keeps a node's
+    running product in its chosen action's column and 0.0 elsewhere, which
+    is what :func:`policy_weight_vector` gets by multiplying one-hot rows
+    into the products.  Every entry is 0.0 or 1.0, so row ``i`` has the bits
+    of ``policy_weight_vector`` of policy ``i``.
     """
     if len(tables) != space.horizon:
         raise StructuralError("need one action table per step")
-    one_hot = np.eye(space.n_actions)
+    actions = np.arange(space.n_actions)
     weights = np.ones((len(tables[0]), 1))
     for h, table in enumerate(tables, start=1):
         expected = (len(weights), space.n_histories(h - 1) * space.n_obs)
@@ -390,7 +412,7 @@ def tree_weight_table(space: ObsActSpace, tables: Sequence[np.ndarray]) -> np.nd
         if table.dtype.kind not in "iu" or table.size and (table.min() < 0 or table.max() >= space.n_actions):
             raise StructuralError(f"action index out of range in tree policy: need integers in [0, {space.n_actions})")
         node_weights = np.repeat(weights, space.n_obs, axis=1)
-        weights = (node_weights[:, :, None] * one_hot[table]).reshape(len(weights), -1)
+        weights = np.where(table[..., None] == actions, node_weights[..., None], 0.0).reshape(len(weights), -1)
     return weights
 
 

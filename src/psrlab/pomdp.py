@@ -153,7 +153,7 @@ class TabularPomdp:
             beliefs[0, self.initial_state] = 1.0
             probs = np.ones(1)
         else:
-            joint = self._forward(h - 1)[0][:, None, :] * self.emission[h - 1].T[None]  # (N, O, S)
+            joint = self.belief_table(h - 1)[:, None, :] * self.emission[h - 1].T[None]  # (N, O, S)
             probs = np.repeat(joint.sum(axis=-1), A)
             beliefs = None
             if h < self.space.horizon:
@@ -163,11 +163,6 @@ class TabularPomdp:
                 table.setflags(write=False)
         self._table_cache[h] = (beliefs, probs)
         return beliefs, probs
-
-    def pre_emission_belief(self, history: History) -> np.ndarray:
-        """Unnormalized distribution of the state after ``history``: its row of :meth:`belief_table`."""
-        history.validate(self.space)
-        return self.belief_table(len(history))[history.lex_index(self.space)]
 
     def exact_traj_prob(self, history: History) -> float:
         """P(history's observations | history's actions): its entry of :meth:`prob_table`."""

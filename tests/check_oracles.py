@@ -162,12 +162,16 @@ def oracle_elliptical_lhs(X, lam, B):
 
 
 def oracle_plan_on_table(space, leaves):
-    """Backward induction by argmax and max over the action axis; returns (action tables, value)."""
+    """Backward induction by argmax and max over the action axis; returns (action tables, value).
+
+    The tables are cast to the smallest unsigned type that holds every action
+    index, the type tree policies store."""
     values = leaves
+    dtype = np.min_scalar_type(space.n_actions - 1)
     choices = []
     for _ in range(space.horizon):
         shaped = values.reshape(-1, space.n_obs, space.n_actions)
-        choices.append(shaped.argmax(axis=2).reshape(-1))  # first max = lowest action
+        choices.append(shaped.argmax(axis=2).reshape(-1).astype(dtype))  # first max = lowest action
         values = shaped.max(axis=2).sum(axis=1)
     choices.reverse()
     return tuple(choices), float(values[0])

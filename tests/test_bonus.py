@@ -75,20 +75,19 @@ def scalar_bonus_setup(alpha):
 
 def test_bonus_alpha_zero_and_clip():
     model, ev0 = scalar_bonus_setup(0.0)
-    traj = History(((0, 0),))
-    assert ev0.bonus(traj) == 0.0
+    idx = History(((0, 0),)).lex_index(model.space)
+    assert ev0.bonus_table()[idx] == 0.0
     _, ev_big = scalar_bonus_setup(1e9)
-    assert ev_big.bonus(traj) == 1.0
+    assert ev_big.bonus_table()[idx] == 1.0
 
 
 def test_bonus_scalar_closed_form():
     model, ev = scalar_bonus_setup(1.0)
-    traj = History(((0, 1),))
-    assert ev.bonus(traj) == pytest.approx(1.0, abs=1e-12)  # min(sqrt(1/1), 1)
+    idx = History(((0, 1),)).lex_index(model.space)
+    assert ev.bonus_table()[idx] == pytest.approx(1.0, abs=1e-12)  # min(sqrt(1/1), 1)
     gram1 = FeatureGram.build(0, 1, 1.0, [np.array([1.0])])
     ev2 = BonusEvaluator((gram1,), 1.0, model)
-    assert ev2.bonus(traj) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-    assert ev2.bonus_table()[traj.lex_index(model.space)] == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert ev2.bonus_table()[idx] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 def test_bonus_monotone_in_data(reference_env, reference_model):
@@ -110,7 +109,6 @@ def test_bonus_degenerate_prefix_is_one():
     grams = tuple(FeatureGram.build(h, model.dims[h], 1.0, ()) for h in range(2))
     ev = BonusEvaluator(grams, 0.001, model)
     dead = History(((1, 0), (0, 0)))
-    assert ev.bonus(dead) == 1.0
     assert ev.bonus_table()[dead.lex_index(env.space)] == 1.0
 
 
@@ -216,7 +214,7 @@ def test_zero_data_bonus_closed_form(reference_model):
 
 def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
     """alpha * sqrt(fsum of per-step gram scores), capped at 1 and 1 on a
-    degenerate prefix, is the oracle for bonus and bonus_table."""
+    degenerate prefix, is the oracle for bonus_table."""
     space = reference_env.space
     dataset = DatasetFamily(space)
     pol = uniform_policy(space)
@@ -239,8 +237,7 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
             else:
                 total = math.fsum(ev.grams[h].score(f) for h, f in enumerate(feats))
                 expected = min(ev.alpha * math.sqrt(max(total, 0.0)), 1.0)
-            assert ev.bonus(traj) == pytest.approx(expected, abs=1e-12)
-            assert table[traj.lex_index(model.space)] == ev.bonus(traj)
+            assert table[traj.lex_index(model.space)] == pytest.approx(expected, abs=1e-12)
     assert 1.0 in evaluators[1].bonus_table()
 
 

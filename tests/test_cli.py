@@ -469,3 +469,12 @@ def test_c_theory_is_read_only_under_auto_params(tmp_path, runner, command, sect
     cfg.write_text(json.dumps(cfg_data))
     result = runner.invoke(main, args + ["--c-theory", "0.02"])
     assert result.exit_code == 2 and "No such option" in result.output and "--c-theory" in result.output
+
+
+@pytest.mark.parametrize("command", ["run-offline", "sweep-offline"])
+def test_offline_delta_is_read_only_under_auto_params(tmp_path, runner, command):
+    """Only the theory formulas read the offline section's ``delta``, so without ``auto_params`` it is an error."""
+    cfg_data = json.loads(json.dumps(OFFLINE_CONFIG))
+    cfg_data["offline"]["delta"] = 0.5
+    line = _one_error_line(runner, tmp_path, command, cfg_data)
+    assert line == "Error: config section 'offline' sets 'delta', which only 'auto_params' reads"

@@ -57,9 +57,6 @@ def test_per_history_lookups_read_the_tables(small_env):
     hist = History(((1, 0), (0, 1)))
     idx = hist.lex_index(small_env.space)
     assert small_env.exact_traj_prob(hist) == small_env.prob_table(2)[idx]
-    assert np.array_equal(small_env.pre_emission_belief(hist), small_env.belief_table(2)[idx])
-    with pytest.raises(StructuralError):
-        small_env.pre_emission_belief(History(((2, 0),)))
     with pytest.raises(StructuralError):
         small_env.exact_traj_prob(History(((0, 5),)))
 

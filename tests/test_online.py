@@ -11,12 +11,13 @@ from psrlab.online import (
     run_psr_ucb,
 )
 from psrlab.policies import (
+    CompositePolicy,
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
     policy_weight_vector,
     uniform_policy,
 )
-from psrlab.pomdp import RewardTable, TabularPomdp, default_psr
+from psrlab.pomdp import RewardTable, TabularPomdp, default_psr, random_revealing
 from psrlab.spaces import History, ObsActSpace
 
 
@@ -213,3 +214,28 @@ def test_returned_dataset_holds_no_selection_record(reference_env, reference_mod
         fresh = constrained_mle(cands, rebuilt, cfg.p_min, beta)
         assert [x.hex() for x in later.log_likelihoods] == [x.hex() for x in fresh.log_likelihoods]
         assert (later.selected_id, later.feasible_ids) == (fresh.selected_id, fresh.feasible_ids)
+
+
+def _tree_tables(policy):
+    """The action tables of the tree policies inside ``policy``."""
+    if isinstance(policy, CompositePolicy):
+        return _tree_tables(policy.prefix) + _tree_tables(policy.suffix)
+    if isinstance(policy, DeterministicTreePolicy):
+        return policy.actions_by_step
+    return ()
+
+
+def test_online_run_retains_one_byte_per_planned_action():
+    """The dataset keeps every greedy policy it explored from, so a run's retained tables grow
+    with its iterations; at one byte per (history, obs) node they hold at most iterations x nodes
+    bytes (eight times that at int64)."""
+    env = random_revealing(1, 2, 3, 2, 5)
+    space = env.space
+    model, _ = default_psr(env)
+    result = run_psr_ucb(env, base_config(max_iterations=20, epsilon=1e-6), make_candidates(env, "include_true"),
+                         model.core_tests)
+    assert len(result.logs) == 20 and not result.terminated
+    tables = {id(t): t for policy in result.dataset.policies.values() for t in _tree_tables(policy)}
+    nodes = sum(space.n_histories(h) * space.n_obs for h in range(space.horizon))
+    assert len(tables) == 19 * space.horizon  # the greedy policies of iterations 1..19
+    assert sum(t.nbytes for t in tables.values()) <= 20 * nodes

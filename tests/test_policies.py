@@ -8,6 +8,7 @@ from psrlab.policies import (
     CompositePolicy,
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
+    action_dtype,
     policy_from_dict,
     policy_weight_vector,
     prefix_weight_tables,
@@ -148,17 +149,59 @@ def test_prefix_weight_tables_equal_per_history_weights():
         assert np.array_equal(tables[-1], policy_weight_vector(policy, space))
 
 
-@pytest.mark.parametrize("bad", [-1, 2])
+@pytest.mark.parametrize("n_actions,dtype", [(1, np.uint8), (2, np.uint8), (256, np.uint8), (257, np.uint16)])
+def test_tree_policies_store_the_smallest_unsigned_action_type(n_actions, dtype):
+    """Checked, planned and random tree policies all hold their tables in one type, the smallest holding A - 1."""
+    space = ObsActSpace(1, n_actions, 1)
+    assert action_dtype(n_actions) == dtype
+    checked = DeterministicTreePolicy(space, (np.array([n_actions - 1]),))
+    planned, _ = plan_on_table(space, np.arange(n_actions, dtype=float))  # the last action is best
+    drawn = random_tree_policy(space, child_seed(n_actions, "storage-type"))
+    for policy in (checked, planned, drawn):
+        (table,) = policy.actions_by_step
+        assert table.dtype == dtype and not table.flags.writeable
+    assert checked.actions_by_step[0].tolist() == planned.actions_by_step[0].tolist() == [n_actions - 1]
+
+
+BAD_TABLES = {
+    "-1": np.array([0, 1, -1, 0, 1, 1, 0, 0]),
+    "2": np.array([0, 1, 2, 0, 1, 1, 0, 0]),
+    "256 as uint16": np.array([0, 1, 256, 0, 1, 1, 0, 0], dtype=np.uint16),  # would wrap to 0 in uint8
+    "300": np.array([0, 1, 300, 0, 1, 1, 0, 0]),
+    "bool": np.array([False, True] * 4),
+    "float": np.array([0.0, 1.0] * 4),
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_TABLES))
 def test_tree_policy_rejects_out_of_range_actions(bad):
-    """The public constructor, the dict loader through it and the stacked weights range-check every table."""
+    """The public constructor, the dict loader through it and the stacked weights check every table's
+    kind and range on the input, before a tree policy converts it to the storage type, where 256 or
+    300 would wrap into range."""
     space = ObsActSpace(2, 2, 2)
-    tables = (np.zeros(2, dtype=np.int64), np.array([0, 1, bad, 0, 1, 1, 0, 0], dtype=np.int64))
-    with pytest.raises(StructuralError, match="out of range"):
+    tables = (np.zeros(2, dtype=np.int64), BAD_TABLES[bad])
+    with pytest.raises(StructuralError, match=r"need integers in \[0, 2\)"):
         DeterministicTreePolicy(space, tables)
-    with pytest.raises(StructuralError, match="out of range"):
+    with pytest.raises(StructuralError, match=r"need integers in \[0, 2\)"):
         tree_weight_table(space, tuple(np.stack([np.zeros_like(t), t]) for t in tables))
-    with pytest.raises(StructuralError, match="out of range"):
+    with pytest.raises(StructuralError, match=r"need integers in \[0, 2\)"):
         policy_from_dict({"type": "deterministic_tree", "actions": [t.tolist() for t in tables]}, space)
+
+
+def test_tree_policy_json_is_unchanged_by_the_storage_type(tmp_path):
+    """``to_dict`` gives plain ints, so a stored policy writes the bytes its int64 tables wrote."""
+    from psrlab.cli import _write_json
+
+    space = ObsActSpace(2, 3, 3)
+    planned, _ = plan_on_table(space, np.random.default_rng(3).random(space.n_trajectories))
+    actions = [[int(a) for a in table] for table in planned.actions_by_step]
+    wide = DeterministicTreePolicy(space, tuple(np.array(table, dtype=np.int64) for table in actions))
+    assert planned.to_dict() == wide.to_dict() == {"type": "deterministic_tree", "actions": actions}
+    assert all(type(a) is int for table in planned.to_dict()["actions"] for a in table)
+    _write_json(tmp_path / "stored.json", planned.to_dict())
+    _write_json(tmp_path / "plain.json", {"type": "deterministic_tree", "actions": actions})
+    assert (tmp_path / "stored.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    assert policy_from_dict(planned.to_dict(), space).to_dict() == planned.to_dict()
 
 
 def test_planner_policies_equal_checked_ones():
@@ -236,7 +279,7 @@ def test_stacked_tree_tables_and_weights_equal_one_policy_at_a_time(name):
         one = random_tree_policy(space, child_seed(s, "stacked-tree"))
         for h in range(space.horizon):
             assert tables[h][s].dtype == drawn[h].dtype and tables[h][s].tobytes() == drawn[h].tobytes()
-            assert one.actions_by_step[h].tobytes() == drawn[h].tobytes()
+            assert one.actions_by_step[h].dtype == np.uint8 and one.actions_by_step[h].tolist() == drawn[h].tolist()
         assert weights[s].tobytes() == policy_weight_vector(DeterministicTreePolicy(space, tuple(drawn)), space).tobytes()
 
 

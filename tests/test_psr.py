@@ -85,7 +85,7 @@ def test_prediction_feature_is_conditional_test_prob(small_env, small_model):
     def oracle(hist, test):
         base = small_env.exact_traj_prob(hist)
         vec = small_env.test_probs([test], len(hist) + 1)[0]
-        belief = small_env.pre_emission_belief(hist)
+        belief = small_env.belief_table(len(hist))[hist.lex_index(small_env.space)]
         return float(vec @ belief) / base
 
     for h in range(small_env.space.horizon):

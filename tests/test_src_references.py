@@ -25,8 +25,6 @@ ALLOWED = {
     "PsrModel.psi": "per-history lookup into the state table (the table is the computation)",
     "PsrModel.seq_prob": "per-history lookup into the probability table",
     "PsrModel.prediction_feature": "per-history lookup into the feature table",
-    "TabularPomdp.pre_emission_belief": "per-history lookup into the belief table",
-    "BonusEvaluator.bonus": "per-trajectory lookup into the bonus table",
     "FeatureGram.condition_number": "kept for the run trace's gram conditioning counter",
 }
 
