@@ -18,7 +18,7 @@ from .policies import (
     UniformActionSeqPolicy,
     uniform_policy,
 )
-from .psr import CoreTestSet, PsrModel, check_self_consistency, gamma, hellinger_sq, tv_distance
+from .psr import CoreTestSet, PsrModel, check_self_consistency, gamma, hellinger_sq, psr_rank, tv_distance
 from .pomdp import (
     GMatrices,
     RewardTable,
@@ -29,7 +29,6 @@ from .pomdp import (
     g_matrices,
     near_tie,
     pomdp_to_psr,
-    psr_rank,
     random_mdp,
     random_revealing,
     tiger,

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateHistory, StructuralError
-from .psr import PsrModel
+from .psr import PsrModel, psr_rank
 from .spaces import _read_only_copy
 
 if TYPE_CHECKING:
@@ -42,7 +42,6 @@ class FeatureGram:
     step: int
     lam: float
     matrix: np.ndarray
-    count: int = 0
     _factor: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
@@ -69,28 +68,21 @@ class FeatureGram:
               counts: np.ndarray | None = None) -> "FeatureGram":
         """Gram from a batch of features, optionally with multiplicities."""
         mat = lam * np.eye(dim)
-        total = 0
         if len(features):
             F = np.asarray(features, dtype=float)
             if counts is None:
                 mat = mat + F.T @ F
-                total = len(F)
             else:
                 mat = mat + (F * counts[:, None]).T @ F
-                total = int(counts.sum())
         mat = 0.5 * (mat + mat.T)
-        return cls(step, lam, mat, total)
-
-    def score(self, x: np.ndarray) -> float:
-        """Mahalanobis score ||x||^2 under the inverse gram."""
-        return float(x @ self._solve(x))
+        return cls(step, lam, mat)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise Mahalanobis scores for a feature matrix."""
+        """Row-wise Mahalanobis scores ||x||^2 under the inverse gram, for a feature matrix."""
         return np.einsum("ij,ji->i", X, self._solve(X.T))
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        """The gram's inverse applied to ``b`` (a vector or a column block)."""
+        """The gram's inverse applied to a column block ``b``."""
         if not np.isfinite(b).all():
             raise StructuralError(f"features scored against the step-{self.step} gram are not finite")
         if b.shape[0] != self.matrix.shape[0]:
@@ -188,9 +180,7 @@ def prefix_grams(model: PsrModel, dataset: "DatasetFamily", lam: float) -> tuple
 # -- executable inequality checks ---------------------------------------------
 
 
-def elliptical_potential_check(
-    vectors: Sequence[np.ndarray], lam: float, B: float, rank_tol: float = 1e-8
-) -> tuple[float, float, bool]:
+def elliptical_potential_check(vectors: Sequence[np.ndarray], lam: float, B: float) -> tuple[float, float, bool]:
     """Summed clipped Mahalanobis scores against the log-det budget.
 
     Uses grams that include the current vector, which only lowers the left
@@ -206,9 +196,7 @@ def elliptical_potential_check(
     solutions = np.linalg.solve(grams, X[:, :, None])
     scores = (X[:, None, :] @ solutions)[:, 0, 0]
     lhs = math.fsum(min(score, B) for score in scores.tolist())
-    svals = np.linalg.svd(X, compute_uv=False)
-    r = int(np.sum(svals > rank_tol * svals[0])) if svals.size and svals[0] > 0 else 0
-    rhs = (1.0 + B) * r * math.log(1.0 + K / lam)
+    rhs = (1.0 + B) * psr_rank(X) * math.log(1.0 + K / lam)
     return lhs, rhs, lhs <= rhs + 1e-9
 
 
@@ -217,7 +205,6 @@ def transfer_score_check(
     y_vectors: Sequence[np.ndarray],
     subset: Sequence[int],
     lam: float,
-    rank_tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """Score-transfer bound between two vector sequences.
 
@@ -234,11 +221,7 @@ def transfer_score_check(
         raise StructuralError("subset index out of range")
     A = lam * np.eye(X.shape[1]) + sum(np.outer(X[j], X[j]) for j in subset)
     Bm = lam * np.eye(X.shape[1]) + sum(np.outer(Y[j], Y[j]) for j in subset)
-    def _rank(M: np.ndarray) -> int:
-        svals = np.linalg.svd(M, compute_uv=False)
-        return int(np.sum(svals > rank_tol * svals[0])) if svals.size and svals[0] > 0 else 0
-
-    r = max(_rank(X), _rank(Y))
+    r = max(psr_rank(X), psr_rank(Y))
     drift = math.sqrt(math.fsum(float(np.dot(X[j] - Y[j], X[j] - Y[j])) for j in subset))
     lhs = np.sqrt(np.einsum("ij,ji->i", X, np.linalg.solve(A, X.T)))
     y_scores = np.sqrt(np.einsum("ij,ji->i", Y, np.linalg.solve(Bm, Y.T)))

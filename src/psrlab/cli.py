@@ -31,7 +31,8 @@ from .offline import (
 from .online import OnlineConfig, evaluate_output, run_psr_ucb
 from .planner import plan_on_table
 from .policies import policy_from_dict, uniform_policy
-from .pomdp import BUILTIN_ENVS, TabularPomdp, default_psr, dynamics_matrix, pomdp_from_dict, psr_rank
+from .pomdp import BUILTIN_ENVS, TabularPomdp, default_psr, dynamics_matrix, pomdp_from_dict
+from .psr import psr_rank
 from .theory import EnvSummary, resolve_theory_params
 from .verify import SUITES, Report, verify
 
@@ -63,7 +64,7 @@ _SECTION_KEYS = {
 }
 # The keys only the ``auto_params`` theory formulas read; a section setting one without it is a mistake.
 # The online section's ``delta`` is also an ``OnlineConfig`` field, so it stays allowed there.
-_THEORY_KEYS = {"online": ("c_theory",), "offline": ("c_theory", "delta")}
+_THEORY_KEYS = {"online": ("c_theory",), "offline": ("c_theory", "delta", "coverage")}
 
 
 def _require(config: dict, key: str) -> object:

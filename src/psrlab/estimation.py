@@ -18,10 +18,10 @@ A dataset's columns are append-only: entries enter only through
 indices and policy weights the samplers drew.  So the
 dataset keeps a running selection record for the last candidate set (by
 identity) and ``p_min`` it was selected with, and :func:`constrained_mle`
-reads only the entries added since its last call.  The record's sums keep
-the bits of one fresh pass: each candidate's log probabilities add left to
-right in bucket-then-insertion order, and the log policy weights add
-pairwise as one vector.
+takes each entry's logs only once.  Every call still sums all of them, so
+the record's sums keep the bits of one fresh pass: each candidate's log
+probabilities add left to right in bucket-then-insertion order, and the log
+policy weights add pairwise as one vector.
 """
 
 from __future__ import annotations
@@ -199,25 +199,22 @@ def make_candidates(
     the truth).  All members share the truth's core-test structure, the
     window of ``default_psr``, so their features are comparable.
     """
-    g_true = default_psr(env)[1]
-    models: list[PsrModel] = []
-    labels: list[str] = []
+    if mode not in ("include_true", "dithered", "grid"):
+        raise StructuralError(f"unknown candidate mode {mode!r}")
+    true_model, g_true = default_psr(env)
+    members = [(true_model, "true")] if include_true or mode == "include_true" else []
 
-    def _add(pomdp: TabularPomdp, label: str) -> bool:
+    def _add(transition: np.ndarray, emission: np.ndarray, label: str) -> bool:
+        pomdp = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
         try:
             model = pomdp_to_psr(pomdp, g=g_matrices(pomdp, g_true.m))
         except (StructuralError, SingularCoreTests):
             return False
-        models.append(model)
-        labels.append(label)
+        members.append((model, label))
         return True
 
-    if mode == "include_true":
-        _add(env, "true")
-    elif mode == "dithered":
+    if mode == "dithered":
         e_scale = scale if emission_scale is None else emission_scale
-        if include_true:
-            _add(env, "true")
         made = 0
         attempt = 0
         while made < n:
@@ -229,25 +226,16 @@ def make_candidates(
             if env.transition.size and scale > 0:
                 transition = _perturbed_rows(env.transition, scale, rng)
             emission = _perturbed_rows(env.emission, e_scale, rng) if e_scale > 0 else env.emission
-            cand = TabularPomdp(
-                env.n_states, env.space, transition, emission, env.initial_state, env.reward
-            )
-            if _add(cand, f"perturbed(seed={seed},i={attempt - 1})"):
+            if _add(transition, emission, f"perturbed(seed={seed},i={attempt - 1})"):
                 made += 1
     elif mode == "grid":
-        if include_true:
-            _add(env, "true")
         for idx, (transition, emission) in enumerate(_grid_tables(env, eps_grid)):
-            cand = TabularPomdp(
-                env.n_states, env.space, transition, emission, env.initial_state, env.reward
-            )
-            _add(cand, f"grid({idx})")
-    else:
-        raise StructuralError(f"unknown candidate mode {mode!r}")
+            _add(transition, emission, f"grid({idx})")
 
-    if not models:
+    if not members:
         raise EmptyFeasibleSet("candidate generation produced no valid models")
-    return CandidateSet(tuple(models), tuple(labels))
+    models, labels = zip(*members)
+    return CandidateSet(models, labels)
 
 
 def _simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:
@@ -315,14 +303,11 @@ class _SelectionRecord:
     C-ordered ``(n_entries, n_models)`` buffers, and its log policy weight
     into a per-bucket vector.
 
-    The sums keep the bits of one pass over the whole dataset.  For a stack
-    of models, that pass adds each model's log probabilities left to right
-    in bucket-then-insertion order: a reduction over the outer axis of
-    C-ordered rows.  Bucket 0 comes first, so its running sum is carried
-    from call to call, and the later buckets are added to it again on every
-    call.  It starts at +0.0, which adds exactly, since a log is never -0.0.
-    A stack of one model sums pairwise instead, so it carries nothing.  The
-    log weights add pairwise as one vector.
+    The sums keep the bits of one pass over the whole dataset: every call
+    sums all buckets' buffered rows, in bucket-then-insertion order, over
+    the outer axis.  For a stack of models that reduction adds each model's
+    log probabilities left to right; for a stack of one it is pairwise, as
+    that pass's is.  The log weights add pairwise as one vector.
     """
 
     def __init__(self, key: object, p_min: float, n_models: int, horizon: int) -> None:
@@ -332,7 +317,6 @@ class _SelectionRecord:
         self.stable = np.ones(n_models, dtype=bool)
         self.log_probs = [np.empty((0, n_models)) for _ in range(horizon)]
         self.log_weights = [np.empty(0) for _ in range(horizon)]
-        self.head = np.zeros((1, n_models)) if n_models > 1 else None  # bucket 0's running sum
 
     def read(self, prob_table: Callable[[int], np.ndarray], dataset: DatasetFamily) -> tuple[np.ndarray, np.ndarray]:
         """Stability flags and log-likelihoods of the models over the whole dataset.
@@ -356,22 +340,14 @@ class _SelectionRecord:
                 prefix_probs = prob_table(h).take(cols.prefix[start:], axis=1) * np.frombuffer(cols.prefix_weight[start:])
                 self.stable &= ~(prefix_probs < self.p_min).any(axis=1)
                 probs = prob_table(horizon).take(cols.trajectory[start:], axis=1).T
-                if h == 0 and self.head is not None:
-                    rows = np.empty((1 + len(probs), probs.shape[1]))
-                    rows[0] = self.head
-                    np.log(probs, out=rows[1:])
-                    self.head = rows.sum(axis=0, keepdims=True)
-                else:
-                    self.log_probs[h] = _reserved(self.log_probs[h], start, stop)
-                    np.log(probs, out=self.log_probs[h][start:stop])
+                self.log_probs[h] = _reserved(self.log_probs[h], start, stop)
+                np.log(probs, out=self.log_probs[h][start:stop])
                 self.log_weights[h] = _reserved(self.log_weights[h], start, stop)
                 np.log(np.frombuffer(cols.full_weight[start:]), out=self.log_weights[h][start:stop])
                 self.consumed[h] = stop
-        rows = [buffer[:used] for buffer, used in zip(self.log_probs, self.consumed)]
-        if self.head is not None:
-            rows[0] = self.head
+        rows = np.concatenate([buffer[:used] for buffer, used in zip(self.log_probs, self.consumed)])
         weights = np.concatenate([buffer[:used] for buffer, used in zip(self.log_weights, self.consumed)])
-        logliks = np.concatenate(rows).sum(axis=0) + weights.sum()
+        logliks = rows.sum(axis=0) + weights.sum()
         logliks[np.isnan(logliks)] = NEG_INF
         return self.stable.copy(), logliks
 

@@ -143,8 +143,6 @@ def coverage_coefficient(env: TabularPomdp, target: Policy, behavior: Policy) ->
 class OfflineResult:
     policy: DeterministicTreePolicy
     model: PsrModel
-    model_id: int
-    feasible_size: int
     pessimistic_value: float
     evaluator: BonusEvaluator
 
@@ -158,14 +156,7 @@ def run_psr_lcb(dataset: DatasetFamily, candidates: CandidateSet, config: Offlin
     probs = mle.model.prob_table(space.horizon)
     leaves = probs * (reward_leaves - evaluator.bonus_table())
     policy, value = plan_on_table(space, leaves)
-    return OfflineResult(
-        policy,
-        mle.model,
-        mle.selected_id,
-        len(mle.feasible_ids),
-        float(value),
-        evaluator,
-    )
+    return OfflineResult(policy, mle.model, float(value), evaluator)
 
 
 def offline_gap(

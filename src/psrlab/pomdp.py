@@ -39,6 +39,7 @@ from .spaces import Future, History, ObsActSpace, _read_only_copy
 ROW_SUM_TOL = 1e-12
 PINV_RCOND = 1e-10
 MAX_CONDITION = 1e10
+ALPHA_FLOOR = 1e-8  # a window whose decodability value is at most this is not numerically sound
 
 
 @dataclass(frozen=True)
@@ -173,25 +174,24 @@ class TabularPomdp:
         """P(test obs | state at ``state_step`` = s, test actions): one row per test, one column per s.
 
         ``state_step`` is the 1-based step at which each test's first
-        observation is emitted (``test.start_step + 1``).  Tests of one length
-        are walked backwards together, one stacked matrix-vector product per
-        step: ``v <- emission * (T[a] @ v)``.
+        observation is emitted (``test.start_step + 1``).  The tests share
+        one length and are walked backwards together, one stacked
+        matrix-vector product per step: ``v <- emission * (T[a] @ v)``.
         """
-        out = np.ones((len(tests), self.n_states))  # an empty test has probability 1
-        lengths = [len(t) for t in tests]
-        for length in set(lengths) - {0}:
-            rows = [i for i, n in enumerate(lengths) if n == length]
-            if not 1 <= state_step <= self.space.horizon - length + 1:
-                raise StructuralError(f"a {length}-step test from step {state_step} runs past the horizon")
-            obs = np.array([tests[i].obs for i in rows])
-            acts = np.array([tests[i].acts[: length - 1] for i in rows]).reshape(len(rows), length - 1)
-            v = self.emission[state_step + length - 2][:, obs[:, -1]].T
-            for j in range(length - 2, -1, -1):
-                step = state_step + j
-                moved = (self.transition[step - 1][acts[:, j]] @ v[:, :, None])[:, :, 0]
-                v = self.emission[step - 1][:, obs[:, j]].T * moved
-            out[rows] = v
-        return out
+        lengths = {len(t) for t in tests}
+        if len(lengths) != 1 or 0 in lengths:
+            raise StructuralError(f"tests must share one positive length, got lengths {sorted(lengths)}")
+        (length,) = lengths
+        if not 1 <= state_step <= self.space.horizon - length + 1:
+            raise StructuralError(f"a {length}-step test from step {state_step} runs past the horizon")
+        obs = np.array([t.obs for t in tests])
+        acts = np.array([t.acts[: length - 1] for t in tests]).reshape(len(tests), length - 1)
+        v = self.emission[state_step + length - 2].T[obs[:, -1]]
+        for j in range(length - 2, -1, -1):
+            step = state_step + j
+            moved = (self.transition[step - 1][acts[:, j]] @ v[:, :, None])[:, :, 0]
+            v = self.emission[step - 1].T[obs[:, j]] * moved
+        return v
 
     # -- sampling -----------------------------------------------------------
 
@@ -318,16 +318,6 @@ def dynamics_matrix(pomdp: TabularPomdp, h: int) -> np.ndarray:
     return pomdp.prob_table(pomdp.space.horizon).reshape(pomdp.space.n_histories(h), -1)
 
 
-def psr_rank(matrix: np.ndarray, tol: float = 1e-8) -> int:
-    """Number of singular values above ``tol`` times the largest one."""
-    if matrix.size == 0:
-        return 0
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > tol * svals[0]))
-
-
 # -- m-step emission-action matrices ----------------------------------------
 
 
@@ -441,13 +431,13 @@ def pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     return PsrModel(space, core, psi0, tuple(M), tuple(phi))
 
 
-def default_psr(pomdp: TabularPomdp, alpha_floor: float = 1e-8) -> tuple[PsrModel, GMatrices]:
-    """PSR via the smallest decodability window that is numerically sound."""
+def default_psr(pomdp: TabularPomdp) -> tuple[PsrModel, GMatrices]:
+    """PSR via the smallest window whose decodability value exceeds ``ALPHA_FLOOR``."""
     last_alpha = 0.0
     for m in range(1, pomdp.space.horizon + 1):
         g = g_matrices(pomdp, m)
         last_alpha = decodability_alpha(g)
-        if last_alpha > alpha_floor:
+        if last_alpha > ALPHA_FLOOR:
             return pomdp_to_psr(pomdp, g=g), g
     raise SingularCoreTests(f"no decodable window up to m=H (best alpha {last_alpha:.3g})")
 

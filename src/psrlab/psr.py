@@ -7,8 +7,8 @@ closing vector applied to that state.  Prediction features are the state
 normalized by its probability, one coordinate per core test.
 
 States, probabilities and features are cached per-depth tables over all
-histories in lexicographic order; ``psi``, ``seq_prob`` and
-``prediction_feature`` are lookups into them.  Distances are exact sums over
+histories in lexicographic order; a history's entry is the row at its
+:meth:`~psrlab.spaces.History.lex_index`.  Distances are exact sums over
 the full trajectory tree (exponential in the horizon; the space cap bounds
 the blow-up) accumulated with compensated summation, and the identity checks
 compare whole tables one depth at a time, stepping them with
@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateHistory, StructuralError
+from .errors import StructuralError
 from .policies import Policy, policy_weight_vector
-from .spaces import Future, History, ObsActSpace, _read_only_copy
+from .spaces import Future, ObsActSpace, _read_only_copy
 
 PSI_GUARD = 1e-12
+RANK_TOL = 1e-8  # singular values at most this fraction of the largest count as zero
 
 
 @dataclass(frozen=True)
@@ -128,42 +129,20 @@ class PsrModel:
     def max_dim(self) -> int:
         return max(self.dims[:-1])
 
-    # -- per-history lookups into the tables --------------------------------
-
-    def psi(self, history: History) -> np.ndarray:
-        """State vector of a history (joint core-test probabilities); read-only."""
-        history.validate(self.space)
-        return self.state_table(len(history))[history.lex_index(self.space)]
-
-    def seq_prob(self, history: History) -> float:
-        """Probability of the history's observations given its actions."""
-        history.validate(self.space)
-        return float(self.prob_table(len(history))[history.lex_index(self.space)])
-
-    def prediction_feature(self, history: History) -> np.ndarray:
-        """Normalized state; coordinate ℓ is the probability of core test ℓ."""
-        history.validate(self.space)
-        psis, probs = self._tables(len(history))
-        idx = history.lex_index(self.space)
-        p = float(probs[idx])
-        if p <= PSI_GUARD:
-            raise DegenerateHistory(f"history has probability {p:.3g} <= {PSI_GUARD:.3g}")
-        return psis[idx] / p
-
     # -- tables over the trajectory tree (lexicographic order) ---------------
 
     def state_table(self, h: int) -> np.ndarray:
-        """psi of all length-``h`` histories, lexicographically ordered; read-only."""
+        """State vectors (joint core-test probabilities) of all length-``h`` histories, lexicographically ordered; read-only."""
         return self._tables(h)[0]
 
     def prob_table(self, h: int) -> np.ndarray:
-        """seq_prob of all length-``h`` histories, lexicographically ordered."""
+        """P(observations | actions) of all length-``h`` histories, lexicographically ordered."""
         if h == 0:
             return np.ones(1)
         return self._tables(h)[1]
 
     def feature_table(self, h: int) -> np.ndarray:
-        """Prediction features of all length-``h`` histories, cached read-only; NaN rows where degenerate."""
+        """Prediction features (state over probability) of all length-``h`` histories, cached read-only; NaN rows where degenerate."""
         out = self._feature_cache.get(h)
         if out is None:
             psis, probs = self._tables(h)
@@ -346,6 +325,14 @@ def conditional_update_violation(model: PsrModel) -> float:
         live = (probs > PSI_GUARD) & (next_probs > PSI_GUARD)
         worst = max(worst, float(np.fmax.reduce(gaps[live], initial=0.0)))  # fmax skips NaN rows, as max() did
     return worst
+
+
+def psr_rank(matrix: np.ndarray) -> int:
+    """Numerical rank: the number of singular values above ``RANK_TOL`` times the largest one."""
+    if matrix.size == 0:
+        return 0
+    svals = np.linalg.svd(matrix, compute_uv=False)
+    return int(np.sum(svals > RANK_TOL * svals[0]))
 
 
 def forward_step(ops: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -81,19 +81,6 @@ class History:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def obs(self) -> tuple[int, ...]:
-        return tuple(o for o, _ in self.steps)
-
-    @property
-    def actions(self) -> tuple[int, ...]:
-        return tuple(a for _, a in self.steps)
-
-    def prefix(self, h: int) -> "History":
-        if not 0 <= h <= len(self.steps):
-            raise StructuralError(f"prefix length {h} outside [0, {len(self.steps)}]")
-        return History(self.steps[:h])
-
     def extend(self, obs: int, action: int) -> "History":
         return History(self.steps + ((obs, action),))
 

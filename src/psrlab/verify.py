@@ -24,6 +24,7 @@ from .errors import DegenerateHistory, StructuralError
 from .estimation import (
     DatasetFamily,
     _one_model,
+    _perturbed_rows,
     conditional_tv_diagnostic,
     constrained_mle,
     make_candidates,
@@ -43,7 +44,6 @@ from .pomdp import (
     TabularPomdp,
     default_psr,
     dynamics_matrix,
-    psr_rank,
     random_mdp,
     random_revealing,
     tiger,
@@ -56,6 +56,7 @@ from .psr import (
     forward_step,
     gamma,
     hellinger_sq,
+    psr_rank,
     terminal_anchor_violation,
     tv_distance,
 )
@@ -63,6 +64,9 @@ from .seeding import child_seed, child_seeds, rng_for
 from .spaces import History, enumerate_histories
 
 Z_99 = 2.5758293035489004
+DELTA = 0.05  # nominal violation level of the Monte-Carlo and confidence-bound suites
+CORE_SEEDS = 4  # random policies, and dithered model pairs, per core-identity check
+POLICIES_PER_RUN = 50  # random tree policies whose values each ucb-validity run bounds
 
 # Runs (or collections) whose seeded draws are made as one block.  Drawing
 # and weighing a block of 4 x 50 ucb-validity tree policies peaks near
@@ -70,8 +74,8 @@ Z_99 = 2.5758293035489004
 DRAW_BLOCK = 4
 
 
-def wilson_slack(delta: float, n: int, z: float = Z_99) -> float:
-    return z * math.sqrt(delta * (1.0 - delta) / n)
+def wilson_slack(delta: float, n: int) -> float:
+    return Z_99 * math.sqrt(delta * (1.0 - delta) / n)
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,7 @@ def brute_force_test_cond_prob(env: TabularPomdp, history: History, obs: tuple[i
 # -- deterministic suite -------------------------------------------------------
 
 
-def run_core_identities(report: Report, seeds: int = 4) -> None:
+def run_core_identities(report: Report) -> None:
     suite = "core-identities"
     for name, env in small_builtin_envs():
         model, g = default_psr(env)
@@ -184,7 +188,7 @@ def run_core_identities(report: Report, seeds: int = 4) -> None:
             psr_rank(dynamics_matrix(env, h)) <= env.n_states for h in range(env.space.horizon)
         )
         report.add(CheckResult(suite, f"rank-bound[{name}]", ranks_ok, "rank(D_h) <= S"))
-        policy_seeds = [child_seed(s, "total-prob") for s in range(seeds)]
+        policy_seeds = [child_seed(s, "total-prob") for s in range(CORE_SEEDS)]
         weights = tree_weight_table(env.space, random_tree_tables(env.space, policy_seeds))
         probs = model.prob_table(env.space.horizon)
         total_ok = all(abs(float(np.dot(w, probs)) - 1.0) <= 1e-9 for w in weights)
@@ -236,7 +240,7 @@ def run_core_identities(report: Report, seeds: int = 4) -> None:
     # here differ only in transitions.
     ok = True
     detail = ""
-    for s in range(seeds):
+    for s in range(CORE_SEEDS):
         other_env = _transition_dithered(env, seed=100 + s, scale=0.3)
         other, _ = default_psr(other_env)
         pol = random_tree_policy(env.space, child_seed(s, "a1-policy"))
@@ -263,9 +267,7 @@ def run_core_identities(report: Report, seeds: int = 4) -> None:
 
 def _transition_dithered(env: TabularPomdp, seed: int, scale: float) -> TabularPomdp:
     """Copy of the environment with perturbed transitions and intact emissions."""
-    rng = rng_for(seed, "transition-dither")
-    noisy = env.transition * np.exp(scale * rng.standard_normal(env.transition.shape))
-    noisy = noisy / noisy.sum(axis=-1, keepdims=True)
+    noisy = _perturbed_rows(env.transition, scale, rng_for(seed, "transition-dither"))
     return TabularPomdp(env.n_states, env.space, noisy, env.emission, env.initial_state, env.reward)
 
 
@@ -408,15 +410,15 @@ def _prefix_loglik(model: PsrModel, dataset: DatasetFamily) -> float:
     return math.fsum(terms)
 
 
-def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> None:
+def run_mle_events(report: Report, seeds: int = 200) -> None:
     suite = "mle-events"
     env = reference_env()
     true_model, _ = default_psr(env)
     cands = make_candidates(env, "dithered", seed=77, n=8, scale=0.08)
     n_rounds = 12
     n_cands = len(cands)
-    log_term = math.log(n_rounds * n_cands / delta)
-    p_min = delta / (n_rounds * env.space.horizon * float(env.space.pair_count) ** env.space.horizon)
+    log_term = math.log(n_rounds * n_cands / DELTA)
+    p_min = DELTA / (n_rounds * env.space.horizon * float(env.space.pair_count) ** env.space.horizon)
     viol = {"loglik-margin": 0, "conditional-tv": 0, "hellinger": 0, "p-min-feasible": 0}
     explorers = _uniform_explorers(true_model.core_tests)
     # Neither a candidate nor a step's exploration policy changes across seeds,
@@ -453,7 +455,7 @@ def run_mle_events(report: Report, seeds: int = 200, delta: float = 0.05) -> Non
         viol["conditional-tv"] += 0 if cond_ok else 1
         viol["hellinger"] += 0 if hell_ok else 1
         viol["p-min-feasible"] += 0 if stable_true else 1
-    allowed = delta + wilson_slack(delta, seeds)
+    allowed = DELTA + wilson_slack(DELTA, seeds)
     for name, count in viol.items():
         rate = count / seeds
         report.add(
@@ -529,13 +531,7 @@ def _bound_holds(
     return True
 
 
-def run_validity_checks(
-    report: Report,
-    runs: int = 100,
-    policies_per_run: int = 50,
-    delta: float = 0.05,
-    params: dict | None = None,
-) -> None:
+def run_validity_checks(report: Report, runs: int = 100, params: dict | None = None) -> None:
     suite = "ucb-validity"
     env = reference_env()
     true_model, _ = default_psr(env)
@@ -548,11 +544,11 @@ def run_validity_checks(
     true_rewards = true_table * reward_leaves
 
     online_viol = 0
-    for s, weights in enumerate(_tree_policy_weights(space, range(runs), policies_per_run)):
+    for s, weights in enumerate(_tree_policy_weights(space, range(runs), POLICIES_PER_RUN)):
         model, evaluator = _validity_run_online(child_seed(s, "validity-online"), env, true_model, cands, params)
         if not _bound_holds(model, evaluator, true_rewards, reward_leaves, weights):
             online_viol += 1
-    allowed = delta + wilson_slack(delta, runs)
+    allowed = DELTA + wilson_slack(DELTA, runs)
     rate = online_viol / runs
     report.add(
         CheckResult(
@@ -567,7 +563,7 @@ def run_validity_checks(
 
     behavior = uniform_policy(space)
     offline_viol = 0
-    for s, weights in enumerate(_tree_policy_weights(space, range(10_000, 10_000 + runs), policies_per_run)):
+    for s, weights in enumerate(_tree_policy_weights(space, range(10_000, 10_000 + runs), POLICIES_PER_RUN)):
         ds = collect_offline(env, behavior, 60, child_seed(s, "validity-offline"))
         cfg = OfflineConfig(
             p_min=params["p_min"],
@@ -612,7 +608,7 @@ def run_validity_checks(
             true_side += float(np.dot(marg, np.sqrt(np.maximum(true_scores, 0.0))))
         lhs = float(np.dot(w * true_table, np.sqrt(np.maximum(scores, 0.0))))
         n_cands = len(cands)
-        beta_stat = 31.0 * math.log(10 * n_cands / delta)
+        beta_stat = 31.0 * math.log(10 * n_cands / DELTA)
         q_a = true_model.core_tests.max_action_seqs
         drift = tv_distance(true_model, mle.model, pol)
         rhs = (
@@ -621,7 +617,7 @@ def run_validity_checks(
         if lhs > rhs + 1e-9:
             bonus_viol += 1
     rate = bonus_viol / bonus_runs
-    allowed_b = delta + wilson_slack(delta, bonus_runs)
+    allowed_b = DELTA + wilson_slack(DELTA, bonus_runs)
     report.add(
         CheckResult(
             suite,

@@ -31,6 +31,7 @@ import numpy as np
 import scipy.linalg
 
 from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight
+from pomdp_oracles import psi
 from psrlab.errors import DegenerateHistory
 from psrlab.estimation import DatasetFamily, _one_model
 from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
@@ -50,7 +51,7 @@ def oracle_estimation_error_bound(model_hat, model, policy):
         for h in range(1, space.horizon + 1):
             o, a = traj.steps[h - 1]
             delta = model_hat.M[h - 1][o, a] - model.M[h - 1][o, a]
-            v = delta @ model.psi(traj.prefix(h - 1))
+            v = delta @ psi(model, History(traj.steps[:h - 1]))
             for j, (o2, a2) in enumerate(traj.steps[h:], start=h + 1):
                 v = model_hat.M[j - 1][o2, a2] @ v
             terms.append(weights[idx] * abs(float(model_hat.phi[space.horizon] @ v)))
@@ -241,10 +242,10 @@ def oracle_conditional_tv_diagnostic(model_a, model_b, policies, buckets):
     for h, bucket in enumerate(buckets):
         if not bucket:
             continue
-        prefix = np.array([entry.trajectory.prefix(h).lex_index(space) for entry in bucket], dtype=np.int64)
+        prefix = np.array([History(entry.trajectory.steps[:h]).lex_index(space) for entry in bucket], dtype=np.int64)
         pa = model_a.prob_table(h)[prefix]
         pb = model_b.prob_table(h)[prefix]
-        wp = np.array([oracle_policy_weight(policies[entry.policy_id], entry.trajectory.prefix(h)) for entry in bucket])
+        wp = np.array([oracle_policy_weight(policies[entry.policy_id], History(entry.trajectory.steps[:h])) for entry in bucket])
         if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
             raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
         reps = space.pair_count ** (space.horizon - h)

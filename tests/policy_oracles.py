@@ -38,7 +38,7 @@ def oracle_action_probs(policy, history, obs):
     pos = len(history) - (policy.start_step - 1)
     if pos < 0:
         raise StructuralError(f"queried step {len(history) + 1} before start step {policy.start_step}")
-    taken = history.actions[policy.start_step - 1 :]
+    taken = tuple(a for _, a in history.steps[policy.start_step - 1 :])
     probs = np.zeros(policy.n_actions)
     total = 0.0
     for seq in policy.sequences:
@@ -61,7 +61,7 @@ def oracle_action_probs(policy, history, obs):
 def oracle_policy_weight(policy, history):
     weight = 1.0
     for j, (o, a) in enumerate(history.steps):
-        weight *= float(oracle_action_probs(policy, history.prefix(j), o)[a])
+        weight *= float(oracle_action_probs(policy, History(history.steps[:j]), o)[a])
         if weight == 0.0:
             return 0.0
     return weight
@@ -69,7 +69,7 @@ def oracle_policy_weight(policy, history):
 
 def oracle_record(policy, space, history):
     """The lex index and policy weight of each prefix of ``history``, depth 0..len, as the samplers return them."""
-    prefixes = [history.prefix(h) for h in range(len(history) + 1)]
+    prefixes = [History(history.steps[:h]) for h in range(len(history) + 1)]
     return [p.lex_index(space) for p in prefixes], [oracle_policy_weight(policy, p) for p in prefixes]
 
 

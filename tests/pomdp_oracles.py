@@ -7,15 +7,41 @@ cell at a time, and the coverage coefficient enumerating every history.
 Tests compare the tables against them bit for bit.  The full futures (tests
 that run to the horizon, one action per observation) index the dynamics
 matrix's columns; the package itself only builds window tests.
+
+:func:`psi`, :func:`seq_prob` and :func:`prediction_feature` read one
+history's row of a model's state, probability and feature tables at its
+lex index, as the model's per-history accessors did; the package itself
+reads only whole tables and rows gathered at recorded lex indices.
 """
 
 import math
 
 import numpy as np
 
-from psrlab.errors import StructuralError
+from psrlab.errors import DegenerateHistory, StructuralError
 from policy_oracles import oracle_policy_weight
 from psrlab.spaces import Future, History, enumerate_histories
+
+
+def psi(model, history):
+    """The history's state vector: its row of ``model.state_table``, read-only."""
+    history.validate(model.space)
+    return model.state_table(len(history))[history.lex_index(model.space)]
+
+
+def seq_prob(model, history):
+    """P(the history's observations | its actions) under ``model``: its entry of ``model.prob_table``."""
+    history.validate(model.space)
+    return float(model.prob_table(len(history))[history.lex_index(model.space)])
+
+
+def prediction_feature(model, history):
+    """The history's row of ``model.feature_table``; a degenerate (NaN) row raises ``DegenerateHistory``."""
+    history.validate(model.space)
+    feature = model.feature_table(len(history))[history.lex_index(model.space)]
+    if np.isnan(feature).any():
+        raise DegenerateHistory(f"history of length {len(history)} has probability at most the guard")
+    return feature
 
 
 def future_from_lex(space, start_step, index):

@@ -19,6 +19,8 @@ from psrlab.pomdp import default_psr, near_tie, random_revealing
 from psrlab.psr import check_self_consistency
 from psrlab.spaces import enumerate_histories
 from psrlab.verify import (
+    DELTA,
+    POLICIES_PER_RUN,
     Report,
     brute_force_test_cond_prob,
     run_lemma_checks,
@@ -124,8 +126,9 @@ def test_criterion_04_deterministic_lemma_suite():
 
 
 def test_criterion_05_mle_event_frequencies():
+    assert DELTA == 0.05
     report = Report()
-    run_mle_events(report, seeds=200, delta=0.05)
+    run_mle_events(report, seeds=200)
     bad = [r for r in report.results if not r.passed]
     rates = ", ".join(f"{r.name}={r.violation_rate:.3f}" for r in report.results)
     allowed = report.results[0].allowed_rate
@@ -133,8 +136,9 @@ def test_criterion_05_mle_event_frequencies():
 
 
 def test_criterion_06_confidence_bound_validity():
+    assert (DELTA, POLICIES_PER_RUN) == (0.05, 50)
     report = Report()
-    run_validity_checks(report, runs=100, policies_per_run=50, delta=0.05)
+    run_validity_checks(report, runs=100)
     named = {r.name: r for r in report.results}
     online = named["online-ucb-valid"]
     offline = named["offline-lcb-valid"]

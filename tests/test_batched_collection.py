@@ -179,7 +179,7 @@ def test_sample_episodes_match_sample_episode(name, env):
         for i, seed in enumerate(seeds):
             one_lex, one_weights = env.sample_episode(policy, seed)
             trajectory = history_from_lex(space, space.horizon, one_lex[-1])
-            want = [trajectory.prefix(h) for h in range(space.horizon + 1)]
+            want = [History(trajectory.steps[:h]) for h in range(space.horizon + 1)]
             assert lex[:, i].tolist() == one_lex == [p.lex_index(space) for p in want], kind
             oracle = [oracle_policy_weight(policy, p) for p in want]
             assert hexed(weights[:, i]) == hexed(one_weights) == hexed(oracle), kind

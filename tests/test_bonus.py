@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_single_state_env
 from policy_oracles import add_drawn, add_history
+from pomdp_oracles import prediction_feature
 from psrlab.bonus import (
     BonusEvaluator,
     FeatureGram,
@@ -25,15 +26,14 @@ from psrlab.spaces import History, enumerate_histories, history_from_lex
 def test_fresh_gram_score_is_euclidean():
     gram = FeatureGram.build(0, 3, 1.0, ())
     x = np.array([0.3, -0.2, 0.9])
-    assert gram.score(x) == pytest.approx(float(x @ x), abs=1e-12)
+    assert gram.scores(x[None])[0] == pytest.approx(float(x @ x), abs=1e-12)
 
 
 def test_build_unit_vector_closed_form():
     e1 = np.array([1.0, 0.0])
     gram = FeatureGram.build(0, 2, 1.0, [e1])
-    assert gram.score(e1) == pytest.approx(0.5, abs=1e-12)
-    assert gram.count == 1
-    assert FeatureGram.build(0, 2, 1.0, []).score(e1) == pytest.approx(1.0, abs=1e-12)
+    assert gram.scores(e1[None])[0] == pytest.approx(0.5, abs=1e-12)
+    assert FeatureGram.build(0, 2, 1.0, []).scores(e1[None])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_matrix_cannot_be_written_under_its_cached_factor():
@@ -41,12 +41,12 @@ def test_gram_matrix_cannot_be_written_under_its_cached_factor():
     g = FeatureGram.build(0, 2, 1.0, np.zeros((0, 2)))
     with pytest.raises(ValueError):
         g.matrix[:] = 100 * np.eye(2)
-    assert g.score(np.array([1.0, 0.0])) == 1.0
+    assert g.scores(np.array([[1.0, 0.0]]))[0] == 1.0
     source = 2.0 * np.eye(2)
     direct = FeatureGram(1, 1.0, source)
     source[:] = 100 * np.eye(2)
     assert direct.matrix.tolist() == [[2.0, 0.0], [0.0, 2.0]]
-    assert direct.score(np.array([1.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
+    assert direct.scores(np.array([[1.0, 0.0]]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_build_matches_direct_solve():
@@ -56,9 +56,9 @@ def test_build_matches_direct_solve():
     counted = FeatureGram.build(0, 4, 0.7, feats[:50], np.full(50, 2))
     x = rng.standard_normal(4)
     direct = float(x @ np.linalg.solve(0.7 * np.eye(4) + feats.T @ feats, x))
-    assert gram.score(x) == pytest.approx(direct, abs=1e-8)
+    assert gram.scores(x[None])[0] == pytest.approx(direct, abs=1e-8)
     twice = float(x @ np.linalg.solve(0.7 * np.eye(4) + 2.0 * feats[:50].T @ feats[:50], x))
-    assert counted.score(x) == pytest.approx(twice, abs=1e-8) and counted.count == 100
+    assert counted.scores(x[None])[0] == pytest.approx(twice, abs=1e-8)
 
 
 def test_gram_rejects_tiny_lambda():
@@ -123,9 +123,8 @@ def test_prefix_grams_match_outer_products(reference_env, reference_model):
     for h in range(space.horizon):
         manual = 0.5 * np.eye(reference_model.dims[h])
         for prefix in dataset.columns[h].prefix:
-            f = reference_model.prediction_feature(history_from_lex(space, h, prefix))
+            f = prediction_feature(reference_model, history_from_lex(space, h, prefix))
             manual += np.outer(f, f)
-        assert grams[h].count == len(dataset.columns[h].prefix)
         assert np.allclose(grams[h].matrix, manual, rtol=1e-12, atol=0.0)
 
 
@@ -206,7 +205,7 @@ def test_zero_data_bonus_closed_form(reference_model):
 
         traj = history_from_lex(space, space.horizon, idx)
         total = sum(
-            float(np.dot(f := reference_model.prediction_feature(traj.prefix(h)), f))
+            float(np.dot(f := prediction_feature(reference_model, History(traj.steps[:h])), f))
             for h in range(space.horizon)
         )
         assert table[idx] == pytest.approx(min(alpha * math.sqrt(total / lam), 1.0), abs=1e-12)
@@ -231,11 +230,11 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
         table = ev.bonus_table()
         for traj in enumerate_histories(model.space, model.space.horizon):
             try:
-                feats = [model.prediction_feature(traj.prefix(h)) for h in range(model.space.horizon)]
+                feats = [prediction_feature(model, History(traj.steps[:h])) for h in range(model.space.horizon)]
             except DegenerateHistory:
                 expected = 1.0
             else:
-                total = math.fsum(ev.grams[h].score(f) for h, f in enumerate(feats))
+                total = math.fsum(ev.grams[h].scores(f[None])[0] for h, f in enumerate(feats))
                 expected = min(ev.alpha * math.sqrt(max(total, 0.0)), 1.0)
             assert table[traj.lex_index(model.space)] == pytest.approx(expected, abs=1e-12)
     assert 1.0 in evaluators[1].bonus_table()

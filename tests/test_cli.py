@@ -471,10 +471,11 @@ def test_c_theory_is_read_only_under_auto_params(tmp_path, runner, command, sect
     assert result.exit_code == 2 and "No such option" in result.output and "--c-theory" in result.output
 
 
+@pytest.mark.parametrize("key,value", [("delta", 0.5), ("coverage", 1e6)])
 @pytest.mark.parametrize("command", ["run-offline", "sweep-offline"])
-def test_offline_delta_is_read_only_under_auto_params(tmp_path, runner, command):
-    """Only the theory formulas read the offline section's ``delta``, so without ``auto_params`` it is an error."""
+def test_offline_theory_keys_are_read_only_under_auto_params(tmp_path, runner, command, key, value):
+    """Only the theory formulas read the offline section's ``delta`` and ``coverage``, so without ``auto_params`` either is an error."""
     cfg_data = json.loads(json.dumps(OFFLINE_CONFIG))
-    cfg_data["offline"]["delta"] = 0.5
+    cfg_data["offline"][key] = value
     line = _one_error_line(runner, tmp_path, command, cfg_data)
-    assert line == "Error: config section 'offline' sets 'delta', which only 'auto_params' reads"
+    assert line == f"Error: config section 'offline' sets {key!r}, which only 'auto_params' reads"

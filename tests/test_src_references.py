@@ -3,11 +3,14 @@
 A definition that only tests call is a second path to keep correct, not a
 part of the system.  This test parses ``src/psrlab`` (without
 ``__init__.py``, whose re-exports are not uses) and ``perfbench/``, and
-counts a definition as used when its name appears, as a name or an
-attribute, in package code outside every definition of that name (so
-recursion and a method delegating to its namesake do not count), in
-``perfbench/``, or as a string in the tracer's ``ENTRY_POINTS``.  Dunder
-methods and click commands are entry points of their own.  Anything else
+counts a definition as used when its name is referenced in package code
+outside every definition of that name (so recursion and a method
+delegating to its namesake do not count), in ``perfbench/``, or as a
+string in the tracer's ``ENTRY_POINTS``.  A function or class is
+referenced by a bare name or an attribute; a method or property only by an
+attribute (``x.name``), since a local variable of the same spelling does
+not call it.  Dunder methods and click commands are entry points of their
+own.  Anything else
 must be in ``ALLOWED``, with the reason it stays.
 """
 
@@ -22,20 +25,18 @@ PERFBENCH = ROOT / "perfbench"
 # Kept without a caller in the package, each for the reason given.  Keys are
 # ``function``, ``Class.method``, or a bare method name for every class that defines it.
 ALLOWED = {
-    "PsrModel.psi": "per-history lookup into the state table (the table is the computation)",
-    "PsrModel.seq_prob": "per-history lookup into the probability table",
-    "PsrModel.prediction_feature": "per-history lookup into the feature table",
     "FeatureGram.condition_number": "kept for the run trace's gram conditioning counter",
 }
 
 
-def _references(tree: ast.AST) -> Counter:
+def _references(tree: ast.AST, method: bool) -> Counter:
+    """Spellings referenced in ``tree``: as attributes only if ``method``, else as attributes and bare names."""
     out = Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            out[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             out[node.attr] += 1
+        elif isinstance(node, ast.Name) and not method:
+            out[node.id] += 1
     return out
 
 
@@ -63,11 +64,11 @@ def definitions(modules: dict[str, ast.Module]) -> list[tuple[str, str, ast.AST]
     return out
 
 
-def perfbench_references() -> Counter:
+def perfbench_references(method: bool) -> Counter:
     out = Counter()
     for path in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        out += _references(tree)
+        out += _references(tree, method)
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets):
                 out += Counter(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant) and isinstance(n.value, str))
@@ -80,16 +81,20 @@ def unused_definitions() -> list[str]:
         for path in sorted(SRC.glob("*.py"))
         if path.name != "__init__.py"
     }
-    everywhere = sum((_references(m) for m in modules.values()), Counter())
     defs = definitions(modules)
-    within_namesakes = Counter()  # references to a name inside the definitions of that name
-    for _, name, node in defs:
-        within_namesakes[name] += _references(node)[name]
-    outside = perfbench_references()
-    return [
-        qualified for qualified, name, _ in defs
-        if everywhere[name] - within_namesakes[name] <= 0 and not outside[name]
-    ]
+    unused = []
+    for method in (False, True):
+        everywhere = sum((_references(m, method) for m in modules.values()), Counter())
+        group = [(qualified, name, node) for qualified, name, node in defs if ("." in qualified) == method]
+        within_namesakes = Counter()  # references to a name inside the definitions of that name
+        for _, name, node in group:
+            within_namesakes[name] += _references(node, method)[name]
+        outside = perfbench_references(method)
+        unused += [
+            qualified for qualified, name, _ in group
+            if everywhere[name] - within_namesakes[name] <= 0 and not outside[name]
+        ]
+    return unused
 
 
 def test_every_definition_is_used_or_allowed():
