@@ -42,7 +42,7 @@ class FeatureGram:
     step: int
     lam: float
     matrix: np.ndarray
-    _factor: np.ndarray = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "matrix", _read_only_copy(self.matrix))  # the factor below is cached from it
@@ -54,14 +54,13 @@ class FeatureGram:
             raise StructuralError(f"gram at step {self.step} has non-finite entries")
         if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
             raise StructuralError("gram matrix must be symmetric")
-        if self._factor is None:
-            factor, info = dpotrf(self.matrix, lower=False, clean=False)
-            if info:
-                dim = self.matrix.shape[0]
-                raise StructuralError(
-                    f"gram at step {self.step} ({dim}x{dim}) is not positive definite (dpotrf info {info})"
-                )
-            object.__setattr__(self, "_factor", factor)
+        factor, info = dpotrf(self.matrix, lower=False, clean=False)
+        if info:
+            dim = self.matrix.shape[0]
+            raise StructuralError(
+                f"gram at step {self.step} ({dim}x{dim}) is not positive definite (dpotrf info {info})"
+            )
+        object.__setattr__(self, "_factor", factor)
 
     @classmethod
     def build(cls, step: int, dim: int, lam: float, features: Sequence[np.ndarray] | np.ndarray,

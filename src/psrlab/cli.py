@@ -51,9 +51,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     path.write_text(buf.getvalue())
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON (decode errors are ValueErrors)
+        raise PsrLabError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    config = _read_json(path, "config file")
+    if not isinstance(config, dict):
+        raise StructuralError(f"config file {path!r} must hold a JSON object")
+    return config
 
 
 # The keys each parameter section may hold; the learning commands read no others.
@@ -92,24 +102,39 @@ def _section(config: dict, name: str, required: tuple[str, ...] = ()) -> dict:
     return section
 
 
-def _integers(option: str, text: str) -> list[int]:
-    """The comma-separated integers of a command-line option, each at most once."""
-    try:
-        values = [int(s) for s in text.split(",")]
-    except ValueError as exc:
-        raise PsrLabError(f"{option} must be comma-separated integers, got {text!r}") from exc
+def _distinct(option: str, values: list[int]) -> list[int]:
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:
         raise PsrLabError(f"{option} lists {', '.join(map(str, repeated))} more than once")
     return values
 
 
+def _integers(option: str, text: str) -> list[int]:
+    """The comma-separated integers of a command-line option, each at most once."""
+    try:
+        values = [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise PsrLabError(f"{option} must be comma-separated integers, got {text!r}") from exc
+    return _distinct(option, values)
+
+
+def _seed_list(config: dict, text: str | None) -> list[int]:
+    """The ``--seeds`` list if given, else the config's ``seeds`` (default ``[0]``), which must be what ``--seeds`` accepts."""
+    if text is not None:
+        return _integers("--seeds", text)
+    seeds = config.get("seeds", [0])
+    if not (isinstance(seeds, list) and seeds) or any(isinstance(s, bool) or not isinstance(s, int) for s in seeds):
+        raise StructuralError(f"config key 'seeds' must be a non-empty list of integers, got {seeds!r}")
+    return _distinct("config key 'seeds'", seeds)
+
+
 def build_env(spec: dict) -> TabularPomdp:
     if not isinstance(spec, dict):
         raise StructuralError(f"config section 'env' must be an object, got {spec!r}")
     if "path" in spec:
-        with open(spec["path"]) as fh:
-            return pomdp_from_dict(json.load(fh))
+        if not isinstance(spec["path"], str):
+            raise StructuralError(f"config key 'env.path' must be a file name, got {spec['path']!r}")
+        return pomdp_from_dict(_read_json(spec["path"], "env file"))
     if "builtin" not in spec:
         raise StructuralError("config section 'env' is missing 'builtin' (or 'path')")
     return _make_builtin(spec["builtin"], spec.get("params", {}))
@@ -125,6 +150,8 @@ def _make_builtin(name: str, params: dict) -> TabularPomdp:
 
 
 def build_candidates(env: TabularPomdp, spec: dict) -> CandidateSet:
+    if not isinstance(spec, dict):
+        raise StructuralError(f"config section 'candidates' must be an object, got {spec!r}")
     options = {k: v for k, v in spec.items() if k != "mode"}
     params = inspect.signature(make_candidates).parameters.values()
     known = ["mode"] + [p.name for p in params if p.kind is p.KEYWORD_ONLY]
@@ -230,7 +257,7 @@ def run_online(config_path: str, out_dir: str, seeds: str | None) -> None:
     """Run the optimistic loop for each seed and write logs and outputs."""
     config = _load_config(config_path)
     ocfg = _section(config, "online", ("max_iterations", "epsilon", "delta"))
-    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
+    seed_list = _seed_list(config, seeds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = build_env(_require(config, "env"))
@@ -299,7 +326,7 @@ def run_offline(config_path: str, out_dir: str, seeds: str | None) -> None:
     """Collect behavior data, run the pessimistic pipeline, write outputs."""
     config = _load_config(config_path)
     ocfg = _section(config, "offline", ("n_episodes",))
-    seed_list = _integers("--seeds", seeds) if seeds is not None else config.get("seeds", [0])
+    seed_list = _seed_list(config, seeds)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     env = build_env(_require(config, "env"))

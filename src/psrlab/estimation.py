@@ -58,39 +58,36 @@ class BucketColumns(NamedTuple):
     trajectory: array  # of int64: lex index of the full trajectory
     prefix_weight: array  # of float64: recorded policy's weight of the length-h prefix
     full_weight: array  # of float64: recorded policy's weight of the full trajectory
-    policy_id: list[str]  # id of the recorded policy in ``DatasetFamily.policies``
 
 
 @dataclass
 class DatasetFamily:
-    """Per-step buckets of entry columns plus the policies that produced them.
+    """Per-step buckets of entry columns.
 
     Bucket ``h`` holds the entries split at step ``h``.  Each entry's
-    lexicographic indices, policy weights and policy id are recorded once,
-    as the sampler drew them; every model quantity over the dataset is a gather
-    from the model's tables at those indices.  The columns only grow, so the
-    dataset also holds :func:`constrained_mle`'s running record of what it
-    has read.
+    lexicographic indices and policy weights are recorded once, as the
+    sampler drew them; every model quantity over the dataset is a gather
+    from the model's tables at those indices, and the policy factor is the
+    recorded weights, so the dataset keeps no policy.  The columns only
+    grow, so the dataset also holds :func:`constrained_mle`'s running record
+    of what it has read.
     """
 
     space: ObsActSpace
-    policies: dict[str, Policy] = field(default_factory=dict)
     columns: list[BucketColumns] = field(init=False, repr=False)
     _selection: _SelectionRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.columns = [BucketColumns(*(array(code) for code in "qqdd"), []) for _ in range(self.space.horizon)]
+        self.columns = [BucketColumns(*(array(code) for code in "qqdd")) for _ in range(self.space.horizon)]
 
-    def add(self, policy_id: str, lex: Sequence[int], weights: Sequence[float], split_step: int) -> None:
-        """Add one entry to bucket ``split_step`` under the registered ``policy_id``.
+    def add(self, lex: Sequence[int], weights: Sequence[float], split_step: int) -> None:
+        """Add one entry to bucket ``split_step``.
 
         ``lex`` and ``weights`` are the prefix lex indices and policy weights,
         depth 0..H, that ``TabularPomdp.sample_episode`` returns.  The online
         loop adds one entry at a time: a one-row :meth:`add_batch` costs ~20x.
         """
         space = self.space
-        if policy_id not in self.policies:
-            raise StructuralError(f"unknown policy id {policy_id!r}")
         if not 0 <= split_step < space.horizon:
             raise StructuralError("split step outside [0, H)")
         if len(lex) != space.horizon + 1 or len(weights) != space.horizon + 1:
@@ -99,23 +96,20 @@ class DatasetFamily:
         if not (isinstance(prefix, _INTEGERS) and isinstance(full, _INTEGERS)
                 and 0 <= prefix < space.pair_count**split_step and 0 <= full < space.n_trajectories):
             raise StructuralError(f"lex indices {prefix!r}, {full!r} must be integers in range at depths {split_step}, H")
-        row = (prefix, full, weights[split_step], weights[-1], policy_id)  # every value checked before the first append
+        row = (prefix, full, weights[split_step], weights[-1])  # every value checked before the first append
         for column, value in zip(self.columns[split_step], row):
             column.append(value)
 
-    def add_batch(self, policy_id: str, lex: np.ndarray, weights: np.ndarray, split_steps: np.ndarray) -> None:
+    def add_batch(self, lex: np.ndarray, weights: np.ndarray, split_steps: np.ndarray) -> None:
         """Add one entry per column of ``(H+1, n)`` prefix lex indices and weights, as ``add`` would in column order.
 
         ``lex`` and ``weights`` are what ``TabularPomdp.sample_episodes``
-        returns.  Every entry is recorded under the registered ``policy_id``
-        and goes to bucket ``split_steps[i]``.
+        returns.  Entry ``i`` goes to bucket ``split_steps[i]``.
         """
         space = self.space
         lex, split_steps = (np.asarray(x, dtype=np.int64) for x in (lex, split_steps))
         weights = np.asarray(weights, dtype=float)
         n = len(split_steps)
-        if policy_id not in self.policies:
-            raise StructuralError(f"unknown policy id {policy_id!r}")
         if n and not (0 <= split_steps.min() and split_steps.max() < space.horizon):
             raise StructuralError("split step outside [0, H)")
         if lex.shape != (space.horizon + 1, n) or weights.shape != (space.horizon + 1, n):
@@ -130,7 +124,6 @@ class DatasetFamily:
             cols.trajectory.frombytes(lex[-1, members].tobytes())
             cols.prefix_weight.frombytes(weights[h, members].tobytes())
             cols.full_weight.frombytes(weights[-1, members].tobytes())
-            cols.policy_id.extend([policy_id] * len(members))
 
     def size(self) -> int:
         return sum(len(cols.trajectory) for cols in self.columns)
@@ -145,7 +138,7 @@ class CandidateSet:
 
     models: tuple[PsrModel, ...]
     labels: tuple[str, ...]
-    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> stacked (psis, probs)
+    _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> stacked (psis, probs)
 
     def __post_init__(self) -> None:
         if len(self.models) != len(self.labels):
@@ -408,22 +401,24 @@ def constrained_mle(
 
 
 def conditional_tv_diagnostic(
-    model_a: PsrModel, model_b: PsrModel, dataset: DatasetFamily
+    model_a: PsrModel, model_b: PsrModel, dataset: DatasetFamily, policies: Sequence[Policy]
 ) -> float:
     """Summed squared conditional total-variation over recorded prefixes.
 
     For each bucket-``h`` entry, compares the two models' distributions of
-    the remaining trajectory given the length-``h`` prefix, under the
-    entry's recorded policy, by exact enumeration of the continuations.
-    Continuation weights are computed in one pass per distinct policy
-    object in a bucket.
+    the remaining trajectory given the length-``h`` prefix, under
+    ``policies[h]``, the policy every entry of bucket ``h`` was drawn with,
+    by exact enumeration of the continuations: one continuation-weight pass
+    per bucket.
     """
     space = model_a.space
+    if len(policies) != space.horizon:
+        raise StructuralError(f"need one policy per bucket ({space.horizon}), got {len(policies)}")
     table_a = model_a.prob_table(space.horizon)
     table_b = model_b.prob_table(space.horizon)
     terms = []
-    for h, cols in enumerate(dataset.columns):
-        if not cols.policy_id:
+    for h, (cols, policy) in enumerate(zip(dataset.columns, policies)):
+        if not cols.trajectory:
             continue
         prefix = np.asarray(cols.prefix)
         pa = model_a.prob_table(h)[prefix]
@@ -432,13 +427,7 @@ def conditional_tv_diagnostic(
         if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
             raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
         reps = space.pair_count ** (space.horizon - h)
-        weights = np.empty((len(prefix), reps))
-        groups: dict[int, tuple[Policy, list[int]]] = {}  # policy object id -> (policy, entry positions)
-        for i, policy_id in enumerate(cols.policy_id):
-            policy = dataset.policies[policy_id]
-            groups.setdefault(id(policy), (policy, []))[1].append(i)
-        for policy, rows in groups.values():
-            weights[rows] = continuation_weights(policy, space, h, prefix[rows])
+        weights = continuation_weights(policy, space, h, prefix)
         cond_a = table_a.reshape(-1, reps)[prefix] / pa[:, None]
         cond_b = table_b.reshape(-1, reps)[prefix] / pb[:, None]
         for row in np.abs(weights * (cond_a - cond_b)).tolist():

@@ -23,7 +23,7 @@ from .policies import DeterministicTreePolicy, Policy, prefix_weight_tables
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
 from .seeding import child_seeds, rng_for
-from .spaces import ObsActSpace
+from .spaces import ObsActSpace, check_numbers
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,10 @@ class OfflineConfig:
     alpha: float
 
     def __post_init__(self) -> None:
+        check_numbers({}, {name: getattr(self, name) for name in ("p_min", "beta", "lam", "alpha")})
         for name in ("p_min", "beta", "lam", "alpha"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise StructuralError(f"{name} must be positive")
-
-
-BEHAVIOR_POLICY_ID = "behavior"
 
 
 def collect_offline(env: TabularPomdp, behavior: Policy, n_episodes: int, seed: int) -> DatasetFamily:
@@ -52,13 +50,14 @@ def collect_offline(env: TabularPomdp, behavior: Policy, n_episodes: int, seed: 
     appended as drawn.
     """
     space = env.space
+    check_numbers({"n_episodes": n_episodes}, {})
     if n_episodes < space.horizon:
         raise StructuralError("need at least H episodes for a full split")
     assignment = np.arange(n_episodes) % space.horizon
     rng_for(seed, "offline-split").shuffle(assignment)
-    dataset = DatasetFamily(space, {BEHAVIOR_POLICY_ID: behavior})
+    dataset = DatasetFamily(space)
     lex, weights = env.sample_episodes(behavior, child_seeds(seed, "offline-episode", range(n_episodes)))
-    dataset.add_batch(BEHAVIOR_POLICY_ID, lex, weights, assignment)
+    dataset.add_batch(lex, weights, assignment)
     return dataset
 
 

@@ -6,7 +6,8 @@ sequences, re-selects a model by stable constrained likelihood, scores
 every trajectory with the bonus built from the selected model's features
 over the collected data, and plans greedily against the bonus.  The loop
 stops once the planned bonus value is at most half the accuracy target;
-the loop body never touches the reward function.
+the loop body never touches the reward function.  The dataset records each
+episode's lex indices and policy weights, not its policy.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .policies import (
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
 from .seeding import child_seed
+from .spaces import check_numbers
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,12 @@ class OnlineConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        check_numbers({name: getattr(self, name) for name in ("max_iterations", "seed")},
+                      {name: getattr(self, name) for name in ("epsilon", "delta", "p_min", "beta", "lam", "alpha")})
         if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
             raise StructuralError("epsilon and delta must lie in (0, 1)")
         for name in ("p_min", "beta", "lam", "alpha"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise StructuralError(f"{name} must be positive")
         if self.max_iterations < 1:
             raise StructuralError("need at least one iteration")
@@ -127,12 +131,9 @@ def run_psr_ucb(
     for k in range(1, config.max_iterations + 1):
         started = time.perf_counter()
         for h in range(1, space.horizon + 1):
-            policy = _explore(previous, h, suffixes)
-            policy_id = f"explore[k={k},h={h}]"
             episode_seed = child_seed(config.seed, "episode", k * (space.horizon + 1) + h)
-            dataset.policies[policy_id] = policy
-            lex, weights = env.sample_episode(policy, episode_seed)
-            dataset.add(policy_id, lex, weights, h - 1)
+            lex, weights = env.sample_episode(_explore(previous, h, suffixes), episode_seed)
+            dataset.add(lex, weights, h - 1)
         try:
             mle = constrained_mle(candidates, dataset, config.p_min, config.beta)
         except EmptyFeasibleSet as exc:

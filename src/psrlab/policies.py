@@ -75,12 +75,7 @@ def _check_rows(probs: np.ndarray, step: int) -> None:
 
 
 def action_dtype(n_actions: int) -> np.dtype:
-    """The smallest unsigned type holding every action index: ``uint8`` up to 256 actions.
-
-    Tree policies store their action tables in it.  An online run keeps
-    every iteration's greedy policy reachable, one entry per (history, obs)
-    node each, so the memory a run retains grows with this entry size.
-    """
+    """The smallest unsigned type holding every action index (``uint8`` up to 256 actions): tree policies' table type."""
     return np.min_scalar_type(n_actions - 1)
 
 

@@ -97,7 +97,7 @@ class PsrModel:
     psi0: np.ndarray
     M: tuple[np.ndarray, ...]  # M[h-1] has shape (O, A, d_h, d_{h-1})
     phi: tuple[np.ndarray, ...]  # phi[h] has length d_h, for h = 0..H
-    _table_cache: dict = field(default_factory=dict, repr=False, compare=False)  # depth -> stacks of one
+    _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> stacks of one
     _feature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> feature table
 
     def __post_init__(self) -> None:
@@ -261,14 +261,15 @@ def gamma(model: PsrModel) -> float:
 
 
 def sup_weighted_abs(model: PsrModel) -> float:
+    """The largest policy-maximized absolute closing mass over coordinate directions.
+
+    Only the positive directions are evaluated: negating a direction negates
+    every closing value exactly, so ``-x`` has the absolute values of ``x``.
+    """
     sup = 0.0
     for h in range(model.space.horizon):
-        d = model.dims[h]
-        for i in range(d):
-            for sign in (1.0, -1.0):
-                x = np.zeros(d)
-                x[i] = sign
-                sup = max(sup, _future_tree_max(model, h, x))
+        for x in np.eye(model.dims[h]):
+            sup = max(sup, _future_tree_max(model, h, x))
     return sup
 
 

@@ -19,6 +19,15 @@ from .errors import EnumerationCapExceeded, StructuralError
 DEFAULT_ENUM_CAP = 10_000_000
 ENUM_CAP_ENV_VAR = "PSRLAB_ENUM_CAP"
 _INTEGERS = (int, np.integer)  # concrete types: an isinstance check on them is cheap per step
+_REALS = _INTEGERS + (float, np.floating)
+
+
+def check_numbers(integers: dict[str, object], reals: dict[str, object]) -> None:
+    """Raise ``StructuralError`` unless each integer is an ``int`` and each real an ``int`` or ``float`` (never a ``bool``)."""
+    for kinds, kind, values in ((_INTEGERS, "an integer", integers), (_REALS, "a number", reals)):
+        for name, value in values.items():
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise StructuralError(f"{name} must be {kind}, got {value!r}")
 
 
 def _read_only_copy(values) -> np.ndarray:

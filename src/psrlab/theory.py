@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from .errors import StructuralError
 from .psr import PsrModel, gamma as psr_gamma
+from .spaces import check_numbers
 
 
 @dataclass(frozen=True)
@@ -99,6 +100,7 @@ def resolve_theory_params(
     offline.  Offline mode additionally needs the coverage coefficient of
     the intended comparator and the minimum exploration probability.
     """
+    check_numbers({"n_episodes": n_episodes}, {"delta": delta, "c_theory": c_theory})
     if c_theory <= 0:
         raise StructuralError("c_theory must be positive (lambda > 0 required)")
     if not 0 < delta < 1:
@@ -121,6 +123,7 @@ def resolve_theory_params(
     elif mode == "offline":
         if coverage is None or iota is None:
             raise StructuralError("offline mode needs coverage and iota")
+        check_numbers({}, {"coverage": coverage})
         if not math.isfinite(coverage) or coverage <= 0:
             raise StructuralError("coverage must be finite and positive")
         if iota <= 0:

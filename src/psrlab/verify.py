@@ -61,7 +61,7 @@ from .psr import (
     tv_distance,
 )
 from .seeding import child_seed, child_seeds, rng_for
-from .spaces import History, enumerate_histories
+from .spaces import History, check_numbers, enumerate_histories
 
 Z_99 = 2.5758293035489004
 DELTA = 0.05  # nominal violation level of the Monte-Carlo and confidence-bound suites
@@ -210,22 +210,20 @@ def run_core_identities(report: Report) -> None:
         CheckResult(suite, "prediction-feature", worst <= 1e-9, f"max feature error {worst:.2e}")
     )
 
-    # Step matrices stay bounded in the policy-maximized l1 sense.
+    # Step matrices stay bounded in the policy-maximized l1 sense.  A negated
+    # coordinate direction has the same absolute images, so only +e_i is tried.
     q_over_gamma = model.core_tests.max_action_seqs / gamma(model)
     worst_ratio = 0.0
     for h in range(env.space.horizon):
-        for i in range(model.dims[h]):
-            for sign in (1.0, -1.0):
-                x = np.zeros(model.dims[h])
-                x[i] = sign
-                val = math.fsum(
-                    max(
-                        float(np.abs(model.M[h][o, a] @ x).sum())
-                        for a in range(env.space.n_actions)
-                    )
-                    for o in range(env.space.n_obs)
+        for x in np.eye(model.dims[h]):
+            val = math.fsum(
+                max(
+                    float(np.abs(model.M[h][o, a] @ x).sum())
+                    for a in range(env.space.n_actions)
                 )
-                worst_ratio = max(worst_ratio, val)
+                for o in range(env.space.n_obs)
+            )
+            worst_ratio = max(worst_ratio, val)
     report.add(
         CheckResult(
             suite,
@@ -378,24 +376,21 @@ def _uniform_collections(
 
     ``explorers`` are the :func:`_uniform_explorers` of the core tests.
     Round ``k`` of a collection draws one episode per step ``h`` from its
-    own child seed, under ``explorers[h - 1]`` (policy id ``uexplore[h=h]``),
-    into bucket ``h - 1``.  For ``DRAW_BLOCK`` collections at a time, each
-    step's episodes are drawn in one batch and added to each collection's
-    dataset in round order.
+    own child seed, under ``explorers[h - 1]``, into bucket ``h - 1``.  For
+    ``DRAW_BLOCK`` collections at a time, each step's episodes are drawn in
+    one batch and added to each collection's dataset in round order.
     """
     space = env.space
     for start in range(0, len(seeds), DRAW_BLOCK):
         block = seeds[start : start + DRAW_BLOCK]
         datasets = [DatasetFamily(space) for _ in block]
         for h, policy in enumerate(explorers, start=1):
-            pid = f"uexplore[h={h}]"
             rounds = [k * (space.horizon + 1) + h for k in range(1, n_rounds + 1)]
             episode_seeds = np.concatenate([child_seeds(seed, "verify-episode", rounds) for seed in block])
             lex, weights = env.sample_episodes(policy, episode_seeds)
             for c, dataset in enumerate(datasets):
-                dataset.policies[pid] = policy
                 columns = slice(c * n_rounds, (c + 1) * n_rounds)
-                dataset.add_batch(pid, lex[:, columns], weights[:, columns], np.full(n_rounds, h - 1))
+                dataset.add_batch(lex[:, columns], weights[:, columns], np.full(n_rounds, h - 1))
         yield from datasets
 
 
@@ -421,9 +416,9 @@ def run_mle_events(report: Report, seeds: int = 200) -> None:
     p_min = DELTA / (n_rounds * env.space.horizon * float(env.space.pair_count) ** env.space.horizon)
     viol = {"loglik-margin": 0, "conditional-tv": 0, "hellinger": 0, "p-min-feasible": 0}
     explorers = _uniform_explorers(true_model.core_tests)
-    # Neither a candidate nor a step's exploration policy changes across seeds,
-    # so each (candidate index, policy id) distance is computed once.
-    hellinger: dict[tuple[int, str], float] = {}
+    # Neither a candidate nor a bucket's exploration policy changes across seeds,
+    # so each (candidate index, bucket) distance is computed once.
+    hellinger = [[hellinger_sq(model, true_model, policy) for policy in explorers] for model in cands.models]
     datasets = _uniform_collections(env, explorers, n_rounds, [child_seed(s, "mle-event") for s in range(seeds)])
     for dataset in datasets:
         # One pass per model gives both its p_min stability and its log-likelihood.
@@ -440,15 +435,10 @@ def run_mle_events(report: Report, seeds: int = 200) -> None:
                 margin_ok = False
             gap = lik_true - lik if lik > float("-inf") else math.inf
             if stable:
-                lhs = conditional_tv_diagnostic(model, true_model, dataset)
+                lhs = conditional_tv_diagnostic(model, true_model, dataset, explorers)
                 if lhs > 6.0 * gap + 31.0 * log_term + 1e-9:
                     cond_ok = False
-            terms = []
-            for policy_id in (pid for cols in dataset.columns for pid in cols.policy_id):
-                if (i, policy_id) not in hellinger:
-                    hellinger[i, policy_id] = hellinger_sq(model, true_model, dataset.policies[policy_id])
-                terms.append(hellinger[i, policy_id])
-            hell = math.fsum(terms)
+            hell = math.fsum([hellinger[i][h] for h, cols in enumerate(dataset.columns) for _ in cols.trajectory])
             if hell > 0.5 * gap + 2.0 * log_term + 1e-9:
                 hell_ok = False
         viol["loglik-margin"] += 0 if margin_ok else 1
@@ -474,16 +464,7 @@ def run_mle_events(report: Report, seeds: int = 200) -> None:
 
 
 def _validity_run_online(seed: int, env, true_model, cands, params) -> tuple[PsrModel, BonusEvaluator]:
-    cfg = OnlineConfig(
-        max_iterations=10,
-        epsilon=0.05,
-        delta=0.05,
-        p_min=params["p_min"],
-        beta=params["beta"],
-        lam=params["lam"],
-        alpha=params["alpha"],
-        seed=seed,
-    )
+    cfg = OnlineConfig(max_iterations=10, epsilon=0.05, delta=0.05, seed=seed, **params)
     result = run_psr_ucb(env, cfg, cands, true_model.core_tests)
     return result.last_model, result.last_evaluator
 
@@ -565,13 +546,7 @@ def run_validity_checks(report: Report, runs: int = 100, params: dict | None = N
     offline_viol = 0
     for s, weights in enumerate(_tree_policy_weights(space, range(10_000, 10_000 + runs), POLICIES_PER_RUN)):
         ds = collect_offline(env, behavior, 60, child_seed(s, "validity-offline"))
-        cfg = OfflineConfig(
-            p_min=params["p_min"],
-            beta=params["beta"],
-            lam=params["lam"],
-            alpha=params["alpha"],
-        )
-        res = run_psr_lcb(ds, cands, cfg, reward_leaves)
+        res = run_psr_lcb(ds, cands, OfflineConfig(**params), reward_leaves)
         if not _bound_holds(res.model, res.evaluator, true_rewards, reward_leaves, weights):
             offline_viol += 1
     rate = offline_viol / runs
@@ -651,8 +626,7 @@ def verify(suite: str, seeds: int = 100) -> Report:
     An unknown suite name, or a seed count that is not a positive integer,
     raises :class:`StructuralError` before any suite runs.
     """
-    if isinstance(seeds, bool) or not isinstance(seeds, int):
-        raise StructuralError(f"seeds must be an integer, got {seeds!r}")
+    check_numbers({"seeds": seeds}, {})
     if seeds < 1:
         raise StructuralError(f"need at least one seed, got {seeds}")
     if suite != "all" and suite not in SUITES:

@@ -12,7 +12,7 @@ potential growing one gram and solving it once per vector.  The planner's
 oracle reduces each depth with ``argmax``/``max`` over the action axis, and
 the bonus oracles add every step's repeated scores into a leaf-sized array.
 Verify's exploration collection draws and adds one episode at a time, and
-the conditional-TV diagnostic walks one recorded entry object at a time, as
+the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
 selection's oracle gathers and reduces every recorded entry in one pass, as
 selection did before it kept a running record on the dataset, and
@@ -20,12 +20,12 @@ selection did before it kept a running record on the dataset, and
 confidence-bound validity check builds and weighs one tree policy object at
 a time, as before its policies' weights came from one stacked table.  Tests
 compare the package against them bit for bit.  :func:`dataset_jsonl` is the
-dataset's former JSONL text, which the golden tests hash.
+dataset's former JSONL text, which the golden tests hash; a dataset no
+longer records policy ids, so the test supplies each entry's label.
 """
 
 import json
 import math
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -207,17 +207,11 @@ def oracle_bonus_table(evaluator):
     return out
 
 
-class Entry(NamedTuple):
-    """One recorded trajectory and the id of its policy, as a dataset once kept it."""
-
-    trajectory: History
-    policy_id: str
-
-
 def oracle_uniform_collection(env, model, n_rounds, seed):
-    """Verify's exploration collection one episode at a time, one policy id per entry.
+    """Verify's exploration collection one episode at a time.
 
-    Returns the dataset and its entries per bucket, in insertion order.
+    Returns the dataset, the exploration policy of each bucket, and each
+    bucket's trajectories in insertion order.
     """
     space = env.space
     dataset = DatasetFamily(space)
@@ -226,36 +220,28 @@ def oracle_uniform_collection(env, model, n_rounds, seed):
     policies = [exploration_policy(base, h, model.core_tests) for h in range(1, space.horizon + 1)]
     for k in range(1, n_rounds + 1):
         for h, policy in enumerate(policies, start=1):
-            pid = f"uexplore[k={k},h={h}]"
             episode_seed = child_seed(seed, "verify-episode", k * (space.horizon + 1) + h)
-            traj = add_drawn(dataset, pid, env, policy, episode_seed, h - 1)
-            buckets[h - 1].append(Entry(traj, pid))
-    return dataset, buckets
+            buckets[h - 1].append(add_drawn(dataset, env, policy, episode_seed, h - 1))
+    return dataset, policies, buckets
 
 
 def oracle_conditional_tv_diagnostic(model_a, model_b, policies, buckets):
-    """Summed squared conditional TV over per-bucket lists of :class:`Entry`, grouped by policy object."""
+    """Summed squared conditional TV over per-bucket lists of trajectories, bucket ``h`` drawn under ``policies[h]``."""
     space = model_a.space
     table_a = model_a.prob_table(space.horizon)
     table_b = model_b.prob_table(space.horizon)
     terms = []
-    for h, bucket in enumerate(buckets):
+    for h, (bucket, policy) in enumerate(zip(buckets, policies, strict=True)):
         if not bucket:
             continue
-        prefix = np.array([History(entry.trajectory.steps[:h]).lex_index(space) for entry in bucket], dtype=np.int64)
+        prefix = np.array([History(traj.steps[:h]).lex_index(space) for traj in bucket], dtype=np.int64)
         pa = model_a.prob_table(h)[prefix]
         pb = model_b.prob_table(h)[prefix]
-        wp = np.array([oracle_policy_weight(policies[entry.policy_id], History(entry.trajectory.steps[:h])) for entry in bucket])
+        wp = np.array([oracle_policy_weight(policy, History(traj.steps[:h])) for traj in bucket])
         if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
             raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
         reps = space.pair_count ** (space.horizon - h)
-        weights = np.empty((len(bucket), reps))
-        groups = {}  # policy object id -> (policy, entry positions)
-        for i, entry in enumerate(bucket):
-            policy = policies[entry.policy_id]
-            groups.setdefault(id(policy), (policy, []))[1].append(i)
-        for policy, rows in groups.values():
-            weights[rows] = continuation_weights(policy, space, h, prefix[rows])
+        weights = continuation_weights(policy, space, h, prefix)
         cond_a = table_a.reshape(-1, reps)[prefix] / pa[:, None]
         cond_b = table_b.reshape(-1, reps)[prefix] / pb[:, None]
         for row in np.abs(weights * (cond_a - cond_b)).tolist():
@@ -302,17 +288,17 @@ def oracle_stability_and_likelihood(prob_table, dataset, p_min):
     return stable, logliks
 
 
-def decoded_entries(dataset):
-    """Per-bucket lists of :class:`Entry` decoded from a dataset's trajectory and policy-id columns."""
+def decoded_trajectories(dataset):
+    """Per-bucket lists of the trajectories decoded from a dataset's trajectory columns."""
     space = dataset.space
-    return [
-        [Entry(history_from_lex(space, space.horizon, t), pid) for t, pid in zip(cols.trajectory, cols.policy_id)]
-        for cols in dataset.columns
-    ]
+    return [[history_from_lex(space, space.horizon, t) for t in cols.trajectory] for cols in dataset.columns]
 
 
-def dataset_jsonl(dataset):
-    """One JSON record per entry, bucket by bucket in insertion order, steps decoded from the trajectory indices."""
+def dataset_jsonl(dataset, label):
+    """One JSON record per entry, bucket by bucket in insertion order, steps decoded from the trajectory indices.
+
+    ``label(h, i)`` is the ``policy_id`` text of entry ``i`` of bucket ``h``.
+    """
     space = dataset.space
     place = space.pair_count ** np.arange(space.horizon - 1, -1, -1)  # lex weight of each step's pair
     lines = []
@@ -320,8 +306,8 @@ def dataset_jsonl(dataset):
         pairs = np.asarray(cols.trajectory)[:, None] // place % space.pair_count
         steps = np.stack(np.divmod(pairs, space.n_actions), axis=-1).tolist()
         lines.extend(
-            json.dumps({"h": h, "policy_id": pid, "trajectory": traj}, separators=(",", ":"))
-            for pid, traj in zip(cols.policy_id, steps)
+            json.dumps({"h": h, "policy_id": label(h, i), "trajectory": traj}, separators=(",", ":"))
+            for i, traj in enumerate(steps)
         )
     return "\n".join(lines) + ("\n" if lines else "")
 

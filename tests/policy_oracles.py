@@ -73,18 +73,15 @@ def oracle_record(policy, space, history):
     return [p.lex_index(space) for p in prefixes], [oracle_policy_weight(policy, p) for p in prefixes]
 
 
-def add_history(dataset, policy_id, history, split_step, policy=None):
-    """Add ``history`` to bucket ``split_step`` as a sampler records it, registering ``policy`` first if given."""
-    if policy is not None:
-        dataset.policies[policy_id] = policy
-    dataset.add(policy_id, *oracle_record(dataset.policies[policy_id], dataset.space, history), split_step)
+def add_history(dataset, policy, history, split_step):
+    """Add ``history`` to bucket ``split_step`` as a sampler drawing it under ``policy`` records it."""
+    dataset.add(*oracle_record(policy, dataset.space, history), split_step)
 
 
-def add_drawn(dataset, policy_id, env, policy, seed, split_step):
-    """Register ``policy``, add the episode ``env.sample_episode`` draws on ``seed``, and return its trajectory."""
-    dataset.policies[policy_id] = policy
+def add_drawn(dataset, env, policy, seed, split_step):
+    """Add the episode ``env.sample_episode`` draws under ``policy`` on ``seed``, and return its trajectory."""
     lex, weights = env.sample_episode(policy, seed)
-    dataset.add(policy_id, lex, weights, split_step)
+    dataset.add(lex, weights, split_step)
     return history_from_lex(env.space, env.space.horizon, lex[-1])
 
 

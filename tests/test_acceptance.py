@@ -93,7 +93,7 @@ def test_criterion_03_planner_exactness():
     dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(6):
-        add_drawn(dataset, "u", env, pol, 900 + i, i % 2)
+        add_drawn(dataset, env, pol, 900 + i, i % 2)
     evaluator = _build_evaluator(model, dataset, 1.0, 0.7)
     probs = model.prob_table(space.horizon)
     reward = leaf_table(space, env.reward_of)

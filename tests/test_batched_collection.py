@@ -6,8 +6,7 @@
 ``TabularPomdp.sample_episodes`` against one ``sample_episode`` per seed and
 both against the per-history lex indices and policy weights of the drawn
 trajectory, and ``DatasetFamily.add_batch`` against ``add`` entry by entry:
-every column, numbers to the bit and policy ids by equality.  Misuse raises
-the same error class in both paths.
+every column to the bit.  Misuse raises the same error class in both paths.
 """
 
 import sys
@@ -21,7 +20,7 @@ from policy_oracles import oracle_policy_weight, oracle_record
 from psrlab import policies, seeding
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
-from psrlab.offline import BEHAVIOR_POLICY_ID, collect_offline
+from psrlab.offline import collect_offline
 from psrlab.policies import (
     CompositePolicy,
     DeterministicTreePolicy,
@@ -58,16 +57,11 @@ def sequential_collect(env, behavior, n_episodes, seed):
         raise StructuralError("need at least H episodes for a full split")
     assignment = np.array([i % space.horizon for i in range(n_episodes)])
     rng_for(seed, "offline-split").shuffle(assignment)
-    dataset = DatasetFamily(space, {BEHAVIOR_POLICY_ID: behavior})
+    dataset = DatasetFamily(space)
     for i in range(n_episodes):
         lex, weights = env.sample_episode(behavior, child_seed(seed, "offline-episode", i))
-        dataset.add(BEHAVIOR_POLICY_ID, lex, weights, int(assignment[i]))
+        dataset.add(lex, weights, int(assignment[i]))
     return dataset
-
-
-def assert_same_dataset(got, want):
-    assert got.policies == want.policies
-    assert_same_columns(got, want)
 
 
 def inconsistent_composite(space):
@@ -190,7 +184,7 @@ def test_collect_offline_matches_sequential_add(name, env):
     for kind, policy in behaviours(env.space).items():
         for seed in range(2):
             n = 150 + seed
-            assert_same_dataset(collect_offline(env, policy, n, seed), sequential_collect(env, policy, n, seed)), kind
+            assert_same_columns(collect_offline(env, policy, n, seed), sequential_collect(env, policy, n, seed)), kind
 
 
 def test_collect_offline_walks_the_policy_once(monkeypatch):
@@ -243,7 +237,7 @@ def test_collect_offline_uses_the_batched_paths(monkeypatch):
     want = sequential_collect(env, uniform_policy(env.space), 40, 3)
     monkeypatch.setattr(TabularPomdp, "sample_episode", refuse)
     monkeypatch.setattr(DatasetFamily, "add", refuse)
-    assert_same_dataset(collect_offline(env, uniform_policy(env.space), 40, 3), want)
+    assert_same_columns(collect_offline(env, uniform_policy(env.space), 40, 3), want)
 
 
 def test_add_batch_zero_weight_entries_match_add():
@@ -257,12 +251,12 @@ def test_add_batch_zero_weight_entries_match_add():
     records = [oracle_record(policy, space, history) for history in histories]
     assert [weights[-1] for _, weights in records] == [0.0, 0.0, 0.0]
     split = [1, 0, 1]
-    got = DatasetFamily(space, {"p": policy})
-    got.add_batch("p", np.array([lex for lex, _ in records]).T, np.array([w for _, w in records]).T, split)
-    want = DatasetFamily(space, {"p": policy})
+    got = DatasetFamily(space)
+    got.add_batch(np.array([lex for lex, _ in records]).T, np.array([w for _, w in records]).T, split)
+    want = DatasetFamily(space)
     for (lex, weights), h in zip(records, split):
-        want.add("p", lex, weights, h)
-    assert_same_dataset(got, want)
+        want.add(lex, weights, h)
+    assert_same_columns(got, want)
 
 
 def test_inconsistent_mixture_history_raises_in_both_paths():
@@ -291,28 +285,26 @@ def test_policy_with_another_action_count_raises_in_both_samplers(kind):
 
 
 @pytest.mark.parametrize(
-    "policy_id,lex,split",
+    "lex,split",
     [
-        ("u", [[0], [0], [0]], [2]),  # split step past the last bucket
-        ("u", [[0], [0], [0]], [-1]),
-        ("nope", [[0], [0], [0]], [0]),  # unknown policy id
-        ("u", [[0], [4], [0]], [1]),  # prefix index past depth 1's histories
-        ("u", [[0], [0], [16]], [0]),  # trajectory index past the leaves
-        ("u", [[0], [0], [-1]], [0]),
-        ("u", [[0], [0]], [0]),  # short record
+        ([[0], [0], [0]], [2]),  # split step past the last bucket
+        ([[0], [0], [0]], [-1]),
+        ([[0], [4], [0]], [1]),  # prefix index past depth 1's histories
+        ([[0], [0], [16]], [0]),  # trajectory index past the leaves
+        ([[0], [0], [-1]], [0]),
+        ([[0], [0]], [0]),  # short record
     ],
-    ids=["split-high", "split-negative", "unknown-policy", "prefix-range", "trajectory-range", "negative", "short"],
+    ids=["split-high", "split-negative", "prefix-range", "trajectory-range", "negative", "short"],
 )
-def test_add_batch_rejects_what_add_rejects(policy_id, lex, split):
+def test_add_batch_rejects_what_add_rejects(lex, split):
     space = near_tie().space
     assert space.pair_count == 4 and space.horizon == 2
-    policies = {"u": uniform_policy(space)}
     weights = [[1.0]] * len(lex)
     with pytest.raises(StructuralError):
-        DatasetFamily(space, dict(policies)).add(policy_id, [row[0] for row in lex], [1.0] * len(lex), split[0])
-    dataset = DatasetFamily(space, dict(policies))
+        DatasetFamily(space).add([row[0] for row in lex], [1.0] * len(lex), split[0])
+    dataset = DatasetFamily(space)
     with pytest.raises(StructuralError):
-        dataset.add_batch(policy_id, lex, weights, split)
+        dataset.add_batch(lex, weights, split)
     assert dataset.size() == 0 and not any(any(cols) for cols in dataset.columns)
 
 

@@ -49,6 +49,21 @@ def test_gram_matrix_cannot_be_written_under_its_cached_factor():
     assert direct.scores(np.array([[1.0, 0.0]]))[0] == pytest.approx(0.5, abs=1e-15)
 
 
+def test_private_caches_are_not_constructor_arguments(reference_model):
+    """A cache passed in would be trusted over the values it derives from, so none can be passed."""
+    from psrlab.estimation import CandidateSet
+    from psrlab.psr import PsrModel
+
+    m = reference_model
+    with pytest.raises(TypeError, match="_factor"):
+        FeatureGram(0, 1.0, np.eye(2), _factor=10 * np.eye(2))
+    with pytest.raises(TypeError, match="_table_cache"):
+        PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi, _table_cache={2: np.zeros(1)})
+    with pytest.raises(TypeError, match="_table_cache"):
+        CandidateSet((m,), ("true",), _table_cache={})
+    assert FeatureGram(0, 1.0, np.eye(2)).scores(np.array([[1.0, 0.0]]))[0] == 1.0
+
+
 def test_build_matches_direct_solve():
     rng = rng_for(0, "gram")
     feats = rng.standard_normal((100, 4))
@@ -94,10 +109,10 @@ def test_bonus_monotone_in_data(reference_env, reference_model):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     for i in range(6):
-        add_drawn(dataset, "u", reference_env, pol, i, i % 2)
+        add_drawn(dataset, reference_env, pol, i, i % 2)
     before = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
     for i in range(6, 8):  # one more entry per bucket
-        add_drawn(dataset, "u", reference_env, pol, i, i % 2)
+        add_drawn(dataset, reference_env, pol, i, i % 2)
     after = _build_evaluator(reference_model, dataset, 1.0, 0.8).bonus_table()
     assert np.all(after <= before + 1e-12)
     assert np.all(before >= 0.0) and np.all(before <= 1.0)
@@ -118,7 +133,7 @@ def test_prefix_grams_match_outer_products(reference_env, reference_model):
     dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(40):
-        add_drawn(dataset, "u", reference_env, pol, 40 + i, i % 2)
+        add_drawn(dataset, reference_env, pol, 40 + i, i % 2)
     grams = prefix_grams(reference_model, dataset, lam=0.5)
     for h in range(space.horizon):
         manual = 0.5 * np.eye(reference_model.dims[h])
@@ -133,7 +148,7 @@ def test_prefix_grams_reject_degenerate_prefix():
     model, _ = default_psr(env)
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
-    add_history(dataset, "u", History(((1, 0), (0, 0))), 1, pol)
+    add_history(dataset, pol, History(((1, 0), (0, 0))), 1)
     with pytest.raises(DegenerateHistory, match="step 1"):
         prefix_grams(model, dataset, lam=1.0)
 
@@ -218,7 +233,7 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
     dataset = DatasetFamily(space)
     pol = uniform_policy(space)
     for i in range(12):
-        add_drawn(dataset, "u", reference_env, pol, 700 + i, i % 2)
+        add_drawn(dataset, reference_env, pol, 700 + i, i % 2)
     det_env = make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     det_model, _ = default_psr(det_env)
     evaluators = [

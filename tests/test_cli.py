@@ -479,3 +479,68 @@ def test_offline_theory_keys_are_read_only_under_auto_params(tmp_path, runner, c
     cfg_data["offline"][key] = value
     line = _one_error_line(runner, tmp_path, command, cfg_data)
     assert line == f"Error: config section 'offline' sets {key!r}, which only 'auto_params' reads"
+
+
+@pytest.mark.parametrize(
+    "seeds,message",
+    [
+        ("abc", "must be a non-empty list of integers, got 'abc'"),
+        ([1, 1, 2.5], "must be a non-empty list of integers, got [1, 1, 2.5]"),
+        (3, "must be a non-empty list of integers, got 3"),
+        ([], "must be a non-empty list of integers, got []"),
+        ([0, True], "must be a non-empty list of integers, got [0, True]"),
+        ([2, 1, 2], "lists 2 more than once"),
+    ],
+    ids=["string", "float", "scalar", "empty", "bool", "repeated"],
+)
+@pytest.mark.parametrize("command", ["run-online", "run-offline"])
+def test_config_seeds_are_held_to_the_seeds_option_rule(tmp_path, runner, command, seeds, message):
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG if command == "run-online" else OFFLINE_CONFIG))
+    cfg_data["seeds"] = seeds
+    assert _one_error_line(runner, tmp_path, command, cfg_data) == f"Error: config key 'seeds' {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_malformed_config_json_is_one_error_line(tmp_path, runner):
+    cfg = tmp_path / "cfg.json"
+    for text in ('{"env": ', "[1, 2]"):
+        cfg.write_text(text)
+        result = runner.invoke(main, ["run-online", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        (line,) = _error_lines(result)
+        assert line.startswith("Error: ") and repr(str(cfg)) in line, line
+
+
+@pytest.mark.parametrize("kind", ["missing", "not-json"])
+def test_unreadable_env_path_is_one_error_line(tmp_path, runner, kind):
+    env_file = tmp_path / "env.json"
+    if kind == "not-json":
+        env_file.write_text("{nope")
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG))
+    cfg_data["env"] = {"path": str(env_file)}
+    line = _one_error_line(runner, tmp_path, "run-online", cfg_data)
+    assert line.startswith(f"Error: cannot read env file {str(env_file)!r}: "), line
+
+
+def test_candidates_section_must_be_an_object(tmp_path, runner):
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG))
+    cfg_data["candidates"] = ["dithered"]
+    line = _one_error_line(runner, tmp_path, "run-online", cfg_data)
+    assert line == "Error: config section 'candidates' must be an object, got ['dithered']"
+
+
+@pytest.mark.parametrize(
+    "command,key,value,message",
+    [
+        ("run-online", "p_min", "x", "p_min must be a number, got 'x'"),
+        ("run-online", "max_iterations", 2.5, "max_iterations must be an integer, got 2.5"),
+        ("run-online", "max_iterations", True, "max_iterations must be an integer, got True"),
+        ("run-online", "alpha", False, "alpha must be a number, got False"),
+        ("run-offline", "p_min", "x", "p_min must be a number, got 'x'"),
+        ("run-offline", "n_episodes", 60.0, "n_episodes must be an integer, got 60.0"),
+    ],
+)
+def test_ill_typed_parameter_is_one_error_line(tmp_path, runner, command, key, value, message):
+    section = "online" if command == "run-online" else "offline"
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG if section == "online" else OFFLINE_CONFIG))
+    cfg_data[section][key] = value
+    assert _one_error_line(runner, tmp_path, command, cfg_data) == f"Error: {message}"

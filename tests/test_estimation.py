@@ -5,11 +5,9 @@ import numpy as np
 import pytest
 
 from check_oracles import (
-    Entry,
-    decoded_entries,
+    decoded_trajectories,
     oracle_conditional_tv_diagnostic,
     oracle_stability_and_likelihood,
-    oracle_uniform_collection,
     theta_min_feasible,
 )
 from conftest import assert_same_columns, make_single_state_env
@@ -34,7 +32,7 @@ def small_dataset(reference_env):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
     for i in range(8):
-        add_drawn(dataset, "u", reference_env, pol, 500 + i, i % 2)
+        add_drawn(dataset, reference_env, pol, 500 + i, i % 2)
     return dataset
 
 
@@ -46,7 +44,7 @@ def test_log_likelihood_empty_dataset(reference_model, reference_env):
 def test_log_likelihood_single_entry(reference_env, reference_model):
     dataset = DatasetFamily(reference_env.space)
     pol = uniform_policy(reference_env.space)
-    traj = add_drawn(dataset, "u", reference_env, pol, 7, 0)
+    traj = add_drawn(dataset, reference_env, pol, 7, 0)
     expected = math.log(seq_prob(reference_model, traj) * 0.25)
     assert log_likelihood(reference_model, dataset) == pytest.approx(expected, abs=1e-12)
 
@@ -71,7 +69,7 @@ def test_constrained_mle_excludes_zero_support():
     # grid contains the deterministic rows (1,0) and (0,1)
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
-    add_history(dataset, "u", History(((1, 0),)), 0, pol)
+    add_history(dataset, pol, History(((1, 0),)), 0)
     result = constrained_mle(cands, dataset, p_min=1e-12, beta=100.0)
     labels = [cands.labels[i] for i in result.feasible_ids]
     zero_support = [
@@ -100,7 +98,8 @@ def test_constrained_mle_empty_feasible_set(reference_env, small_dataset):
 
 
 def test_conditional_tv_identical_models(reference_model, small_dataset):
-    assert conditional_tv_diagnostic(reference_model, reference_model, small_dataset) == 0.0
+    policies = [uniform_policy(reference_model.space)] * reference_model.space.horizon
+    assert conditional_tv_diagnostic(reference_model, reference_model, small_dataset, policies) == 0.0
 
 
 def test_conditional_tv_disjoint_support_squared():
@@ -110,8 +109,8 @@ def test_conditional_tv_disjoint_support_squared():
     model_b, _ = default_psr(env_b)
     dataset = DatasetFamily(env_a.space)
     pol = uniform_policy(env_a.space)
-    add_history(dataset, "u", History(((0, 0),)), 0, pol)
-    assert conditional_tv_diagnostic(model_a, model_b, dataset) == pytest.approx(4.0, abs=1e-12)
+    add_history(dataset, pol, History(((0, 0),)), 0)
+    assert conditional_tv_diagnostic(model_a, model_b, dataset, [pol]) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_conditional_tv_degenerate_prefix_raises(reference_env, reference_model):
@@ -119,9 +118,9 @@ def test_conditional_tv_degenerate_prefix_raises(reference_env, reference_model)
     model_det, _ = default_psr(env_det)
     dataset = DatasetFamily(env_det.space)
     pol = uniform_policy(env_det.space)
-    add_history(dataset, "u", History(((1, 0), (0, 0))), 1, pol)
+    add_history(dataset, pol, History(((1, 0), (0, 0))), 1)
     with pytest.raises(DegenerateHistory):
-        conditional_tv_diagnostic(model_det, model_det, dataset)
+        conditional_tv_diagnostic(model_det, model_det, dataset, [pol, pol])
 
 
 def test_make_candidates_include_true(reference_env):
@@ -184,38 +183,42 @@ def test_grid_mle_hellinger_near_best_neighbor():
 
 def test_dataset_bucket_validation(reference_env):
     space = reference_env.space
-    dataset = DatasetFamily(space, {"u": uniform_policy(space)})
-    lex, weights = reference_env.sample_episode(dataset.policies["u"], 1)
+    dataset = DatasetFamily(space)
+    lex, weights = reference_env.sample_episode(uniform_policy(space), 1)
     with pytest.raises(StructuralError, match="every prefix"):
-        dataset.add("u", lex[:-1], weights[:-1], 0)  # not full length
+        dataset.add(lex[:-1], weights[:-1], 0)  # not full length
     with pytest.raises(StructuralError, match="split step"):
-        dataset.add("u", lex, weights, 5)
-    with pytest.raises(StructuralError, match="unknown"):
-        dataset.add("unknown", lex, weights, 0)
+        dataset.add(lex, weights, 5)
     with pytest.raises(StructuralError, match="in range"):
-        dataset.add("u", lex[:-1] + [space.n_trajectories], weights, 0)  # past the last leaf
+        dataset.add(lex[:-1] + [space.n_trajectories], weights, 0)  # past the last leaf
     assert dataset.size() == 0
 
 
-def _oracle_log_likelihood(model, dataset):
-    """Per-entry fsum of log seq_prob + log policy weight; -inf if any is zero."""
+def _oracle_log_likelihood(model, dataset, policies):
+    """Per-entry fsum of log seq_prob + log policy weight, bucket ``h`` drawn under ``policies[h]``; -inf if any is zero."""
     terms = []
-    for entry in (e for bucket in decoded_entries(dataset) for e in bucket):
-        p = seq_prob(model, entry.trajectory)
-        w = oracle_policy_weight(dataset.policies[entry.policy_id], entry.trajectory)
-        if p <= 0.0 or w <= 0.0:
-            return float("-inf")
-        terms.append(math.log(p) + math.log(w))
+    for bucket, policy in zip(decoded_trajectories(dataset), policies, strict=True):
+        for traj in bucket:
+            p = seq_prob(model, traj)
+            w = oracle_policy_weight(policy, traj)
+            if p <= 0.0 or w <= 0.0:
+                return float("-inf")
+            terms.append(math.log(p) + math.log(w))
     return math.fsum(terms)
 
 
-def _oracle_feasible(model, dataset, p_min):
+def _oracle_feasible(model, dataset, p_min, policies):
     return all(
-        seq_prob(model, prefix) * oracle_policy_weight(dataset.policies[e.policy_id], prefix) >= p_min
-        for h, bucket in enumerate(decoded_entries(dataset))
-        for e in bucket
-        for prefix in (History(e.trajectory.steps[:h]),)
+        seq_prob(model, prefix) * oracle_policy_weight(policy, prefix) >= p_min
+        for h, (bucket, policy) in enumerate(zip(decoded_trajectories(dataset), policies, strict=True))
+        for traj in bucket
+        for prefix in (History(traj.steps[:h]),)
     )
+
+
+def _exploration_policies(space, core):
+    """The exploration policy of each bucket under a uniform prefix, as the online loop's first iteration draws."""
+    return [exploration_policy(uniform_policy(space), h, core) for h in range(1, space.horizon + 1)]
 
 
 def test_likelihood_and_feasibility_match_per_entry_oracle(reference_env):
@@ -223,40 +226,41 @@ def test_likelihood_and_feasibility_match_per_entry_oracle(reference_env):
 
     cands = make_candidates(reference_env, "dithered", seed=3, n=8, scale=0.3)
     space = reference_env.space
+    explorers = _exploration_policies(space, cands.models[0].core_tests)
     for seed in range(4):
-        datasets = [collect_offline(reference_env, uniform_policy(space), 30, seed)]
+        datasets = [(collect_offline(reference_env, uniform_policy(space), 30, seed), [uniform_policy(space)] * space.horizon)]
         explore = DatasetFamily(space)
         for k in range(10):
-            for h in range(1, space.horizon + 1):
-                pol = exploration_policy(uniform_policy(space), h, cands.models[0].core_tests)
-                add_drawn(explore, f"e{k},{h}", reference_env, pol, 1000 * seed + 10 * k + h, h - 1)
-        datasets.append(explore)
-        for dataset in datasets:
+            for h, pol in enumerate(explorers, start=1):
+                add_drawn(explore, reference_env, pol, 1000 * seed + 10 * k + h, h - 1)
+        datasets.append((explore, explorers))
+        for dataset, policies in datasets:
             for model in cands.models:
                 assert log_likelihood(model, dataset) == pytest.approx(
-                    _oracle_log_likelihood(model, dataset), rel=1e-12, abs=1e-12
+                    _oracle_log_likelihood(model, dataset, policies), rel=1e-12, abs=1e-12
                 )
                 for p_min in (1e-10, 1e-3, 0.05):
-                    assert theta_min_feasible(model, dataset, p_min) == _oracle_feasible(model, dataset, p_min)
+                    assert theta_min_feasible(model, dataset, p_min) == _oracle_feasible(model, dataset, p_min, policies)
 
 
 def test_likelihood_oracle_edge_cases():
     env = make_single_state_env(horizon=1, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     model, _ = default_psr(env)
+    policies = [uniform_policy(env.space)]
     dataset = DatasetFamily(env.space)
-    add_history(dataset, "u", History(((1, 0),)), 0, uniform_policy(env.space))
-    assert log_likelihood(model, dataset) == _oracle_log_likelihood(model, dataset) == float("-inf")
+    add_history(dataset, policies[0], History(((1, 0),)), 0)
+    assert log_likelihood(model, dataset) == _oracle_log_likelihood(model, dataset, policies) == float("-inf")
     dataset = DatasetFamily(env.space)
-    add_history(dataset, "u", History(((0, 1),)), 0, uniform_policy(env.space))
+    add_history(dataset, policies[0], History(((0, 1),)), 0)
     # the empty prefix has weight 1, so only a floor above 1 is infeasible
-    assert theta_min_feasible(model, dataset, 1.0) is _oracle_feasible(model, dataset, 1.0) is True
-    assert theta_min_feasible(model, dataset, 1.5) is _oracle_feasible(model, dataset, 1.5) is False
+    assert theta_min_feasible(model, dataset, 1.0) is _oracle_feasible(model, dataset, 1.0, policies) is True
+    assert theta_min_feasible(model, dataset, 1.5) is _oracle_feasible(model, dataset, 1.5, policies) is False
 
 
 def test_add_rejects_bad_lex_indices_and_keeps_columns_aligned(reference_env):
     space = reference_env.space
-    dataset = DatasetFamily(space, {"u": uniform_policy(space)})
-    lex, weights = reference_env.sample_episode(dataset.policies["u"], 3)
+    dataset = DatasetFamily(space)
+    lex, weights = reference_env.sample_episode(uniform_policy(space), 3)
     for bad in (
         [0, lex[1], float(lex[2])],  # not an integer
         [0, lex[1], -1],
@@ -265,16 +269,16 @@ def test_add_rejects_bad_lex_indices_and_keeps_columns_aligned(reference_env):
         [0, space.n_histories(1), lex[2]],  # in range for the leaves, not for depth 1
     ):
         with pytest.raises(StructuralError, match="integers in range"):
-            dataset.add("u", bad, weights, 1)
-    dataset.add("u", lex, weights, 1)
-    assert [len(column) for column in dataset.columns[1]] == [1] * 5
+            dataset.add(bad, weights, 1)
+    dataset.add(lex, weights, 1)
+    assert [len(column) for column in dataset.columns[1]] == [1] * 4
     assert list(dataset.columns[1].trajectory) == [lex[-1]] and list(dataset.columns[1].prefix) == [lex[1]]
 
 
-def _oracle_selection(cands, dataset, p_min, beta):
+def _oracle_selection(cands, dataset, p_min, beta, policies):
     """Stable ids, their per-entry log-likelihoods, the selected id and the margin set."""
-    stable = [i for i, m in enumerate(cands.models) if _oracle_feasible(m, dataset, p_min)]
-    liks = [_oracle_log_likelihood(cands.models[i], dataset) for i in stable]
+    stable = [i for i, m in enumerate(cands.models) if _oracle_feasible(m, dataset, p_min, policies)]
+    liks = [_oracle_log_likelihood(cands.models[i], dataset, policies) for i in stable]
     best = max(liks)
     selected = min(i for i, lik in zip(stable, liks) if lik == best)
     return stable, liks, selected, tuple(i for i, lik in zip(stable, liks) if lik >= best - beta)
@@ -323,16 +327,15 @@ def test_constrained_mle_matches_per_entry_oracle_on_staged_growth(reference_env
     cands = _staged_candidates(reference_env)
     neg_inf_id, unstable_id = len(cands) - 2, len(cands) - 1
     p_min, beta = 1e-3, 2.0
-    core = cands.models[0].core_tests
+    explorers = _exploration_policies(space, cands.models[0].core_tests)
     dataset = DatasetFamily(space)
     for stage in range(5):
         for k in range(4):
-            for h in range(1, space.horizon + 1):
-                pol = exploration_policy(uniform_policy(space), h, core)
-                add_drawn(dataset, f"e{stage},{k},{h}", reference_env, pol, 100 * stage + 10 * k + h, h - 1)
+            for h, pol in enumerate(explorers, start=1):
+                add_drawn(dataset, reference_env, pol, 100 * stage + 10 * k + h, h - 1)
         result = constrained_mle(cands, dataset, p_min, beta)
         _assert_fresh_pass_bits(result, cands, dataset, p_min, beta)
-        stable, liks, selected, margin = _oracle_selection(cands, dataset, p_min, beta)
+        stable, liks, selected, margin = _oracle_selection(cands, dataset, p_min, beta, explorers)
         assert result.selected_id == selected
         assert result.feasible_ids == margin
         assert len(result.log_likelihoods) == len(liks)
@@ -360,15 +363,14 @@ def test_selection_record_matches_fresh_pass_bitwise_through_add_add_batch_and_s
     for stage in range(12):
         if stage % 3 == 2:  # one batch per step, spread over every bucket
             for h in range(1, space.horizon + 1):
-                pid = f"b{stage},{h}"
-                dataset.policies[pid] = pol = exploration_policy(uniform_policy(space), h, core)
+                pol = exploration_policy(uniform_policy(space), h, core)
                 seeds = [child_seed(stage, "record-batch", 10 * h + i) for i in range(7)]
                 lex, weights = reference_env.sample_episodes(pol, seeds)
-                dataset.add_batch(pid, lex, weights, np.arange(7) % space.horizon)
+                dataset.add_batch(lex, weights, np.arange(7) % space.horizon)
         else:
             for h in range(1, space.horizon + 1 - stage % 2):  # odd stages leave the last bucket alone
                 pol = exploration_policy(uniform_policy(space), h, core)
-                add_drawn(dataset, f"a{stage},{h}", reference_env, pol, child_seed(stage, "record-add", h), h - 1)
+                add_drawn(dataset, reference_env, pol, child_seed(stage, "record-add", h), h - 1)
         record = dataset._selection
         result = constrained_mle(cands, dataset, p_min, beta)
         assert stage == 0 or dataset._selection is record  # kept, so only the new entries were read
@@ -428,45 +430,52 @@ def test_candidate_set_rejects_mismatched_dimensions(reference_env):
         CandidateSet(cands.models + (wider,), ("true", "wide"))
 
 
-def test_bucket_weight_columns_match_per_history_oracle(reference_env):
+def test_bucket_weight_columns_match_per_history_oracle(reference_env, monkeypatch):
     from pathlib import Path
 
+    from psrlab import online
     from psrlab.cli import build_candidates, build_env
     from psrlab.offline import collect_offline
-    from psrlab.online import OnlineConfig, run_psr_ucb
 
     config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "online_decay.json").read_text())
     env = build_env(config["env"])
     on = config["online"]
-    cfg = OnlineConfig(
+    cfg = online.OnlineConfig(
         max_iterations=30, epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"],
         beta=on["beta"], lam=on["lambda"], alpha=on["alpha"], seed=0,
     )
-    online_data = run_psr_ucb(env, cfg, build_candidates(env, config["candidates"])).dataset
+    explored = [[] for _ in range(env.space.horizon)]  # the policy of each online entry, by bucket
+    online_explore = online._explore
+
+    def recording_explore(prefix, h, suffixes):
+        explored[h - 1].append(online_explore(prefix, h, suffixes))
+        return explored[h - 1][-1]
+
+    monkeypatch.setattr(online, "_explore", recording_explore)
+    online_data = online.run_psr_ucb(env, cfg, build_candidates(env, config["candidates"])).dataset
     behavior = UniformActionSeqPolicy(reference_env.space.n_actions, 1, ((), (1,), (1, 0)))
     offline_data = collect_offline(reference_env, behavior, 200, 4)
-    loaded = DatasetFamily(reference_env.space, dict(offline_data.policies))  # the same entries, one add each
-    for h, bucket in enumerate(decoded_entries(offline_data)):
-        for entry in bucket:
-            add_history(loaded, entry.policy_id, entry.trajectory, h)
+    loaded = DatasetFamily(reference_env.space)  # the same entries, one add each
+    for h, bucket in enumerate(decoded_trajectories(offline_data)):
+        for traj in bucket:
+            add_history(loaded, behavior, traj, h)
     assert_same_columns(loaded, offline_data)
-    for dataset in (online_data, offline_data, loaded):
+    behaviors = [[behavior] * len(cols.trajectory) for cols in offline_data.columns]
+    for dataset, recorded in ((online_data, explored), (offline_data, behaviors), (loaded, behaviors)):
         assert dataset.size() > 0
-        for h, bucket in enumerate(decoded_entries(dataset)):
+        for h, (bucket, policies) in enumerate(zip(decoded_trajectories(dataset), recorded, strict=True)):
             cols = dataset.columns[h]
-            recorded = [dataset.policies[e.policy_id] for e in bucket]
-            prefix = [oracle_policy_weight(p, History(e.trajectory.steps[:h])) for p, e in zip(recorded, bucket)]
-            full = [oracle_policy_weight(p, e.trajectory) for p, e in zip(recorded, bucket)]
+            prefix = [oracle_policy_weight(p, History(traj.steps[:h])) for p, traj in zip(policies, bucket, strict=True)]
+            full = [oracle_policy_weight(p, traj) for p, traj in zip(policies, bucket, strict=True)]
             assert np.asarray(cols.prefix_weight).tobytes() == np.array(prefix, dtype=float).tobytes()
             assert np.asarray(cols.full_weight).tobytes() == np.array(full, dtype=float).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
-    """The diagnostic, grouping rows over the policy-id columns, equals the
-    entry-walking oracle after every stage of a growing dataset: one random
-    tree policy per (stage, step), shared by the ids of that stage's rounds,
-    so every bucket mixes policies whose continuations differ."""
+    """The diagnostic, one continuation pass per bucket, equals the
+    trajectory-walking oracle after every stage of a growing dataset drawn
+    under one random tree policy per step."""
     from psrlab.policies import random_tree_policy
     from psrlab.seeding import child_seed
 
@@ -475,14 +484,12 @@ def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
     truth = cands.models[0]
     dataset = DatasetFamily(space)
     buckets = [[] for _ in range(space.horizon)]
+    policies = [random_tree_policy(space, child_seed(seed, f"ctv-step-{h}")) for h in range(space.horizon)]
     for stage in range(4):
-        policies = [random_tree_policy(space, child_seed(seed, f"ctv-stage-{h}", stage)) for h in range(space.horizon)]
         for k in range(3):
             for h, pol in enumerate(policies):
-                pid = f"e{stage},{k},{h}"
                 episode_seed = child_seed(seed, "ctv-episode", 100 * stage + 10 * k + h)
-                traj = add_drawn(dataset, pid, small_env, pol, episode_seed, h)
-                buckets[h].append(Entry(traj, pid))
+                buckets[h].append(add_drawn(dataset, small_env, pol, episode_seed, h))
         for model in cands.models:
-            want = oracle_conditional_tv_diagnostic(model, truth, dataset.policies, buckets)
-            assert conditional_tv_diagnostic(model, truth, dataset).hex() == want.hex()
+            want = oracle_conditional_tv_diagnostic(model, truth, policies, buckets)
+            assert conditional_tv_diagnostic(model, truth, dataset, policies).hex() == want.hex()

@@ -10,7 +10,8 @@ rewritten; each iteration's ``ucb_value`` and the summary's ``gap`` pin
 the bonus and plan bits.  The dataset JSONL digests were recorded while a
 dataset still kept one entry object per trajectory next to its columns
 and wrote its own JSONL; the same text is now decoded from the
-trajectory-index columns by ``check_oracles.dataset_jsonl``.  The verify
+trajectory-index columns by ``check_oracles.dataset_jsonl``, with the policy
+ids those entries carried supplied by the test.  The verify
 digest at 5 seeds was recorded while the confidence-bound validity check
 still built and weighed one tree policy object per random policy, and the
 one at 20 seeds while every verify suite still drew each seed's stream from
@@ -61,8 +62,9 @@ ONLINE_SHA256 = {
 }
 ONLINE_ALL_SHA256 = "9f70a29ef40ed58834c29bd9858243e4f44b20290d2ece8652a27f17cb0fda66"
 
-# SHA-256 of dataset_jsonl(dataset) for seed 0: the offline sweep's behaviour
-# at n = 1000 episodes, and the dataset of the online reference run.
+# SHA-256 of dataset_jsonl(dataset, label) for seed 0: the offline sweep's
+# behaviour at n = 1000 episodes, and the dataset of the online reference run.
+# The labels are the policy ids these datasets once recorded.
 OFFLINE_JSONL_SHA256 = "c3720d8881731bfd047bba07efe16cd5b10670e983a4d55f4142d01e3c0d583b"
 ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e02c831c"
 
@@ -105,7 +107,8 @@ def test_offline_dataset_jsonl_is_byte_identical():
     env = build_env(config["env"])
     dataset = collect_offline(env, build_behavior(config["behavior"], env.space), 1000, 0)
     assert dataset.size() == 1000
-    assert hashlib.sha256(dataset_jsonl(dataset).encode()).hexdigest() == OFFLINE_JSONL_SHA256
+    text = dataset_jsonl(dataset, lambda h, i: "behavior")
+    assert hashlib.sha256(text.encode()).hexdigest() == OFFLINE_JSONL_SHA256
 
 
 def test_online_dataset_jsonl_is_byte_identical():
@@ -119,7 +122,8 @@ def test_online_dataset_jsonl_is_byte_identical():
     )
     result = run_psr_ucb(env, online, build_candidates(env, config["candidates"]), true_model.core_tests)
     assert result.dataset.size() == 2 * len(result.logs)
-    assert hashlib.sha256(dataset_jsonl(result.dataset).encode()).hexdigest() == ONLINE_JSONL_SHA256
+    text = dataset_jsonl(result.dataset, lambda h, i: f"explore[k={i + 1},h={h + 1}]")  # iteration k adds one per bucket
+    assert hashlib.sha256(text.encode()).hexdigest() == ONLINE_JSONL_SHA256
 
 
 def test_verify_all_lines_are_byte_identical():

@@ -9,7 +9,6 @@ from pomdp_oracles import enumerate_futures
 from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.offline import (
-    BEHAVIOR_POLICY_ID,
     OfflineConfig,
     collect_offline,
     coverage_coefficient,
@@ -50,7 +49,7 @@ def test_collect_is_partition(small_env):
     assert dataset.size() == 11
     space = small_env.space
     for h, cols in enumerate(dataset.columns):
-        assert cols.policy_id == [BEHAVIOR_POLICY_ID] * len(cols.trajectory)
+        assert len({len(column) for column in cols}) == 1  # aligned columns
         assert all(0 <= t < space.n_trajectories for t in cols.trajectory)
         # the recorded prefix is the length-h prefix of the recorded trajectory
         assert [t // space.pair_count ** (space.horizon - h) for t in cols.trajectory] == list(cols.prefix)

@@ -11,7 +11,6 @@ from psrlab.online import (
     run_psr_ucb,
 )
 from psrlab.policies import (
-    CompositePolicy,
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
     policy_weight_vector,
@@ -64,6 +63,24 @@ def test_exploration_policy_weight_product(reference_model):
     consistent = [s for s in seqs if len(s) == 0 or s[0] == traj.steps[1][1]]
     pad = sum((1 / space.n_actions) ** (1 if len(s) == 0 else 0) for s in consistent)
     assert w == pytest.approx(0.5 * pad / len(seqs), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("max_iterations", 2.5), ("max_iterations", True), ("seed", "0"), ("epsilon", None), ("p_min", "x"),
+     ("beta", True), ("lam", [1.0]), ("alpha", float("nan"))],
+)
+def test_config_fields_need_numbers_of_their_kind(field, value):
+    from psrlab.offline import OfflineConfig
+
+    with pytest.raises(StructuralError, match=field):
+        base_config(**{field: value})
+    if field in ("p_min", "beta", "lam", "alpha"):
+        offline = dict(p_min=1e-9, beta=5.0, lam=1.0, alpha=0.5)
+        with pytest.raises(StructuralError, match=field):
+            OfflineConfig(**offline | {field: value})
+        assert getattr(OfflineConfig(**offline | {field: 5}), field) == 5  # an int is a real number
+    assert base_config(beta=5, lam=np.float64(1.0), seed=np.int64(3)).beta == 5
 
 
 def test_exploration_policy_step_bounds(reference_model):
@@ -197,18 +214,20 @@ def test_ucb_value_sequence_logged_within_unit_interval(reference_env, reference
 def test_returned_dataset_holds_no_selection_record(reference_env, reference_model):
     """The loop drops its selection record on return, and a later selection on the returned
     dataset carries the bits of a fresh pass over the same entries."""
-    from check_oracles import decoded_entries
-    from policy_oracles import add_history
     from psrlab.estimation import DatasetFamily, constrained_mle
 
     cands = make_candidates(reference_env, "dithered", seed=5, n=6, scale=0.05)
     cfg = base_config(max_iterations=12, epsilon=1e-9)
     result = run_psr_ucb(reference_env, cfg, cands, reference_model.core_tests)
     assert result.dataset._selection is None
-    rebuilt = DatasetFamily(reference_env.space, dict(result.dataset.policies))
-    for h, bucket in enumerate(decoded_entries(result.dataset)):
-        for entry in bucket:
-            add_history(rebuilt, entry.policy_id, entry.trajectory, h)
+    space = reference_env.space
+    rebuilt = DatasetFamily(space)  # the recorded columns, entered one add per entry
+    for h, cols in enumerate(result.dataset.columns):
+        for prefix, full, prefix_weight, full_weight in zip(*cols):
+            lex = [full // space.pair_count ** (space.horizon - d) for d in range(space.horizon + 1)]
+            weights = [prefix_weight] * (h + 1) + [full_weight] * (space.horizon - h)  # add reads depths h and H
+            assert lex[h] == prefix
+            rebuilt.add(lex, weights, h)
     for beta in (cfg.beta, 0.5):
         later = constrained_mle(cands, result.dataset, cfg.p_min, beta)
         fresh = constrained_mle(cands, rebuilt, cfg.p_min, beta)
@@ -216,26 +235,28 @@ def test_returned_dataset_holds_no_selection_record(reference_env, reference_mod
         assert (later.selected_id, later.feasible_ids) == (fresh.selected_id, fresh.feasible_ids)
 
 
-def _tree_tables(policy):
-    """The action tables of the tree policies inside ``policy``."""
-    if isinstance(policy, CompositePolicy):
-        return _tree_tables(policy.prefix) + _tree_tables(policy.suffix)
-    if isinstance(policy, DeterministicTreePolicy):
-        return policy.actions_by_step
-    return ()
+def test_finished_run_keeps_no_greedy_policy_older_than_the_last(monkeypatch):
+    """The dataset records weights, not policies, so once a run returns, the greedy policy of
+    every iteration before the last is unreachable, and with it that iteration's exploration
+    composites and action tables."""
+    import gc
+    import weakref
 
+    from psrlab import online
 
-def test_online_run_retains_one_byte_per_planned_action():
-    """The dataset keeps every greedy policy it explored from, so a run's retained tables grow
-    with its iterations; at one byte per (history, obs) node they hold at most iterations x nodes
-    bytes (eight times that at int64)."""
+    planned = []
+    plan = online.plan_on_table
+
+    def recording_plan(space, leaves):
+        policy, value = plan(space, leaves)
+        planned.append(weakref.ref(policy))
+        return policy, value
+
+    monkeypatch.setattr(online, "plan_on_table", recording_plan)
     env = random_revealing(1, 2, 3, 2, 5)
-    space = env.space
     model, _ = default_psr(env)
     result = run_psr_ucb(env, base_config(max_iterations=20, epsilon=1e-6), make_candidates(env, "include_true"),
                          model.core_tests)
-    assert len(result.logs) == 20 and not result.terminated
-    tables = {id(t): t for policy in result.dataset.policies.values() for t in _tree_tables(policy)}
-    nodes = sum(space.n_histories(h) * space.n_obs for h in range(space.horizon))
-    assert len(tables) == 19 * space.horizon  # the greedy policies of iterations 1..19
-    assert sum(t.nbytes for t in tables.values()) <= 20 * nodes
+    assert len(result.logs) == len(planned) == 20 and not result.terminated
+    gc.collect()
+    assert [ref() is None for ref in planned[:-1]] == [True] * 19

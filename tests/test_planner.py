@@ -88,7 +88,7 @@ def _bonus_evaluator(env, model, seed=0, n_entries=6, lam=1.0, alpha=0.7):
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
     for i in range(n_entries):
-        add_drawn(dataset, "b", env, pol, 1000 + seed * 97 + i, i % env.space.horizon)
+        add_drawn(dataset, env, pol, 1000 + seed * 97 + i, i % env.space.horizon)
     return _build_evaluator(model, dataset, lam, alpha)
 
 

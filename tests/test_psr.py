@@ -197,6 +197,30 @@ def test_gamma_matches_policy_enumeration(small222_model):
     assert gamma(model) == pytest.approx(1.0 / brute, abs=1e-10)
 
 
+def _signed_envs():
+    from psrlab.pomdp import near_tie
+    from psrlab.verify import reference_env, small_builtin_envs
+
+    return small_builtin_envs() + [("reference", reference_env()), ("near_tie", near_tie()),
+                                   ("random_revealing(1,2,3,2,3)", random_revealing(1, 2, 3, 2, 3))]
+
+
+@pytest.mark.parametrize("name,env", _signed_envs(), ids=[name for name, _ in _signed_envs()])
+def test_positive_directions_give_the_signed_sup_bits(name, env):
+    """Negating a direction negates every closing value exactly, so the sup over both signs has the same bits."""
+    from psrlab.psr import _future_tree_max
+
+    model = default_psr(env)[0]
+    signed = 0.0
+    for h in range(model.space.horizon):
+        for i in range(model.dims[h]):
+            for sign in (1.0, -1.0):
+                x = np.zeros(model.dims[h])
+                x[i] = sign
+                signed = max(signed, _future_tree_max(model, h, x))
+    assert sup_weighted_abs(model).hex() == signed.hex()
+
+
 def test_gamma_doubled_row_doubles_branch(small222_model):
     model = small222_model
     M = [np.copy(m) for m in model.M]

@@ -43,7 +43,7 @@ def _evaluator(env, model, n_entries, lam=1.0, alpha=0.7):
     dataset = DatasetFamily(env.space)
     pol = uniform_policy(env.space)
     for i in range(n_entries):
-        add_drawn(dataset, "b", env, pol, 5000 + i, i % env.space.horizon)
+        add_drawn(dataset, env, pol, 5000 + i, i % env.space.horizon)
     return _build_evaluator(model, dataset, lam, alpha)
 
 

@@ -9,6 +9,7 @@ from check_oracles import (
     oracle_conditional_tv_diagnostic,
     oracle_uniform_collection,
 )
+from conftest import assert_same_columns
 from psrlab.errors import StructuralError
 from psrlab.estimation import conditional_tv_diagnostic, make_candidates
 from psrlab.offline import OfflineConfig, collect_offline, run_psr_lcb
@@ -100,23 +101,30 @@ COLLECTION_ENVS = {
 @pytest.mark.parametrize("name", sorted(COLLECTION_ENVS))
 def test_uniform_collection_matches_one_episode_oracle(name, seed):
     """One batched draw per step gives the columns of one ``sample_episode``
-    and ``add`` per entry, bit for bit, with one policy id per step; the
-    conditional-TV diagnostic of either equals the entry-walking oracle."""
+    and ``add`` per entry, bit for bit, under one exploration policy per step;
+    the conditional-TV diagnostic of either equals the trajectory-walking oracle."""
     env = COLLECTION_ENVS[name]
     truth, _ = default_psr(env)
     collection_seed = child_seed(seed, "mle-event")
-    (got,) = _uniform_collections(env, _uniform_explorers(truth.core_tests), 12, [collection_seed])
-    want, buckets = oracle_uniform_collection(env, truth, 12, collection_seed)
-    for h, (got_cols, want_cols) in enumerate(zip(got.columns, want.columns, strict=True), start=1):
-        for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
-            assert g.typecode == w.typecode and g.tobytes() == w.tobytes()
-        assert got_cols.policy_id == [f"uexplore[h={h}]"] * 12
-        assert want_cols.policy_id == [f"uexplore[k={k},h={h}]" for k in range(1, 13)]
-        assert got.policies[f"uexplore[h={h}]"].to_dict() == want.policies[want_cols.policy_id[0]].to_dict()
+    explorers = _uniform_explorers(truth.core_tests)
+    (got,) = _uniform_collections(env, explorers, 12, [collection_seed])
+    want, policies, buckets = oracle_uniform_collection(env, truth, 12, collection_seed)
+    assert_same_columns(got, want)
+    assert [p.to_dict() for p in explorers] == [p.to_dict() for p in policies]
     for model in make_candidates(env, "dithered", seed=77, n=4, scale=0.08).models:
-        oracle = oracle_conditional_tv_diagnostic(model, truth, want.policies, buckets).hex()
-        assert conditional_tv_diagnostic(model, truth, got).hex() == oracle
-        assert conditional_tv_diagnostic(model, truth, want).hex() == oracle
+        oracle = oracle_conditional_tv_diagnostic(model, truth, policies, buckets).hex()
+        assert conditional_tv_diagnostic(model, truth, got, explorers).hex() == oracle
+        assert conditional_tv_diagnostic(model, truth, want, policies).hex() == oracle
+
+
+def test_conditional_tv_needs_one_policy_per_bucket():
+    env = reference_env()
+    truth, _ = default_psr(env)
+    explorers = _uniform_explorers(truth.core_tests)
+    (dataset,) = _uniform_collections(env, explorers, 2, [0])
+    for policies in (explorers[:-1], explorers + explorers[:1]):
+        with pytest.raises(StructuralError, match="one policy per bucket"):
+            conditional_tv_diagnostic(truth, truth, dataset, policies)
 
 
 VERIFY_MODULE = sys.modules["psrlab.verify"]  # the package re-exports the function under the module's name
@@ -124,7 +132,7 @@ VERIFY_MODULE = sys.modules["psrlab.verify"]  # the package re-exports the funct
 
 @pytest.mark.parametrize("block", [1, 3, 5, VERIFY_MODULE.DRAW_BLOCK])
 def test_collection_blocks_equal_one_seed_calls(monkeypatch, block):
-    """Collections drawn in blocks have the columns, policy ids and policies of one-seed calls, bit for bit."""
+    """Collections drawn in blocks have the columns of one-seed calls, bit for bit."""
     env = reference_env()
     explorers = _uniform_explorers(default_psr(env)[0].core_tests)
     seeds = [child_seed(s, "mle-event") for s in range(5)]
@@ -133,12 +141,7 @@ def test_collection_blocks_equal_one_seed_calls(monkeypatch, block):
     blocked = list(_uniform_collections(env, explorers, 12, seeds))
     assert len(blocked) == len(seeds)
     for got, want in zip(blocked, singles):
-        assert got.policies.keys() == want.policies.keys()
-        assert all(got.policies[pid] is want.policies[pid] for pid in want.policies)
-        for got_cols, want_cols in zip(got.columns, want.columns, strict=True):
-            for g, w in zip(got_cols[:-1], want_cols[:-1], strict=True):
-                assert g.typecode == w.typecode and g.tobytes() == w.tobytes()
-            assert got_cols.policy_id == want_cols.policy_id
+        assert_same_columns(got, want)
 
 
 @pytest.mark.parametrize("block", [1, 3, VERIFY_MODULE.DRAW_BLOCK])
