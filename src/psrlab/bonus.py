@@ -13,7 +13,10 @@ sum of a length-``h`` prefix is its parent's running sum plus its own
 score, so each depth touches only its own prefixes, and the leaves are
 filled by one expansion at the end.  Every leaf still adds its scores in
 step order starting from zero, so the sums are the bits of adding each
-step's repeated scores into a leaf-sized array.
+step's repeated scores into a leaf-sized array.  A degenerate prefix's NaN
+feature row is zeroed in a copy of the feature table (a row assignment,
+cheaper than a broadcast ``np.where``) before it is scored; its flag, not
+its score, decides its bonus.
 """
 
 from __future__ import annotations
@@ -150,7 +153,8 @@ class BonusEvaluator:
         for h in range(space.horizon):
             feats = self.feature_source.feature_table(h)
             bad = np.isnan(feats[:, 0])
-            feats = np.where(bad[:, None], 0.0, feats)
+            feats = feats.copy()  # the cached table is read-only
+            feats[bad] = 0.0
             if h:
                 totals = np.repeat(totals, space.pair_count)
                 degenerate = np.repeat(degenerate, space.pair_count)

@@ -33,6 +33,7 @@ from .planner import plan_on_table
 from .policies import policy_from_dict, uniform_policy
 from .pomdp import BUILTIN_ENVS, TabularPomdp, default_psr, dynamics_matrix, pomdp_from_dict
 from .psr import psr_rank
+from .spaces import check_numbers
 from .theory import EnvSummary, resolve_theory_params
 from .verify import SUITES, Report, verify
 
@@ -95,7 +96,10 @@ def _section(config: dict, name: str, required: tuple[str, ...] = ()) -> dict:
     missing = [key for key in required if key not in section]
     if missing:
         raise StructuralError(f"config section {name!r} is missing {', '.join(map(repr, missing))}")
-    if not section.get("auto_params", False):
+    auto_params = section.get("auto_params", False)
+    if not isinstance(auto_params, bool):
+        raise StructuralError(f"config key 'auto_params' in section {name!r} must be true or false, got {auto_params!r}")
+    if not auto_params:
         for key in _THEORY_KEYS[name]:
             if key in section:
                 raise StructuralError(f"config section {name!r} sets {key!r}, which only 'auto_params' reads")
@@ -194,6 +198,8 @@ def _resolve_params(cfg: dict, constants: EnvSummary | None, mode: str, n_episod
     missing = [key for key in ("p_min", "beta", "lambda", "alpha") if key not in cfg]
     if missing:
         raise StructuralError(f"config section {mode!r} is missing {', '.join(map(repr, missing))} (or set auto_params)")
+    # Checked here so an error names the config key ('lambda'), not the config field it fills ('lam').
+    check_numbers({}, {key: cfg[key] for key in ("p_min", "beta", "lambda", "alpha")})
     values = dict(p_min=cfg["p_min"], beta=cfg["beta"], lam=cfg["lambda"], alpha=cfg["alpha"])
     echo = {"mode": mode, "c_theory": None, "p_min": cfg["p_min"], "beta": cfg["beta"],
             "lambda": cfg["lambda"], "alpha": cfg["alpha"]}

@@ -12,11 +12,16 @@ one call per leaf (a ``RewardTable`` builds its own leaf table at once).
 
 Deterministic policies attain the maximum (the objective is linear in each
 conditional action distribution), and ties break toward the lowest action
-index, so results are reproducible.  Each depth of the induction walks the
-action slices of the ``(nodes, obs, action)`` value block once: a running
-``np.maximum`` gives the node values (the same bits, signed zeros included,
-as a max over the action axis), and an action replaces the running choice
-only where it is strictly larger.
+index, so results are reproducible.  Each depth of the induction runs a few
+long vector operations over strided slices of the value array (one slice
+per action, then one per observation) rather than reductions along its
+short axes.  A running ``np.maximum`` over the action slices gives the best
+value per (node, observation), with the same bits, signed zeros included,
+as a max over the action axis.  The choice starts as ``action 1 > action
+0``, and a later action replaces it only where it is strictly larger.  A
+node's value adds its observation columns in the order numpy's
+``sum(axis=1)`` uses (see :func:`_column_sum`), so it keeps the bits of
+that reduction.  :func:`psrlab.psr.gamma` runs the same induction.
 """
 
 from __future__ import annotations
@@ -42,25 +47,61 @@ def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[Deterministic
     """Backward induction over precomputed leaf values."""
     if leaves.shape != (space.n_trajectories,):
         raise StructuralError(f"expected {space.n_trajectories} leaf values, got shape {leaves.shape}")
-    values = leaves
-    dtype = action_dtype(space.n_actions)  # the tree policy's storage type, so its tables are these arrays
+    n_obs, n_actions = space.n_obs, space.n_actions
+    dtype = action_dtype(n_actions)  # the tree policy's storage type, so its tables are these arrays
     choices: list[np.ndarray] = []
+    values = leaves
     for _ in range(space.horizon):
-        shaped = values.reshape(-1, space.n_obs, space.n_actions)
-        best = shaped[:, :, 0]
-        choice = np.zeros(best.shape, dtype=dtype)
-        for a in range(1, space.n_actions):
-            col = shaped[:, :, a]
-            choice[col > best] = a  # strict: ties keep the lowest action
+        best = values[0::n_actions]  # one entry per (node, obs), in lexicographic order
+        choice = np.zeros(best.shape, dtype=dtype) if n_actions == 1 else None
+        for a in range(1, n_actions):
+            col = values[a::n_actions]
+            greater = col > best  # strict: ties keep the lowest action
+            choice = greater.astype(dtype) if a == 1 else np.where(greater, dtype.type(a), choice)
             best = np.maximum(best, col)
-        choices.append(choice.reshape(-1))
-        values = best.sum(axis=1)
+        choices.append(choice)
+        values = _column_sum(best, n_obs)
     value = float(values[0])
     if math.isnan(value):  # maximum and sum carry a NaN leaf up to the root
         raise StructuralError("leaf values contain NaN (or infinities of both signs)")
     choices.reverse()
     # Every choice starts at 0 and only takes actions 1..A-1, so only the shapes need checking.
     return DeterministicTreePolicy._from_valid_tables(space, tuple(choices)), value
+
+
+def _column_sum(values: np.ndarray, n: int) -> np.ndarray:
+    """``values.reshape(-1, n).sum(axis=1)`` bit for bit, as whole-column adds.
+
+    numpy reduces each row from 0.0 plus a pairwise sum: fewer than 8 terms
+    left to right, up to 128 in eight interleaved accumulators joined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` followed by the
+    remainder, and more by halving at a multiple of 8.  Starting the short
+    case from 0.0 gives the same bits as adding 0.0 at the end.  The planner
+    tests compare against ``sum(axis=1)`` itself, so a numpy that changed
+    this order would fail them.
+    """
+    if n < 8:
+        total = values[0::n] + 0.0
+        for j in range(1, n):
+            total += values[j::n]
+        return total
+    return _pairwise([values[j::n] for j in range(n)]) + 0.0
+
+
+def _pairwise(cols: list[np.ndarray]) -> np.ndarray:
+    """numpy's pairwise sum of at least 8 columns, without the leading 0.0."""
+    n = len(cols)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise(cols[:half]) + _pairwise(cols[half:])
+    acc = cols[:8]
+    full = n - n % 8
+    for i in range(8, full, 8):
+        acc = [a + c for a, c in zip(acc, cols[i : i + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for col in cols[full:]:
+        total += col
+    return total
 
 
 def policy_value_on_table(space: ObsActSpace, policy: Policy, leaves: np.ndarray) -> float:

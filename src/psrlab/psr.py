@@ -8,7 +8,10 @@ normalized by its probability, one coordinate per core test.
 
 States, probabilities and features are cached per-depth tables over all
 histories in lexicographic order; a history's entry is the row at its
-:meth:`~psrlab.spaces.History.lex_index`.  Distances are exact sums over
+:meth:`~psrlab.spaces.History.lex_index`.  :func:`stacked_tables` builds
+them for a stack of models, one einsum per model and depth written into the
+stacked array.  :func:`gamma`'s policy maximization is the planner's
+backward induction.  Distances are exact sums over
 the full trajectory tree (exponential in the horizon; the space cap bounds
 the blow-up) accumulated with compensated summation, and the identity checks
 compare whole tables one depth at a time, stepping them with
@@ -23,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StructuralError
+from .planner import plan_on_table
 from .policies import Policy, policy_weight_vector
 from .spaces import Future, ObsActSpace, _read_only_copy
 
@@ -173,28 +177,32 @@ class PsrModel:
 def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[np.ndarray, np.ndarray]:
     """States and probabilities of all length-``h`` histories for a stack of models.
 
-    One forward step per depth, batched over a leading model axis, gives
-    read-only ``(n_models, n_histories(h), d_h)`` states and
-    ``(n_models, n_histories(h))`` probabilities in lexicographic order.
-    ``cache`` holds the stacks by depth; each model's own table cache gets a
-    batch-of-one view into them, so no table is stored twice.  Below the
-    root, where every closing vector is exactly ``[1.0]`` (the last depth of
-    every model built here), the probabilities are a view of the one-column
-    states.  The
-    models must share their space and state dimensions.
+    One forward step per depth gives read-only ``(n_models,
+    n_histories(h), d_h)`` states and ``(n_models, n_histories(h))``
+    probabilities in lexicographic order.  The step is one einsum per model,
+    written straight into that model's block of the stack: on the short
+    state axes here that is about twice as fast as one einsum batched over
+    the model axis, with the same bits.  ``cache`` holds the stacks by
+    depth; each model's own table cache gets a batch-of-one view into them,
+    so no table is stored twice.  Below the root, where every closing vector
+    is exactly ``[1.0]`` (the last depth of every model built here), the
+    probabilities are a view of the one-column states.  The models must
+    share their space and state dimensions.
     """
     cached = cache.get(h)
     if cached is not None:
         return cached
-    n = len(models)
     if h == 0:
         states = np.stack([m.psi0[None] for m in models])
     else:
-        ops = np.stack([m.M[h - 1] for m in models]).reshape(n, -1, *models[0].M[h - 1].shape[2:])
         prev = stacked_tables(models, cache, h - 1)[0]
-        states = np.einsum("ckij,cnj->cnki", ops, prev).reshape(n, -1, ops.shape[2])
+        n_ops, d_out = models[0].space.pair_count, models[0].M[h - 1].shape[2]
+        states = np.empty((len(models), prev.shape[1] * n_ops, d_out))
+        for model, block, prev_block in zip(models, states, prev):
+            ops = model.M[h - 1].reshape(n_ops, d_out, -1)
+            np.einsum("kij,nj->nki", ops, prev_block, out=block.reshape(-1, n_ops, d_out))
     if h and all(m.phi[h].shape == (1,) and m.phi[h][0] == 1.0 for m in models):
-        # The einsum sums into a zeroed output, so no state here is -0.0, the one
+        # Each einsum sums into a zeroed output, so no state here is -0.0, the one
         # value a product with [1.0] would change; share the states' memory.
         probs = states[:, :, 0]
     else:
@@ -274,16 +282,14 @@ def sup_weighted_abs(model: PsrModel) -> float:
 
 
 def _future_tree_max(model: PsrModel, h: int, x: np.ndarray) -> float:
-    """max over continuation policies of sum_w pi(w) |closing value of x|."""
+    """max over continuation policies of sum_w pi(w) |closing value of x|, by the planner's induction."""
     space = model.space
     stack = x[None, :]
     for j in range(h + 1, space.horizon + 1):
         ops = model.M[j - 1].reshape(-1, *model.M[j - 1].shape[2:])
         stack = np.einsum("kij,nj->nki", ops, stack).reshape(-1, ops.shape[1])
-    vals = np.abs(stack @ model.phi[space.horizon])
-    for _ in range(space.horizon - h):
-        vals = vals.reshape(-1, space.n_obs, space.n_actions).max(axis=2).sum(axis=1)
-    return float(vals[0])
+    continuations = ObsActSpace(space.n_obs, space.n_actions, space.horizon - h)
+    return plan_on_table(continuations, np.abs(stack @ model.phi[space.horizon]))[1]
 
 
 def tv_distance(model_a: PsrModel, model_b: PsrModel, policy: Policy) -> float:

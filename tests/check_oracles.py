@@ -9,8 +9,10 @@ exploration minimum recursing through ``action_row`` node by node, the
 policy value calling a leaf function per trajectory, the prefix
 probability summed over hidden-state sequences, and the elliptical
 potential growing one gram and solving it once per vector.  The planner's
-oracle reduces each depth with ``argmax``/``max`` over the action axis, and
-the bonus oracles add every step's repeated scores into a leaf-sized array.
+oracle reduces each depth with ``argmax``/``max``/``sum`` over the action
+and observation axes, the bonus oracles add every step's repeated scores
+into a leaf-sized array, and the stacked-states oracle takes each forward
+step as one einsum batched over the model axis.
 Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
@@ -176,6 +178,16 @@ def oracle_plan_on_table(space, leaves):
         values = shaped.max(axis=2).sum(axis=1)
     choices.reverse()
     return tuple(choices), float(values[0])
+
+
+def oracle_stacked_states(models, h):
+    """States of all length-``h`` histories for a stack of models: one einsum per depth over every model at once."""
+    n = len(models)
+    states = np.stack([m.psi0[None] for m in models])
+    for j in range(h):
+        ops = np.stack([m.M[j] for m in models]).reshape(n, -1, *models[0].M[j].shape[2:])
+        states = np.einsum("ckij,cnj->cnki", ops, states).reshape(n, -1, ops.shape[2])
+    return states
 
 
 def oracle_score_table(evaluator):

@@ -537,6 +537,8 @@ def test_candidates_section_must_be_an_object(tmp_path, runner):
         ("run-online", "alpha", False, "alpha must be a number, got False"),
         ("run-offline", "p_min", "x", "p_min must be a number, got 'x'"),
         ("run-offline", "n_episodes", 60.0, "n_episodes must be an integer, got 60.0"),
+        ("run-online", "lambda", "x", "lambda must be a number, got 'x'"),
+        ("run-offline", "lambda", "x", "lambda must be a number, got 'x'"),
     ],
 )
 def test_ill_typed_parameter_is_one_error_line(tmp_path, runner, command, key, value, message):
@@ -544,3 +546,17 @@ def test_ill_typed_parameter_is_one_error_line(tmp_path, runner, command, key, v
     cfg_data = json.loads(json.dumps(ONLINE_CONFIG if section == "online" else OFFLINE_CONFIG))
     cfg_data[section][key] = value
     assert _one_error_line(runner, tmp_path, command, cfg_data) == f"Error: {message}"
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None])
+@pytest.mark.parametrize("command", ["run-online", "run-offline"])
+def test_auto_params_must_be_a_boolean(tmp_path, runner, command, value):
+    """A string such as "false" is not read as a flag: the section is refused and nothing runs."""
+    section = "online" if command == "run-online" else "offline"
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG if section == "online" else OFFLINE_CONFIG))
+    for key in ("p_min", "beta", "lambda", "alpha"):
+        del cfg_data[section][key]
+    cfg_data[section]["auto_params"] = value
+    line = _one_error_line(runner, tmp_path, command, cfg_data)
+    assert line == f"Error: config key 'auto_params' in section {section!r} must be true or false, got {value!r}"
+    assert not (tmp_path / "out").exists()

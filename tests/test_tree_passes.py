@@ -1,12 +1,19 @@
-"""The planner's induction, the bonus sums, the gram's LAPACK calls and the
-depth-H probabilities (a view of the states) against their previous forms,
-bit for bit: equal values, dtypes and signs of zero."""
+"""The planner's induction, the bonus sums, the gram's LAPACK calls, the
+per-model forward steps and the depth-H probabilities (a view of the states)
+against their previous forms, bit for bit: equal values, dtypes and signs of
+zero."""
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from check_oracles import oracle_bonus_table, oracle_gram_scores, oracle_plan_on_table, oracle_score_table
+from check_oracles import (
+    oracle_bonus_table,
+    oracle_gram_scores,
+    oracle_plan_on_table,
+    oracle_score_table,
+    oracle_stacked_states,
+)
 from conftest import make_single_state_env
 from policy_oracles import add_drawn
 from psrlab import online
@@ -91,6 +98,7 @@ def test_probabilities_equal_states_times_closing_vector(env_case):
         cache = {}
         for h in range(H + 1):
             states, probs = stacked_tables(models, cache, h)
+            assert _same(states, oracle_stacked_states(models, h)), (name, len(models), h)
             old = (states @ np.stack([m.phi[h] for m in models])[:, :, None])[:, :, 0]
             assert _same(probs, old), (name, h)
             assert not probs.flags.writeable
@@ -126,7 +134,8 @@ def test_planner_equals_argmax_induction_on_model_leaves(env_case):
         _assert_plan_matches_oracle(space, table, (name, kind))
 
 
-SPACES = [ObsActSpace(3, 1, 3), ObsActSpace(9, 2, 2), ObsActSpace(10, 1, 2), ObsActSpace(2, 3, 3), ObsActSpace(2, 4, 3)]
+SPACES = [ObsActSpace(3, 1, 3), ObsActSpace(9, 2, 2), ObsActSpace(10, 1, 2), ObsActSpace(2, 3, 3), ObsActSpace(2, 4, 3),
+          ObsActSpace(17, 2, 2), ObsActSpace(300, 1, 1)]  # 17 and 300 observations: accumulator blocks and halving
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"O{s.n_obs}A{s.n_actions}H{s.horizon}")
@@ -139,6 +148,11 @@ def test_planner_equals_argmax_induction_on_ties_and_signed_zeros(space, seed):
     zeros = np.where(rng.random(space.n_trajectories) < 0.5, -0.0, 0.0)
     _assert_plan_matches_oracle(space, zeros, (seed, "signed zeros"))
     _assert_plan_matches_oracle(space, -np.zeros(space.n_trajectories), (seed, "negative zeros"))
+    # Sums of random reals depend on their order, so these pin the node values' summation order.
+    reals = rng.standard_normal(space.n_trajectories) * 10.0 ** rng.integers(-6, 7, size=space.n_trajectories)
+    reals[rng.random(space.n_trajectories) < 0.2] = -0.0
+    reals[rng.random(space.n_trajectories) < 0.1] = 0.0
+    _assert_plan_matches_oracle(space, reals, (seed, "random reals"))
 
 
 def test_gram_lapack_calls_equal_scipy_wrappers(reference_env, reference_model, monkeypatch):
