@@ -18,10 +18,10 @@ per action, then one per observation) rather than reductions along its
 short axes.  A running ``np.maximum`` over the action slices gives the best
 value per (node, observation), with the same bits, signed zeros included,
 as a max over the action axis.  The choice starts as ``action 1 > action
-0``, and a later action replaces it only where it is strictly larger.  A
-node's value adds its observation columns in the order numpy's
-``sum(axis=1)`` uses (see :func:`_column_sum`), so it keeps the bits of
-that reduction.  :func:`psrlab.psr.gamma` runs the same induction.
+0``, and a later action replaces it only where it is strictly larger.  Below 8
+observations a node's value adds its observation columns left to right
+from 0.0, numpy's own order for ``sum(axis=1)``; from 8 up it is that
+reduction (see :func:`_column_sum`).  Either way it keeps its bits.  :func:`psrlab.psr.gamma` runs the same induction.
 """
 
 from __future__ import annotations
@@ -70,37 +70,18 @@ def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[Deterministic
 
 
 def _column_sum(values: np.ndarray, n: int) -> np.ndarray:
-    """``values.reshape(-1, n).sum(axis=1)`` bit for bit, as whole-column adds.
+    """``values.reshape(-1, n).sum(axis=1)`` bit for bit.
 
-    numpy reduces each row from 0.0 plus a pairwise sum: fewer than 8 terms
-    left to right, up to 128 in eight interleaved accumulators joined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))`` followed by the
-    remainder, and more by halving at a multiple of 8.  Starting the short
-    case from 0.0 gives the same bits as adding 0.0 at the end.  The planner
-    tests compare against ``sum(axis=1)`` itself, so a numpy that changed
-    this order would fail them.
+    Below 8 columns numpy adds each row left to right from 0.0, so whole
+    columns added in that order from 0.0 give the same bits without the
+    per-row overhead of a reduction along a short axis.  From 8 columns up
+    it is numpy's own reduction.
     """
-    if n < 8:
-        total = values[0::n] + 0.0
-        for j in range(1, n):
-            total += values[j::n]
-        return total
-    return _pairwise([values[j::n] for j in range(n)]) + 0.0
-
-
-def _pairwise(cols: list[np.ndarray]) -> np.ndarray:
-    """numpy's pairwise sum of at least 8 columns, without the leading 0.0."""
-    n = len(cols)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise(cols[:half]) + _pairwise(cols[half:])
-    acc = cols[:8]
-    full = n - n % 8
-    for i in range(8, full, 8):
-        acc = [a + c for a, c in zip(acc, cols[i : i + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for col in cols[full:]:
-        total += col
+    if n >= 8:
+        return values.reshape(-1, n).sum(axis=1)
+    total = values[0::n] + 0.0
+    for j in range(1, n):
+        total += values[j::n]
     return total
 
 

@@ -135,7 +135,7 @@ def test_planner_equals_argmax_induction_on_model_leaves(env_case):
 
 
 SPACES = [ObsActSpace(3, 1, 3), ObsActSpace(9, 2, 2), ObsActSpace(10, 1, 2), ObsActSpace(2, 3, 3), ObsActSpace(2, 4, 3),
-          ObsActSpace(17, 2, 2), ObsActSpace(300, 1, 1)]  # 17 and 300 observations: accumulator blocks and halving
+          ObsActSpace(17, 2, 2), ObsActSpace(300, 1, 1)]  # 17 and 300 observations: numpy's own reduction
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: f"O{s.n_obs}A{s.n_actions}H{s.horizon}")
