@@ -13,10 +13,9 @@ sum of a length-``h`` prefix is its parent's running sum plus its own
 score, so each depth touches only its own prefixes, and the leaves are
 filled by one expansion at the end.  Every leaf still adds its scores in
 step order starting from zero, so the sums are the bits of adding each
-step's repeated scores into a leaf-sized array.  A degenerate prefix's NaN
-feature row is zeroed in a copy of the feature table (a row assignment,
-cheaper than a broadcast ``np.where``) before it is scored; its flag, not
-its score, decides its bonus.
+step's repeated scores into a leaf-sized array.  The model's cached feature
+table is scored as it is: a degenerate prefix's row is 0.0 there, and the
+model's cached degenerate-prefix mask, not its score, decides its bonus.
 """
 
 from __future__ import annotations
@@ -141,42 +140,36 @@ class BonusEvaluator:
         return np.repeat(out, self.feature_source.space.pair_count)
 
     def _prefix_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Running score sums and degenerate flags of the length-``H-1`` prefixes.
+        """Running score sums and degenerate-prefix flags of the length-``H-1`` prefixes.
 
         Top-down: a prefix's sum is its parent's sum plus its own score, with
-        the root's sum started from zero, and its flag is its parent's flag
-        or its own.
+        the root's sum started from zero.  The flags are the feature source's
+        cached :meth:`~psrlab.psr.PsrModel.degenerate_prefixes`.
         """
         space = self.feature_source.space
         totals = np.zeros(1)
-        degenerate = np.zeros(1, dtype=bool)
         for h in range(space.horizon):
-            feats = self.feature_source.feature_table(h)
-            bad = np.isnan(feats[:, 0])
-            feats = feats.copy()  # the cached table is read-only
-            feats[bad] = 0.0
-            if h:
-                totals = np.repeat(totals, space.pair_count)
-                degenerate = np.repeat(degenerate, space.pair_count)
-            totals = totals + self.grams[h].scores(feats)
-            degenerate = degenerate | bad
-        return totals, degenerate
+            scores = self.grams[h].scores(self.feature_source.feature_table(h))
+            totals = (totals[:, None] + scores.reshape(len(totals), -1)).reshape(-1)
+        return totals, self.feature_source.degenerate_prefixes(space.horizon - 1)
 
 
 def prefix_grams(model: PsrModel, dataset: "DatasetFamily", lam: float) -> tuple[FeatureGram, ...]:
     """Per-step grams of a model's features over a dataset's recorded prefixes.
 
     The step-``h`` gram adds the feature of every bucket-``h`` entry's
-    length-``h`` prefix, counted with multiplicity.
+    length-``h`` prefix, counted with multiplicity.  A recorded prefix that
+    is degenerate under the model has no feature and raises
+    :class:`DegenerateHistory`.
     """
     grams = []
     for h in range(model.space.horizon):
         feats = model.feature_table(h)
         counts = np.bincount(dataset.columns[h].prefix, minlength=len(feats))
-        used = counts > 0
-        if np.isnan(feats[used, 0]).any():
+        used = np.flatnonzero(counts)
+        if model.degenerate_mask(h).take(used).any():
             raise DegenerateHistory(f"a recorded prefix at step {h} has zero probability under the model")
-        grams.append(FeatureGram.build(h, model.dims[h], lam, feats[used], counts[used]))
+        grams.append(FeatureGram.build(h, model.dims[h], lam, feats.take(used, axis=0), counts.take(used)))
     return tuple(grams)
 
 

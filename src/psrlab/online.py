@@ -8,12 +8,19 @@ over the collected data, and plans greedily against the bonus.  The loop
 stops once the planned bonus value is at most half the accuracy target;
 the loop body never touches the reward function.  The dataset records each
 episode's lex indices and policy weights, not its policy.
+
+Episode ``h`` of iteration ``k`` is drawn from the uniforms of its own child
+seed, ``child_seed(seed, "episode", k * (H + 1) + h)``.  Those depend only on
+the seed, so the loop draws them for ``EPISODE_BLOCK`` iterations at a time
+in one :func:`first_uniforms` call, bit for bit the uniforms of one
+``default_rng`` per episode.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -30,8 +37,11 @@ from .policies import (
 )
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
-from .seeding import child_seed
+from .seeding import child_seeds, first_uniforms
 from .spaces import check_numbers
+
+
+EPISODE_BLOCK = 64  # iterations whose episode uniforms are drawn in one call
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,14 @@ def _explore(prefix: Policy, h: int, suffixes: tuple[UniformActionSeqPolicy, ...
     return CompositePolicy(h, prefix, suffixes[h - 1])
 
 
+def _episode_uniforms(seed: int, horizon: int, n_iterations: int) -> Iterator[list[float]]:
+    """Each episode's uniforms, as a list, in draw order; drawn ``EPISODE_BLOCK`` iterations at a time."""
+    for first in range(1, n_iterations + 1, EPISODE_BLOCK):
+        iterations = range(first, min(first + EPISODE_BLOCK, n_iterations + 1))
+        indices = [k * (horizon + 1) + h for k in iterations for h in range(1, horizon + 1)]
+        yield from first_uniforms(child_seeds(seed, "episode", indices), 3 * horizon - 1).tolist()
+
+
 def _build_evaluator(
     model: PsrModel, dataset: DatasetFamily, lam: float, alpha: float
 ) -> BonusEvaluator:
@@ -128,11 +146,11 @@ def run_psr_ucb(
     last_model = None
     last_evaluator = None
     terminated = False
+    uniforms = _episode_uniforms(config.seed, space.horizon, config.max_iterations)
     for k in range(1, config.max_iterations + 1):
         started = time.perf_counter()
         for h in range(1, space.horizon + 1):
-            episode_seed = child_seed(config.seed, "episode", k * (space.horizon + 1) + h)
-            lex, weights = env.sample_episode(_explore(previous, h, suffixes), episode_seed)
+            lex, weights = env.sample_episode(_explore(previous, h, suffixes), next(uniforms))
             dataset.add(lex, weights, h - 1)
         try:
             mle = constrained_mle(candidates, dataset, config.p_min, config.beta)

@@ -205,20 +205,24 @@ class TabularPomdp:
         """``_cdfs`` as nested lists, which the scalar sampler bisects."""
         return self._cdfs[0].tolist(), self._cdfs[1].tolist()
 
-    def sample_episode(self, policy: Policy, rng_seed: int) -> tuple[list[int], list[float]]:
-        """One episode under ``policy`` as a dataset records it; deterministic given the seed.
+    def sample_episode(self, policy: Policy, uniforms: Sequence[float]) -> tuple[list[int], list[float]]:
+        """One episode under ``policy`` as a dataset records it; deterministic given its uniforms.
 
         Returns the lex index and policy weight of each prefix, depth 0..H, as
         two lists; a weight is the previous one times the drawn row's entry.
-        The seed's generator supplies ``3H - 1`` uniforms, used in the order
+        ``uniforms`` are the episode's ``3H - 1`` uniforms, used in the order
         o_1, a_1, s_2, ..., o_H, a_H; each value is the first index whose
-        normalized cumulative probability exceeds its uniform.  That is how
+        normalized cumulative probability exceeds its uniform.  With the
+        uniforms of ``default_rng(seed).random(3H - 1)`` (a row of
+        :func:`first_uniforms` on that seed), that is how
         ``Generator.choice(n, p=row)`` draws, so the trajectory is the one a
-        step-by-step ``choice`` sampler on the same seed would produce.  Each
-        action row is the policy's ``_rows`` entry at node ``lex[h] * n_obs + obs``.
+        step-by-step ``choice`` sampler on the same seed would produce.  A
+        list of floats is bisected fastest.  Each action row is the policy's
+        ``_rows`` entry at node ``lex[h] * n_obs + obs``.
         """
         space, horizon = self.space, self.space.horizon
-        uniforms = np.random.default_rng(rng_seed).random(3 * horizon - 1).tolist()
+        if len(uniforms) != 3 * horizon - 1:
+            raise StructuralError(f"an episode reads {3 * horizon - 1} uniforms, got {len(uniforms)}")
         emission, transition = self._cdf_lists
         state = self.initial_state
         lex, weights = [0], [1.0]
@@ -241,9 +245,9 @@ class TabularPomdp:
     def sample_episodes(self, policy: Policy, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Prefix lex indices and policy weights, ``(H+1, n)`` each, of one episode per seed.
 
-        Column ``i`` is ``sample_episode(policy, seeds[i])``: the uniforms
-        come from :func:`first_uniforms` on the same seeds, and each step is
-        drawn for all episodes at once, ``(cdf_rows <= u).sum(-1)`` being
+        Column ``i`` is :meth:`sample_episode` on row ``i`` of
+        :func:`first_uniforms` on the seeds.  Each step is drawn for all
+        episodes at once, ``(cdf_rows <= u).sum(-1)`` being
         ``bisect_right`` on the non-decreasing CDF rows.  Policy rows are the
         :func:`reached_rows` gathers the weight tables read.  Single episodes (the
         online loop) use :meth:`sample_episode`, which costs far less.

@@ -4,7 +4,9 @@ A model is a start vector ``psi0``, per-step observation-action matrices
 ``M[h][o][a]``, and closing vectors ``phi[0..H]``.  A history's state vector
 is the ordered matrix product applied to ``psi0``; its probability is the
 closing vector applied to that state.  Prediction features are the state
-normalized by its probability, one coordinate per core test.
+normalized by its probability, one coordinate per core test; a degenerate
+history (probability not above ``PSI_GUARD``) has a 0.0 row instead, which
+cached boolean masks flag.
 
 States, probabilities and features are cached per-depth tables over all
 histories in lexicographic order; a history's entry is the row at its
@@ -102,7 +104,7 @@ class PsrModel:
     M: tuple[np.ndarray, ...]  # M[h-1] has shape (O, A, d_h, d_{h-1})
     phi: tuple[np.ndarray, ...]  # phi[h] has length d_h, for h = 0..H
     _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> stacks of one
-    _feature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> feature table
+    _feature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> features and masks
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "psi0", _read_only_copy(self.psi0))
@@ -146,14 +148,37 @@ class PsrModel:
         return self._tables(h)[1]
 
     def feature_table(self, h: int) -> np.ndarray:
-        """Prediction features (state over probability) of all length-``h`` histories, cached read-only; NaN rows where degenerate."""
+        """Prediction features (state over probability) of all length-``h`` histories, cached read-only.
+
+        A degenerate history, one whose probability is not above
+        ``PSI_GUARD``, has no feature: its row is 0.0 and
+        :meth:`degenerate_mask` flags it.
+        """
+        return self._features(h)[0]
+
+    def degenerate_mask(self, h: int) -> np.ndarray:
+        """Which length-``h`` histories are degenerate (probability not above ``PSI_GUARD``), cached read-only."""
+        return self._features(h)[1]
+
+    def degenerate_prefixes(self, h: int) -> np.ndarray:
+        """Which length-``h`` histories have a degenerate prefix of any length, themselves included; cached read-only."""
+        return self._features(h)[2]
+
+    def _features(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Feature table, degenerate mask and degenerate-prefix mask at depth ``h``, built together."""
         out = self._feature_cache.get(h)
         if out is None:
             psis, probs = self._tables(h)
-            out = np.full_like(psis, np.nan)
             ok = probs > PSI_GUARD
-            out[ok] = psis[ok] / probs[ok, None]
-            out.setflags(write=False)
+            feats = np.zeros_like(psis)
+            np.divide(psis, probs[:, None], out=feats, where=ok[:, None])
+            degenerate = ~ok
+            prefixes = degenerate
+            if h:
+                prefixes = degenerate | np.repeat(self.degenerate_prefixes(h - 1), self.space.pair_count)
+            out = (feats, degenerate, prefixes)
+            for table in out:
+                table.setflags(write=False)
             self._feature_cache[h] = out
         return out
 

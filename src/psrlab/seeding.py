@@ -73,32 +73,44 @@ _POOL_SIZE = 4
 _MIX_MULT_L = _U(0xCA01F9DD)
 _MIX_MULT_R = _U(0x4973F715)
 _PCG_MULT = (_U(0x2360ED051FC65DA4), _U(0x4385DF649FCCF645))  # PCG64's 128-bit LCG multiplier (high, low)
-# Below this many seeds, first_integers calls default_rng itself, which costs
-# less than the array arithmetic's fixed cost.
+# Below these many seeds, first_integers and first_uniforms call default_rng
+# itself, which costs less than the array arithmetic's fixed cost.  For
+# uniforms (timeit, one Xeon core, numpy 2.4), default_rng costs about 10 us
+# a seed and the array path about 95 us plus 19 us an output, so the two
+# cross at 17-18 seeds for the 5 uniforms of a horizon-2 episode (24 at 8
+# uniforms, 40 at 17).
 _ARRAY_SEEDS = 8
+_UNIFORM_ARRAY_SEEDS = 18
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[tuple[np.uint64, np.uint64]]:
+def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """``SeedSequence``'s running hash constant before and after each of its first ``n`` updates.
 
     The constant evolves the same way for every seed, so it is computed once
-    in Python integers.
+    in Python integers.  Both are ``(n, 1)`` columns, to broadcast over a
+    block of hashed words whose rows are the updates.
     """
-    out = []
+    before, after = [], []
     for _ in range(n):
-        nxt = init * mult & 0xFFFFFFFF
-        out.append((_U(init), _U(nxt)))
-        init = nxt
-    return out
+        before.append(init)
+        init = init * mult & 0xFFFFFFFF
+        after.append(init)
+    return np.array(before, dtype=np.uint64)[:, None], np.array(after, dtype=np.uint64)[:, None]
 
 
-# mix_entropy hashes the 4 pool words, then 12 (source, destination) pairs;
-# generate_state(4, uint64) hashes 8 words.
+# mix_entropy hashes the 4 pool words, then 12 (source, destination) pairs,
+# 3 per source; generate_state(4, uint64) hashes 8 words.
 _MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE + _POOL_SIZE * (_POOL_SIZE - 1))
 _STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE)
+_POOL_CONSTANTS = tuple(c[:_POOL_SIZE] for c in _MIX_CONSTANTS)
+_SOURCE_CONSTANTS = tuple(  # the (source, destination) updates of each source, in destination order
+    tuple(c[_POOL_SIZE:].reshape(_POOL_SIZE, _POOL_SIZE - 1, 1)[src] for c in _MIX_CONSTANTS) for src in range(_POOL_SIZE)
+)
+_DESTINATIONS = tuple(np.array([dst for dst in range(_POOL_SIZE) if dst != src]) for src in range(_POOL_SIZE))
+_STATE_SLOTS = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
 
 
-def _hashmix(value: np.ndarray, constants: tuple[np.uint64, np.uint64]) -> np.ndarray:
+def _hashmix(value: np.ndarray, constants: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     before, after = constants
     value = (value ^ before) * after & _MASK32
     return value ^ value >> _XSHIFT
@@ -109,22 +121,23 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> _XSHIFT
 
 
-def _seed_words(seeds: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each seed.
+def _seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` for each seed, as a ``(4, n)`` array.
 
     The entropy is the seed's little-endian 32-bit words: one below 2**32,
     else two.  Pool slots past the entropy hash a zero word, so a seed below
-    2**32 hashes the same as its two words with a zero high word.
+    2**32 hashes the same as its two words with a zero high word.  The pool
+    is a ``(4, n)`` block: a source slot's three mixes into the other slots
+    read only the source, so they are one operation, and so are the eight
+    state-word hashes.
     """
-    words = [seeds & _MASK32, seeds >> _U(32)] + [np.zeros_like(seeds)] * (_POOL_SIZE - 2)
-    constants = iter(_MIX_CONSTANTS)
-    pool = [_hashmix(word, next(constants)) for word in words]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(constants)))
-    state = [_hashmix(pool[i % _POOL_SIZE], c) for i, c in enumerate(_STATE_CONSTANTS)]
-    return [state[2 * k] | state[2 * k + 1] << _U(32) for k in range(4)]
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint64)
+    pool[0], pool[1] = seeds & _MASK32, seeds >> _U(32)
+    pool = _hashmix(pool, _POOL_CONSTANTS)
+    for src, dst in enumerate(_DESTINATIONS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _SOURCE_CONSTANTS[src]))
+    state = _hashmix(pool[_STATE_SLOTS], _STATE_CONSTANTS)
+    return state[0::2] | state[1::2] << _U(32)
 
 
 def _mulhi(a: np.ndarray, b: np.uint64) -> np.ndarray:
@@ -177,8 +190,16 @@ def first_uniforms(seeds: Sequence[int], k: int) -> np.ndarray:
     """Row ``i`` is ``np.random.default_rng(int(seeds[i])).random(k)``, bit for bit.
 
     Each double is the top 53 bits of one :func:`_pcg_outputs` output.
+    Fewer than ``_UNIFORM_ARRAY_SEEDS`` seeds are drawn by ``default_rng``
+    itself, which is cheaper than the array arithmetic's fixed cost.
     """
-    return (_pcg_outputs(seeds, k) >> _U(11)).astype(np.float64) * 2.0**-53
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    if len(seeds) >= _UNIFORM_ARRAY_SEEDS:
+        return (_pcg_outputs(seeds, k) >> _U(11)).astype(np.float64) * 2.0**-53
+    out = np.empty((len(seeds), k))
+    for i, seed in enumerate(seeds.tolist()):
+        out[i] = np.random.default_rng(seed).random(k)
+    return out
 
 
 def first_integers(seeds: Sequence[int], n_values: int, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:

@@ -32,10 +32,12 @@ import math
 import numpy as np
 import scipy.linalg
 
-from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight
+from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import psi
 from psrlab.errors import DegenerateHistory
-from psrlab.estimation import DatasetFamily, _one_model
+from psrlab.estimation import DatasetFamily, _one_model, constrained_mle
+from psrlab.online import _build_evaluator
+from psrlab.planner import plan_on_table
 from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
 from psrlab.psr import PSI_GUARD, PsrModel
 from psrlab.seeding import child_seed
@@ -191,14 +193,21 @@ def oracle_stacked_states(models, h):
 
 
 def oracle_score_table(evaluator):
-    """Summed prefix scores and degenerate flags, each step's scores repeated into the leaves."""
-    space = evaluator.feature_source.space
+    """Summed prefix scores and degenerate flags, each step's scores repeated into the leaves.
+
+    Features are divided from the model's state and probability tables here,
+    a prefix whose probability is not above ``PSI_GUARD`` scoring a zero row,
+    so the oracle does not read the model's cached features or masks.
+    """
+    model = evaluator.feature_source
+    space = model.space
     totals = np.zeros(space.n_trajectories)
     degenerate = np.zeros(space.n_trajectories, dtype=bool)
     for h in range(space.horizon):
-        feats = evaluator.feature_source.feature_table(h)
-        bad = np.isnan(feats[:, 0])
-        feats = np.where(bad[:, None], 0.0, feats)
+        states = model.state_table(h)
+        probs = (states @ model.phi[h][:, None])[:, 0]  # at the root too, where prob_table reads 1
+        bad = ~(probs > PSI_GUARD)
+        feats = np.where(bad[:, None], 0.0, states / np.where(bad, 1.0, probs)[:, None])
         scores = oracle_gram_scores(evaluator.grams[h], feats)
         reps = space.pair_count ** (space.horizon - h)
         totals += np.repeat(scores, reps)
@@ -217,6 +226,28 @@ def oracle_bonus_table(evaluator):
     out = np.minimum(evaluator.alpha * np.sqrt(np.maximum(totals, 0.0)), 1.0)
     out[degenerate] = 1.0
     return out
+
+
+def oracle_online_dataset(env, config, candidates, core_tests):
+    """The online loop's dataset, each episode drawn from its own ``default_rng``.
+
+    Episode ``h`` of iteration ``k`` reads the first ``3H - 1`` doubles of
+    ``default_rng(child_seed(seed, "episode", k * (H + 1) + h))``; selection,
+    bonus and plan are the package's, and the loop stops where it does.
+    """
+    space = env.space
+    dataset = DatasetFamily(space)
+    previous = uniform_policy(space)
+    for k in range(1, config.max_iterations + 1):
+        for h in range(1, space.horizon + 1):
+            uniforms = seed_uniforms(space, child_seed(config.seed, "episode", k * (space.horizon + 1) + h))
+            dataset.add(*env.sample_episode(exploration_policy(previous, h, core_tests), uniforms), h - 1)
+        mle = constrained_mle(candidates, dataset, config.p_min, config.beta)
+        bonus = _build_evaluator(mle.model, dataset, config.lam, config.alpha).bonus_table()
+        previous, value = plan_on_table(space, mle.model.prob_table(space.horizon) * bonus)
+        if value <= config.epsilon / 2.0:
+            break
+    return dataset
 
 
 def oracle_uniform_collection(env, model, n_rounds, seed):

@@ -3,6 +3,8 @@ import pytest
 
 from psrlab import pomdp as pmd
 from psrlab.pomdp import default_psr, random_revealing
+from psrlab.psr import PsrModel, make_core_test_set
+from psrlab.spaces import Future
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,17 @@ def small_env():
 @pytest.fixture(scope="session")
 def small_model(small_env):
     return default_psr(small_env)[0]
+
+
+def growing_model():
+    """An H=3 PSR, two observations, one action, built by hand: observation 1 first has
+    probability 1e-13, below the degenerate guard, and every step-2 operator scales by 1e3,
+    so that history's descendants rise above the guard."""
+    space = pmd.ObsActSpace(2, 1, 3)
+    core = make_core_test_set(space, [(Future(h, (0,), ()),) for h in range(3)])
+    first = np.array([1.0 - 1e-13, 1e-13]).reshape(2, 1, 1, 1)
+    M = (first, np.full((2, 1, 1, 1), 1e3), np.full((2, 1, 1, 1), 0.5))
+    return PsrModel(space, core, np.ones(1), M, (np.ones(1),) * 4)
 
 
 def make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=None):

@@ -78,16 +78,21 @@ def add_history(dataset, policy, history, split_step):
     dataset.add(*oracle_record(policy, dataset.space, history), split_step)
 
 
+def seed_uniforms(space, seed):
+    """The uniforms of the episode drawn on ``seed``: the first ``3H - 1`` doubles of ``default_rng(seed)``."""
+    return np.random.default_rng(seed).random(3 * space.horizon - 1).tolist()
+
+
 def add_drawn(dataset, env, policy, seed, split_step):
     """Add the episode ``env.sample_episode`` draws under ``policy`` on ``seed``, and return its trajectory."""
-    lex, weights = env.sample_episode(policy, seed)
+    lex, weights = env.sample_episode(policy, seed_uniforms(env.space, seed))
     dataset.add(lex, weights, split_step)
     return history_from_lex(env.space, env.space.horizon, lex[-1])
 
 
 def drawn_history(env, policy, seed):
     """The trajectory ``env.sample_episode`` draws on ``seed``."""
-    return history_from_lex(env.space, env.space.horizon, env.sample_episode(policy, seed)[0][-1])
+    return history_from_lex(env.space, env.space.horizon, env.sample_episode(policy, seed_uniforms(env.space, seed))[0][-1])
 
 
 def oracle_continuation_weights(policy, prefix, space):

@@ -20,6 +20,7 @@ import numpy as np
 
 from psrlab.errors import DegenerateHistory, StructuralError
 from policy_oracles import oracle_policy_weight
+from psrlab.psr import PSI_GUARD
 from psrlab.spaces import Future, History, enumerate_histories
 
 
@@ -36,11 +37,19 @@ def seq_prob(model, history):
 
 
 def prediction_feature(model, history):
-    """The history's row of ``model.feature_table``; a degenerate (NaN) row raises ``DegenerateHistory``."""
+    """The history's row of ``model.feature_table``; a degenerate history raises ``DegenerateHistory``.
+
+    A history is degenerate when its probability is not above ``PSI_GUARD``;
+    the model's cached mask must flag exactly those, and their rows are 0.0.
+    """
     history.validate(model.space)
-    feature = model.feature_table(len(history))[history.lex_index(model.space)]
-    if np.isnan(feature).any():
-        raise DegenerateHistory(f"history of length {len(history)} has probability at most the guard")
+    h, idx = len(history), history.lex_index(model.space)
+    feature = model.feature_table(h)[idx]
+    degenerate = not model.prob_table(h)[idx] > PSI_GUARD
+    assert model.degenerate_mask(h)[idx] == degenerate
+    if degenerate:
+        assert not feature.any()
+        raise DegenerateHistory(f"history of length {h} has probability at most the guard")
     return feature
 
 

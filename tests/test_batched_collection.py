@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_columns
-from policy_oracles import oracle_policy_weight, oracle_record
+from policy_oracles import oracle_policy_weight, oracle_record, seed_uniforms
 from psrlab import policies, seeding
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
@@ -59,7 +59,7 @@ def sequential_collect(env, behavior, n_episodes, seed):
     rng_for(seed, "offline-split").shuffle(assignment)
     dataset = DatasetFamily(space)
     for i in range(n_episodes):
-        lex, weights = env.sample_episode(behavior, child_seed(seed, "offline-episode", i))
+        lex, weights = env.sample_episode(behavior, seed_uniforms(space, child_seed(seed, "offline-episode", i)))
         dataset.add(lex, weights, int(assignment[i]))
     return dataset
 
@@ -81,6 +81,29 @@ def test_first_uniforms_match_default_rng_bit_for_bit():
 @pytest.mark.parametrize("seed", EDGE_SEEDS)
 def test_first_uniforms_edge_seed_alone(seed):
     assert first_uniforms([seed], 3).tobytes() == np.random.default_rng(seed).random(3).tobytes()
+
+
+@pytest.mark.parametrize("seed", EDGE_SEEDS)
+def test_pcg_outputs_edge_seed_alone(seed):
+    """One seed alone goes through ``default_rng`` in ``first_uniforms``; the array path on it still gives PCG64's outputs."""
+    want = np.random.default_rng(seed).bit_generator.random_raw(4)
+    assert seeding._pcg_outputs([seed], 4).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", ["below", "at"])
+def test_first_uniforms_on_both_sides_of_the_array_threshold(monkeypatch, side):
+    """Fewer than ``_UNIFORM_ARRAY_SEEDS`` seeds are drawn by ``default_rng`` itself, the rest by
+    array arithmetic; both keep numpy's bits."""
+    n = seeding._UNIFORM_ARRAY_SEEDS - (side == "below")
+    seeds = EDGE_SEEDS + [child_seed(4, "uniform-threshold", i) for i in range(n - len(EDGE_SEEDS))]
+    want = np.array([np.random.default_rng(s).random(5) for s in seeds])
+    drawn = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(seeding.np.random, "default_rng", lambda seed: drawn.append(seed) or default_rng(seed))
+    got = first_uniforms(seeds, 5)
+    monkeypatch.undo()
+    assert got.tobytes() == want.tobytes()
+    assert drawn == (seeds if side == "below" else [])
 
 
 def test_first_uniforms_empty():
@@ -171,7 +194,7 @@ def test_sample_episodes_match_sample_episode(name, env):
         assert lex.shape == weights.shape == (space.horizon + 1, len(seeds))
         assert lex.dtype == np.int64 and weights.dtype == np.float64
         for i, seed in enumerate(seeds):
-            one_lex, one_weights = env.sample_episode(policy, seed)
+            one_lex, one_weights = env.sample_episode(policy, seed_uniforms(space, seed))
             trajectory = history_from_lex(space, space.horizon, one_lex[-1])
             want = [History(trajectory.steps[:h]) for h in range(space.horizon + 1)]
             assert lex[:, i].tolist() == one_lex == [p.lex_index(space) for p in want], kind
@@ -225,7 +248,8 @@ def test_sample_episode_reads_one_row_per_step(name, env):
         counting = CountingRows(policy)
         for seed in range(5):
             counting.steps.clear()
-            assert env.sample_episode(counting, seed) == env.sample_episode(policy, seed), kind
+            uniforms = seed_uniforms(env.space, seed)
+            assert env.sample_episode(counting, uniforms) == env.sample_episode(policy, uniforms), kind
             assert counting.steps == list(range(1, env.space.horizon + 1)), kind
 
 
@@ -263,7 +287,7 @@ def test_inconsistent_mixture_history_raises_in_both_paths():
     env = near_tie()
     policy = inconsistent_composite(env.space)
     with pytest.raises(StructuralError):
-        env.sample_episode(policy, 5)
+        env.sample_episode(policy, seed_uniforms(env.space, 5))
     with pytest.raises(StructuralError):
         env.sample_episodes(policy, [5, 6])
 
@@ -279,7 +303,7 @@ def test_policy_with_another_action_count_raises_in_both_samplers(kind):
         wider = random_tree_policy(ObsActSpace(space.n_obs, space.n_actions + 1, space.horizon), child_seed(0, "wider"))
     policy = CompositePolicy(space.horizon, uniform_policy(space), wider)
     with pytest.raises(StructuralError, match="actions"):
-        env.sample_episode(policy, 0)
+        env.sample_episode(policy, seed_uniforms(space, 0))
     with pytest.raises(StructuralError, match="actions"):
         env.sample_episodes(policy, [0, 1])
 

@@ -111,3 +111,44 @@ def test_online_loop_selects_once_per_iteration_through_the_traced_name(monkeypa
     assert len(result.logs) == 5
     assert len(calls) == 5
     assert all(args[0] is candidates and args[1] is result.dataset for args in calls)
+
+
+def test_online_iteration_reaches_every_traced_stage(monkeypatch):
+    """Per iteration the loop reaches the sampler once per step, and selection, the evaluator build,
+    the bonus table and the plan once each, under the names the tracer wraps, so none of those
+    per-layer counters can be bypassed by a private path."""
+    import sys
+
+    from psrlab.estimation import make_candidates
+    from psrlab.online import OnlineConfig, run_psr_ucb
+    from psrlab.verify import reference_env
+
+    stages = {
+        "pomdp.sample_episode", "estimation.constrained_mle", "online.build_evaluator", "bonus.bonus_table",
+        "planner.plan_on_table",
+    }
+    calls = dict.fromkeys(stages, 0)
+
+    def counted(prefix, original):
+        def wrapper(*args, **kwargs):
+            calls[prefix] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for prefix, module, cls, attr, _kinds in ENTRY_POINTS:
+        if prefix not in stages:
+            continue
+        if cls is not None:
+            owner = getattr(importlib.import_module(module), cls)
+            monkeypatch.setattr(owner, attr, counted(prefix, owner.__dict__[attr]))
+            continue
+        original = getattr(importlib.import_module(module), attr)
+        for name, mod in list(sys.modules.items()):
+            if (name == "psrlab" or name.startswith("psrlab.")) and getattr(mod, attr, None) is original:
+                monkeypatch.setattr(mod, attr, counted(prefix, original))
+    env = reference_env()
+    config = OnlineConfig(max_iterations=3, epsilon=1e-6, delta=0.1, p_min=1e-9, beta=5.0, lam=1.0, alpha=0.5, seed=0)
+    result = run_psr_ucb(env, config, make_candidates(env, "dithered", seed=5, n=4, scale=0.05))
+    assert len(result.logs) == 3 and not result.terminated
+    per_iteration = {prefix: 1 for prefix in stages} | {"pomdp.sample_episode": env.space.horizon}
+    assert calls == {prefix: 3 * n for prefix, n in per_iteration.items()}

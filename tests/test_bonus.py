@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_single_state_env
+from conftest import growing_model, make_single_state_env
 from policy_oracles import add_drawn, add_history
 from pomdp_oracles import prediction_feature
 from psrlab.bonus import (
@@ -125,6 +125,15 @@ def test_bonus_degenerate_prefix_is_one():
     ev = BonusEvaluator(grams, 0.001, model)
     dead = History(((1, 0), (0, 0)))
     assert ev.bonus_table()[dead.lex_index(env.space)] == 1.0
+
+
+def test_bonus_is_one_below_a_degenerate_ancestor():
+    """A length-(H-1) prefix above the guard whose parent is degenerate still gets bonus 1."""
+    model = growing_model()
+    assert not model.degenerate_mask(2).any()
+    ev = BonusEvaluator(tuple(FeatureGram.build(h, 1, 1.0, ()) for h in range(3)), 0.001, model)
+    table = ev.bonus_table()
+    assert table[4:].tolist() == [1.0] * 4 and (table[:4] < 1.0).all()
 
 
 def test_prefix_grams_match_outer_products(reference_env, reference_model):

@@ -11,7 +11,7 @@ from check_oracles import (
     theta_min_feasible,
 )
 from conftest import assert_same_columns, make_single_state_env
-from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight
+from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import seq_prob
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from psrlab.estimation import (
@@ -184,7 +184,7 @@ def test_grid_mle_hellinger_near_best_neighbor():
 def test_dataset_bucket_validation(reference_env):
     space = reference_env.space
     dataset = DatasetFamily(space)
-    lex, weights = reference_env.sample_episode(uniform_policy(space), 1)
+    lex, weights = reference_env.sample_episode(uniform_policy(space), seed_uniforms(space, 1))
     with pytest.raises(StructuralError, match="every prefix"):
         dataset.add(lex[:-1], weights[:-1], 0)  # not full length
     with pytest.raises(StructuralError, match="split step"):
@@ -260,7 +260,7 @@ def test_likelihood_oracle_edge_cases():
 def test_add_rejects_bad_lex_indices_and_keeps_columns_aligned(reference_env):
     space = reference_env.space
     dataset = DatasetFamily(space)
-    lex, weights = reference_env.sample_episode(uniform_policy(space), 3)
+    lex, weights = reference_env.sample_episode(uniform_policy(space), seed_uniforms(space, 3))
     for bad in (
         [0, lex[1], float(lex[2])],  # not an integer
         [0, lex[1], -1],

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_single_state_env
+from check_oracles import oracle_online_dataset
+from conftest import assert_same_columns, make_single_state_env
 from policy_oracles import action_row, exploration_policy
 from psrlab.errors import EmptyFeasibleSet, StructuralError
 from psrlab.estimation import make_candidates
+from psrlab import online
 from psrlab.online import (
     OnlineConfig,
     evaluate_output,
@@ -260,3 +262,31 @@ def test_finished_run_keeps_no_greedy_policy_older_than_the_last(monkeypatch):
     assert len(result.logs) == len(planned) == 20 and not result.terminated
     gc.collect()
     assert [ref() is None for ref in planned[:-1]] == [True] * 19
+
+
+@pytest.mark.parametrize(
+    "block,iterations,epsilon",
+    [(online.EPISODE_BLOCK, online.EPISODE_BLOCK + 2, 1e-6), (4, 10, 1e-6), (4, 40, 0.5)],
+    ids=["module-block-crossed", "small-block-crossed", "stops-mid-block"],
+)
+def test_block_drawn_episodes_match_one_generator_per_episode(
+    monkeypatch, reference_env, reference_model, block, iterations, epsilon
+):
+    """Uniforms drawn a block of iterations at a time give the dataset of one generator per
+    episode, across block edges and when the loop stops inside a block; no block past the
+    stopping iteration is drawn."""
+    monkeypatch.setattr(online, "EPISODE_BLOCK", block)
+    draws = []
+    first_uniforms = online.first_uniforms
+    monkeypatch.setattr(online, "first_uniforms", lambda seeds, k: draws.append(len(seeds)) or first_uniforms(seeds, k))
+    cands = make_candidates(reference_env, "dithered", seed=5, n=4, scale=0.05)
+    cfg = base_config(max_iterations=iterations, epsilon=epsilon)
+    result = run_psr_ucb(reference_env, cfg, cands, reference_model.core_tests)
+    assert_same_columns(result.dataset, oracle_online_dataset(reference_env, cfg, cands, reference_model.core_tests))
+    ran = len(result.logs)
+    if epsilon < 1e-3:
+        assert ran == iterations and not result.terminated
+    else:
+        assert result.terminated and ran < iterations and ran % block
+    blocks = [min(block, iterations - start) for start in range(0, ran, block)]
+    assert draws == [n * reference_env.space.horizon for n in blocks]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
-from policy_oracles import action_row, oracle_policy_weight
+from policy_oracles import action_row, oracle_policy_weight, seed_uniforms
 from psrlab.errors import StructuralError
 from psrlab.policies import (
     CompositePolicy,
@@ -125,7 +125,7 @@ def test_sampling_matches_action_row():
     counts = np.zeros(2)
     n = 4000
     for i in range(n):
-        lex, _ = env.sample_episode(policy, child_seed(9, "sample", i))
+        lex, _ = env.sample_episode(policy, seed_uniforms(env.space, child_seed(9, "sample", i)))
         counts[lex[1] % env.space.n_actions] += 1  # the first step's pair index is obs * A + action
     probs = action_row(policy, env.space, History(), 0)
     assert np.abs(counts / n - probs).max() < 4 * np.sqrt(0.25 / n)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
-from policy_oracles import drawn_history
+from policy_oracles import drawn_history, seed_uniforms
 from pomdp_oracles import enumerate_futures, future_steps, oracle_reward_of, seq_prob
 from psrlab.errors import RejectionBudgetExhausted, SingularCoreTests, StructuralError
 from psrlab.policies import random_tree_policy, uniform_policy
@@ -24,7 +24,7 @@ from psrlab.pomdp import (
     tiger,
 )
 from psrlab.psr import check_self_consistency, psr_rank
-from psrlab.seeding import child_seed
+from psrlab.seeding import child_seed, first_uniforms
 from psrlab.spaces import History, ObsActSpace, enumerate_histories
 
 
@@ -114,8 +114,8 @@ def test_sample_episode_deterministic_env_unique_trajectory():
 
 def test_sample_episode_seed_determinism(reference_env):
     policy = uniform_policy(reference_env.space)
-    a = reference_env.sample_episode(policy, 123)
-    b = reference_env.sample_episode(policy, 123)
+    a = reference_env.sample_episode(policy, seed_uniforms(reference_env.space, 123))
+    b = reference_env.sample_episode(policy, seed_uniforms(reference_env.space, 123))
     assert a == b
 
 
@@ -124,8 +124,8 @@ def test_sample_episode_frequencies_match_exact(reference_env):
     n = 100_000
     space = reference_env.space
     counts = np.zeros(space.n_trajectories)
-    for i in range(n):
-        counts[reference_env.sample_episode(policy, i)[0][-1]] += 1
+    for uniforms in first_uniforms(range(n), 3 * space.horizon - 1).tolist():
+        counts[reference_env.sample_episode(policy, uniforms)[0][-1]] += 1
     from psrlab.policies import policy_weight_vector
 
     exact = policy_weight_vector(policy, space) * np.array(

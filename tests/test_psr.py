@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_single_state_env
+from conftest import growing_model, make_single_state_env
 from policy_oracles import drawn_history
 from pomdp_oracles import prediction_feature, psi, seq_prob
 from psrlab.errors import DegenerateHistory, StructuralError
@@ -13,6 +13,7 @@ from psrlab.planner import policy_value_on_table
 from psrlab.policies import random_tree_policy, uniform_policy, policy_weight_vector
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.psr import (
+    PSI_GUARD,
     PsrModel,
     check_self_consistency,
     conditional_update_violation,
@@ -115,6 +116,38 @@ def test_feature_table_follows_a_later_stack(small_env):
     assert rebuilt is not own
     psis, probs = model._tables(2)
     assert np.array_equal(rebuilt, psis / probs[:, None])
+
+
+def _features_from_states(model, h):
+    """Features and degenerate flags divided from the state table, the probability as ``states @ phi``."""
+    states = model.state_table(h)
+    probs = (states @ model.phi[h][:, None])[:, 0]
+    bad = ~(probs > PSI_GUARD)
+    return np.where(bad[:, None], 0.0, states / np.where(bad, 1.0, probs)[:, None]), bad
+
+
+@pytest.mark.parametrize("kind", ["never-emits", "grows-past-guard", "revealing"])
+def test_degenerate_rows_are_zero_and_flagged(kind):
+    if kind == "never-emits":
+        model, _ = default_psr(make_single_state_env(horizon=3, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0])))
+    elif kind == "grows-past-guard":
+        model = growing_model()
+    else:
+        model, _ = default_psr(random_revealing(seed=8, n_states=2, n_obs=2, n_actions=2, horizon=3))
+    space = model.space
+    prefixes = np.zeros(1, dtype=bool)
+    for h in range(space.horizon + 1):
+        want, bad = _features_from_states(model, h)
+        prefixes = bad | np.repeat(prefixes, space.pair_count if h else 1)
+        feats, mask, flagged = model.feature_table(h), model.degenerate_mask(h), model.degenerate_prefixes(h)
+        assert feats.tobytes() == want.tobytes()
+        assert mask.tolist() == bad.tolist() and flagged.tolist() == prefixes.tolist()
+        assert not (feats.flags.writeable or mask.flags.writeable or flagged.flags.writeable)
+    if kind == "grows-past-guard":  # a child above the guard under a degenerate parent is flagged only as a prefix
+        assert model.degenerate_mask(1).tolist() == [False, True]
+        assert model.degenerate_mask(2).tolist() == [False] * 4
+        assert model.degenerate_prefixes(2).tolist() == [False, False, True, True]
+        assert not model.degenerate_mask(3).any() and model.degenerate_prefixes(3)[4:].all()
 
 
 def test_prediction_feature_degenerate_guard():

@@ -10,6 +10,7 @@ from policy_oracles import (
     oracle_record,
     oracle_sample_episode,
     oracle_weight_vector,
+    seed_uniforms,
 )
 from psrlab.errors import StructuralError
 from psrlab.policies import (
@@ -99,7 +100,7 @@ def test_sample_episode_matches_choice_sampler_draw_for_draw(name, env):
         for i in range(1000):
             seed = child_seed(i, "draw-for-draw", len(kind))
             want = oracle_record(zoo[kind], env.space, oracle_sample_episode(env, zoo[kind], seed))
-            assert env.sample_episode(zoo[kind], seed) == want, (kind, seed)
+            assert env.sample_episode(zoo[kind], seed_uniforms(env.space, seed)) == want, (kind, seed)
 
 
 class DistortedMixture(UniformActionSeqPolicy):
@@ -122,7 +123,7 @@ def test_malformed_policy_row_raises_naming_the_step(bad):
         policy_weight_vector(policy, env.space)
     fresh = DistortedMixture(env.space.n_actions, 1, ((),), bad)
     with pytest.raises(StructuralError, match="step 2"):
-        env.sample_episode(fresh, 0)
+        env.sample_episode(fresh, seed_uniforms(env.space, 0))
 
 
 @pytest.mark.parametrize("row,message", [([np.nan, 0.5, 0.5], "NaN"), ([np.inf, 0.0, 0.0], "sum to 1")])
