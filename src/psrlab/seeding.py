@@ -73,14 +73,9 @@ _POOL_SIZE = 4
 _MIX_MULT_L = _U(0xCA01F9DD)
 _MIX_MULT_R = _U(0x4973F715)
 _PCG_MULT = (_U(0x2360ED051FC65DA4), _U(0x4385DF649FCCF645))  # PCG64's 128-bit LCG multiplier (high, low)
-# Below these many seeds, first_integers and first_uniforms call default_rng
-# itself, which costs less than the array arithmetic's fixed cost.  For
-# uniforms (timeit, one Xeon core, numpy 2.4), default_rng costs about 10 us
-# a seed and the array path about 95 us plus 19 us an output, so the two
-# cross at 17-18 seeds for the 5 uniforms of a horizon-2 episode (24 at 8
-# uniforms, 40 at 17).
+# Below this many seeds, first_integers calls default_rng itself, which costs
+# less than the array arithmetic's fixed cost.
 _ARRAY_SEEDS = 8
-_UNIFORM_ARRAY_SEEDS = 18
 
 
 def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,16 +185,8 @@ def first_uniforms(seeds: Sequence[int], k: int) -> np.ndarray:
     """Row ``i`` is ``np.random.default_rng(int(seeds[i])).random(k)``, bit for bit.
 
     Each double is the top 53 bits of one :func:`_pcg_outputs` output.
-    Fewer than ``_UNIFORM_ARRAY_SEEDS`` seeds are drawn by ``default_rng``
-    itself, which is cheaper than the array arithmetic's fixed cost.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    if len(seeds) >= _UNIFORM_ARRAY_SEEDS:
-        return (_pcg_outputs(seeds, k) >> _U(11)).astype(np.float64) * 2.0**-53
-    out = np.empty((len(seeds), k))
-    for i, seed in enumerate(seeds.tolist()):
-        out[i] = np.random.default_rng(seed).random(k)
-    return out
+    return (_pcg_outputs(seeds, k) >> _U(11)).astype(np.float64) * 2.0**-53
 
 
 def first_integers(seeds: Sequence[int], n_values: int, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:

@@ -83,29 +83,6 @@ def test_first_uniforms_edge_seed_alone(seed):
     assert first_uniforms([seed], 3).tobytes() == np.random.default_rng(seed).random(3).tobytes()
 
 
-@pytest.mark.parametrize("seed", EDGE_SEEDS)
-def test_pcg_outputs_edge_seed_alone(seed):
-    """One seed alone goes through ``default_rng`` in ``first_uniforms``; the array path on it still gives PCG64's outputs."""
-    want = np.random.default_rng(seed).bit_generator.random_raw(4)
-    assert seeding._pcg_outputs([seed], 4).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("side", ["below", "at"])
-def test_first_uniforms_on_both_sides_of_the_array_threshold(monkeypatch, side):
-    """Fewer than ``_UNIFORM_ARRAY_SEEDS`` seeds are drawn by ``default_rng`` itself, the rest by
-    array arithmetic; both keep numpy's bits."""
-    n = seeding._UNIFORM_ARRAY_SEEDS - (side == "below")
-    seeds = EDGE_SEEDS + [child_seed(4, "uniform-threshold", i) for i in range(n - len(EDGE_SEEDS))]
-    want = np.array([np.random.default_rng(s).random(5) for s in seeds])
-    drawn = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(seeding.np.random, "default_rng", lambda seed: drawn.append(seed) or default_rng(seed))
-    got = first_uniforms(seeds, 5)
-    monkeypatch.undo()
-    assert got.tobytes() == want.tobytes()
-    assert drawn == (seeds if side == "below" else [])
-
-
 def test_first_uniforms_empty():
     assert first_uniforms([], 5).shape == (0, 5)
     assert first_uniforms([7, 8], 0).shape == (2, 0)
