@@ -60,6 +60,15 @@ def _read_json(path: str, what: str):
         raise PsrLabError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory ``path``, created if missing; one that cannot be is a package error."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, no permission, ...
+        raise PsrLabError(f"cannot create output directory {path!r}: {exc}") from exc
+    return Path(path)
+
+
 def _load_config(path: str) -> dict:
     config = _read_json(path, "config file")
     if not isinstance(config, dict):
@@ -251,7 +260,10 @@ def gen_env(name: str, params: str, out: str) -> None:
     except json.JSONDecodeError as exc:
         raise PsrLabError(f"--params for builtin environment {name!r} is not valid JSON: {exc}") from exc
     env = _make_builtin(name, parsed)
-    _write_json(Path(out), env.to_dict())
+    try:
+        _write_json(Path(out), env.to_dict())
+    except OSError as exc:
+        raise PsrLabError(f"cannot write environment file {out!r}: {exc}") from exc
     click.echo(f"wrote {out}")
 
 
@@ -264,8 +276,7 @@ def run_online(config_path: str, out_dir: str, seeds: str | None) -> None:
     config = _load_config(config_path)
     ocfg = _section(config, "online", ("max_iterations", "epsilon", "delta"))
     seed_list = _seed_list(config, seeds)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
@@ -302,6 +313,10 @@ def run_online(config_path: str, out_dir: str, seeds: str | None) -> None:
         )
 
 
+# The columns of an offline command's ``results.csv``, one row per (K, seed); ``report`` reads K and gap.
+_RESULTS_HEADER = ["K", "seed", "gap", "lcb_value", "iota", "c_infinity"]
+
+
 def _offline_runner(env, true_model, candidates, behavior, cfg: dict):
     """The run for one (K, seed); what does not depend on them is computed here, once per command."""
     space = env.space
@@ -333,8 +348,7 @@ def run_offline(config_path: str, out_dir: str, seeds: str | None) -> None:
     config = _load_config(config_path)
     ocfg = _section(config, "offline", ("n_episodes",))
     seed_list = _seed_list(config, seeds)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
@@ -361,11 +375,7 @@ def run_offline(config_path: str, out_dir: str, seeds: str | None) -> None:
             },
         )
         click.echo(f"seed {seed}: gap={gap:.4f} ({time.perf_counter() - started:.2f} s)")
-    _write_csv(
-        out / "results.csv",
-        ["K", "seed", "gap", "lcb_value", "iota", "c_infinity"],
-        rows,
-    )
+    _write_csv(out / "results.csv", _RESULTS_HEADER, rows)
 
 
 @main.command("sweep-offline")
@@ -383,8 +393,7 @@ def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> No
         if seed_list[0] < 1:
             raise PsrLabError(f"--seeds count must be at least 1, got {seed_list[0]}")
         seed_list = list(range(seed_list[0]))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     env = build_env(_require(config, "env"))
     true_model, _ = default_psr(env)
     candidates = build_candidates(env, config.get("candidates", {"mode": "include_true"}))
@@ -402,11 +411,7 @@ def sweep_offline(config_path: str, out_dir: str, k_list: str, seeds: str) -> No
             _write_json(out / f"policy_K{K}_seed{seed}.json", result.policy.to_dict())
         medians[K] = float(np.median(gaps))
         click.echo(f"K={K}: median gap {medians[K]:.4f}")
-    _write_csv(
-        out / "results.csv",
-        ["K", "seed", "gap", "lcb_value", "iota", "c_infinity"],
-        rows,
-    )
+    _write_csv(out / "results.csv", _RESULTS_HEADER, rows)
     _write_json(out / "medians.json", {str(k): v for k, v in medians.items()})
 
 
@@ -440,8 +445,11 @@ def report_cmd(out_dir: str) -> None:
     if summaries:
         gaps, terms = [], []
         for path in summaries:
-            data = json.loads(path.read_text())
+            data = _read_json(str(path), "summary")
+            if not isinstance(data, dict):
+                raise PsrLabError(f"summary {str(path)!r} must hold a JSON object")
             if data.get("gap") is not None:
+                check_numbers({}, {f"'gap' in {str(path)!r}": data["gap"]})
                 gaps.append(data["gap"])
             if "terminated" in data:
                 terms.append(bool(data["terminated"]))
@@ -454,10 +462,13 @@ def report_cmd(out_dir: str) -> None:
     if results.exists():
         with open(results) as fh:
             rows = list(csv.DictReader(fh))
-        by_k: dict[str, list[float]] = {}
-        for row in rows:
-            by_k.setdefault(row["K"], []).append(float(row["gap"]))
-        for k in sorted(by_k, key=int):
+        by_k: dict[int, list[float]] = {}
+        for n, row in enumerate(rows, start=1):
+            try:
+                by_k.setdefault(int(row["K"]), []).append(float(row["gap"]))
+            except (KeyError, TypeError, ValueError) as exc:  # a missing column or cell, or not a number
+                raise PsrLabError(f"{str(results)!r} row {n} needs an integer K and a numeric gap, got {row!r}") from exc
+        for k in sorted(by_k):
             click.echo(f"K={k}: n={len(by_k[k])} median gap {float(np.median(by_k[k])):.4f}")
     if not summaries and not results.exists():
         click.echo("nothing to report")

@@ -8,7 +8,8 @@ tables -- model probabilities times rewards, minus or plus bonuses, or
 absolute model differences -- so one routine serves greedy planning,
 optimistic/pessimistic planning, and max-policy total variation.
 :func:`leaf_table` evaluates a per-trajectory function into such a table,
-one call per leaf (a ``RewardTable`` builds its own leaf table at once).
+one call per leaf, building each leaf's history from the steps
+``itertools.product`` yields (a ``RewardTable`` builds its own leaf table at once).
 
 Deterministic policies attain the maximum (the objective is linear in each
 conditional action distribution), and ties break toward the lowest action
@@ -27,20 +28,19 @@ reduction (see :func:`_column_sum`).  Either way it keeps its bits.  :func:`psrl
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
 from .errors import StructuralError
 from .policies import DeterministicTreePolicy, Policy, action_dtype, policy_weight_vector
-from .spaces import History, ObsActSpace, history_from_lex
+from .spaces import History, ObsActSpace
 
 
 def leaf_table(space: ObsActSpace, leaf_fn: Callable[[History], float]) -> np.ndarray:
     """Evaluate a trajectory functional on every full history, in lex order."""
-    return np.array(
-        [leaf_fn(history_from_lex(space, space.horizon, idx)) for idx in range(space.n_trajectories)]
-    )
+    return np.array([leaf_fn(History(steps)) for steps in product(space.pairs, repeat=space.horizon)])
 
 
 def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[DeterministicTreePolicy, float]:

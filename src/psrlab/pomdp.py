@@ -22,6 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -326,21 +327,10 @@ def dynamics_matrix(pomdp: TabularPomdp, h: int) -> np.ndarray:
 
 
 def window_tests(space: ObsActSpace, state_step: int, m: int) -> list[Future]:
-    """Short tests from ``state_step``: min(m, H - state_step + 1) obs, one fewer action."""
+    """Short tests from ``state_step``: min(m, H - state_step + 1) obs, one fewer action, in lex order."""
     t = min(m, space.horizon - state_step + 1)
-    tests: list[Future] = []
-    for idx in range(space.n_obs**t * space.n_actions ** (t - 1)):
-        digits: list[int] = []
-        rem = idx
-        sizes = [space.n_obs if k % 2 == 0 else space.n_actions for k in range(2 * t - 1)]
-        for size in reversed(sizes):
-            rem, d = divmod(rem, size)
-            digits.append(d)
-        digits.reverse()
-        obs = tuple(digits[0::2])
-        acts = tuple(digits[1::2])
-        tests.append(Future(state_step - 1, obs, acts))
-    return tests
+    digits = [range(space.n_obs) if k % 2 == 0 else range(space.n_actions) for k in range(2 * t - 1)]
+    return [Future(state_step - 1, test[0::2], test[1::2]) for test in product(*digits)]
 
 
 @dataclass(frozen=True)

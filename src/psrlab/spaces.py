@@ -2,15 +2,17 @@
 
 Enumeration order is fixed everywhere: a step ``(o, a)`` has pair index
 ``o * n_actions + a`` and sequences are ordered lexicographically with the
-earliest step most significant.  All exact operations in this package
-enumerate trajectory trees whose size is ``(n_obs * n_actions) ** horizon``;
-the cap below rejects spaces too large to enumerate.
+earliest step most significant: the order ``product(space.pairs, repeat=h)``
+yields.  All exact operations in this package enumerate trajectory trees
+whose size is ``(n_obs * n_actions) ** horizon``; the cap below rejects
+spaces too large to enumerate.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -75,6 +77,11 @@ class ObsActSpace:
     def n_trajectories(self) -> int:
         return self.pair_count ** self.horizon
 
+    @property
+    def pairs(self) -> list[tuple[int, int]]:
+        """Every ``(o, a)`` step in pair-index order."""
+        return [(o, a) for o in range(self.n_obs) for a in range(self.n_actions)]
+
     def n_histories(self, h: int) -> int:
         if not 0 <= h <= self.horizon:
             raise StructuralError(f"step {h} outside [0, {self.horizon}]")
@@ -119,19 +126,10 @@ class History:
         return idx
 
 
-def history_from_lex(space: ObsActSpace, h: int, index: int) -> History:
-    """Inverse of :meth:`History.lex_index` for length-``h`` histories."""
-    steps: list[tuple[int, int]] = []
-    for _ in range(h):
-        index, pair = divmod(index, space.pair_count)
-        steps.append(divmod(pair, space.n_actions))
-    steps.reverse()
-    return History(tuple(steps))
-
-
 def enumerate_histories(space: ObsActSpace, h: int) -> list[History]:
     """All length-``h`` histories in lexicographic order."""
-    return [history_from_lex(space, h, i) for i in range(space.n_histories(h))]
+    space.n_histories(h)  # rejects h outside [0, horizon]
+    return [History(steps) for steps in product(space.pairs, repeat=h)]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, seed_uniforms
-from pomdp_oracles import psi
+from pomdp_oracles import history_from_lex, psi
 from psrlab.errors import DegenerateHistory
 from psrlab.estimation import DatasetFamily, _one_model, constrained_mle
 from psrlab.online import _build_evaluator
@@ -41,7 +41,7 @@ from psrlab.planner import plan_on_table
 from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
 from psrlab.psr import PSI_GUARD, PsrModel
 from psrlab.seeding import child_seed
-from psrlab.spaces import History, history_from_lex
+from psrlab.spaces import History
 
 
 def oracle_estimation_error_bound(model_hat, model, policy):

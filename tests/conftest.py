@@ -1,5 +1,9 @@
+import ctypes
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
 from psrlab import pomdp as pmd
 from psrlab.pomdp import default_psr, random_revealing
@@ -61,3 +65,35 @@ def assert_same_columns(got, want):
     for got_cols, want_cols in zip(got.columns, want.columns, strict=True):
         for g, w in zip(got_cols, want_cols, strict=True):
             assert g.typecode == w.typecode and g.tobytes() == w.tobytes()
+
+
+def _openblas_core(package, symbol):
+    """The core OpenBLAS chose at run time in ``package``'s bundled library, or "unknown"."""
+    root = Path(package.__file__).parent
+    for lib in sorted([*root.parent.glob(f"{package.__name__}.libs/libscipy_openblas*"),
+                       *root.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            corename = getattr(ctypes.CDLL(str(lib)), symbol)
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
+def cpu_kernels():
+    """The CPU kernels the last bits of a float result depend on, for a golden digest's failure message.
+
+    OpenBLAS and numpy both pick their SIMD kernels at run time, so a digest
+    recorded on one CPU can differ in a last bit on another.
+    """
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        dispatch = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    except ImportError:
+        dispatch = "unknown"
+    return (
+        f"OpenBLAS core numpy={_openblas_core(np, 'scipy_openblas_get_corename64_')} "
+        f"scipy={_openblas_core(scipy, 'scipy_openblas_get_corename')}; numpy dispatch {dispatch}"
+    )

@@ -2,8 +2,9 @@
 
 These are the loops the package ran before policies were compiled into
 per-step tables: an action row built by walking the mixture sequences per
-query, weights multiplied one history at a time, and a sampler drawing every
-observation, action and state with ``Generator.choice``.  Tests compare the
+query, weights multiplied one history at a time, the coverage coefficient
+enumerating every history, and a sampler drawing every observation, action
+and state with ``Generator.choice``.  Tests compare the
 table lookups against them bit for bit, and build hand-made dataset entries
 through them.  :func:`action_row` is the package's own row for one
 (history, obs) node, read through :func:`reached_rows`, and
@@ -11,13 +12,16 @@ through them.  :func:`action_row` is the package's own row for one
 prefix policy and the core tests.
 """
 
+import math
+
 import numpy as np
 
+from pomdp_oracles import history_from_lex, oracle_exact_traj_prob
 from psrlab.errors import StructuralError
 from psrlab.online import _explore, exploration_suffixes
 from psrlab.policies import CompositePolicy, DeterministicTreePolicy, Policy, reached_rows
 from psrlab.psr import CoreTestSet
-from psrlab.spaces import History, enumerate_histories, history_from_lex
+from psrlab.spaces import History, enumerate_histories
 
 
 def action_row(policy, space, history, obs):
@@ -128,6 +132,23 @@ def oracle_weight_vector(policy, space):
                 probs = oracle_action_probs(policy, hist, o)
                 weights[base + o * space.n_actions : base + (o + 1) * space.n_actions] = prev[idx] * probs
     return weights
+
+
+def oracle_coverage_coefficient(env, target, behavior):
+    space = env.space
+    worst = 1.0
+    for h in range(space.horizon + 1):
+        for hist in enumerate_histories(space, h):
+            if oracle_exact_traj_prob(env, hist) <= 0.0:
+                continue
+            wt = oracle_policy_weight(target, hist)
+            if wt == 0.0:
+                continue
+            wb = oracle_policy_weight(behavior, hist)
+            if wb == 0.0:
+                return math.inf
+            worst = max(worst, wt / wb)
+    return worst
 
 
 def oracle_sample_episode(env, policy, seed):

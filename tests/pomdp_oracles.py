@@ -3,8 +3,9 @@
 These are the loops the package ran before the environment's quantities were
 read from trajectory-tree tables: the forward recursion run once per
 history, the backward walk run once per test, the dynamics matrix filled one
-cell at a time, and the coverage coefficient enumerating every history.
-Tests compare the tables against them bit for bit.  The full futures (tests
+cell at a time, and histories and window tests decoded from their lex
+indices (the package walks both with ``itertools.product``).  Tests compare
+the tables and walks against them bit for bit.  The full futures (tests
 that run to the horizon, one action per observation) index the dynamics
 matrix's columns; the package itself only builds window tests.
 
@@ -19,7 +20,6 @@ import math
 import numpy as np
 
 from psrlab.errors import DegenerateHistory, StructuralError
-from policy_oracles import oracle_policy_weight
 from psrlab.psr import PSI_GUARD
 from psrlab.spaces import Future, History, enumerate_histories
 
@@ -53,15 +53,50 @@ def prediction_feature(model, history):
     return feature
 
 
-def future_from_lex(space, start_step, index):
-    """Full future of the remaining horizon, from its lexicographic index."""
-    length = space.horizon - start_step
+def history_from_lex(space, h, index):
+    """Inverse of :meth:`History.lex_index` for length-``h`` histories, one ``divmod`` per step.
+
+    The package walks histories with ``itertools.product``; this decode is the
+    independent reference for that order.
+    """
     steps = []
-    for _ in range(length):
+    for _ in range(h):
         index, pair = divmod(index, space.pair_count)
         steps.append(divmod(pair, space.n_actions))
     steps.reverse()
+    return History(tuple(steps))
+
+
+# (O, A, H) of the spaces the package's walks are checked on against the decode: a
+# one-leaf tree, more actions than observations, three levels of depth, and an
+# observation count with two digits.
+LEX_ORDER_SPACES = [(1, 1, 3), (2, 3, 2), (3, 2, 4), (17, 2, 2)]
+
+
+def python_int_steps(histories):
+    """Whether every step of every history holds Python ``int``s, as the decode gives."""
+    return all(type(x) is int for hist in histories for step in hist.steps for x in step)
+
+
+def future_from_lex(space, start_step, index):
+    """Full future of the remaining horizon, from its lexicographic index."""
+    steps = history_from_lex(space, space.horizon - start_step, index).steps
     return Future(start_step, tuple(o for o, _ in steps), tuple(a for _, a in steps))
+
+
+def oracle_window_tests(space, state_step, m):
+    """Window tests from ``state_step``, each decoded from its lex index one digit at a time."""
+    t = min(m, space.horizon - state_step + 1)
+    sizes = [space.n_obs if k % 2 == 0 else space.n_actions for k in range(2 * t - 1)]
+    tests = []
+    for idx in range(space.n_obs**t * space.n_actions ** (t - 1)):
+        digits = []
+        for size in reversed(sizes):
+            idx, d = divmod(idx, size)
+            digits.append(d)
+        digits.reverse()
+        tests.append(Future(state_step - 1, tuple(digits[0::2]), tuple(digits[1::2])))
+    return tests
 
 
 def enumerate_futures(space, start_step):
@@ -128,23 +163,6 @@ def oracle_dynamics_matrix(env, h):
         for j, fut in enumerate(enumerate_futures(space, h)):
             out[i, j] = oracle_exact_traj_prob(env, History(hist.steps + future_steps(fut)))
     return out
-
-
-def oracle_coverage_coefficient(env, target, behavior):
-    space = env.space
-    worst = 1.0
-    for h in range(space.horizon + 1):
-        for hist in enumerate_histories(space, h):
-            if oracle_exact_traj_prob(env, hist) <= 0.0:
-                continue
-            wt = oracle_policy_weight(target, hist)
-            if wt == 0.0:
-                continue
-            wb = oracle_policy_weight(behavior, hist)
-            if wb == 0.0:
-                return math.inf
-            worst = max(worst, wt / wb)
-    return worst
 
 
 def oracle_reward_of(reward, trajectory):

@@ -17,6 +17,7 @@ import pytest
 
 from conftest import assert_same_columns
 from policy_oracles import oracle_policy_weight, oracle_record, seed_uniforms
+from pomdp_oracles import history_from_lex
 from psrlab import policies, seeding
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
@@ -30,7 +31,7 @@ from psrlab.policies import (
 )
 from psrlab.pomdp import TabularPomdp, _inverse_cdf, near_tie, tiger
 from psrlab.seeding import child_seed, child_seeds, first_integers, first_uniforms, rng_for
-from psrlab.spaces import History, ObsActSpace, history_from_lex
+from psrlab.spaces import History, ObsActSpace
 from psrlab.verify import small_builtin_envs
 
 ENVS = small_builtin_envs() + [("near_tie", near_tie())]

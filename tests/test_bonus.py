@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import growing_model, make_single_state_env
 from policy_oracles import add_drawn, add_history
-from pomdp_oracles import prediction_feature
+from pomdp_oracles import history_from_lex, prediction_feature
 from psrlab.bonus import (
     BonusEvaluator,
     FeatureGram,
@@ -20,7 +20,7 @@ from psrlab.online import _build_evaluator
 from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr
 from psrlab.seeding import rng_for
-from psrlab.spaces import History, enumerate_histories, history_from_lex
+from psrlab.spaces import History, enumerate_histories
 
 
 def test_fresh_gram_score_is_euclidean():
@@ -225,8 +225,6 @@ def test_zero_data_bonus_closed_form(reference_model):
     space = reference_model.space
     table = ev.bonus_table()
     for idx in range(0, space.n_trajectories, 7):
-        from psrlab.spaces import history_from_lex
-
         traj = history_from_lex(space, space.horizon, idx)
         total = sum(
             float(np.dot(f := prediction_feature(reference_model, History(traj.steps[:h])), f))

@@ -179,6 +179,27 @@ def test_report_command(tmp_path, runner):
     assert "K=60" in result.output
 
 
+@pytest.mark.parametrize(
+    "name,text,named",
+    [
+        ("summary_seed0.json", "{bad", "cannot read summary"),
+        ("summary_seed0.json", "[1,2]", "must hold a JSON object"),
+        ("summary_seed0.json", '{"gap": "x"}', "must be a number"),
+        ("results.csv", "seed,gap\n0,0.5\n", "row 1 needs an integer K"),
+        ("results.csv", "K,seed\n60,0\n", "row 1 needs an integer K"),
+        ("results.csv", "K,seed,gap\n60,0,0.5\n60,1,x\n", "row 2 needs an integer K"),
+        ("results.csv", "K,seed,gap\n60,0\n", "row 1 needs an integer K"),
+    ],
+)
+def test_report_on_malformed_artifacts_prints_one_line(tmp_path, runner, name, text, named):
+    (tmp_path / name).write_text(text)
+    result = runner.invoke(main, ["report", "--out", str(tmp_path)])
+    assert result.exit_code == 1, result.output
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
+    assert named in lines[0] and str(tmp_path / name) in lines[0]
+
+
 def test_build_behavior_variants(reference_env):
     assert isinstance(build_behavior("uniform", reference_env.space), UniformActionSeqPolicy)
     pol = build_behavior({"type": "uniform_action_seq", "sequences": [[0], [1]]}, reference_env.space)
@@ -223,6 +244,14 @@ def test_gen_env_bad_params_print_one_line(tmp_path, runner, params, message):
     assert not out.exists()
 
 
+def test_gen_env_into_a_missing_directory_prints_one_line(tmp_path, runner):
+    out = tmp_path / "missing" / "env.json"
+    result = runner.invoke(main, ["gen-env", "--name", "tiger", "--params", '{"horizon": 2}', "--out", str(out)])
+    assert result.exit_code == 1
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"Error: cannot write environment file {str(out)!r}"), result.output
+
+
 def test_build_env_bad_params_is_package_error():
     with pytest.raises(PsrLabError, match="'near_tie'"):
         build_env({"builtin": "near_tie", "params": {"horizon": 3}})
@@ -237,6 +266,16 @@ def _one_error_line(runner, tmp_path, command, cfg_data, *options):
     assert len(lines) == 1 and lines[0].startswith("Error: "), result.output
     assert "Traceback" not in result.output
     return lines[0]
+
+
+@pytest.mark.parametrize(
+    "command,cfg_data",
+    [("run-online", ONLINE_CONFIG), ("run-offline", OFFLINE_CONFIG), ("sweep-offline", OFFLINE_CONFIG)],
+)
+def test_out_naming_a_file_prints_one_line(tmp_path, runner, command, cfg_data):
+    (tmp_path / "out").write_text("")
+    line = _one_error_line(runner, tmp_path, command, cfg_data)
+    assert line.startswith(f"Error: cannot create output directory {str(tmp_path / 'out')!r}"), line
 
 
 @pytest.mark.parametrize(

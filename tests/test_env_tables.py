@@ -6,19 +6,21 @@ import numpy as np
 import pytest
 
 from pomdp_oracles import (
+    LEX_ORDER_SPACES,
     enumerate_futures,
-    oracle_coverage_coefficient,
     oracle_dynamics_matrix,
     oracle_exact_traj_prob,
     oracle_pre_emission_belief,
     oracle_test_prob_given_state,
+    oracle_window_tests,
 )
+from policy_oracles import oracle_coverage_coefficient
 from psrlab.errors import StructuralError
 from psrlab.offline import coverage_coefficient
 from psrlab.policies import UniformActionSeqPolicy, random_tree_policy, uniform_policy
-from psrlab.pomdp import dynamics_matrix, g_matrices, near_tie, random_revealing
+from psrlab.pomdp import dynamics_matrix, g_matrices, near_tie, random_revealing, window_tests
 from psrlab.seeding import child_seed
-from psrlab.spaces import Future, History, enumerate_histories
+from psrlab.spaces import Future, History, ObsActSpace, enumerate_histories
 from psrlab.verify import small_builtin_envs
 
 SMALL_ENVS = small_builtin_envs()
@@ -79,6 +81,16 @@ def test_test_probs_equal_per_test_walk(name, env):
         tests = enumerate_futures(space, h)  # full-length tests
         oracle = np.stack([oracle_test_prob_given_state(env, t, h + 1) for t in tests])
         assert np.array_equal(env.test_probs(tests, h + 1), oracle), (name, h)
+
+
+@pytest.mark.parametrize("sizes", LEX_ORDER_SPACES)
+def test_window_tests_in_decode_order(sizes):
+    space = ObsActSpace(*sizes)
+    for state_step in range(1, space.horizon + 1):
+        for m in range(1, space.horizon + 2):
+            tests = window_tests(space, state_step, m)
+            assert tests == oracle_window_tests(space, state_step, m), (state_step, m)
+            assert all(type(x) is int for test in tests for x in test.obs + test.acts)
 
 
 def test_test_probs_take_tests_of_one_length(small_env):

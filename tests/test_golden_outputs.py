@@ -23,9 +23,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 from click.testing import CliRunner
 
 from check_oracles import dataset_jsonl
+from conftest import _openblas_core, cpu_kernels
 from psrlab.cli import build_behavior, build_candidates, build_env, main
 from psrlab.offline import collect_offline
 from psrlab.online import OnlineConfig, run_psr_ucb
@@ -78,8 +80,8 @@ def _assert_digests(out, expected, expected_all):
     names = sorted(p.name for p in out.iterdir())
     assert names == sorted(expected)
     contents = [(out / name).read_bytes() for name in names]
-    assert {name: hashlib.sha256(data).hexdigest() for name, data in zip(names, contents)} == expected
-    assert hashlib.sha256(b"".join(contents)).hexdigest() == expected_all
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in zip(names, contents)} == expected, cpu_kernels()
+    assert hashlib.sha256(b"".join(contents)).hexdigest() == expected_all, cpu_kernels()
 
 
 def test_sweep_offline_outputs_are_byte_identical(tmp_path):
@@ -108,7 +110,7 @@ def test_offline_dataset_jsonl_is_byte_identical():
     dataset = collect_offline(env, build_behavior(config["behavior"], env.space), 1000, 0)
     assert dataset.size() == 1000
     text = dataset_jsonl(dataset, lambda h, i: "behavior")
-    assert hashlib.sha256(text.encode()).hexdigest() == OFFLINE_JSONL_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == OFFLINE_JSONL_SHA256, cpu_kernels()
 
 
 def test_online_dataset_jsonl_is_byte_identical():
@@ -123,16 +125,21 @@ def test_online_dataset_jsonl_is_byte_identical():
     result = run_psr_ucb(env, online, build_candidates(env, config["candidates"]), true_model.core_tests)
     assert result.dataset.size() == 2 * len(result.logs)
     text = dataset_jsonl(result.dataset, lambda h, i: f"explore[k={i + 1},h={h + 1}]")  # iteration k adds one per bucket
-    assert hashlib.sha256(text.encode()).hexdigest() == ONLINE_JSONL_SHA256
+    assert hashlib.sha256(text.encode()).hexdigest() == ONLINE_JSONL_SHA256, cpu_kernels()
 
 
 def test_verify_all_lines_are_byte_identical():
     lines = verify("all", 5).lines()
     assert len(lines) == 69
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_5_SHA256
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_5_SHA256, cpu_kernels()
 
 
 def test_verify_all_lines_at_the_benchmark_seed_count_are_byte_identical():
     lines = verify("all", 20).lines()
     assert len(lines) == 69
-    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_20_SHA256
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_20_SHA256, cpu_kernels()
+
+
+def test_cpu_kernels_read_unknown_without_the_symbol():
+    assert _openblas_core(np, "no_such_symbol") == "unknown"
+    assert "numpy=" in cpu_kernels() and "numpy dispatch" in cpu_kernels()

@@ -6,14 +6,14 @@ import pytest
 from check_oracles import oracle_value
 from conftest import make_single_state_env
 from policy_oracles import add_drawn
-from pomdp_oracles import seq_prob
+from pomdp_oracles import LEX_ORDER_SPACES, history_from_lex, python_int_steps, seq_prob
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
 from psrlab.online import _build_evaluator
 from psrlab.planner import leaf_table, plan_on_table, policy_value_on_table
 from psrlab.policies import DeterministicTreePolicy, uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
-from psrlab.spaces import enumerate_histories
+from psrlab.spaces import ObsActSpace
 
 
 def all_tree_policies(space):
@@ -47,17 +47,20 @@ def model222(env222):
     return default_psr(env222)[0]
 
 
-def test_leaf_table_calls_the_function_once_per_leaf(small_env):
-    space = small_env.space
-    calls = []
+def test_leaf_table_calls_the_function_once_per_leaf():
+    for sizes in LEX_ORDER_SPACES:
+        space = ObsActSpace(*sizes)
+        calls = []
 
-    def reward(traj):
-        calls.append(traj)
-        return 0.25 * len(traj.steps) / space.horizon
+        def reward(traj):
+            calls.append(traj)
+            return 0.25 * len(traj.steps) / space.horizon
 
-    table = leaf_table(space, reward)
-    assert calls == enumerate_histories(space, space.horizon)  # one call per leaf, in lex order
-    assert np.all(table == 0.25)
+        table = leaf_table(space, reward)
+        # one call per leaf, in the decode's lex order
+        assert calls == [history_from_lex(space, space.horizon, i) for i in range(space.n_trajectories)], sizes
+        assert python_int_steps(calls), sizes
+        assert np.all(table == 0.25), sizes
 
 
 def test_constant_leaves_value():

@@ -12,6 +12,7 @@ from policy_oracles import (
     oracle_weight_vector,
     seed_uniforms,
 )
+from pomdp_oracles import history_from_lex
 from psrlab.errors import StructuralError
 from psrlab.policies import (
     CompositePolicy,
@@ -23,7 +24,7 @@ from psrlab.policies import (
 )
 from psrlab.pomdp import RewardTable, TabularPomdp
 from psrlab.seeding import child_seed
-from psrlab.spaces import enumerate_histories, history_from_lex
+from psrlab.spaces import enumerate_histories
 from psrlab.verify import reference_env, small_builtin_envs
 
 ENVS = small_builtin_envs()

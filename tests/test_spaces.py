@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pomdp_oracles import enumerate_futures, future_from_lex, is_full
+from pomdp_oracles import LEX_ORDER_SPACES, enumerate_futures, future_from_lex, history_from_lex, is_full, python_int_steps
 from psrlab.errors import EnumerationCapExceeded, StructuralError
-from psrlab.spaces import (
-    Future,
-    History,
-    ObsActSpace,
-    enumerate_histories,
-    history_from_lex,
-)
+from psrlab.spaces import Future, History, ObsActSpace, enumerate_histories
 
 
 def test_space_rejects_nonpositive_sizes():
@@ -49,6 +43,17 @@ def test_enumeration_is_lexicographic():
     assert hists[1].steps == ((0, 0), (0, 1))
     assert hists[-1].steps == ((1, 1), (1, 1))
     assert len(hists) == 16
+
+
+@pytest.mark.parametrize("sizes", LEX_ORDER_SPACES)
+def test_enumeration_matches_the_decode(sizes):
+    space = ObsActSpace(*sizes)
+    for h in range(space.horizon + 1):
+        hists = enumerate_histories(space, h)
+        assert hists == [history_from_lex(space, h, i) for i in range(space.n_histories(h))]
+        assert python_int_steps(hists)
+    with pytest.raises(StructuralError):
+        enumerate_histories(space, space.horizon + 1)
 
 
 def test_history_validation_bounds():
