@@ -2,11 +2,11 @@
 
 The bonus of a trajectory is the clipped, scaled root of the summed
 Mahalanobis scores of its per-step prediction features under regularized
-Gram inverses.  All quadratic forms go through a cached Cholesky
-factorization, made and solved by LAPACK's ``dpotrf``/``dpotrs`` called
-directly (the routines ``scipy.linalg.cho_factor``/``cho_solve`` wrap, so
-the bits are theirs); the regularizer keeps the factor well defined, and
-non-finite grams or features raise :class:`StructuralError`.
+Gram inverses.  A :class:`FeatureGram` is built from ``(n, d)`` feature
+rows, checked once and factored by LAPACK's ``dpotrf``, and scores solve
+with ``dpotrs`` (the routines ``scipy.linalg.cho_factor``/``cho_solve``
+wrap, so the bits are theirs); non-finite grams or features raise
+:class:`StructuralError`.  The score-transfer check scores through it too.
 
 The summed scores are built top-down over the trajectory tree: the running
 sum of a length-``h`` prefix is its parent's running sum plus its own
@@ -29,7 +29,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateHistory, StructuralError
 from .psr import PsrModel, psr_rank
-from .spaces import _read_only_copy
 
 if TYPE_CHECKING:
     from .estimation import DatasetFamily
@@ -37,61 +36,48 @@ if TYPE_CHECKING:
 MIN_LAMBDA = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureGram:
-    """Regularized second-moment matrix of accumulated feature vectors."""
+    """Regularized gram ``lam * I + sum_i counts[i] * outer(f_i, f_i)`` of ``(n, d)`` feature rows.
+
+    Formed, symmetrized, checked and factored once; the matrix is frozen in
+    place, since the factor is cached from it.
+    """
 
     step: int
-    lam: float
     matrix: np.ndarray
-    _factor: np.ndarray = field(init=False, repr=False, compare=False)
+    _factor: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _read_only_copy(self.matrix))  # the factor below is cached from it
-        if self.lam <= MIN_LAMBDA:
+    def __init__(self, step: int, lam: float, features: np.ndarray, counts: np.ndarray | None = None) -> None:
+        object.__setattr__(self, "step", step)
+        F = np.asarray(features, dtype=float)
+        if F.ndim != 2 or (counts is not None and len(counts) != len(F)):
+            got = f"rows of shape {F.shape} and {'no' if counts is None else len(counts)} counts"
+            raise StructuralError(f"gram at step {step} needs (n, d) feature rows and one count per row, got {got}")
+        if not lam > MIN_LAMBDA:
             raise StructuralError(f"regularizer must exceed {MIN_LAMBDA:g}")
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise StructuralError("gram matrix must be square")
-        if not np.isfinite(self.matrix).all():
-            raise StructuralError(f"gram at step {self.step} has non-finite entries")
-        if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
-            raise StructuralError("gram matrix must be symmetric")
-        factor, info = dpotrf(self.matrix, lower=False, clean=False)
-        if info:
-            dim = self.matrix.shape[0]
-            raise StructuralError(
-                f"gram at step {self.step} ({dim}x{dim}) is not positive definite (dpotrf info {info})"
-            )
-        object.__setattr__(self, "_factor", factor)
-
-    @classmethod
-    def build(cls, step: int, dim: int, lam: float, features: Sequence[np.ndarray] | np.ndarray,
-              counts: np.ndarray | None = None) -> "FeatureGram":
-        """Gram from a batch of features, optionally with multiplicities."""
-        mat = lam * np.eye(dim)
-        if len(features):
-            F = np.asarray(features, dtype=float)
-            if counts is None:
-                mat = mat + F.T @ F
-            else:
-                mat = mat + (F * counts[:, None]).T @ F
+        weighted = F if counts is None else F * counts[:, None]
+        mat = lam * np.eye(F.shape[1]) + weighted.T @ F
         mat = 0.5 * (mat + mat.T)
-        return cls(step, lam, mat)
+        if not np.isfinite(mat).all():
+            raise StructuralError(f"gram at step {step} has non-finite entries")
+        mat.flags.writeable = False
+        factor, info = dpotrf(mat, lower=False, clean=False)
+        if info:
+            raise StructuralError(f"gram at step {step} ({len(mat)}x{len(mat)}) is not positive definite (dpotrf info {info})")
+        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "_factor", factor)
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         """Row-wise Mahalanobis scores ||x||^2 under the inverse gram, for a feature matrix."""
-        return np.einsum("ij,ji->i", X, self._solve(X.T))
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
-        """The gram's inverse applied to a column block ``b``."""
-        if not np.isfinite(b).all():
+        if not np.isfinite(X).all():
             raise StructuralError(f"features scored against the step-{self.step} gram are not finite")
-        if b.shape[0] != self.matrix.shape[0]:
-            raise StructuralError(f"features of length {b.shape[0]} scored against a {self.matrix.shape[0]}-dim gram")
-        solved, info = dpotrs(self._factor, b, lower=False)
+        if X.shape[-1] != len(self.matrix):
+            raise StructuralError(f"features of length {X.shape[-1]} scored against a {len(self.matrix)}-dim gram")
+        solved, info = dpotrs(self._factor, X.T, lower=False)
         if info != 0:
             raise StructuralError(f"LAPACK dpotrs rejected argument {-info}")
-        return solved
+        return np.einsum("ij,ji->i", X, solved)
 
     @property
     def condition_number(self) -> float:
@@ -112,7 +98,7 @@ class BonusEvaluator:
     feature_source: PsrModel
 
     def __post_init__(self) -> None:
-        if self.alpha < 0:
+        if not self.alpha >= 0:  # also rejects NaN
             raise StructuralError("bonus coefficient must be nonnegative")
         if len(self.grams) != self.feature_source.space.horizon:
             raise StructuralError("need one gram per step 0..H-1")
@@ -169,7 +155,7 @@ def prefix_grams(model: PsrModel, dataset: "DatasetFamily", lam: float) -> tuple
         used = np.flatnonzero(counts)
         if model.degenerate_mask(h).take(used).any():
             raise DegenerateHistory(f"a recorded prefix at step {h} has zero probability under the model")
-        grams.append(FeatureGram.build(h, model.dims[h], lam, feats.take(used, axis=0), counts.take(used)))
+        grams.append(FeatureGram(h, lam, feats.take(used, axis=0), counts.take(used)))
     return tuple(grams)
 
 
@@ -196,12 +182,8 @@ def elliptical_potential_check(vectors: Sequence[np.ndarray], lam: float, B: flo
     return lhs, rhs, lhs <= rhs + 1e-9
 
 
-def transfer_score_check(
-    x_vectors: Sequence[np.ndarray],
-    y_vectors: Sequence[np.ndarray],
-    subset: Sequence[int],
-    lam: float,
-) -> tuple[np.ndarray, np.ndarray, bool]:
+def transfer_score_check(x_vectors: Sequence[np.ndarray], y_vectors: Sequence[np.ndarray], subset: Sequence[int],
+                         lam: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """Score-transfer bound between two vector sequences.
 
     Both grams are regularized with ``lam`` (the unregularized second sum
@@ -215,12 +197,10 @@ def transfer_score_check(
     subset = list(subset)
     if any(not 0 <= j < len(X) for j in subset):
         raise StructuralError("subset index out of range")
-    A = lam * np.eye(X.shape[1]) + sum(np.outer(X[j], X[j]) for j in subset)
-    Bm = lam * np.eye(X.shape[1]) + sum(np.outer(Y[j], Y[j]) for j in subset)
     r = max(psr_rank(X), psr_rank(Y))
     drift = math.sqrt(math.fsum(float(np.dot(X[j] - Y[j], X[j] - Y[j])) for j in subset))
-    lhs = np.sqrt(np.einsum("ij,ji->i", X, np.linalg.solve(A, X.T)))
-    y_scores = np.sqrt(np.einsum("ij,ji->i", Y, np.linalg.solve(Bm, Y.T)))
+    lhs = np.sqrt(FeatureGram(0, lam, X[subset]).scores(X))
+    y_scores = np.sqrt(FeatureGram(0, lam, Y[subset]).scores(Y))
     diffs = np.linalg.norm(X - Y, axis=1)
     rhs = diffs / math.sqrt(lam) + (1.0 + 2.0 * math.sqrt(r) * drift / math.sqrt(lam)) * y_scores
     return lhs, rhs, bool(np.all(lhs <= rhs + 1e-9))

@@ -452,7 +452,9 @@ def report_cmd(out_dir: str) -> None:
                 check_numbers({}, {f"'gap' in {str(path)!r}": data["gap"]})
                 gaps.append(data["gap"])
             if "terminated" in data:
-                terms.append(bool(data["terminated"]))
+                if not isinstance(data["terminated"], bool):
+                    raise PsrLabError(f"'terminated' in {str(path)!r} must be true or false, got {data['terminated']!r}")
+                terms.append(data["terminated"])
         click.echo(f"runs: {len(summaries)}")
         if terms:
             click.echo(f"terminated: {sum(terms)}/{len(terms)}")
@@ -460,8 +462,11 @@ def report_cmd(out_dir: str) -> None:
             click.echo(f"gap median {float(np.median(gaps)):.4f} max {max(gaps):.4f}")
     results = out / "results.csv"
     if results.exists():
-        with open(results) as fh:
-            rows = list(csv.DictReader(fh))
+        try:
+            with open(results, encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+        except (OSError, UnicodeDecodeError, csv.Error) as exc:  # unreadable, not UTF-8, or not CSV
+            raise PsrLabError(f"cannot read {str(results)!r}: {exc}") from exc
         by_k: dict[int, list[float]] = {}
         for n, row in enumerate(rows, start=1):
             try:

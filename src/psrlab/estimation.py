@@ -153,7 +153,7 @@ class CandidateSet:
                     f"candidate {self.labels[0]} has {first.space} and {first.dims}"
                 )
             worst = check_self_consistency(model)
-            if worst > SELF_CONSISTENCY_TOL:
+            if not worst <= SELF_CONSISTENCY_TOL:  # also rejects NaN
                 raise StructuralError(f"candidate {label} violates self-consistency by {worst:.3g}")
 
     def __len__(self) -> int:

@@ -93,9 +93,9 @@ def make_core_test_set(space: ObsActSpace, tests_per_step: list[tuple[Future, ..
 class PsrModel:
     """Sequential model in predictive-state form; immutable after validation.
 
-    ``psi0`` and every ``M[h]`` and ``phi[h]`` are stored as read-only
-    copies of what the caller passed, since the cached tables derive from
-    them.
+    ``psi0`` and every ``M[h]`` and ``phi[h]`` must be finite; they are
+    stored as read-only copies of what the caller passed, since the cached
+    tables derive from them.
     """
 
     space: ObsActSpace
@@ -113,16 +113,22 @@ class PsrModel:
         H, O, A = self.space.horizon, self.space.n_obs, self.space.n_actions
         if len(self.M) != H or len(self.phi) != H + 1:
             raise StructuralError("need H observation-action tables and H+1 closing vectors")
+        if not np.isfinite(self.psi0).all():
+            raise StructuralError("start vector psi0 has non-finite entries")
         dims = [self.psi0.shape[0]]
         for h, ops in enumerate(self.M, start=1):
             if ops.ndim != 4 or ops.shape[0] != O or ops.shape[1] != A:
                 raise StructuralError(f"M at step {h} must be (O, A, d_h, d_h-1), got {ops.shape}")
             if ops.shape[3] != dims[-1]:
                 raise StructuralError(f"M at step {h} expects input dim {dims[-1]}, got {ops.shape[3]}")
+            if not np.isfinite(ops).all():
+                raise StructuralError(f"M at step {h} has non-finite entries")
             dims.append(ops.shape[2])
         for h, vec in enumerate(self.phi):
             if vec.shape != (dims[h],):
                 raise StructuralError(f"closing vector at step {h} has dim {vec.shape}, expected ({dims[h]},)")
+            if not np.isfinite(vec).all():
+                raise StructuralError(f"closing vector phi at step {h} has non-finite entries")
         for h in range(H):
             if self.core_tests.d(h) != dims[h]:
                 raise StructuralError(f"{self.core_tests.d(h)} core tests at step {h} but state dim {dims[h]}")
@@ -245,12 +251,12 @@ def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[n
 
 
 def check_self_consistency(model: PsrModel) -> float:
-    """Largest violation of the closing-vector recursion over steps and actions."""
-    worst = 0.0
+    """Largest violation of the closing-vector recursion over steps and actions (NaN if any is NaN)."""
+    gaps = []
     for h in range(model.space.horizon):
         summed = np.einsum("i,oaij->aj", model.phi[h + 1], model.M[h])
-        worst = max(worst, float(np.abs(summed - model.phi[h][None, :]).max()))
-    return worst
+        gaps.append(np.abs(summed - model.phi[h][None, :]).max())
+    return float(np.max(gaps, initial=0.0))
 
 
 def terminal_anchor_violation(model: PsrModel) -> float | None:
@@ -259,11 +265,12 @@ def terminal_anchor_violation(model: PsrModel) -> float | None:
     Only meaningful when the final core-test set has exactly one test
     matching each (obs, action): a test matches if its observation equals
     the step's observation and its action list is empty or equals the
-    action.  Returns None when some pair has no unique match.
+    action.  Returns None when some pair has no unique match, and NaN when
+    some deviation is NaN.
     """
     H = model.space.horizon
     tests = model.core_tests.tests[H - 1]
-    worst = 0.0
+    gaps = []
     for o in range(model.space.n_obs):
         for a in range(model.space.n_actions):
             matches = [
@@ -276,8 +283,8 @@ def terminal_anchor_violation(model: PsrModel) -> float | None:
             row = model.phi[H] @ model.M[H - 1][o, a]
             expected = np.zeros(len(tests))
             expected[matches[0]] = 1.0
-            worst = max(worst, float(np.abs(row - expected).max()))
-    return worst
+            gaps.append(np.abs(row - expected).max())
+    return float(np.max(gaps, initial=0.0))
 
 
 def gamma(model: PsrModel) -> float:

@@ -11,8 +11,10 @@ probability summed over hidden-state sequences, and the elliptical
 potential growing one gram and solving it once per vector.  The planner's
 oracle reduces each depth with ``argmax``/``max``/``sum`` over the action
 and observation axes, the bonus oracles add every step's repeated scores
-into a leaf-sized array, and the stacked-states oracle takes each forward
-step as one einsum batched over the model axis.
+into a leaf-sized array, the gram oracle is the former ``FeatureGram.build``
+(which skipped the product for an empty batch and took the dimension as an
+argument), and the stacked-states oracle takes each forward step as one
+einsum batched over the model axis.
 Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
@@ -213,6 +215,19 @@ def oracle_score_table(evaluator):
         totals += np.repeat(scores, reps)
         degenerate |= np.repeat(bad, reps)
     return totals, degenerate
+
+
+def oracle_feature_gram_matrix(dim, lam, features, counts=None):
+    """The regularized gram of a batch of features, optionally with multiplicities."""
+    mat = lam * np.eye(dim)
+    if len(features):
+        F = np.asarray(features, dtype=float)
+        if counts is None:
+            mat = mat + F.T @ F
+        else:
+            mat = mat + (F * counts[:, None]).T @ F
+    mat = 0.5 * (mat + mat.T)
+    return mat
 
 
 def oracle_gram_scores(gram, X):

@@ -19,32 +19,34 @@ from psrlab.estimation import DatasetFamily
 from psrlab.online import _build_evaluator
 from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr
+from psrlab.psr import psr_rank
 from psrlab.seeding import rng_for
 from psrlab.spaces import History, enumerate_histories
 
 
 def test_fresh_gram_score_is_euclidean():
-    gram = FeatureGram.build(0, 3, 1.0, ())
+    gram = FeatureGram(0, 1.0, np.zeros((0, 3)))
     x = np.array([0.3, -0.2, 0.9])
     assert gram.scores(x[None])[0] == pytest.approx(float(x @ x), abs=1e-12)
 
 
 def test_build_unit_vector_closed_form():
     e1 = np.array([1.0, 0.0])
-    gram = FeatureGram.build(0, 2, 1.0, [e1])
+    gram = FeatureGram(0, 1.0, [e1])
     assert gram.scores(e1[None])[0] == pytest.approx(0.5, abs=1e-12)
-    assert FeatureGram.build(0, 2, 1.0, []).scores(e1[None])[0] == pytest.approx(1.0, abs=1e-12)
+    assert FeatureGram(0, 1.0, np.zeros((0, 2))).scores(e1[None])[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gram_matrix_cannot_be_written_under_its_cached_factor():
-    """The factor is cached at construction, so the matrix it came from is a read-only copy."""
-    g = FeatureGram.build(0, 2, 1.0, np.zeros((0, 2)))
+    """The factor is cached at construction, so the matrix it came from is read-only and the input rows do not reach it."""
+    g = FeatureGram(0, 1.0, np.zeros((0, 2)))
     with pytest.raises(ValueError):
         g.matrix[:] = 100 * np.eye(2)
     assert g.scores(np.array([[1.0, 0.0]]))[0] == 1.0
-    source = 2.0 * np.eye(2)
-    direct = FeatureGram(1, 1.0, source)
-    source[:] = 100 * np.eye(2)
+    rows, counts = np.eye(2), np.array([1, 1])
+    direct = FeatureGram(1, 1.0, rows, counts)
+    rows[:] = 10.0
+    counts[:] = 7
     assert direct.matrix.tolist() == [[2.0, 0.0], [0.0, 2.0]]
     assert direct.scores(np.array([[1.0, 0.0]]))[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -61,14 +63,14 @@ def test_private_caches_are_not_constructor_arguments(reference_model):
         PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi, _table_cache={2: np.zeros(1)})
     with pytest.raises(TypeError, match="_table_cache"):
         CandidateSet((m,), ("true",), _table_cache={})
-    assert FeatureGram(0, 1.0, np.eye(2)).scores(np.array([[1.0, 0.0]]))[0] == 1.0
+    assert FeatureGram(0, 1.0, np.zeros((0, 2))).scores(np.array([[1.0, 0.0]]))[0] == 1.0
 
 
 def test_build_matches_direct_solve():
     rng = rng_for(0, "gram")
     feats = rng.standard_normal((100, 4))
-    gram = FeatureGram.build(0, 4, 0.7, feats)
-    counted = FeatureGram.build(0, 4, 0.7, feats[:50], np.full(50, 2))
+    gram = FeatureGram(0, 0.7, feats)
+    counted = FeatureGram(0, 0.7, feats[:50], np.full(50, 2))
     x = rng.standard_normal(4)
     direct = float(x @ np.linalg.solve(0.7 * np.eye(4) + feats.T @ feats, x))
     assert gram.scores(x[None])[0] == pytest.approx(direct, abs=1e-8)
@@ -77,14 +79,37 @@ def test_build_matches_direct_solve():
 
 
 def test_gram_rejects_tiny_lambda():
-    with pytest.raises(StructuralError):
-        FeatureGram.build(0, 2, 1e-13, ())
+    for lam in (1e-13, 0.0, -1.0, np.nan):
+        with pytest.raises(StructuralError, match="regularizer"):
+            FeatureGram(0, lam, np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize(
+    "features,counts,named",
+    [
+        ((), None, r"\(0,\) and no counts"),
+        (np.ones(3), None, r"\(3,\) and no counts"),
+        (np.ones((2, 2, 2)), None, r"\(2, 2, 2\)"),
+        (np.ones((3, 2)), np.ones(2), r"\(3, 2\) and 2 counts"),
+    ],
+)
+def test_gram_rejects_misshapen_rows_or_counts(features, counts, named):
+    with pytest.raises(StructuralError, match=r"step 1 needs \(n, d\) feature rows.*" + named):
+        FeatureGram(1, 1.0, features, counts)
+
+
+def test_bonus_rejects_nan_or_negative_alpha():
+    model, _ = scalar_bonus_setup(0.0)
+    grams = (FeatureGram(0, 1.0, np.zeros((0, 1))),)
+    for alpha in (np.nan, -1e-9):
+        with pytest.raises(StructuralError, match="bonus coefficient"):
+            BonusEvaluator(grams, alpha, model)
 
 
 def scalar_bonus_setup(alpha):
     env = make_single_state_env(horizon=1, n_obs=1, n_actions=2)
     model, _ = default_psr(env)
-    grams = (FeatureGram.build(0, 1, 1.0, ()),)
+    grams = (FeatureGram(0, 1.0, np.zeros((0, 1))),)
     return model, BonusEvaluator(grams, alpha, model)
 
 
@@ -100,7 +125,7 @@ def test_bonus_scalar_closed_form():
     model, ev = scalar_bonus_setup(1.0)
     idx = History(((0, 1),)).lex_index(model.space)
     assert ev.bonus_table()[idx] == pytest.approx(1.0, abs=1e-12)  # min(sqrt(1/1), 1)
-    gram1 = FeatureGram.build(0, 1, 1.0, [np.array([1.0])])
+    gram1 = FeatureGram(0, 1.0, [np.array([1.0])])
     ev2 = BonusEvaluator((gram1,), 1.0, model)
     assert ev2.bonus_table()[idx] == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
@@ -121,7 +146,7 @@ def test_bonus_monotone_in_data(reference_env, reference_model):
 def test_bonus_degenerate_prefix_is_one():
     env = make_single_state_env(horizon=2, n_obs=2, n_actions=1, emission_row=np.array([1.0, 0.0]))
     model, _ = default_psr(env)
-    grams = tuple(FeatureGram.build(h, model.dims[h], 1.0, ()) for h in range(2))
+    grams = tuple(FeatureGram(h, 1.0, np.zeros((0, model.dims[h]))) for h in range(2))
     ev = BonusEvaluator(grams, 0.001, model)
     dead = History(((1, 0), (0, 0)))
     assert ev.bonus_table()[dead.lex_index(env.space)] == 1.0
@@ -131,7 +156,7 @@ def test_bonus_is_one_below_a_degenerate_ancestor():
     """A length-(H-1) prefix above the guard whose parent is degenerate still gets bonus 1."""
     model = growing_model()
     assert not model.degenerate_mask(2).any()
-    ev = BonusEvaluator(tuple(FeatureGram.build(h, 1, 1.0, ()) for h in range(3)), 0.001, model)
+    ev = BonusEvaluator(tuple(FeatureGram(h, 1.0, np.zeros((0, 1))) for h in range(3)), 0.001, model)
     table = ev.bonus_table()
     assert table[4:].tolist() == [1.0] * 4 and (table[:4] < 1.0).all()
 
@@ -208,18 +233,28 @@ def test_transfer_score_random_pairs(seed):
     X = rng.standard_normal((n, d))
     Y = X + 0.5 * rng.standard_normal((n, d))
     subset = [i for i in range(n) if rng.random() < 0.6]
-    _, _, holds = transfer_score_check(X, Y, subset, lam=float(rng.uniform(0.2, 3.0)))
+    lam = float(rng.uniform(0.2, 3.0))
+    lhs, rhs, holds = transfer_score_check(X, Y, subset, lam=lam)
     assert holds
+    # the outer-product sums scored by np.linalg.solve are the oracle for the shared gram
+    A = lam * np.eye(d) + sum(np.outer(X[j], X[j]) for j in subset)
+    Bm = lam * np.eye(d) + sum(np.outer(Y[j], Y[j]) for j in subset)
+    assert np.allclose(lhs, np.sqrt(np.einsum("ij,ji->i", X, np.linalg.solve(A, X.T))), rtol=0.0, atol=1e-12)
+    y_scores = np.sqrt(np.einsum("ij,ji->i", Y, np.linalg.solve(Bm, Y.T)))
+    r = max(psr_rank(X), psr_rank(Y))
+    drift = math.sqrt(math.fsum(float(np.dot(X[j] - Y[j], X[j] - Y[j])) for j in subset))
+    oracle_rhs = np.linalg.norm(X - Y, axis=1) / math.sqrt(lam) + (1.0 + 2.0 * math.sqrt(r) * drift / math.sqrt(lam)) * y_scores
+    assert np.allclose(rhs, oracle_rhs, rtol=0.0, atol=1e-12)
 
 
 def test_gram_condition_number(reference_model):
-    gram = FeatureGram.build(0, 2, 2.0, ())
+    gram = FeatureGram(0, 2.0, np.zeros((0, 2)))
     assert gram.condition_number == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_data_bonus_closed_form(reference_model):
     lam, alpha = 0.8, 0.6
-    grams = tuple(FeatureGram.build(h, reference_model.dims[h], lam, ())
+    grams = tuple(FeatureGram(h, lam, np.zeros((0, reference_model.dims[h])))
                   for h in range(reference_model.space.horizon))
     ev = BonusEvaluator(grams, alpha, reference_model)
     space = reference_model.space
@@ -245,7 +280,7 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
     det_model, _ = default_psr(det_env)
     evaluators = [
         _build_evaluator(reference_model, dataset, 0.7, 0.3),
-        BonusEvaluator(tuple(FeatureGram.build(h, det_model.dims[h], 1.0, ()) for h in range(2)), 0.01, det_model),
+        BonusEvaluator(tuple(FeatureGram(h, 1.0, np.zeros((0, det_model.dims[h]))) for h in range(2)), 0.01, det_model),
     ]
     for ev in evaluators:
         model = ev.feature_source
@@ -263,5 +298,6 @@ def test_bonus_matches_per_prefix_score_oracle(reference_env, reference_model):
 
 
 def test_gram_rejects_indefinite_matrix():
+    """Negative counts make the gram indefinite: I - 2 * ones(2, 2) has a negative diagonal."""
     with pytest.raises(StructuralError, match=r"step 3 \(2x2\)"):
-        FeatureGram(3, 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
+        FeatureGram(3, 1.0, np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1, -3]))

@@ -189,10 +189,15 @@ def test_report_command(tmp_path, runner):
         ("results.csv", "K,seed\n60,0\n", "row 1 needs an integer K"),
         ("results.csv", "K,seed,gap\n60,0,0.5\n60,1,x\n", "row 2 needs an integer K"),
         ("results.csv", "K,seed,gap\n60,0\n", "row 1 needs an integer K"),
+        ("summary_seed0.json", '{"terminated": "false", "gap": 0.1}', "must be true or false"),
+        ("results.csv", b"K,seed,gap\n60,0,\xff\xfe\n", "cannot read"),
     ],
 )
 def test_report_on_malformed_artifacts_prints_one_line(tmp_path, runner, name, text, named):
-    (tmp_path / name).write_text(text)
+    if isinstance(text, bytes):
+        (tmp_path / name).write_bytes(text)
+    else:
+        (tmp_path / name).write_text(text)
     result = runner.invoke(main, ["report", "--out", str(tmp_path)])
     assert result.exit_code == 1, result.output
     lines = result.output.strip().splitlines()

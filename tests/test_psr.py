@@ -178,6 +178,39 @@ def test_terminal_anchor_on_derived_models(small_model):
     assert terminal_anchor_violation(small_model) <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "param,index,named",
+    [("psi0", None, "psi0"), ("M", 0, "M at step 1"), ("M", 2, "M at step 3"),
+     ("phi", 0, "phi at step 0"), ("phi", 3, "phi at step 3")],
+)
+def test_non_finite_parameters_are_rejected(small_model, param, index, named, bad):
+    m = small_model
+    params = {"psi0": np.copy(m.psi0), "M": [np.copy(ops) for ops in m.M], "phi": [np.copy(vec) for vec in m.phi]}
+    target = params[param] if index is None else params[param][index]
+    target.flat[0] = bad
+    with pytest.raises(StructuralError, match=f"{named} has non-finite entries"):
+        PsrModel(m.space, m.core_tests, params["psi0"], tuple(params["M"]), tuple(params["phi"]))
+
+
+def test_violation_folds_keep_nan(small_model):
+    """Finite parameters whose products overflow to +inf and -inf in one sum give a NaN
+    self-consistency violation, which the fold reports and candidate validation rejects.
+    The terminal rows are BLAS products (inf or NaN, as the library sums), never a pass."""
+    from psrlab.estimation import CandidateSet
+
+    m = small_model
+    H = m.space.horizon
+    last = np.zeros(m.M[H - 1].shape[:2] + (2, m.dims[H - 1]))
+    last[:, :, 0, :], last[:, :, 1, :] = 1e200, -1e200
+    big = PsrModel(m.space, m.core_tests, m.psi0, m.M[:-1] + (last,), m.phi[:-1] + (np.array([1e200, 1e200]),))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isnan(check_self_consistency(big))
+        assert not terminal_anchor_violation(big) <= 1e-9
+        with pytest.raises(StructuralError, match="candidate big violates self-consistency by nan"):
+            CandidateSet((big,), ("big",))
+
+
 def test_gamma_scalar_model_is_one():
     assert gamma(scalar_identity_model()) == pytest.approx(1.0, abs=1e-12)
 

@@ -9,6 +9,7 @@ import scipy.linalg
 
 from check_oracles import (
     oracle_bonus_table,
+    oracle_feature_gram_matrix,
     oracle_gram_scores,
     oracle_plan_on_table,
     oracle_score_table,
@@ -17,7 +18,7 @@ from check_oracles import (
 from conftest import make_single_state_env
 from policy_oracles import add_drawn
 from psrlab import online
-from psrlab.bonus import BonusEvaluator, FeatureGram
+from psrlab.bonus import BonusEvaluator, FeatureGram, prefix_grams
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily, make_candidates
 from psrlab.online import OnlineConfig, _build_evaluator, run_psr_ucb
@@ -73,16 +74,30 @@ def test_bonus_tables_equal_leaf_sized_sums(env_case):
 
 
 def test_fresh_gram_and_degenerate_bonus_tables_match_oracle():
+    """Fresh grams and grams over recorded prefixes: the matrices and factors of the
+    earlier build, and bonus tables equal to the oracle's."""
     env = random_revealing(1, 2, 3, 2, 3)
+    H = env.space.horizon
     cands = make_candidates(env, "dithered", seed=5, n=4, scale=0.05)
+    dataset = DatasetFamily(env.space)
+    pol = uniform_policy(env.space)
+    for i in range(30):
+        add_drawn(dataset, env, pol, 5000 + i, i % H)
     for m in cands.models:
-        grams = tuple(FeatureGram.build(h, m.dims[h], 0.5, ()) for h in range(env.space.horizon))
-        ev = BonusEvaluator(grams, 0.2, m)
-        assert _same(ev.bonus_table(), oracle_bonus_table(ev))
+        fresh = tuple(FeatureGram(h, 0.5, np.zeros((0, m.dims[h]))) for h in range(H))
+        for grams, recorded in ((fresh, False), (prefix_grams(m, dataset, 0.5), True)):
+            for h, gram in enumerate(grams):
+                feats = m.feature_table(h)
+                counts = np.bincount(dataset.columns[h].prefix, minlength=len(feats)) if recorded else np.zeros(0, int)
+                used = np.flatnonzero(counts)
+                matrix = oracle_feature_gram_matrix(m.dims[h], 0.5, feats[used], counts[used])
+                assert _same(gram.matrix, matrix) and _same(gram._factor, scipy.linalg.cho_factor(matrix)[0])
+            ev = BonusEvaluator(grams, 0.2, m)
+            assert _same(ev.bonus_table(), oracle_bonus_table(ev))
     # a model with zero-probability prefixes: a single state that never emits observation 1
     single = make_single_state_env(horizon=3, n_obs=2, n_actions=2, emission_row=np.array([1.0, 0.0]))
     sm = default_psr(single)[0]
-    ev = BonusEvaluator(tuple(FeatureGram.build(h, sm.dims[h], 1.0, ()) for h in range(3)), 0.01, sm)
+    ev = BonusEvaluator(tuple(FeatureGram(h, 1.0, np.zeros((0, sm.dims[h]))) for h in range(3)), 0.01, sm)
     totals, degenerate = ev.score_table()
     oracle_totals, oracle_degenerate = oracle_score_table(ev)
     assert degenerate.any() and not degenerate.all()
@@ -178,26 +193,25 @@ def test_gram_lapack_calls_equal_scipy_wrappers(reference_env, reference_model, 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_gram_raises_package_error(bad):
-    matrix = np.eye(2)
-    matrix[1, 1] = bad
-    with pytest.raises(StructuralError, match="step 0 has non-finite"):
-        FeatureGram(0, 1.0, matrix)
-    matrix = np.eye(2)
-    matrix[0, 1] = matrix[1, 0] = bad
-    with pytest.raises(StructuralError, match="step 4 has non-finite"):
-        FeatureGram(4, 1.0, matrix)
+    rows = np.eye(2)
+    rows[1, 1] = bad
+    with np.errstate(invalid="ignore"):  # inf times the zero entries is NaN
+        with pytest.raises(StructuralError, match="step 0 has non-finite"):
+            FeatureGram(0, 1.0, rows)
+        with pytest.raises(StructuralError, match="step 4 has non-finite"):
+            FeatureGram(4, 1.0, np.eye(2), np.array([1.0, bad]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_features_raise_package_error(bad):
-    gram = FeatureGram.build(2, 3, 1.0, ())
+    gram = FeatureGram(2, 1.0, np.zeros((0, 3)))
     x = np.array([0.5, bad, 0.0])
     with pytest.raises(StructuralError, match="step-2 gram are not finite"):
         gram.scores(np.stack([np.ones(3), x]))
 
 
 def test_wrong_feature_length_raises_package_error():
-    gram = FeatureGram.build(0, 3, 1.0, ())
+    gram = FeatureGram(0, 1.0, np.zeros((0, 3)))
     with pytest.raises(StructuralError, match="length 2"):
         gram.scores(np.ones((1, 2)))
     with pytest.raises(StructuralError, match="length 4"):
