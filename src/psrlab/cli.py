@@ -11,6 +11,7 @@ import csv
 import inspect
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -450,6 +451,8 @@ def report_cmd(out_dir: str) -> None:
                 raise PsrLabError(f"summary {str(path)!r} must hold a JSON object")
             if data.get("gap") is not None:
                 check_numbers({}, {f"'gap' in {str(path)!r}": data["gap"]})
+                if not abs(data["gap"]) <= sys.float_info.max:  # NaN, Infinity, or an integer too large for a float
+                    raise PsrLabError(f"'gap' in {str(path)!r} must be finite, got {data['gap']!r}")
                 gaps.append(data["gap"])
             if "terminated" in data:
                 if not isinstance(data["terminated"], bool):
@@ -470,9 +473,12 @@ def report_cmd(out_dir: str) -> None:
         by_k: dict[int, list[float]] = {}
         for n, row in enumerate(rows, start=1):
             try:
-                by_k.setdefault(int(row["K"]), []).append(float(row["gap"]))
+                k, gap = int(row["K"]), float(row["gap"])
             except (KeyError, TypeError, ValueError) as exc:  # a missing column or cell, or not a number
                 raise PsrLabError(f"{str(results)!r} row {n} needs an integer K and a numeric gap, got {row!r}") from exc
+            if not math.isfinite(gap):
+                raise PsrLabError(f"{str(results)!r} row {n} has a gap that is not finite, got {row['gap']!r}")
+            by_k.setdefault(k, []).append(gap)
         for k in sorted(by_k):
             click.echo(f"K={k}: n={len(by_k[k])} median gap {float(np.median(by_k[k])):.4f}")
     if not summaries and not results.exists():

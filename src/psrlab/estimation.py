@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -38,7 +39,7 @@ from .policies import Policy, continuation_weights
 from .pomdp import TabularPomdp, default_psr, g_matrices, pomdp_to_psr
 from .psr import PsrModel, check_self_consistency, stacked_tables
 from .seeding import rng_for
-from .spaces import _INTEGERS, ObsActSpace
+from .spaces import _INTEGERS, ObsActSpace, check_numbers
 
 NEG_INF = float("-inf")
 MAX_CANDIDATES = 100_000
@@ -190,10 +191,22 @@ def make_candidates(
     (simplex lattice of resolution ``eps_grid`` on every stochastic row).
     Emission rows take ``emission_scale`` when given (zero freezes them at
     the truth).  All members share the truth's core-test structure, the
-    window of ``default_psr``, so their features are comparable.
+    window of ``default_psr``, so their features are comparable.  ``seed``
+    and ``n >= 0`` are integers, the scales and ``eps_grid`` numbers, and
+    ``include_true`` a boolean; anything else raises :class:`StructuralError`.
     """
     if mode not in ("include_true", "dithered", "grid"):
         raise StructuralError(f"unknown candidate mode {mode!r}")
+    reals = {"scale": scale, "eps_grid": eps_grid}
+    if emission_scale is not None:
+        reals["emission_scale"] = emission_scale
+    check_numbers({"seed": seed, "n": n}, reals)
+    if n < 0:
+        raise StructuralError(f"n must be at least 0, got {n}")
+    if not 0 < eps_grid <= 1:  # NaN fails too
+        raise StructuralError(f"eps_grid must be in (0, 1], got {eps_grid!r}")
+    if not isinstance(include_true, bool):
+        raise StructuralError(f"include_true must be true or false, got {include_true!r}")
     true_model, g_true = default_psr(env)
     members = [(true_model, "true")] if include_true or mode == "include_true" else []
 
@@ -232,46 +245,27 @@ def make_candidates(
 
 
 def _simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:
-    """All probability vectors with entries that are multiples of eps."""
+    """All probability vectors with entries that are multiples of eps, in lexicographic order."""
     steps = round(1.0 / eps)
     if abs(steps * eps - 1.0) > 1e-9:
         raise StructuralError("eps_grid must divide 1")
-    out: list[np.ndarray] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(np.array(prefix + [remaining], dtype=float) / steps)
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], steps, dim)
-    return out
+    slots = steps + dim - 1  # a point places dim - 1 bars among the slots; its entries count the free slots between
+    return [(np.diff((-1, *bars, slots)) - 1) / steps for bars in combinations(range(slots), dim - 1)]
 
 
 def _grid_tables(env: TabularPomdp, eps: float):
-    """Cartesian product of per-row lattices over transition and emission rows."""
+    """Cartesian product of per-row lattices over transition and emission rows, the first row most significant."""
     t_shape = env.transition.shape
     e_shape = env.emission.shape
-    t_rows = int(np.prod(t_shape[:-1])) if env.transition.size else 0
+    t_rows = int(np.prod(t_shape[:-1]))  # 0 at horizon 1
     e_rows = int(np.prod(e_shape[:-1]))
     lattice_t = _simplex_lattice(t_shape[-1], eps) if t_rows else []
     lattice_e = _simplex_lattice(e_shape[-1], eps)
-    total = (len(lattice_t) ** t_rows if t_rows else 1) * len(lattice_e) ** e_rows
+    total = len(lattice_t) ** t_rows * len(lattice_e) ** e_rows
     if total > MAX_CANDIDATES:
         raise StructuralError(f"grid would have {total} members (cap {MAX_CANDIDATES})")
-
-    def rec(row_choices: list[np.ndarray], row: int):
-        if row == t_rows + e_rows:
-            flat_t = np.array(row_choices[:t_rows]).reshape(t_shape) if t_rows else env.transition
-            flat_e = np.array(row_choices[t_rows:]).reshape(e_shape)
-            yield flat_t, flat_e
-            return
-        lattice = lattice_t if row < t_rows else lattice_e
-        for point in lattice:
-            yield from rec(row_choices + [point], row + 1)
-
-    yield from rec([], 0)
+    for rows in product(*[lattice_t] * t_rows, *[lattice_e] * e_rows):
+        yield np.array(rows[:t_rows]).reshape(t_shape), np.array(rows[t_rows:]).reshape(e_shape)
 
 
 # -- likelihoods and selection -------------------------------------------------

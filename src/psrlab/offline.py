@@ -19,11 +19,11 @@ from .errors import StructuralError
 from .estimation import CandidateSet, DatasetFamily, constrained_mle
 from .online import _build_evaluator
 from .planner import plan_on_table, policy_value_on_table
-from .policies import DeterministicTreePolicy, Policy, prefix_weight_tables
+from .policies import DeterministicTreePolicy, Policy, prefix_weight_tables, weight_steps
 from .pomdp import TabularPomdp
 from .psr import CoreTestSet, PsrModel
 from .seeding import child_seeds, rng_for
-from .spaces import ObsActSpace, check_numbers
+from .spaces import check_numbers
 
 
 @dataclass(frozen=True)
@@ -78,47 +78,26 @@ def min_exploration_prob(behavior: Policy, core_tests: CoreTestSet) -> float:
     For each step's exploration set, minimizes over every positive-weight
     branch of earlier observations and actions, and within the sequence over
     its observation branches; observation-independent behavior policies
-    reduce to a product of action probabilities.  Reads the policy's per-step
-    action rows: a backward min over each sequence's subtree below the
-    reached prefixes, with the product formed from the last step back.
+    reduce to a product of action probabilities.  Reads the policy's weight
+    pass: below the positive entries of :func:`prefix_weight_tables`, the
+    :func:`weight_steps` products after ``len(seq)`` steps at the actions
+    ``seq``.  A reached history no mixture sequence matches raises
+    :class:`StructuralError`, as in every weight pass.
     """
     space = core_tests.space
     worst = 1.0
-    reached = np.zeros(1, dtype=np.int64)  # lex indices of the length-h prefixes with positive weight
-    for h in range(space.horizon):
-        for seq in core_tests.exploration_seqs[h]:
-            if seq:
-                probs = _min_seq_prob(behavior, space, h, reached, seq)
-                worst = min(worst, float(probs.min(initial=math.inf)))
-        if h + 1 < space.horizon:
-            nodes = _obs_nodes(reached, space.n_obs)
-            positive = _probs(behavior, space, h + 1, nodes) > 0.0
-            reached = (nodes[:, None] * space.n_actions + np.arange(space.n_actions))[positive]
+    for h, prefix_weights in zip(range(space.horizon), prefix_weight_tables(behavior, space)):
+        seqs = [seq for seq in core_tests.exploration_seqs[h] if seq]
+        if not seqs:
+            continue
+        reached = np.flatnonzero(prefix_weights > 0.0)
+        for n, weights in zip(range(max(map(len, seqs)) + 1), weight_steps(behavior, space, h, reached)):
+            by_step = weights.reshape(len(reached), *(space.n_obs, space.n_actions) * n)  # one axis per obs and action
+            for seq in seqs:
+                if len(seq) == n:  # every prefix and observation branch, at the sequence's actions
+                    at_seq = by_step[(slice(None), *(axis for a in seq for axis in (slice(None), a)))]
+                    worst = min(worst, float(at_seq.min(initial=math.inf)))
     return worst
-
-
-def _obs_nodes(hists: np.ndarray, n_obs: int) -> np.ndarray:
-    """The (history, obs) nodes below each history, as policy rows index them."""
-    return (hists[:, None] * n_obs + np.arange(n_obs)).reshape(-1)
-
-
-def _probs(behavior: Policy, space: ObsActSpace, h: int, nodes: np.ndarray) -> np.ndarray:
-    """The behavior's step-``h`` action rows at ``nodes``: zero rows where no mixture sequence matches."""
-    table, index = behavior._rows(space, h, nodes)
-    return table.probs[index]
-
-
-def _min_seq_prob(behavior: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray,
-                  seq: tuple[int, ...]) -> np.ndarray:
-    """Per prefix: min over observation branches of P(actions at steps h+1..h+len = seq)."""
-    nodes = [_obs_nodes(prefixes, space.n_obs)]
-    for a in seq[:-1]:
-        nodes.append(_obs_nodes(nodes[-1] * space.n_actions + a, space.n_obs))
-    val = np.ones(len(nodes[-1]))
-    for j in reversed(range(len(seq))):
-        rows = _probs(behavior, space, h + j + 1, nodes[j])
-        val = (rows[:, seq[j]] * val).reshape(-1, space.n_obs).min(1)
-    return val
 
 
 def coverage_coefficient(env: TabularPomdp, target: Policy, behavior: Policy) -> float:

@@ -21,13 +21,14 @@ one-hot table shared per action count by its action at the node, a mixture
 indexes its compiled table by the node's taken-action digits, and a
 composite asks the policy that owns the step.  Every path reads through
 it: :func:`reached_rows` gathers a block of rows and checks the reached
-ones are valid, for :func:`continuation_weights`,
-:func:`policy_weight_vector`, :func:`prefix_weight_tables` and
-``TabularPomdp.sample_episodes``; the offline coverage minimum reads the
-same gather; ``TabularPomdp.sample_episode`` reads one row's float lists
-per step.  Both samplers draw by inverse CDF on a row's normalized
-cumulative sums and multiply each drawn entry into the episode's prefix
-weights, so a recorded weight is never looked up again.
+ones are valid, for ``TabularPomdp.sample_episodes`` and for
+:func:`weight_steps`, the one weight pass behind
+:func:`continuation_weights`, :func:`policy_weight_vector`,
+:func:`prefix_weight_tables` and the offline exploration minimum;
+``TabularPomdp.sample_episode`` reads one row's float lists per step.
+Both samplers draw by inverse CDF on a row's normalized cumulative sums
+and multiply each drawn entry into the episode's prefix weights, so a
+recorded weight is never looked up again.
 (:func:`tree_weight_table` weighs a stack of tree policies' tables at once.)
 """
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -205,8 +207,7 @@ class UniformActionSeqPolicy:
         n = self.n_actions**pos
         probs = np.zeros((n, self.n_actions))
         valid = np.zeros(n, dtype=bool)
-        for index in range(n):
-            taken = tuple(index // self.n_actions ** (pos - 1 - k) % self.n_actions for k in range(pos))
+        for index, taken in enumerate(product(range(self.n_actions), repeat=pos)):
             row = self._mixture_row(taken)
             if row is not None:
                 probs[index], valid[index] = row, True
@@ -323,7 +324,7 @@ def continuation_weights(policy: Policy, space: ObsActSpace, h: int, prefixes: n
     continuations in lexicographic order; each entry is the product of the
     action probabilities from step ``h + 1`` on, multiplied step by step.
     """
-    for weights in _weight_steps(policy, space, h, np.asarray(prefixes, dtype=np.int64)):
+    for weights in weight_steps(policy, space, h, np.asarray(prefixes, dtype=np.int64)):
         pass
     return weights
 
@@ -347,8 +348,11 @@ def reached_rows(
     return table.probs[index]
 
 
-def _weight_steps(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray) -> Iterator[np.ndarray]:
-    """The running products of :func:`continuation_weights`, one per step from ``h`` to the horizon."""
+def weight_steps(policy: Policy, space: ObsActSpace, h: int, prefixes: np.ndarray) -> Iterator[np.ndarray]:
+    """The running products of :func:`continuation_weights`, one per step from ``h`` to the horizon.
+
+    After ``n`` steps, row ``i`` weighs the length-``n`` continuations of prefix ``prefixes[i]`` in lex order.
+    """
     weights = np.ones((len(prefixes), 1))
     yield weights
     for j in range(h + 1, space.horizon + 1):
@@ -367,7 +371,7 @@ def policy_weight_vector(policy: Policy, space: ObsActSpace) -> np.ndarray:
 
 def prefix_weight_tables(policy: Policy, space: ObsActSpace) -> Iterator[np.ndarray]:
     """Policy weights of all length-``h`` histories in lexicographic order, for h = 0..H."""
-    for weights in _weight_steps(policy, space, 0, np.zeros(1, dtype=np.int64)):
+    for weights in weight_steps(policy, space, 0, np.zeros(1, dtype=np.int64)):
         yield weights[0]
 
 

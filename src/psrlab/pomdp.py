@@ -35,7 +35,7 @@ from .errors import (
 from .policies import Policy, cumulative_rows, reached_rows
 from .psr import PsrModel, make_core_test_set
 from .seeding import first_uniforms, rng_for
-from .spaces import Future, History, ObsActSpace, _read_only_copy
+from .spaces import Future, History, ObsActSpace, _read_only_copy, check_numbers
 
 ROW_SUM_TOL = 1e-12
 PINV_RCOND = 1e-10
@@ -101,6 +101,7 @@ class TabularPomdp:
     _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> (beliefs, probs)
 
     def __post_init__(self) -> None:
+        check_numbers({"n_states": self.n_states, "initial_state": self.initial_state}, {})
         for name in ("transition", "emission"):  # the cached tables derive from them
             object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
         S, H, A, O = self.n_states, self.space.horizon, self.space.n_actions, self.space.n_obs
@@ -292,21 +293,24 @@ def _inverse_cdf(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
 
 
 def pomdp_from_dict(data: dict) -> TabularPomdp:
-    """The environment that ``to_dict`` writes as ``data``; a missing key raises :class:`StructuralError` naming it."""
+    """The environment that ``to_dict`` writes as ``data``.
+
+    A missing or ill-typed key raises :class:`StructuralError` naming it.
+    """
     if not isinstance(data, dict):
         raise StructuralError(f"an environment must be an object, got {type(data).__name__}")
     missing = [key for key in ("S", "O", "A", "H", "T", "Obs", "s1", "reward") if key not in data]
     if missing:
         raise StructuralError(f"environment is missing {', '.join(map(repr, missing))}")
+    check_numbers({f"environment key {key!r}": data[key] for key in ("S", "O", "A", "H", "s1")}, {})
+    arrays = {}
+    for key in ("T", "Obs", "reward"):
+        try:
+            arrays[key] = np.asarray(data[key], dtype=float)
+        except (TypeError, ValueError) as exc:  # a string, or ragged or nested wrongly
+            raise StructuralError(f"environment key {key!r} must be an array of numbers: {exc}") from exc
     space = ObsActSpace(data["O"], data["A"], data["H"])
-    return TabularPomdp(
-        n_states=data["S"],
-        space=space,
-        transition=np.asarray(data["T"], dtype=float),
-        emission=np.asarray(data["Obs"], dtype=float),
-        initial_state=data["s1"],
-        reward=RewardTable(np.asarray(data["reward"], dtype=float)),
-    )
+    return TabularPomdp(data["S"], space, arrays["T"], arrays["Obs"], data["s1"], RewardTable(arrays["reward"]))
 
 
 # -- dynamics matrices and core tests ---------------------------------------

@@ -59,6 +59,7 @@ class ObsActSpace:
     horizon: int
 
     def __post_init__(self) -> None:
+        check_numbers({"n_obs": self.n_obs, "n_actions": self.n_actions, "horizon": self.horizon}, {})
         if self.n_obs < 1 or self.n_actions < 1 or self.horizon < 1:
             raise StructuralError(
                 f"space sizes must be >= 1, got O={self.n_obs} A={self.n_actions} H={self.horizon}"

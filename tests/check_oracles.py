@@ -15,6 +15,8 @@ into a leaf-sized array, the gram oracle is the former ``FeatureGram.build``
 (which skipped the product for an empty batch and took the dimension as an
 argument), and the stacked-states oracle takes each forward step as one
 einsum batched over the model axis.
+The grid oracles are the recursive lattice and row-product enumerations
+that built grid candidates before they became ``itertools.product`` walks.
 Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
@@ -36,10 +38,11 @@ import scipy.linalg
 
 from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import history_from_lex, psi
-from psrlab.errors import DegenerateHistory
-from psrlab.estimation import DatasetFamily, _one_model, constrained_mle
+from psrlab.errors import DegenerateHistory, StructuralError
+from psrlab.estimation import MAX_CANDIDATES, DatasetFamily, _one_model, constrained_mle
 from psrlab.online import _build_evaluator
 from psrlab.planner import plan_on_table
+from psrlab.pomdp import TabularPomdp
 from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
 from psrlab.psr import PSI_GUARD, PsrModel
 from psrlab.seeding import child_seed
@@ -373,3 +376,46 @@ def dataset_jsonl(dataset, label):
 def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:
     """Every recorded prefix keeps probability at least p_min under the model."""
     return bool(_one_model(model, dataset, p_min)[0][0])
+
+
+def oracle_simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:
+    """All probability vectors with entries that are multiples of eps."""
+    steps = round(1.0 / eps)
+    if abs(steps * eps - 1.0) > 1e-9:
+        raise StructuralError("eps_grid must divide 1")
+    out: list[np.ndarray] = []
+
+    def rec(prefix: list[int], remaining: int, slots: int) -> None:
+        if slots == 1:
+            out.append(np.array(prefix + [remaining], dtype=float) / steps)
+            return
+        for k in range(remaining + 1):
+            rec(prefix + [k], remaining - k, slots - 1)
+
+    rec([], steps, dim)
+    return out
+
+
+def oracle_grid_tables(env: TabularPomdp, eps: float):
+    """Cartesian product of per-row lattices over transition and emission rows."""
+    t_shape = env.transition.shape
+    e_shape = env.emission.shape
+    t_rows = int(np.prod(t_shape[:-1])) if env.transition.size else 0
+    e_rows = int(np.prod(e_shape[:-1]))
+    lattice_t = oracle_simplex_lattice(t_shape[-1], eps) if t_rows else []
+    lattice_e = oracle_simplex_lattice(e_shape[-1], eps)
+    total = (len(lattice_t) ** t_rows if t_rows else 1) * len(lattice_e) ** e_rows
+    if total > MAX_CANDIDATES:
+        raise StructuralError(f"grid would have {total} members (cap {MAX_CANDIDATES})")
+
+    def rec(row_choices: list[np.ndarray], row: int):
+        if row == t_rows + e_rows:
+            flat_t = np.array(row_choices[:t_rows]).reshape(t_shape) if t_rows else env.transition
+            flat_e = np.array(row_choices[t_rows:]).reshape(e_shape)
+            yield flat_t, flat_e
+            return
+        lattice = lattice_t if row < t_rows else lattice_e
+        for point in lattice:
+            yield from rec(row_choices + [point], row + 1)
+
+    yield from rec([], 0)

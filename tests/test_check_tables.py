@@ -14,7 +14,7 @@ from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.offline import min_exploration_prob
 from psrlab.policies import CompositePolicy, UniformActionSeqPolicy, random_tree_policy, uniform_policy
-from psrlab.pomdp import default_psr, near_tie
+from psrlab.pomdp import default_psr, g_matrices, near_tie, pomdp_to_psr
 from psrlab.psr import conditional_update_violation, forward_step
 from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import _transition_dithered, estimation_error_bound, reference_env, small_builtin_envs
@@ -56,20 +56,31 @@ def test_forward_step_is_the_per_row_matvec(env_case):
 
 
 def test_min_exploration_prob_equals_recursion(env_case):
+    """On the default core tests and on the m = 2 and 3 windows, whose exploration sequences run up to 3 actions."""
     name, env, model = env_case
-    for k, behavior in enumerate(_behaviors(env.space)):
-        table = min_exploration_prob(behavior, model.core_tests)
-        oracle = oracle_min_exploration_prob(behavior, model.core_tests)
-        assert _same_bits(table, oracle), (name, k, table, oracle)
+    cores = [model.core_tests] + [pomdp_to_psr(env, g_matrices(env, m)).core_tests for m in (2, 3)]
+    for c, core_tests in enumerate(cores):
+        for k, behavior in enumerate(_behaviors(env.space)):
+            table = min_exploration_prob(behavior, core_tests)
+            oracle = oracle_min_exploration_prob(behavior, core_tests)
+            assert _same_bits(table, oracle), (name, c, k, table, oracle)
 
 
 def test_min_exploration_prob_raises_where_recursion_raises(env_case):
     _, env, model = env_case
-    late = UniformActionSeqPolicy(env.space.n_actions, 2, ((0,),))  # undefined at step 1
-    with pytest.raises(StructuralError):
-        oracle_min_exploration_prob(late, model.core_tests)
-    with pytest.raises(StructuralError):
-        min_exploration_prob(late, model.core_tests)
+    space = env.space
+    A = space.n_actions
+    late = UniformActionSeqPolicy(A, 2, ((0,),))  # undefined at step 1
+    behaviors = [late]
+    if A >= 3 and space.horizon >= 3:
+        # The tree reaches action 1 at step 2, which matches neither sequence of the step-3 mixture.
+        mixture = UniformActionSeqPolicy(A, 2, ((0, 1), (A - 1, A - 1)))
+        behaviors.append(CompositePolicy(3, random_tree_policy(space, 1), mixture))
+    for behavior in behaviors:
+        with pytest.raises(StructuralError, match="inconsistent with every mixture sequence|before start step"):
+            oracle_min_exploration_prob(behavior, model.core_tests)
+        with pytest.raises(StructuralError, match="inconsistent with every mixture sequence|before start step"):
+            min_exploration_prob(behavior, model.core_tests)
 
 
 def test_conditional_update_violation_equals_per_history_loop(env_case):

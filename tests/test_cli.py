@@ -191,6 +191,9 @@ def test_report_command(tmp_path, runner):
         ("results.csv", "K,seed,gap\n60,0\n", "row 1 needs an integer K"),
         ("summary_seed0.json", '{"terminated": "false", "gap": 0.1}', "must be true or false"),
         ("results.csv", b"K,seed,gap\n60,0,\xff\xfe\n", "cannot read"),
+        ("summary_seed0.json", '{"gap": NaN, "terminated": true}', "must be finite"),
+        ("summary_seed0.json", '{"gap": Infinity, "terminated": true}', "must be finite"),
+        ("results.csv", "K,seed,gap\n60,0,0.5\n60,1,nan\n", "row 2 has a gap that is not finite"),
     ],
 )
 def test_report_on_malformed_artifacts_prints_one_line(tmp_path, runner, name, text, named):
@@ -472,6 +475,44 @@ def test_json_artifacts_are_strict(tmp_path):
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError):
             _write_json(path, {"a": bad})
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("O", "2", "environment key 'O' must be an integer, got '2'"),
+        ("s1", "0", "environment key 's1' must be an integer, got '0'"),
+        ("H", 2.0, "environment key 'H' must be an integer, got 2.0"),
+        ("T", "x", "environment key 'T' must be an array of numbers: could not convert string to float: 'x'"),
+        ("S", True, "environment key 'S' must be an integer, got True"),
+    ],
+)
+def test_ill_typed_env_file_prints_one_line(tmp_path, runner, key, value, message):
+    env_file = tmp_path / "env.json"
+    gen = runner.invoke(main, ["gen-env", "--name", "tiger", "--params", '{"horizon": 2}', "--out", str(env_file)])
+    assert gen.exit_code == 0, gen.output
+    env_data = json.loads(env_file.read_text())
+    env_data[key] = value
+    env_file.write_text(json.dumps(env_data))
+    cfg_data = json.loads(json.dumps(OFFLINE_CONFIG))
+    cfg_data["env"] = {"path": str(env_file)}
+    assert _one_error_line(runner, tmp_path, "run-offline", cfg_data) == f"Error: {message}"
+
+
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("n", "5", "n must be an integer, got '5'"),
+        ("scale", "x", "scale must be a number, got 'x'"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("n", -1, "n must be at least 0, got -1"),
+        ("include_true", "no", "include_true must be true or false, got 'no'"),
+    ],
+)
+def test_ill_typed_candidate_settings_print_one_line(tmp_path, runner, key, value, message):
+    cfg_data = json.loads(json.dumps(ONLINE_CONFIG))
+    cfg_data["candidates"][key] = value
+    assert _one_error_line(runner, tmp_path, "run-online", cfg_data) == f"Error: {message}"
 
 
 def test_malformed_env_spec_is_one_error_line(tmp_path, runner):

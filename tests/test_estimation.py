@@ -7,23 +7,26 @@ import pytest
 from check_oracles import (
     decoded_trajectories,
     oracle_conditional_tv_diagnostic,
+    oracle_grid_tables,
+    oracle_simplex_lattice,
     oracle_stability_and_likelihood,
     theta_min_feasible,
 )
 from conftest import assert_same_columns, make_single_state_env
 from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import seq_prob
-from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
+from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
 from psrlab.estimation import (
     CandidateSet,
     DatasetFamily,
+    _simplex_lattice,
     conditional_tv_diagnostic,
     constrained_mle,
     log_likelihood,
     make_candidates,
 )
 from psrlab.policies import UniformActionSeqPolicy, uniform_policy
-from psrlab.pomdp import default_psr
+from psrlab.pomdp import TabularPomdp, default_psr, g_matrices, near_tie, pomdp_to_psr
 from psrlab.spaces import History
 
 
@@ -135,6 +138,64 @@ def test_make_candidates_grid_bernoulli():
     assert len(cands) == 5
     first_probs = sorted(float(seq_prob(m, History(((0, 0),)))) for m in cands.models)
     assert np.allclose(first_probs, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 1 / 3, 0.25, 0.2, 0.1])
+def test_simplex_lattice_matches_the_recursion(eps):
+    for dim in range(1, 6):
+        got, want = _simplex_lattice(dim, eps), oracle_simplex_lattice(dim, eps)
+        assert len(got) == len(want) and all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), dim
+
+
+@pytest.mark.parametrize(
+    "env,eps",
+    [
+        (near_tie(), 0.5),
+        (make_single_state_env(horizon=1, n_obs=3, n_actions=2), 0.25),  # no transition rows
+        (make_single_state_env(horizon=2, n_obs=3, n_actions=2), 0.5),
+    ],
+    ids=["near_tie", "H1-O3", "H2-O3"],
+)
+def test_grid_candidates_follow_the_recursive_order(env, eps):
+    """Labels and every member's parameters, bit for bit, as the recursive enumeration orders the grid."""
+    cands = make_candidates(env, "grid", eps_grid=eps, include_true=False)
+    _, g_true = default_psr(env)
+    expected = []
+    for idx, (transition, emission) in enumerate(oracle_grid_tables(env, eps)):
+        pomdp = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
+        try:
+            expected.append((f"grid({idx})", pomdp_to_psr(pomdp, g=g_matrices(pomdp, g_true.m))))
+        except (StructuralError, SingularCoreTests):
+            continue
+    assert cands.labels == tuple(label for label, _ in expected)
+    for got, (label, want) in zip(cands.models, expected):
+        assert got.psi0.tobytes() == want.psi0.tobytes(), label
+        for name in ("M", "phi"):
+            for step, (g, w) in enumerate(zip(getattr(got, name), getattr(want, name), strict=True)):
+                assert g.tobytes() == w.tobytes(), (label, name, step)
+
+
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ({"n": "5"}, "n must be an integer"),
+        ({"n": 2.0}, "n must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"scale": "x"}, "scale must be a number"),
+        ({"emission_scale": "0"}, "emission_scale must be a number"),
+        ({"eps_grid": None}, "eps_grid must be a number"),
+        ({"eps_grid": 0.0}, "eps_grid must be in"),
+        ({"eps_grid": float("nan")}, "eps_grid must be in"),
+        ({"eps_grid": -0.5}, "eps_grid must be in"),
+        ({"n": -1}, "n must be at least 0"),
+        ({"include_true": "no"}, "include_true must be true or false"),
+        ({"include_true": 0}, "include_true must be true or false"),
+    ],
+)
+def test_make_candidates_rejects_ill_typed_settings(options, message):
+    with pytest.raises(StructuralError, match=message):
+        make_candidates(near_tie(), "dithered", **options)
 
 
 def test_make_candidates_grid_guard(reference_env):

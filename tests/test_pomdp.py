@@ -75,6 +75,13 @@ def test_reward_table_rejects_nan_and_wrong_rank():
         RewardTable(np.zeros((0, 2, 2)))
 
 
+@pytest.mark.parametrize("n_states,initial_state", [(True, 0), (1.0, 0), (1, "0"), (1, False)])
+def test_state_count_and_initial_state_must_be_integers(n_states, initial_state):
+    env = make_single_state_env()
+    with pytest.raises(StructuralError, match="must be an integer"):
+        TabularPomdp(n_states, env.space, env.transition, env.emission, initial_state, env.reward)
+
+
 def test_exact_traj_prob_empty_history(small_env):
     assert small_env.exact_traj_prob(History()) == 1.0
 

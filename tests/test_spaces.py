@@ -14,6 +14,12 @@ def test_space_rejects_nonpositive_sizes():
         ObsActSpace(2, 2, 0)
 
 
+@pytest.mark.parametrize("sizes", [(True, 2, 2), (2, "2", 2), (2, 2, 2.0)])
+def test_space_sizes_must_be_integers(sizes):
+    with pytest.raises(StructuralError, match="must be an integer"):
+        ObsActSpace(*sizes)
+
+
 def test_space_rejects_oversized_tree(monkeypatch):
     monkeypatch.setenv("PSRLAB_ENUM_CAP", "100")
     with pytest.raises(EnumerationCapExceeded):
