@@ -29,14 +29,14 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
+from .errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from .policies import Policy, continuation_weights
-from .pomdp import TabularPomdp, default_psr, g_matrices, pomdp_to_psr
+from .pomdp import TabularPomdp, convert_family, default_psr
 from .psr import PsrModel, check_self_consistency, stacked_tables
 from .seeding import rng_for
 from .spaces import _INTEGERS, ObsActSpace, check_numbers
@@ -44,6 +44,7 @@ from .spaces import _INTEGERS, ObsActSpace, check_numbers
 NEG_INF = float("-inf")
 MAX_CANDIDATES = 100_000
 MAX_ATTEMPTS_PER_CANDIDATE = 20  # dithering draws per requested candidate before giving up
+FAMILY_BLOCK = 1024  # members converted per stacked pass, which bounds the pass's memory
 SELF_CONSISTENCY_TOL = 1e-9
 
 
@@ -173,6 +174,17 @@ def _perturbed_rows(rows: np.ndarray, scale: float, rng: np.random.Generator) ->
     return noisy / noisy.sum(axis=-1, keepdims=True)
 
 
+def _dithered_tables(
+    env: TabularPomdp, scale: float, e_scale: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One dithering draw: transition rows first, then emission rows; a zero scale keeps the truth's."""
+    transition = env.transition
+    if env.transition.size and scale > 0:
+        transition = _perturbed_rows(env.transition, scale, rng)
+    emission = _perturbed_rows(env.emission, e_scale, rng) if e_scale > 0 else env.emission
+    return transition, emission
+
+
 def make_candidates(
     env: TabularPomdp,
     mode: str,
@@ -191,9 +203,15 @@ def make_candidates(
     (simplex lattice of resolution ``eps_grid`` on every stochastic row).
     Emission rows take ``emission_scale`` when given (zero freezes them at
     the truth).  All members share the truth's core-test structure, the
-    window of ``default_psr``, so their features are comparable.  ``seed``
-    and ``n >= 0`` are integers, the scales and ``eps_grid`` numbers, and
-    ``include_true`` a boolean; anything else raises :class:`StructuralError`.
+    window of ``default_psr``, so their features are comparable.  Members
+    are converted together by :func:`~psrlab.pomdp.convert_family`, at
+    most ``FAMILY_BLOCK`` at a time: dithering draws attempt ``i`` from
+    ``rng_for(seed, "dither", i)`` in rounds of as many attempts as members
+    are missing, and the grid goes in blocks of points; a member without a
+    valid PSR is skipped.  ``seed`` and ``n >= 0`` are integers, ``scale`` and
+    ``emission_scale`` finite numbers at least 0, ``eps_grid`` a number in
+    (0, 1] and ``include_true`` a boolean; anything else raises
+    :class:`StructuralError`.
     """
     if mode not in ("include_true", "dithered", "grid"):
         raise StructuralError(f"unknown candidate mode {mode!r}")
@@ -207,36 +225,36 @@ def make_candidates(
         raise StructuralError(f"eps_grid must be in (0, 1], got {eps_grid!r}")
     if not isinstance(include_true, bool):
         raise StructuralError(f"include_true must be true or false, got {include_true!r}")
+    for name, value in (("scale", scale), ("emission_scale", emission_scale)):
+        if value is not None and not 0 <= value < math.inf:  # NaN fails too
+            raise StructuralError(f"{name} must be a finite number at least 0, got {value!r}")
     true_model, g_true = default_psr(env)
     members = [(true_model, "true")] if include_true or mode == "include_true" else []
 
-    def _add(transition: np.ndarray, emission: np.ndarray, label: str) -> bool:
-        pomdp = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
-        try:
-            model = pomdp_to_psr(pomdp, g=g_matrices(pomdp, g_true.m))
-        except (StructuralError, SingularCoreTests):
-            return False
-        members.append((model, label))
-        return True
+    def _convert(tables: list[tuple[np.ndarray, np.ndarray]], labels: list[str]) -> int:
+        """Convert the tables in one stacked pass, keep the valid members in order, and count them."""
+        transitions, emissions = (np.stack(arrays) for arrays in zip(*tables))
+        models = convert_family(env, transitions, emissions, g_true.m)
+        kept = [(model, label) for model, label in zip(models, labels) if isinstance(model, PsrModel)]
+        members.extend(kept)
+        return len(kept)
 
     if mode == "dithered":
         e_scale = scale if emission_scale is None else emission_scale
-        made = 0
-        attempt = 0
+        max_attempts = n * MAX_ATTEMPTS_PER_CANDIDATE
+        made = attempt = 0
         while made < n:
-            if attempt >= n * MAX_ATTEMPTS_PER_CANDIDATE:
+            if attempt >= max_attempts:
                 raise StructuralError("dithering kept failing to produce valid candidates")
-            rng = rng_for(seed, "dither", attempt)
-            attempt += 1
-            transition = env.transition
-            if env.transition.size and scale > 0:
-                transition = _perturbed_rows(env.transition, scale, rng)
-            emission = _perturbed_rows(env.emission, e_scale, rng) if e_scale > 0 else env.emission
-            if _add(transition, emission, f"perturbed(seed={seed},i={attempt - 1})"):
-                made += 1
+            # A round of at most n - made draws only attempts that drawing one at a time would draw too.
+            attempts = range(attempt, min(attempt + n - made, attempt + FAMILY_BLOCK, max_attempts))
+            tables = [_dithered_tables(env, scale, e_scale, rng_for(seed, "dither", i)) for i in attempts]
+            made += _convert(tables, [f"perturbed(seed={seed},i={i})" for i in attempts])
+            attempt = attempts.stop
     elif mode == "grid":
-        for idx, (transition, emission) in enumerate(_grid_tables(env, eps_grid)):
-            _add(transition, emission, f"grid({idx})")
+        grid = enumerate(_grid_tables(env, eps_grid))
+        while block := list(islice(grid, FAMILY_BLOCK)):
+            _convert([tables for _, tables in block], [f"grid({idx})" for idx, _ in block])
 
     if not members:
         raise EmptyFeasibleSet("candidate generation produced no valid models")
@@ -244,11 +262,17 @@ def make_candidates(
     return CandidateSet(models, labels)
 
 
-def _simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:
-    """All probability vectors with entries that are multiples of eps, in lexicographic order."""
+def _lattice_steps(eps: float) -> int:
+    """How many multiples of ``eps`` make 1."""
     steps = round(1.0 / eps)
     if abs(steps * eps - 1.0) > 1e-9:
         raise StructuralError("eps_grid must divide 1")
+    return steps
+
+
+def _simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:
+    """All probability vectors with entries that are multiples of eps, in lexicographic order."""
+    steps = _lattice_steps(eps)
     slots = steps + dim - 1  # a point places dim - 1 bars among the slots; its entries count the free slots between
     return [(np.diff((-1, *bars, slots)) - 1) / steps for bars in combinations(range(slots), dim - 1)]
 
@@ -259,11 +283,13 @@ def _grid_tables(env: TabularPomdp, eps: float):
     e_shape = env.emission.shape
     t_rows = int(np.prod(t_shape[:-1]))  # 0 at horizon 1
     e_rows = int(np.prod(e_shape[:-1]))
+    steps = _lattice_steps(eps)
+    t_points, e_points = (math.comb(steps + dim - 1, dim - 1) for dim in (t_shape[-1], e_shape[-1]))
+    total = t_points**t_rows * e_points**e_rows
+    if total > MAX_CANDIDATES:  # checked before a lattice is built: one can take seconds
+        raise StructuralError(f"grid would have {total} members (cap {MAX_CANDIDATES})")
     lattice_t = _simplex_lattice(t_shape[-1], eps) if t_rows else []
     lattice_e = _simplex_lattice(e_shape[-1], eps)
-    total = len(lattice_t) ** t_rows * len(lattice_e) ** e_rows
-    if total > MAX_CANDIDATES:
-        raise StructuralError(f"grid would have {total} members (cap {MAX_CANDIDATES})")
     for rows in product(*[lattice_t] * t_rows, *[lattice_e] * e_rows):
         yield np.array(rows[:t_rows]).reshape(t_shape), np.array(rows[t_rows:]).reshape(e_shape)
 

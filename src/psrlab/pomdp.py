@@ -10,10 +10,15 @@ time (the dynamics matrices are the leaf table reshaped), and a backward walk
 of all tests of one length at once.  Tests in this repo check them against
 exponential brute-force sums over state sequences.
 
-A reward is a per-step ``(obs, action)`` table.  The PSR of an environment
-is built one way: :func:`pomdp_to_psr` pseudo-inverts the window-test
-matrices of :func:`g_matrices`, and :func:`default_psr` picks the smallest
-window that is numerically sound.
+A reward is a per-step ``(obs, action)`` table.  PSRs are built one way,
+for a family of environments that differ only in their tables: the member
+axis leads every array, the window tests are walked for all members at
+once, and each step's singular values, pseudo-inverses and operators come
+from one stacked call.  Each product keeps one member's matrix shapes, so
+a member gets the bits of its conversion alone.  :func:`convert_family`
+converts a family, :func:`pomdp_to_psr` of the window-test matrices of
+:func:`g_matrices` converts a family of one, and :func:`default_psr` picks
+the smallest window that is numerically sound.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    PsrLabError,
     RejectionBudgetExhausted,
     SingularCoreTests,
     StructuralError,
@@ -104,19 +110,7 @@ class TabularPomdp:
         check_numbers({"n_states": self.n_states, "initial_state": self.initial_state}, {})
         for name in ("transition", "emission"):  # the cached tables derive from them
             object.__setattr__(self, name, _read_only_copy(getattr(self, name)))
-        S, H, A, O = self.n_states, self.space.horizon, self.space.n_actions, self.space.n_obs
-        if self.transition.shape != (H - 1, A, S, S):
-            raise StructuralError(f"transition shape {self.transition.shape} != {(H - 1, A, S, S)}")
-        if self.emission.shape != (H, S, O):
-            raise StructuralError(f"emission shape {self.emission.shape} != {(H, S, O)}")
-        if not 0 <= self.initial_state < S:
-            raise StructuralError("initial state out of range")
-        for name, arr in (("transition", self.transition), ("emission", self.emission)):
-            # Negated comparisons, so that NaN fails them too (an infinite entry breaks the row sum).
-            if arr.size and not arr.min() >= 0:
-                raise StructuralError(f"{name} has negative or NaN entries")
-            if arr.size and not np.abs(arr.sum(axis=-1) - 1.0).max() <= ROW_SUM_TOL:
-                raise StructuralError(f"{name} rows must sum to 1")
+        _check_tables(self.n_states, self.space, self.initial_state, self.transition[None], self.emission[None])
 
     def reward_of(self, trajectory: History) -> float:
         return self.reward.of(trajectory)
@@ -176,24 +170,10 @@ class TabularPomdp:
         """P(test obs | state at ``state_step`` = s, test actions): one row per test, one column per s.
 
         ``state_step`` is the 1-based step at which each test's first
-        observation is emitted (``test.start_step + 1``).  The tests share
-        one length and are walked backwards together, one stacked
-        matrix-vector product per step: ``v <- emission * (T[a] @ v)``.
+        observation is emitted (``test.start_step + 1``).  This is
+        :func:`_walk_tests` of the environment alone.
         """
-        lengths = {len(t) for t in tests}
-        if len(lengths) != 1 or 0 in lengths:
-            raise StructuralError(f"tests must share one positive length, got lengths {sorted(lengths)}")
-        (length,) = lengths
-        if not 1 <= state_step <= self.space.horizon - length + 1:
-            raise StructuralError(f"a {length}-step test from step {state_step} runs past the horizon")
-        obs = np.array([t.obs for t in tests])
-        acts = np.array([t.acts[: length - 1] for t in tests]).reshape(len(tests), length - 1)
-        v = self.emission[state_step + length - 2].T[obs[:, -1]]
-        for j in range(length - 2, -1, -1):
-            step = state_step + j
-            moved = (self.transition[step - 1][acts[:, j]] @ v[:, :, None])[:, :, 0]
-            v = self.emission[step - 1].T[obs[:, j]] * moved
-        return v
+        return _walk_tests(self.transition[None], self.emission[None], tests, state_step)[0]
 
     # -- sampling -----------------------------------------------------------
 
@@ -287,6 +267,36 @@ class TabularPomdp:
         }
 
 
+def _check_tables(
+    n_states: int, space: ObsActSpace, initial_state: int, transition: np.ndarray, emission: np.ndarray
+) -> None:
+    """Refuse a stack of environment tables, ``(C, H-1, A, S, S)`` and ``(C, H, S, O)``.
+
+    Every member needs the shapes of ``space`` and ``n_states`` and rows
+    that are probability vectors, and ``initial_state`` must be a state.
+    The error is the first one :class:`TabularPomdp` raises for the first
+    member that has one.
+    """
+    S, H, A, O = n_states, space.horizon, space.n_actions, space.n_obs
+    if transition.shape[1:] != (H - 1, A, S, S):
+        raise StructuralError(f"transition shape {transition.shape[1:]} != {(H - 1, A, S, S)}")
+    if emission.shape[1:] != (H, S, O):
+        raise StructuralError(f"emission shape {emission.shape[1:]} != {(H, S, O)}")
+    if not 0 <= initial_state < S:
+        raise StructuralError("initial state out of range")
+    faults = []  # (message, flag per member), in the order a single environment is checked
+    for name, arr in (("transition", transition), ("emission", emission)):
+        if arr.size:
+            rows = arr.reshape(len(arr), -1, arr.shape[-1])
+            # Negated comparisons, so that NaN fails them too (an infinite entry breaks the row sum).
+            faults.append((f"{name} has negative or NaN entries", ~(rows.min(axis=(1, 2)) >= 0)))
+            faults.append((f"{name} rows must sum to 1", ~(np.abs(rows.sum(axis=-1) - 1.0).max(axis=1) <= ROW_SUM_TOL)))
+    flags = np.array([flag for _, flag in faults])  # (check, member)
+    bad = np.flatnonzero(flags.any(axis=0))
+    if bad.size:
+        raise StructuralError(faults[flags[:, bad[0]].argmax()][0])
+
+
 def _inverse_cdf(cdf_rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Per row, the first index whose cumulative probability exceeds the row's uniform."""
     return (cdf_rows <= uniforms[:, None]).sum(axis=1)
@@ -353,17 +363,43 @@ class GMatrices:
         return self.tests[state_step - 1]
 
 
+def _walk_tests(transition: np.ndarray, emission: np.ndarray, tests: Sequence[Future], state_step: int) -> np.ndarray:
+    """``test_probs`` of every member of a stack of tables: ``(C, n_tests, S)``.
+
+    ``transition`` is ``(C, H-1, A, S, S)`` and ``emission`` ``(C, H, S, O)``.
+    The tests share one length and are walked backwards together, one
+    stacked matrix-vector product per step: ``v <- emission * (T[a] @ v)``.
+    Each product has one member's shapes, so a member's rows carry the
+    bits it has walked alone.
+    """
+    lengths = {len(t) for t in tests}
+    if len(lengths) != 1 or 0 in lengths:
+        raise StructuralError(f"tests must share one positive length, got lengths {sorted(lengths)}")
+    (length,) = lengths
+    if not 1 <= state_step <= emission.shape[1] - length + 1:
+        raise StructuralError(f"a {length}-step test from step {state_step} runs past the horizon")
+    obs = np.array([t.obs for t in tests])
+    acts = np.array([t.acts[: length - 1] for t in tests]).reshape(len(tests), length - 1)
+    by_obs = emission.swapaxes(-1, -2)  # (C, H, O, S)
+    v = by_obs[:, state_step + length - 2][:, obs[:, -1]]
+    for j in range(length - 2, -1, -1):
+        step = state_step + j
+        moved = (transition[:, step - 1][:, acts[:, j]] @ v[..., None])[..., 0]
+        v = by_obs[:, step - 1][:, obs[:, j]] * moved
+    return v
+
+
 def g_matrices(pomdp: TabularPomdp, m: int) -> GMatrices:
-    """Exact window-test probability matrices for every state step."""
+    """Exact window-test probability matrices for every state step, one :meth:`~TabularPomdp.test_probs` walk each."""
+    tests = _window_test_sets(pomdp.space, m)
+    return GMatrices(m, tests, tuple(pomdp.test_probs(step_tests, h) for h, step_tests in enumerate(tests, start=1)))
+
+
+def _window_test_sets(space: ObsActSpace, m: int) -> tuple[tuple[Future, ...], ...]:
+    """The window tests of every state step h = 1..H."""
     if m < 1:
         raise StructuralError("window length m must be >= 1")
-    tests_all: list[tuple[Future, ...]] = []
-    mats: list[np.ndarray] = []
-    for h in range(1, pomdp.space.horizon + 1):
-        tests = tuple(window_tests(pomdp.space, h, m))
-        tests_all.append(tests)
-        mats.append(pomdp.test_probs(tests, h))
-    return GMatrices(m, tuple(tests_all), tuple(mats))
+    return tuple(tuple(window_tests(space, h, m)) for h in range(1, space.horizon + 1))
 
 
 def decodability_alpha(g: GMatrices) -> float:
@@ -380,53 +416,102 @@ def decodability_alpha(g: GMatrices) -> float:
 # -- POMDP -> PSR construction ----------------------------------------------
 
 
-def _transition_operator(pomdp: TabularPomdp, h: int, o: int, a: int) -> np.ndarray:
-    """Matrix sending the pre-emission state belief at step h to step h+1."""
-    emit = pomdp.emission[h - 1, :, o]
-    if h < pomdp.space.horizon:
-        return pomdp.transition[h - 1, a].T * emit[None, :]
-    # No transition after the final observation; condition on it in place.
-    return np.diag(emit)
-
-
 def pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     """Build the predictive-state representation of a tabular POMDP.
 
     The core tests are the window tests of ``g`` (from :func:`g_matrices`),
     and the parameters come from pseudo-inverting its full-column-rank test
-    matrices.
+    matrices: :func:`_family_psrs` of the environment alone, whose error
+    for it is raised.
     """
-    space = pomdp.space
-    gmats = g.matrices
-    core = make_core_test_set(space, [g.tests_at(h + 1) for h in range(space.horizon)])
+    tests = [g.tests_at(h) for h in range(1, pomdp.space.horizon + 1)]
+    mats = [G[None] for G in g.matrices]
+    (model,) = _family_psrs(pomdp.space, pomdp.initial_state, pomdp.transition[None], pomdp.emission[None], tests, mats)
+    if isinstance(model, PsrLabError):
+        raise model
+    return model
+
+
+def convert_family(
+    env: TabularPomdp, transition: np.ndarray, emission: np.ndarray, m: int
+) -> list[PsrModel | PsrLabError]:
+    """Window-``m`` PSRs of a stack of tables, ``(C, H-1, A, S, S)`` and ``(C, H, S, O)``.
+
+    Member ``c`` is ``env`` with the tables ``transition[c]`` and
+    ``emission[c]``.  Its entry is, bit for bit, what
+    ``pomdp_to_psr(member, g_matrices(member, m))`` returns, or the
+    :class:`SingularCoreTests` or :class:`StructuralError` it raises.
+    Tables that :class:`TabularPomdp` refuses raise its error at once.
+    """
+    _check_tables(env.n_states, env.space, env.initial_state, transition, emission)
+    tests = _window_test_sets(env.space, m)
+    mats = [_walk_tests(transition, emission, step_tests, h) for h, step_tests in enumerate(tests, start=1)]
+    return _family_psrs(env.space, env.initial_state, transition, emission, tests, mats)
+
+
+def _family_psrs(
+    space: ObsActSpace,
+    initial_state: int,
+    transition: np.ndarray,
+    emission: np.ndarray,
+    tests: Sequence[Sequence[Future]],
+    mats: Sequence[np.ndarray],
+) -> list[PsrModel | PsrLabError]:
+    """The PSR of each member of a stack of tables, or the error its conversion gives.
+
+    ``tests`` and ``mats`` hold each state step's window tests and their
+    ``(C, n_tests, S)`` matrices, from :func:`_walk_tests`.  The members
+    share one core-test set.  Each step checks every member's S-th
+    singular value with one stacked SVD and pseudo-inverts with one
+    stacked ``pinv``, and the operators of every (member, o, a) come from
+    one pair of matmuls.  Every product keeps one member's matrix shapes
+    and layouts, only adding batch axes, so a member gets the bits of its
+    conversion alone.  A member whose test matrix at some step has
+    condition above ``MAX_CONDITION`` gets :class:`SingularCoreTests` for
+    the first such step, and one that :class:`PsrModel` refuses gets its
+    error.
+    """
+    core = make_core_test_set(space, list(tests))
+    n_states = emission.shape[2]
+    out: list[PsrModel | PsrLabError | None] = [None] * len(emission)
     pinvs = []
-    for h, G in enumerate(gmats, start=1):
+    for h, G in enumerate(mats, start=1):
         svals = np.linalg.svd(G, compute_uv=False)
-        smin = svals[pomdp.n_states - 1] if len(svals) >= pomdp.n_states else 0.0
-        if smin <= 0 or svals[0] / smin > MAX_CONDITION:
-            raise SingularCoreTests(f"test matrix at step {h} has condition > {MAX_CONDITION:g}")
-        pinvs.append(np.linalg.pinv(G, rcond=PINV_RCOND))
-    M: list[np.ndarray] = []
+        smin = svals[:, n_states - 1] if svals.shape[1] >= n_states else np.zeros(len(G))
+        with np.errstate(divide="ignore", invalid="ignore"):  # smin = 0 is already singular
+            singular = (smin <= 0) | (svals[:, 0] / smin > MAX_CONDITION)
+        for c in np.flatnonzero(singular):
+            if out[c] is None:
+                out[c] = SingularCoreTests(f"test matrix at step {h} has condition > {MAX_CONDITION:g}")
+        if h < space.horizon:  # the last step's operators are indicator rows
+            pinvs.append(np.linalg.pinv(G, rcond=PINV_RCOND))
+    ones = np.ones(n_states)
+    M, phi = [], []
     for h in range(1, space.horizon):
-        G_next = gmats[h]  # state step h+1
-        ops = np.empty((space.n_obs, space.n_actions, G_next.shape[0], gmats[h - 1].shape[0]))
-        for o in range(space.n_obs):
-            for a in range(space.n_actions):
-                ops[o, a] = G_next @ _transition_operator(pomdp, h, o, a) @ pinvs[h - 1]
-        M.append(ops)
+        # Operator (o, a) sends the pre-emission belief at step h to step h + 1: T[a].T scaled by
+        # the emission column of o, each matrix laid out as that transposed view lays it out.
+        emit = emission[:, h - 1].swapaxes(-1, -2)[:, :, None, :, None]  # (C, O, 1, S, 1)
+        t_ops = (transition[:, h - 1, None] * emit).swapaxes(-1, -2)  # (C, O, A, S, S)
+        M.append((mats[h][:, None, None] @ t_ops) @ pinvs[h - 1][:, None, None])
+        phi.append(pinvs[h - 1].swapaxes(-1, -2) @ ones)
     # Final step: the window tests there are the single next observations, so
     # the last matrices reduce to exact indicator rows (anchored closing).
-    d_last = gmats[space.horizon - 1].shape[0]
+    d_last = mats[-1].shape[1]
     terminal = np.zeros((space.n_obs, space.n_actions, 1, d_last))
     for o in range(space.n_obs):
         terminal[o, :, 0, o] = 1.0
-    M.append(terminal)
-    ones = np.ones(pomdp.n_states)
-    phi = [p.T @ ones for p in pinvs[:-1]] + [np.ones(d_last), np.ones(1)]
-    e0 = np.zeros(pomdp.n_states)
-    e0[pomdp.initial_state] = 1.0
-    psi0 = gmats[0] @ e0
-    return PsrModel(space, core, psi0, tuple(M), tuple(phi))
+    e0 = np.zeros(n_states)
+    e0[initial_state] = 1.0
+    psi0 = mats[0] @ e0
+    closing = (np.ones(d_last), np.ones(1))
+    for c in range(len(out)):
+        if out[c] is None:
+            try:
+                ops = tuple(step[c] for step in M) + (terminal,)
+                out[c] = PsrModel(space, core, psi0[c], ops, tuple(vec[c] for vec in phi) + closing)
+            except StructuralError as exc:
+                out[c] = exc
+    return out
 
 
 def default_psr(pomdp: TabularPomdp) -> tuple[PsrModel, GMatrices]:

@@ -17,6 +17,10 @@ argument), and the stacked-states oracle takes each forward step as one
 einsum batched over the model axis.
 The grid oracles are the recursive lattice and row-product enumerations
 that built grid candidates before they became ``itertools.product`` walks.
+The conversion oracles build every candidate's PSR on its own, as before
+conversion became one stacked pass per family: a ``TabularPomdp`` per
+member, its own test walk, its SVDs and pseudo-inverses one step at a
+time, and one small matmul per (step, observation, action).
 Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
@@ -38,14 +42,30 @@ import scipy.linalg
 
 from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import history_from_lex, psi
-from psrlab.errors import DegenerateHistory, StructuralError
-from psrlab.estimation import MAX_CANDIDATES, DatasetFamily, _one_model, constrained_mle
+from psrlab import estimation
+from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
+from psrlab.estimation import (
+    MAX_ATTEMPTS_PER_CANDIDATE,
+    MAX_CANDIDATES,
+    CandidateSet,
+    DatasetFamily,
+    _one_model,
+    constrained_mle,
+)
 from psrlab.online import _build_evaluator
 from psrlab.planner import plan_on_table
-from psrlab.pomdp import TabularPomdp
+from psrlab.pomdp import (
+    ALPHA_FLOOR,
+    MAX_CONDITION,
+    PINV_RCOND,
+    GMatrices,
+    TabularPomdp,
+    decodability_alpha,
+    window_tests,
+)
 from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
-from psrlab.psr import PSI_GUARD, PsrModel
-from psrlab.seeding import child_seed
+from psrlab.psr import PSI_GUARD, PsrModel, make_core_test_set
+from psrlab.seeding import child_seed, rng_for
 from psrlab.spaces import History
 
 
@@ -419,3 +439,132 @@ def oracle_grid_tables(env: TabularPomdp, eps: float):
             yield from rec(row_choices + [point], row + 1)
 
     yield from rec([], 0)
+
+
+def oracle_test_probs(env: TabularPomdp, tests, state_step: int) -> np.ndarray:
+    """One environment's ``test_probs``, walked as before conversion took a member axis."""
+    lengths = {len(t) for t in tests}
+    if len(lengths) != 1 or 0 in lengths:
+        raise StructuralError(f"tests must share one positive length, got lengths {sorted(lengths)}")
+    (length,) = lengths
+    if not 1 <= state_step <= env.space.horizon - length + 1:
+        raise StructuralError(f"a {length}-step test from step {state_step} runs past the horizon")
+    obs = np.array([t.obs for t in tests])
+    acts = np.array([t.acts[: length - 1] for t in tests]).reshape(len(tests), length - 1)
+    v = env.emission[state_step + length - 2].T[obs[:, -1]]
+    for j in range(length - 2, -1, -1):
+        step = state_step + j
+        moved = (env.transition[step - 1][acts[:, j]] @ v[:, :, None])[:, :, 0]
+        v = env.emission[step - 1].T[obs[:, j]] * moved
+    return v
+
+
+def oracle_g_matrices(pomdp: TabularPomdp, m: int) -> GMatrices:
+    """Exact window-test probability matrices for every state step."""
+    if m < 1:
+        raise StructuralError("window length m must be >= 1")
+    tests_all = []
+    mats = []
+    for h in range(1, pomdp.space.horizon + 1):
+        tests = tuple(window_tests(pomdp.space, h, m))
+        tests_all.append(tests)
+        mats.append(oracle_test_probs(pomdp, tests, h))
+    return GMatrices(m, tuple(tests_all), tuple(mats))
+
+
+def _oracle_transition_operator(pomdp: TabularPomdp, h: int, o: int, a: int) -> np.ndarray:
+    """Matrix sending the pre-emission state belief at step h to step h+1."""
+    emit = pomdp.emission[h - 1, :, o]
+    if h < pomdp.space.horizon:
+        return pomdp.transition[h - 1, a].T * emit[None, :]
+    # No transition after the final observation; condition on it in place.
+    return np.diag(emit)
+
+
+def oracle_pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
+    """One environment's PSR, pseudo-inverting each step's test matrix on its own."""
+    space = pomdp.space
+    gmats = g.matrices
+    core = make_core_test_set(space, [g.tests_at(h + 1) for h in range(space.horizon)])
+    pinvs = []
+    for h, G in enumerate(gmats, start=1):
+        svals = np.linalg.svd(G, compute_uv=False)
+        smin = svals[pomdp.n_states - 1] if len(svals) >= pomdp.n_states else 0.0
+        if smin <= 0 or svals[0] / smin > MAX_CONDITION:
+            raise SingularCoreTests(f"test matrix at step {h} has condition > {MAX_CONDITION:g}")
+        pinvs.append(np.linalg.pinv(G, rcond=PINV_RCOND))
+    M = []
+    for h in range(1, space.horizon):
+        G_next = gmats[h]  # state step h+1
+        ops = np.empty((space.n_obs, space.n_actions, G_next.shape[0], gmats[h - 1].shape[0]))
+        for o in range(space.n_obs):
+            for a in range(space.n_actions):
+                ops[o, a] = G_next @ _oracle_transition_operator(pomdp, h, o, a) @ pinvs[h - 1]
+        M.append(ops)
+    # Final step: the window tests there are the single next observations, so
+    # the last matrices reduce to exact indicator rows (anchored closing).
+    d_last = gmats[space.horizon - 1].shape[0]
+    terminal = np.zeros((space.n_obs, space.n_actions, 1, d_last))
+    for o in range(space.n_obs):
+        terminal[o, :, 0, o] = 1.0
+    M.append(terminal)
+    ones = np.ones(pomdp.n_states)
+    phi = [p.T @ ones for p in pinvs[:-1]] + [np.ones(d_last), np.ones(1)]
+    e0 = np.zeros(pomdp.n_states)
+    e0[pomdp.initial_state] = 1.0
+    psi0 = gmats[0] @ e0
+    return PsrModel(space, core, psi0, tuple(M), tuple(phi))
+
+
+def oracle_default_psr(pomdp: TabularPomdp):
+    """PSR via the smallest window whose decodability value exceeds ``ALPHA_FLOOR``."""
+    last_alpha = 0.0
+    for m in range(1, pomdp.space.horizon + 1):
+        g = oracle_g_matrices(pomdp, m)
+        last_alpha = decodability_alpha(g)
+        if last_alpha > ALPHA_FLOOR:
+            return oracle_pomdp_to_psr(pomdp, g=g), g
+    raise SingularCoreTests(f"no decodable window up to m=H (best alpha {last_alpha:.3g})")
+
+
+def oracle_make_candidates(env, mode, *, seed=0, n=0, scale=0.05, emission_scale=None, eps_grid=0.5, include_true=True):
+    """``make_candidates`` converting one member at a time, each through its own environment.
+
+    Settings are not checked.  Dithering reads ``estimation._perturbed_rows``
+    by attribute, so a test that replaces it changes both paths alike.
+    """
+    true_model, g_true = oracle_default_psr(env)
+    members = [(true_model, "true")] if include_true or mode == "include_true" else []
+
+    def _add(transition: np.ndarray, emission: np.ndarray, label: str) -> bool:
+        pomdp = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
+        try:
+            model = oracle_pomdp_to_psr(pomdp, g=oracle_g_matrices(pomdp, g_true.m))
+        except (StructuralError, SingularCoreTests):
+            return False
+        members.append((model, label))
+        return True
+
+    if mode == "dithered":
+        e_scale = scale if emission_scale is None else emission_scale
+        made = 0
+        attempt = 0
+        while made < n:
+            if attempt >= n * MAX_ATTEMPTS_PER_CANDIDATE:
+                raise StructuralError("dithering kept failing to produce valid candidates")
+            rng = rng_for(seed, "dither", attempt)
+            attempt += 1
+            transition = env.transition
+            if env.transition.size and scale > 0:
+                transition = estimation._perturbed_rows(env.transition, scale, rng)
+            emission = estimation._perturbed_rows(env.emission, e_scale, rng) if e_scale > 0 else env.emission
+            if _add(transition, emission, f"perturbed(seed={seed},i={attempt - 1})"):
+                made += 1
+    elif mode == "grid":
+        for idx, (transition, emission) in enumerate(oracle_grid_tables(env, eps_grid)):
+            _add(transition, emission, f"grid({idx})")
+
+    if not members:
+        raise EmptyFeasibleSet("candidate generation produced no valid models")
+    models, labels = zip(*members)
+    return CandidateSet(models, labels)

@@ -60,6 +60,15 @@ def make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=None):
     return pmd.TabularPomdp(1, space, transition, emission, 0, reward)
 
 
+def assert_same_model(got, want, where=""):
+    """Two PSRs are the same to the bit: core tests, ``psi0``, every ``M`` and ``phi``, shapes included."""
+    assert got.core_tests == want.core_tests, where
+    assert got.psi0.shape == want.psi0.shape and got.psi0.tobytes() == want.psi0.tobytes(), where
+    for name in ("M", "phi"):
+        for step, (g, w) in enumerate(zip(getattr(got, name), getattr(want, name), strict=True)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (where, name, step)
+
+
 def assert_same_columns(got, want):
     """Two datasets hold the same entries: every column to the bit."""
     for got_cols, want_cols in zip(got.columns, want.columns, strict=True):

@@ -507,6 +507,10 @@ def test_ill_typed_env_file_prints_one_line(tmp_path, runner, key, value, messag
         ("seed", 1.5, "seed must be an integer, got 1.5"),
         ("n", -1, "n must be at least 0, got -1"),
         ("include_true", "no", "include_true must be true or false, got 'no'"),
+        ("scale", float("nan"), "scale must be a finite number at least 0, got nan"),
+        ("scale", -0.1, "scale must be a finite number at least 0, got -0.1"),
+        ("scale", float("inf"), "scale must be a finite number at least 0, got inf"),
+        ("emission_scale", float("nan"), "emission_scale must be a finite number at least 0, got nan"),
     ],
 )
 def test_ill_typed_candidate_settings_print_one_line(tmp_path, runner, key, value, message):

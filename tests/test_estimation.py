@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,16 +9,22 @@ import pytest
 from check_oracles import (
     decoded_trajectories,
     oracle_conditional_tv_diagnostic,
+    oracle_g_matrices,
     oracle_grid_tables,
+    oracle_make_candidates,
+    oracle_pomdp_to_psr,
     oracle_simplex_lattice,
     oracle_stability_and_likelihood,
     theta_min_feasible,
 )
-from conftest import assert_same_columns, make_single_state_env
+from conftest import assert_same_columns, assert_same_model, make_single_state_env
 from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import seq_prob
-from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
+from psrlab import estimation
+from psrlab.cli import build_env
+from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, PsrLabError, SingularCoreTests, StructuralError
 from psrlab.estimation import (
+    MAX_ATTEMPTS_PER_CANDIDATE,
     CandidateSet,
     DatasetFamily,
     _simplex_lattice,
@@ -26,8 +34,29 @@ from psrlab.estimation import (
     make_candidates,
 )
 from psrlab.policies import UniformActionSeqPolicy, uniform_policy
-from psrlab.pomdp import TabularPomdp, default_psr, g_matrices, near_tie, pomdp_to_psr
+from psrlab.pomdp import TabularPomdp, default_psr, near_tie, random_mdp, random_revealing
 from psrlab.spaces import History
+from psrlab.verify import reference_env
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config_family(name):
+    config = json.loads((CONFIGS / name).read_text())
+    return build_env(config["env"]), config["candidates"]
+
+
+FAMILIES = {
+    **{name: _config_family(name) for name in ("online_reference.json", "online_decay.json", "offline_sweep.json")},
+    "online-large": (random_revealing(1, 2, 3, 2, 6), {"mode": "dithered", "seed": 5, "n": 40, "scale": 0.05}),
+    "verify-mle-events": (reference_env(), {"mode": "dithered", "seed": 77, "n": 8, "scale": 0.08}),
+    "verify-ucb-validity": (reference_env(), {"mode": "dithered", "seed": 42, "n": 10, "scale": 0.03}),
+    # Rows this far from the truth make some members singular; they are skipped at the same attempts.
+    "singular-reference": (random_revealing(1, 2, 3, 2, 2), {"mode": "dithered", "seed": 3, "n": 7, "scale": 30.0}),
+    "singular-near_tie": (near_tie(), {"mode": "dithered", "seed": 3, "n": 7, "scale": 30.0}),
+    # Grid members are checked against the recursive enumeration below; this grid is over the cap.
+    "grid-random_mdp-0.25": (random_mdp(3, 2, 2, 2), {"mode": "grid", "eps_grid": 0.25}),
+}
 
 
 @pytest.fixture()
@@ -153,26 +182,25 @@ def test_simplex_lattice_matches_the_recursion(eps):
         (near_tie(), 0.5),
         (make_single_state_env(horizon=1, n_obs=3, n_actions=2), 0.25),  # no transition rows
         (make_single_state_env(horizon=2, n_obs=3, n_actions=2), 0.5),
+        (random_mdp(3, 2, 2, 2), 0.5),
     ],
-    ids=["near_tie", "H1-O3", "H2-O3"],
+    ids=["near_tie", "H1-O3", "H2-O3", "random_mdp(3,2,2,2)"],
 )
 def test_grid_candidates_follow_the_recursive_order(env, eps):
-    """Labels and every member's parameters, bit for bit, as the recursive enumeration orders the grid."""
+    """Labels and every member's parameters, bit for bit, as the recursive enumeration orders the grid
+    and one-member-at-a-time conversion builds it."""
     cands = make_candidates(env, "grid", eps_grid=eps, include_true=False)
     _, g_true = default_psr(env)
     expected = []
     for idx, (transition, emission) in enumerate(oracle_grid_tables(env, eps)):
         pomdp = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
         try:
-            expected.append((f"grid({idx})", pomdp_to_psr(pomdp, g=g_matrices(pomdp, g_true.m))))
+            expected.append((f"grid({idx})", oracle_pomdp_to_psr(pomdp, g=oracle_g_matrices(pomdp, g_true.m))))
         except (StructuralError, SingularCoreTests):
             continue
     assert cands.labels == tuple(label for label, _ in expected)
-    for got, (label, want) in zip(cands.models, expected):
-        assert got.psi0.tobytes() == want.psi0.tobytes(), label
-        for name in ("M", "phi"):
-            for step, (g, w) in enumerate(zip(getattr(got, name), getattr(want, name), strict=True)):
-                assert g.tobytes() == w.tobytes(), (label, name, step)
+    for got, (label, want) in zip(cands.models, expected, strict=True):
+        assert_same_model(got, want, label)
 
 
 @pytest.mark.parametrize(
@@ -191,11 +219,73 @@ def test_grid_candidates_follow_the_recursive_order(env, eps):
         ({"n": -1}, "n must be at least 0"),
         ({"include_true": "no"}, "include_true must be true or false"),
         ({"include_true": 0}, "include_true must be true or false"),
+        ({"scale": float("nan")}, "scale must be a finite number at least 0, got nan"),
+        ({"scale": -0.1}, "scale must be a finite number at least 0, got -0.1"),
+        ({"scale": float("inf")}, "scale must be a finite number at least 0, got inf"),
+        ({"emission_scale": float("nan")}, "emission_scale must be a finite number at least 0, got nan"),
+        ({"emission_scale": -1}, "emission_scale must be a finite number at least 0, got -1"),
     ],
 )
 def test_make_candidates_rejects_ill_typed_settings(options, message):
     with pytest.raises(StructuralError, match=message):
         make_candidates(near_tie(), "dithered", **options)
+
+
+@pytest.mark.parametrize("block", [estimation.FAMILY_BLOCK, 3])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_candidate_families_match_the_per_member_oracle(monkeypatch, name, block):
+    """Labels, core tests and every member's parameters to the bit, or the same error, as one-at-a-time conversion gives.
+
+    At a block of 3 the rounds split up, and the attempts they draw must not change."""
+    monkeypatch.setattr(estimation, "FAMILY_BLOCK", block)
+    env, options = FAMILIES[name]
+    try:
+        want = oracle_make_candidates(env, **options)
+    except PsrLabError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            make_candidates(env, **options)
+        return
+    got = make_candidates(env, **options)
+    assert got.labels == want.labels
+    for label, g, w in zip(got.labels, got.models, want.models, strict=True):
+        assert_same_model(g, w, label)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_invalid_dithered_tables_raise_at_once():
+    """A draw whose rows overflow to NaN raises the environment's error, as it did when each draw built one."""
+    options = {"mode": "dithered", "seed": 0, "n": 4, "scale": 1000.0}
+    with pytest.raises(StructuralError, match="^transition has negative or NaN entries$"):
+        oracle_make_candidates(near_tie(), **options)
+    with pytest.raises(StructuralError, match="^transition has negative or NaN entries$"):
+        make_candidates(near_tie(), **options)
+
+
+def test_all_failing_family_hits_the_attempt_cap_after_the_same_draws(monkeypatch, reference_env):
+    draws = []
+    perturbed_rows = estimation._perturbed_rows
+
+    def collapsed(rows, scale, rng):
+        """Every state takes state 0's perturbed row, so no test tells states apart."""
+        draws.append(rows.shape)
+        return perturbed_rows(rows, scale, rng)[..., :1, :].repeat(rows.shape[-2], axis=-2)
+
+    monkeypatch.setattr(estimation, "_perturbed_rows", collapsed)
+    for build in (oracle_make_candidates, make_candidates):
+        with pytest.raises(StructuralError, match="^dithering kept failing to produce valid candidates$"):
+            build(reference_env, "dithered", seed=1, n=3)
+    assert len(draws) == 2 * 2 * 3 * MAX_ATTEMPTS_PER_CANDIDATE  # two paths, two tables per attempt
+    assert draws[: len(draws) // 2] == draws[len(draws) // 2 :]
+
+
+def test_grid_cap_is_checked_before_any_lattice(monkeypatch):
+    calls = []
+    simplex_lattice = estimation._simplex_lattice
+    monkeypatch.setattr(estimation, "_simplex_lattice", lambda *args: calls.append(args) or simplex_lattice(*args))
+    env = make_single_state_env(horizon=1, n_obs=14, n_actions=1)
+    with pytest.raises(StructuralError, match=r"^grid would have 1144066 members \(cap 100000\)$"):
+        make_candidates(env, "grid", eps_grid=0.1)
+    assert calls == []
 
 
 def test_make_candidates_grid_guard(reference_env):

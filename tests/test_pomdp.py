@@ -1,17 +1,22 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import make_single_state_env
+from check_oracles import oracle_g_matrices, oracle_pomdp_to_psr
+from conftest import assert_same_model, make_single_state_env
 from policy_oracles import drawn_history, seed_uniforms
 from pomdp_oracles import enumerate_futures, future_steps, oracle_reward_of, seq_prob
 from psrlab.errors import RejectionBudgetExhausted, SingularCoreTests, StructuralError
+from psrlab.estimation import _perturbed_rows
 from psrlab.policies import random_tree_policy, uniform_policy
 from psrlab.pomdp import (
     RewardTable,
     TabularPomdp,
+    _walk_tests,
+    convert_family,
     decodability_alpha,
     default_psr,
     dynamics_matrix,
@@ -26,6 +31,15 @@ from psrlab.pomdp import (
 from psrlab.psr import check_self_consistency, psr_rank
 from psrlab.seeding import child_seed, first_uniforms
 from psrlab.spaces import History, ObsActSpace, enumerate_histories
+from psrlab.verify import small_builtin_envs
+
+CONVERSION_ENVS = small_builtin_envs() + [("near_tie", near_tie())]
+FAMILY_ENVS = [
+    ("random_revealing(1,2,3,2,6)", random_revealing(1, 2, 3, 2, 6)),
+    ("tiger(3)", tiger(3)),
+    ("H1", random_revealing(1, 2, 3, 2, 1)),  # no transitions
+    ("S1", make_single_state_env(horizon=3, n_obs=2, n_actions=2)),
+]
 
 
 def brute_force_prob(env, history):
@@ -326,3 +340,71 @@ def test_environment_inputs_are_read_only_copies():
     table[:] = 0.0
     assert rebuilt.emission[0, 0, 0] == 0.85 and rebuilt.prob_table(1)[0] == env.prob_table(1)[0]
     assert rebuilt.reward.table.max() > 0.0 and rebuilt.transition.tobytes() == env.transition.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("name,env", CONVERSION_ENVS, ids=[name for name, _ in CONVERSION_ENVS])
+def test_conversion_matches_the_per_environment_oracle(name, env, m):
+    """``g_matrices`` and ``pomdp_to_psr``, one-member calls of the family pass, keep the per-environment bits."""
+    g, want_g = g_matrices(env, m), oracle_g_matrices(env, m)
+    assert g.tests == want_g.tests
+    for G, W in zip(g.matrices, want_g.matrices, strict=True):
+        assert G.shape == W.shape and G.tobytes() == W.tobytes()
+    try:
+        want = oracle_pomdp_to_psr(env, want_g)
+    except SingularCoreTests as exc:  # near_tie at m = 1
+        with pytest.raises(SingularCoreTests, match=f"^{re.escape(str(exc))}$"):
+            pomdp_to_psr(env, g)
+        return
+    assert_same_model(pomdp_to_psr(env, g), want, name)
+
+
+@pytest.mark.parametrize("n_members", [1, 3, 7])
+@pytest.mark.parametrize("name,env", FAMILY_ENVS, ids=[name for name, _ in FAMILY_ENVS])
+def test_family_conversion_is_each_members_own(name, env, n_members):
+    """Stacked test matrices and conversions equal each member's own, bit for bit, errors included."""
+    m = default_psr(env)[1].m
+    rng = np.random.default_rng(n_members)
+    tables = []
+    for _ in range(n_members):
+        transition = _perturbed_rows(env.transition, 0.3, rng) if env.transition.size else env.transition
+        tables.append((transition, _perturbed_rows(env.emission, 0.3, rng)))
+    if n_members > 1:  # member 1: every state behaves as state 0, so no test tells states apart
+        tables[1] = tuple(table[..., :1, :].repeat(env.n_states, axis=-2) for table in tables[1])
+    transitions, emissions = (np.stack(arrays) for arrays in zip(*tables))
+    got = convert_family(env, transitions, emissions, m)
+    assert len(got) == n_members
+    for c, (transition, emission) in enumerate(tables):
+        member = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
+        want_g = oracle_g_matrices(member, m)
+        for h, (tests, want_G) in enumerate(zip(want_g.tests, want_g.matrices, strict=True), start=1):
+            G = _walk_tests(transitions, emissions, tests, h)[c]
+            assert G.tobytes() == want_G.tobytes() and G.tobytes() == member.test_probs(tests, h).tobytes()
+        try:
+            want = oracle_pomdp_to_psr(member, want_g)
+        except SingularCoreTests as exc:
+            assert isinstance(got[c], SingularCoreTests) and str(got[c]) == str(exc), (name, c)
+            continue
+        assert_same_model(got[c], want, (name, c))
+    if n_members > 1 and env.n_states > 1:
+        assert isinstance(got[1], SingularCoreTests)
+
+
+def test_family_refuses_tables_as_one_environment_does():
+    """The first member with a fault raises, with the error its own environment raises first."""
+    env = tiger(3)
+    transitions, emissions = np.stack([env.transition] * 4), np.stack([env.emission] * 4)
+    emissions[1, 2, 0] = [np.nan, 1.0]
+    transitions[1, 0, 0, 0] = [1.5, -0.5]  # member 1 has both faults; the transition is checked first
+    transitions[2, 0, 0, 0] = [0.7, 0.7]
+    for stack, message in [
+        ((transitions, emissions), "transition has negative or NaN entries"),
+        ((transitions[2:], emissions[2:]), "transition rows must sum to 1"),
+        ((np.stack([env.transition] * 2), emissions[:2]), "emission has negative or NaN entries"),
+    ]:
+        with pytest.raises(StructuralError, match=f"^{message}$"):
+            convert_family(env, *stack, 1)
+    with pytest.raises(StructuralError, match="^transition has negative or NaN entries$"):
+        TabularPomdp(2, env.space, transitions[1], emissions[1], 0, env.reward)
+    with pytest.raises(StructuralError, match=r"^transition shape \(1, 3, 2, 2\) != \(2, 3, 2, 2\)$"):
+        convert_family(env, transitions[:, :1], emissions, 1)
