@@ -3,6 +3,9 @@
 The hypothesis class is always a finite list of valid models built from
 perturbed or discretized environment parameters (plus the truth when asked);
 a candidate set keeps the models and their labels, not the environments.
+Its models are one :class:`~psrlab.psr.PsrStack`, the truth's parameters
+and each conversion round's kept members concatenated once, validated once
+for all members, and each model's arrays are read-only views into it.
 Datasets and candidate sets live in memory only: the loops build them, and
 nothing writes or reads them as files.
 Selection keeps the models that give every recorded history prefix at least
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from .policies import Policy, continuation_weights
 from .pomdp import TabularPomdp, convert_family, default_psr
-from .psr import PsrModel, check_self_consistency, stacked_tables
+from .psr import PsrModel, PsrStack, stacked_tables
 from .seeding import rng_for
 from .spaces import _INTEGERS, ObsActSpace, check_numbers
 
@@ -134,29 +137,62 @@ class DatasetFamily:
 # -- candidate families -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CandidateSet:
-    """Finite model family with provenance labels."""
+    """Finite model family with provenance labels, kept as one stack of parameters.
+
+    ``stack`` holds every member's parameters, the member axis first, and
+    ``models[i]`` is member ``i`` as a :class:`PsrModel` whose arrays are
+    read-only views into it.  :func:`make_candidates` hands over the stack
+    it concatenated from :func:`~psrlab.pomdp.convert_family`'s output;
+    ``CandidateSet(models, labels)`` stacks the models it is given, which
+    must be :class:`PsrModel` instances sharing one space, core-test set and
+    state dims, labelled by strings.  Every member's self-consistency is
+    measured in one pass over the stack, and a member that violates it by
+    more than ``SELF_CONSISTENCY_TOL`` (or by NaN) is refused by label.
+    """
 
     models: tuple[PsrModel, ...]
     labels: tuple[str, ...]
-    _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> stacked (psis, probs)
+    stack: PsrStack = field(repr=False, compare=False)
+    _table_cache: dict = field(repr=False, compare=False)  # depth -> stacked (psis, probs)
 
-    def __post_init__(self) -> None:
-        if len(self.models) != len(self.labels):
-            raise StructuralError("models and labels must align")
-        if not self.models:
-            raise StructuralError("candidate set may not be empty")
-        first = self.models[0]
-        for label, model in zip(self.labels, self.models):
-            if model.space != first.space or model.dims != first.dims:
+    def __init__(self, models: Sequence[PsrModel], labels: Sequence[str]) -> None:
+        models, labels = tuple(models), _checked_labels(labels, len(models))
+        for i, model in enumerate(models):
+            if not isinstance(model, PsrModel):
+                raise StructuralError(f"candidate {i} is a {type(model).__name__}, not a PsrModel")
+        first = models[0]
+        key = (first.space, first.dims, first.core_tests)
+        fits = next((i for i, m in enumerate(models) if (m.space, m.dims, m.core_tests) != key), len(models))
+        # The members before the first that does not stack with member 0 are checked first, as one at a time would.
+        self._adopt(PsrStack.of(models[:fits]), labels[:fits])
+        if fits < len(models):
+            model, label = models[fits], labels[fits]
+            if (model.space, model.dims) != key[:2]:
                 raise StructuralError(
                     f"candidate {label} has space {model.space} and state dims {model.dims}; "
-                    f"candidate {self.labels[0]} has {first.space} and {first.dims}"
+                    f"candidate {labels[0]} has {first.space} and {first.dims}"
                 )
-            worst = check_self_consistency(model)
-            if not worst <= SELF_CONSISTENCY_TOL:  # also rejects NaN
-                raise StructuralError(f"candidate {label} violates self-consistency by {worst:.3g}")
+            raise StructuralError(f"candidate {label} has other core tests than candidate {labels[0]}")
+
+    @classmethod
+    def _of_stack(cls, stack: PsrStack, labels: Sequence[str]) -> CandidateSet:
+        """The set of a stack whose members are all valid models, as :func:`~psrlab.pomdp.convert_family` keeps them."""
+        cands = cls.__new__(cls)
+        cands._adopt(stack, _checked_labels(labels, len(stack)))
+        return cands
+
+    def _adopt(self, stack: PsrStack, labels: tuple[str, ...]) -> None:
+        """Refuse the first self-inconsistent member, then hold the stack and its members' views."""
+        worst = stack.self_consistency()
+        bad = np.flatnonzero(~(worst <= SELF_CONSISTENCY_TOL))  # also NaN
+        if bad.size:
+            raise StructuralError(f"candidate {labels[bad[0]]} violates self-consistency by {worst[bad[0]]:.3g}")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "models", stack.members())
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_table_cache", {})
 
     def __len__(self) -> int:
         return len(self.models)
@@ -165,7 +201,20 @@ class CandidateSet:
         """Read-only ``(n_candidates, n_histories(h))`` stack of the members' ``prob_table(h)``."""
         if h == 0:
             return np.ones((len(self), 1))
-        return stacked_tables(self.models, self._table_cache, h)[1]
+        return stacked_tables(self.stack, self.models, self._table_cache, h)[1]
+
+
+def _checked_labels(labels: Sequence[str], n_models: int) -> tuple[str, ...]:
+    """``labels`` as a tuple of one string per model; a set may not be empty."""
+    labels = tuple(labels)
+    if len(labels) != n_models:
+        raise StructuralError("models and labels must align")
+    if not labels:
+        raise StructuralError("candidate set may not be empty")
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise StructuralError(f"label {i} is a {type(label).__name__}, not a str")
+    return labels
 
 
 def _perturbed_rows(rows: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
@@ -208,9 +257,11 @@ def make_candidates(
     most ``FAMILY_BLOCK`` at a time: dithering draws attempt ``i`` from
     ``rng_for(seed, "dither", i)`` in rounds of as many attempts as members
     are missing, and the grid goes in blocks of points; a member without a
-    valid PSR is skipped.  ``seed`` and ``n >= 0`` are integers, ``scale`` and
-    ``emission_scale`` finite numbers at least 0, ``eps_grid`` a number in
-    (0, 1] and ``include_true`` a boolean; anything else raises
+    valid PSR is skipped.  The truth's parameters and every round's kept
+    members are concatenated into the set's one stack.  ``seed`` and
+    ``n >= 0`` are integers, ``scale`` and ``emission_scale`` finite
+    numbers at least 0, ``eps_grid`` a number in (0, 1] and
+    ``include_true`` a boolean; anything else raises
     :class:`StructuralError`.
     """
     if mode not in ("include_true", "dithered", "grid"):
@@ -229,14 +280,15 @@ def make_candidates(
         if value is not None and not 0 <= value < math.inf:  # NaN fails too
             raise StructuralError(f"{name} must be a finite number at least 0, got {value!r}")
     true_model, g_true = default_psr(env)
-    members = [(true_model, "true")] if include_true or mode == "include_true" else []
+    stacks, labels = ([PsrStack.of((true_model,))], ["true"]) if include_true or mode == "include_true" else ([], [])
 
-    def _convert(tables: list[tuple[np.ndarray, np.ndarray]], labels: list[str]) -> int:
+    def _convert(tables: list[tuple[np.ndarray, np.ndarray]], round_labels: list[str]) -> int:
         """Convert the tables in one stacked pass, keep the valid members in order, and count them."""
         transitions, emissions = (np.stack(arrays) for arrays in zip(*tables))
-        models = convert_family(env, transitions, emissions, g_true.m)
-        kept = [(model, label) for model, label in zip(models, labels) if isinstance(model, PsrModel)]
-        members.extend(kept)
+        stack, errors = convert_family(env, transitions, emissions, g_true.m)
+        kept = [c for c, error in enumerate(errors) if error is None]
+        stacks.append(stack.take(kept))
+        labels.extend(round_labels[c] for c in kept)
         return len(kept)
 
     if mode == "dithered":
@@ -256,10 +308,9 @@ def make_candidates(
         while block := list(islice(grid, FAMILY_BLOCK)):
             _convert([tables for _, tables in block], [f"grid({idx})" for idx, _ in block])
 
-    if not members:
+    if not labels:
         raise EmptyFeasibleSet("candidate generation produced no valid models")
-    models, labels = zip(*members)
-    return CandidateSet(models, labels)
+    return CandidateSet._of_stack(PsrStack.concatenate(stacks), labels)
 
 
 def _lattice_steps(eps: float) -> int:

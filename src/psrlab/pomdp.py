@@ -16,14 +16,16 @@ axis leads every array, the window tests are walked for all members at
 once, and each step's singular values, pseudo-inverses and operators come
 from one stacked call.  Each product keeps one member's matrix shapes, so
 a member gets the bits of its conversion alone.  :func:`convert_family`
-converts a family, :func:`pomdp_to_psr` of the window-test matrices of
-:func:`g_matrices` converts a family of one, and :func:`default_psr` picks
-the smallest window that is numerically sound.
+converts a family into one :class:`~psrlab.psr.PsrStack`, validated once,
+with each member's error; :func:`pomdp_to_psr` of the window-test matrices
+of :func:`g_matrices` converts a family of one, and :func:`default_psr`
+picks the smallest window that is numerically sound.  A window's singular
+values are taken once, by :attr:`GMatrices.singular_values`, for both the
+decodability value and the conversion's condition check.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,7 +41,7 @@ from .errors import (
     StructuralError,
 )
 from .policies import Policy, cumulative_rows, reached_rows
-from .psr import PsrModel, make_core_test_set
+from .psr import PsrModel, PsrStack, make_core_test_set
 from .seeding import first_uniforms, rng_for
 from .spaces import Future, History, ObsActSpace, _read_only_copy, check_numbers
 
@@ -359,8 +361,20 @@ class GMatrices:
     tests: tuple[tuple[Future, ...], ...]  # indexed by state step h = 1..H
     matrices: tuple[np.ndarray, ...]
 
+    def __post_init__(self) -> None:
+        # Read-only copies, since the cached singular values derive from them.
+        object.__setattr__(self, "matrices", tuple(_read_only_copy(G) for G in self.matrices))
+
     def tests_at(self, state_step: int) -> tuple[Future, ...]:
         return self.tests[state_step - 1]
+
+    @cached_property
+    def singular_values(self) -> tuple[np.ndarray, ...]:
+        """Each matrix's singular values, read-only: taken once for the decodability value and the conversion."""
+        svals = tuple(np.linalg.svd(G, compute_uv=False) for G in self.matrices)
+        for s in svals:
+            s.setflags(write=False)
+        return svals
 
 
 def _walk_tests(transition: np.ndarray, emission: np.ndarray, tests: Sequence[Future], state_step: int) -> np.ndarray:
@@ -404,13 +418,8 @@ def _window_test_sets(space: ObsActSpace, m: int) -> tuple[tuple[Future, ...], .
 
 def decodability_alpha(g: GMatrices) -> float:
     """Smallest S-th singular value over the per-step test matrices."""
-    alpha = math.inf
-    for G in g.matrices:
-        svals = np.linalg.svd(G, compute_uv=False)
-        n_states = G.shape[1]
-        sigma = svals[n_states - 1] if len(svals) >= n_states else 0.0
-        alpha = min(alpha, float(sigma))
-    return alpha
+    n_states = g.matrices[0].shape[1]
+    return min(float(s[n_states - 1]) if len(s) >= n_states else 0.0 for s in g.singular_values)
 
 
 # -- POMDP -> PSR construction ----------------------------------------------
@@ -426,27 +435,34 @@ def pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     """
     tests = [g.tests_at(h) for h in range(1, pomdp.space.horizon + 1)]
     mats = [G[None] for G in g.matrices]
-    (model,) = _family_psrs(pomdp.space, pomdp.initial_state, pomdp.transition[None], pomdp.emission[None], tests, mats)
-    if isinstance(model, PsrLabError):
-        raise model
-    return model
+    svals = [s[None] for s in g.singular_values]
+    stack, (error,) = _family_psrs(
+        pomdp.space, pomdp.initial_state, pomdp.transition[None], pomdp.emission[None], tests, mats, svals
+    )
+    if error is not None:
+        raise error
+    return stack.members()[0]
 
 
 def convert_family(
     env: TabularPomdp, transition: np.ndarray, emission: np.ndarray, m: int
-) -> list[PsrModel | PsrLabError]:
+) -> tuple[PsrStack, list[PsrLabError | None]]:
     """Window-``m`` PSRs of a stack of tables, ``(C, H-1, A, S, S)`` and ``(C, H, S, O)``.
 
     Member ``c`` is ``env`` with the tables ``transition[c]`` and
-    ``emission[c]``.  Its entry is, bit for bit, what
-    ``pomdp_to_psr(member, g_matrices(member, m))`` returns, or the
-    :class:`SingularCoreTests` or :class:`StructuralError` it raises.
-    Tables that :class:`TabularPomdp` refuses raise its error at once.
+    ``emission[c]``.  Returns the stacked parameters of every member and
+    each member's error: None when ``pomdp_to_psr(member, g_matrices(member,
+    m))`` returns a model, whose arrays are then, bit for bit, member ``c``
+    of the stack, and otherwise the :class:`SingularCoreTests` or
+    :class:`StructuralError` it raises (that member's parameters in the
+    stack mean nothing).  Tables that :class:`TabularPomdp` refuses raise
+    its error at once.
     """
     _check_tables(env.n_states, env.space, env.initial_state, transition, emission)
     tests = _window_test_sets(env.space, m)
     mats = [_walk_tests(transition, emission, step_tests, h) for h, step_tests in enumerate(tests, start=1)]
-    return _family_psrs(env.space, env.initial_state, transition, emission, tests, mats)
+    svals = [np.linalg.svd(G, compute_uv=False) for G in mats]
+    return _family_psrs(env.space, env.initial_state, transition, emission, tests, mats, svals)
 
 
 def _family_psrs(
@@ -456,33 +472,34 @@ def _family_psrs(
     emission: np.ndarray,
     tests: Sequence[Sequence[Future]],
     mats: Sequence[np.ndarray],
-) -> list[PsrModel | PsrLabError]:
-    """The PSR of each member of a stack of tables, or the error its conversion gives.
+    svals: Sequence[np.ndarray],
+) -> tuple[PsrStack, list[PsrLabError | None]]:
+    """The stacked PSR parameters of a stack of tables, and the error each member's conversion gives.
 
     ``tests`` and ``mats`` hold each state step's window tests and their
-    ``(C, n_tests, S)`` matrices, from :func:`_walk_tests`.  The members
-    share one core-test set.  Each step checks every member's S-th
-    singular value with one stacked SVD and pseudo-inverts with one
-    stacked ``pinv``, and the operators of every (member, o, a) come from
-    one pair of matmuls.  Every product keeps one member's matrix shapes
-    and layouts, only adding batch axes, so a member gets the bits of its
-    conversion alone.  A member whose test matrix at some step has
-    condition above ``MAX_CONDITION`` gets :class:`SingularCoreTests` for
-    the first such step, and one that :class:`PsrModel` refuses gets its
-    error.
+    ``(C, n_tests, S)`` matrices, from :func:`_walk_tests`, and ``svals``
+    their ``(C, k)`` singular values.  The members share one core-test set.
+    Each step checks every member's S-th singular value at once and
+    pseudo-inverts with one stacked ``pinv``, and the operators of every
+    (member, o, a) come from one pair of matmuls.  Every product keeps one
+    member's matrix shapes and layouts, only adding batch axes, so a member
+    gets the bits of its conversion alone.  A member whose test matrix at
+    some step has condition above ``MAX_CONDITION`` gets
+    :class:`SingularCoreTests` for the first such step, and one with a fault
+    (:meth:`PsrStack.faults`, checked once for the whole stack) gets that as
+    a :class:`StructuralError`; a valid member's error is None.
     """
     core = make_core_test_set(space, list(tests))
     n_states = emission.shape[2]
-    out: list[PsrModel | PsrLabError | None] = [None] * len(emission)
+    errors: list[PsrLabError | None] = [None] * len(emission)
     pinvs = []
-    for h, G in enumerate(mats, start=1):
-        svals = np.linalg.svd(G, compute_uv=False)
-        smin = svals[:, n_states - 1] if svals.shape[1] >= n_states else np.zeros(len(G))
+    for h, (G, s) in enumerate(zip(mats, svals), start=1):
+        smin = s[:, n_states - 1] if s.shape[1] >= n_states else np.zeros(len(G))
         with np.errstate(divide="ignore", invalid="ignore"):  # smin = 0 is already singular
-            singular = (smin <= 0) | (svals[:, 0] / smin > MAX_CONDITION)
+            singular = (smin <= 0) | (s[:, 0] / smin > MAX_CONDITION)
         for c in np.flatnonzero(singular):
-            if out[c] is None:
-                out[c] = SingularCoreTests(f"test matrix at step {h} has condition > {MAX_CONDITION:g}")
+            if errors[c] is None:
+                errors[c] = SingularCoreTests(f"test matrix at step {h} has condition > {MAX_CONDITION:g}")
         if h < space.horizon:  # the last step's operators are indicator rows
             pinvs.append(np.linalg.pinv(G, rcond=PINV_RCOND))
     ones = np.ones(n_states)
@@ -496,22 +513,19 @@ def _family_psrs(
         phi.append(pinvs[h - 1].swapaxes(-1, -2) @ ones)
     # Final step: the window tests there are the single next observations, so
     # the last matrices reduce to exact indicator rows (anchored closing).
-    d_last = mats[-1].shape[1]
-    terminal = np.zeros((space.n_obs, space.n_actions, 1, d_last))
+    n_members, d_last = mats[-1].shape[:2]
+    terminal = np.zeros((n_members, space.n_obs, space.n_actions, 1, d_last))
     for o in range(space.n_obs):
-        terminal[o, :, 0, o] = 1.0
+        terminal[:, o, :, 0, o] = 1.0
+    M.append(terminal)
+    phi += [np.ones((n_members, d_last)), np.ones((n_members, 1))]
     e0 = np.zeros(n_states)
     e0[initial_state] = 1.0
-    psi0 = mats[0] @ e0
-    closing = (np.ones(d_last), np.ones(1))
-    for c in range(len(out)):
-        if out[c] is None:
-            try:
-                ops = tuple(step[c] for step in M) + (terminal,)
-                out[c] = PsrModel(space, core, psi0[c], ops, tuple(vec[c] for vec in phi) + closing)
-            except StructuralError as exc:
-                out[c] = exc
-    return out
+    stack = PsrStack(space, core, mats[0] @ e0, tuple(M), tuple(phi))
+    for c, fault in enumerate(stack.faults()):
+        if errors[c] is None and fault is not None:
+            errors[c] = StructuralError(fault)
+    return stack, errors
 
 
 def default_psr(pomdp: TabularPomdp) -> tuple[PsrModel, GMatrices]:

@@ -8,6 +8,15 @@ normalized by its probability, one coordinate per core test; a degenerate
 history (probability not above ``PSI_GUARD``) has a 0.0 row instead, which
 cached boolean masks flag.
 
+A family of models on one space and core-test set is one :class:`PsrStack`,
+the member axis leading every parameter array.  Validation is one pass over
+a stack: :meth:`PsrStack.faults` checks the shapes once and finiteness with
+one ``isfinite`` for every member, and :meth:`PsrStack.self_consistency`
+measures every member's closing-vector recursion with one einsum per step.
+A :class:`PsrModel` built from arrays is validated as a stack of one; the
+members of a validated stack are models whose arrays are read-only views
+into it.
+
 States, probabilities and features are cached per-depth tables over all
 histories in lexicographic order; a history's entry is the row at its
 :meth:`~psrlab.spaces.History.lex_index`.  :func:`stacked_tables` builds
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -95,7 +105,10 @@ class PsrModel:
 
     ``psi0`` and every ``M[h]`` and ``phi[h]`` must be finite; they are
     stored as read-only copies of what the caller passed, since the cached
-    tables derive from them.
+    tables derive from them.  Validation is :meth:`PsrStack.faults` of the
+    model as a stack of one.  A member of a :class:`PsrStack` (every
+    candidate set's, and every converted model's) holds read-only views into
+    the stack instead, which was validated once for all its members.
     """
 
     space: ObsActSpace
@@ -110,28 +123,9 @@ class PsrModel:
         object.__setattr__(self, "psi0", _read_only_copy(self.psi0))
         object.__setattr__(self, "M", tuple(_read_only_copy(ops) for ops in self.M))
         object.__setattr__(self, "phi", tuple(_read_only_copy(vec) for vec in self.phi))
-        H, O, A = self.space.horizon, self.space.n_obs, self.space.n_actions
-        if len(self.M) != H or len(self.phi) != H + 1:
-            raise StructuralError("need H observation-action tables and H+1 closing vectors")
-        if not np.isfinite(self.psi0).all():
-            raise StructuralError("start vector psi0 has non-finite entries")
-        dims = [self.psi0.shape[0]]
-        for h, ops in enumerate(self.M, start=1):
-            if ops.ndim != 4 or ops.shape[0] != O or ops.shape[1] != A:
-                raise StructuralError(f"M at step {h} must be (O, A, d_h, d_h-1), got {ops.shape}")
-            if ops.shape[3] != dims[-1]:
-                raise StructuralError(f"M at step {h} expects input dim {dims[-1]}, got {ops.shape[3]}")
-            if not np.isfinite(ops).all():
-                raise StructuralError(f"M at step {h} has non-finite entries")
-            dims.append(ops.shape[2])
-        for h, vec in enumerate(self.phi):
-            if vec.shape != (dims[h],):
-                raise StructuralError(f"closing vector at step {h} has dim {vec.shape}, expected ({dims[h]},)")
-            if not np.isfinite(vec).all():
-                raise StructuralError(f"closing vector phi at step {h} has non-finite entries")
-        for h in range(H):
-            if self.core_tests.d(h) != dims[h]:
-                raise StructuralError(f"{self.core_tests.d(h)} core tests at step {h} but state dim {dims[h]}")
+        (fault,) = self._stack().faults()
+        if fault is not None:
+            raise StructuralError(fault)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -140,6 +134,12 @@ class PsrModel:
     @property
     def max_dim(self) -> int:
         return max(self.dims[:-1])
+
+    def _stack(self) -> PsrStack:
+        """This model as a stack of one: views with a member axis of length 1."""
+        return PsrStack(
+            self.space, self.core_tests, self.psi0[None], tuple(ops[None] for ops in self.M), tuple(vec[None] for vec in self.phi)
+        )
 
     # -- tables over the trajectory tree (lexicographic order) ---------------
 
@@ -190,7 +190,10 @@ class PsrModel:
 
     def _tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """States and probabilities of all length-``h`` histories, cached read-only."""
-        psis, probs = stacked_tables((self,), self._table_cache, h)
+        cached = self._table_cache.get(h)
+        if cached is None:
+            cached = stacked_tables(self._stack(), (self,), self._table_cache, h)
+        psis, probs = cached
         return psis[0], probs[0]
 
     # -- serialization ------------------------------------------------------
@@ -205,43 +208,174 @@ class PsrModel:
         }
 
 
-def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class PsrStack:
+    """Parameters of models sharing one space and core-test set, the member axis leading every array.
+
+    ``psi0`` is ``(C, d_0)``, ``M[h-1]`` is ``(C, O, A, d_h, d_{h-1})`` and
+    ``phi[h]`` is ``(C, d_h)``; every array is made read-only.  A stack is
+    not validated when built: :meth:`faults` checks every member at once,
+    :meth:`self_consistency` measures every member at once, and
+    :meth:`members` gives the members of a valid stack as models whose
+    arrays are views into it.
+    """
+
+    space: ObsActSpace
+    core_tests: CoreTestSet
+    psi0: np.ndarray
+    M: tuple[np.ndarray, ...]
+    phi: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        for array in (self.psi0, *self.M, *self.phi):
+            array.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.psi0)
+
+    @classmethod
+    def of(cls, models: Sequence[PsrModel]) -> PsrStack:
+        """The parameters of valid models with one space, core-test set and state dims, stacked in order."""
+        first = models[0]
+        return cls(
+            first.space,
+            first.core_tests,
+            np.stack([m.psi0 for m in models]),
+            tuple(np.stack(step) for step in zip(*(m.M for m in models))),
+            tuple(np.stack(step) for step in zip(*(m.phi for m in models))),
+        )
+
+    @classmethod
+    def concatenate(cls, stacks: Sequence[PsrStack]) -> PsrStack:
+        """The members of stacks with one space, core-test set and state dims, in order."""
+        first = stacks[0]
+        return cls(
+            first.space,
+            first.core_tests,
+            np.concatenate([s.psi0 for s in stacks]),
+            tuple(np.concatenate(step) for step in zip(*(s.M for s in stacks))),
+            tuple(np.concatenate(step) for step in zip(*(s.phi for s in stacks))),
+        )
+
+    def take(self, ids: Sequence[int]) -> PsrStack:
+        """The members ``ids``, in that order."""
+        return PsrStack(
+            self.space,
+            self.core_tests,
+            self.psi0[ids],
+            tuple(ops[ids] for ops in self.M),
+            tuple(vec[ids] for vec in self.phi),
+        )
+
+    def faults(self) -> list[str | None]:
+        """Each member's first fault, in the order the checks run, or None for a valid model.
+
+        Every array must be finite; one ``isfinite`` over all of them checks
+        every member at once, and only a stack that fails it is checked
+        array by array.  The shapes, the same for every member, are checked
+        once: a wrong one is the fault of every member without an earlier
+        one, and ends the checks.
+        """
+        checks, shape_fault = self._layout()
+        rows = [array.reshape(len(self), -1) for _, array in checks]
+        if not rows or np.isfinite(np.concatenate(rows, axis=1)).all():
+            return [shape_fault] * len(self)
+        flags = np.array([~np.isfinite(row).all(axis=1) for row in rows])  # (check, member)
+        firsts = flags.argmax(axis=0).tolist()
+        return [checks[i][0] if flags[i, c] else shape_fault for c, i in enumerate(firsts)]
+
+    def _layout(self) -> tuple[list[tuple[str, np.ndarray]], str | None]:
+        """The finiteness checks in order, ``(message, array)``, up to the first wrong shape, and its message."""
+        H, O, A = self.space.horizon, self.space.n_obs, self.space.n_actions
+        if len(self.M) != H or len(self.phi) != H + 1:
+            return [], "need H observation-action tables and H+1 closing vectors"
+        checks = [("start vector psi0 has non-finite entries", self.psi0)]
+        if self.psi0.ndim != 2:
+            return checks, f"start vector psi0 must be a vector, got shape {self.psi0.shape[1:]}"
+        dims = [self.psi0.shape[1]]
+        for h, ops in enumerate(self.M, start=1):
+            if ops.ndim != 5 or ops.shape[1] != O or ops.shape[2] != A:
+                return checks, f"M at step {h} must be (O, A, d_h, d_h-1), got {ops.shape[1:]}"
+            if ops.shape[4] != dims[-1]:
+                return checks, f"M at step {h} expects input dim {dims[-1]}, got {ops.shape[4]}"
+            checks.append((f"M at step {h} has non-finite entries", ops))
+            dims.append(ops.shape[3])
+        for h, vec in enumerate(self.phi):
+            if vec.shape[1:] != (dims[h],):
+                return checks, f"closing vector at step {h} has dim {vec.shape[1:]}, expected ({dims[h]},)"
+            checks.append((f"closing vector phi at step {h} has non-finite entries", vec))
+        for h in range(H):
+            if self.core_tests.d(h) != dims[h]:
+                return checks, f"{self.core_tests.d(h)} core tests at step {h} but state dim {dims[h]}"
+        return checks, None
+
+    def self_consistency(self) -> np.ndarray:
+        """Each member's largest violation of the closing-vector recursion over steps and actions (NaN if any is NaN).
+
+        One einsum per step for every member.
+        """
+        gaps = [
+            np.abs(np.einsum("ci,coaij->caj", self.phi[h + 1], self.M[h]) - self.phi[h][:, None, :]).max(axis=(1, 2))
+            for h in range(self.space.horizon)
+        ]
+        return np.max(gaps, axis=0, initial=0.0)
+
+    def members(self) -> tuple[PsrModel, ...]:
+        """The members as models whose arrays are read-only views into the stack.
+
+        Only for a stack whose :meth:`faults` are all None: no member is
+        checked again, which is what makes a family one validation.
+        """
+        members = []
+        for psi0, M, phi in zip(self.psi0, zip(*self.M), zip(*self.phi)):
+            model = object.__new__(PsrModel)  # bypasses __post_init__'s copies and checks, as the docstring says
+            model.__dict__.update(
+                space=self.space, core_tests=self.core_tests, psi0=psi0, M=M, phi=phi, _table_cache={}, _feature_cache={}
+            )
+            members.append(model)
+        return tuple(members)
+
+
+def stacked_tables(
+    stack: PsrStack, members: Sequence[PsrModel], cache: dict, h: int
+) -> tuple[np.ndarray, np.ndarray]:
     """States and probabilities of all length-``h`` histories for a stack of models.
 
     One forward step per depth gives read-only ``(n_models,
     n_histories(h), d_h)`` states and ``(n_models, n_histories(h))``
-    probabilities in lexicographic order.  The step is one einsum per model,
-    written straight into that model's block of the stack: on the short
-    state axes here that is about twice as fast as one einsum batched over
-    the model axis, with the same bits.  ``cache`` holds the stacks by
-    depth; each model's own table cache gets a batch-of-one view into them,
-    so no table is stored twice.  Below the root, where every closing vector
-    is exactly ``[1.0]`` (the last depth of every model built here), the
-    probabilities are a view of the one-column states.  The models must
-    share their space and state dimensions.
+    probabilities in lexicographic order.  The step is one einsum per model
+    over its ``M`` in the stack, written straight into that model's block
+    of the states: on the short state axes here that is about twice as fast
+    as one einsum batched over the model axis, with the same bits.
+    ``cache`` holds the stacks by depth; ``members[c]``, the model of stack
+    member ``c``, gets a batch-of-one view into them in its own table
+    cache, so no table is stored twice.  Below the root, where every closing
+    vector is exactly ``[1.0]`` (the last depth of every model built here),
+    the probabilities are a view of the one-column states.
     """
     cached = cache.get(h)
     if cached is not None:
         return cached
     if h == 0:
-        states = np.stack([m.psi0[None] for m in models])
+        states = stack.psi0.reshape(len(stack), 1, -1)
     else:
-        prev = stacked_tables(models, cache, h - 1)[0]
-        n_ops, d_out = models[0].space.pair_count, models[0].M[h - 1].shape[2]
-        states = np.empty((len(models), prev.shape[1] * n_ops, d_out))
-        for model, block, prev_block in zip(models, states, prev):
-            ops = model.M[h - 1].reshape(n_ops, d_out, -1)
-            np.einsum("kij,nj->nki", ops, prev_block, out=block.reshape(-1, n_ops, d_out))
-    if h and all(m.phi[h].shape == (1,) and m.phi[h][0] == 1.0 for m in models):
+        prev = stacked_tables(stack, members, cache, h - 1)[0]
+        ops_stack = stack.M[h - 1]
+        n_ops, d_out = stack.space.pair_count, ops_stack.shape[3]
+        states = np.empty((len(stack), prev.shape[1] * n_ops, d_out))
+        for ops, block, prev_block in zip(ops_stack, states, prev):
+            np.einsum("kij,nj->nki", ops.reshape(n_ops, d_out, -1), prev_block, out=block.reshape(-1, n_ops, d_out))
+    phi = stack.phi[h]
+    if h and phi.shape[1] == 1 and (phi == 1.0).all():
         # Each einsum sums into a zeroed output, so no state here is -0.0, the one
         # value a product with [1.0] would change; share the states' memory.
         probs = states[:, :, 0]
     else:
-        probs = (states @ np.stack([m.phi[h] for m in models])[:, :, None])[:, :, 0]
+        probs = (states @ phi[:, :, None])[:, :, 0]
     states.setflags(write=False)
     probs.setflags(write=False)
     cache[h] = (states, probs)
-    for i, model in enumerate(models):
+    for i, model in enumerate(members):
         model._table_cache[h] = (states[i : i + 1], probs[i : i + 1])
         model._feature_cache.pop(h, None)  # features follow the states they were divided from
     return states, probs
@@ -251,12 +385,11 @@ def stacked_tables(models: tuple[PsrModel, ...], cache: dict, h: int) -> tuple[n
 
 
 def check_self_consistency(model: PsrModel) -> float:
-    """Largest violation of the closing-vector recursion over steps and actions (NaN if any is NaN)."""
-    gaps = []
-    for h in range(model.space.horizon):
-        summed = np.einsum("i,oaij->aj", model.phi[h + 1], model.M[h])
-        gaps.append(np.abs(summed - model.phi[h][None, :]).max())
-    return float(np.max(gaps, initial=0.0))
+    """Largest violation of the closing-vector recursion over steps and actions (NaN if any is NaN).
+
+    :meth:`PsrStack.self_consistency` of the model as a stack of one.
+    """
+    return float(model._stack().self_consistency()[0])
 
 
 def terminal_anchor_violation(model: PsrModel) -> float | None:

@@ -20,7 +20,12 @@ that built grid candidates before they became ``itertools.product`` walks.
 The conversion oracles build every candidate's PSR on its own, as before
 conversion became one stacked pass per family: a ``TabularPomdp`` per
 member, its own test walk, its SVDs and pseudo-inverses one step at a
-time, and one small matmul per (step, observation, action).
+time, and one small matmul per (step, observation, action).  They also
+validate one member at a time, as before a family became one validated
+stack: :func:`oracle_model_fault` is the checks ``PsrModel`` ran on its
+own copies, :func:`oracle_check_self_consistency` one model's recursion
+violation, and :func:`oracle_candidate_fault` the loop a candidate set ran
+over its members, dims and then self-consistency, one member at a time.
 Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
@@ -47,7 +52,6 @@ from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests
 from psrlab.estimation import (
     MAX_ATTEMPTS_PER_CANDIDATE,
     MAX_CANDIDATES,
-    CandidateSet,
     DatasetFamily,
     _one_model,
     constrained_mle,
@@ -60,7 +64,6 @@ from psrlab.pomdp import (
     PINV_RCOND,
     GMatrices,
     TabularPomdp,
-    decodability_alpha,
     window_tests,
 )
 from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
@@ -481,6 +484,73 @@ def _oracle_transition_operator(pomdp: TabularPomdp, h: int, o: int, a: int) -> 
     return np.diag(emit)
 
 
+def oracle_model_fault(space, core_tests, psi0, M, phi) -> str | None:
+    """The first check one model's parameters fail, as ``PsrModel`` checked its own copies, or None."""
+    psi0, M, phi = np.array(psi0), tuple(np.array(ops) for ops in M), tuple(np.array(vec) for vec in phi)
+    H, O, A = space.horizon, space.n_obs, space.n_actions
+    if len(M) != H or len(phi) != H + 1:
+        return "need H observation-action tables and H+1 closing vectors"
+    if not np.isfinite(psi0).all():
+        return "start vector psi0 has non-finite entries"
+    dims = [psi0.shape[0]]
+    for h, ops in enumerate(M, start=1):
+        if ops.ndim != 4 or ops.shape[0] != O or ops.shape[1] != A:
+            return f"M at step {h} must be (O, A, d_h, d_h-1), got {ops.shape}"
+        if ops.shape[3] != dims[-1]:
+            return f"M at step {h} expects input dim {dims[-1]}, got {ops.shape[3]}"
+        if not np.isfinite(ops).all():
+            return f"M at step {h} has non-finite entries"
+        dims.append(ops.shape[2])
+    for h, vec in enumerate(phi):
+        if vec.shape != (dims[h],):
+            return f"closing vector at step {h} has dim {vec.shape}, expected ({dims[h]},)"
+        if not np.isfinite(vec).all():
+            return f"closing vector phi at step {h} has non-finite entries"
+    for h in range(H):
+        if core_tests.d(h) != dims[h]:
+            return f"{core_tests.d(h)} core tests at step {h} but state dim {dims[h]}"
+    return None
+
+
+def oracle_check_self_consistency(model) -> float:
+    """Largest violation of the closing-vector recursion over steps and actions, one einsum per step of one model."""
+    gaps = []
+    for h in range(model.space.horizon):
+        summed = np.einsum("i,oaij->aj", model.phi[h + 1], model.M[h])
+        gaps.append(np.abs(summed - model.phi[h][None, :]).max())
+    return float(np.max(gaps, initial=0.0))
+
+
+def oracle_candidate_fault(models, labels) -> str | None:
+    """The error a candidate set raised for models and labels, checking one member at a time, or None."""
+    if len(models) != len(labels):
+        return "models and labels must align"
+    if not models:
+        return "candidate set may not be empty"
+    first = models[0]
+    for label, model in zip(labels, models):
+        if model.space != first.space or model.dims != first.dims:
+            return (
+                f"candidate {label} has space {model.space} and state dims {model.dims}; "
+                f"candidate {labels[0]} has {first.space} and {first.dims}"
+            )
+        worst = oracle_check_self_consistency(model)
+        if not worst <= estimation.SELF_CONSISTENCY_TOL:
+            return f"candidate {label} violates self-consistency by {worst:.3g}"
+    return None
+
+
+def oracle_decodability_alpha(g: GMatrices) -> float:
+    """Smallest S-th singular value over the per-step test matrices, one SVD each."""
+    alpha = math.inf
+    for G in g.matrices:
+        svals = np.linalg.svd(G, compute_uv=False)
+        n_states = G.shape[1]
+        sigma = svals[n_states - 1] if len(svals) >= n_states else 0.0
+        alpha = min(alpha, float(sigma))
+    return alpha
+
+
 def oracle_pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     """One environment's PSR, pseudo-inverting each step's test matrix on its own."""
     space = pomdp.space
@@ -513,6 +583,9 @@ def oracle_pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     e0 = np.zeros(pomdp.n_states)
     e0[pomdp.initial_state] = 1.0
     psi0 = gmats[0] @ e0
+    fault = oracle_model_fault(space, core, psi0, M, phi)
+    if fault is not None:
+        raise StructuralError(fault)
     return PsrModel(space, core, psi0, tuple(M), tuple(phi))
 
 
@@ -521,15 +594,16 @@ def oracle_default_psr(pomdp: TabularPomdp):
     last_alpha = 0.0
     for m in range(1, pomdp.space.horizon + 1):
         g = oracle_g_matrices(pomdp, m)
-        last_alpha = decodability_alpha(g)
+        last_alpha = oracle_decodability_alpha(g)
         if last_alpha > ALPHA_FLOOR:
             return oracle_pomdp_to_psr(pomdp, g=g), g
     raise SingularCoreTests(f"no decodable window up to m=H (best alpha {last_alpha:.3g})")
 
 
 def oracle_make_candidates(env, mode, *, seed=0, n=0, scale=0.05, emission_scale=None, eps_grid=0.5, include_true=True):
-    """``make_candidates`` converting one member at a time, each through its own environment.
+    """``make_candidates`` converting and validating one member at a time, each through its own environment.
 
+    Returns the members' models and labels, as a candidate set checked them.
     Settings are not checked.  Dithering reads ``estimation._perturbed_rows``
     by attribute, so a test that replaces it changes both paths alike.
     """
@@ -567,4 +641,7 @@ def oracle_make_candidates(env, mode, *, seed=0, n=0, scale=0.05, emission_scale
     if not members:
         raise EmptyFeasibleSet("candidate generation produced no valid models")
     models, labels = zip(*members)
-    return CandidateSet(models, labels)
+    fault = oracle_candidate_fault(models, labels)
+    if fault is not None:
+        raise StructuralError(fault)
+    return models, labels

@@ -8,10 +8,13 @@ import pytest
 
 from check_oracles import (
     decoded_trajectories,
+    oracle_candidate_fault,
+    oracle_check_self_consistency,
     oracle_conditional_tv_diagnostic,
     oracle_g_matrices,
     oracle_grid_tables,
     oracle_make_candidates,
+    oracle_model_fault,
     oracle_pomdp_to_psr,
     oracle_simplex_lattice,
     oracle_stability_and_likelihood,
@@ -35,6 +38,7 @@ from psrlab.estimation import (
 )
 from psrlab.policies import UniformActionSeqPolicy, uniform_policy
 from psrlab.pomdp import TabularPomdp, default_psr, near_tie, random_mdp, random_revealing
+from psrlab.psr import CoreTestSet, PsrModel, PsrStack, check_self_consistency
 from psrlab.spaces import History
 from psrlab.verify import reference_env
 
@@ -54,8 +58,10 @@ FAMILIES = {
     # Rows this far from the truth make some members singular; they are skipped at the same attempts.
     "singular-reference": (random_revealing(1, 2, 3, 2, 2), {"mode": "dithered", "seed": 3, "n": 7, "scale": 30.0}),
     "singular-near_tie": (near_tie(), {"mode": "dithered", "seed": 3, "n": 7, "scale": 30.0}),
-    # Grid members are checked against the recursive enumeration below; this grid is over the cap.
+    # Grid members are checked against the recursive enumeration below; the grid at 0.25 is over the cap.
     "grid-random_mdp-0.25": (random_mdp(3, 2, 2, 2), {"mode": "grid", "eps_grid": 0.25}),
+    # Horizon 1: the terminal indicators are the only operators.
+    "horizon-1": (random_revealing(2, 2, 3, 2, 1), {"mode": "dithered", "seed": 1, "n": 5, "scale": 0.1}),
 }
 
 
@@ -240,15 +246,124 @@ def test_candidate_families_match_the_per_member_oracle(monkeypatch, name, block
     monkeypatch.setattr(estimation, "FAMILY_BLOCK", block)
     env, options = FAMILIES[name]
     try:
-        want = oracle_make_candidates(env, **options)
+        want_models, want_labels = oracle_make_candidates(env, **options)
     except PsrLabError as exc:
         with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
             make_candidates(env, **options)
         return
     got = make_candidates(env, **options)
-    assert got.labels == want.labels
-    for label, g, w in zip(got.labels, got.models, want.models, strict=True):
+    assert got.labels == want_labels
+    for label, g, w in zip(got.labels, got.models, want_models, strict=True):
         assert_same_model(g, w, label)
+
+
+# Grids under the cap; test_grid_candidates_follow_the_recursive_order checks their members against the oracle.
+STACKED_FAMILIES = {name: family for name, family in FAMILIES.items() if name != "grid-random_mdp-0.25"} | {
+    "grid-random_mdp-0.5": (random_mdp(3, 2, 2, 2), {"mode": "grid", "eps_grid": 0.5}),
+    "grid-near_tie-0.5": (near_tie(), {"mode": "grid", "eps_grid": 0.5}),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_FAMILIES)
+def test_candidate_set_is_one_stack_of_read_only_views(name):
+    """Every member's arrays are read-only views into the set's stacks, and the stacked
+    self-consistency violations are each member's own, bit for bit."""
+    env, options = STACKED_FAMILIES[name]
+    cands = make_candidates(env, **options)
+    stack = cands.stack
+    assert len(stack) == len(cands.models) == len(cands.labels)
+    violations = stack.self_consistency()
+    for c, model in enumerate(cands.models):
+        for got, stacked in [(model.psi0, stack.psi0), *zip(model.M, stack.M), *zip(model.phi, stack.phi)]:
+            assert np.shares_memory(got, stacked) and not got.flags.writeable, (name, c)
+            assert got.tobytes() == stacked[c].tobytes(), (name, c)
+        want = oracle_check_self_consistency(model)
+        assert float(violations[c]).hex() == want.hex() == check_self_consistency(model).hex(), (name, c)
+    assert stack.faults() == [None] * len(cands)
+
+
+def _member_faults(stack):
+    """Each member's fault as the per-member oracle finds it on that member's arrays."""
+    return [
+        oracle_model_fault(stack.space, stack.core_tests, stack.psi0[c], [ops[c] for ops in stack.M], [v[c] for v in stack.phi])
+        for c in range(len(stack))
+    ]
+
+
+def test_stack_faults_are_each_members_first_fault():
+    """An injected NaN or infinity faults its member with the message that member alone gets;
+    a wrong shape faults every member that has no earlier fault."""
+    env, options = FAMILIES["online-large"]
+    cands = make_candidates(env, **options)
+    psi0, M, phi = np.array(cands.stack.psi0), [np.array(ops) for ops in cands.stack.M], [np.array(v) for v in cands.stack.phi]
+    M[2][5, 1, 0, 0, 0] = np.nan  # member 5: an operator
+    phi[3][7, 0] = np.inf  # member 7: a closing vector
+    psi0[7, 0] = -np.inf  # ... and its start vector, which is checked first
+    M[5][9, 0, 1] = np.nan  # member 9: the terminal step
+    stack = PsrStack(cands.stack.space, cands.stack.core_tests, psi0, tuple(M), tuple(phi))
+    got = stack.faults()
+    assert got == _member_faults(stack)
+    assert [c for c, fault in enumerate(got) if fault] == [5, 7, 9]
+    assert got[5] == "M at step 3 has non-finite entries" and got[7] == "start vector psi0 has non-finite entries"
+    # Every member: a closing vector of the wrong dim, checked after member 5's to 9's faults.
+    stack = PsrStack(stack.space, stack.core_tests, psi0, tuple(M), tuple(phi[:5]) + (phi[5][:, :1], phi[6]))
+    got = stack.faults()
+    assert got == _member_faults(stack)
+    d = cands.models[0].dims[5]
+    assert got[0] == f"closing vector at step 5 has dim (1,), expected ({d},)" and got[5] == "M at step 3 has non-finite entries"
+
+
+def _with_violation(model):
+    """``model`` with its first closing vector scaled by 1 + 1e-6, which breaks the recursion at step 1."""
+    return PsrModel(model.space, model.core_tests, model.psi0, model.M, (model.phi[0] * (1.0 + 1e-6),) + model.phi[1:])
+
+
+@pytest.mark.parametrize("violator,wider", [(None, None), (7, None), (None, 4), (7, 4), (2, 4)])
+def test_candidate_set_refuses_as_one_member_at_a_time_did(reference_env, violator, wider):
+    """The first member that is self-inconsistent or does not stack is refused by label, with the message
+    the per-member checks gave, whichever comes first."""
+    from psrlab.pomdp import g_matrices, pomdp_to_psr
+
+    cands = make_candidates(reference_env, "dithered", seed=2, n=9, scale=0.05)
+    models, labels = list(cands.models), list(cands.labels)
+    if violator is not None:
+        models[violator] = _with_violation(models[violator])
+    if wider is not None:
+        models[wider] = pomdp_to_psr(reference_env, g=g_matrices(reference_env, default_psr(reference_env)[1].m + 1))
+    want = oracle_candidate_fault(models, labels)
+    if want is None:
+        assert CandidateSet(models, labels).labels == tuple(labels)
+        return
+    with pytest.raises(StructuralError, match=f"^{re.escape(want)}$"):
+        CandidateSet(models, labels)
+    if wider is None:  # the stack a family hands over is refused alike
+        with pytest.raises(StructuralError, match=f"^{re.escape(want)}$"):
+            CandidateSet._of_stack(PsrStack.of(models), labels)
+
+
+def test_candidate_set_refuses_misuse_by_position(reference_model):
+    m = reference_model
+    with pytest.raises(StructuralError, match="^candidate 1 is a str, not a PsrModel$"):
+        CandidateSet((m, "x"), ("a", "b"))
+    with pytest.raises(StructuralError, match="^label 1 is a int, not a str$"):
+        CandidateSet((m, m), ("a", 3))
+    with pytest.raises(StructuralError, match="^candidate b has other core tests than candidate a$"):
+        core = m.core_tests
+        other = CoreTestSet(m.space, (core.tests[0][::-1],) + core.tests[1:], core.action_seqs, core.exploration_seqs)
+        CandidateSet((m, PsrModel(m.space, other, m.psi0, m.M, m.phi)), ("a", "b"))
+
+
+def test_candidate_set_keeps_tuples_not_the_callers_lists(reference_env):
+    """A list of models or labels mutated after the set cached its tables changes nothing in the set."""
+    cands = make_candidates(reference_env, "dithered", seed=2, n=3, scale=0.05)
+    models, labels = list(cands.models), list(cands.labels)
+    held = CandidateSet(models, labels)
+    table = held.prob_table(2)
+    models.reverse()
+    labels[0] = "changed"
+    assert isinstance(held.models, tuple) and isinstance(held.labels, tuple)
+    assert held.labels == cands.labels and held.prob_table(2) is table
+    assert np.array_equal(table, cands.prob_table(2))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")

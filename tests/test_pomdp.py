@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from check_oracles import oracle_g_matrices, oracle_pomdp_to_psr
+from check_oracles import oracle_default_psr, oracle_g_matrices, oracle_pomdp_to_psr
 from conftest import assert_same_model, make_single_state_env
 from policy_oracles import drawn_history, seed_uniforms
 from pomdp_oracles import enumerate_futures, future_steps, oracle_reward_of, seq_prob
@@ -372,8 +372,8 @@ def test_family_conversion_is_each_members_own(name, env, n_members):
     if n_members > 1:  # member 1: every state behaves as state 0, so no test tells states apart
         tables[1] = tuple(table[..., :1, :].repeat(env.n_states, axis=-2) for table in tables[1])
     transitions, emissions = (np.stack(arrays) for arrays in zip(*tables))
-    got = convert_family(env, transitions, emissions, m)
-    assert len(got) == n_members
+    stack, errors = convert_family(env, transitions, emissions, m)
+    assert len(stack) == len(errors) == n_members
     for c, (transition, emission) in enumerate(tables):
         member = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
         want_g = oracle_g_matrices(member, m)
@@ -383,11 +383,12 @@ def test_family_conversion_is_each_members_own(name, env, n_members):
         try:
             want = oracle_pomdp_to_psr(member, want_g)
         except SingularCoreTests as exc:
-            assert isinstance(got[c], SingularCoreTests) and str(got[c]) == str(exc), (name, c)
+            assert isinstance(errors[c], SingularCoreTests) and str(errors[c]) == str(exc), (name, c)
             continue
-        assert_same_model(got[c], want, (name, c))
+        assert errors[c] is None, (name, c)
+        assert_same_model(stack.take([c]).members()[0], want, (name, c))
     if n_members > 1 and env.n_states > 1:
-        assert isinstance(got[1], SingularCoreTests)
+        assert isinstance(errors[1], SingularCoreTests)
 
 
 def test_family_refuses_tables_as_one_environment_does():
@@ -408,3 +409,22 @@ def test_family_refuses_tables_as_one_environment_does():
         TabularPomdp(2, env.space, transitions[1], emissions[1], 0, env.reward)
     with pytest.raises(StructuralError, match=r"^transition shape \(1, 3, 2, 2\) != \(2, 3, 2, 2\)$"):
         convert_family(env, transitions[:, :1], emissions, 1)
+
+
+@pytest.mark.parametrize(
+    "env,n_svds",
+    [(random_revealing(1, 2, 3, 2, 6), 6), (near_tie(), 4), (tiger(3), 3)],
+    ids=["online-large", "near_tie", "tiger(3)"],
+)
+def test_default_psr_takes_each_test_matrix_singular_values_once(monkeypatch, env, n_svds):
+    """The decodability value and the conversion's condition check read one SVD per test matrix
+    (near_tie's window 1 is not decodable, so its two matrices are tried too), with the oracle's bits."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args[0].shape) or svd(*args, **kwargs))
+    model, g = default_psr(env)
+    monkeypatch.undo()
+    assert len(calls) == n_svds
+    want, want_g = oracle_default_psr(env)
+    assert g.m == want_g.m
+    assert_same_model(model, want)

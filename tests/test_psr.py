@@ -15,6 +15,7 @@ from psrlab.pomdp import default_psr, random_revealing
 from psrlab.psr import (
     PSI_GUARD,
     PsrModel,
+    PsrStack,
     check_self_consistency,
     conditional_update_violation,
     gamma,
@@ -111,7 +112,7 @@ def test_feature_table_follows_a_later_stack(small_env):
     model, _ = default_psr(small_env)
     other, _ = default_psr(random_revealing(seed=8, n_states=2, n_obs=2, n_actions=2, horizon=3))
     own = model.feature_table(2)
-    stacked_tables((other, model), {}, 2)
+    stacked_tables(PsrStack.of((other, model)), (other, model), {}, 2)
     rebuilt = model.feature_table(2)
     assert rebuilt is not own
     psis, probs = model._tables(2)
