@@ -2,19 +2,21 @@
 
 The hypothesis class is always a finite list of valid models built from
 perturbed or discretized environment parameters (plus the truth when asked);
-a candidate set keeps the models and their labels, not the environments.
-Its models are one :class:`~psrlab.psr.PsrStack`, the truth's parameters
-and each conversion round's kept members concatenated once, validated once
-for all members, and each model's arrays are read-only views into it.
+a candidate set is a labelled :class:`~psrlab.psr.PsrStack`, not the
+environments: the truth's parameters and each conversion round's kept
+members concatenated once and validated once for all members.  Each model
+is a member of the stack, its arrays read-only views into it.
 Datasets and candidate sets live in memory only: the loops build them, and
 nothing writes or reads them as files.
 Selection keeps the models that give every recorded history prefix at least
 a floor probability under its recorded policy, then takes the likelihood
-maximizer among those within a fixed margin of the best.  One batched
-forward pass builds the probability tables of the whole candidate set, and
-online and offline selection are the same gather-and-reduce over them: each
-recorded prefix and trajectory is one column of the stacked
-``(n_candidates, n_histories)`` table.
+maximizer among those within a fixed margin of the best.  The stack owns the
+probability tables of the whole set, one batched forward pass per depth
+(:meth:`~psrlab.psr.PsrStack.tables`), so a member asking for a depth first
+builds that depth for its whole family once, and the selected model's tables
+are rows of the set's.  Online and offline selection are the same
+gather-and-reduce over them: each recorded prefix and trajectory is one
+column of the stacked ``(n_candidates, n_histories)`` table.
 
 A dataset's columns are append-only: entries enter only through
 :meth:`DatasetFamily.add` and :meth:`DatasetFamily.add_batch`, as the lex
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import DegenerateHistory, EmptyFeasibleSet, StructuralError
 from .policies import Policy, continuation_weights
 from .pomdp import TabularPomdp, convert_family, default_psr
-from .psr import PsrModel, PsrStack, stacked_tables
+from .psr import PsrModel, PsrStack
 from .seeding import rng_for
 from .spaces import _INTEGERS, ObsActSpace, check_numbers
 
@@ -137,71 +139,46 @@ class DatasetFamily:
 # -- candidate families -------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """Finite model family with provenance labels, kept as one stack of parameters.
+    """Finite model family with provenance labels: one labelled :class:`~psrlab.psr.PsrStack`.
 
-    ``stack`` holds every member's parameters, the member axis first, and
-    ``models[i]`` is member ``i`` as a :class:`PsrModel` whose arrays are
-    read-only views into it.  :func:`make_candidates` hands over the stack
-    it concatenated from :func:`~psrlab.pomdp.convert_family`'s output;
-    ``CandidateSet(models, labels)`` stacks the models it is given, which
-    must be :class:`PsrModel` instances sharing one space, core-test set and
-    state dims, labelled by strings.  Every member's self-consistency is
+    ``stack`` holds every member's parameters and tables, the member axis
+    first, and ``labels`` one string per member; ``models[i]`` is member
+    ``i`` as a :class:`PsrModel` whose arrays are read-only views into the
+    stack and whose tables are its rows.  :func:`make_candidates` hands over
+    the stack it concatenated from :func:`~psrlab.pomdp.convert_family`'s
+    output.  The first member with a fault (:meth:`PsrStack.faults`, one
+    pass) is refused by label; then every member's self-consistency is
     measured in one pass over the stack, and a member that violates it by
     more than ``SELF_CONSISTENCY_TOL`` (or by NaN) is refused by label.
+    Sets compare by identity.
     """
 
-    models: tuple[PsrModel, ...]
+    stack: PsrStack = field(repr=False)
     labels: tuple[str, ...]
-    stack: PsrStack = field(repr=False, compare=False)
-    _table_cache: dict = field(repr=False, compare=False)  # depth -> stacked (psis, probs)
+    models: tuple[PsrModel, ...] = field(init=False)
 
-    def __init__(self, models: Sequence[PsrModel], labels: Sequence[str]) -> None:
-        models, labels = tuple(models), _checked_labels(labels, len(models))
-        for i, model in enumerate(models):
-            if not isinstance(model, PsrModel):
-                raise StructuralError(f"candidate {i} is a {type(model).__name__}, not a PsrModel")
-        first = models[0]
-        key = (first.space, first.dims, first.core_tests)
-        fits = next((i for i, m in enumerate(models) if (m.space, m.dims, m.core_tests) != key), len(models))
-        # The members before the first that does not stack with member 0 are checked first, as one at a time would.
-        self._adopt(PsrStack.of(models[:fits]), labels[:fits])
-        if fits < len(models):
-            model, label = models[fits], labels[fits]
-            if (model.space, model.dims) != key[:2]:
-                raise StructuralError(
-                    f"candidate {label} has space {model.space} and state dims {model.dims}; "
-                    f"candidate {labels[0]} has {first.space} and {first.dims}"
-                )
-            raise StructuralError(f"candidate {label} has other core tests than candidate {labels[0]}")
-
-    @classmethod
-    def _of_stack(cls, stack: PsrStack, labels: Sequence[str]) -> CandidateSet:
-        """The set of a stack whose members are all valid models, as :func:`~psrlab.pomdp.convert_family` keeps them."""
-        cands = cls.__new__(cls)
-        cands._adopt(stack, _checked_labels(labels, len(stack)))
-        return cands
-
-    def _adopt(self, stack: PsrStack, labels: tuple[str, ...]) -> None:
-        """Refuse the first self-inconsistent member, then hold the stack and its members' views."""
-        worst = stack.self_consistency()
+    def __post_init__(self) -> None:
+        if not isinstance(self.stack, PsrStack):
+            raise StructuralError(f"a candidate set holds a PsrStack, not a {type(self.stack).__name__}")
+        labels = _checked_labels(self.labels, len(self.stack))
+        for label, fault in zip(labels, self.stack.faults()):
+            if fault is not None:
+                raise StructuralError(f"candidate {label}: {fault}")
+        worst = self.stack.self_consistency()
         bad = np.flatnonzero(~(worst <= SELF_CONSISTENCY_TOL))  # also NaN
         if bad.size:
             raise StructuralError(f"candidate {labels[bad[0]]} violates self-consistency by {worst[bad[0]]:.3g}")
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "models", stack.members())
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_table_cache", {})
+        object.__setattr__(self, "models", self.stack.members())
 
     def __len__(self) -> int:
         return len(self.models)
 
     def prob_table(self, h: int) -> np.ndarray:
         """Read-only ``(n_candidates, n_histories(h))`` stack of the members' ``prob_table(h)``."""
-        if h == 0:
-            return np.ones((len(self), 1))
-        return stacked_tables(self.stack, self.models, self._table_cache, h)[1]
+        return self.stack.prob_table(h)
 
 
 def _checked_labels(labels: Sequence[str], n_models: int) -> tuple[str, ...]:
@@ -251,8 +228,8 @@ def make_candidates(
     multiplicative noise of size ``scale`` on all stochastic rows), ``grid``
     (simplex lattice of resolution ``eps_grid`` on every stochastic row).
     Emission rows take ``emission_scale`` when given (zero freezes them at
-    the truth).  All members share the truth's core-test structure, the
-    window of ``default_psr``, so their features are comparable.  Members
+    the truth).  All members share the truth's core-test set, one object
+    on the window of ``default_psr``, so their features are comparable.  Members
     are converted together by :func:`~psrlab.pomdp.convert_family`, at
     most ``FAMILY_BLOCK`` at a time: dithering draws attempt ``i`` from
     ``rng_for(seed, "dither", i)`` in rounds of as many attempts as members
@@ -279,13 +256,13 @@ def make_candidates(
     for name, value in (("scale", scale), ("emission_scale", emission_scale)):
         if value is not None and not 0 <= value < math.inf:  # NaN fails too
             raise StructuralError(f"{name} must be a finite number at least 0, got {value!r}")
-    true_model, g_true = default_psr(env)
-    stacks, labels = ([PsrStack.of((true_model,))], ["true"]) if include_true or mode == "include_true" else ([], [])
+    true_model, _ = default_psr(env)
+    stacks, labels = ([true_model.stack], ["true"]) if include_true or mode == "include_true" else ([], [])
 
     def _convert(tables: list[tuple[np.ndarray, np.ndarray]], round_labels: list[str]) -> int:
         """Convert the tables in one stacked pass, keep the valid members in order, and count them."""
         transitions, emissions = (np.stack(arrays) for arrays in zip(*tables))
-        stack, errors = convert_family(env, transitions, emissions, g_true.m)
+        stack, errors = convert_family(env, transitions, emissions, true_model.core_tests)
         kept = [c for c, error in enumerate(errors) if error is None]
         stacks.append(stack.take(kept))
         labels.extend(round_labels[c] for c in kept)
@@ -310,7 +287,7 @@ def make_candidates(
 
     if not labels:
         raise EmptyFeasibleSet("candidate generation produced no valid models")
-    return CandidateSet._of_stack(PsrStack.concatenate(stacks), labels)
+    return CandidateSet(PsrStack.concatenate(stacks), labels)
 
 
 def _lattice_steps(eps: float) -> int:

@@ -16,12 +16,14 @@ axis leads every array, the window tests are walked for all members at
 once, and each step's singular values, pseudo-inverses and operators come
 from one stacked call.  Each product keeps one member's matrix shapes, so
 a member gets the bits of its conversion alone.  :func:`convert_family`
-converts a family into one :class:`~psrlab.psr.PsrStack`, validated once,
-with each member's error; :func:`pomdp_to_psr` of the window-test matrices
-of :func:`g_matrices` converts a family of one, and :func:`default_psr`
-picks the smallest window that is numerically sound.  A window's singular
-values are taken once, by :attr:`GMatrices.singular_values`, for both the
-decodability value and the conversion's condition check.
+converts a family on the truth's core-test set, which every member shares,
+into one :class:`~psrlab.psr.PsrStack`, validated once, with each member's
+error; :func:`pomdp_to_psr` of the window-test matrices of
+:func:`g_matrices` builds that set once and converts a family of one, and
+:func:`default_psr` picks the smallest window that is numerically sound.  A
+window's singular values are taken once, by
+:attr:`GMatrices.singular_values`, for both the decodability value and the
+conversion's condition check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .errors import (
     StructuralError,
 )
 from .policies import Policy, cumulative_rows, reached_rows
-from .psr import PsrModel, PsrStack, make_core_test_set
+from .psr import CoreTestSet, PsrModel, PsrStack, make_core_test_set
 from .seeding import first_uniforms, rng_for
 from .spaces import Future, History, ObsActSpace, _read_only_copy, check_numbers
 
@@ -358,15 +360,12 @@ class GMatrices:
     """
 
     m: int
-    tests: tuple[tuple[Future, ...], ...]  # indexed by state step h = 1..H
+    tests: tuple[tuple[Future, ...], ...]  # tests[h-1]: the window tests of state step h = 1..H
     matrices: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         # Read-only copies, since the cached singular values derive from them.
         object.__setattr__(self, "matrices", tuple(_read_only_copy(G) for G in self.matrices))
-
-    def tests_at(self, state_step: int) -> tuple[Future, ...]:
-        return self.tests[state_step - 1]
 
     @cached_property
     def singular_values(self) -> tuple[np.ndarray, ...]:
@@ -433,52 +432,52 @@ def pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     matrices: :func:`_family_psrs` of the environment alone, whose error
     for it is raised.
     """
-    tests = [g.tests_at(h) for h in range(1, pomdp.space.horizon + 1)]
+    core = make_core_test_set(pomdp.space, list(g.tests))
     mats = [G[None] for G in g.matrices]
     svals = [s[None] for s in g.singular_values]
-    stack, (error,) = _family_psrs(
-        pomdp.space, pomdp.initial_state, pomdp.transition[None], pomdp.emission[None], tests, mats, svals
-    )
+    stack, (error,) = _family_psrs(pomdp.initial_state, pomdp.transition[None], pomdp.emission[None], core, mats, svals)
     if error is not None:
         raise error
     return stack.members()[0]
 
 
 def convert_family(
-    env: TabularPomdp, transition: np.ndarray, emission: np.ndarray, m: int
+    env: TabularPomdp, transition: np.ndarray, emission: np.ndarray, core: CoreTestSet
 ) -> tuple[PsrStack, list[PsrLabError | None]]:
-    """Window-``m`` PSRs of a stack of tables, ``(C, H-1, A, S, S)`` and ``(C, H, S, O)``.
+    """PSRs on the core tests ``core`` of a stack of tables, ``(C, H-1, A, S, S)`` and ``(C, H, S, O)``.
 
     Member ``c`` is ``env`` with the tables ``transition[c]`` and
-    ``emission[c]``.  Returns the stacked parameters of every member and
-    each member's error: None when ``pomdp_to_psr(member, g_matrices(member,
-    m))`` returns a model, whose arrays are then, bit for bit, member ``c``
-    of the stack, and otherwise the :class:`SingularCoreTests` or
-    :class:`StructuralError` it raises (that member's parameters in the
-    stack mean nothing).  Tables that :class:`TabularPomdp` refuses raise
-    its error at once.
+    ``emission[c]``, and ``core`` holds window tests of ``env``'s space,
+    such as the truth's from :func:`default_psr`; every member shares that
+    one object.  Returns the stacked parameters of every member and each
+    member's error: None when ``pomdp_to_psr(member, g_matrices(member,
+    m))``, at the window ``m`` of ``core``, returns a model, whose arrays
+    are then, bit for bit, member ``c`` of the stack, and otherwise the
+    :class:`SingularCoreTests` or :class:`StructuralError` it raises (that
+    member's parameters in the stack mean nothing).  Tables that
+    :class:`TabularPomdp` refuses raise its error at once.
     """
     _check_tables(env.n_states, env.space, env.initial_state, transition, emission)
-    tests = _window_test_sets(env.space, m)
-    mats = [_walk_tests(transition, emission, step_tests, h) for h, step_tests in enumerate(tests, start=1)]
+    if core.space != env.space:
+        raise StructuralError(f"core tests on {core.space} for an environment on {env.space}")
+    mats = [_walk_tests(transition, emission, tests, h) for h, tests in enumerate(core.tests, start=1)]
     svals = [np.linalg.svd(G, compute_uv=False) for G in mats]
-    return _family_psrs(env.space, env.initial_state, transition, emission, tests, mats, svals)
+    return _family_psrs(env.initial_state, transition, emission, core, mats, svals)
 
 
 def _family_psrs(
-    space: ObsActSpace,
     initial_state: int,
     transition: np.ndarray,
     emission: np.ndarray,
-    tests: Sequence[Sequence[Future]],
+    core: CoreTestSet,
     mats: Sequence[np.ndarray],
     svals: Sequence[np.ndarray],
 ) -> tuple[PsrStack, list[PsrLabError | None]]:
     """The stacked PSR parameters of a stack of tables, and the error each member's conversion gives.
 
-    ``tests`` and ``mats`` hold each state step's window tests and their
-    ``(C, n_tests, S)`` matrices, from :func:`_walk_tests`, and ``svals``
-    their ``(C, k)`` singular values.  The members share one core-test set.
+    ``mats`` holds each state step's ``(C, n_tests, S)`` matrices of the
+    window tests in ``core``, from :func:`_walk_tests`, and ``svals`` their
+    ``(C, k)`` singular values.  The members share ``core``.
     Each step checks every member's S-th singular value at once and
     pseudo-inverts with one stacked ``pinv``, and the operators of every
     (member, o, a) come from one pair of matmuls.  Every product keeps one
@@ -489,7 +488,7 @@ def _family_psrs(
     (:meth:`PsrStack.faults`, checked once for the whole stack) gets that as
     a :class:`StructuralError`; a valid member's error is None.
     """
-    core = make_core_test_set(space, list(tests))
+    space = core.space
     n_states = emission.shape[2]
     errors: list[PsrLabError | None] = [None] * len(emission)
     pinvs = []

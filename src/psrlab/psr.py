@@ -13,19 +13,22 @@ the member axis leading every parameter array.  Validation is one pass over
 a stack: :meth:`PsrStack.faults` checks the shapes once and finiteness with
 one ``isfinite`` for every member, and :meth:`PsrStack.self_consistency`
 measures every member's closing-vector recursion with one einsum per step.
-A :class:`PsrModel` built from arrays is validated as a stack of one; the
-members of a validated stack are models whose arrays are read-only views
-into it.
+A :class:`PsrModel` is member ``index`` of a stack: one built from arrays is
+validated as a stack of one, and the members of a validated stack are
+models whose arrays are read-only views into it.
 
-States, probabilities and features are cached per-depth tables over all
-histories in lexicographic order; a history's entry is the row at its
-:meth:`~psrlab.spaces.History.lex_index`.  :func:`stacked_tables` builds
-them for a stack of models, one einsum per model and depth written into the
-stacked array.  :func:`gamma`'s policy maximization is the planner's
-backward induction.  Distances are exact sums over
-the full trajectory tree (exponential in the horizon; the space cap bounds
-the blow-up) accumulated with compensated summation, and the identity checks
-compare whole tables one depth at a time, stepping them with
+States and probabilities are per-depth tables over all histories in
+lexicographic order, and the stack owns them: :meth:`PsrStack.tables` builds
+a depth for every member, one einsum per member written into the stacked
+array, and caches it.  A member's tables are its row of its stack's, so a
+member asking for a depth first builds that depth for its whole family
+once.  Features are each model's own cached tables, divided from its rows.
+A history's entry is the row at its
+:meth:`~psrlab.spaces.History.lex_index`.  :func:`gamma`'s policy
+maximization is the planner's backward induction.  Distances are exact sums
+over the full trajectory tree (exponential in the horizon; the space cap
+bounds the blow-up) accumulated with compensated summation, and the identity
+checks compare whole tables one depth at a time, stepping them with
 :func:`forward_step`.
 """
 
@@ -99,16 +102,18 @@ def make_core_test_set(space: ObsActSpace, tests_per_step: list[tuple[Future, ..
     return CoreTestSet(space, tuple(tuple(t) for t in tests_per_step), tuple(action_seqs), tuple(exploration))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsrModel:
-    """Sequential model in predictive-state form; immutable after validation.
+    """Sequential model in predictive-state form: member ``index`` of a :class:`PsrStack`.
 
-    ``psi0`` and every ``M[h]`` and ``phi[h]`` must be finite; they are
-    stored as read-only copies of what the caller passed, since the cached
-    tables derive from them.  Validation is :meth:`PsrStack.faults` of the
-    model as a stack of one.  A member of a :class:`PsrStack` (every
-    candidate set's, and every converted model's) holds read-only views into
-    the stack instead, which was validated once for all its members.
+    ``psi0`` and every ``M[h]`` and ``phi[h]`` must be finite.  A model built
+    from arrays stores read-only copies of what the caller passed and is
+    member 0 of a stack of one over them, whose :meth:`PsrStack.faults` is
+    its validation.  A member of a larger stack (every candidate set's, and
+    every converted model's) holds read-only views into that stack instead,
+    which was validated once for all its members.  States and probabilities
+    are the model's row of the stack's tables; only the feature tables are
+    the model's own.  Models compare by identity.
     """
 
     space: ObsActSpace
@@ -116,16 +121,20 @@ class PsrModel:
     psi0: np.ndarray
     M: tuple[np.ndarray, ...]  # M[h-1] has shape (O, A, d_h, d_{h-1})
     phi: tuple[np.ndarray, ...]  # phi[h] has length d_h, for h = 0..H
-    _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> stacks of one
-    _feature_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> features and masks
+    stack: PsrStack = field(init=False, repr=False)
+    index: int = field(init=False, repr=False)
+    _feature_cache: dict = field(default_factory=dict, init=False, repr=False)  # depth -> features and masks
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "psi0", _read_only_copy(self.psi0))
-        object.__setattr__(self, "M", tuple(_read_only_copy(ops) for ops in self.M))
-        object.__setattr__(self, "phi", tuple(_read_only_copy(vec) for vec in self.phi))
-        (fault,) = self._stack().faults()
+        psi0 = _read_only_copy(self.psi0)
+        M = tuple(_read_only_copy(ops) for ops in self.M)
+        phi = tuple(_read_only_copy(vec) for vec in self.phi)
+        stack = PsrStack(self.space, self.core_tests, psi0[None], tuple(ops[None] for ops in M), tuple(vec[None] for vec in phi))
+        (fault,) = stack.faults()
         if fault is not None:
             raise StructuralError(fault)
+        for name, value in (("psi0", psi0), ("M", M), ("phi", phi), ("stack", stack), ("index", 0)):
+            object.__setattr__(self, name, value)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -135,23 +144,15 @@ class PsrModel:
     def max_dim(self) -> int:
         return max(self.dims[:-1])
 
-    def _stack(self) -> PsrStack:
-        """This model as a stack of one: views with a member axis of length 1."""
-        return PsrStack(
-            self.space, self.core_tests, self.psi0[None], tuple(ops[None] for ops in self.M), tuple(vec[None] for vec in self.phi)
-        )
-
     # -- tables over the trajectory tree (lexicographic order) ---------------
 
     def state_table(self, h: int) -> np.ndarray:
         """State vectors (joint core-test probabilities) of all length-``h`` histories, lexicographically ordered; read-only."""
-        return self._tables(h)[0]
+        return self.stack.tables(h)[0][self.index]
 
     def prob_table(self, h: int) -> np.ndarray:
         """P(observations | actions) of all length-``h`` histories, lexicographically ordered."""
-        if h == 0:
-            return np.ones(1)
-        return self._tables(h)[1]
+        return self.stack.prob_table(h)[self.index]
 
     def feature_table(self, h: int) -> np.ndarray:
         """Prediction features (state over probability) of all length-``h`` histories, cached read-only.
@@ -174,7 +175,7 @@ class PsrModel:
         """Feature table, degenerate mask and degenerate-prefix mask at depth ``h``, built together."""
         out = self._feature_cache.get(h)
         if out is None:
-            psis, probs = self._tables(h)
+            psis, probs = (table[self.index] for table in self.stack.tables(h))
             ok = probs > PSI_GUARD
             feats = np.zeros_like(psis)
             np.divide(psis, probs[:, None], out=feats, where=ok[:, None])
@@ -188,14 +189,6 @@ class PsrModel:
             self._feature_cache[h] = out
         return out
 
-    def _tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
-        """States and probabilities of all length-``h`` histories, cached read-only."""
-        cached = self._table_cache.get(h)
-        if cached is None:
-            cached = stacked_tables(self._stack(), (self,), self._table_cache, h)
-        psis, probs = cached
-        return psis[0], probs[0]
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -208,16 +201,18 @@ class PsrModel:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PsrStack:
-    """Parameters of models sharing one space and core-test set, the member axis leading every array.
+    """Parameters and tables of models sharing one space and core-test set, the member axis leading every array.
 
     ``psi0`` is ``(C, d_0)``, ``M[h-1]`` is ``(C, O, A, d_h, d_{h-1})`` and
     ``phi[h]`` is ``(C, d_h)``; every array is made read-only.  A stack is
     not validated when built: :meth:`faults` checks every member at once,
     :meth:`self_consistency` measures every member at once, and
     :meth:`members` gives the members of a valid stack as models whose
-    arrays are views into it.
+    arrays are views into it.  The stack is the one owner of its members'
+    state and probability tables (:meth:`tables`).  Stacks compare by
+    identity.
     """
 
     space: ObsActSpace
@@ -225,6 +220,7 @@ class PsrStack:
     psi0: np.ndarray
     M: tuple[np.ndarray, ...]
     phi: tuple[np.ndarray, ...]
+    _depth_tables: dict = field(default_factory=dict, init=False, repr=False)  # depth -> (states, probs)
 
     def __post_init__(self) -> None:
         for array in (self.psi0, *self.M, *self.phi):
@@ -232,18 +228,6 @@ class PsrStack:
 
     def __len__(self) -> int:
         return len(self.psi0)
-
-    @classmethod
-    def of(cls, models: Sequence[PsrModel]) -> PsrStack:
-        """The parameters of valid models with one space, core-test set and state dims, stacked in order."""
-        first = models[0]
-        return cls(
-            first.space,
-            first.core_tests,
-            np.stack([m.psi0 for m in models]),
-            tuple(np.stack(step) for step in zip(*(m.M for m in models))),
-            tuple(np.stack(step) for step in zip(*(m.phi for m in models))),
-        )
 
     @classmethod
     def concatenate(cls, stacks: Sequence[PsrStack]) -> PsrStack:
@@ -321,64 +305,62 @@ class PsrStack:
         return np.max(gaps, axis=0, initial=0.0)
 
     def members(self) -> tuple[PsrModel, ...]:
-        """The members as models whose arrays are read-only views into the stack.
+        """The members as models whose arrays are read-only views into the stack and whose tables are its rows.
 
         Only for a stack whose :meth:`faults` are all None: no member is
         checked again, which is what makes a family one validation.
         """
         members = []
-        for psi0, M, phi in zip(self.psi0, zip(*self.M), zip(*self.phi)):
+        for c, (psi0, M, phi) in enumerate(zip(self.psi0, zip(*self.M), zip(*self.phi))):
             model = object.__new__(PsrModel)  # bypasses __post_init__'s copies and checks, as the docstring says
             model.__dict__.update(
-                space=self.space, core_tests=self.core_tests, psi0=psi0, M=M, phi=phi, _table_cache={}, _feature_cache={}
+                space=self.space, core_tests=self.core_tests, psi0=psi0, M=M, phi=phi, stack=self, index=c, _feature_cache={}
             )
             members.append(model)
         return tuple(members)
 
+    def tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
+        """States and probabilities of all length-``h`` histories of every member, cached read-only.
 
-def stacked_tables(
-    stack: PsrStack, members: Sequence[PsrModel], cache: dict, h: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """States and probabilities of all length-``h`` histories for a stack of models.
+        One forward step per depth gives ``(n_members, n_histories(h), d_h)``
+        states and ``(n_members, n_histories(h))`` probabilities in
+        lexicographic order.  The step is one einsum per member over its
+        ``M``, written straight into that member's block of the states: on
+        the short state axes here that is about twice as fast as one einsum
+        batched over the member axis, with the same bits.  Below the root,
+        where every closing vector is exactly ``[1.0]`` (the last depth of
+        every model built here), the probabilities are a view of the
+        one-column states.
+        """
+        cached = self._depth_tables.get(h)
+        if cached is not None:
+            return cached
+        if h == 0:
+            states = self.psi0.reshape(len(self), 1, -1)
+        else:
+            prev = self.tables(h - 1)[0]
+            ops_stack = self.M[h - 1]
+            n_ops, d_out = self.space.pair_count, ops_stack.shape[3]
+            states = np.empty((len(self), prev.shape[1] * n_ops, d_out))
+            for ops, block, prev_block in zip(ops_stack, states, prev):
+                np.einsum("kij,nj->nki", ops.reshape(n_ops, d_out, -1), prev_block, out=block.reshape(-1, n_ops, d_out))
+        phi = self.phi[h]
+        if h and phi.shape[1] == 1 and (phi == 1.0).all():
+            # Each einsum sums into a zeroed output, so no state here is -0.0, the one
+            # value a product with [1.0] would change; share the states' memory.
+            probs = states[:, :, 0]
+        else:
+            probs = (states @ phi[:, :, None])[:, :, 0]
+        states.setflags(write=False)
+        probs.setflags(write=False)
+        self._depth_tables[h] = (states, probs)
+        return states, probs
 
-    One forward step per depth gives read-only ``(n_models,
-    n_histories(h), d_h)`` states and ``(n_models, n_histories(h))``
-    probabilities in lexicographic order.  The step is one einsum per model
-    over its ``M`` in the stack, written straight into that model's block
-    of the states: on the short state axes here that is about twice as fast
-    as one einsum batched over the model axis, with the same bits.
-    ``cache`` holds the stacks by depth; ``members[c]``, the model of stack
-    member ``c``, gets a batch-of-one view into them in its own table
-    cache, so no table is stored twice.  Below the root, where every closing
-    vector is exactly ``[1.0]`` (the last depth of every model built here),
-    the probabilities are a view of the one-column states.
-    """
-    cached = cache.get(h)
-    if cached is not None:
-        return cached
-    if h == 0:
-        states = stack.psi0.reshape(len(stack), 1, -1)
-    else:
-        prev = stacked_tables(stack, members, cache, h - 1)[0]
-        ops_stack = stack.M[h - 1]
-        n_ops, d_out = stack.space.pair_count, ops_stack.shape[3]
-        states = np.empty((len(stack), prev.shape[1] * n_ops, d_out))
-        for ops, block, prev_block in zip(ops_stack, states, prev):
-            np.einsum("kij,nj->nki", ops.reshape(n_ops, d_out, -1), prev_block, out=block.reshape(-1, n_ops, d_out))
-    phi = stack.phi[h]
-    if h and phi.shape[1] == 1 and (phi == 1.0).all():
-        # Each einsum sums into a zeroed output, so no state here is -0.0, the one
-        # value a product with [1.0] would change; share the states' memory.
-        probs = states[:, :, 0]
-    else:
-        probs = (states @ phi[:, :, None])[:, :, 0]
-    states.setflags(write=False)
-    probs.setflags(write=False)
-    cache[h] = (states, probs)
-    for i, model in enumerate(members):
-        model._table_cache[h] = (states[i : i + 1], probs[i : i + 1])
-        model._feature_cache.pop(h, None)  # features follow the states they were divided from
-    return states, probs
+    def prob_table(self, h: int) -> np.ndarray:
+        """The ``(n_members, n_histories(h))`` probabilities: the read-only table below the root, new ones at it."""
+        if h == 0:
+            return np.ones((len(self), 1))
+        return self.tables(h)[1]
 
 
 # -- model-level operations ---------------------------------------------------
@@ -387,9 +369,9 @@ def stacked_tables(
 def check_self_consistency(model: PsrModel) -> float:
     """Largest violation of the closing-vector recursion over steps and actions (NaN if any is NaN).
 
-    :meth:`PsrStack.self_consistency` of the model as a stack of one.
+    :meth:`PsrStack.self_consistency` of the model alone, as a stack of one.
     """
-    return float(model._stack().self_consistency()[0])
+    return float(model.stack.take([model.index]).self_consistency()[0])
 
 
 def terminal_anchor_violation(model: PsrModel) -> float | None:

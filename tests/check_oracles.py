@@ -555,7 +555,7 @@ def oracle_pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     """One environment's PSR, pseudo-inverting each step's test matrix on its own."""
     space = pomdp.space
     gmats = g.matrices
-    core = make_core_test_set(space, [g.tests_at(h + 1) for h in range(space.horizon)])
+    core = make_core_test_set(space, list(g.tests))
     pinvs = []
     for h, G in enumerate(gmats, start=1):
         svals = np.linalg.svd(G, compute_uv=False)

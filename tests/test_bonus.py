@@ -54,15 +54,19 @@ def test_gram_matrix_cannot_be_written_under_its_cached_factor():
 def test_private_caches_are_not_constructor_arguments(reference_model):
     """A cache passed in would be trusted over the values it derives from, so none can be passed."""
     from psrlab.estimation import CandidateSet
-    from psrlab.psr import PsrModel
+    from psrlab.psr import PsrModel, PsrStack
 
     m = reference_model
     with pytest.raises(TypeError, match="_factor"):
         FeatureGram(0, 1.0, np.eye(2), _factor=10 * np.eye(2))
-    with pytest.raises(TypeError, match="_table_cache"):
-        PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi, _table_cache={2: np.zeros(1)})
-    with pytest.raises(TypeError, match="_table_cache"):
-        CandidateSet((m,), ("true",), _table_cache={})
+    with pytest.raises(TypeError, match="_feature_cache"):
+        PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi, _feature_cache={2: np.zeros(1)})
+    with pytest.raises(TypeError, match="stack"):
+        PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi, stack=m.stack)
+    with pytest.raises(TypeError, match="_depth_tables"):
+        PsrStack(m.space, m.core_tests, m.stack.psi0, m.stack.M, m.stack.phi, _depth_tables={2: np.zeros(1)})
+    with pytest.raises(TypeError, match="models"):
+        CandidateSet(m.stack, ("true",), models=(m,))
     assert FeatureGram(0, 1.0, np.zeros((0, 2))).scores(np.array([[1.0, 0.0]]))[0] == 1.0
 
 

@@ -75,7 +75,7 @@ def test_test_probs_equal_per_test_walk(name, env):
     for m in range(1, space.horizon + 1):
         g = g_matrices(env, m)
         for h in range(1, space.horizon + 1):
-            oracle = np.stack([oracle_test_prob_given_state(env, t, h) for t in g.tests_at(h)])
+            oracle = np.stack([oracle_test_prob_given_state(env, t, h) for t in g.tests[h - 1]])
             assert np.array_equal(g.matrices[h - 1], oracle), (name, m, h)
     for h in range(space.horizon):
         tests = enumerate_futures(space, h)  # full-length tests

@@ -38,7 +38,7 @@ from psrlab.estimation import (
 )
 from psrlab.policies import UniformActionSeqPolicy, uniform_policy
 from psrlab.pomdp import TabularPomdp, default_psr, near_tie, random_mdp, random_revealing
-from psrlab.psr import CoreTestSet, PsrModel, PsrStack, check_self_consistency
+from psrlab.psr import PsrModel, PsrStack, check_self_consistency
 from psrlab.spaces import History
 from psrlab.verify import reference_env
 
@@ -121,7 +121,7 @@ def test_constrained_mle_permutation_invariance(reference_env, small_dataset):
     cands = make_candidates(reference_env, "dithered", seed=3, n=6, scale=0.05)
     result = constrained_mle(cands, small_dataset, p_min=1e-10, beta=2.0)
     order = list(reversed(range(len(cands))))
-    permuted = CandidateSet(tuple(cands.models[i] for i in order), tuple(cands.labels[i] for i in order))
+    permuted = CandidateSet(cands.stack.take(order), tuple(cands.labels[i] for i in order))
     result2 = constrained_mle(permuted, small_dataset, p_min=1e-10, beta=2.0)
     assert cands.labels[result.selected_id] == permuted.labels[result2.selected_id]
     assert sorted(cands.labels[i] for i in result.feasible_ids) == sorted(
@@ -305,6 +305,8 @@ def test_stack_faults_are_each_members_first_fault():
     assert got == _member_faults(stack)
     assert [c for c, fault in enumerate(got) if fault] == [5, 7, 9]
     assert got[5] == "M at step 3 has non-finite entries" and got[7] == "start vector psi0 has non-finite entries"
+    with pytest.raises(StructuralError, match=rf"^candidate {re.escape(cands.labels[5])}: M at step 3 has non-finite entries$"):
+        CandidateSet(stack, cands.labels)
     # Every member: a closing vector of the wrong dim, checked after member 5's to 9's faults.
     stack = PsrStack(stack.space, stack.core_tests, psi0, tuple(M), tuple(phi[:5]) + (phi[5][:, :1], phi[6]))
     got = stack.faults()
@@ -313,57 +315,45 @@ def test_stack_faults_are_each_members_first_fault():
     assert got[0] == f"closing vector at step 5 has dim (1,), expected ({d},)" and got[5] == "M at step 3 has non-finite entries"
 
 
-def _with_violation(model):
-    """``model`` with its first closing vector scaled by 1 + 1e-6, which breaks the recursion at step 1."""
-    return PsrModel(model.space, model.core_tests, model.psi0, model.M, (model.phi[0] * (1.0 + 1e-6),) + model.phi[1:])
-
-
-@pytest.mark.parametrize("violator,wider", [(None, None), (7, None), (None, 4), (7, 4), (2, 4)])
-def test_candidate_set_refuses_as_one_member_at_a_time_did(reference_env, violator, wider):
-    """The first member that is self-inconsistent or does not stack is refused by label, with the message
-    the per-member checks gave, whichever comes first."""
-    from psrlab.pomdp import g_matrices, pomdp_to_psr
-
+@pytest.mark.parametrize("violator,second", [(None, None), (7, None), (None, 4), (7, 4), (2, 4)])
+def test_candidate_set_refuses_as_one_member_at_a_time_did(reference_env, violator, second):
+    """With up to two self-inconsistent members, the first is refused by label, with the message the
+    per-member checks gave."""
     cands = make_candidates(reference_env, "dithered", seed=2, n=9, scale=0.05)
-    models, labels = list(cands.models), list(cands.labels)
-    if violator is not None:
-        models[violator] = _with_violation(models[violator])
-    if wider is not None:
-        models[wider] = pomdp_to_psr(reference_env, g=g_matrices(reference_env, default_psr(reference_env)[1].m + 1))
-    want = oracle_candidate_fault(models, labels)
+    phi0 = np.array(cands.stack.phi[0])
+    for c in (violator, second):
+        if c is not None:
+            phi0[c] *= 1.0 + 1e-6  # breaks the recursion at step 1
+    stack = PsrStack(cands.stack.space, cands.stack.core_tests, cands.stack.psi0, cands.stack.M, (phi0,) + cands.stack.phi[1:])
+    want = oracle_candidate_fault(stack.members(), cands.labels)
     if want is None:
-        assert CandidateSet(models, labels).labels == tuple(labels)
+        assert CandidateSet(stack, cands.labels).labels == cands.labels
         return
     with pytest.raises(StructuralError, match=f"^{re.escape(want)}$"):
-        CandidateSet(models, labels)
-    if wider is None:  # the stack a family hands over is refused alike
-        with pytest.raises(StructuralError, match=f"^{re.escape(want)}$"):
-            CandidateSet._of_stack(PsrStack.of(models), labels)
+        CandidateSet(stack, cands.labels)
 
 
 def test_candidate_set_refuses_misuse_by_position(reference_model):
     m = reference_model
-    with pytest.raises(StructuralError, match="^candidate 1 is a str, not a PsrModel$"):
-        CandidateSet((m, "x"), ("a", "b"))
+    with pytest.raises(StructuralError, match="^a candidate set holds a PsrStack, not a tuple$"):
+        CandidateSet((m, m), ("a", "b"))
     with pytest.raises(StructuralError, match="^label 1 is a int, not a str$"):
-        CandidateSet((m, m), ("a", 3))
-    with pytest.raises(StructuralError, match="^candidate b has other core tests than candidate a$"):
-        core = m.core_tests
-        other = CoreTestSet(m.space, (core.tests[0][::-1],) + core.tests[1:], core.action_seqs, core.exploration_seqs)
-        CandidateSet((m, PsrModel(m.space, other, m.psi0, m.M, m.phi)), ("a", "b"))
+        CandidateSet(PsrStack.concatenate((m.stack, m.stack)), ("a", 3))
+    with pytest.raises(StructuralError, match="^models and labels must align$"):
+        CandidateSet(m.stack, ("a", "b"))
 
 
 def test_candidate_set_keeps_tuples_not_the_callers_lists(reference_env):
-    """A list of models or labels mutated after the set cached its tables changes nothing in the set."""
+    """A list of labels mutated after the set cached its tables changes nothing in the set, and
+    two sets of one stack read its one table."""
     cands = make_candidates(reference_env, "dithered", seed=2, n=3, scale=0.05)
-    models, labels = list(cands.models), list(cands.labels)
-    held = CandidateSet(models, labels)
+    labels = list(cands.labels)
+    held = CandidateSet(cands.stack, labels)
     table = held.prob_table(2)
-    models.reverse()
     labels[0] = "changed"
     assert isinstance(held.models, tuple) and isinstance(held.labels, tuple)
     assert held.labels == cands.labels and held.prob_table(2) is table
-    assert np.array_equal(table, cands.prob_table(2))
+    assert cands.prob_table(2) is table
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
@@ -569,7 +559,7 @@ def _staged_candidates(env):
     window = default_psr(env)[1].m
     extra = [_reweighted_emission(env, env.space.horizon - 1, 2, 0.0), _reweighted_emission(env, 0, 0, 1e-3)]
     return CandidateSet(
-        dithered.models + tuple(pomdp_to_psr(p, g=g_matrices(p, window)) for p in extra),
+        PsrStack.concatenate([dithered.stack, *(pomdp_to_psr(p, g=g_matrices(p, window)).stack for p in extra)]),
         dithered.labels + ("never-last-obs", "rare-first-obs"),
     )
 
@@ -668,32 +658,24 @@ def test_selection_record_rejects_shrunken_columns(reference_env, small_dataset)
         constrained_mle(cands, small_dataset, 1e-10, 5.0)
 
 
-def test_candidate_prob_table_rows_are_the_members_tables(reference_env):
-    from psrlab.psr import PsrModel
-
-    cands = make_candidates(reference_env, "dithered", seed=3, n=6, scale=0.05)
-    space = reference_env.space
+def test_candidate_prob_table_rows_are_the_members_tables():
+    """Through the 41-member online-large stack, every member's tables are its rows of the stack's,
+    bit-equal to the same model's tables built alone."""
+    env, options = FAMILIES["online-large"]
+    cands = make_candidates(env, **options)
+    space = env.space
+    assert len(cands) == 41
+    alone = [PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi) for m in cands.models]
     for h in range(1, space.horizon + 1):
         stacked = cands.prob_table(h)
+        assert stacked is cands.stack.tables(h)[1]
         assert stacked.shape == (len(cands), space.n_histories(h))
         assert not stacked.flags.writeable
-        for row, model in zip(stacked, cands.models):
-            assert np.array_equal(row, model.prob_table(h))
-            assert np.shares_memory(row, model.prob_table(h))
-            assert np.shares_memory(cands._table_cache[h][0], model._tables(h)[0])
-            # a model outside any set computes the same bits on its own
-            alone = PsrModel(model.space, model.core_tests, model.psi0, model.M, model.phi)
-            assert np.array_equal(row, alone.prob_table(h))
-
-
-def test_candidate_set_rejects_mismatched_dimensions(reference_env):
-    from psrlab.pomdp import g_matrices, pomdp_to_psr
-
-    cands = make_candidates(reference_env, "include_true")
-    wider = pomdp_to_psr(reference_env, g=g_matrices(reference_env, default_psr(reference_env)[1].m + 1))
-    assert wider.dims != cands.models[0].dims
-    with pytest.raises(StructuralError, match="wide"):
-        CandidateSet(cands.models + (wider,), ("true", "wide"))
+        for row, model, own in zip(stacked, cands.models, alone):
+            assert np.shares_memory(row, model.prob_table(h)) and row.tobytes() == model.prob_table(h).tobytes()
+            assert np.shares_memory(cands.stack.tables(h)[0], model.state_table(h))
+            assert own.prob_table(h).tobytes() == row.tobytes()
+            assert own.state_table(h).tobytes() == model.state_table(h).tobytes()
 
 
 def test_bucket_weight_columns_match_per_history_oracle(reference_env, monkeypatch):

@@ -362,8 +362,10 @@ def test_conversion_matches_the_per_environment_oracle(name, env, m):
 @pytest.mark.parametrize("n_members", [1, 3, 7])
 @pytest.mark.parametrize("name,env", FAMILY_ENVS, ids=[name for name, _ in FAMILY_ENVS])
 def test_family_conversion_is_each_members_own(name, env, n_members):
-    """Stacked test matrices and conversions equal each member's own, bit for bit, errors included."""
-    m = default_psr(env)[1].m
+    """Stacked test matrices and conversions equal each member's own, bit for bit, errors included;
+    every member shares the truth's core-test object."""
+    true_model, g = default_psr(env)
+    m = g.m
     rng = np.random.default_rng(n_members)
     tables = []
     for _ in range(n_members):
@@ -372,8 +374,8 @@ def test_family_conversion_is_each_members_own(name, env, n_members):
     if n_members > 1:  # member 1: every state behaves as state 0, so no test tells states apart
         tables[1] = tuple(table[..., :1, :].repeat(env.n_states, axis=-2) for table in tables[1])
     transitions, emissions = (np.stack(arrays) for arrays in zip(*tables))
-    stack, errors = convert_family(env, transitions, emissions, m)
-    assert len(stack) == len(errors) == n_members
+    stack, errors = convert_family(env, transitions, emissions, true_model.core_tests)
+    assert len(stack) == len(errors) == n_members and stack.core_tests is true_model.core_tests
     for c, (transition, emission) in enumerate(tables):
         member = TabularPomdp(env.n_states, env.space, transition, emission, env.initial_state, env.reward)
         want_g = oracle_g_matrices(member, m)
@@ -394,6 +396,7 @@ def test_family_conversion_is_each_members_own(name, env, n_members):
 def test_family_refuses_tables_as_one_environment_does():
     """The first member with a fault raises, with the error its own environment raises first."""
     env = tiger(3)
+    core = default_psr(env)[0].core_tests
     transitions, emissions = np.stack([env.transition] * 4), np.stack([env.emission] * 4)
     emissions[1, 2, 0] = [np.nan, 1.0]
     transitions[1, 0, 0, 0] = [1.5, -0.5]  # member 1 has both faults; the transition is checked first
@@ -404,11 +407,14 @@ def test_family_refuses_tables_as_one_environment_does():
         ((np.stack([env.transition] * 2), emissions[:2]), "emission has negative or NaN entries"),
     ]:
         with pytest.raises(StructuralError, match=f"^{message}$"):
-            convert_family(env, *stack, 1)
+            convert_family(env, *stack, core)
     with pytest.raises(StructuralError, match="^transition has negative or NaN entries$"):
         TabularPomdp(2, env.space, transitions[1], emissions[1], 0, env.reward)
     with pytest.raises(StructuralError, match=r"^transition shape \(1, 3, 2, 2\) != \(2, 3, 2, 2\)$"):
-        convert_family(env, transitions[:, :1], emissions, 1)
+        convert_family(env, transitions[:, :1], emissions, core)
+    other = default_psr(tiger(2))[0].core_tests
+    with pytest.raises(StructuralError, match="^core tests on .* for an environment on "):
+        convert_family(env, np.stack([env.transition]), np.stack([env.emission]), other)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from psrlab.psr import (
     gamma,
     hellinger_sq,
     make_core_test_set,
-    stacked_tables,
     sup_weighted_abs,
     terminal_anchor_violation,
     tv_distance,
@@ -109,14 +108,17 @@ def test_feature_table_is_built_once_read_only(small_model):
 
 
 def test_feature_table_follows_a_later_stack(small_env):
+    """A model's features divide its row of its own stack's tables: the same parameters as a member
+    of a later stack get the same bits from that stack's rows, and the model keeps its own."""
     model, _ = default_psr(small_env)
     other, _ = default_psr(random_revealing(seed=8, n_states=2, n_obs=2, n_actions=2, horizon=3))
     own = model.feature_table(2)
-    stacked_tables(PsrStack.of((other, model)), (other, model), {}, 2)
-    rebuilt = model.feature_table(2)
-    assert rebuilt is not own
-    psis, probs = model._tables(2)
-    assert np.array_equal(rebuilt, psis / probs[:, None])
+    member = PsrStack.concatenate((other.stack, model.stack)).members()[1]
+    stacked = member.feature_table(2)
+    assert stacked is not own and stacked.tobytes() == own.tobytes()
+    psis, probs = (table[1] for table in member.stack.tables(2))
+    assert np.array_equal(stacked, psis / probs[:, None])
+    assert model.feature_table(2) is own
 
 
 def _features_from_states(model, h):
@@ -209,7 +211,7 @@ def test_violation_folds_keep_nan(small_model):
         assert math.isnan(check_self_consistency(big))
         assert not terminal_anchor_violation(big) <= 1e-9
         with pytest.raises(StructuralError, match="candidate big violates self-consistency by nan"):
-            CandidateSet((big,), ("big",))
+            CandidateSet(big.stack, ("big",))
 
 
 def test_gamma_scalar_model_is_one():
@@ -476,3 +478,53 @@ def test_model_inputs_are_read_only_copies(reference_model):
     assert [a.tobytes() for a in (rebuilt.psi0, *rebuilt.M, *rebuilt.phi)] == [a.tobytes() for a in (psi0, *M, *phi)]
     M[1][:] = 0.0  # the caller's own arrays stay writable and are not what the model reads
     assert rebuilt.M[1].tobytes() == m.M[1].tobytes()
+
+
+def test_models_stacks_and_candidate_sets_compare_by_identity():
+    """Two models with equal arrays are two models: ``==`` and ``hash`` read identity, never the arrays."""
+    from psrlab.estimation import CandidateSet
+    from psrlab.pomdp import near_tie
+
+    m1, m2 = default_psr(near_tie())[0], default_psr(near_tie())[0]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((m1.psi0, *m1.M, *m1.phi), (m2.psi0, *m2.M, *m2.phi)))
+    sets = [CandidateSet(m.stack, ("true",)) for m in (m1, m2)]
+    for a, b in ((m1, m2), (m1.stack, m2.stack), tuple(sets)):
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
+def test_member_tables_are_rows_of_the_stack_tables():
+    """A member's states and probabilities are its rows of the stack's tables, with their memory;
+    the first member to ask for a depth builds it for the whole stack."""
+    from psrlab.estimation import make_candidates
+
+    env = random_revealing(seed=1, n_states=2, n_obs=3, n_actions=2, horizon=3)
+    cands = make_candidates(env, "dithered", seed=4, n=5, scale=0.05)
+    member, stack, H = cands.models[1], cands.stack, env.space.horizon
+    assert (member.stack, member.index) == (stack, 1) and not stack._depth_tables
+    member.prob_table(H)
+    assert sorted(stack._depth_tables) == list(range(H + 1)) and len(stack.tables(H)[1]) == len(stack) == 6
+    assert member.prob_table(0).tolist() == [1.0]
+    for h in range(1, H + 1):
+        assert np.shares_memory(member.prob_table(h), stack.tables(h)[1][1])
+        assert np.shares_memory(member.state_table(h), stack.tables(h)[0][1])
+        assert member.prob_table(h).tobytes() == stack.tables(h)[1][1].tobytes()
+        assert stack.tables(h) is stack.tables(h) and stack.prob_table(h) is stack.tables(h)[1]
+
+
+def test_self_consistency_of_a_member_measures_that_member_alone():
+    """``check_self_consistency`` of a member reads only its own parameters and has the bits of the
+    same model built alone, whatever the other members violate."""
+    from psrlab.estimation import make_candidates
+
+    env = random_revealing(seed=1, n_states=2, n_obs=3, n_actions=2, horizon=3)
+    stack = make_candidates(env, "dithered", seed=4, n=5, scale=0.05).stack
+    phi0 = np.array(stack.phi[0])
+    phi0[2] *= 1.0 + 1e-3  # member 2 breaks the recursion at step 1
+    broken = PsrStack(stack.space, stack.core_tests, stack.psi0, stack.M, (phi0,) + stack.phi[1:])
+    worst = broken.self_consistency()
+    assert worst[2] > 1e-6 >= worst.max(initial=0.0, where=np.arange(len(worst)) != 2)
+    for c, member in enumerate(broken.members()):
+        alone = PsrModel(member.space, member.core_tests, member.psi0, member.M, member.phi)
+        assert check_self_consistency(member).hex() == check_self_consistency(alone).hex(), c
+        assert check_self_consistency(member).hex() == float(worst[c]).hex(), c

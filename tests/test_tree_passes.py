@@ -25,7 +25,7 @@ from psrlab.online import OnlineConfig, _build_evaluator, run_psr_ucb
 from psrlab.planner import plan_on_table
 from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr, near_tie, random_revealing
-from psrlab.psr import PsrModel, PsrStack, make_core_test_set, stacked_tables
+from psrlab.psr import PsrModel, make_core_test_set
 from psrlab.spaces import Future, ObsActSpace
 from psrlab.verify import small_builtin_envs
 
@@ -109,10 +109,9 @@ def test_probabilities_equal_states_times_closing_vector(env_case):
     name, env, model, _ = env_case
     H = env.space.horizon
     cands = make_candidates(env, "dithered", seed=5, n=4, scale=0.05)
-    for models in ((model,), tuple(cands.models)):
-        cache = {}
+    for stack, models in ((model.stack, (model,)), (cands.stack, cands.models)):
         for h in range(H + 1):
-            states, probs = stacked_tables(PsrStack.of(models), models, cache, h)
+            states, probs = stack.tables(h)
             assert _same(states, oracle_stacked_states(models, h)), (name, len(models), h)
             old = (states @ np.stack([m.phi[h] for m in models])[:, :, None])[:, :, 0]
             assert _same(probs, old), (name, h)
@@ -126,7 +125,7 @@ def test_probability_view_keeps_zero_signs():
     space = ObsActSpace(1, 2, 1)
     core = make_core_test_set(space, [(Future(0, (0,), ()),)])
     model = PsrModel(space, core, np.zeros(1), (np.full((1, 2, 1, 1), -1.0),), (np.ones(1), np.ones(1)))
-    states, probs = stacked_tables(PsrStack.of((model,)), (model,), {}, 1)
+    states, probs = model.stack.tables(1)
     assert np.shares_memory(probs, states)
     assert _same(probs, (states @ np.ones((1, 1, 1)))[:, :, 0])
     assert not np.signbit(probs).any()
