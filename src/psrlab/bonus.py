@@ -29,6 +29,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import DegenerateHistory, StructuralError
 from .psr import PsrModel, psr_rank
+from .spaces import check_same_space
 
 if TYPE_CHECKING:
     from .estimation import DatasetFamily
@@ -146,8 +147,10 @@ def prefix_grams(model: PsrModel, dataset: "DatasetFamily", lam: float) -> tuple
     The step-``h`` gram adds the feature of every bucket-``h`` entry's
     length-``h`` prefix, counted with multiplicity.  A recorded prefix that
     is degenerate under the model has no feature and raises
-    :class:`DegenerateHistory`.
+    :class:`DegenerateHistory`; a dataset on another space raises
+    :class:`StructuralError`.
     """
+    check_same_space("model and dataset", model.space, dataset.space)
     grams = []
     for h in range(model.space.horizon):
         feats = model.feature_table(h)

@@ -16,7 +16,8 @@ probability tables of the whole set, one batched forward pass per depth
 builds that depth for its whole family once, and the selected model's tables
 are rows of the set's.  Online and offline selection are the same
 gather-and-reduce over them: each recorded prefix and trajectory is one
-column of the stacked ``(n_candidates, n_histories)`` table.
+column of the stacked ``(n_candidates, n_histories)`` table, and
+:func:`log_likelihood` is that read for one model alone.
 
 A dataset's columns are append-only: entries enter only through
 :meth:`DatasetFamily.add` and :meth:`DatasetFamily.add_batch`, as the lex
@@ -44,7 +45,7 @@ from .policies import Policy, continuation_weights
 from .pomdp import TabularPomdp, convert_family, default_psr
 from .psr import PsrModel, PsrStack
 from .seeding import rng_for
-from .spaces import _INTEGERS, ObsActSpace, check_numbers
+from .spaces import _INTEGERS, ObsActSpace, check_numbers, check_same_space
 
 NEG_INF = float("-inf")
 MAX_CANDIDATES = 100_000
@@ -175,10 +176,6 @@ class CandidateSet:
 
     def __len__(self) -> int:
         return len(self.models)
-
-    def prob_table(self, h: int) -> np.ndarray:
-        """Read-only ``(n_candidates, n_histories(h))`` stack of the members' ``prob_table(h)``."""
-        return self.stack.prob_table(h)
 
 
 def _checked_labels(labels: Sequence[str], n_models: int) -> tuple[str, ...]:
@@ -393,17 +390,16 @@ class _SelectionRecord:
         return self.stable.copy(), logliks
 
 
-def _one_model(model: PsrModel, dataset: DatasetFamily, p_min: float) -> tuple[np.ndarray, np.ndarray]:
-    """Stability and log-likelihood of one model, from a record kept for this call only."""
-    return _SelectionRecord(model, p_min, 1, model.space.horizon).read(lambda h: model.prob_table(h)[None], dataset)
-
-
 def log_likelihood(model: PsrModel, dataset: DatasetFamily) -> float:
     """Sum of trajectory log probabilities (policy factor included) over all buckets.
 
-    Entries the model cannot produce push the result to -inf.
+    One read of a record of the model alone, kept for this call only.
+    Entries the model cannot produce push the result to -inf.  A dataset on
+    another space raises :class:`StructuralError`.
     """
-    return float(_one_model(model, dataset, NEG_INF)[1][0])
+    check_same_space("model and dataset", model.space, dataset.space)
+    record = _SelectionRecord(model, NEG_INF, 1, model.space.horizon)
+    return float(record.read(lambda h: model.prob_table(h)[None], dataset)[1][0])
 
 
 @dataclass(frozen=True)
@@ -425,12 +421,15 @@ def constrained_mle(
     ``p_min``; any other call starts the dataset's record from zero, which
     is one fresh pass.  Either way the flags and log-likelihoods carry the
     bits of one pass over the whole dataset.  Ties break toward the lowest
-    candidate index, so the outcome does not depend on evaluation order.
+    candidate index, so the outcome does not depend on evaluation order.  A
+    dataset on another space than the candidates raises
+    :class:`StructuralError`.
     """
+    check_same_space("candidates and dataset", candidates.stack.space, dataset.space)
     record = dataset._selection
     if record is None or record.key is not candidates or record.p_min != p_min:
         record = dataset._selection = _SelectionRecord(candidates, p_min, len(candidates), dataset.space.horizon)
-    stable, logliks = record.read(candidates.prob_table, dataset)
+    stable, logliks = record.read(candidates.stack.prob_table, dataset)
     ids = np.flatnonzero(stable)
     if not ids.size:
         raise EmptyFeasibleSet(
@@ -457,9 +456,12 @@ def conditional_tv_diagnostic(
     the remaining trajectory given the length-``h`` prefix, under
     ``policies[h]``, the policy every entry of bucket ``h`` was drawn with,
     by exact enumeration of the continuations: one continuation-weight pass
-    per bucket.
+    per bucket.  Models or a dataset on different spaces raise
+    :class:`StructuralError`.
     """
     space = model_a.space
+    check_same_space("models", space, model_b.space)
+    check_same_space("models and dataset", space, dataset.space)
     if len(policies) != space.horizon:
         raise StructuralError(f"need one policy per bucket ({space.horizon}), got {len(policies)}")
     table_a = model_a.prob_table(space.horizon)

@@ -13,9 +13,9 @@ the member axis leading every parameter array.  Validation is one pass over
 a stack: :meth:`PsrStack.faults` checks the shapes once and finiteness with
 one ``isfinite`` for every member, and :meth:`PsrStack.self_consistency`
 measures every member's closing-vector recursion with one einsum per step.
-A :class:`PsrModel` is member ``index`` of a stack: one built from arrays is
-validated as a stack of one, and the members of a validated stack are
-models whose arrays are read-only views into it.
+A :class:`PsrModel` is member ``index`` of a stack and nothing else: a
+validated stack's :meth:`PsrStack.members` are its models, whose arrays are
+read-only views into it, so no model is built or checked alone.
 
 States and probabilities are per-depth tables over all histories in
 lexicographic order, and the stack owns them: :meth:`PsrStack.tables` builds
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import StructuralError
 from .planner import plan_on_table
 from .policies import Policy, policy_weight_vector
-from .spaces import Future, ObsActSpace, _read_only_copy
+from .spaces import Future, ObsActSpace, check_same_space
 
 PSI_GUARD = 1e-12
 RANK_TOL = 1e-8  # singular values at most this fraction of the largest count as zero
@@ -106,35 +106,31 @@ def make_core_test_set(space: ObsActSpace, tests_per_step: list[tuple[Future, ..
 class PsrModel:
     """Sequential model in predictive-state form: member ``index`` of a :class:`PsrStack`.
 
-    ``psi0`` and every ``M[h]`` and ``phi[h]`` must be finite.  A model built
-    from arrays stores read-only copies of what the caller passed and is
-    member 0 of a stack of one over them, whose :meth:`PsrStack.faults` is
-    its validation.  A member of a larger stack (every candidate set's, and
-    every converted model's) holds read-only views into that stack instead,
-    which was validated once for all its members.  States and probabilities
-    are the model's row of the stack's tables; only the feature tables are
-    the model's own.  Models compare by identity.
+    ``PsrModel(stack, index)`` checks only that ``index`` is a member:
+    :meth:`PsrStack.members` of a stack whose :meth:`PsrStack.faults` are all
+    None builds every model.  ``space``, ``core_tests``, ``psi0``, ``M`` and
+    ``phi`` are set once from the stack, the arrays read-only views of the
+    member's rows.  States and probabilities are the model's row of the
+    stack's tables; only the feature tables are the model's own.  Models
+    compare by identity.
     """
 
-    space: ObsActSpace
-    core_tests: CoreTestSet
-    psi0: np.ndarray
-    M: tuple[np.ndarray, ...]  # M[h-1] has shape (O, A, d_h, d_{h-1})
-    phi: tuple[np.ndarray, ...]  # phi[h] has length d_h, for h = 0..H
-    stack: PsrStack = field(init=False, repr=False)
-    index: int = field(init=False, repr=False)
+    stack: PsrStack = field(repr=False)
+    index: int
+    space: ObsActSpace = field(init=False)
+    core_tests: CoreTestSet = field(init=False, repr=False)
+    psi0: np.ndarray = field(init=False, repr=False)
+    M: tuple[np.ndarray, ...] = field(init=False, repr=False)  # M[h-1] has shape (O, A, d_h, d_{h-1})
+    phi: tuple[np.ndarray, ...] = field(init=False, repr=False)  # phi[h] has length d_h, for h = 0..H
     _feature_cache: dict = field(default_factory=dict, init=False, repr=False)  # depth -> features and masks
 
     def __post_init__(self) -> None:
-        psi0 = _read_only_copy(self.psi0)
-        M = tuple(_read_only_copy(ops) for ops in self.M)
-        phi = tuple(_read_only_copy(vec) for vec in self.phi)
-        stack = PsrStack(self.space, self.core_tests, psi0[None], tuple(ops[None] for ops in M), tuple(vec[None] for vec in phi))
-        (fault,) = stack.faults()
-        if fault is not None:
-            raise StructuralError(fault)
-        for name, value in (("psi0", psi0), ("M", M), ("phi", phi), ("stack", stack), ("index", 0)):
-            object.__setattr__(self, name, value)
+        stack, c = self.stack, self.index
+        if not 0 <= c < len(stack):
+            raise StructuralError(f"member {c} outside a stack of {len(stack)}")
+        # Plain attributes, not properties, since the online loop reads them per iteration; frozen, so set in __dict__.
+        self.__dict__.update(space=stack.space, core_tests=stack.core_tests, psi0=stack.psi0[c],
+                             M=tuple([ops[c] for ops in stack.M]), phi=tuple([vec[c] for vec in stack.phi]))
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -305,19 +301,12 @@ class PsrStack:
         return np.max(gaps, axis=0, initial=0.0)
 
     def members(self) -> tuple[PsrModel, ...]:
-        """The members as models whose arrays are read-only views into the stack and whose tables are its rows.
+        """The members as models, ``PsrModel(self, c)`` for each ``c``.
 
         Only for a stack whose :meth:`faults` are all None: no member is
         checked again, which is what makes a family one validation.
         """
-        members = []
-        for c, (psi0, M, phi) in enumerate(zip(self.psi0, zip(*self.M), zip(*self.phi))):
-            model = object.__new__(PsrModel)  # bypasses __post_init__'s copies and checks, as the docstring says
-            model.__dict__.update(
-                space=self.space, core_tests=self.core_tests, psi0=psi0, M=M, phi=phi, stack=self, index=c, _feature_cache={}
-            )
-            members.append(model)
-        return tuple(members)
+        return tuple(PsrModel(self, c) for c in range(len(self)))
 
     def tables(self, h: int) -> tuple[np.ndarray, np.ndarray]:
         """States and probabilities of all length-``h`` histories of every member, cached read-only.
@@ -330,11 +319,13 @@ class PsrStack:
         batched over the member axis, with the same bits.  Below the root,
         where every closing vector is exactly ``[1.0]`` (the last depth of
         every model built here), the probabilities are a view of the
-        one-column states.
+        one-column states.  A depth outside ``[0, H]`` raises
+        :class:`StructuralError`.
         """
         cached = self._depth_tables.get(h)
         if cached is not None:
             return cached
+        self.space.n_histories(h)  # a depth outside [0, H] raises
         if h == 0:
             states = self.psi0.reshape(len(self), 1, -1)
         else:
@@ -445,7 +436,7 @@ def tv_distance(model_a: PsrModel, model_b: PsrModel, policy: Policy) -> float:
     Convention: no 1/2 factor, so the value lies in [0, 2] for two valid
     models.
     """
-    _check_same_space(model_a, model_b)
+    check_same_space("models", model_a.space, model_b.space)
     H = model_a.space.horizon
     weights = policy_weight_vector(policy, model_a.space)
     diff = np.abs(model_a.prob_table(H) - model_b.prob_table(H))
@@ -454,7 +445,7 @@ def tv_distance(model_a: PsrModel, model_b: PsrModel, policy: Policy) -> float:
 
 def hellinger_sq(model_a: PsrModel, model_b: PsrModel, policy: Policy) -> float:
     """Squared Hellinger distance between policy-induced trajectory laws."""
-    _check_same_space(model_a, model_b)
+    check_same_space("models", model_a.space, model_b.space)
     H = model_a.space.horizon
     weights = policy_weight_vector(policy, model_a.space)
     pa = np.clip(model_a.prob_table(H), 0.0, None) * weights
@@ -499,8 +490,3 @@ def forward_step(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
     """
     products = ops.reshape(-1, *ops.shape[2:])[None] @ states[:, None, :, None]
     return products.reshape(-1, ops.shape[2])
-
-
-def _check_same_space(a: PsrModel, b: PsrModel) -> None:
-    if a.space != b.space:
-        raise StructuralError("models live on different spaces")

@@ -39,6 +39,12 @@ def _read_only_copy(values) -> np.ndarray:
     return copy
 
 
+def check_same_space(what: str, a: ObsActSpace, b: ObsActSpace) -> None:
+    """Refuse ``what`` on two different spaces with a :class:`StructuralError` naming both."""
+    if a is not b and a != b:
+        raise StructuralError(f"{what} live on different spaces: {a} and {b}")
+
+
 def enum_cap() -> int:
     """Trajectory-enumeration cap, overridable via PSRLAB_ENUM_CAP."""
     raw = os.environ.get(ENUM_CAP_ENV_VAR)

@@ -3,7 +3,8 @@ and Monte-Carlo event frequencies.
 
 Deterministic checks must pass outright.  Probabilistic checks compare an
 observed violation rate against its nominal level plus normal-approximation
-slack at the 99% z value, so reruns with fresh seeds stay stable.
+slack at the 99% z value, so reruns with fresh seeds stay stable.  Each
+likelihood event reads every candidate at once, through the set's stack.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .bonus import (
 )
 from .errors import DegenerateHistory, StructuralError
 from .estimation import (
+    NEG_INF,
     DatasetFamily,
-    _one_model,
     _perturbed_rows,
+    _SelectionRecord,
     conditional_tv_diagnostic,
     constrained_mle,
     make_candidates,
@@ -51,6 +53,7 @@ from .pomdp import (
 from .psr import (
     CoreTestSet,
     PsrModel,
+    PsrStack,
     check_self_consistency,
     conditional_update_violation,
     forward_step,
@@ -164,7 +167,7 @@ def brute_force_test_cond_prob(env: TabularPomdp, history: History, obs: tuple[i
 def run_core_identities(report: Report) -> None:
     suite = "core-identities"
     for name, env in small_builtin_envs():
-        model, g = default_psr(env)
+        model, _ = default_psr(env)
         worst = 0.0
         for h in range(env.space.horizon + 1):
             worst = max(worst, float(np.abs(model.prob_table(h) - env.prob_table(h)).max()))
@@ -394,22 +397,22 @@ def _uniform_collections(
         yield from datasets
 
 
-def _prefix_loglik(model: PsrModel, dataset: DatasetFamily) -> float:
-    """Sum over buckets of each entry's own-step prefix log probability."""
-    terms = []
-    for h, cols in enumerate(dataset.columns):
-        probs = model.prob_table(h)[cols.prefix] * cols.prefix_weight
-        if np.any(probs <= 0.0):
-            return float("-inf")
-        terms.extend(math.log(p) for p in probs.tolist())
-    return math.fsum(terms)
+def _prefix_logliks(stack: PsrStack, dataset: DatasetFamily) -> np.ndarray:
+    """Each member's sum of log(prefix probability x weight) over the entries, one gather per bucket; -inf if one is <= 0."""
+    probs = np.concatenate([stack.prob_table(h).take(cols.prefix, axis=1) * cols.prefix_weight
+                            for h, cols in enumerate(dataset.columns)], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logliks = np.log(probs).sum(axis=1)
+    logliks[(probs <= 0.0).any(axis=1)] = NEG_INF
+    return logliks
 
 
 def run_mle_events(report: Report, seeds: int = 200) -> None:
     suite = "mle-events"
     env = reference_env()
-    true_model, _ = default_psr(env)
     cands = make_candidates(env, "dithered", seed=77, n=8, scale=0.08)
+    stack, truth = cands.stack, cands.labels.index("true")
+    true_model = cands.models[truth]
     n_rounds = 12
     n_cands = len(cands)
     log_term = math.log(n_rounds * n_cands / DELTA)
@@ -421,20 +424,17 @@ def run_mle_events(report: Report, seeds: int = 200) -> None:
     hellinger = [[hellinger_sq(model, true_model, policy) for policy in explorers] for model in cands.models]
     datasets = _uniform_collections(env, explorers, n_rounds, [child_seed(s, "mle-event") for s in range(seeds)])
     for dataset in datasets:
-        # One pass per model gives both its p_min stability and its log-likelihood.
-        (stable_true,), (lik_true,) = _one_model(true_model, dataset, p_min)
-        prefix_true = _prefix_loglik(true_model, dataset)
-        margin_ok = True
-        cond_ok = True
-        hell_ok = True
-        for i, model in enumerate(cands.models):
-            (stable,), (lik,) = _one_model(model, dataset, p_min)
-            if lik - 3.0 * log_term > lik_true:
-                margin_ok = False
-            if _prefix_loglik(model, dataset) - 3.0 * log_term > prefix_true:
-                margin_ok = False
-            gap = lik_true - lik if lik > float("-inf") else math.inf
-            if stable:
+        # One read over the stack gives every candidate's p_min stability and log-likelihood.
+        stable, liks = _SelectionRecord(cands, p_min, n_cands, env.space.horizon).read(stack.prob_table, dataset)
+        prefix_liks = _prefix_logliks(stack, dataset)
+        margin_ok = not (
+            (liks - 3.0 * log_term > liks[truth]).any() or (prefix_liks - 3.0 * log_term > prefix_liks[truth]).any()
+        )
+        cond_ok = hell_ok = True
+        lik_true = float(liks[truth])
+        for i, (model, lik) in enumerate(zip(cands.models, liks.tolist())):
+            gap = lik_true - lik if lik > NEG_INF else math.inf
+            if stable[i]:
                 lhs = conditional_tv_diagnostic(model, true_model, dataset, explorers)
                 if lhs > 6.0 * gap + 31.0 * log_term + 1e-9:
                     cond_ok = False
@@ -444,7 +444,7 @@ def run_mle_events(report: Report, seeds: int = 200) -> None:
         viol["loglik-margin"] += 0 if margin_ok else 1
         viol["conditional-tv"] += 0 if cond_ok else 1
         viol["hellinger"] += 0 if hell_ok else 1
-        viol["p-min-feasible"] += 0 if stable_true else 1
+        viol["p-min-feasible"] += 0 if stable[truth] else 1
     allowed = DELTA + wilson_slack(DELTA, seeds)
     for name, count in viol.items():
         rate = count / seeds
@@ -515,8 +515,8 @@ def _bound_holds(
 def run_validity_checks(report: Report, runs: int = 100, params: dict | None = None) -> None:
     suite = "ucb-validity"
     env = reference_env()
-    true_model, _ = default_psr(env)
     cands = make_candidates(env, "dithered", seed=42, n=10, scale=0.03)
+    true_model = cands.models[cands.labels.index("true")]
     if params is None:
         params = {"p_min": 1e-10, "beta": 40.0, "lam": 1.0, "alpha": 2.0}
     space = env.space

@@ -31,7 +31,10 @@ the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
 selection's oracle gathers and reduces every recorded entry in one pass, as
 selection did before it kept a running record on the dataset, and
-:func:`theta_min_feasible` is one model's ``p_min`` stability flag.  The
+:func:`theta_min_feasible` is one model's ``p_min`` stability flag, and
+:func:`oracle_prefix_loglik` one model's prefix log-likelihood, summed one
+entry at a time as verify's likelihood events did before they read the
+whole candidate stack at once.  The
 confidence-bound validity check builds and weighs one tree policy object at
 a time, as before its policies' weights came from one stacked table.  Tests
 compare the package against them bit for bit.  :func:`dataset_jsonl` is the
@@ -45,6 +48,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from conftest import model_from_arrays
 from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import history_from_lex, psi
 from psrlab import estimation
@@ -53,7 +57,7 @@ from psrlab.estimation import (
     MAX_ATTEMPTS_PER_CANDIDATE,
     MAX_CANDIDATES,
     DatasetFamily,
-    _one_model,
+    _SelectionRecord,
     constrained_mle,
 )
 from psrlab.online import _build_evaluator
@@ -396,9 +400,21 @@ def dataset_jsonl(dataset, label):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def oracle_prefix_loglik(model: PsrModel, dataset: DatasetFamily) -> float:
+    """Sum over buckets of each entry's own-step prefix log probability, one ``math.log`` per entry."""
+    terms = []
+    for h, cols in enumerate(dataset.columns):
+        probs = model.prob_table(h)[cols.prefix] * cols.prefix_weight
+        if np.any(probs <= 0.0):
+            return float("-inf")
+        terms.extend(math.log(p) for p in probs.tolist())
+    return math.fsum(terms)
+
+
 def theta_min_feasible(model: PsrModel, dataset: DatasetFamily, p_min: float) -> bool:
     """Every recorded prefix keeps probability at least p_min under the model."""
-    return bool(_one_model(model, dataset, p_min)[0][0])
+    stable, _ = _SelectionRecord(None, p_min, len(model.stack), model.space.horizon).read(model.stack.prob_table, dataset)
+    return bool(stable[model.index])
 
 
 def oracle_simplex_lattice(dim: int, eps: float) -> list[np.ndarray]:
@@ -586,7 +602,7 @@ def oracle_pomdp_to_psr(pomdp: TabularPomdp, g: GMatrices) -> PsrModel:
     fault = oracle_model_fault(space, core, psi0, M, phi)
     if fault is not None:
         raise StructuralError(fault)
-    return PsrModel(space, core, psi0, tuple(M), tuple(phi))
+    return model_from_arrays(space, core, psi0, M, phi)
 
 
 def oracle_default_psr(pomdp: TabularPomdp):

@@ -7,7 +7,8 @@ import scipy
 
 from psrlab import pomdp as pmd
 from psrlab.pomdp import default_psr, random_revealing
-from psrlab.psr import PsrModel, make_core_test_set
+from psrlab.errors import StructuralError
+from psrlab.psr import PsrStack, make_core_test_set
 from psrlab.spaces import Future
 
 
@@ -38,6 +39,20 @@ def small_model(small_env):
     return default_psr(small_env)[0]
 
 
+def model_from_arrays(space, core, psi0, M, phi):
+    """A model built from arrays: member 0 of a stack of one over fresh copies of them.
+
+    The stack's one :meth:`PsrStack.faults` entry, if any, is raised as a
+    ``StructuralError`` with its message.
+    """
+    stack = PsrStack(space, core, np.array(psi0)[None], tuple(np.array(ops)[None] for ops in M),
+                     tuple(np.array(vec)[None] for vec in phi))
+    (fault,) = stack.faults()
+    if fault is not None:
+        raise StructuralError(fault)
+    return stack.members()[0]
+
+
 def growing_model():
     """An H=3 PSR, two observations, one action, built by hand: observation 1 first has
     probability 1e-13, below the degenerate guard, and every step-2 operator scales by 1e3,
@@ -46,7 +61,7 @@ def growing_model():
     core = make_core_test_set(space, [(Future(h, (0,), ()),) for h in range(3)])
     first = np.array([1.0 - 1e-13, 1e-13]).reshape(2, 1, 1, 1)
     M = (first, np.full((2, 1, 1, 1), 1e3), np.full((2, 1, 1, 1), 0.5))
-    return PsrModel(space, core, np.ones(1), M, (np.ones(1),) * 4)
+    return model_from_arrays(space, core, np.ones(1), M, (np.ones(1),) * 4)
 
 
 def make_single_state_env(horizon=2, n_obs=2, n_actions=2, emission_row=None):

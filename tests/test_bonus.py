@@ -60,9 +60,7 @@ def test_private_caches_are_not_constructor_arguments(reference_model):
     with pytest.raises(TypeError, match="_factor"):
         FeatureGram(0, 1.0, np.eye(2), _factor=10 * np.eye(2))
     with pytest.raises(TypeError, match="_feature_cache"):
-        PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi, _feature_cache={2: np.zeros(1)})
-    with pytest.raises(TypeError, match="stack"):
-        PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi, stack=m.stack)
+        PsrModel(m.stack, 0, _feature_cache={2: np.zeros(1)})
     with pytest.raises(TypeError, match="_depth_tables"):
         PsrStack(m.space, m.core_tests, m.stack.psi0, m.stack.M, m.stack.phi, _depth_tables={2: np.zeros(1)})
     with pytest.raises(TypeError, match="models"):

@@ -20,7 +20,7 @@ from check_oracles import (
     oracle_stability_and_likelihood,
     theta_min_feasible,
 )
-from conftest import assert_same_columns, assert_same_model, make_single_state_env
+from conftest import assert_same_columns, assert_same_model, make_single_state_env, model_from_arrays
 from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import seq_prob
 from psrlab import estimation
@@ -38,7 +38,7 @@ from psrlab.estimation import (
 )
 from psrlab.policies import UniformActionSeqPolicy, uniform_policy
 from psrlab.pomdp import TabularPomdp, default_psr, near_tie, random_mdp, random_revealing
-from psrlab.psr import PsrModel, PsrStack, check_self_consistency
+from psrlab.psr import PsrStack, check_self_consistency
 from psrlab.spaces import History
 from psrlab.verify import reference_env
 
@@ -349,11 +349,11 @@ def test_candidate_set_keeps_tuples_not_the_callers_lists(reference_env):
     cands = make_candidates(reference_env, "dithered", seed=2, n=3, scale=0.05)
     labels = list(cands.labels)
     held = CandidateSet(cands.stack, labels)
-    table = held.prob_table(2)
+    table = held.stack.prob_table(2)
     labels[0] = "changed"
     assert isinstance(held.models, tuple) and isinstance(held.labels, tuple)
-    assert held.labels == cands.labels and held.prob_table(2) is table
-    assert cands.prob_table(2) is table
+    assert held.labels == cands.labels and held.stack.prob_table(2) is table
+    assert cands.stack.prob_table(2) is table
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
@@ -566,7 +566,7 @@ def _staged_candidates(env):
 
 def _assert_fresh_pass_bits(result, cands, dataset, p_min, beta):
     """``result`` carries the one-pass oracle's stable set and log-likelihood bits, and its selection."""
-    stable, logliks = oracle_stability_and_likelihood(cands.prob_table, dataset, p_min)
+    stable, logliks = oracle_stability_and_likelihood(cands.stack.prob_table, dataset, p_min)
     ids = np.flatnonzero(stable)
     liks = logliks[ids]
     assert [x.hex() for x in result.log_likelihoods] == [float(x).hex() for x in liks]
@@ -644,7 +644,7 @@ def test_selection_record_matches_fresh_pass_bitwise_through_add_add_batch_and_s
             stable, logliks = oracle_stability_and_likelihood(stack, dataset, p_min)
             assert log_likelihood(model, dataset).hex() == float(logliks[0]).hex()
             assert theta_min_feasible(model, dataset, p_min) is bool(stable[0])
-    stable_ids = np.flatnonzero(oracle_stability_and_likelihood(cands.prob_table, dataset, p_min)[0]).tolist()
+    stable_ids = np.flatnonzero(oracle_stability_and_likelihood(cands.stack.prob_table, dataset, p_min)[0]).tolist()
     assert neg_inf_id in stable_ids and result.log_likelihoods[stable_ids.index(neg_inf_id)] == float("-inf")
     assert unstable_id not in stable_ids
 
@@ -665,9 +665,9 @@ def test_candidate_prob_table_rows_are_the_members_tables():
     cands = make_candidates(env, **options)
     space = env.space
     assert len(cands) == 41
-    alone = [PsrModel(m.space, m.core_tests, m.psi0, m.M, m.phi) for m in cands.models]
+    alone = [model_from_arrays(m.space, m.core_tests, m.psi0, m.M, m.phi) for m in cands.models]
     for h in range(1, space.horizon + 1):
-        stacked = cands.prob_table(h)
+        stacked = cands.stack.prob_table(h)
         assert stacked is cands.stack.tables(h)[1]
         assert stacked.shape == (len(cands), space.n_histories(h))
         assert not stacked.flags.writeable
@@ -741,3 +741,30 @@ def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
         for model in cands.models:
             want = oracle_conditional_tv_diagnostic(model, truth, policies, buckets)
             assert conditional_tv_diagnostic(model, truth, dataset, policies).hex() == want.hex()
+
+
+def test_a_dataset_or_model_from_another_space_is_refused():
+    """Selection, the likelihood, the grams and the conditional-TV diagnostic gather at lex indices
+    of one tree, so a dataset or a second model on another space is a ``StructuralError`` naming
+    both spaces, not a silent gather from the wrong tree or a reshape error."""
+    from psrlab.bonus import prefix_grams
+    from psrlab.offline import collect_offline
+    from psrlab.pomdp import tiger
+
+    near, tig = near_tie(), tiger(2)
+    cands = make_candidates(tig, "include_true")
+    dataset = collect_offline(near, uniform_policy(near.space), 10, 0)
+    other, model = default_psr(near)[0], cands.models[0]
+    policies = [uniform_policy(near.space)] * near.space.horizon
+    refusals = [
+        ("candidates and dataset", tig, near, lambda: constrained_mle(cands, dataset, 1e-9, 1.0)),
+        ("model and dataset", tig, near, lambda: log_likelihood(model, dataset)),
+        ("model and dataset", tig, near, lambda: prefix_grams(model, dataset, 1.0)),
+        ("models", tig, near, lambda: conditional_tv_diagnostic(model, other, dataset, policies)),
+        ("models and dataset", near, tig, lambda: conditional_tv_diagnostic(other, other, DatasetFamily(tig.space), policies)),
+    ]
+    for what, first, second, call in refusals:
+        spaces = f"{re.escape(str(first.space))} and {re.escape(str(second.space))}"
+        with pytest.raises(StructuralError, match=f"^{what} live on different spaces: {spaces}$"):
+            call()
+    assert dataset._selection is None

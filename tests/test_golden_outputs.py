@@ -16,7 +16,10 @@ digest at 5 seeds was recorded while the confidence-bound validity check
 still built and weighed one tree policy object per random policy, and the
 one at 20 seeds while every verify suite still drew each seed's stream from
 its own ``default_rng``; a drift in any bit a verify line prints (a count,
-a rate or a formatted distance) changes them.
+a rate or a formatted distance) changes them.  The ``mle-events`` digest at
+the command line's default of 100 seeds was recorded while that suite still
+read each candidate's likelihood in its own pass and summed each prefix log
+with ``math.log`` one entry at a time.
 """
 
 import hashlib
@@ -74,6 +77,8 @@ ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e
 # benchmark's n = 20.
 VERIFY_ALL_5_SHA256 = "01ebe6ba5354ee9f37583c0d5bff31ebc1313403966917099ab647e81f830f07"
 VERIFY_ALL_20_SHA256 = "b48f12dd1d67bbb8298ac8335bb939f234fc6881cdc110a343af573387ee2d73"
+# SHA-256 of the newline-joined lines of verify("mle-events", 100).
+MLE_EVENTS_100_SHA256 = "245198327e932f8235f32674446adef7db6cc57564c43ebb1873086c75d3fad1"
 
 
 def _assert_digests(out, expected, expected_all):
@@ -138,6 +143,12 @@ def test_verify_all_lines_at_the_benchmark_seed_count_are_byte_identical():
     lines = verify("all", 20).lines()
     assert len(lines) == 69
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VERIFY_ALL_20_SHA256, cpu_kernels()
+
+
+def test_mle_events_lines_at_the_command_line_seed_count_are_byte_identical():
+    lines = verify("mle-events", 100).lines()
+    assert len(lines) == 4
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == MLE_EVENTS_100_SHA256, cpu_kernels()
 
 
 def test_cpu_kernels_read_unknown_without_the_symbol():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import growing_model, make_single_state_env
+from conftest import growing_model, make_single_state_env, model_from_arrays
 from policy_oracles import drawn_history
 from pomdp_oracles import prediction_feature, psi, seq_prob
 from psrlab.errors import DegenerateHistory, StructuralError
@@ -34,7 +34,7 @@ def scalar_identity_model():
     space = ObsActSpace(1, 2, 1)
     core = make_core_test_set(space, [(Future(0, (0,), ()),)])
     M = (np.ones((1, 2, 1, 1)),)
-    return PsrModel(space, core, np.ones(1), M, (np.ones(1), np.ones(1)))
+    return model_from_arrays(space, core, np.ones(1), M, (np.ones(1), np.ones(1)))
 
 
 def emission_pair_models(row_a, row_b):
@@ -72,8 +72,8 @@ def test_seq_prob_matches_forward_oracle(small_env, small_model):
 
 def test_seq_prob_dimension_mismatch_is_structural():
     model = scalar_identity_model()
-    with pytest.raises(StructuralError):
-        PsrModel(model.space, model.core_tests, np.ones(2), model.M, model.phi)
+    with pytest.raises(StructuralError, match="^M at step 1 expects input dim 2, got 1$"):
+        model_from_arrays(model.space, model.core_tests, np.ones(2), model.M, model.phi)
 
 
 def test_prediction_feature_empty_history(small_model):
@@ -165,9 +165,7 @@ def test_self_consistency_detects_perturbation(small_model):
     assert worst <= 1e-9
     M = list(np.copy(m) for m in small_model.M)
     M[1][0, 0, 0, 0] += 0.1
-    perturbed = PsrModel(
-        small_model.space, small_model.core_tests, small_model.psi0, tuple(M), small_model.phi
-    )
+    perturbed = model_from_arrays(small_model.space, small_model.core_tests, small_model.psi0, M, small_model.phi)
     affected = abs(small_model.phi[2][0] * 0.1)
     assert check_self_consistency(perturbed) >= affected - 1e-12
     assert check_self_consistency(perturbed) > 0
@@ -193,7 +191,7 @@ def test_non_finite_parameters_are_rejected(small_model, param, index, named, ba
     target = params[param] if index is None else params[param][index]
     target.flat[0] = bad
     with pytest.raises(StructuralError, match=f"{named} has non-finite entries"):
-        PsrModel(m.space, m.core_tests, params["psi0"], tuple(params["M"]), tuple(params["phi"]))
+        model_from_arrays(m.space, m.core_tests, params["psi0"], params["M"], params["phi"])
 
 
 def test_violation_folds_keep_nan(small_model):
@@ -206,7 +204,7 @@ def test_violation_folds_keep_nan(small_model):
     H = m.space.horizon
     last = np.zeros(m.M[H - 1].shape[:2] + (2, m.dims[H - 1]))
     last[:, :, 0, :], last[:, :, 1, :] = 1e200, -1e200
-    big = PsrModel(m.space, m.core_tests, m.psi0, m.M[:-1] + (last,), m.phi[:-1] + (np.array([1e200, 1e200]),))
+    big = model_from_arrays(m.space, m.core_tests, m.psi0, m.M[:-1] + (last,), m.phi[:-1] + (np.array([1e200, 1e200]),))
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isnan(check_self_consistency(big))
         assert not terminal_anchor_violation(big) <= 1e-9
@@ -294,7 +292,7 @@ def test_gamma_doubled_row_doubles_branch(small222_model):
     model = small222_model
     M = [np.copy(m) for m in model.M]
     M[0][1, 0] *= 2.0  # break self-consistency deliberately (test only)
-    doubled = PsrModel(model.space, model.core_tests, model.psi0, tuple(M), model.phi)
+    doubled = model_from_arrays(model.space, model.core_tests, model.psi0, M, model.phi)
 
     def branch_sup(m, o, a, x):
         vec = m.M[0][o, a] @ x
@@ -392,13 +390,7 @@ def test_model_serialization_bit_exact(small_model):
     data = small_model.to_dict()
     text = json.dumps(data)
     loaded = json.loads(text)
-    rebuilt = PsrModel(
-        small_model.space,
-        small_model.core_tests,
-        np.asarray(loaded["psi0"]),
-        tuple(np.asarray(m) for m in loaded["M"]),
-        tuple(np.asarray(v) for v in loaded["phi"]),
-    )
+    rebuilt = model_from_arrays(small_model.space, small_model.core_tests, loaded["psi0"], loaded["M"], loaded["phi"])
     assert np.array_equal(rebuilt.psi0, small_model.psi0)
     for a, b in zip(rebuilt.M, small_model.M):
         assert np.array_equal(a, b)
@@ -458,15 +450,18 @@ def test_per_history_lookups_validate_the_history(small_model):
 
 
 def test_model_inputs_are_read_only_copies(reference_model):
-    """psi0 and every M[h] and phi[h] are read-only copies of what the caller passed, so a write
-    raises and neither the inputs nor the cached probability and feature tables change."""
+    """psi0 and every M[h] and phi[h] are read-only views of the model's rows of its stack, so a write
+    raises and neither they nor the cached probability and feature tables change; a model built
+    from arrays reads copies of them, not the caller's arrays."""
     m = reference_model
     psi0, M, phi = m.psi0.copy(), tuple(ops.copy() for ops in m.M), tuple(vec.copy() for vec in m.phi)
-    rebuilt = PsrModel(m.space, m.core_tests, psi0, M, phi)
+    rebuilt = model_from_arrays(m.space, m.core_tests, psi0, M, phi)
     H = m.space.horizon
     for built in (m, rebuilt):
         tables = [built.prob_table(h).copy() for h in range(H + 1)] + [built.feature_table(h).copy() for h in range(H)]
         inputs = (built.psi0, *built.M, *built.phi)
+        rows = (built.stack.psi0, *built.stack.M, *built.stack.phi)
+        assert all(np.shares_memory(array, row) for array, row in zip(inputs, rows, strict=True))
         snapshot = [a.tobytes() for a in inputs]
         for array in inputs:
             assert not array.flags.writeable
@@ -525,6 +520,53 @@ def test_self_consistency_of_a_member_measures_that_member_alone():
     worst = broken.self_consistency()
     assert worst[2] > 1e-6 >= worst.max(initial=0.0, where=np.arange(len(worst)) != 2)
     for c, member in enumerate(broken.members()):
-        alone = PsrModel(member.space, member.core_tests, member.psi0, member.M, member.phi)
+        alone = model_from_arrays(member.space, member.core_tests, member.psi0, member.M, member.phi)
         assert check_self_consistency(member).hex() == check_self_consistency(alone).hex(), c
         assert check_self_consistency(member).hex() == float(worst[c]).hex(), c
+
+
+def test_a_model_is_a_member_of_its_stack(small_model):
+    """``PsrModel(stack, index)`` reads its space, core tests and parameter rows from the stack; the
+    arrays are not constructor arguments, and a member outside the stack is refused."""
+    stack = PsrStack.concatenate((small_model.stack, small_model.stack))
+    members = stack.members()
+    assert [(m.stack, m.index) for m in members] == [(stack, 0), (stack, 1)]
+    for c, model in enumerate(members):
+        assert model.space is stack.space and model.core_tests is stack.core_tests
+        for array, rows in zip((model.psi0, *model.M, *model.phi), (stack.psi0, *stack.M, *stack.phi), strict=True):
+            assert np.shares_memory(array, rows[c]) and array.tobytes() == rows[c].tobytes()
+    for index in (-1, 2):
+        with pytest.raises(StructuralError, match=f"^member {index} outside a stack of 2$"):
+            PsrModel(stack, index)
+    with pytest.raises(TypeError, match="psi0"):
+        PsrModel(stack, 0, psi0=small_model.psi0)
+
+
+def test_every_table_accessor_refuses_a_depth_outside_the_horizon():
+    """A depth below 0 or above H is a ``StructuralError`` from every table accessor, never a
+    recursion or index error, and caches nothing."""
+    from psrlab.pomdp import near_tie
+
+    model = default_psr(near_tie())[0]
+    H = model.space.horizon
+    accessors = {
+        "stack.tables": model.stack.tables,
+        "stack.prob_table": model.stack.prob_table,
+        "state_table": model.state_table,
+        "prob_table": model.prob_table,
+        "feature_table": model.feature_table,
+        "degenerate_mask": model.degenerate_mask,
+        "degenerate_prefixes": model.degenerate_prefixes,
+    }
+    for name, accessor in accessors.items():
+        for h in (-1, -2, H + 1, H + 3):
+            with pytest.raises(StructuralError, match=rf"^step {h} outside \[0, {H}\]$"):
+                accessor(h)
+    assert set(model.stack._depth_tables) <= set(range(H + 1)) and not model._feature_cache
+
+
+def test_distances_refuse_models_on_two_spaces(small_model, reference_model):
+    policy = uniform_policy(small_model.space)
+    for distance in (tv_distance, hellinger_sq):
+        with pytest.raises(StructuralError, match="^models live on different spaces: ObsActSpace.*horizon=3.* and .*horizon=2"):
+            distance(small_model, reference_model, policy)

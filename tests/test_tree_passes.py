@@ -15,7 +15,7 @@ from check_oracles import (
     oracle_score_table,
     oracle_stacked_states,
 )
-from conftest import make_single_state_env
+from conftest import make_single_state_env, model_from_arrays
 from policy_oracles import add_drawn
 from psrlab import online
 from psrlab.bonus import BonusEvaluator, FeatureGram, prefix_grams
@@ -25,7 +25,7 @@ from psrlab.online import OnlineConfig, _build_evaluator, run_psr_ucb
 from psrlab.planner import plan_on_table
 from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr, near_tie, random_revealing
-from psrlab.psr import PsrModel, make_core_test_set
+from psrlab.psr import make_core_test_set
 from psrlab.spaces import Future, ObsActSpace
 from psrlab.verify import small_builtin_envs
 
@@ -124,7 +124,7 @@ def test_probability_view_keeps_zero_signs():
     """Negative operators on a zero state: every product is -0.0, and the probabilities stay +0.0."""
     space = ObsActSpace(1, 2, 1)
     core = make_core_test_set(space, [(Future(0, (0,), ()),)])
-    model = PsrModel(space, core, np.zeros(1), (np.full((1, 2, 1, 1), -1.0),), (np.ones(1), np.ones(1)))
+    model = model_from_arrays(space, core, np.zeros(1), (np.full((1, 2, 1, 1), -1.0),), (np.ones(1), np.ones(1)))
     states, probs = model.stack.tables(1)
     assert np.shares_memory(probs, states)
     assert _same(probs, (states @ np.ones((1, 1, 1)))[:, :, 0])

@@ -1,12 +1,14 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 from check_oracles import (
     brute_force_prefix_prob,
     oracle_bound_holds,
     oracle_conditional_tv_diagnostic,
+    oracle_prefix_loglik,
     oracle_uniform_collection,
 )
 from conftest import assert_same_columns
@@ -15,10 +17,12 @@ from psrlab.estimation import conditional_tv_diagnostic, make_candidates
 from psrlab.offline import OfflineConfig, collect_offline, run_psr_lcb
 from psrlab.policies import policy_weight_vector, random_tree_policy, uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
+from psrlab.psr import PsrStack
 from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import (
     Report,
     _bound_holds,
+    _prefix_logliks,
     _tree_policy_weights,
     _uniform_collections,
     _uniform_explorers,
@@ -181,25 +185,50 @@ def test_tree_policy_weights_are_each_policys_weight_vector():
 
 
 def test_mle_events_reads_each_model_once_per_seed(monkeypatch):
-    """One selection-record pass per model per seed gives both its stability and its log-likelihood."""
+    """One selection-record read per seed, over the candidate set's whole stack (the truth is its
+    ``"true"`` member), gives every model's stability and log-likelihood."""
     from collections import Counter
 
     from psrlab import estimation
     from psrlab.verify import run_mle_events
 
-    datasets = []  # one item per read; holding the datasets keeps their ids distinct
+    reads = []  # (dataset, models read) per read; holding the datasets keeps their ids distinct
     read = estimation._SelectionRecord.read
 
     def counting_read(self, prob_table, dataset):
-        datasets.append(dataset)
+        reads.append((dataset, len(prob_table(0))))
         return read(self, prob_table, dataset)
 
     monkeypatch.setattr(estimation._SelectionRecord, "read", counting_read)
     seeds = 3
     run_mle_events(Report(), seeds)
-    n_models = 1 + len(make_candidates(reference_env(), "dithered", seed=77, n=8, scale=0.08))  # truth + candidates
-    assert n_models == 10
-    assert sorted(Counter(map(id, datasets)).values()) == [n_models] * seeds
+    cands = make_candidates(reference_env(), "dithered", seed=77, n=8, scale=0.08)
+    assert len(cands) == 9 and cands.labels[0] == "true"
+    assert sorted(Counter(id(dataset) for dataset, _ in reads).values()) == [1] * seeds
+    assert [n_models for _, n_models in reads] == [len(cands)] * seeds
+
+
+def test_prefix_logliks_are_each_members_per_entry_sum():
+    """The stacked prefix log-likelihoods equal each member's per-entry ``math.log`` sum to 1e-12
+    relative (``np.log`` and a pairwise sum replace ``math.log`` and ``fsum``), and are -inf for a
+    member under which a recorded prefix has probability 0 or below."""
+    env = reference_env()
+    stack = make_candidates(env, "dithered", seed=77, n=4, scale=0.08).stack
+    first = np.array(stack.M[0])
+    first[1, 0] = 0.0  # member 1 never emits observation 0 first
+    first[2, 0] *= -1.0  # member 2 gives a first observation 0 negative probability
+    stack = PsrStack(stack.space, stack.core_tests, stack.psi0, (first,) + stack.M[1:], stack.phi)
+    recorded = []
+    for seed in range(4):
+        (dataset,) = _uniform_collections(env, _uniform_explorers(stack.core_tests), 12, [child_seed(seed, "mle-event")])
+        zero_first = any(lex < env.space.n_actions for lex in dataset.columns[1].prefix)
+        recorded.append(zero_first)
+        got = _prefix_logliks(stack, dataset)
+        want = np.array([oracle_prefix_loglik(model, dataset) for model in stack.members()])
+        assert np.isneginf(got).tolist() == np.isneginf(want).tolist() == [False, zero_first, zero_first, False, False]
+        finite = np.isfinite(want)
+        assert got[finite] == pytest.approx(want[finite], rel=1e-12, abs=0.0)
+    assert recorded == [True, False, True, True]  # seed 1 records no first observation 0
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.01, 1e-6])
