@@ -17,7 +17,8 @@ builds that depth for its whole family once, and the selected model's tables
 are rows of the set's.  Online and offline selection are the same
 gather-and-reduce over them: each recorded prefix and trajectory is one
 column of the stacked ``(n_candidates, n_histories)`` table, and
-:func:`log_likelihood` is that read for one model alone.
+:func:`log_likelihood` is that read for one model alone.  The conditional-TV
+diagnostic also reads a whole stack at once.
 
 A dataset's columns are append-only: entries enter only through
 :meth:`DatasetFamily.add` and :meth:`DatasetFamily.add_batch`, as the lex
@@ -448,39 +449,39 @@ def constrained_mle(
 
 
 def conditional_tv_diagnostic(
-    model_a: PsrModel, model_b: PsrModel, dataset: DatasetFamily, policies: Sequence[Policy]
-) -> float:
-    """Summed squared conditional total-variation over recorded prefixes.
+    models: PsrStack, reference: PsrModel, dataset: DatasetFamily, policies: Sequence[Policy]
+) -> np.ndarray:
+    """Each member's summed squared conditional total variation from ``reference`` over recorded prefixes.
 
-    For each bucket-``h`` entry, compares the two models' distributions of
-    the remaining trajectory given the length-``h`` prefix, under
-    ``policies[h]``, the policy every entry of bucket ``h`` was drawn with,
-    by exact enumeration of the continuations: one continuation-weight pass
-    per bucket.  Models or a dataset on different spaces raise
-    :class:`StructuralError`.
+    Per bucket-``h`` entry, compares a member's and the reference's laws of
+    the remaining trajectory given the length-``h`` prefix under
+    ``policies[h]``, the bucket's drawing policy, by exact enumeration.  One
+    gather of every member's prefix probabilities, one continuation-weight
+    pass and one set of reference conditionals per bucket serve the stack;
+    each (member, entry) TV is a ``math.fsum``, so no member's bits depend on
+    the others.  One model's value is the call on ``model.stack`` at
+    ``model.index``.  A zero prefix probability raises
+    :class:`DegenerateHistory`, another space :class:`StructuralError`.
     """
-    space = model_a.space
-    check_same_space("models", space, model_b.space)
+    space, n_models = models.space, len(models)
+    check_same_space("models", space, reference.space)
     check_same_space("models and dataset", space, dataset.space)
     if len(policies) != space.horizon:
         raise StructuralError(f"need one policy per bucket ({space.horizon}), got {len(policies)}")
-    table_a = model_a.prob_table(space.horizon)
-    table_b = model_b.prob_table(space.horizon)
-    terms = []
+    tables, reference_table = models.prob_table(space.horizon), reference.prob_table(space.horizon)
+    terms = [[] for _ in range(n_models)]
     for h, (cols, policy) in enumerate(zip(dataset.columns, policies)):
         if not cols.trajectory:
             continue
         prefix = np.asarray(cols.prefix)
-        pa = model_a.prob_table(h)[prefix]
-        pb = model_b.prob_table(h)[prefix]
+        probs, reference_probs = models.prob_table(h)[:, prefix], reference.prob_table(h)[prefix]
         wp = np.asarray(cols.prefix_weight)
-        if np.any(pa * wp <= 0.0) or np.any(pb * wp <= 0.0):
+        if np.any(probs * wp <= 0.0) or np.any(reference_probs * wp <= 0.0):
             raise DegenerateHistory(f"prefix at step {h} has zero probability under a compared model")
         reps = space.pair_count ** (space.horizon - h)
         weights = continuation_weights(policy, space, h, prefix)
-        cond_a = table_a.reshape(-1, reps)[prefix] / pa[:, None]
-        cond_b = table_b.reshape(-1, reps)[prefix] / pb[:, None]
-        for row in np.abs(weights * (cond_a - cond_b)).tolist():
-            tv = math.fsum(row)
-            terms.append(tv * tv)
-    return math.fsum(terms)
+        conds = tables.reshape(n_models, space.n_histories(h), reps)[:, prefix] / probs[:, :, None]
+        reference_conds = reference_table.reshape(-1, reps)[prefix] / reference_probs[:, None]
+        for member, rows in zip(terms, np.abs(weights * (conds - reference_conds)).tolist()):
+            member.extend(tv * tv for tv in map(math.fsum, rows))
+    return np.array([math.fsum(member) for member in terms])

@@ -45,8 +45,7 @@ def leaf_table(space: ObsActSpace, leaf_fn: Callable[[History], float]) -> np.nd
 
 def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[DeterministicTreePolicy, float]:
     """Backward induction over precomputed leaf values."""
-    if leaves.shape != (space.n_trajectories,):
-        raise StructuralError(f"expected {space.n_trajectories} leaf values, got shape {leaves.shape}")
+    _check_leaves(space, leaves)
     n_obs, n_actions = space.n_obs, space.n_actions
     dtype = action_dtype(n_actions)  # the tree policy's storage type, so its tables are these arrays
     choices: list[np.ndarray] = []
@@ -69,6 +68,11 @@ def plan_on_table(space: ObsActSpace, leaves: np.ndarray) -> tuple[Deterministic
     return DeterministicTreePolicy._from_valid_tables(space, tuple(choices)), value
 
 
+def _check_leaves(space: ObsActSpace, leaves: np.ndarray) -> None:
+    if np.shape(leaves) != (space.n_trajectories,):
+        raise StructuralError(f"expected {space.n_trajectories} leaf values, got shape {np.shape(leaves)}")
+
+
 def _column_sum(values: np.ndarray, n: int) -> np.ndarray:
     """``values.reshape(-1, n).sum(axis=1)`` bit for bit.
 
@@ -86,6 +90,7 @@ def _column_sum(values: np.ndarray, n: int) -> np.ndarray:
 
 
 def policy_value_on_table(space: ObsActSpace, policy: Policy, leaves: np.ndarray) -> float:
-    """sum_traj weight(traj) * leaves[traj] under ``policy``, exactly."""
+    """sum_traj weight(traj) * leaves[traj] under ``policy``, exactly; the leaves are checked as in :func:`plan_on_table`."""
+    _check_leaves(space, leaves)
     weights = policy_weight_vector(policy, space)
     return float(np.dot(weights, leaves))

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import StructuralError
 from .seeding import first_integers
-from .spaces import ObsActSpace
+from .spaces import ObsActSpace, check_same_space
 
 # Generator.choice accepts a probability row whose sum is within this of 1.
 ROW_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
@@ -122,6 +122,7 @@ class DeterministicTreePolicy:
                 raise StructuralError(f"step {h} table has shape {table.shape}, expected ({expected},)")
 
     def _rows(self, space: ObsActSpace, h: int, nodes: np.ndarray | int) -> tuple[_Rows, np.ndarray | int]:
+        check_same_space("tree policy and its reader", self.space, space)  # nodes index the reader's tree
         return _one_hot_table(self.space.n_actions), self.actions_by_step[h - 1][nodes]
 
     def to_dict(self) -> dict:

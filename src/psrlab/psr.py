@@ -43,7 +43,7 @@ import numpy as np
 from .errors import StructuralError
 from .planner import plan_on_table
 from .policies import Policy, policy_weight_vector
-from .spaces import Future, ObsActSpace, check_same_space
+from .spaces import _INTEGERS, Future, ObsActSpace, check_same_space
 
 PSI_GUARD = 1e-12
 RANK_TOL = 1e-8  # singular values at most this fraction of the largest count as zero
@@ -126,6 +126,8 @@ class PsrModel:
 
     def __post_init__(self) -> None:
         stack, c = self.stack, self.index
+        if isinstance(c, bool) or not isinstance(c, _INTEGERS):  # True would index as 1 and keep the member axis
+            raise StructuralError(f"member index must be an integer, got {c!r}")
         if not 0 <= c < len(stack):
             raise StructuralError(f"member {c} outside a stack of {len(stack)}")
         # Plain attributes, not properties, since the online loop reads them per iteration; frozen, so set in __dict__.
@@ -327,7 +329,7 @@ class PsrStack:
             return cached
         self.space.n_histories(h)  # a depth outside [0, H] raises
         if h == 0:
-            states = self.psi0.reshape(len(self), 1, -1)
+            states = self.psi0[:, None, :]  # not a reshape with -1, which an empty stack cannot take
         else:
             prev = self.tables(h - 1)[0]
             ops_stack = self.M[h - 1]

@@ -4,7 +4,7 @@ and Monte-Carlo event frequencies.
 Deterministic checks must pass outright.  Probabilistic checks compare an
 observed violation rate against its nominal level plus normal-approximation
 slack at the 99% z value, so reruns with fresh seeds stay stable.  Each
-likelihood event reads every candidate at once, through the set's stack.
+likelihood event is one array comparison per dataset over the set's stack.
 """
 
 from __future__ import annotations
@@ -407,21 +407,25 @@ def _prefix_logliks(stack: PsrStack, dataset: DatasetFamily) -> np.ndarray:
     return logliks
 
 
+def _hellinger_sums(models: Sequence[PsrModel], reference: PsrModel, policies: Sequence[Policy], n: int) -> np.ndarray:
+    """Each model's ``math.fsum`` of ``n`` Hellinger distances from ``reference`` under each bucket's policy."""
+    distances = [[hellinger_sq(model, reference, policy) for policy in policies] for model in models]
+    return np.array([math.fsum(row * n) for row in distances])
+
+
 def run_mle_events(report: Report, seeds: int = 200) -> None:
     suite = "mle-events"
     env = reference_env()
     cands = make_candidates(env, "dithered", seed=77, n=8, scale=0.08)
     stack, truth = cands.stack, cands.labels.index("true")
     true_model = cands.models[truth]
-    n_rounds = 12
-    n_cands = len(cands)
+    n_rounds, n_cands = 12, len(cands)
     log_term = math.log(n_rounds * n_cands / DELTA)
     p_min = DELTA / (n_rounds * env.space.horizon * float(env.space.pair_count) ** env.space.horizon)
     viol = {"loglik-margin": 0, "conditional-tv": 0, "hellinger": 0, "p-min-feasible": 0}
     explorers = _uniform_explorers(true_model.core_tests)
-    # Neither a candidate nor a bucket's exploration policy changes across seeds,
-    # so each (candidate index, bucket) distance is computed once.
-    hellinger = [[hellinger_sq(model, true_model, policy) for policy in explorers] for model in cands.models]
+    # Every collection holds n_rounds entries per bucket, so each candidate's Hellinger sum is the same for every seed.
+    hellinger = _hellinger_sums(cands.models, true_model, explorers, n_rounds)
     datasets = _uniform_collections(env, explorers, n_rounds, [child_seed(s, "mle-event") for s in range(seeds)])
     for dataset in datasets:
         # One read over the stack gives every candidate's p_min stability and log-likelihood.
@@ -430,17 +434,12 @@ def run_mle_events(report: Report, seeds: int = 200) -> None:
         margin_ok = not (
             (liks - 3.0 * log_term > liks[truth]).any() or (prefix_liks - 3.0 * log_term > prefix_liks[truth]).any()
         )
-        cond_ok = hell_ok = True
-        lik_true = float(liks[truth])
-        for i, (model, lik) in enumerate(zip(cands.models, liks.tolist())):
-            gap = lik_true - lik if lik > NEG_INF else math.inf
-            if stable[i]:
-                lhs = conditional_tv_diagnostic(model, true_model, dataset, explorers)
-                if lhs > 6.0 * gap + 31.0 * log_term + 1e-9:
-                    cond_ok = False
-            hell = math.fsum([hellinger[i][h] for h, cols in enumerate(dataset.columns) for _ in cols.trajectory])
-            if hell > 0.5 * gap + 2.0 * log_term + 1e-9:
-                hell_ok = False
+        gap = np.full(n_cands, math.inf)  # a candidate that cannot produce the data is infinitely far behind
+        np.subtract(liks[truth], liks, out=gap, where=liks > NEG_INF)
+        ids = np.flatnonzero(stable)
+        lhs = conditional_tv_diagnostic(stack.take(ids), true_model, dataset, explorers)
+        cond_ok = not (lhs > 6.0 * gap[ids] + 31.0 * log_term + 1e-9).any()
+        hell_ok = not (hellinger > 0.5 * gap + 2.0 * log_term + 1e-9).any()
         viol["loglik-margin"] += 0 if margin_ok else 1
         viol["conditional-tv"] += 0 if cond_ok else 1
         viol["hellinger"] += 0 if hell_ok else 1

@@ -137,7 +137,8 @@ def test_constrained_mle_empty_feasible_set(reference_env, small_dataset):
 
 def test_conditional_tv_identical_models(reference_model, small_dataset):
     policies = [uniform_policy(reference_model.space)] * reference_model.space.horizon
-    assert conditional_tv_diagnostic(reference_model, reference_model, small_dataset, policies) == 0.0
+    got = conditional_tv_diagnostic(reference_model.stack, reference_model, small_dataset, policies)
+    assert got.tolist() == [0.0]
 
 
 def test_conditional_tv_disjoint_support_squared():
@@ -148,7 +149,8 @@ def test_conditional_tv_disjoint_support_squared():
     dataset = DatasetFamily(env_a.space)
     pol = uniform_policy(env_a.space)
     add_history(dataset, pol, History(((0, 0),)), 0)
-    assert conditional_tv_diagnostic(model_a, model_b, dataset, [pol]) == pytest.approx(4.0, abs=1e-12)
+    got = conditional_tv_diagnostic(PsrStack.concatenate((model_a.stack, model_b.stack)), model_b, dataset, [pol])
+    assert got.tolist() == [pytest.approx(4.0, abs=1e-12), 0.0]
 
 
 def test_conditional_tv_degenerate_prefix_raises(reference_env, reference_model):
@@ -158,7 +160,7 @@ def test_conditional_tv_degenerate_prefix_raises(reference_env, reference_model)
     pol = uniform_policy(env_det.space)
     add_history(dataset, pol, History(((1, 0), (0, 0))), 1)
     with pytest.raises(DegenerateHistory):
-        conditional_tv_diagnostic(model_det, model_det, dataset, [pol, pol])
+        conditional_tv_diagnostic(model_det.stack, model_det, dataset, [pol, pol])
 
 
 def test_make_candidates_include_true(reference_env):
@@ -721,9 +723,9 @@ def test_bucket_weight_columns_match_per_history_oracle(reference_env, monkeypat
 
 @pytest.mark.parametrize("seed", range(3))
 def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
-    """The diagnostic, one continuation pass per bucket, equals the
-    trajectory-walking oracle after every stage of a growing dataset drawn
-    under one random tree policy per step."""
+    """The diagnostic of the whole candidate stack, one continuation pass per bucket, equals the
+    trajectory-walking oracle of each member bit for bit after every stage of a growing dataset
+    drawn under one random tree policy per step."""
     from psrlab.policies import random_tree_policy
     from psrlab.seeding import child_seed
 
@@ -738,9 +740,9 @@ def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
             for h, pol in enumerate(policies):
                 episode_seed = child_seed(seed, "ctv-episode", 100 * stage + 10 * k + h)
                 buckets[h].append(add_drawn(dataset, small_env, pol, episode_seed, h))
-        for model in cands.models:
-            want = oracle_conditional_tv_diagnostic(model, truth, policies, buckets)
-            assert conditional_tv_diagnostic(model, truth, dataset, policies).hex() == want.hex()
+        got = conditional_tv_diagnostic(cands.stack, truth, dataset, policies)
+        want = [oracle_conditional_tv_diagnostic(model, truth, policies, buckets) for model in cands.models]
+        assert [value.hex() for value in got.tolist()] == [value.hex() for value in want]
 
 
 def test_a_dataset_or_model_from_another_space_is_refused():
@@ -760,8 +762,8 @@ def test_a_dataset_or_model_from_another_space_is_refused():
         ("candidates and dataset", tig, near, lambda: constrained_mle(cands, dataset, 1e-9, 1.0)),
         ("model and dataset", tig, near, lambda: log_likelihood(model, dataset)),
         ("model and dataset", tig, near, lambda: prefix_grams(model, dataset, 1.0)),
-        ("models", tig, near, lambda: conditional_tv_diagnostic(model, other, dataset, policies)),
-        ("models and dataset", near, tig, lambda: conditional_tv_diagnostic(other, other, DatasetFamily(tig.space), policies)),
+        ("models", tig, near, lambda: conditional_tv_diagnostic(cands.stack, other, dataset, policies)),
+        ("models and dataset", near, tig, lambda: conditional_tv_diagnostic(other.stack, other, DatasetFamily(tig.space), policies)),
     ]
     for what, first, second, call in refusals:
         spaces = f"{re.escape(str(first.space))} and {re.escape(str(second.space))}"

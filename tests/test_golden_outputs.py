@@ -19,7 +19,8 @@ its own ``default_rng``; a drift in any bit a verify line prints (a count,
 a rate or a formatted distance) changes them.  The ``mle-events`` digest at
 the command line's default of 100 seeds was recorded while that suite still
 read each candidate's likelihood in its own pass and summed each prefix log
-with ``math.log`` one entry at a time.
+with ``math.log`` one entry at a time, and while the conditional-TV
+diagnostic compared one candidate with the truth per call.
 """
 
 import hashlib

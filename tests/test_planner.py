@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -124,8 +125,12 @@ def test_plan_value_agrees_with_value_evaluator(model222, env222):
 
 
 def test_plan_rejects_wrong_leaf_count(model222):
-    with pytest.raises(StructuralError, match="expected 16 leaf values"):
-        plan_on_table(model222.space, np.zeros(3))
+    """Planning and evaluating both refuse leaves that are not one value per trajectory."""
+    policy = uniform_policy(model222.space)
+    for leaves in (np.zeros(3), np.zeros(15), np.zeros((16, 2))):
+        for call in (lambda: plan_on_table(model222.space, leaves), lambda: policy_value_on_table(model222.space, policy, leaves)):
+            with pytest.raises(StructuralError, match=rf"^expected 16 leaf values, got shape {re.escape(str(leaves.shape))}$"):
+                call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, "both_infs"])

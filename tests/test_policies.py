@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -290,3 +292,30 @@ def test_tree_weight_table_rejects_a_table_of_the_wrong_count_or_shape():
         tree_weight_table(space, tables[:1])
     with pytest.raises(StructuralError, match=r"step 2 table has shape \(2, 8\), expected \(3, 8\)"):
         tree_weight_table(space, (tables[0], tables[1][:2]))
+
+
+@pytest.mark.parametrize("space", [ObsActSpace(3, 2, 3), ObsActSpace(2, 2, 2)], ids=str)
+def test_a_tree_policy_on_another_space_is_refused(space):
+    """A tree policy's tables are indexed by nodes of its own tree, so every reader on another space
+    refuses it by name, where a deeper tree gave silent values and a narrower one an IndexError."""
+    from psrlab.offline import coverage_coefficient
+    from psrlab.planner import policy_value_on_table
+    from psrlab.pomdp import default_psr
+    from psrlab.psr import tv_distance
+    from psrlab.verify import reference_env
+
+    env = reference_env()
+    model, _ = default_psr(env)
+    policy = random_tree_policy(space, 1)
+    readers = {
+        "coverage_coefficient": lambda: coverage_coefficient(env, policy, uniform_policy(env.space)),
+        "policy_value_on_table": lambda: policy_value_on_table(env.space, policy, np.ones(env.space.n_trajectories)),
+        "sample_episodes": lambda: env.sample_episodes(policy, [1, 2]),
+        "sample_episode": lambda: env.sample_episode(policy, [0.5] * 5),
+        "policy_weight_vector": lambda: policy_weight_vector(policy, env.space),
+        "tv_distance": lambda: tv_distance(model, model, policy),
+    }
+    message = f"^tree policy and its reader live on different spaces: {re.escape(str(space))} and {re.escape(str(env.space))}$"
+    for name, read in readers.items():
+        with pytest.raises(StructuralError, match=message):
+            read()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -527,7 +528,8 @@ def test_self_consistency_of_a_member_measures_that_member_alone():
 
 def test_a_model_is_a_member_of_its_stack(small_model):
     """``PsrModel(stack, index)`` reads its space, core tests and parameter rows from the stack; the
-    arrays are not constructor arguments, and a member outside the stack is refused."""
+    arrays are not constructor arguments, and a member outside the stack, or an index that is not an
+    integer, is refused."""
     stack = PsrStack.concatenate((small_model.stack, small_model.stack))
     members = stack.members()
     assert [(m.stack, m.index) for m in members] == [(stack, 0), (stack, 1)]
@@ -538,6 +540,10 @@ def test_a_model_is_a_member_of_its_stack(small_model):
     for index in (-1, 2):
         with pytest.raises(StructuralError, match=f"^member {index} outside a stack of 2$"):
             PsrModel(stack, index)
+    for index in (True, 0.0, np.bool_(False), np.float64(1.0)):  # True would index as 1 and keep the member axis
+        with pytest.raises(StructuralError, match=f"^member index must be an integer, got {re.escape(repr(index))}$"):
+            PsrModel(stack, index)
+    assert PsrModel(stack, np.int64(1)).psi0.tobytes() == members[1].psi0.tobytes()
     with pytest.raises(TypeError, match="psi0"):
         PsrModel(stack, 0, psi0=small_model.psi0)
 

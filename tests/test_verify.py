@@ -6,22 +6,24 @@ import pytest
 
 from check_oracles import (
     brute_force_prefix_prob,
+    decoded_trajectories,
     oracle_bound_holds,
     oracle_conditional_tv_diagnostic,
     oracle_prefix_loglik,
     oracle_uniform_collection,
 )
 from conftest import assert_same_columns
-from psrlab.errors import StructuralError
+from psrlab.errors import DegenerateHistory, StructuralError
 from psrlab.estimation import conditional_tv_diagnostic, make_candidates
 from psrlab.offline import OfflineConfig, collect_offline, run_psr_lcb
 from psrlab.policies import policy_weight_vector, random_tree_policy, uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
-from psrlab.psr import PsrStack
+from psrlab.psr import PsrStack, hellinger_sq
 from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import (
     Report,
     _bound_holds,
+    _hellinger_sums,
     _prefix_logliks,
     _tree_policy_weights,
     _uniform_collections,
@@ -106,7 +108,8 @@ COLLECTION_ENVS = {
 def test_uniform_collection_matches_one_episode_oracle(name, seed):
     """One batched draw per step gives the columns of one ``sample_episode``
     and ``add`` per entry, bit for bit, under one exploration policy per step;
-    the conditional-TV diagnostic of either equals the trajectory-walking oracle."""
+    the conditional-TV diagnostic of either, over a candidate stack, equals the trajectory-walking
+    oracle of each member."""
     env = COLLECTION_ENVS[name]
     truth, _ = default_psr(env)
     collection_seed = child_seed(seed, "mle-event")
@@ -115,10 +118,11 @@ def test_uniform_collection_matches_one_episode_oracle(name, seed):
     want, policies, buckets = oracle_uniform_collection(env, truth, 12, collection_seed)
     assert_same_columns(got, want)
     assert [p.to_dict() for p in explorers] == [p.to_dict() for p in policies]
-    for model in make_candidates(env, "dithered", seed=77, n=4, scale=0.08).models:
-        oracle = oracle_conditional_tv_diagnostic(model, truth, policies, buckets).hex()
-        assert conditional_tv_diagnostic(model, truth, got, explorers).hex() == oracle
-        assert conditional_tv_diagnostic(model, truth, want, policies).hex() == oracle
+    cands = make_candidates(env, "dithered", seed=77, n=4, scale=0.08)
+    oracle = [oracle_conditional_tv_diagnostic(model, truth, policies, buckets).hex() for model in cands.models]
+    for dataset, dataset_policies in ((got, explorers), (want, policies)):
+        values = conditional_tv_diagnostic(cands.stack, truth, dataset, dataset_policies)
+        assert [value.hex() for value in values.tolist()] == oracle
 
 
 def test_conditional_tv_needs_one_policy_per_bucket():
@@ -128,7 +132,7 @@ def test_conditional_tv_needs_one_policy_per_bucket():
     (dataset,) = _uniform_collections(env, explorers, 2, [0])
     for policies in (explorers[:-1], explorers + explorers[:1]):
         with pytest.raises(StructuralError, match="one policy per bucket"):
-            conditional_tv_diagnostic(truth, truth, dataset, policies)
+            conditional_tv_diagnostic(truth.stack, truth, dataset, policies)
 
 
 VERIFY_MODULE = sys.modules["psrlab.verify"]  # the package re-exports the function under the module's name
@@ -206,6 +210,76 @@ def test_mle_events_reads_each_model_once_per_seed(monkeypatch):
     assert len(cands) == 9 and cands.labels[0] == "true"
     assert sorted(Counter(id(dataset) for dataset, _ in reads).values()) == [1] * seeds
     assert [n_models for _, n_models in reads] == [len(cands)] * seeds
+
+
+def test_mle_events_values_behind_the_lines_match_their_per_pair_forms(monkeypatch):
+    """Every ``mle-events`` line prints 0 violations at the seed counts tried, so the lines cannot
+    see a drift in the values they compare.  On 3 suite seeds the suite makes one stacked diagnostic
+    call per dataset, over its stable members, with one continuation-weight pass per bucket; each
+    member's value equals the trajectory-walking oracle of that candidate bit for bit, and each
+    candidate's Hellinger sum, taken once per suite, equals its per-dataset ``math.fsum``."""
+    from psrlab import estimation
+    from psrlab.verify import run_mle_events
+
+    calls, stables, weight_buckets = [], [], []
+    diagnostic, read, weights = conditional_tv_diagnostic, estimation._SelectionRecord.read, estimation.continuation_weights
+
+    def recording_diagnostic(models, reference, dataset, policies):
+        values = diagnostic(models, reference, dataset, policies)
+        calls.append((models, reference, dataset, policies, values))
+        return values
+
+    def recording_read(self, prob_table, dataset):
+        stable, liks = read(self, prob_table, dataset)
+        stables.append(stable)
+        return stable, liks
+
+    def counting_weights(policy, space, h, prefixes):
+        weight_buckets.append(h)
+        return weights(policy, space, h, prefixes)
+
+    monkeypatch.setattr(VERIFY_MODULE, "conditional_tv_diagnostic", recording_diagnostic)
+    monkeypatch.setattr(estimation._SelectionRecord, "read", recording_read)
+    monkeypatch.setattr(estimation, "continuation_weights", counting_weights)
+    seeds = 3
+    run_mle_events(Report(), seeds)
+    assert len(calls) == len(stables) == seeds and weight_buckets == [0, 1] * seeds
+    cands = make_candidates(reference_env(), "dithered", seed=77, n=8, scale=0.08)
+    truth = cands.models[cands.labels.index("true")]
+    explorers = _uniform_explorers(truth.core_tests)
+    hellinger = _hellinger_sums(cands.models, truth, explorers, 12)
+    for (models, reference, dataset, policies, values), stable in zip(calls, stables):
+        ids = np.flatnonzero(stable)
+        assert reference.index == truth.index and len(models) == len(values) == len(ids) > 0
+        buckets = decoded_trajectories(dataset)
+        want = [oracle_conditional_tv_diagnostic(cands.models[i], truth, policies, buckets) for i in ids]
+        assert [value.hex() for value in values.tolist()] == [value.hex() for value in want]
+        per_dataset = [math.fsum([hellinger_sq(model, truth, explorers[h]) for h, bucket in enumerate(buckets) for _ in bucket])
+                       for model in cands.models]
+        assert [value.hex() for value in hellinger.tolist()] == [value.hex() for value in per_dataset]
+
+
+def test_stacked_diagnostic_refuses_a_degenerate_member_and_reads_an_empty_stack():
+    """A member (or reference) under which a recorded prefix has probability 0 makes the stacked call
+    raise; the stack without it keeps the other members' bits, and an empty stack gives an empty array."""
+    env = reference_env()
+    cands = make_candidates(env, "dithered", seed=77, n=4, scale=0.08)
+    stack, truth = cands.stack, cands.models[0]
+    explorers = _uniform_explorers(truth.core_tests)
+    (dataset,) = _uniform_collections(env, explorers, 12, [child_seed(0, "mle-event")])
+    assert any(lex < env.space.n_actions for lex in dataset.columns[1].prefix)  # a recorded first observation 0
+    first = np.array(stack.M[0])
+    first[2, 0] = 0.0  # member 2 never emits observation 0 first
+    degenerate = PsrStack(stack.space, stack.core_tests, stack.psi0, (first,) + stack.M[1:], stack.phi)
+    for models, reference in ((degenerate, truth), (stack.take([]), degenerate.members()[2])):
+        with pytest.raises(DegenerateHistory, match="^prefix at step 1 has zero probability under a compared model$"):
+            conditional_tv_diagnostic(models, reference, dataset, explorers)
+    kept = [0, 1, 3, 4]
+    want = conditional_tv_diagnostic(stack, truth, dataset, explorers)[kept]
+    got = conditional_tv_diagnostic(degenerate.take(kept), truth, dataset, explorers)
+    assert got.tobytes() == want.tobytes() and (got[1:] > 0.0).all()
+    empty = conditional_tv_diagnostic(stack.take([]), truth, dataset, explorers)
+    assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def test_prefix_logliks_are_each_members_per_entry_sum():
