@@ -20,10 +20,11 @@ converts a family on the truth's core-test set, which every member shares,
 into one :class:`~psrlab.psr.PsrStack`, validated once, with each member's
 error; :func:`pomdp_to_psr` of the window-test matrices of
 :func:`g_matrices` builds that set once and converts a family of one, and
-:func:`default_psr` picks the smallest window that is numerically sound.  A
-window's singular values are taken once, by
-:attr:`GMatrices.singular_values`, for both the decodability value and the
-conversion's condition check.
+:func:`default_psr` picks the smallest window that is numerically sound.
+An environment converts once: it caches each window's
+:class:`GMatrices`, whose :attr:`~GMatrices.singular_values` serve both the
+decodability value and the conversion's condition check, and the result of
+:func:`default_psr`, so every later call is a lookup.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ MAX_CONDITION = 1e10
 ALPHA_FLOOR = 1e-8  # a window whose decodability value is at most this is not numerically sound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RewardTable:
-    """Per-step reward on (obs, action); trajectory reward is the sum over steps."""
+    """Per-step reward on (obs, action); trajectory reward is the sum over steps.  Compares by identity."""
 
     table: np.ndarray  # (H, O, A), entrywise >= 0 with sum_h max_{o,a} <= 1
 
@@ -98,9 +99,15 @@ class RewardTable:
         return leaves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabularPomdp:
-    """Tabular POMDP with deterministic initial state and per-step tables."""
+    """Tabular POMDP with deterministic initial state and per-step tables.
+
+    The environment is frozen and its tables are read-only copies, so what
+    derives from them is cached on first use: the forward tables per depth,
+    each window's :func:`g_matrices` and the :func:`default_psr` conversion.
+    Environments compare and hash by identity.
+    """
 
     n_states: int
     space: ObsActSpace
@@ -108,7 +115,9 @@ class TabularPomdp:
     emission: np.ndarray  # (H, S, O), row-stochastic over o
     initial_state: int
     reward: RewardTable
-    _table_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)  # depth -> (beliefs, probs)
+    _table_cache: dict = field(default_factory=dict, init=False, repr=False)  # depth -> (beliefs, probs)
+    _windows: dict = field(default_factory=dict, init=False, repr=False)  # window m -> GMatrices, from g_matrices
+    _psr: tuple | None = field(default=None, init=False, repr=False)  # default_psr's (model, g) once converted
 
     def __post_init__(self) -> None:
         check_numbers({"n_states": self.n_states, "initial_state": self.initial_state}, {})
@@ -351,12 +360,12 @@ def window_tests(space: ObsActSpace, state_step: int, m: int) -> list[Future]:
     return [Future(state_step - 1, test[0::2], test[1::2]) for test in product(*digits)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GMatrices:
     """Per-step test-probability matrices over hidden states.
 
     ``matrices[h-1]`` has one row per window test whose first observation is
-    emitted at step ``h`` and one column per hidden state.
+    emitted at step ``h`` and one column per hidden state.  Compares by identity.
     """
 
     m: int
@@ -403,9 +412,17 @@ def _walk_tests(transition: np.ndarray, emission: np.ndarray, tests: Sequence[Fu
 
 
 def g_matrices(pomdp: TabularPomdp, m: int) -> GMatrices:
-    """Exact window-test probability matrices for every state step, one :meth:`~TabularPomdp.test_probs` walk each."""
-    tests = _window_test_sets(pomdp.space, m)
-    return GMatrices(m, tests, tuple(pomdp.test_probs(step_tests, h) for h, step_tests in enumerate(tests, start=1)))
+    """Exact window-test probability matrices for every state step, one :meth:`~TabularPomdp.test_probs` walk each.
+
+    Built on the environment's first call for window ``m`` and cached in it,
+    so a window's matrices and singular values are computed once.
+    """
+    g = pomdp._windows.get(m)
+    if g is None:
+        tests = _window_test_sets(pomdp.space, m)
+        mats = tuple(pomdp.test_probs(step_tests, h) for h, step_tests in enumerate(tests, start=1))
+        g = pomdp._windows[m] = GMatrices(m, tests, mats)
+    return g
 
 
 def _window_test_sets(space: ObsActSpace, m: int) -> tuple[tuple[Future, ...], ...]:
@@ -528,13 +545,21 @@ def _family_psrs(
 
 
 def default_psr(pomdp: TabularPomdp) -> tuple[PsrModel, GMatrices]:
-    """PSR via the smallest window whose decodability value exceeds ``ALPHA_FLOOR``."""
+    """PSR via the smallest window whose decodability value exceeds ``ALPHA_FLOOR``.
+
+    Converted on the environment's first call and cached in it: every call
+    returns the same model and matrices.  A failure is not cached; each
+    call raises :class:`SingularCoreTests` again, from the cached windows.
+    """
+    if pomdp._psr is not None:
+        return pomdp._psr
     last_alpha = 0.0
     for m in range(1, pomdp.space.horizon + 1):
         g = g_matrices(pomdp, m)
         last_alpha = decodability_alpha(g)
         if last_alpha > ALPHA_FLOOR:
-            return pomdp_to_psr(pomdp, g=g), g
+            object.__setattr__(pomdp, "_psr", (pomdp_to_psr(pomdp, g=g), g))  # frozen, so set as in __post_init__
+            return pomdp._psr
     raise SingularCoreTests(f"no decodable window up to m=H (best alpha {last_alpha:.3g})")
 
 

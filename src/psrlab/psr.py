@@ -240,14 +240,26 @@ class PsrStack:
         )
 
     def take(self, ids: Sequence[int]) -> PsrStack:
-        """The members ``ids``, in that order."""
-        return PsrStack(
+        """The members ``ids``, in that order, with their rows of every depth this stack has cached.
+
+        A member's tables do not depend on the other members, so the gathered
+        rows have the bits the new stack would compute.  Probabilities that
+        are a view of this stack's states are a view of the new states.
+        """
+        taken = PsrStack(
             self.space,
             self.core_tests,
             self.psi0[ids],
             tuple(ops[ids] for ops in self.M),
             tuple(vec[ids] for vec in self.phi),
         )
+        for h, (states, probs) in self._depth_tables.items():
+            rows = states[ids]
+            picked = rows[:, :, 0] if np.may_share_memory(probs, states) else probs[ids]
+            rows.setflags(write=False)
+            picked.setflags(write=False)
+            taken._depth_tables[h] = (rows, picked)
+        return taken
 
     def faults(self) -> list[str | None]:
         """Each member's first fault, in the order the checks run, or None for a valid model.

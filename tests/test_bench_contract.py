@@ -3,12 +3,13 @@
 ``perfbench/tracer.py`` wraps entry points by module and attribute name, and
 ``perfbench/workloads.py`` calls a few more and reads fields of the online
 loop's results; a deletion or rename that breaks either fails here first.
-The tracer file is loaded by path and only read.
+The tracer and workload files are loaded by path and only read.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,14 +40,20 @@ RESULT_FIELDS = {
 }
 
 
-def _entry_points():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer_contract", TRACER)
+def _load(path: Path):
+    """A perfbench file as a module of its own, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{path.stem}_contract", path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.ENTRY_POINTS
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
-ENTRY_POINTS = _entry_points()
+ENTRY_POINTS = _load(TRACER).ENTRY_POINTS
+WORKLOADS = _load(TRACER.with_name("workloads.py")).WORKLOADS
 
 
 @pytest.mark.parametrize("prefix,module,cls,attr,_kinds", ENTRY_POINTS, ids=[row[0] for row in ENTRY_POINTS])
@@ -152,3 +159,16 @@ def test_online_iteration_reaches_every_traced_stage(monkeypatch):
     assert len(result.logs) == 3 and not result.terminated
     per_iteration = {prefix: 1 for prefix in stages} | {"pomdp.sample_episode": env.space.horizon}
     assert calls == {prefix: 3 * n for prefix, n in per_iteration.items()}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_setup_converts_its_environment_once(monkeypatch, name):
+    """Every set-up asks ``default_psr`` for the truth, and ``make_candidates`` asks again per family;
+    the environment converts on the first call and answers the others from its cache."""
+    import psrlab.pomdp
+
+    converted = []
+    convert = psrlab.pomdp.pomdp_to_psr
+    monkeypatch.setattr(psrlab.pomdp, "pomdp_to_psr", lambda env, g: converted.append(env) or convert(env, g))
+    state = WORKLOADS[name](seed=0).setup()
+    assert len(converted) == 1 and converted[0] is state[0]

@@ -399,6 +399,31 @@ def test_checked_in_configs_pass_the_section_checks(name):
     assert "env" in config
 
 
+@pytest.mark.parametrize(
+    "command,name,options",
+    [
+        ("run-online", "online_decay.json", ["--seeds", "0"]),
+        ("run-online", "online_reference.json", ["--seeds", "0"]),
+        ("run-offline", "offline_sweep.json", ["--seeds", "0"]),
+        ("sweep-offline", "offline_sweep.json", ["--k-list", "250", "--seeds", "1"]),
+    ],
+)
+def test_commands_convert_the_truth_once(tmp_path, runner, monkeypatch, command, name, options):
+    """A command asks ``default_psr`` for the truth and ``make_candidates`` asks again; the
+    environment converts once and answers the second call from its cache."""
+    from pathlib import Path
+
+    import psrlab.pomdp
+
+    converted = []
+    convert = psrlab.pomdp.pomdp_to_psr
+    monkeypatch.setattr(psrlab.pomdp, "pomdp_to_psr", lambda env, g: converted.append(env) or convert(env, g))
+    cfg = Path(__file__).resolve().parents[1] / "configs" / name
+    result = runner.invoke(main, [command, "--config", str(cfg), "--out", str(tmp_path / "out"), *options])
+    assert result.exit_code == 0, result.output
+    assert len(converted) == 1
+
+
 def _keys_read(function: ast.FunctionDef, names: set[str]) -> set[str]:
     """String keys the function looks up in a dict named in ``names``: ``d[k]``, ``d.get(k)``, ``k in d``."""
     keys = set()

@@ -418,19 +418,52 @@ def test_family_refuses_tables_as_one_environment_does():
 
 
 @pytest.mark.parametrize(
-    "env,n_svds",
-    [(random_revealing(1, 2, 3, 2, 6), 6), (near_tie(), 4), (tiger(3), 3)],
+    "make_env,n_svds",
+    [(lambda: random_revealing(1, 2, 3, 2, 6), 6), (near_tie, 4), (lambda: tiger(3), 3)],
     ids=["online-large", "near_tie", "tiger(3)"],
 )
-def test_default_psr_takes_each_test_matrix_singular_values_once(monkeypatch, env, n_svds):
-    """The decodability value and the conversion's condition check read one SVD per test matrix
-    (near_tie's window 1 is not decodable, so its two matrices are tried too), with the oracle's bits."""
+def test_default_psr_takes_each_test_matrix_singular_values_once(monkeypatch, make_env, n_svds):
+    """Over an environment's lifetime, from its construction (random_revealing's acceptance check
+    reads window 1) through two conversions, the decodability value and the conversion's condition
+    check read one SVD per test matrix (near_tie's window 1 is not decodable, so its two matrices
+    are tried too); the second call returns the first call's objects, with the oracle's bits."""
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args[0].shape) or svd(*args, **kwargs))
+    env = make_env()
     model, g = default_psr(env)
+    again = default_psr(env)
     monkeypatch.undo()
     assert len(calls) == n_svds
+    assert again[0] is model and again[1] is g and g_matrices(env, g.m) is g
     want, want_g = oracle_default_psr(env)
     assert g.m == want_g.m
     assert_same_model(model, want)
+
+
+def test_environments_rewards_and_test_matrices_compare_by_identity():
+    """Two environments with equal tables are two environments, as are their rewards and window
+    matrices, which each own a cache: ``==`` and ``hash`` read identity, never the arrays."""
+    e1, e2 = near_tie(), near_tie()
+    g1, g2 = g_matrices(e1, 2), g_matrices(e2, 2)
+    assert e1.transition.tobytes() == e2.transition.tobytes() and g1.matrices[0].tobytes() == g2.matrices[0].tobytes()
+    for a, b in ((e1, e2), (e1.reward, e2.reward), (g1, g2)):
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
+def test_an_undecodable_environment_raises_on_every_conversion(monkeypatch):
+    """A failed conversion is not cached: each call raises again, reading the cached windows' singular values."""
+    space = ObsActSpace(2, 2, 2)
+    emission = np.stack([np.array([[0.6, 0.4], [0.6, 0.4]])] * 2)
+    env = TabularPomdp(2, space, np.full((1, 2, 2, 2), 0.5), emission, 0, RewardTable(np.zeros((2, 2, 2))))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(args[0].shape) or svd(*args, **kwargs))
+    for _ in range(3):
+        with pytest.raises(SingularCoreTests, match="^no decodable window up to m=H"):
+            default_psr(env)
+    monkeypatch.undo()
+    assert len(calls) == 4 and env._psr is None  # windows 1 and 2, two state steps each
+    with pytest.raises(SingularCoreTests, match="^no decodable window up to m=H"):
+        oracle_default_psr(env)

@@ -489,6 +489,30 @@ def test_models_stacks_and_candidate_sets_compare_by_identity():
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_a_taken_stack_carries_the_cached_depths(depth):
+    """``take`` gathers its members' rows of every depth the stack has cached: byte-equal to the
+    depths the taken stack would compute itself, read-only, sharing no memory with the parent,
+    and the probabilities a view of the states where the parent's are."""
+    from psrlab.estimation import make_candidates
+
+    env = random_revealing(seed=1, n_states=2, n_obs=3, n_actions=2, horizon=3)
+    stack = make_candidates(env, "dithered", seed=4, n=5, scale=0.05).stack
+    stack.tables(depth)
+    ids = [4, 0, 2, 2]
+    taken = stack.take(ids)
+    assert sorted(taken._depth_tables) == list(range(depth + 1))
+    alone = PsrStack.concatenate([taken])
+    parent_arrays = [array for pair in stack._depth_tables.values() for array in pair]
+    for h in range(depth + 1):
+        (states, probs), (want_states, want_probs) = taken._depth_tables[h], alone.tables(h)
+        for got, want in ((states, want_states), (probs, want_probs)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), h
+            assert not got.flags.writeable and not any(np.shares_memory(got, p) for p in parent_arrays), h
+        assert np.shares_memory(probs, states) == np.shares_memory(want_probs, want_states) == (h > 0 and h == 3)
+    assert not stack.take([])._depth_tables[depth][0].size
+
+
 def test_member_tables_are_rows_of_the_stack_tables():
     """A member's states and probabilities are its rows of the stack's tables, with their memory;
     the first member to ask for a depth builds it for the whole stack."""

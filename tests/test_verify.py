@@ -259,6 +259,30 @@ def test_mle_events_values_behind_the_lines_match_their_per_pair_forms(monkeypat
         assert [value.hex() for value in hellinger.tolist()] == [value.hex() for value in per_dataset]
 
 
+def test_mle_events_builds_no_table_depth_for_a_taken_stack(monkeypatch):
+    """Each dataset's stable members are taken from the candidate stack with every depth it has
+    cached, so the diagnostic reads their tables without building one."""
+    from psrlab.verify import run_mle_events
+
+    taken, reads = [], []
+    take, tables = PsrStack.take, PsrStack.tables
+
+    def recording_take(self, ids):
+        out = take(self, ids)
+        taken.append(out)
+        return out
+
+    def recording_tables(self, h):
+        if any(self is stack for stack in taken):
+            reads.append(h in self._depth_tables)
+        return tables(self, h)
+
+    monkeypatch.setattr(PsrStack, "take", recording_take)
+    monkeypatch.setattr(PsrStack, "tables", recording_tables)
+    run_mle_events(Report(), 3)
+    assert len(reads) >= 3 and all(reads)
+
+
 def test_stacked_diagnostic_refuses_a_degenerate_member_and_reads_an_empty_stack():
     """A member (or reference) under which a recorded prefix has probability 0 makes the stacked call
     raise; the stack without it keeps the other members' bits, and an empty stack gives an empty array."""
