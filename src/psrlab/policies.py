@@ -29,7 +29,6 @@ ones are valid, for ``TabularPomdp.sample_episodes`` and for
 Both samplers draw by inverse CDF on a row's normalized cumulative sums
 and multiply each drawn entry into the episode's prefix weights, so a
 recorded weight is never looked up again.
-(:func:`tree_weight_table` weighs a stack of tree policies' tables at once.)
 """
 
 from __future__ import annotations
@@ -38,12 +37,11 @@ import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import StructuralError
-from .seeding import first_integers
 from .spaces import ObsActSpace, check_same_space
 
 # Generator.choice accepts a probability row whose sum is within this of 1.
@@ -374,49 +372,3 @@ def prefix_weight_tables(policy: Policy, space: ObsActSpace) -> Iterator[np.ndar
     """Policy weights of all length-``h`` histories in lexicographic order, for h = 0..H."""
     for weights in weight_steps(policy, space, 0, np.zeros(1, dtype=np.int64)):
         yield weights[0]
-
-
-def random_tree_tables(space: ObsActSpace, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Action tables of ``len(seeds)`` uniformly random tree policies, stacked.
-
-    One read-only ``(P, n_histories(h-1) * n_obs)`` array per step ``h``.
-    Row ``i`` of every step is what ``np.random.default_rng(seeds[i])``
-    draws with one ``integers(0, A, size=...)`` call per step in step order,
-    drawn for every seed at once by :func:`first_integers`.
-    """
-    widths = [space.n_histories(h - 1) * space.n_obs for h in range(1, space.horizon + 1)]
-    tables = first_integers(seeds, space.n_actions, widths)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
-
-
-def tree_weight_table(space: ObsActSpace, tables: Sequence[np.ndarray]) -> np.ndarray:
-    """Trajectory weights of stacked tree policies, one row per policy.
-
-    ``tables`` holds one ``(P, n_histories(h-1) * n_obs)`` action array per
-    step, as :func:`random_tree_tables` returns.  Each step keeps a node's
-    running product in its chosen action's column and 0.0 elsewhere, which
-    is what :func:`policy_weight_vector` gets by multiplying one-hot rows
-    into the products.  Every entry is 0.0 or 1.0, so row ``i`` has the bits
-    of ``policy_weight_vector`` of policy ``i``.
-    """
-    if len(tables) != space.horizon:
-        raise StructuralError("need one action table per step")
-    actions = np.arange(space.n_actions)
-    weights = np.ones((len(tables[0]), 1))
-    for h, table in enumerate(tables, start=1):
-        expected = (len(weights), space.n_histories(h - 1) * space.n_obs)
-        if table.shape != expected:
-            raise StructuralError(f"step {h} table has shape {table.shape}, expected {expected}")
-        if table.dtype.kind not in "iu" or table.size and (table.min() < 0 or table.max() >= space.n_actions):
-            raise StructuralError(f"action index out of range in tree policy: need integers in [0, {space.n_actions})")
-        node_weights = np.repeat(weights, space.n_obs, axis=1)
-        weights = np.where(table[..., None] == actions, node_weights[..., None], 0.0).reshape(len(weights), -1)
-    return weights
-
-
-def random_tree_policy(space: ObsActSpace, seed: int) -> DeterministicTreePolicy:
-    """Uniformly random deterministic tree policy drawn from ``seed`` (for test batteries): one row of :func:`random_tree_tables`."""
-    tables = random_tree_tables(space, [seed])
-    return DeterministicTreePolicy._from_valid_tables(space, tuple(table[0] for table in tables))

@@ -8,30 +8,16 @@ are specific to numpy's PCG64.  :func:`child_seed` derives one seed;
 the ``"{master}|{purpose}|"`` prefix once and copying the hash state per
 index, with the same values.
 
-:func:`first_uniforms` and :func:`first_integers` reproduce the streams of
-``np.random.default_rng(seed)`` in numpy array arithmetic, for many seeds
-at once: ``SeedSequence`` hashing, ``PCG64`` seeding and its 128-bit LCG
-(O'Neill, "PCG: A Family of Simple Fast Space-Efficient Statistically Good
-Algorithms for Random Number Generation", HMC-CS-2014-0905), whose outputs
-both read from :func:`_pcg_outputs`.
-
-* :func:`first_uniforms` gives ``Generator.random``'s doubles: the top 53
-  bits of each 64-bit output.
-* :func:`first_integers` gives successive ``Generator.integers(0, n,
-  size=k)`` calls.  numpy draws a range below 2**32 from 32-bit words, the
-  low half of each 64-bit output first, and keeps the unused high half for
-  the next call, so successive calls read one stream of 32-bit words.  Each
-  word becomes a value by Lemire's multiply-shift (``word * n >> 32``;
-  Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS 29(1),
-  2019), which numpy rejects and redraws where the low 32 bits of the
-  product fall below ``(2**32 - n) % n``.  That threshold is 0 when ``n`` is
-  a power of two; a seed whose words hit it anywhere is redrawn with
-  ``default_rng`` itself, so every row keeps numpy's bits.  ``n == 1``
-  consumes no words, as numpy's zero-range branch does.
+:func:`first_uniforms` reproduces the streams of ``np.random.default_rng(seed)``
+in numpy array arithmetic, for many seeds at once: ``SeedSequence``
+hashing, ``PCG64`` seeding and its 128-bit LCG (O'Neill, "PCG: A Family of
+Simple Fast Space-Efficient Statistically Good Algorithms for Random Number
+Generation", HMC-CS-2014-0905), whose outputs :func:`_pcg_outputs` gives.
+``Generator.random``'s doubles are the top 53 bits of each 64-bit output.
 
 NEP 19 keeps bit-generator streams stable across numpy releases; tier-1
-tests compare both functions with ``default_rng`` bit for bit, so a numpy
-release that changed a stream would fail them.
+tests compare :func:`first_uniforms` with ``default_rng`` bit for bit, so a
+numpy release that changed a stream would fail them.
 """
 
 from __future__ import annotations
@@ -40,8 +26,6 @@ import hashlib
 from typing import Iterable, Sequence
 
 import numpy as np
-
-from .errors import StructuralError
 
 
 def child_seed(master: int, purpose: str, index: int = 0) -> int:
@@ -73,9 +57,6 @@ _POOL_SIZE = 4
 _MIX_MULT_L = _U(0xCA01F9DD)
 _MIX_MULT_R = _U(0x4973F715)
 _PCG_MULT = (_U(0x2360ED051FC65DA4), _U(0x4385DF649FCCF645))  # PCG64's 128-bit LCG multiplier (high, low)
-# Below this many seeds, first_integers calls default_rng itself, which costs
-# less than the array arithmetic's fixed cost.
-_ARRAY_SEEDS = 8
 
 
 def _hash_constants(init: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,34 +168,3 @@ def first_uniforms(seeds: Sequence[int], k: int) -> np.ndarray:
     Each double is the top 53 bits of one :func:`_pcg_outputs` output.
     """
     return (_pcg_outputs(seeds, k) >> _U(11)).astype(np.float64) * 2.0**-53
-
-
-def first_integers(seeds: Sequence[int], n_values: int, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Row ``i`` of output ``j`` is the ``j``-th of the calls ``default_rng(int(seeds[i])).integers(0, n_values, size=sizes[j])``.
-
-    The calls are made in order on one generator per seed.  The outputs are
-    ``(len(seeds), sizes[j])`` int64 column blocks of one fresh array.
-    ``n_values`` must lie in [1, 2**32).  Fewer than ``_ARRAY_SEEDS`` seeds
-    are drawn by ``default_rng`` itself, which is cheaper than the array
-    arithmetic's fixed cost.
-    """
-    if not 1 <= n_values < 2**32:
-        raise StructuralError(f"need 1 <= n_values < 2**32, got {n_values}")
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    ends = np.cumsum([0, *sizes])
-    values = np.zeros((len(seeds), ends[-1]), dtype=np.int64)
-    redraw = range(len(seeds) if n_values > 1 else 0)  # a single value is 0 and reads no word
-    if len(redraw) >= _ARRAY_SEEDS:
-        outputs = _pcg_outputs(seeds, (ends[-1] + 1) // 2)
-        words = np.empty((len(seeds), 2 * outputs.shape[1]), dtype=np.uint64)
-        words[:, 0::2], words[:, 1::2] = outputs & _MASK32, outputs >> _U(32)
-        products = words[:, : ends[-1]]
-        products *= _U(n_values)
-        np.right_shift(products, _U(32), out=values, casting="unsafe")
-        products &= _MASK32
-        redraw = np.flatnonzero((products < _U((2**32 - n_values) % n_values)).any(axis=1))
-    for i in redraw:
-        rng = np.random.default_rng(int(seeds[i]))
-        for start, size in zip(ends, sizes):
-            values[i, start : start + size] = rng.integers(0, n_values, size=size)
-    return tuple(values[:, start:stop] for start, stop in zip(ends[:-1], ends[1:]))

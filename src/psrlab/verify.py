@@ -5,6 +5,10 @@ Deterministic checks must pass outright.  Probabilistic checks compare an
 observed violation rate against its nominal level plus normal-approximation
 slack at the 99% z value, so reruns with fresh seeds stay stable.  Each
 likelihood event is one array comparison per dataset over the set's stack.
+A bound that holds for every policy is checked on the worst one: both sides
+are linear in the policy's trajectory weights, so backward induction on a
+leaf table of per-trajectory terms (:func:`plan_on_table`) finds it, and no
+policy is sampled.
 """
 
 from __future__ import annotations
@@ -34,14 +38,7 @@ from .estimation import (
 from .online import OnlineConfig, _build_evaluator, _explore, exploration_suffixes, run_psr_ucb
 from .offline import OfflineConfig, collect_offline, run_psr_lcb
 from .planner import plan_on_table, policy_value_on_table
-from .policies import (
-    Policy,
-    policy_weight_vector,
-    random_tree_policy,
-    random_tree_tables,
-    tree_weight_table,
-    uniform_policy,
-)
+from .policies import Policy, uniform_policy
 from .pomdp import (
     TabularPomdp,
     default_psr,
@@ -61,19 +58,16 @@ from .psr import (
     hellinger_sq,
     psr_rank,
     terminal_anchor_violation,
-    tv_distance,
 )
 from .seeding import child_seed, child_seeds, rng_for
 from .spaces import History, check_numbers, enumerate_histories
 
 Z_99 = 2.5758293035489004
 DELTA = 0.05  # nominal violation level of the Monte-Carlo and confidence-bound suites
-CORE_SEEDS = 4  # random policies, and dithered model pairs, per core-identity check
-POLICIES_PER_RUN = 50  # random tree policies whose values each ucb-validity run bounds
+CORE_SEEDS = 4  # dithered model pairs of the tv-vs-estimation-error check
 
-# Runs (or collections) whose seeded draws are made as one block.  Drawing
-# and weighing a block of 4 x 50 ucb-validity tree policies peaks near
-# 0.25 MB, so memory does not grow with the seed count.
+# Exploration collections drawn as one block, one batched draw per step, so
+# memory does not grow with the seed count.
 DRAW_BLOCK = 4
 
 
@@ -191,10 +185,9 @@ def run_core_identities(report: Report) -> None:
             psr_rank(dynamics_matrix(env, h)) <= env.n_states for h in range(env.space.horizon)
         )
         report.add(CheckResult(suite, f"rank-bound[{name}]", ranks_ok, "rank(D_h) <= S"))
-        policy_seeds = [child_seed(s, "total-prob") for s in range(CORE_SEEDS)]
-        weights = tree_weight_table(env.space, random_tree_tables(env.space, policy_seeds))
         probs = model.prob_table(env.space.horizon)
-        total_ok = all(abs(float(np.dot(w, probs)) - 1.0) <= 1e-9 for w in weights)
+        most, least = plan_on_table(env.space, probs)[1], -plan_on_table(env.space, -probs)[1]
+        total_ok = abs(most - 1.0) <= 1e-9 and abs(least - 1.0) <= 1e-9
         report.add(CheckResult(suite, f"total-mass[{name}]", total_ok, "sum pi * p = 1"))
 
     env = reference_env()
@@ -236,19 +229,20 @@ def run_core_identities(report: Report) -> None:
         )
     )
 
-    # Model distance never exceeds the per-step estimation-error sum.  The
+    # Model distance never exceeds the per-step estimation-error sum, under
+    # every policy: both sides are linear in the trajectory weights, so one
+    # plan on their per-trajectory difference finds the worst policy.  The
     # decomposition telescopes through a shared start vector, so the pairs
     # here differ only in transitions.
+    H = env.space.horizon
     ok = True
-    detail = ""
+    max_tv = 0.0
     for s in range(CORE_SEEDS):
-        other_env = _transition_dithered(env, seed=100 + s, scale=0.3)
-        other, _ = default_psr(other_env)
-        pol = random_tree_policy(env.space, child_seed(s, "a1-policy"))
-        lhs = tv_distance(other, model, pol)
-        rhs = estimation_error_bound(other, model, pol)
-        ok = ok and lhs <= rhs + 1e-9
-        detail = f"last pair: tv {lhs:.4f} <= bound {rhs:.4f}"
+        other, _ = default_psr(_transition_dithered(env, seed=100 + s, scale=0.3))
+        diff = np.abs(other.prob_table(H) - model.prob_table(H))
+        ok = ok and plan_on_table(env.space, diff - estimation_error_bound(other, model).sum(axis=0))[1] <= 1e-9
+        max_tv = max(max_tv, plan_on_table(env.space, diff)[1])
+    detail = f"every policy, {CORE_SEEDS} pairs: max tv {max_tv:.4f}, tv - bound {'<=' if ok else '>'} 1e-9"
     report.add(CheckResult(suite, "tv-vs-estimation-error", ok, detail))
 
     # Planner agrees with the exact policy evaluator.
@@ -272,25 +266,23 @@ def _transition_dithered(env: TabularPomdp, seed: int, scale: float) -> TabularP
     return TabularPomdp(env.n_states, env.space, noisy, env.emission, env.initial_state, env.reward)
 
 
-def estimation_error_bound(model_hat: PsrModel, model: PsrModel, policy) -> float:
-    """Per-step absolute estimation-error sum that dominates the model distance.
+def estimation_error_bound(model_hat: PsrModel, model: PsrModel) -> np.ndarray:
+    """Per-step, per-trajectory absolute estimation errors, whose policy-weighted sum dominates the model distance.
 
-    The step-``h`` term of a trajectory is its policy weight times
+    Row ``h - 1`` of the ``(H, n_trajectories)`` result holds each
+    trajectory's step-``h`` term
     ``|phi_H' M_H' ... M_{h+1}' (M_h' - M_h) psi(prefix)|``, primes marking
     ``model_hat``.  One pass per step carries every prefix's error vector
     through the estimated step matrices to the leaves.
     """
     H = model.space.horizon
-    weights = policy_weight_vector(policy, model.space)
-    live = weights != 0.0
-    terms = []
+    terms = np.empty((H, model.space.n_trajectories))
     for h in range(1, H + 1):
         vecs = forward_step(model_hat.M[h - 1] - model.M[h - 1], model.state_table(h - 1))
         for j in range(h + 1, H + 1):
             vecs = forward_step(model_hat.M[j - 1], vecs)
-        closing = (vecs[:, None] @ model_hat.phi[H])[:, 0]  # one dot product per leaf, as phi @ v
-        terms.append(weights[live] * np.abs(closing[live]))
-    return math.fsum(np.concatenate(terms))
+        np.abs((vecs[:, None] @ model_hat.phi[H])[:, 0], out=terms[h - 1])  # one dot product per leaf, as phi @ v
+    return terms
 
 
 # -- inequality suite ----------------------------------------------------------
@@ -468,47 +460,19 @@ def _validity_run_online(seed: int, env, true_model, cands, params) -> tuple[Psr
     return result.last_model, result.last_evaluator
 
 
-def _tree_policy_weights(space, masters: Sequence[int], n_policies: int) -> Iterator[np.ndarray]:
-    """Per master seed, the ``(n_policies, n_trajectories)`` weights of its random tree policies.
+def _validity_slack(model: PsrModel, evaluator: BonusEvaluator, true_rewards: np.ndarray, reward_leaves: np.ndarray) -> float:
+    """The largest ``|V_model - V_true| - V_bonus`` over every policy.
 
-    Policy ``j`` of master ``m`` is
-    ``random_tree_policy(space, child_seed(m, "validity-policy", j))``.
-    The policies of ``DRAW_BLOCK`` masters at a time are drawn as one stack
-    of action tables and weighed as one table.
-    """
-    for start in range(0, len(masters), DRAW_BLOCK):
-        block = masters[start : start + DRAW_BLOCK]
-        seeds = np.concatenate([child_seeds(m, "validity-policy", range(n_policies)) for m in block])
-        weights = tree_weight_table(space, random_tree_tables(space, seeds))
-        yield from weights.reshape(len(block), n_policies, space.n_trajectories)
-
-
-def _bound_holds(
-    model: PsrModel,
-    evaluator: BonusEvaluator,
-    true_rewards: np.ndarray,
-    reward_leaves: np.ndarray,
-    weights: np.ndarray,
-) -> bool:
-    """``|V_model - V_true| <= V_bonus`` for each policy whose trajectory weights are a row of ``weights``.
-
-    ``weights`` is one run's ``(P, n_trajectories)`` rows, as
-    :func:`_tree_policy_weights` yields them; each value is one ``np.dot``
-    of a weight row with a leaf table built once per run.  ``true_rewards``
-    is the true model's depth-H probabilities times ``reward_leaves``.
-    Stops at the first violating policy.
+    Each value is linear in the policy's trajectory weights, so the worst
+    policy of each sign of ``V_model - V_true`` is one plan on a leaf
+    table.  ``true_rewards`` is the true model's depth-H probabilities
+    times ``reward_leaves``.
     """
     space = model.space
     model_table = model.prob_table(space.horizon)
-    model_rewards = model_table * reward_leaves
-    model_bonus = model_table * evaluator.bonus_table()
-    for w in weights:
-        v_model = float(np.dot(w, model_rewards))
-        v_true = float(np.dot(w, true_rewards))
-        v_bonus = float(np.dot(w, model_bonus))
-        if abs(v_model - v_true) > v_bonus + 1e-12:
-            return False
-    return True
+    gap = model_table * reward_leaves - true_rewards
+    bonus = model_table * evaluator.bonus_table()
+    return max(plan_on_table(space, gap - bonus)[1], plan_on_table(space, -gap - bonus)[1])
 
 
 def run_validity_checks(report: Report, runs: int = 100, params: dict | None = None) -> None:
@@ -524,9 +488,9 @@ def run_validity_checks(report: Report, runs: int = 100, params: dict | None = N
     true_rewards = true_table * reward_leaves
 
     online_viol = 0
-    for s, weights in enumerate(_tree_policy_weights(space, range(runs), POLICIES_PER_RUN)):
+    for s in range(runs):
         model, evaluator = _validity_run_online(child_seed(s, "validity-online"), env, true_model, cands, params)
-        if not _bound_holds(model, evaluator, true_rewards, reward_leaves, weights):
+        if _validity_slack(model, evaluator, true_rewards, reward_leaves) > 1e-12:
             online_viol += 1
     allowed = DELTA + wilson_slack(DELTA, runs)
     rate = online_viol / runs
@@ -543,10 +507,10 @@ def run_validity_checks(report: Report, runs: int = 100, params: dict | None = N
 
     behavior = uniform_policy(space)
     offline_viol = 0
-    for s, weights in enumerate(_tree_policy_weights(space, range(10_000, 10_000 + runs), POLICIES_PER_RUN)):
+    for s in range(runs):
         ds = collect_offline(env, behavior, 60, child_seed(s, "validity-offline"))
         res = run_psr_lcb(ds, cands, OfflineConfig(**params), reward_leaves)
-        if not _bound_holds(res.model, res.evaluator, true_rewards, reward_leaves, weights):
+        if _validity_slack(res.model, res.evaluator, true_rewards, reward_leaves) > 1e-12:
             offline_viol += 1
     rate = offline_viol / runs
     report.add(
@@ -560,35 +524,30 @@ def run_validity_checks(report: Report, runs: int = 100, params: dict | None = N
         )
     )
 
-    # Empirical-feature bonus dominated by the true-feature bonus plus drift.
+    # Empirical-feature bonus dominated by the true-feature bonus plus drift,
+    # under every policy: one plan per run on the per-trajectory difference.
     bonus_viol = 0
     bonus_runs = max(20, runs // 5)
-    rank = env.n_states
+    q_a = true_model.core_tests.max_action_seqs
+    beta_stat = 31.0 * math.log(10 * len(cands) / DELTA)
+    true_weight = 1.0 + 2.0 * space.n_actions * q_a * math.sqrt(7.0 * env.n_states * beta_stat) / math.sqrt(params["lam"])
+    drift_weight = 2.0 * space.horizon * q_a / math.sqrt(params["lam"])
     explorers = _uniform_explorers(true_model.core_tests)
     datasets = _uniform_collections(env, explorers, 10, [child_seed(s, "bonus-relation") for s in range(bonus_runs)])
-    for s, dataset in enumerate(datasets):
+    for dataset in datasets:
         mle = constrained_mle(cands, dataset, params["p_min"], params["beta"])
         evaluator = _build_evaluator(mle.model, dataset, params["lam"], params["alpha"])
         scores, degenerate = evaluator.score_table()
         if degenerate.any():
             continue
-        true_grams = prefix_grams(true_model, dataset, params["lam"])
-        pol = random_tree_policy(space, child_seed(s, "bonus-relation-policy"))
-        w = policy_weight_vector(pol, space)
-        true_side = 0.0
-        for h in range(space.horizon):
-            marg = _prefix_marginals(true_table, w, space, h)
-            true_scores = true_grams[h].scores(true_model.feature_table(h))
-            true_side += float(np.dot(marg, np.sqrt(np.maximum(true_scores, 0.0))))
-        lhs = float(np.dot(w * true_table, np.sqrt(np.maximum(scores, 0.0))))
-        n_cands = len(cands)
-        beta_stat = 31.0 * math.log(10 * n_cands / DELTA)
-        q_a = true_model.core_tests.max_action_seqs
-        drift = tv_distance(true_model, mle.model, pol)
-        rhs = (
-            1.0 + 2.0 * space.n_actions * q_a * math.sqrt(7.0 * rank * beta_stat) / math.sqrt(params["lam"])
-        ) * true_side + 2.0 * space.horizon * q_a / math.sqrt(params["lam"]) * drift
-        if lhs > rhs + 1e-9:
+        # Per leaf, the sum over steps of its length-h prefix's root true-feature score.
+        true_side = sum(
+            np.repeat(np.sqrt(np.maximum(gram.scores(true_model.feature_table(h)), 0.0)), space.pair_count ** (space.horizon - h))
+            for h, gram in enumerate(prefix_grams(true_model, dataset, params["lam"]))
+        )
+        drift = np.abs(true_table - mle.model.prob_table(space.horizon))
+        leaves = true_table * (np.sqrt(np.maximum(scores, 0.0)) - true_weight * true_side) - drift_weight * drift
+        if plan_on_table(space, leaves)[1] > 1e-9:
             bonus_viol += 1
     rate = bonus_viol / bonus_runs
     allowed_b = DELTA + wilson_slack(DELTA, bonus_runs)
@@ -604,13 +563,6 @@ def run_validity_checks(report: Report, runs: int = 100, params: dict | None = N
     )
 
 
-def _prefix_marginals(probs_full: np.ndarray, weights_full: np.ndarray, space, h: int) -> np.ndarray:
-    """Trajectory-law marginals of each length-h prefix."""
-    joint = probs_full * weights_full
-    reps = space.pair_count ** (space.horizon - h)
-    return joint.reshape(-1, reps).sum(axis=1)
-
-
 SUITES = {
     "core-identities": lambda report, seeds: run_core_identities(report),
     "lemmas": lambda report, seeds: run_lemma_checks(report, seeds),
@@ -622,13 +574,14 @@ SUITES = {
 def verify(suite: str, seeds: int = 100) -> Report:
     """Run one registered suite, or all of them.
 
-    An unknown suite name, or a seed count that is not a positive integer,
-    raises :class:`StructuralError` before any suite runs.
+    An unknown suite name, a suite that is not a string, or a seed count
+    that is not a positive integer raises :class:`StructuralError` before
+    any suite runs.
     """
     check_numbers({"seeds": seeds}, {})
     if seeds < 1:
         raise StructuralError(f"need at least one seed, got {seeds}")
-    if suite != "all" and suite not in SUITES:
+    if not isinstance(suite, str) or suite != "all" and suite not in SUITES:
         raise StructuralError(f"unknown suite {suite!r}; options: {', '.join(sorted(SUITES))} or 'all'")
     report = Report()
     for fn in SUITES.values() if suite == "all" else [SUITES[suite]]:

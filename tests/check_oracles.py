@@ -35,8 +35,12 @@ selection did before it kept a running record on the dataset, and
 :func:`oracle_prefix_loglik` one model's prefix log-likelihood, summed one
 entry at a time as verify's likelihood events did before they read the
 whole candidate stack at once.  The
-confidence-bound validity check builds and weighs one tree policy object at
-a time, as before its policies' weights came from one stacked table.  Tests
+confidence-bound validity oracle scores 50 seeded random tree policies per
+run, one policy object at a time, as the check did before it planned the
+worst policy; the planned verdict must fail wherever it finds a violation.
+:func:`oracle_bonus_relation_gap` is the bonus relation's ``lhs - rhs``
+under one policy, from prefix marginals and ``tv_distance``, as that check
+computed it per sampled policy.  Tests
 compare the package against them bit for bit.  :func:`dataset_jsonl` is the
 dataset's former JSONL text, which the golden tests hash; a dataset no
 longer records policy ids, so the test supplies each entry's label.
@@ -49,7 +53,7 @@ import numpy as np
 import scipy.linalg
 
 from conftest import model_from_arrays
-from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, seed_uniforms
+from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, random_tree_policy, seed_uniforms
 from pomdp_oracles import history_from_lex, psi
 from psrlab import estimation
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
@@ -70,8 +74,8 @@ from psrlab.pomdp import (
     TabularPomdp,
     window_tests,
 )
-from psrlab.policies import continuation_weights, policy_weight_vector, random_tree_policy, uniform_policy
-from psrlab.psr import PSI_GUARD, PsrModel, make_core_test_set
+from psrlab.policies import continuation_weights, policy_weight_vector, uniform_policy
+from psrlab.psr import PSI_GUARD, PsrModel, make_core_test_set, tv_distance
 from psrlab.seeding import child_seed, rng_for
 from psrlab.spaces import History
 
@@ -352,6 +356,30 @@ def oracle_bound_holds(model, evaluator, true_table, reward_leaves, seed, n_poli
         if abs(v_model - v_true) > v_bonus + 1e-12:
             return False
     return True
+
+
+def oracle_bonus_relation_gap(env, true_model, mle_model, evaluator, true_grams, n_cands, lam, policy):
+    """``lhs - rhs`` of verify's empirical-vs-true bonus relation under one policy, as the check computed
+    it before it planned the worst policy: each step's true-feature scores weighed by the policy's
+    prefix marginals, and the drift by ``tv_distance``."""
+    space = env.space
+    H = space.horizon
+    w = policy_weight_vector(policy, space)
+    true_table = true_model.prob_table(H)
+    true_side = 0.0
+    for h in range(H):
+        marg = (true_table * w).reshape(-1, space.pair_count ** (H - h)).sum(axis=1)
+        true_scores = true_grams[h].scores(true_model.feature_table(h))
+        true_side += float(np.dot(marg, np.sqrt(np.maximum(true_scores, 0.0))))
+    scores, _ = evaluator.score_table()
+    lhs = float(np.dot(w * true_table, np.sqrt(np.maximum(scores, 0.0))))
+    beta_stat = 31.0 * math.log(10 * n_cands / 0.05)
+    q_a = true_model.core_tests.max_action_seqs
+    drift = tv_distance(true_model, mle_model, policy)
+    rhs = (
+        1.0 + 2.0 * space.n_actions * q_a * math.sqrt(7.0 * env.n_states * beta_stat) / math.sqrt(lam)
+    ) * true_side + 2.0 * H * q_a / math.sqrt(lam) * drift
+    return lhs - rhs
 
 
 def oracle_stability_and_likelihood(prob_table, dataset, p_min):

@@ -9,7 +9,8 @@ table lookups against them bit for bit, and build hand-made dataset entries
 through them.  :func:`action_row` is the package's own row for one
 (history, obs) node, read through :func:`reached_rows`, and
 :func:`exploration_policy` composes one step's exploration policy from a
-prefix policy and the core tests.
+prefix policy and the core tests.  :func:`random_tree_policy` draws the
+seeded tree policies that test batteries score.
 """
 
 import math
@@ -175,3 +176,10 @@ def exploration_policy(prefix: Policy, h: int, core_tests: CoreTestSet) -> Polic
     its weights stay exact.
     """
     return _explore(prefix, h, exploration_suffixes(core_tests))
+
+
+def random_tree_policy(space, seed):
+    """Uniformly random deterministic tree policy: one ``integers`` call per step on ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    widths = [space.n_histories(h - 1) * space.n_obs for h in range(1, space.horizon + 1)]
+    return DeterministicTreePolicy(space, tuple(rng.integers(0, space.n_actions, size=width) for width in widths))

@@ -1,8 +1,7 @@
 """Batched offline collection against its scalar oracles, bit for bit.
 
 ``child_seeds`` against ``child_seed``, ``first_uniforms`` against
-``default_rng(seed).random``, ``first_integers`` against successive
-``default_rng(seed).integers`` calls,
+``default_rng(seed).random``,
 ``TabularPomdp.sample_episodes`` against one ``sample_episode`` per seed and
 both against the per-history lex indices and policy weights of the drawn
 trajectory, and ``DatasetFamily.add_batch`` against ``add`` entry by entry:
@@ -16,9 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_columns
-from policy_oracles import oracle_policy_weight, oracle_record, seed_uniforms
+from policy_oracles import oracle_policy_weight, oracle_record, random_tree_policy, seed_uniforms
 from pomdp_oracles import history_from_lex
-from psrlab import policies, seeding
+from psrlab import policies
 from psrlab.errors import StructuralError
 from psrlab.estimation import DatasetFamily
 from psrlab.offline import collect_offline
@@ -26,11 +25,10 @@ from psrlab.policies import (
     CompositePolicy,
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
-    random_tree_policy,
     uniform_policy,
 )
 from psrlab.pomdp import TabularPomdp, _inverse_cdf, near_tie, tiger
-from psrlab.seeding import child_seed, child_seeds, first_integers, first_uniforms, rng_for
+from psrlab.seeding import child_seed, child_seeds, first_uniforms, rng_for
 from psrlab.spaces import History, ObsActSpace
 from psrlab.verify import small_builtin_envs
 
@@ -95,59 +93,6 @@ def test_child_seeds_match_child_seed(master):
         got = child_seeds(master, purpose, indices)
         assert got.dtype == np.uint64 and got.shape == (len(indices),)
         assert [int(v) for v in got] == [child_seed(master, purpose, i) for i in indices]
-
-
-# One seed is drawn by ``default_rng`` itself, 25 and 305 by array arithmetic.
-INTEGER_SEEDS = {
-    "one": [2**64 - 1],
-    "few": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(20)],
-    "many": EDGE_SEEDS + [child_seed(2, "integers", i) for i in range(300)],
-}
-INTEGER_SIZES = [(3, 18), (0, 5, 1, 0, 7), (1,), (0,), (2, 2, 9)]
-
-
-def successive_integers(seed, n_values, sizes):
-    rng = np.random.default_rng(seed)
-    return [rng.integers(0, n_values, size=size) for size in sizes]
-
-
-@pytest.mark.parametrize("seeds", sorted(INTEGER_SEEDS))
-@pytest.mark.parametrize("n_values", [1, 2, 3, 4, 5])
-def test_first_integers_match_successive_default_rng_calls(seeds, n_values):
-    """Odd totals leave a high half that the next size reads first, as numpy's cached word."""
-    seeds = INTEGER_SEEDS[seeds]
-    for sizes in INTEGER_SIZES:
-        got = first_integers(seeds, n_values, sizes)
-        assert [g.shape for g in got] == [(len(seeds), size) for size in sizes]
-        for i, seed in enumerate(seeds):
-            for g, w in zip(got, successive_integers(seed, n_values, sizes), strict=True):
-                assert g.dtype == w.dtype and g[i].tobytes() == w.tobytes()
-
-
-@pytest.mark.parametrize("seeds", ["few", "many"])
-def test_first_integers_redraws_rejected_rows_with_default_rng(monkeypatch, seeds):
-    """At ``n_values = 3 * 2**30`` the rejection threshold is 2**30, so about a quarter of words reject.
-
-    Exactly the rows with a rejected word are redrawn by ``default_rng``, and every row keeps numpy's bits.
-    """
-    seeds, n_values, sizes = INTEGER_SEEDS[seeds], 3 * 2**30, (3, 4)
-    redrawn = []
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(seeding.np.random, "default_rng", lambda seed: redrawn.append(seed) or default_rng(seed))
-    got = first_integers(seeds, n_values, sizes)
-    monkeypatch.undo()
-    assert 0 < len(redrawn) < len(seeds)
-    for i, seed in enumerate(seeds):
-        want = successive_integers(seed, n_values, sizes)
-        assert all(g[i].tobytes() == w.tobytes() for g, w in zip(got, want, strict=True))
-
-
-def test_first_integers_empty_and_out_of_range():
-    assert [g.shape for g in first_integers([], 3, (2, 0, 4))] == [(0, 2), (0, 0), (0, 4)]
-    assert first_integers(INTEGER_SEEDS["few"], 3, ()) == ()
-    for n_values in (0, -1, 2**32):
-        with pytest.raises(StructuralError, match="n_values"):
-            first_integers([1], n_values, (2,))
 
 
 def test_inverse_cdf_is_bisect_right_at_ties():

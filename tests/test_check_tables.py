@@ -1,5 +1,7 @@
 """verify's table checks, the exploration minimum and the elliptical potential against their loop oracles, bit for bit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,12 @@ from check_oracles import (
     oracle_estimation_error_bound,
     oracle_min_exploration_prob,
 )
+from policy_oracles import random_tree_policy
 from psrlab.bonus import elliptical_potential_check
 from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
 from psrlab.offline import min_exploration_prob
-from psrlab.policies import CompositePolicy, UniformActionSeqPolicy, random_tree_policy, uniform_policy
+from psrlab.policies import CompositePolicy, UniformActionSeqPolicy, policy_weight_vector, uniform_policy
 from psrlab.pomdp import default_psr, g_matrices, near_tie, pomdp_to_psr
 from psrlab.psr import conditional_update_violation, forward_step
 from psrlab.seeding import child_seed, rng_for
@@ -25,6 +28,13 @@ IDS = [name for name, _ in ENVS]
 
 def _same_bits(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _weighted_bound(model_hat, model, policy):
+    """The policy's weighted sum of the per-step, per-trajectory terms, exactly rounded by ``math.fsum``."""
+    terms = estimation_error_bound(model_hat, model)
+    assert terms.shape == (model.space.horizon, model.space.n_trajectories)
+    return math.fsum((policy_weight_vector(policy, model.space) * terms).ravel())
 
 
 def _behaviors(space):
@@ -97,7 +107,7 @@ def test_estimation_error_bound_equals_per_trajectory_loop(env_case):
     behaviors = _behaviors(env.space)
     for k, m in enumerate(cands.models):
         for j in (0, 1, 6):  # uniform, a tree (zero weights), the composite
-            table = estimation_error_bound(m, model, behaviors[j])
+            table = _weighted_bound(m, model, behaviors[j])
             oracle = oracle_estimation_error_bound(m, model, behaviors[j])
             assert _same_bits(table, oracle), (name, k, j, table, oracle)
 
@@ -108,7 +118,7 @@ def test_estimation_error_bound_on_the_verify_pairs():
     for s in range(4):
         other, _ = default_psr(_transition_dithered(env, seed=100 + s, scale=0.3))
         pol = random_tree_policy(env.space, child_seed(s, "a1-policy"))
-        assert _same_bits(estimation_error_bound(other, model, pol), oracle_estimation_error_bound(other, model, pol))
+        assert _same_bits(_weighted_bound(other, model, pol), oracle_estimation_error_bound(other, model, pol))
 
 
 def test_elliptical_potential_equals_running_gram_loop():

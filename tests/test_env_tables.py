@@ -14,10 +14,10 @@ from pomdp_oracles import (
     oracle_test_prob_given_state,
     oracle_window_tests,
 )
-from policy_oracles import oracle_coverage_coefficient
+from policy_oracles import oracle_coverage_coefficient, random_tree_policy
 from psrlab.errors import StructuralError
 from psrlab.offline import coverage_coefficient
-from psrlab.policies import UniformActionSeqPolicy, random_tree_policy, uniform_policy
+from psrlab.policies import UniformActionSeqPolicy, uniform_policy
 from psrlab.pomdp import dynamics_matrix, g_matrices, near_tie, random_revealing, window_tests
 from psrlab.seeding import child_seed
 from psrlab.spaces import Future, History, ObsActSpace, enumerate_histories

@@ -726,7 +726,7 @@ def test_conditional_tv_matches_entry_oracle_on_staged_growth(small_env, seed):
     """The diagnostic of the whole candidate stack, one continuation pass per bucket, equals the
     trajectory-walking oracle of each member bit for bit after every stage of a growing dataset
     drawn under one random tree policy per step."""
-    from psrlab.policies import random_tree_policy
+    from policy_oracles import random_tree_policy
     from psrlab.seeding import child_seed
 
     space = small_env.space

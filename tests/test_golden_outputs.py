@@ -12,11 +12,11 @@ dataset still kept one entry object per trajectory next to its columns
 and wrote its own JSONL; the same text is now decoded from the
 trajectory-index columns by ``check_oracles.dataset_jsonl``, with the policy
 ids those entries carried supplied by the test.  The verify
-digest at 5 seeds was recorded while the confidence-bound validity check
-still built and weighed one tree policy object per random policy, and the
-one at 20 seeds while every verify suite still drew each seed's stream from
-its own ``default_rng``; a drift in any bit a verify line prints (a count,
-a rate or a formatted distance) changes them.  The ``mle-events`` digest at
+digests at 5 and 20 seeds were recorded when the checks that hold for every
+policy began to plan the worst policy instead of sampling tree policies
+(only the ``tv-vs-estimation-error`` line changed; it prints no number
+finer than ``.4f``); a drift in any bit a verify line prints (a count, a
+rate or a formatted distance) changes them.  The ``mle-events`` digest at
 the command line's default of 100 seeds was recorded while that suite still
 read each candidate's likelihood in its own pass and summed each prefix log
 with ``math.log`` one entry at a time, and while the conditional-TV
@@ -76,8 +76,8 @@ ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e
 
 # SHA-256 of the newline-joined lines of verify("all", n), at n = 5 and at the
 # benchmark's n = 20.
-VERIFY_ALL_5_SHA256 = "01ebe6ba5354ee9f37583c0d5bff31ebc1313403966917099ab647e81f830f07"
-VERIFY_ALL_20_SHA256 = "b48f12dd1d67bbb8298ac8335bb939f234fc6881cdc110a343af573387ee2d73"
+VERIFY_ALL_5_SHA256 = "75e4dafcf54665cf622788a93849953ca4d199fbf847007646d493106a0f3cbd"
+VERIFY_ALL_20_SHA256 = "30e8d22232cb85b80d36885781281304d220833c1b1f3744c17987a5008b7012"
 # SHA-256 of the newline-joined lines of verify("mle-events", 100).
 MLE_EVENTS_100_SHA256 = "245198327e932f8235f32674446adef7db6cc57564c43ebb1873086c75d3fad1"
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_same_columns, make_single_state_env
-from policy_oracles import action_row
+from policy_oracles import action_row, random_tree_policy
 from pomdp_oracles import enumerate_futures
 from psrlab.errors import StructuralError
 from psrlab.estimation import make_candidates
@@ -22,7 +22,6 @@ from psrlab.policies import (
     DeterministicTreePolicy,
     UniformActionSeqPolicy,
     _row_table,
-    random_tree_policy,
     uniform_policy,
 )
 from psrlab.pomdp import default_psr, near_tie

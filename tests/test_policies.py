@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_single_state_env
-from policy_oracles import action_row, oracle_policy_weight, seed_uniforms
+from policy_oracles import action_row, oracle_policy_weight, random_tree_policy, seed_uniforms
 from psrlab.errors import StructuralError
 from psrlab.policies import (
     CompositePolicy,
@@ -14,14 +14,11 @@ from psrlab.policies import (
     policy_from_dict,
     policy_weight_vector,
     prefix_weight_tables,
-    random_tree_policy,
-    random_tree_tables,
-    tree_weight_table,
     uniform_policy,
 )
 from psrlab.planner import plan_on_table
 from psrlab.pomdp import tiger
-from psrlab.seeding import child_seed, rng_for
+from psrlab.seeding import child_seed
 from psrlab.spaces import History, ObsActSpace, enumerate_histories
 
 
@@ -177,15 +174,13 @@ BAD_TABLES = {
 
 @pytest.mark.parametrize("bad", list(BAD_TABLES))
 def test_tree_policy_rejects_out_of_range_actions(bad):
-    """The public constructor, the dict loader through it and the stacked weights check every table's
-    kind and range on the input, before a tree policy converts it to the storage type, where 256 or
-    300 would wrap into range."""
+    """The public constructor and the dict loader through it check every table's kind and range on
+    the input, before a tree policy converts it to the storage type, where 256 or 300 would wrap into
+    range."""
     space = ObsActSpace(2, 2, 2)
     tables = (np.zeros(2, dtype=np.int64), BAD_TABLES[bad])
     with pytest.raises(StructuralError, match=r"need integers in \[0, 2\)"):
         DeterministicTreePolicy(space, tables)
-    with pytest.raises(StructuralError, match=r"need integers in \[0, 2\)"):
-        tree_weight_table(space, tuple(np.stack([np.zeros_like(t), t]) for t in tables))
     with pytest.raises(StructuralError, match=r"need integers in \[0, 2\)"):
         policy_from_dict({"type": "deterministic_tree", "actions": [t.tolist() for t in tables]}, space)
 
@@ -257,41 +252,6 @@ def test_policy_from_dict_defaults_to_the_space_and_the_first_step():
     space = ObsActSpace(2, 3, 2)
     got = policy_from_dict({"type": "uniform_action_seq", "sequences": [[], [2]]}, space)
     assert got == UniformActionSeqPolicy(3, 1, ((), (2,)))
-
-
-STACKED_SPACES = {"reference": ObsActSpace(3, 2, 2), "H=3": ObsActSpace(2, 2, 3), "A=3": ObsActSpace(2, 3, 2)}
-
-
-@pytest.mark.parametrize("name", sorted(STACKED_SPACES))
-def test_stacked_tree_tables_and_weights_equal_one_policy_at_a_time(name):
-    """Row ``i`` of the stacked tables is the policy one ``integers`` call per step draws from
-    ``default_rng`` on seed ``i``, as is ``random_tree_policy`` of that seed, and row ``i`` of the
-    stacked weights is that policy's weight vector, bit for bit."""
-    space = STACKED_SPACES[name]
-    n = 40
-    tables = random_tree_tables(space, [child_seed(s, "stacked-tree") for s in range(n)])
-    weights = tree_weight_table(space, tables)
-    assert weights.shape == (n, space.n_trajectories) and set(np.unique(weights)) <= {0.0, 1.0}
-    assert all(table.shape == (n, space.n_histories(h) * space.n_obs) for h, table in enumerate(tables))
-    with pytest.raises(ValueError):
-        tables[0][0, 0] = 1
-    for s in range(n):
-        rng = rng_for(s, "stacked-tree")
-        drawn = [rng.integers(0, space.n_actions, size=space.n_histories(h) * space.n_obs) for h in range(space.horizon)]
-        one = random_tree_policy(space, child_seed(s, "stacked-tree"))
-        for h in range(space.horizon):
-            assert tables[h][s].dtype == drawn[h].dtype and tables[h][s].tobytes() == drawn[h].tobytes()
-            assert one.actions_by_step[h].dtype == np.uint8 and one.actions_by_step[h].tolist() == drawn[h].tolist()
-        assert weights[s].tobytes() == policy_weight_vector(DeterministicTreePolicy(space, tuple(drawn)), space).tobytes()
-
-
-def test_tree_weight_table_rejects_a_table_of_the_wrong_count_or_shape():
-    space = ObsActSpace(2, 2, 2)
-    tables = random_tree_tables(space, [child_seed(s, "stacked-shape") for s in range(3)])
-    with pytest.raises(StructuralError, match="one action table per step"):
-        tree_weight_table(space, tables[:1])
-    with pytest.raises(StructuralError, match=r"step 2 table has shape \(2, 8\), expected \(3, 8\)"):
-        tree_weight_table(space, (tables[0], tables[1][:2]))
 
 
 @pytest.mark.parametrize("space", [ObsActSpace(3, 2, 3), ObsActSpace(2, 2, 2)], ids=str)

@@ -7,11 +7,11 @@ import pytest
 
 from check_oracles import oracle_default_psr, oracle_g_matrices, oracle_pomdp_to_psr
 from conftest import assert_same_model, make_single_state_env
-from policy_oracles import drawn_history, seed_uniforms
+from policy_oracles import drawn_history, random_tree_policy, seed_uniforms
 from pomdp_oracles import enumerate_futures, future_steps, oracle_reward_of, seq_prob
 from psrlab.errors import RejectionBudgetExhausted, SingularCoreTests, StructuralError
 from psrlab.estimation import _perturbed_rows
-from psrlab.policies import random_tree_policy, uniform_policy
+from psrlab.policies import uniform_policy
 from psrlab.pomdp import (
     RewardTable,
     TabularPomdp,

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import growing_model, make_single_state_env, model_from_arrays
-from policy_oracles import drawn_history
+from policy_oracles import drawn_history, random_tree_policy
 from pomdp_oracles import prediction_feature, psi, seq_prob
 from psrlab.errors import DegenerateHistory, StructuralError
 from psrlab.planner import policy_value_on_table
-from psrlab.policies import random_tree_policy, uniform_policy, policy_weight_vector
+from psrlab.policies import uniform_policy, policy_weight_vector
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.psr import (
     PSI_GUARD,

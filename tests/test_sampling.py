@@ -10,6 +10,7 @@ from policy_oracles import (
     oracle_record,
     oracle_sample_episode,
     oracle_weight_vector,
+    random_tree_policy,
     seed_uniforms,
 )
 from pomdp_oracles import history_from_lex
@@ -19,7 +20,6 @@ from psrlab.policies import (
     UniformActionSeqPolicy,
     continuation_weights,
     policy_weight_vector,
-    random_tree_policy,
     uniform_policy,
 )
 from psrlab.pomdp import RewardTable, TabularPomdp

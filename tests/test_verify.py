@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -7,28 +8,30 @@ import pytest
 from check_oracles import (
     brute_force_prefix_prob,
     decoded_trajectories,
+    oracle_bonus_relation_gap,
     oracle_bound_holds,
     oracle_conditional_tv_diagnostic,
     oracle_prefix_loglik,
     oracle_uniform_collection,
 )
 from conftest import assert_same_columns
+from policy_oracles import random_tree_policy
 from psrlab.errors import DegenerateHistory, StructuralError
 from psrlab.estimation import conditional_tv_diagnostic, make_candidates
 from psrlab.offline import OfflineConfig, collect_offline, run_psr_lcb
-from psrlab.policies import policy_weight_vector, random_tree_policy, uniform_policy
+from psrlab.planner import plan_on_table, policy_value_on_table
+from psrlab.policies import uniform_policy
 from psrlab.pomdp import default_psr, random_revealing
 from psrlab.psr import PsrStack, hellinger_sq
 from psrlab.seeding import child_seed, rng_for
 from psrlab.verify import (
     Report,
-    _bound_holds,
     _hellinger_sums,
     _prefix_logliks,
-    _tree_policy_weights,
     _uniform_collections,
     _uniform_explorers,
     _validity_run_online,
+    _validity_slack,
     reference_env,
     run_lemma_checks,
     run_validity_checks,
@@ -48,9 +51,12 @@ def test_lemma_suite_passes_quickly():
     assert report.all_passed
 
 
-def test_unknown_suite_raises():
-    with pytest.raises(StructuralError, match="unknown suite 'nope'; options: core-identities, lemmas, mle-events"):
-        verify("nope")
+@pytest.mark.parametrize("suite", ["nope", ["all"], None], ids=["nope", "list", "None"])
+def test_unknown_suite_raises(suite):
+    """A name that is no suite, or a suite that is not a string, is refused by name before any suite runs."""
+    message = f"unknown suite {re.escape(repr(suite))}; options: core-identities, lemmas, mle-events"
+    with pytest.raises(StructuralError, match=message):
+        verify(suite)
 
 
 @pytest.mark.parametrize("seeds", [True, 2.0, "2", None])
@@ -150,42 +156,6 @@ def test_collection_blocks_equal_one_seed_calls(monkeypatch, block):
     assert len(blocked) == len(seeds)
     for got, want in zip(blocked, singles):
         assert_same_columns(got, want)
-
-
-@pytest.mark.parametrize("block", [1, 3, VERIFY_MODULE.DRAW_BLOCK])
-def test_validity_verdicts_do_not_depend_on_the_block(monkeypatch, block):
-    """Every run's policy weights and bound verdict, and the report, are those of one-run blocks.
-
-    At alpha 0.01 some runs hold and some fail, so each verdict reads its weights.
-    """
-    params = {"p_min": 1e-10, "beta": 40.0, "lam": 1.0, "alpha": 0.01}
-
-    def recorded(block_size):
-        calls = []
-
-        def recording(model, evaluator, true_rewards, reward_leaves, weights):
-            verdict = _bound_holds(model, evaluator, true_rewards, reward_leaves, weights)
-            calls.append((weights.tobytes(), verdict))
-            return verdict
-
-        monkeypatch.setattr(VERIFY_MODULE, "DRAW_BLOCK", block_size)
-        monkeypatch.setattr(VERIFY_MODULE, "_bound_holds", recording)
-        report = Report()
-        run_validity_checks(report, runs=7, params=params)
-        return calls, report.lines()
-
-    (want_calls, want_lines), (got_calls, got_lines) = recorded(1), recorded(block)
-    assert {verdict for _, verdict in want_calls} == {True, False}
-    assert got_calls == want_calls and got_lines == want_lines
-
-
-def test_tree_policy_weights_are_each_policys_weight_vector():
-    space = reference_env().space
-    for master, weights in zip([3, 10_003], _tree_policy_weights(space, [3, 10_003], 7)):
-        assert weights.shape == (7, space.n_trajectories)
-        for j, row in enumerate(weights):
-            policy = random_tree_policy(space, child_seed(master, "validity-policy", j))
-            assert row.tobytes() == policy_weight_vector(policy, space).tobytes()
 
 
 def test_mle_events_reads_each_model_once_per_seed(monkeypatch):
@@ -330,11 +300,12 @@ def test_prefix_logliks_are_each_members_per_entry_sum():
 
 
 @pytest.mark.parametrize("alpha", [2.0, 0.01, 1e-6])
-def test_stacked_bound_check_gives_the_per_policy_verdicts(alpha):
-    """The stacked check's verdict equals the one-policy-object loop's on seeded online and offline runs.
+def test_stacked_bound_check_gives_the_per_policy_verdicts(monkeypatch, alpha):
+    """The planned check fails on every seeded online and offline run where the oracle's 50 sampled
+    tree policies find a violation, and each of its two plans' slack is its planned policy's value.
 
     At the suite's alpha every run holds; at 0.01 some runs fail and some
-    hold; at 1e-6 every run fails, so the early return is taken.
+    hold; at 1e-6 every run fails.
     """
     env = reference_env()
     truth, _ = default_psr(env)
@@ -348,10 +319,55 @@ def test_stacked_bound_check_gives_the_per_policy_verdicts(alpha):
         data = collect_offline(env, uniform_policy(env.space), 60, child_seed(s, "validity-offline"))
         offline = run_psr_lcb(data, cands, OfflineConfig(params["p_min"], params["beta"], params["lam"], alpha), leaves)
         runs.append((offline.model, offline.evaluator, 10_000 + s))
-    verdicts = []
+    plans = []
+
+    def recording_plan(space, table):
+        policy, value = plan_on_table(space, table)
+        plans.append((policy, value, table))
+        return policy, value
+
+    monkeypatch.setattr(VERIFY_MODULE, "plan_on_table", recording_plan)
+    planned, sampled = [], []
     for model, evaluator, seed in runs:
-        (weights,) = _tree_policy_weights(env.space, [seed], 50)
-        verdict = _bound_holds(model, evaluator, true_table * leaves, leaves, weights)
-        assert verdict == oracle_bound_holds(model, evaluator, true_table, leaves, seed, 50)
-        verdicts.append(verdict)
-    assert set(verdicts) == {2.0: {True}, 0.01: {True, False}, 1e-6: {False}}[alpha]
+        plans.clear()
+        slack = _validity_slack(model, evaluator, true_table * leaves, leaves)
+        assert len(plans) == 2 and slack == max(value for _, value, _ in plans)
+        for policy, value, table in plans:
+            assert abs(policy_value_on_table(env.space, policy, table) - value) <= 1e-12
+        planned.append(slack <= 1e-12)
+        sampled.append(oracle_bound_holds(model, evaluator, true_table, leaves, seed, 50))
+    assert not any(holds and not oracle_holds for holds, oracle_holds in zip(planned, sampled))
+    expected = {2.0: {True}, 0.01: {True, False}, 1e-6: {False}}[alpha]
+    assert set(planned) == set(sampled) == expected
+
+
+def test_bonus_relation_plans_the_per_policy_gap(monkeypatch):
+    """Each run's planned leaf table of ``empirical-vs-true-bonus`` is valued by any policy at the
+    ``lhs - rhs`` that policy's sampled form of the check computed."""
+    recorded = {name: [] for name in ("constrained_mle", "_build_evaluator", "prefix_grams", "plan_on_table")}
+
+    def recording(name):
+        fn = getattr(VERIFY_MODULE, name)
+
+        def wrapped(*args):
+            out = fn(*args)
+            recorded[name].append((args, out))
+            return out
+
+        monkeypatch.setattr(VERIFY_MODULE, name, wrapped)
+
+    for name in recorded:
+        recording(name)
+    run_validity_checks(Report(), runs=1)
+    env = reference_env()
+    cands = make_candidates(env, "dithered", seed=42, n=10, scale=0.03)
+    truth = cands.models[cands.labels.index("true")]
+    mles, evaluators, grams = ([out for _, out in recorded[name]] for name in ("constrained_mle", "_build_evaluator", "prefix_grams"))
+    # The bonus relation's plans follow the online and the offline run's two plans each.
+    bonus_tables = [table for (_, table), _ in recorded["plan_on_table"][4:]]
+    assert len(bonus_tables) == len(mles) == len(evaluators) == len(grams) == 20
+    for run, (mle, evaluator, true_grams, table) in enumerate(zip(mles, evaluators, grams, bonus_tables)):
+        for j in range(5):
+            policy = random_tree_policy(env.space, child_seed(run, "bonus-relation-oracle", j))
+            want = oracle_bonus_relation_gap(env, truth, mle.model, evaluator, true_grams, len(cands), 1.0, policy)
+            assert policy_value_on_table(env.space, policy, table) == pytest.approx(want, rel=1e-12, abs=1e-12)
