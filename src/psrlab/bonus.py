@@ -145,16 +145,18 @@ def prefix_grams(model: PsrModel, dataset: "DatasetFamily", lam: float) -> tuple
     """Per-step grams of a model's features over a dataset's recorded prefixes.
 
     The step-``h`` gram adds the feature of every bucket-``h`` entry's
-    length-``h`` prefix, counted with multiplicity.  A recorded prefix that
-    is degenerate under the model has no feature and raises
-    :class:`DegenerateHistory`; a dataset on another space raises
+    length-``h`` prefix, counted with multiplicity: the dataset's running
+    prefix counts, so a call costs the tree's prefixes, not the entries.  A
+    recorded prefix that is degenerate under the model has no feature and
+    raises :class:`DegenerateHistory`; a dataset on another space, or with a
+    bucket changed outside ``add``/``add_batch``, raises
     :class:`StructuralError`.
     """
     check_same_space("model and dataset", model.space, dataset.space)
     grams = []
     for h in range(model.space.horizon):
         feats = model.feature_table(h)
-        counts = np.bincount(dataset.columns[h].prefix, minlength=len(feats))
+        counts = dataset.prefix_counts(h)
         used = np.flatnonzero(counts)
         if model.degenerate_mask(h).take(used).any():
             raise DegenerateHistory(f"a recorded prefix at step {h} has zero probability under the model")

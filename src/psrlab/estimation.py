@@ -22,13 +22,15 @@ diagnostic also reads a whole stack at once.
 
 A dataset's columns are append-only: entries enter only through
 :meth:`DatasetFamily.add` and :meth:`DatasetFamily.add_batch`, as the lex
-indices and policy weights the samplers drew.  So the
-dataset keeps a running selection record for the last candidate set (by
-identity) and ``p_min`` it was selected with, and :func:`constrained_mle`
-takes each entry's logs only once.  Every call still sums all of them, so
-the record's sums keep the bits of one fresh pass: each candidate's log
-probabilities add left to right in bucket-then-insertion order, and the log
-policy weights add pairwise as one vector.
+indices and policy weights the samplers drew, and those keep running counts
+of each bucket's prefixes for the grams.  So the dataset keeps a running
+selection record for the last candidate set (by identity) and ``p_min`` it
+was selected with, and :func:`constrained_mle` reads each entry once: a call
+costs its new entries, not the dataset.  The record's sums keep the bits of
+one fresh pass in a fixed order: within a bucket, each candidate's log
+probabilities and the log policy weights add left to right from 0.0 in
+insertion order, and the log-likelihood adds the bucket totals in bucket
+order.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .policies import Policy, continuation_weights
 from .pomdp import TabularPomdp, convert_family, default_psr
 from .psr import PsrModel, PsrStack
 from .seeding import rng_for
-from .spaces import _INTEGERS, ObsActSpace, check_numbers, check_same_space
+from .spaces import _INTEGERS, _REALS, ObsActSpace, check_numbers, check_same_space
 
 NEG_INF = float("-inf")
 MAX_CANDIDATES = 100_000
@@ -79,15 +81,21 @@ class DatasetFamily:
     from the model's tables at those indices, and the policy factor is the
     recorded weights, so the dataset keeps no policy.  The columns only
     grow, so the dataset also holds :func:`constrained_mle`'s running record
-    of what it has read.
+    of what it has read, and running int64 counts of each bucket's length-``h``
+    prefixes (:meth:`prefix_counts`), with the column length they cover.
     """
 
     space: ObsActSpace
     columns: list[BucketColumns] = field(init=False, repr=False)
+    _counts: list[np.ndarray] = field(init=False, repr=False, compare=False)  # bucket h: count of each length-h prefix
+    _counted: list[int] = field(init=False, repr=False, compare=False)  # bucket h: entries the counts cover
     _selection: _SelectionRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.columns = [BucketColumns(*(array(code) for code in "qqdd")) for _ in range(self.space.horizon)]
+        horizon = self.space.horizon
+        self.columns = [BucketColumns(*(array(code) for code in "qqdd")) for _ in range(horizon)]
+        self._counts = [np.zeros(self.space.n_histories(h), dtype=np.int64) for h in range(horizon)]
+        self._counted = [0] * horizon
 
     def add(self, lex: Sequence[int], weights: Sequence[float], split_step: int) -> None:
         """Add one entry to bucket ``split_step``.
@@ -95,6 +103,9 @@ class DatasetFamily:
         ``lex`` and ``weights`` are the prefix lex indices and policy weights,
         depth 0..H, that ``TabularPomdp.sample_episode`` returns.  The online
         loop adds one entry at a time: a one-row :meth:`add_batch` costs ~20x.
+        The recorded lex indices must be integers in range and the recorded
+        weights (depths ``split_step`` and H) numbers in [0, 1]; anything
+        else raises :class:`StructuralError` and changes nothing.
         """
         space = self.space
         if not 0 <= split_step < space.horizon:
@@ -105,37 +116,67 @@ class DatasetFamily:
         if not (isinstance(prefix, _INTEGERS) and isinstance(full, _INTEGERS)
                 and 0 <= prefix < space.pair_count**split_step and 0 <= full < space.n_trajectories):
             raise StructuralError(f"lex indices {prefix!r}, {full!r} must be integers in range at depths {split_step}, H")
-        row = (prefix, full, weights[split_step], weights[-1])  # every value checked before the first append
-        for column, value in zip(self.columns[split_step], row):
-            column.append(value)
+        prefix_weight, full_weight = weights[split_step], weights[-1]
+        if (not (isinstance(prefix_weight, _REALS) and isinstance(full_weight, _REALS)
+                 and 0.0 <= prefix_weight <= 1.0 and 0.0 <= full_weight <= 1.0)  # NaN fails too
+                or isinstance(prefix_weight, bool) or isinstance(full_weight, bool)):
+            raise StructuralError(
+                f"policy weights {prefix_weight!r}, {full_weight!r} must be numbers in [0, 1] at depths {split_step}, H")
+        for column, value in zip(self.columns[split_step], (prefix, full, prefix_weight, full_weight)):
+            column.append(value)  # every value checked before the first append
+        self._counts[split_step][prefix] += 1
+        self._counted[split_step] += 1
 
     def add_batch(self, lex: np.ndarray, weights: np.ndarray, split_steps: np.ndarray) -> None:
         """Add one entry per column of ``(H+1, n)`` prefix lex indices and weights, as ``add`` would in column order.
 
         ``lex`` and ``weights`` are what ``TabularPomdp.sample_episodes``
-        returns.  Entry ``i`` goes to bucket ``split_steps[i]``.
+        returns.  Entry ``i`` goes to bucket ``split_steps[i]``.  Every entry
+        is checked as ``add`` checks it before the first is added.
         """
         space = self.space
         lex, split_steps = (np.asarray(x, dtype=np.int64) for x in (lex, split_steps))
-        weights = np.asarray(weights, dtype=float)
+        weights = np.asarray(weights)
+        if weights.dtype.kind not in "iuf":
+            raise StructuralError(f"policy weights must be numbers, got an array of {weights.dtype}")
+        weights = weights.astype(float, copy=False)
         n = len(split_steps)
         if n and not (0 <= split_steps.min() and split_steps.max() < space.horizon):
             raise StructuralError("split step outside [0, H)")
         if lex.shape != (space.horizon + 1, n) or weights.shape != (space.horizon + 1, n):
             raise StructuralError("entries need the lex index and weight of every prefix, depth 0..H")
-        prefix, full = lex[split_steps, np.arange(n)], lex[-1]
+        entries = np.arange(n)
+        prefix, full = lex[split_steps, entries], lex[-1]
         if n and not (((0 <= prefix) & (prefix < space.pair_count**split_steps)).all()
                       and 0 <= full.min() and full.max() < space.n_trajectories):
             raise StructuralError("lex indices are not in range at their split steps and H")
-        for h, cols in enumerate(self.columns):
+        recorded = np.concatenate((weights[split_steps, entries], weights[-1]))
+        if not ((0.0 <= recorded) & (recorded <= 1.0)).all():  # NaN fails too
+            raise StructuralError("policy weights are not in [0, 1] at their split steps and H")
+        for h, cols in enumerate(self.columns):  # every value checked before the first append
             members = np.flatnonzero(split_steps == h)  # in column order
             cols.prefix.frombytes(lex[h, members].tobytes())
             cols.trajectory.frombytes(lex[-1, members].tobytes())
             cols.prefix_weight.frombytes(weights[h, members].tobytes())
             cols.full_weight.frombytes(weights[-1, members].tobytes())
+            self._counts[h] += np.bincount(lex[h, members], minlength=len(self._counts[h]))
+            self._counted[h] += len(members)
 
     def size(self) -> int:
         return sum(len(cols.trajectory) for cols in self.columns)
+
+    def prefix_counts(self, h: int) -> np.ndarray:
+        """Read-only count of each length-``h`` prefix over bucket ``h``'s entries, as :func:`np.bincount` gives it.
+
+        The counts grow with :meth:`add` and :meth:`add_batch`; a bucket
+        whose columns changed length otherwise raises :class:`StructuralError`.
+        """
+        if len(self.columns[h].prefix) != self._counted[h]:
+            raise StructuralError(f"bucket {h} holds {len(self.columns[h].prefix)} prefixes but counts "
+                                  f"{self._counted[h]}; columns grow only through add and add_batch")
+        counts = self._counts[h].view()
+        counts.flags.writeable = False
+        return counts
 
 
 # -- candidate families -------------------------------------------------------
@@ -323,30 +364,22 @@ def _grid_tables(env: TabularPomdp, eps: float):
 # -- likelihoods and selection -------------------------------------------------
 
 
-def _reserved(buffer: np.ndarray, used: int, stop: int) -> np.ndarray:
-    """``buffer`` if it has room for ``stop`` rows, else a buffer at least twice as long holding its first ``used``."""
-    if stop <= len(buffer):
-        return buffer
-    grown = np.empty((max(stop, 2 * len(buffer)), *buffer.shape[1:]))
-    grown[:used] = buffer[:used]
-    return grown
-
-
 class _SelectionRecord:
     """What selection has read of one dataset for one stack of models and one floor.
 
     Each call reads only the entries appended to a bucket since the last
     one.  Stability is monotone while data only grow under a fixed floor, so
-    the new prefixes' flags are ANDed into the running mask.  Each new
-    trajectory's log probabilities are taken once, into per-bucket
-    C-ordered ``(n_entries, n_models)`` buffers, and its log policy weight
-    into a per-bucket vector.
+    the new prefixes' flags are ANDed into the running mask.  ``sums`` is
+    one ``(H, n_models + 1)`` array: row ``h`` holds every model's summed log
+    probability over bucket ``h``, then the bucket's summed log policy weight.
 
-    The sums keep the bits of one pass over the whole dataset: every call
-    sums all buckets' buffered rows, in bucket-then-insertion order, over
-    the outer axis.  For a stack of models that reduction adds each model's
-    log probabilities left to right; for a stack of one it is pairwise, as
-    that pass's is.  The log weights add pairwise as one vector.
+    A call adds a bucket's new entries to its row as one C-ordered block,
+    the row on top and one row of logs per entry below; numpy's axis-0 sum
+    of such a block adds its rows left to right, and the weight column keeps
+    the block at least two wide, so a stack of one adds in that order too.
+    So each bucket sums from 0.0 in insertion order, and the log-likelihood
+    is the bucket rows added in bucket order: the bits of one fresh pass in
+    that order.
     """
 
     def __init__(self, key: object, p_min: float, n_models: int, horizon: int) -> None:
@@ -354,8 +387,7 @@ class _SelectionRecord:
         self.p_min = p_min
         self.consumed = [0] * horizon
         self.stable = np.ones(n_models, dtype=bool)
-        self.log_probs = [np.empty((0, n_models)) for _ in range(horizon)]
-        self.log_weights = [np.empty(0) for _ in range(horizon)]
+        self.sums = np.zeros((horizon, n_models + 1))
 
     def read(self, prob_table: Callable[[int], np.ndarray], dataset: DatasetFamily) -> tuple[np.ndarray, np.ndarray]:
         """Stability flags and log-likelihoods of the models over the whole dataset.
@@ -378,15 +410,14 @@ class _SelectionRecord:
                 # Slices copy out of the columns, so no view pins their buffers against a later append.
                 prefix_probs = prob_table(h).take(cols.prefix[start:], axis=1) * np.frombuffer(cols.prefix_weight[start:])
                 self.stable &= ~(prefix_probs < self.p_min).any(axis=1)
-                probs = prob_table(horizon).take(cols.trajectory[start:], axis=1).T
-                self.log_probs[h] = _reserved(self.log_probs[h], start, stop)
-                np.log(probs, out=self.log_probs[h][start:stop])
-                self.log_weights[h] = _reserved(self.log_weights[h], start, stop)
-                np.log(np.frombuffer(cols.full_weight[start:]), out=self.log_weights[h][start:stop])
+                block = np.empty((stop - start + 1, self.sums.shape[1]))
+                block[0] = self.sums[h]
+                np.log(prob_table(horizon).take(cols.trajectory[start:], axis=1).T, out=block[1:, :-1])
+                np.log(np.frombuffer(cols.full_weight[start:]), out=block[1:, -1])
+                block.sum(axis=0, out=self.sums[h])
                 self.consumed[h] = stop
-        rows = np.concatenate([buffer[:used] for buffer, used in zip(self.log_probs, self.consumed)])
-        weights = np.concatenate([buffer[:used] for buffer, used in zip(self.log_weights, self.consumed)])
-        logliks = rows.sum(axis=0) + weights.sum()
+        totals = self.sums.sum(axis=0)
+        logliks = totals[:-1] + totals[-1]
         logliks[np.isnan(logliks)] = NEG_INF
         return self.stable.copy(), logliks
 

@@ -29,9 +29,12 @@ over its members, dims and then self-consistency, one member at a time.
 Verify's exploration collection draws and adds one episode at a time, and
 the conditional-TV diagnostic walks one decoded trajectory at a time, as
 when a dataset kept its entries as objects next to its columns.  Model
-selection's oracle gathers and reduces every recorded entry in one pass, as
-selection did before it kept a running record on the dataset, and
-:func:`theta_min_feasible` is one model's ``p_min`` stability flag, and
+selection's oracle reads every recorded entry in one pass and adds the logs
+one entry at a time in the running record's order: each bucket from 0.0 in
+insertion order, then the bucket totals in bucket order.
+:func:`oracle_prefix_counts` and :func:`oracle_prefix_grams` bincount every
+recorded prefix per call, as the grams did before the dataset kept running
+counts.  :func:`theta_min_feasible` is one model's ``p_min`` stability flag, and
 :func:`oracle_prefix_loglik` one model's prefix log-likelihood, summed one
 entry at a time as verify's likelihood events did before they read the
 whole candidate stack at once.  The
@@ -56,6 +59,7 @@ from conftest import model_from_arrays
 from policy_oracles import action_row, add_drawn, exploration_policy, oracle_policy_weight, random_tree_policy, seed_uniforms
 from pomdp_oracles import history_from_lex, psi
 from psrlab import estimation
+from psrlab.bonus import FeatureGram
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, SingularCoreTests, StructuralError
 from psrlab.estimation import (
     MAX_ATTEMPTS_PER_CANDIDATE,
@@ -386,22 +390,40 @@ def oracle_stability_and_likelihood(prob_table, dataset, p_min):
     """Stability flags and log-likelihoods of a stack of models, from every entry at once.
 
     ``prob_table(h)`` returns the models' ``(n_models, n_histories(h))``
-    probabilities.  The gathered ``(n_models, n_entries)`` block is
-    F-ordered, so its row sums add each model's log probabilities left to
-    right in bucket-then-insertion order (pairwise for a stack of one); the
-    log weights add pairwise as one vector.
+    probabilities.  Each bucket's log probabilities and log weights are
+    added one entry at a time, left to right from 0.0 in insertion order,
+    and the bucket totals are then added one at a time in bucket order.
     """
-    columns = dataset.columns
     stable = np.ones(prob_table(0).shape[0], dtype=bool)
-    for h, cols in enumerate(columns):
-        if cols.prefix:
-            stable &= ~np.any(prob_table(h)[:, cols.prefix] * cols.prefix_weight < p_min, axis=1)
-    probs = prob_table(dataset.space.horizon)[:, np.concatenate([cols.trajectory for cols in columns])]
-    weights = np.concatenate([cols.full_weight for cols in columns])
+    leaves = prob_table(dataset.space.horizon)
+    log_probs, log_weight = np.zeros(len(stable)), 0.0
     with np.errstate(divide="ignore", invalid="ignore"):  # log of p <= 0 is -inf or NaN
-        logliks = np.log(probs).sum(axis=1) + np.log(weights).sum()
+        for h, cols in enumerate(dataset.columns):
+            if cols.prefix:
+                stable &= ~np.any(prob_table(h)[:, cols.prefix] * cols.prefix_weight < p_min, axis=1)
+            bucket_probs, bucket_weight = np.zeros(len(stable)), 0.0
+            for trajectory, weight in zip(cols.trajectory, cols.full_weight):
+                bucket_probs = bucket_probs + np.log(leaves[:, trajectory])
+                bucket_weight = bucket_weight + float(np.log(weight))
+            log_probs, log_weight = log_probs + bucket_probs, log_weight + bucket_weight
+        logliks = log_probs + log_weight
     logliks[np.isnan(logliks)] = float("-inf")
     return stable, logliks
+
+
+def oracle_prefix_counts(dataset):
+    """Each bucket's count of every length-``h`` prefix, one ``np.bincount`` of its prefix column."""
+    space = dataset.space
+    return [np.bincount(cols.prefix, minlength=space.n_histories(h)) for h, cols in enumerate(dataset.columns)]
+
+
+def oracle_prefix_grams(model, dataset, lam):
+    """Per-step grams of a model's features over the recorded prefixes, counted by :func:`oracle_prefix_counts`."""
+    grams = []
+    for h, counts in enumerate(oracle_prefix_counts(dataset)):
+        used = np.flatnonzero(counts)
+        grams.append(FeatureGram(h, lam, model.feature_table(h)[used], counts[used]))
+    return tuple(grams)
 
 
 def decoded_trajectories(dataset):

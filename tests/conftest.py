@@ -85,10 +85,11 @@ def assert_same_model(got, want, where=""):
 
 
 def assert_same_columns(got, want):
-    """Two datasets hold the same entries: every column to the bit."""
-    for got_cols, want_cols in zip(got.columns, want.columns, strict=True):
+    """Two datasets hold the same entries: every column to the bit, and the same running prefix counts."""
+    for h, (got_cols, want_cols) in enumerate(zip(got.columns, want.columns, strict=True)):
         for g, w in zip(got_cols, want_cols, strict=True):
             assert g.typecode == w.typecode and g.tobytes() == w.tobytes()
+        assert got.prefix_counts(h).tolist() == want.prefix_counts(h).tolist()
 
 
 def _openblas_core(package, symbol):

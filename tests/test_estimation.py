@@ -16,6 +16,8 @@ from check_oracles import (
     oracle_make_candidates,
     oracle_model_fault,
     oracle_pomdp_to_psr,
+    oracle_prefix_counts,
+    oracle_prefix_grams,
     oracle_simplex_lattice,
     oracle_stability_and_likelihood,
     theta_min_feasible,
@@ -24,6 +26,7 @@ from conftest import assert_same_columns, assert_same_model, make_single_state_e
 from policy_oracles import add_drawn, add_history, exploration_policy, oracle_policy_weight, seed_uniforms
 from pomdp_oracles import seq_prob
 from psrlab import estimation
+from psrlab.bonus import prefix_grams
 from psrlab.cli import build_env
 from psrlab.errors import DegenerateHistory, EmptyFeasibleSet, PsrLabError, SingularCoreTests, StructuralError
 from psrlab.estimation import (
@@ -533,6 +536,58 @@ def test_add_rejects_bad_lex_indices_and_keeps_columns_aligned(reference_env):
     assert list(dataset.columns[1].trajectory) == [lex[-1]] and list(dataset.columns[1].prefix) == [lex[1]]
 
 
+def _dataset_state(dataset):
+    """Every column's bytes and every bucket's running prefix counts."""
+    return ([[column.tobytes() for column in cols] for cols in dataset.columns],
+            [dataset.prefix_counts(h).tolist() for h in range(dataset.space.horizon)])
+
+
+@pytest.mark.parametrize("bad", ["x", None, True, float("nan"), float("inf"), 2.0, 4.0, -0.5, -1e-300])
+def test_add_refuses_recorded_weights_outside_the_unit_interval(reference_env, bad):
+    """A recorded policy weight (the split step's or the trajectory's) that is not a number in
+    [0, 1] raises before any column or count changes; the next good entry lines up."""
+    space = reference_env.space
+    lex, weights = reference_env.sample_episode(uniform_policy(space), seed_uniforms(space, 3))
+    dataset = DatasetFamily(space)
+    dataset.add(lex, weights, 1)
+    before = _dataset_state(dataset)
+    for depth in (1, space.horizon):
+        with pytest.raises(StructuralError, match="policy weights"):
+            dataset.add(lex, [*weights[:depth], bad, *weights[depth + 1:]], 1)
+        assert _dataset_state(dataset) == before
+    dataset.add(lex, weights, 1)
+    assert [len(column) for column in dataset.columns[1]] == [2] * 4
+    assert dataset.prefix_counts(1).sum() == 2
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.0, -0.5])
+def test_add_batch_refuses_recorded_weights_outside_the_unit_interval(reference_env, bad):
+    """One bad recorded weight in a batch, at its entry's split step or at H, refuses the whole
+    batch before any bucket's columns or counts change, as do weights that are not numbers; a
+    weight at a depth its entry does not record is not read."""
+    space = reference_env.space
+    policy = exploration_policy(uniform_policy(space), 2, default_psr(reference_env)[0].core_tests)
+    lex, weights = reference_env.sample_episodes(policy, [1, 2, 3])
+    split = np.array([0, 1, 1])
+    dataset = DatasetFamily(space)
+    dataset.add_batch(lex, weights, split)
+    before = _dataset_state(dataset)
+    for depth in (1, space.horizon):
+        bad_weights = weights.copy()
+        bad_weights[depth, 2] = bad
+        with pytest.raises(StructuralError, match="policy weights"):
+            dataset.add_batch(lex, bad_weights, split)
+        assert _dataset_state(dataset) == before
+    for not_numbers in (weights.astype(str), weights > 0):
+        with pytest.raises(StructuralError, match="policy weights"):
+            dataset.add_batch(lex, not_numbers, split)
+        assert _dataset_state(dataset) == before
+    unread = weights.copy()
+    unread[1, 0] = bad  # entry 0 splits at step 0, so only its depths 0 and H are recorded
+    dataset.add_batch(lex, unread, split)
+    assert [len(cols.trajectory) for cols in dataset.columns] == [2, 4]
+
+
 def _oracle_selection(cands, dataset, p_min, beta, policies):
     """Stable ids, their per-entry log-likelihoods, the selected id and the margin set."""
     stable = [i for i, m in enumerate(cands.models) if _oracle_feasible(m, dataset, p_min, policies)]
@@ -658,6 +713,44 @@ def test_selection_record_rejects_shrunken_columns(reference_env, small_dataset)
         column.pop()
     with pytest.raises(StructuralError, match="append-only"):
         constrained_mle(cands, small_dataset, 1e-10, 5.0)
+
+
+def test_prefix_grams_refuse_columns_changed_outside_add(reference_env, reference_model, small_dataset):
+    """The running prefix counts cover the entries that came through ``add``/``add_batch``; a bucket
+    whose columns shrank or grew otherwise is named, not counted from stale counts."""
+    prefix_grams(reference_model, small_dataset, 1.0)
+    small_dataset.columns[1].prefix.pop()
+    with pytest.raises(StructuralError, match="bucket 1"):
+        prefix_grams(reference_model, small_dataset, 1.0)
+    small_dataset.columns[0].prefix.append(0)
+    with pytest.raises(StructuralError, match="bucket 0"):
+        small_dataset.prefix_counts(0)
+
+
+def test_prefix_counts_and_grams_match_bincounts_through_add_and_add_batch(reference_env, reference_model):
+    """Through staged growth mixing ``add`` and ``add_batch``, each bucket's running counts are the
+    bincount of its prefix column, and every gram is bit-equal to one built from those bincounts."""
+    from psrlab.seeding import child_seed
+
+    space = reference_env.space
+    core = reference_model.core_tests
+    dataset = DatasetFamily(space)
+    for stage in range(6):
+        for h in range(1, space.horizon + 1):
+            pol = exploration_policy(uniform_policy(space), h, core)
+            if stage % 2:
+                lex, weights = reference_env.sample_episodes(pol, [child_seed(stage, "counts", 10 * h + i) for i in range(5)])
+                dataset.add_batch(lex, weights, np.arange(5) % space.horizon)
+            else:
+                add_drawn(dataset, reference_env, pol, child_seed(stage, "counts", h), h - 1)
+        for h, want in enumerate(oracle_prefix_counts(dataset)):
+            got = dataset.prefix_counts(h)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist() and not got.flags.writeable
+        grams = prefix_grams(reference_model, dataset, 0.5)
+        for got, want in zip(grams, oracle_prefix_grams(reference_model, dataset, 0.5), strict=True):
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got._factor.tobytes() == want._factor.tobytes()
+    assert dataset.size() == 3 * space.horizon + 3 * 5 * space.horizon
 
 
 def test_candidate_prob_table_rows_are_the_members_tables():

@@ -20,7 +20,11 @@ rate or a formatted distance) changes them.  The ``mle-events`` digest at
 the command line's default of 100 seeds was recorded while that suite still
 read each candidate's likelihood in its own pass and summed each prefix log
 with ``math.log`` one entry at a time, and while the conditional-TV
-diagnostic compared one candidate with the truth per call.
+diagnostic compared one candidate with the truth per call.  The digest of a
+1,024-iteration ``online_decay`` run's selections (the selected candidate
+and the margin set's size per iteration) was recorded while selection still
+summed every buffered log row on every call; selection's log-likelihoods
+have since moved in the last bit, and its choices have not.
 """
 
 import hashlib
@@ -74,6 +78,10 @@ ONLINE_ALL_SHA256 = "9f70a29ef40ed58834c29bd9858243e4f44b20290d2ece8652a27f17cb0
 OFFLINE_JSONL_SHA256 = "c3720d8881731bfd047bba07efe16cd5b10670e983a4d55f4142d01e3c0d583b"
 ONLINE_JSONL_SHA256 = "767aa8fd2ec357cbc96f34fe9bcf01d080713a749e56d0fece6827c9e02c831c"
 
+# SHA-256 of the newline-joined "candidate_id,feasible_size" rows of a
+# 1,024-iteration online_decay run at seed 0.
+ONLINE_DECAY_1024_SHA256 = "c857181b2949e1ef8de3be632e0dfd43c94f7a16dac3dd64ce686e700a237ec4"
+
 # SHA-256 of the newline-joined lines of verify("all", n), at n = 5 and at the
 # benchmark's n = 20.
 VERIFY_ALL_5_SHA256 = "75e4dafcf54665cf622788a93849953ca4d199fbf847007646d493106a0f3cbd"
@@ -119,19 +127,30 @@ def test_offline_dataset_jsonl_is_byte_identical():
     assert hashlib.sha256(text.encode()).hexdigest() == OFFLINE_JSONL_SHA256, cpu_kernels()
 
 
-def test_online_dataset_jsonl_is_byte_identical():
-    config = json.loads((CONFIGS / "online_reference.json").read_text())
+def _online_run(config_name, **overrides):
+    """``run_psr_ucb`` at seed 0 on a config's environment, candidates and online section, with fields overridden."""
+    config = json.loads((CONFIGS / config_name).read_text())
     env = build_env(config["env"])
     true_model, _ = default_psr(env)
     on = config["online"]
-    online = OnlineConfig(
-        max_iterations=on["max_iterations"], epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"],
-        beta=on["beta"], lam=on["lambda"], alpha=on["alpha"], seed=0,
-    )
-    result = run_psr_ucb(env, online, build_candidates(env, config["candidates"]), true_model.core_tests)
+    fields = dict(max_iterations=on["max_iterations"], epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"],
+                  beta=on["beta"], lam=on["lambda"], alpha=on["alpha"], seed=0)
+    online = OnlineConfig(**(fields | overrides))
+    return run_psr_ucb(env, online, build_candidates(env, config["candidates"]), true_model.core_tests)
+
+
+def test_online_dataset_jsonl_is_byte_identical():
+    result = _online_run("online_reference.json")
     assert result.dataset.size() == 2 * len(result.logs)
     text = dataset_jsonl(result.dataset, lambda h, i: f"explore[k={i + 1},h={h + 1}]")  # iteration k adds one per bucket
     assert hashlib.sha256(text.encode()).hexdigest() == ONLINE_JSONL_SHA256, cpu_kernels()
+
+
+def test_long_online_decay_selections_are_unchanged():
+    result = _online_run("online_decay.json", max_iterations=1024)
+    assert len(result.logs) == 1024 and not result.terminated
+    rows = "\n".join(f"{log.candidate_id},{log.feasible_size}" for log in result.logs)
+    assert hashlib.sha256(rows.encode()).hexdigest() == ONLINE_DECAY_1024_SHA256, cpu_kernels()
 
 
 def test_verify_all_lines_are_byte_identical():

@@ -290,3 +290,45 @@ def test_block_drawn_episodes_match_one_generator_per_episode(
         assert result.terminated and ran < iterations and ran % block
     blocks = [min(block, iterations - start) for start in range(0, ran, block)]
     assert draws == [n * reference_env.space.horizon for n in blocks]
+
+
+def test_online_selection_reads_each_entry_once_into_fixed_size_sums(monkeypatch):
+    """Over a 64-iteration ``online_decay`` run, the selection record gathers each recorded
+    trajectory's column of the stack's leaf table exactly once, and after every read it holds
+    one ``(H, C+1)`` array of sums and a ``(C,)`` stability mask, however many entries it has read."""
+    import json
+    from pathlib import Path
+
+    from psrlab import estimation
+    from psrlab.cli import build_candidates, build_env
+
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "online_decay.json").read_text())
+    env = build_env(config["env"])
+    cands = build_candidates(env, config["candidates"])
+    horizon, n_cands = env.space.horizon, len(cands)
+    gathered = []
+
+    class CountingTable(np.ndarray):
+        def take(self, indices, axis=None, out=None, mode="raise"):
+            gathered.append(len(indices))
+            return np.asarray(self).take(indices, axis, out, mode)
+
+    read = estimation._SelectionRecord.read
+
+    def counting_read(record, prob_table, dataset):
+        assert record.key is cands
+        result = read(record, lambda h: prob_table(h).view(CountingTable) if h == horizon else prob_table(h), dataset)
+        assert sum(gathered) == dataset.size()
+        assert set(vars(record)) == {"key", "p_min", "consumed", "stable", "sums"}
+        assert record.stable.shape == (n_cands,) and record.sums.shape == (horizon, n_cands + 1)
+        assert record.consumed == [len(cols.trajectory) for cols in dataset.columns]
+        return result
+
+    monkeypatch.setattr(estimation._SelectionRecord, "read", counting_read)
+    on = config["online"]
+    cfg = OnlineConfig(max_iterations=64, epsilon=on["epsilon"], delta=on["delta"], p_min=on["p_min"], beta=on["beta"],
+                       lam=on["lambda"], alpha=on["alpha"], seed=0)
+    result = run_psr_ucb(env, cfg, cands, default_psr(env)[0].core_tests)
+    assert len(result.logs) == 64 and not result.terminated
+    assert result.dataset.size() == 64 * horizon == sum(gathered)
+    assert len(gathered) == 64 * horizon  # one gather per bucket per iteration
